@@ -22,7 +22,14 @@ from .errors import (
     RetryBudgetError,
     ValidationError,
 )
-from .gn import GNSkeleton, core_multiplicity, instance_to_dict, random_instance
+from .fields import PRIME_TEST_LIMIT, is_prime
+from .gn import (
+    GNSkeleton,
+    core_multiplicity,
+    instance_to_dict,
+    random_instance,
+    validate_skeleton,
+)
 from .hessian import hessian_vanishes, polar_image_dim
 from .poly import parse
 from .psi import build_psi, find_polar_relation, sample_polar_image
@@ -122,8 +129,15 @@ def _parse_field(text):
     if text == "rational":
         return None
     if text.startswith("p:"):
-        modulus = int(text[2:])
-        if modulus < 2:
+        try:
+            modulus = int(text[2:])
+        except ValueError:
+            raise ValidationError([f"modulus {text[2:]!r} is not an integer"]) from None
+        if modulus >= PRIME_TEST_LIMIT:
+            raise ValidationError(
+                [f"modulus {modulus} is too large to prove prime (limit {PRIME_TEST_LIMIT})"]
+            )
+        if not is_prime(modulus):
             raise ValidationError([f"modulus {modulus} is not a prime > 1"])
         return modulus
     raise ValidationError([f"unknown field {text!r}; use 'rational' or 'p:<modulus>'"])
@@ -173,21 +187,24 @@ def cmd_analyze(args):
     return code, _doc({"poly": args.poly, "mode_requested": mode}, results, args)
 
 
+def _skeleton_verdict(f, skel, args, seed):
+    """Hessian verdict for a built instance: symbolic on small skeletons or
+    under --symbolic, else enough seeded trials for an error below 2^-40."""
+    if args.symbolic or (skel.n + 1 <= 6 and skel.d <= 6):
+        return hessian_vanishes(f, mode="symbolic")
+    trials = max(
+        args.trials,
+        trials_for_error((skel.n + 1) * max(skel.d - 2, 0), target_log2=40),
+    )
+    return hessian_vanishes(f, mode="probabilistic", trials=trials, seed=seed)
+
+
 def cmd_generate(args):
     skel = GNSkeleton(
         n=args.n, t=args.t, m=args.m, hdeg=args.hdeg, psideg=args.psideg, d=args.d
     )
     instance = random_instance(skel, seed=args.seed)
-    if args.symbolic or (skel.n + 1 <= 6 and skel.d <= 6):
-        verdict = hessian_vanishes(instance.f, mode="symbolic")
-    else:
-        trials = max(
-            args.trials,
-            trials_for_error((skel.n + 1) * max(skel.d - 2, 0), target_log2=40),
-        )
-        verdict = hessian_vanishes(
-            instance.f, mode="probabilistic", trials=trials, seed=args.seed
-        )
+    verdict = _skeleton_verdict(instance.f, skel, args, args.seed)
     vertex = cone_test(instance.f)
     data = instance_to_dict(instance)
     if args.out:
@@ -243,7 +260,7 @@ def cmd_catalog(args):
             continue
         skel = GNSkeleton(*nums)
         try:
-            random_instance(skel, seed=args.seed)  # shape probe
+            validate_skeleton(skel)
         except ValidationError as exc:
             problems.extend(f"{text}: {v}" for v in exc.violations)
             continue
@@ -254,16 +271,7 @@ def cmd_catalog(args):
     for skel in skeletons:
         for i in range(args.count):
             inst = random_instance(skel, seed=args.seed + i)
-            if args.symbolic or (skel.n + 1 <= 6 and skel.d <= 6):
-                verdict = hessian_vanishes(inst.f, mode="symbolic")
-            else:
-                trials = max(
-                    args.trials,
-                    trials_for_error((skel.n + 1) * max(skel.d - 2, 0), target_log2=40),
-                )
-                verdict = hessian_vanishes(
-                    inst.f, mode="probabilistic", trials=trials, seed=args.seed + i
-                )
+            verdict = _skeleton_verdict(inst.f, skel, args, args.seed + i)
             entries.append(
                 {
                     "type": [skel.n, skel.t, skel.m],

@@ -1,9 +1,10 @@
-"""Coefficient domains: exact rationals and large prime fields.
+"""The coefficient domain: exact rationals, with plain-int images mod p.
 
-Rational coefficients are plain ``int`` when integral and ``fractions.Fraction``
-otherwise; both interoperate transparently, and keeping the integer fast path
-matters in the symbolic-determinant kernels.  Prime-field coefficients are
-``GFElement`` instances that carry their modulus.
+Every coefficient is a rational, stored as plain ``int`` when integral and
+``fractions.Fraction`` otherwise; both interoperate transparently, and keeping
+the integer fast path matters in the symbolic-determinant kernels.  Prime
+fields appear only as ints in [0, p), through ``rational_to_mod``, for
+probabilistic identity testing; ``is_prime`` vets a user-supplied modulus.
 """
 
 from __future__ import annotations
@@ -12,117 +13,10 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import FieldMismatchError
+from .errors import DomainError, FieldMismatchError
 
 # Default modulus for probabilistic identity testing: the Mersenne prime 2^61 - 1.
 DEFAULT_PRIME = (1 << 61) - 1
-
-RATIONAL = "rational"
-
-
-class GFElement:
-    """An element of GF(p), stored in canonical range [0, p)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.modulus != self.modulus:
-                raise FieldMismatchError(
-                    f"moduli differ: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.modulus)
-        if isinstance(other, Fraction):
-            return GFElement(
-                other.numerator * pow(other.denominator, -1, self.modulus),
-                self.modulus,
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * pow(other.value, -1, self.modulus), self.modulus)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(other.value * pow(self.value, -1, self.modulus), self.modulus)
-
-    def __pow__(self, e):
-        return GFElement(pow(self.value, e, self.modulus), self.modulus)
-
-    def __neg__(self):
-        return GFElement(-self.value, self.modulus)
-
-    def __abs__(self):
-        return self
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.value} mod {self.modulus})"
-
-    def __str__(self):
-        return str(self.value)
-
-
-def field_of(c):
-    """Return the field tag of a coefficient: RATIONAL or the GF modulus."""
-    if isinstance(c, GFElement):
-        return c.modulus
-    return RATIONAL
-
-
-def same_field(a, b):
-    return field_of(a) == field_of(b)
 
 
 def norm_coeff(c):
@@ -133,11 +27,7 @@ def norm_coeff(c):
 
 
 def coeff_div(a, b):
-    """Exact division of coefficients in their common field."""
-    if isinstance(a, GFElement) or isinstance(b, GFElement):
-        if isinstance(a, GFElement):
-            return a / b
-        return GFElement(a, b.modulus) / b
+    """Exact division of rational coefficients."""
     return norm_coeff(Fraction(a) / Fraction(b))
 
 
@@ -148,6 +38,37 @@ def rational_to_mod(c, p):
     if c.denominator % p == 0:
         raise FieldMismatchError(f"denominator divisible by modulus {p}")
     return c.numerator * pow(c.denominator, -1, p) % p
+
+
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 2017).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise DomainError(f"{n} is beyond the exact primality test (< {PRIME_TEST_LIMIT})")
+    if n < 2:
+        return False
+    for q in _PRIME_TEST_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_TEST_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rational_content(coeffs):

@@ -23,6 +23,21 @@ from .poly import Polynomial, monomials_of_degree
 RETRY_BUDGET = 8
 
 
+def _shape_violations(n, t, m):
+    out = []
+    if t < m + 1:
+        out.append(f"t >= m+1 violated (t={t}, m={m})")
+    if not 2 <= t:
+        out.append(f"2 <= t violated (t={t})")
+    if not t <= n - 2:
+        out.append(f"t <= n-2 violated (t={t}, n={n})")
+    if not 1 <= m:
+        out.append(f"1 <= m violated (m={m})")
+    if not m <= n - t - 1:
+        out.append(f"m <= n-t-1 violated (m={m}, n={n}, t={t})")
+    return out
+
+
 @dataclass(frozen=True)
 class GNSkeleton:
     """Shape of an instance before coefficients are drawn."""
@@ -42,6 +57,14 @@ class GNSkeleton:
     def expected_mu(self):
         return self.d // self.expected_s
 
+    def violations(self):
+        """Structural constraints, checkable before any polynomial is built."""
+        out = _shape_violations(self.n, self.t, self.m)
+        s = self.expected_s
+        if not self.d >= s:
+            out.append(f"d >= s violated (d={self.d}, s={s})")
+        return out
+
 
 @dataclass(frozen=True)
 class GNParams:
@@ -59,18 +82,8 @@ class GNParams:
     p_forms: tuple          # μ+1 biforms
 
     def violations(self):
-        out = []
         n, t, m, d = self.n, self.t, self.m, self.d
-        if t < m + 1:
-            out.append(f"t >= m+1 violated (t={t}, m={m})")
-        if not 2 <= t:
-            out.append(f"2 <= t violated (t={t})")
-        if not t <= n - 2:
-            out.append(f"t <= n-2 violated (t={t}, n={n})")
-        if not 1 <= m:
-            out.append(f"1 <= m violated (m={m})")
-        if not m <= n - t - 1:
-            out.append(f"m <= n-t-1 violated (m={m}, n={n}, t={t})")
+        out = _shape_violations(n, t, m)
         if out:
             return out
 
@@ -158,11 +171,6 @@ class GNInstance:
     s: int
     mu: int
 
-    @property
-    def core_indices(self):
-        """Variables cut out to zero on the core subspace Π."""
-        return tuple(range(self.params.t + 1, self.params.n + 1))
-
 
 def _construction_rows(params):
     """Rows shared by every Q_ℓ: (x_0..x_t), then ∂h_i/∂y_j at y = ψ."""
@@ -243,10 +251,8 @@ def build_f(params):
     )
 
 
-def _dense_random(nvars, degree, rng):
-    return Polynomial(
-        nvars, {e: _nonzero(rng) for e in monomials_of_degree(nvars, degree)}
-    )
+def _dense(nvars, degree, coeff):
+    return Polynomial(nvars, {e: coeff() for e in monomials_of_degree(nvars, degree)})
 
 
 def _nonzero(rng):
@@ -256,19 +262,21 @@ def _nonzero(rng):
     return v
 
 
-def _random_params(skel, rng):
+def _random_params(skel, coeff):
+    """Params of shape skel; coeff() supplies each coefficient in a fixed
+    order, so a seeded source reproduces its instance."""
     n, t, m = skel.n, skel.t, skel.m
     n1 = n + 1
-    h_forms = tuple(_dense_random(m + 1, skel.hdeg, rng) for _ in range(t + 1))
+    h_forms = tuple(_dense(m + 1, skel.hdeg, coeff) for _ in range(t + 1))
     psi_forms = []
     for _ in range(m + 1):
-        tail_poly = _dense_random(n - t, skel.psideg, rng)
+        tail_poly = _dense(n - t, skel.psideg, coeff)
         shifted = {
             (0,) * (t + 1) + e: c for e, c in tail_poly.terms.items()
         }
         psi_forms.append(Polynomial(n1, shifted))
     a_consts = tuple(
-        tuple(tuple(_nonzero(rng) for _ in range(t + 1)) for _ in range(t - m - 1))
+        tuple(tuple(coeff() for _ in range(t + 1)) for _ in range(t - m - 1))
         for _ in range(t - m)
     )
     s = skel.expected_s
@@ -279,7 +287,7 @@ def _random_params(skel, rng):
         terms = {}
         for ez in monomials_of_degree(zc, k):
             for et in monomials_of_degree(tailc, skel.d - k * s):
-                terms[ez + et] = _nonzero(rng)
+                terms[ez + et] = coeff()
         p_forms.append(Polynomial(zc + tailc, terms))
     return GNParams(
         n=n,
@@ -293,17 +301,26 @@ def _random_params(skel, rng):
     )
 
 
+def validate_skeleton(skel):
+    """Reject a bad skeleton before any draw: its structural constraints,
+    then the full params check on a probe with all-one coefficients."""
+    violations = skel.violations()
+    if violations:
+        raise ValidationError(violations)
+    validate(_random_params(skel, lambda: 1))
+
+
 def random_instance(skel, seed, retries=RETRY_BUDGET):
     """Seeded instance with small nonzero integer coefficients.
 
     Degenerate draws (zero Q, zero f, or a cone when μ > n-t-2 promises
     non-cones for general data) are retried; exhaustion raises.
     """
-    validate(_skeleton_probe(skel))
+    validate_skeleton(skel)
     cone_draws = 0
     for attempt in range(retries):
         rng = substream(seed, "gn", skel.n, skel.t, skel.m, skel.d, attempt)
-        params = _random_params(skel, rng)
+        params = _random_params(skel, lambda: _nonzero(rng))
         try:
             instance = build_f(params)
         except DegenerateDataError:
@@ -314,45 +331,6 @@ def random_instance(skel, seed, retries=RETRY_BUDGET):
         return instance
     raise RetryBudgetError(
         f"no usable draw in {retries} attempts ({cone_draws} cone draws)"
-    )
-
-
-def _skeleton_probe(skel):
-    """Minimal params carrying only the shape, for early validation."""
-    n1 = skel.n + 1
-    m1 = skel.m + 1
-    h = tuple(
-        Polynomial(m1, {e: 1 for e in monomials_of_degree(m1, skel.hdeg)})
-        for _ in range(skel.t + 1)
-    )
-    psi = []
-    for _ in range(m1):
-        tail_poly = Polynomial(
-            skel.n - skel.t, {e: 1 for e in monomials_of_degree(skel.n - skel.t, skel.psideg)}
-        )
-        psi.append(
-            Polynomial(n1, {(0,) * (skel.t + 1) + e: c for e, c in tail_poly.terms.items()})
-        )
-    a = tuple(
-        tuple(tuple(1 for _ in range(skel.t + 1)) for _ in range(skel.t - skel.m - 1))
-        for _ in range(skel.t - skel.m)
-    )
-    s = skel.expected_s
-    if skel.d < s:
-        raise ValidationError([f"d >= s violated (d={skel.d}, s={s})"])
-    mu = skel.d // s
-    zc, tailc = skel.t - skel.m, skel.n - skel.t
-    # probe biforms are all-ones placeholders; only counts and bidegrees matter
-    p = []
-    for k in range(mu + 1):
-        terms = {}
-        for ez in monomials_of_degree(zc, k):
-            for et in monomials_of_degree(tailc, skel.d - k * s):
-                terms[ez + et] = 1
-        p.append(Polynomial(zc + tailc, terms))
-    return GNParams(
-        n=skel.n, t=skel.t, m=skel.m, d=skel.d,
-        h_forms=h, psi_forms=tuple(psi), a_consts=a, p_forms=tuple(p),
     )
 
 

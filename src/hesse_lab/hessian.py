@@ -4,7 +4,7 @@ Two independent determinant routes are kept deliberately: minor expansion
 over memoized column subsets (fast on the sparse, symmetric matrices that
 show up here) and fraction-free Bareiss elimination with exact polynomial
 division.  The probabilistic vanishing test is Schwartz-Zippel at seeded
-points over GF(p) with a certified error bound.
+points mod p with a certified error bound.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
 from .fields import DEFAULT_PRIME, substream
+from .linalg import rank_mod
 from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
@@ -171,49 +172,6 @@ def symbolic_determinant(m, algorithm="minor_expansion", size_cap=DEFAULT_SIZE_C
     raise DomainError(f"unknown determinant algorithm {algorithm!r}")
 
 
-def _det_mod(rows, p):
-    """Determinant of an integer matrix mod p by Gaussian elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
-    return det % p
-
-
-def _rank_mod(rows, p):
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def hessian_degree_bound(f):
     """Trivial bound on deg(h_f): (n+1)·max(d-2, 0)."""
     d = f.degree()
@@ -247,7 +205,8 @@ def hessian_vanishes(f, mode="symbolic", trials=DEFAULT_TRIALS, seed=0, modulus=
     for t in range(trials):
         rng = substream(seed, "hessian_vanishes", t)
         point = [rng.randrange(p) for _ in range(f.nvars)]
-        if _det_mod(h.evaluate_mod(point, p), p):
+        # det H(a) != 0 mod p exactly when H(a) has full rank mod p
+        if rank_mod(h.evaluate_mod(point, p), p) == f.nvars:
             vanishes = False
             break
     return HessianVerdict(
@@ -278,7 +237,7 @@ def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0, modulus=DEFAULT_PRI
     for s in range(samples):
         rng = substream(seed, "generic_rank", s)
         point = [rng.randrange(p) for _ in range(f.nvars)]
-        best = max(best, _rank_mod(h.evaluate_mod(point, p), p))
+        best = max(best, rank_mod(h.evaluate_mod(point, p), p))
         if best == f.nvars:
             break
     return best

@@ -1,10 +1,11 @@
-"""Exact linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals, plus rank of integer matrices mod p.
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input; prime-field matrices use ordinary Gaussian elimination.  Pivots are
-always the first nonzero entry in column order, ties broken by row order,
-so all outputs are deterministic.
+input.  ``rank_mod`` is the one modular elimination: ordinary Gaussian
+elimination on plain ints mod a prime, used for probabilistic identity
+testing.  Pivots are always the first nonzero entry in column order, ties
+broken by row order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError, InternalCheckError
-from .fields import GFElement, RATIONAL, coeff_div, field_of, norm_coeff
+from .errors import DimensionError, InternalCheckError
+from .fields import coeff_div, norm_coeff
 
 
 class ScalarMatrix:
-    """Dense rectangular matrix with entries in one field (rational or GF(p))."""
+    """Dense rectangular matrix of rational entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -32,18 +33,6 @@ class ScalarMatrix:
         self.rows = len(entries)
         self.cols = width
         self.entries = entries
-        f = self.field()
-        for row in entries:
-            for c in row:
-                if field_of(c) != f and c:
-                    raise DomainError("mixed coefficient fields in one matrix")
-
-    def field(self):
-        for row in self.entries:
-            for c in row:
-                if isinstance(c, GFElement):
-                    return c.modulus
-        return RATIONAL
 
     @staticmethod
     def identity(n):
@@ -79,7 +68,7 @@ class ScalarMatrix:
             acc = 0
             for j in range(self.cols):
                 acc = acc + row[j] * v[j]
-            out.append(norm_coeff(acc) if not isinstance(acc, GFElement) else acc)
+            out.append(norm_coeff(acc))
         return out
 
     def __repr__(self):
@@ -155,73 +144,56 @@ def _echelon_rational(entries):
     return m[:r], pivots
 
 
-def _echelon_gf(entries, p):
-    m = [[c.value if isinstance(c, GFElement) else c % p for c in row] for row in entries]
+def rank(matrix):
+    _, pivots = _echelon_rational(matrix.entries)
+    return len(pivots)
+
+
+def rank_mod(rows, p):
+    """Rank mod a prime p of an integer matrix given as a list of rows.
+
+    H(a) has full rank mod p exactly when det H(a) is nonzero mod p, so this
+    one routine serves both the vanishing test and the generic-rank sampler.
+    """
+    m = [[x % p for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0])
-    pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
+        m[r], m[piv] = m[piv], m[r]
         inv = pow(m[r][c], -1, p)
         m[r] = [x * inv % p for x in m[r]]
         for i in range(r + 1, nrows):
             f = m[i][c]
             if f:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return r
 
 
-def _echelon(matrix):
-    f = matrix.field()
-    if f == RATIONAL:
-        return _echelon_rational(matrix.entries), RATIONAL
-    return _echelon_gf(matrix.entries, f), f
-
-
-def rank(matrix):
-    (_, pivots), _ = _echelon(matrix)
-    return len(pivots)
-
-
-def _back_substitute(rows, pivots, ncols, free_col, field):
+def _back_substitute(rows, pivots, ncols, free_col):
     """Kernel vector with 1 in free_col, solving pivot entries bottom-up."""
-    if field == RATIONAL:
-        v = [Fraction(0)] * ncols
-        v[free_col] = Fraction(1)
-    else:
-        v = [GFElement(0, field)] * ncols
-        v[free_col] = GFElement(1, field)
+    v = [Fraction(0)] * ncols
+    v[free_col] = Fraction(1)
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
         if pc > free_col:
             continue
-        if field == RATIONAL:
-            s = sum(rows[r][j] * v[j] for j in range(pc + 1, ncols))
-            v[pc] = -coeff_div(s, rows[r][pc])
-        else:
-            s = sum(rows[r][j] * v[j].value for j in range(pc + 1, ncols))
-            v[pc] = -(GFElement(s, field) / GFElement(rows[r][pc], field))
-    return [norm_coeff(x) if field == RATIONAL else x for x in v]
+        s = sum(rows[r][j] * v[j] for j in range(pc + 1, ncols))
+        v[pc] = -coeff_div(s, rows[r][pc])
+    return [norm_coeff(x) for x in v]
 
 
 def kernel(matrix):
     """Basis of {v : M·v = 0}; one vector per free column, unit at that column."""
-    (rows, pivots), field = _echelon(matrix)
+    rows, pivots = _echelon_rational(matrix.entries)
     pivot_set = set(pivots)
     vectors = [
-        _back_substitute(rows, pivots, matrix.cols, c, field)
+        _back_substitute(rows, pivots, matrix.cols, c)
         for c in range(matrix.cols)
         if c not in pivot_set
     ]
@@ -232,26 +204,18 @@ def solve(matrix, b):
     """One exact solution of M·x = b, or None if the system is inconsistent."""
     if len(b) != matrix.rows:
         raise DimensionError("right-hand side length mismatch")
-    aug = ScalarMatrix(
+    rows, pivots = _echelon_rational(
         [list(row) + [bv] for row, bv in zip(matrix.entries, b)]
     )
-    (rows, pivots), field = _echelon(aug)
     if pivots and pivots[-1] == matrix.cols:
         return None
     n = matrix.cols
-    if field == RATIONAL:
-        x = [Fraction(0)] * n
-    else:
-        x = [GFElement(0, field)] * n
+    x = [Fraction(0)] * n
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
-        if field == RATIONAL:
-            s = rows[r][n] - sum(rows[r][j] * x[j] for j in range(pc + 1, n))
-            x[pc] = coeff_div(s, rows[r][pc])
-        else:
-            acc = rows[r][n] - sum(rows[r][j] * x[j].value for j in range(pc + 1, n))
-            x[pc] = GFElement(acc, field) / GFElement(rows[r][pc], field)
-    return [norm_coeff(v) if field == RATIONAL else v for v in x]
+        s = rows[r][n] - sum(rows[r][j] * x[j] for j in range(pc + 1, n))
+        x[pc] = coeff_div(s, rows[r][pc])
+    return [norm_coeff(v) for v in x]
 
 
 def primitive_vector(v):
@@ -272,14 +236,18 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
-def projectively_equal(a, b):
-    """True iff nonzero vectors a, b agree up to a scalar (all 2x2 minors vanish)."""
+def projectively_equal(a, b, modulus=None):
+    """True iff nonzero vectors a, b agree up to a scalar (all 2x2 minors
+    vanish); over the rationals, or over GF(modulus) for int vectors."""
     if not any(a) or not any(b):
         return False
     n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
+            minor = a[i] * b[j] - a[j] * b[i]
+            if modulus is not None:
+                minor %= modulus
+            if minor:
                 return False
     return True
 

@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-A polynomial is a map from exponent tuples to nonzero coefficients.  The
-coefficient domain is either the rationals (int / Fraction, see fields.py) or
-GF(p).  Terms are kept canonical: no zero coefficients, no duplicate
-monomials, and all printing/iteration uses graded-lexicographic descending
-order, so equal polynomials print identically.
+A polynomial is a map from exponent tuples to nonzero rational coefficients
+(int / Fraction, see fields.py); ``eval_mod`` gives the image of a value in
+GF(p) as a plain int.  Terms are kept canonical: no zero coefficients, no
+duplicate monomials, and all printing/iteration uses graded-lexicographic
+descending order, so equal polynomials print identically.
 
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
@@ -14,22 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DomainError,
-    FieldMismatchError,
-    InexactDivisionError,
-    ParseError,
-    VariableCountError,
-)
-from .fields import (
-    GFElement,
-    RATIONAL,
-    coeff_div,
-    field_of,
-    norm_coeff,
-    rational_to_mod,
-    substream,
-)
+from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
+from .fields import coeff_div, norm_coeff, rational_to_mod, substream
 
 MINUS_INFINITY = float("-inf")
 
@@ -102,11 +88,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) == 1
 
-    def field(self):
-        for c in self.terms.values():
-            return field_of(c)
-        return RATIONAL
-
     def num_terms(self):
         return len(self.terms)
 
@@ -130,7 +111,7 @@ class Polynomial:
         return used
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -147,12 +128,9 @@ class Polynomial:
             raise VariableCountError(
                 f"variable counts differ: {self.nvars} vs {other.nvars}"
             )
-        fa, fb = self.field(), other.field()
-        if self.terms and other.terms and fa != fb:
-            raise FieldMismatchError(f"coefficient fields differ: {fa} vs {fb}")
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             return Polynomial.constant(self.nvars, other)
         return other
 
@@ -210,7 +188,7 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise DomainError("negative exponent")
-        result = Polynomial.constant(self.nvars, self._one_coeff())
+        result = Polynomial.constant(self.nvars, 1)
         base = self
         while e:
             if e & 1:
@@ -218,10 +196,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def _one_coeff(self):
-        f = self.field()
-        return 1 if f == RATIONAL else GFElement(1, f)
 
     def scale(self, c):
         if not c:
@@ -251,32 +225,19 @@ class Polynomial:
         return [self.partial(i) for i in range(self.nvars)]
 
     def evaluate(self, point):
-        """Exact evaluation at a point in the polynomial's own field."""
+        """Exact evaluation at a rational point."""
         if len(point) != self.nvars:
             raise VariableCountError(
                 f"point length {len(point)} != variable count {self.nvars}"
             )
-        f = self.field()
-        if f != RATIONAL:
-            for v in point:
-                if not isinstance(v, GFElement) or v.modulus != f:
-                    raise FieldMismatchError(
-                        "prime-field polynomial requires a point over the same field"
-                    )
-        else:
-            for v in point:
-                if isinstance(v, GFElement):
-                    raise FieldMismatchError(
-                        "rational polynomial evaluated at a prime-field point; reduce first"
-                    )
-        acc = 0 if f == RATIONAL else GFElement(0, f)
+        acc = 0
         for e, c in self.terms.items():
             t = c
             for i, a in enumerate(e):
                 if a:
                     t = t * point[i] ** a
             acc = acc + t
-        return norm_coeff(acc) if f == RATIONAL else acc
+        return norm_coeff(acc)
 
     def compose(self, args):
         """Substitute args[i] for x_i; args share one variable count."""
@@ -315,17 +276,8 @@ class Polynomial:
         pad = (0,) * (new_nvars - self.nvars)
         return Polynomial(new_nvars, {e + pad: c for e, c in self.terms.items()})
 
-    def reduce_mod(self, p):
-        """Image of a rational polynomial in GF(p)[x]."""
-        if self.field() != RATIONAL:
-            raise FieldMismatchError("reduce_mod expects a rational polynomial")
-        return Polynomial(
-            self.nvars,
-            {e: GFElement(rational_to_mod(c, p), p) for e, c in self.terms.items()},
-        )
-
     def eval_mod(self, point, p):
-        """Fast evaluation of a rational polynomial at an integer point mod p."""
+        """Value at an integer point mod p, as an int in [0, p)."""
         acc = 0
         for e, c in self.terms.items():
             t = rational_to_mod(c, p)
@@ -379,7 +331,7 @@ class Polynomial:
         if not self.terms:
             return self
         _, lc = self.leading()
-        if lc == self._one_coeff():
+        if lc == 1:
             return self
         return Polynomial(
             self.nvars, {e: coeff_div(c, lc) for e, c in self.terms.items()}
@@ -391,7 +343,6 @@ class Polynomial:
     def to_string(self, prefix="x"):
         if not self.terms:
             return "0"
-        gf = self.field() != RATIONAL
         pieces = []
         for e, c in self.sorted_terms():
             mono = "*".join(
@@ -399,12 +350,8 @@ class Polynomial:
                 for i, a in enumerate(e)
                 if a
             )
-            if gf:
-                sign = "+"
-                mag = str(c)
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = str(abs(c))
+            sign = "-" if c < 0 else "+"
+            mag = str(abs(c))
             if mono and mag == "1":
                 body = mono
             elif mono:
@@ -434,10 +381,6 @@ class _Tokenizer:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def next_token(self):
         self.skip_ws()
@@ -686,7 +629,7 @@ def gcd(a, b):
         return a.monic()
     used = a.variables_used() | b.variables_used()
     if not used:
-        return Polynomial.constant(a.nvars, a._one_coeff())
+        return Polynomial.constant(a.nvars, 1)
     v = max(used)
     ua, ub = _as_univariate(a, v), _as_univariate(b, v)
     ca = _content(ua)

@@ -85,22 +85,9 @@ class SampledSet:
                 val = tuple(h.eval_mod(pre, self.modulus) for h in psi.h)
                 if not any(val):
                     val = None
-            if val is None or not _proj_eq_in(val, pt, self.modulus):
+            if val is None or not projectively_equal(val, pt, self.modulus):
                 return False
         return True
-
-
-def _proj_eq_in(a, b, modulus):
-    if modulus is None:
-        return projectively_equal(a, b)
-    if not any(a) or not any(b):
-        return False
-    n = len(a)
-    return all(
-        (a[i] * b[j] - a[j] * b[i]) % modulus == 0
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
 
 
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
@@ -255,14 +242,15 @@ def taylor_membership(F, psi):
     return F.compose(list(psi.h)).is_zero()
 
 
-def sample_image(psi, count, seed, modulus=None):
-    """Distinct exact points of ψ_g(P^n), skipping the base locus.
+def _sample_values(components, count, seed, stream, label, modulus=None):
+    """Distinct normalized values of the map x -> (c(x) for c in components)
+    at seeded points, skipping points where every component vanishes.
 
-    Rational by default; pass a prime modulus for GF(p) sampling (faster on
-    large inputs, still exact as a field).  Stores the preimage of every
-    image point so fiber checks can reuse them.  Errors only if no image
-    point is found at all (ψ_g undefined generically).
+    Rational points and primitive-integer values by default; with a prime
+    modulus, points and values are ints mod p scaled to a leading 1.  The
+    preimage of every value is stored alongside it.
     """
+    nvars = components[0].nvars
     points = []
     preimages = []
     seen = set()
@@ -270,34 +258,27 @@ def sample_image(psi, count, seed, modulus=None):
     for s in range(budget):
         if len(points) == count:
             break
-        rng = substream(seed, "image", s)
+        rng = substream(seed, stream, s)
         if modulus is None:
-            pt = tuple(rng.randint(-20, 20) for _ in range(psi.nvars))
+            pt = tuple(rng.randint(-20, 20) for _ in range(nvars))
+            val = tuple(c.evaluate(pt) for c in components)
         else:
-            pt = tuple(rng.randrange(modulus) for _ in range(psi.nvars))
-        if not any(pt):
+            pt = tuple(rng.randrange(modulus) for _ in range(nvars))
+            val = tuple(c.eval_mod(pt, modulus) for c in components)
+        if not any(pt) or not any(val):
             continue
         if modulus is None:
-            val = psi.evaluate(pt)
-            if val is None:
-                continue
             norm = primitive_vector(val)
         else:
-            val = tuple(h.eval_mod(pt, modulus) for h in psi.h)
-            if not any(val):
-                continue
-            first = next(v for v in val if v)
-            inv = pow(first, -1, modulus)
+            inv = pow(next(v for v in val if v), -1, modulus)
             norm = tuple(v * inv % modulus for v in val)
         if norm in seen:
             continue
         seen.add(norm)
         points.append(norm)
         preimages.append(pt)
-    if count > 0 and not points:
-        raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return SampledSet(
-        label="S*_Z image",
+        label=label,
         points=tuple(points),
         preimages=tuple(preimages),
         seed=seed,
@@ -306,41 +287,29 @@ def sample_image(psi, count, seed, modulus=None):
     )
 
 
+def sample_image(psi, count, seed, modulus=None):
+    """Distinct exact points of ψ_g(P^n), skipping the base locus.
+
+    Rational by default; pass a prime modulus for GF(p) sampling (faster on
+    large inputs, still exact as a field).  Stores the preimage of every
+    image point so fiber checks can reuse them.  Errors only if no image
+    point is found at all (ψ_g undefined generically).
+    """
+    image = _sample_values(psi.h, count, seed, "image", "S*_Z image", modulus)
+    if count > 0 and not len(image):
+        raise SampleBudgetError("ψ_g is undefined at every sampled point")
+    return image
+
+
 def sample_polar_image(f, count, seed):
     """Distinct exact points of the polar map's image: the tangent-hyperplane
     locus Z(f) sampled through the gradient, skipping singular points."""
     if not f or f.degree() < 1:
         raise DomainError("polar map needs a nonzero polynomial of degree >= 1")
-    partials = f.gradient()
-    points = []
-    preimages = []
-    seen = set()
-    budget = max(40 * count, 40)
-    for s in range(budget):
-        if len(points) == count:
-            break
-        rng = substream(seed, "polar_image", s)
-        pt = tuple(rng.randint(-20, 20) for _ in range(f.nvars))
-        if not any(pt):
-            continue
-        val = tuple(fi.evaluate(pt) for fi in partials)
-        if not any(val):
-            continue
-        norm = primitive_vector(val)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        points.append(norm)
-        preimages.append(pt)
-    if count > 0 and not points:
+    image = _sample_values(f.gradient(), count, seed, "polar_image", "Z(f) image")
+    if count > 0 and not len(image):
         raise SampleBudgetError("the polar map vanished at every sampled point")
-    return SampledSet(
-        label="Z(f) image",
-        points=tuple(points),
-        preimages=tuple(preimages),
-        seed=seed,
-        requested=count,
-    )
+    return image
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,6 @@ def vector_strs(v):
     return [str(c) for c in v]
 
 
-def matrix_strs(rows):
-    return [[str(c) for c in row] for row in rows]
-
-
 def trials_for_error(degree_bound, target_log2, modulus=DEFAULT_PRIME):
     """Fewest trials with certified error (D/p)^t < 2^-target_log2."""
     if degree_bound == 0:

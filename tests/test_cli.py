@@ -58,6 +58,20 @@ def test_analyze_probabilistic_field(tmp_path):
     assert doc["results"]["identity_checks"]["sampled_inclusions"] is True
 
 
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("p:abc", "modulus 'abc' is not an integer"),
+        ("p:4", "modulus 4 is not a prime > 1"),
+        ("p:1", "modulus 1 is not a prime > 1"),
+        ("p:" + str(2**89 - 1), "too large to prove prime"),
+    ],
+)
+def test_analyze_bad_field_exit_5(field, reason, capsys):
+    assert main(["analyze", "--poly", PAPER_CUBIC, "--field", field]) == 5
+    assert reason in capsys.readouterr().err
+
+
 def test_generate_writes_instance(tmp_path):
     out = tmp_path / "instance.json"
     code, doc = run(
@@ -76,11 +90,17 @@ def test_generate_writes_instance(tmp_path):
     assert instance["s"] == 3
 
 
-def test_generate_validation_exit_5():
+def test_generate_validation_exit_5(capsys):
     assert main(["generate", "--n", "4", "--t", "3", "--m", "1",
                  "--hdeg", "2", "--psideg", "1", "--d", "3"]) == 5
     assert main(["generate", "--n", "4", "--t", "2", "--m", "1",
                  "--hdeg", "2", "--psideg", "1", "--d", "2"]) == 5
+    # n - t = 0 leaves no tail variables; the shape check must fire before
+    # any tail polynomial is built
+    capsys.readouterr()
+    assert main(["generate", "--n", "3", "--t", "3", "--m", "1",
+                 "--hdeg", "2", "--psideg", "1", "--d", "3"]) == 5
+    assert "t <= n-2 violated (t=3, n=3)" in capsys.readouterr().err
 
 
 def test_verify_suites_pass(tmp_path):
@@ -157,8 +177,17 @@ def test_catalog_empty_and_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_catalog_invalid_skeleton_exit_5():
+def test_catalog_invalid_skeleton_exit_5(capsys):
     assert main(["catalog", "--types", "4,3,1,2,1,3"]) == 5
+    # every bad skeleton is reported, not only the first
+    capsys.readouterr()
+    argv = ["catalog", "--types", "3,4,1,2,1,3", "--types", "4,2,1,2,1,3",
+            "--types", "4,2,1,2,1,2"]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "3,4,1,2,1,3: t <= n-2 violated (t=4, n=3)" in err
+    assert "4,2,1,2,1,2: d >= s violated (d=2, s=3)" in err
+    assert "4,2,1,2,1,3:" not in err
 
 
 def test_analyze_probabilistic_default_for_many_variables(tmp_path):

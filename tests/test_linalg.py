@@ -1,4 +1,4 @@
-"""Exact rank / kernel / solve over rationals and prime fields."""
+"""Exact rank / kernel / solve over the rationals, and rank mod p."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from hesse_lab.errors import DimensionError
-from hesse_lab.fields import DEFAULT_PRIME, GFElement
+from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.linalg import (
     ScalarMatrix,
     invert,
     kernel,
     random_invertible,
     rank,
+    rank_mod,
     solve,
 )
 from hesse_lab.poly import parse
@@ -69,10 +70,18 @@ def test_rank_mod_p_matches_rational(seed=23, cases=20):
     for _ in range(cases):
         m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         r_q = rank(ScalarMatrix(m))
-        gf = ScalarMatrix([[GFElement(x, p) for x in row] for row in m])
-        r_p = rank(gf)
+        r_p = rank_mod(m, p)
         assert r_p <= r_q
         assert r_p == r_q  # a drop would flag an unlucky prime
+
+
+def test_rank_mod_drops_when_p_divides_a_minor():
+    # det [[1, 2], [3, 13]] = 7: full rank over Q, rank 1 mod 7
+    m = [[1, 2], [3, 13]]
+    assert rank(ScalarMatrix(m)) == 2
+    assert rank_mod(m, 7) == 1
+    assert rank_mod(m, 11) == 2
+    assert rank_mod([[0, 7], [14, 0]], 7) == 0
 
 
 def test_solve_unique():
@@ -102,16 +111,6 @@ def test_solve_with_fractions():
     m = ScalarMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]])
     x = solve(m, [1, 1])
     assert m.mul_vector(x) == [1, 1]
-
-
-def test_gf_kernel_and_solve():
-    p = DEFAULT_PRIME
-    m = ScalarMatrix([[GFElement(1, p), GFElement(2, p)], [GFElement(2, p), GFElement(4, p)]])
-    assert rank(m) == 1
-    basis = kernel(m)
-    assert len(basis) == 1
-    for v in basis:
-        assert all(x.value == 0 for x in m.mul_vector(v))
 
 
 def test_random_invertible_and_inverse(seed=29):

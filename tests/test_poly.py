@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hesse_lab.errors import DomainError, FieldMismatchError, ParseError, VariableCountError
-from hesse_lab.fields import DEFAULT_PRIME, GFElement, substream
+from hesse_lab.errors import DomainError, ParseError, VariableCountError
+from hesse_lab.fields import substream
 from hesse_lab.poly import Polynomial, gcd, gcd_list, is_reduced, monomials_of_degree, parse
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
@@ -157,15 +157,6 @@ def test_evaluate_direct():
     assert parse("x0*x3^2", nvars=5).evaluate((1, 0, 0, 2, 0)) == 4
 
 
-def test_evaluate_field_mismatch():
-    f = parse("x0 + x1")
-    with pytest.raises(FieldMismatchError):
-        f.evaluate((GFElement(1, DEFAULT_PRIME), GFElement(0, DEFAULT_PRIME)))
-    g = f.reduce_mod(DEFAULT_PRIME)
-    with pytest.raises(FieldMismatchError):
-        g.evaluate((1, 2))
-
-
 def test_compose_polar_relation_of_paper_cubic():
     # (2*x3*x4)^2 - 4*(x3^2)*(x4^2) = 0: the polar relation y1^2 - 4*y0*y2
     f = parse(PAPER_CUBIC)
@@ -247,14 +238,6 @@ def test_gcd_both_zero_rejected():
         gcd(z, z)
 
 
-def test_gcd_prime_field():
-    p = DEFAULT_PRIME
-    a = (parse("x0 + x1") * parse("x0 - x1")).reduce_mod(p)
-    b = (parse("x0 + x1") * parse("x0 + 2*x1")).reduce_mod(p)
-    g = gcd(a, b)
-    assert g == parse("x0 + x1").reduce_mod(p)
-
-
 # ----------------------------------------------------------------------
 # reducedness proxy
 
@@ -324,11 +307,6 @@ def test_extend_embeds_and_refuses_shrink():
     assert g.nvars == 4 and g.degree() == 2
     with pytest.raises(VariableCountError):
         g.extend(2)
-
-
-def test_gf_element_modulus_mismatch():
-    with pytest.raises(FieldMismatchError):
-        GFElement(1, 7) + GFElement(1, 11)
 
 
 def test_compose_args_must_share_variable_count():

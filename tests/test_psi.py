@@ -160,6 +160,26 @@ def test_sample_image_shape_and_determinism(cubic_psi):
     assert img.reverify(cubic_psi)
 
 
+def test_sample_image_mod_p_reverifies(cubic_psi):
+    p = 2305843009213693951
+    img = sample_image(cubic_psi, count=8, seed=4, modulus=p)
+    assert len(img) == 8 and img.modulus == p
+    for q in img.points:
+        assert all(0 <= c < p for c in q)
+        assert q[next(i for i, c in enumerate(q) if c)] == 1
+    assert img.reverify(cubic_psi)
+    # a wrong stored image point must be caught mod p too
+    bad = type(img)(
+        label=img.label,
+        points=((1, 1, 1, 0, 0),) + img.points[1:],
+        preimages=img.preimages,
+        seed=img.seed,
+        requested=img.requested,
+        modulus=p,
+    )
+    assert not bad.reverify(cubic_psi)
+
+
 def test_sample_image_count_zero(cubic_psi):
     assert len(sample_image(cubic_psi, count=0, seed=0)) == 0
 
