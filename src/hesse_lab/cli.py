@@ -1,9 +1,10 @@
 """Command-line front end: analyze | generate | verify | catalog.
 
 Exit codes: 0 success; 1 verification suite failure; 2 parse error or bad
-invocation; 3 non-homogeneous input; 4 internal check violation (an identity
-the construction guarantees failed); 5 parameter validation failure;
-6 seeded retry budget exhausted.
+invocation; 3 zero or non-homogeneous input; 4 internal check violation (an
+identity the construction guarantees failed); 5 parameter validation failure;
+6 seeded retry budget exhausted.  Every nonzero exit prints its reason on
+stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .gn import (
     random_instance,
     validate_skeleton,
 )
-from .hessian import hessian_vanishes, polar_image_dim
+from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, polar_image_dim
 from .poly import parse
 from .psi import build_psi, find_polar_relation, sample_polar_image
 from .reports import (
@@ -143,14 +144,34 @@ def _parse_field(text):
     raise ValidationError([f"unknown field {text!r}; use 'rational' or 'p:<modulus>'"])
 
 
+def _check_count(count):
+    if count < 1:
+        raise ValidationError([f"--count must be >= 1 (got {count})"])
+
+
+def _check_symbolic(nvars, args):
+    if args.symbolic and nvars > DEFAULT_SIZE_CAP:
+        raise ValidationError([
+            f"--symbolic needs at most {DEFAULT_SIZE_CAP} variables, the cap of "
+            f"the exact determinant (got {nvars})"
+        ])
+
+
 def cmd_analyze(args):
     modulus = _parse_field(args.field)
     f = parse(args.poly)
     if f.is_zero() or not f.is_homogeneous():
+        if f.is_zero():
+            reason = "the polynomial is zero"
+        else:
+            degrees = ", ".join(str(e) for e in sorted({sum(e) for e in f.terms}))
+            reason = f"terms of degrees {degrees} occur"
+        print(f"input must be nonzero homogeneous: {reason}", file=sys.stderr)
         return EXIT_NOT_HOMOGENEOUS, _doc(
             {"poly": args.poly}, {"error": "input must be nonzero homogeneous"}, args
         )
     n1, d = f.nvars, f.degree()
+    _check_symbolic(n1, args)
     mode = "symbolic" if (args.symbolic or (n1 <= 6 and d <= 6)) else "probabilistic"
     verdict = hessian_vanishes(f, mode=mode, trials=args.trials, seed=args.seed)
     vertex = cone_test(f)
@@ -203,6 +224,7 @@ def cmd_generate(args):
     skel = GNSkeleton(
         n=args.n, t=args.t, m=args.m, hdeg=args.hdeg, psideg=args.psideg, d=args.d
     )
+    _check_symbolic(skel.n + 1, args)
     instance = random_instance(skel, seed=args.seed)
     verdict = _skeleton_verdict(instance.f, skel, args, args.seed)
     vertex = cone_test(instance.f)
@@ -226,6 +248,7 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
+    _check_count(args.count)
     if args.suite == "lowdim":
         block = {"lowdim": run_lowdim_suite(args.count, args.seed)}
         ok = block["lowdim"]["ok"]
@@ -246,6 +269,7 @@ def cmd_verify(args):
 
 
 def cmd_catalog(args):
+    _check_count(args.count)
     skeletons = []
     problems = []
     for text in args.types:
@@ -261,6 +285,7 @@ def cmd_catalog(args):
         skel = GNSkeleton(*nums)
         try:
             validate_skeleton(skel)
+            _check_symbolic(skel.n + 1, args)
         except ValidationError as exc:
             problems.extend(f"{text}: {v}" for v in exc.violations)
             continue

@@ -21,7 +21,8 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 def norm_coeff(c):
     """Collapse integral Fractions to int; leave everything else alone."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # `type` skips the ABC isinstance check, which is slow on hot paths
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 

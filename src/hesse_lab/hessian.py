@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
 from .fields import DEFAULT_PRIME, substream
-from .linalg import rank_mod
+from .linalg import independent_rows_mod
 from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
@@ -206,7 +206,7 @@ def hessian_vanishes(f, mode="symbolic", trials=DEFAULT_TRIALS, seed=0, modulus=
         rng = substream(seed, "hessian_vanishes", t)
         point = [rng.randrange(p) for _ in range(f.nvars)]
         # det H(a) != 0 mod p exactly when H(a) has full rank mod p
-        if rank_mod(h.evaluate_mod(point, p), p) == f.nvars:
+        if len(independent_rows_mod(h.evaluate_mod(point, p), p)) == f.nvars:
             vanishes = False
             break
     return HessianVerdict(
@@ -237,7 +237,7 @@ def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0, modulus=DEFAULT_PRI
     for s in range(samples):
         rng = substream(seed, "generic_rank", s)
         point = [rng.randrange(p) for _ in range(f.nvars)]
-        best = max(best, rank_mod(h.evaluate_mod(point, p), p))
+        best = max(best, len(independent_rows_mod(h.evaluate_mod(point, p), p)))
         if best == f.nvars:
             break
     return best

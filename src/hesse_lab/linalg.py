@@ -1,20 +1,23 @@
-"""Exact linear algebra over the rationals, plus rank of integer matrices mod p.
+"""Exact linear algebra over the rationals, plus row selection mod p.
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input.  ``rank_mod`` is the one modular elimination: ordinary Gaussian
-elimination on plain ints mod a prime, used for probabilistic identity
-testing.  Pivots are always the first nonzero entry in column order, ties
-broken by row order, so all outputs are deterministic.
+input.  ``independent_rows_mod`` is the one modular elimination, on plain
+ints mod a prime: its count of independent rows is the rank mod p used for
+probabilistic identity testing, and its rows cut a tall matrix down before
+``kernel`` runs Bareiss; the kernel is then re-checked exactly against every
+row.  Pivots are always the first nonzero entry in column order, ties broken
+by row order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DimensionError, InternalCheckError
-from .fields import coeff_div, norm_coeff
+from .fields import DEFAULT_PRIME, coeff_div, norm_coeff
 
 
 class ScalarMatrix:
@@ -61,15 +64,16 @@ class ScalarMatrix:
         )
 
     def mul_vector(self, v):
+        """M·v, exact.  v = scale·w with w coprime integers, so each row is
+        a sum of plain products, multiplied by scale once at the end."""
         if len(v) != self.cols:
             raise DimensionError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = 0
-            for j in range(self.cols):
-                acc = acc + row[j] * v[j]
-            out.append(norm_coeff(acc))
-        return out
+        w = primitive_vector(v)
+        j = next((j for j, x in enumerate(w) if x), None)
+        if j is None:
+            return [0] * self.rows
+        scale = Fraction(v[j]) / w[j]
+        return [norm_coeff(sum(map(operator.mul, row, w)) * scale) for row in self.entries]
 
     def __repr__(self):
         return f"ScalarMatrix({self.rows}x{self.cols})"
@@ -95,14 +99,13 @@ class KernelBasis:
 
 
 def _clear_denominators(row):
+    """A fresh integer row, a positive multiple of the rational row."""
+    # entries are int or Fraction; `type` skips the slow ABC isinstance check
     l = 1
     for c in row:
-        if isinstance(c, Fraction):
-            d = c.denominator
-            l = l * d // math.gcd(l, d)
-    if l == 1:
-        return [int(c) if isinstance(c, Fraction) else c for c in row]
-    return [int(c * l) for c in row]
+        if type(c) is not int:
+            l = math.lcm(l, c.denominator)
+    return [int(c * l) for c in row] if l != 1 else [int(c) for c in row]
 
 
 def _echelon_rational(entries):
@@ -149,30 +152,41 @@ def rank(matrix):
     return len(pivots)
 
 
-def rank_mod(rows, p):
-    """Rank mod a prime p of an integer matrix given as a list of rows.
+def independent_rows_mod(rows, p):
+    """Indices of the first maximal set of rows, in row order, of an integer
+    matrix that are linearly independent mod a prime p; their count is the
+    rank mod p.
 
     H(a) has full rank mod p exactly when det H(a) is nonzero mod p, so this
-    one routine serves both the vanishing test and the generic-rank sampler.
+    one elimination serves the vanishing test, the generic-rank sampler and
+    the row selection of ``kernel``.  The chosen rows are kept mod p in
+    reduced echelon form (1 at their pivot, 0 at every other pivot), so a row
+    depends on them exactly when its residue on the other columns is zero.
     """
-    m = [[x % p for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+    ncols = len(rows[0])
+    basis = {}  # pivot column -> reduced chosen row
+    chosen = []
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+
+        def residue(j):
+            return (row[j] - sum(row[c] * b[j] for c, b in basis.items())) % p
+
+        lead = next((j for j in range(ncols) if j not in basis and residue(j)), None)
+        if lead is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
+        r = [residue(j) for j in range(ncols)]
+        inv = pow(r[lead], -1, p)
+        r = [x * inv % p for x in r]
+        for b in basis.values():
+            f = b[lead]
             if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
+                b[:] = [(x - f * y) % p for x, y in zip(b, r)]
+        basis[lead] = r
+        chosen.append(i)
+        if len(chosen) == ncols:
             break
-    return r
+    return chosen
 
 
 def _back_substitute(rows, pivots, ncols, free_col):
@@ -188,16 +202,34 @@ def _back_substitute(rows, pivots, ncols, free_col):
     return [norm_coeff(x) for x in v]
 
 
-def kernel(matrix):
-    """Basis of {v : M·v = 0}; one vector per free column, unit at that column."""
-    rows, pivots = _echelon_rational(matrix.entries)
+def _kernel_vectors(entries, ncols):
+    rows, pivots = _echelon_rational(entries) if entries else ([], [])
     pivot_set = set(pivots)
-    vectors = [
-        _back_substitute(rows, pivots, matrix.cols, c)
-        for c in range(matrix.cols)
+    return [
+        _back_substitute(rows, pivots, ncols, c)
+        for c in range(ncols)
         if c not in pivot_set
     ]
-    return KernelBasis(matrix, vectors)
+
+
+def kernel(matrix):
+    """Basis of {v : M·v = 0}; one vector per free column, unit at that column.
+
+    On a tall matrix, Bareiss runs only on a maximal set of rows independent
+    mod ``DEFAULT_PRIME``.  Their kernel contains ker(M), and the exact
+    re-check of M·v = 0 over all rows gives the reverse inclusion; the basis
+    depends only on the kernel, so it is the one full elimination gives.  The
+    chosen rows are independent over Q too, so they span the row space unless
+    p divides a minor of M; then the re-check fails and full Bareiss runs.
+    """
+    if matrix.rows > matrix.cols:
+        ints = [_clear_denominators(row) for row in matrix.entries]
+        chosen = [ints[i] for i in independent_rows_mod(ints, DEFAULT_PRIME)]
+        try:
+            return KernelBasis(matrix, _kernel_vectors(chosen, matrix.cols))
+        except InternalCheckError:
+            pass
+    return KernelBasis(matrix, _kernel_vectors(matrix.entries, matrix.cols))
 
 
 def solve(matrix, b):

@@ -8,16 +8,42 @@ descending order, so equal polynomials print identically.
 
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
+
+``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
+integers, integer gcd, reconstruction from symmetric digits), and accepts a
+result only after exact trial division; the primitive remainder sequence
+remains as its fallback.  Results are monic, so they do not depend on which
+route found them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
 from .fields import coeff_div, norm_coeff, rational_to_mod, substream
 
 MINUS_INFINITY = float("-inf")
+
+
+def _packing(top, nvars):
+    """(pack, unpack) between exponent tuples and ints, one field per
+    variable wide enough for exponents up to top, so that the sum of two
+    packed tuples whose exponent sums stay within top packs their sum."""
+    if top < 256:
+        # one byte per variable, so both directions run in C
+        return (
+            lambda e: int.from_bytes(bytes(e), "little"),
+            lambda k: tuple(k.to_bytes(nvars, "little")),
+        )
+    width = top.bit_length()
+    shifts = range(0, width * nvars, width)
+    mask = (1 << width) - 1
+    return (
+        lambda e: sum(x << s for x, s in zip(e, shifts)),
+        lambda k: tuple(k >> s & mask for s in shifts),
+    )
 
 
 def grlex_key(exps):
@@ -172,16 +198,20 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
+        # a monomial product is one int add of packed exponents
+        pack, unpack = _packing(max(map(max, a)) + max(map(max, b)), self.nvars)
         out = {}
+        pa = [(pack(e), c) for e, c in a.items()]
         for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
+            kb = pack(eb)
+            for ka, ca in pa:
+                k = ka + kb
+                s = out.get(k, 0) + ca * cb
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
-        return Polynomial(self.nvars, out)
+                    del out[k]
+        return Polynomial(self.nvars, {unpack(k): c for k, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -551,7 +581,202 @@ def monomials_of_degree(nvars, d):
 
 
 # ----------------------------------------------------------------------
-# gcd: primitive PRS on the last-occurring variable, content recursion
+# gcd: GCDHEU over Z, with the primitive PRS as fallback
+#
+# The heuristic works on primitive integer parts held as plain dicts
+# (exponent tuple -> int).  It evaluates one variable x_v at an integer xi,
+# takes the gcd and cofactors of the images recursively (down to integers),
+# and reads three candidates back from symmetric xi-adic digits: the
+# primitive part of the gcd's digits, and each input divided by the digits of
+# its cofactor.  A candidate is accepted only when it divides both inputs
+# exactly.
+#
+# Why an accepted candidate h is the gcd G: write G = h·q.  The image gcd is
+# G(xi)·k for some k.  For the first candidate the digit polynomial is c·h
+# with |c| <= xi/2, so q(xi)·k = c; for a cofactor candidate q(xi)·k = 1.
+# Either way q(xi) is an integer of modulus at most xi/2.  View an input as a
+# polynomial in the other variables with univariate coefficients in x_v.  If
+# q involved those variables, its leading coefficient would vanish at xi and
+# divide a univariate coefficient of the input; a nonconstant univariate q
+# divides every such coefficient.  Every xi below is at least twice a strict
+# (Cauchy) root bound R of all those coefficients, so neither can happen: a
+# root has modulus < R <= xi/2, and a nonconstant q has |q(xi)| > xi/2.  So q
+# is a constant, a unit since h and G are primitive.
+# (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989.)
+
+_HEU_TRIES = 6
+
+
+def _primitive_ints(terms):
+    """Coprime integer coefficients proportional to the given rationals."""
+    l = 1
+    for c in terms.values():
+        if type(c) is not int:
+            l = math.lcm(l, c.denominator)
+    ints = {e: int(c * l) for e, c in terms.items()}
+    g = math.gcd(*ints.values())
+    return {e: c // g for e, c in ints.items()} if g != 1 else ints
+
+
+def _root_bound(a, v):
+    """1 + max |coefficient| / |leading coefficient| over the coefficients of
+    a viewed as univariate in x_v: every root of each of them is smaller."""
+    norm, lead = {}, {}
+    for e, c in a.items():
+        k = e[:v] + e[v + 1:]
+        m = abs(c)
+        if m > norm.get(k, 0):
+            norm[k] = m
+        if k not in lead or e[v] > lead[k][0]:
+            lead[k] = (e[v], m)
+    return 1 + max(-(-norm[k] // lc) for k, (_, lc) in lead.items())
+
+
+def _heu_first_xi(a, b, v):
+    """GCDHEU's usual first point, raised to twice the root bound that the
+    acceptance argument above needs."""
+    bound = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    return max(min(bound, 99 * math.isqrt(bound)), 2 * min(_root_bound(a, v), _root_bound(b, v)))
+
+
+def _eval_var(a, v, xi):
+    """a with x_v := xi; the x_v exponent slot becomes 0."""
+    out = {}
+    powers = [1]
+    for e, c in a.items():
+        d = e[v]
+        while len(powers) <= d:
+            powers.append(powers[-1] * xi)
+        k = e[:v] + (0,) + e[v + 1:]
+        out[k] = out.get(k, 0) + c * powers[d]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(g, v, xi):
+    """Spread each coefficient of g over powers of x_v by its symmetric
+    xi-adic digits, each in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = {}
+    for e, c in g.items():
+        i = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:v] + (i,) + e[v + 1:]] = r
+            c = (c - r) // xi
+            i += 1
+    return out
+
+
+def _int_quotient(a, h):
+    """a / h in Z[x], or None when h does not divide a there.  Lex-leading-term
+    division stops at the first term that proves the division inexact: one
+    not divisible by the leading term of h, or one beyond the degree of the
+    quotient in some variable, deg_j(a) - deg_j(h)."""
+    cap = tuple(x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*h))))
+    he = max(h)
+    hc = h[he]
+    r = dict(a)
+    q = {}
+    while r:
+        re = max(r)
+        d = tuple(x - y for x, y in zip(re, he))
+        if any(x < 0 or x > c for x, c in zip(d, cap)):
+            return None
+        qc, rem = divmod(r[re], hc)
+        if rem:
+            return None
+        q[d] = qc
+        for e, c in h.items():
+            k = tuple(x + y for x, y in zip(e, d))
+            s = r.get(k, 0) - qc * c
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return q
+
+
+def _heu_candidate(a, b, g, qa, qb):
+    """(h, a/h, b/h) for the first of three candidates that divides both a
+    and b: the primitive part of g, a/qa and b/qb.  g, qa and qb are read
+    from the digits of the image gcd and of its two cofactors."""
+    # quotients of nonzero polynomials are nonempty, so None is the only falsy one
+    hc = math.gcd(*g.values())
+    h = {e: c // hc for e, c in g.items()}
+    ha = _int_quotient(a, h)
+    hb = ha and _int_quotient(b, h)
+    if hb:
+        return h, ha, hb
+    h = _int_quotient(a, qa)
+    hb = h and _int_quotient(b, h)
+    if hb:
+        return h, qa, hb
+    h = _int_quotient(b, qb)
+    ha = h and _int_quotient(a, h)
+    if ha:
+        return h, ha, qb
+    return None
+
+
+def _scaled(a, k):
+    return a if k == 1 else {e: c * k for e, c in a.items()}
+
+
+def _heu_gcd(a, b, vs):
+    """(g, a/g, b/g) for the gcd g in Z[x] of nonzero integer dicts whose
+    exponents vanish outside the variables vs, or None when the evaluation
+    points run out."""
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    cont = math.gcd(ca, cb)
+    for x in (a, b):
+        if len(x) == 1 and not any(next(iter(x))):
+            g = {next(iter(x)): cont}
+            return g, {e: c // cont for e, c in a.items()}, {e: c // cont for e, c in b.items()}
+    if ca != 1:
+        a = {e: c // ca for e, c in a.items()}
+    if cb != 1:
+        b = {e: c // cb for e, c in b.items()}
+    v, rest = vs[-1], vs[:-1]
+    xi = _heu_first_xi(a, b, v)
+    for _ in range(_HEU_TRIES):
+        ea, eb = _eval_var(a, v, xi), _eval_var(b, v, xi)
+        # xi clears the root bound of only one input, so the other may vanish
+        if ea and eb:
+            image = _heu_gcd(ea, eb, rest)
+            if image is None:
+                return None
+            found = _heu_candidate(a, b, *(_interpolate(x, v, xi) for x in image))
+            if found is not None:
+                h, ha, hb = found
+                return _scaled(h, cont), _scaled(ha, ca // cont), _scaled(hb, cb // cont)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def gcd(a, b):
+    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1).
+
+    GCDHEU on the primitive integer parts; the primitive PRS takes over when
+    its evaluation points run out."""
+    if a.nvars != b.nvars:
+        raise VariableCountError("gcd arguments disagree on variable count")
+    if not a and not b:
+        raise DomainError("gcd(0, 0) is undefined")
+    if not a:
+        return b.monic()
+    if not b:
+        return a.monic()
+    used = sorted(a.variables_used() | b.variables_used())
+    if not used:
+        return Polynomial.constant(a.nvars, 1)
+    found = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), used)
+    if found is None:
+        return _prs_gcd(a, b)
+    return Polynomial(a.nvars, found[0]).monic()
+
 
 def _as_univariate(f, v):
     """View f as univariate in x_v: dict degree -> coefficient Polynomial with x_v stripped."""
@@ -617,16 +842,9 @@ def _pseudo_rem(a, b, nvars):
     return r
 
 
-def gcd(a, b):
-    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1)."""
-    if a.nvars != b.nvars:
-        raise VariableCountError("gcd arguments disagree on variable count")
-    if not a and not b:
-        raise DomainError("gcd(0, 0) is undefined")
-    if not a:
-        return b.monic()
-    if not b:
-        return a.monic()
+def _prs_gcd(a, b):
+    """gcd by the primitive PRS on the last-occurring variable, with content
+    recursion; the fallback of gcd, for nonzero a, b with equal nvars."""
     used = a.variables_used() | b.variables_used()
     if not used:
         return Polynomial.constant(a.nvars, 1)
@@ -644,7 +862,7 @@ def gcd(a, b):
         if pb:
             cr = _content(pb)
             pb = {d: c.exact_div(cr) for d, c in pb.items()}
-    cont_gcd = gcd(ca, cb)
+    cont_gcd = _prs_gcd(ca, cb)
     result = _from_univariate(pa, v, a.nvars) * cont_gcd
     return result.monic()
 
@@ -654,10 +872,10 @@ def _content(uni_coeffs):
     polys = [uni_coeffs[d] for d in sorted(uni_coeffs)]
     acc = polys[0]
     for p in polys[1:]:
-        acc = gcd(acc, p)
+        acc = _prs_gcd(acc, p)
         if acc.degree() == 0:
             break
-    # gcd() is monic, but the first coefficient may be alone:
+    # _prs_gcd() is monic, but the first coefficient may be alone:
     return acc.monic()
 
 

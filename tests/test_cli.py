@@ -49,6 +49,43 @@ def test_analyze_exit_codes(tmp_path):
     assert main(["analyze", "--poly", "x0 + y1"]) == 2
 
 
+def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
+    assert main(["analyze", "--poly", "x0^2+x1", "--no-timings"]) == 3
+    assert "nonzero homogeneous: terms of degrees 1, 2 occur" in capsys.readouterr().err
+    assert main(["analyze", "--poly", "0", "--no-timings"]) == 3
+    assert "nonzero homogeneous: the polynomial is zero" in capsys.readouterr().err
+
+
+def test_symbolic_beyond_the_determinant_cap_exit_5(capsys):
+    nine_cubes = " + ".join(f"x{i}^3" for i in range(9))
+    reason = "validation: --symbolic needs at most 8 variables"
+    assert main(["analyze", "--poly", nine_cubes, "--symbolic"]) == 5
+    assert reason in capsys.readouterr().err
+    assert main(["generate", "--n", "8", "--t", "5", "--m", "1", "--hdeg", "2",
+                 "--psideg", "1", "--d", "6", "--symbolic"]) == 5
+    assert reason in capsys.readouterr().err
+    assert main(["catalog", "--types", "8,5,1,2,1,6", "--symbolic"]) == 5
+    assert "8,5,1,2,1,6: --symbolic needs at most 8 variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "gn", "--count", "-3"),
+        ("verify", "--suite", "all", "--count", "0"),
+        ("verify", "--suite", "psi", "--count", "0"),
+        ("catalog", "--types", "6,3,1,2,1,5", "--count", "-1"),
+        ("catalog", "--types", "4,2,1,2,1,3", "--count", "0"),
+    ],
+)
+def test_count_below_one_exit_5(argv, capsys):
+    # a suite or catalog over no instances would pass vacuously
+    assert main(list(argv)) == 5
+    out = capsys.readouterr()
+    assert f"validation: --count must be >= 1 (got {argv[-1]})" in out.err
+    assert out.out == ""
+
+
 def test_analyze_probabilistic_field(tmp_path):
     code, doc = run(
         tmp_path, "analyze", "--poly", PAPER_CUBIC, "--field", "p:2305843009213693951"
@@ -165,10 +202,7 @@ def test_catalog(tmp_path):
     assert all(e["vanishes"] for e in entries)
 
 
-def test_catalog_empty_and_deterministic(tmp_path):
-    code, doc = run(tmp_path, "catalog", "--types", "4,2,1,2,1,3", "--count", "0")
-    assert code == 0
-    assert doc["results"]["catalog"] == []
+def test_catalog_deterministic(tmp_path):
     p1 = tmp_path / "c1.json"
     p2 = tmp_path / "c2.json"
     argv = ["catalog", "--types", "4,2,1,2,1,3", "--count", "2", "--seed", "5", "--no-timings"]

@@ -1,19 +1,20 @@
-"""Exact rank / kernel / solve over the rationals, and rank mod p."""
+"""Exact rank / kernel / solve over the rationals, and row selection mod p."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from hesse_lab import linalg
 from hesse_lab.errors import DimensionError
 from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.linalg import (
     ScalarMatrix,
+    independent_rows_mod,
     invert,
     kernel,
     random_invertible,
     rank,
-    rank_mod,
     solve,
 )
 from hesse_lab.poly import parse
@@ -70,7 +71,7 @@ def test_rank_mod_p_matches_rational(seed=23, cases=20):
     for _ in range(cases):
         m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         r_q = rank(ScalarMatrix(m))
-        r_p = rank_mod(m, p)
+        r_p = len(independent_rows_mod(m, p))
         assert r_p <= r_q
         assert r_p == r_q  # a drop would flag an unlucky prime
 
@@ -79,9 +80,54 @@ def test_rank_mod_drops_when_p_divides_a_minor():
     # det [[1, 2], [3, 13]] = 7: full rank over Q, rank 1 mod 7
     m = [[1, 2], [3, 13]]
     assert rank(ScalarMatrix(m)) == 2
-    assert rank_mod(m, 7) == 1
-    assert rank_mod(m, 11) == 2
-    assert rank_mod([[0, 7], [14, 0]], 7) == 0
+    assert independent_rows_mod(m, 7) == [0]
+    assert independent_rows_mod(m, 11) == [0, 1]
+    assert independent_rows_mod([[0, 7], [14, 0]], 7) == []
+
+
+def test_independent_rows_mod_first_maximal_set():
+    rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [5, 0, 1], [7, 7, 7]]
+    assert independent_rows_mod(rows, DEFAULT_PRIME) == [1, 3, 5]
+
+
+def _tall_rank_deficient(rng, rows, cols, inner, fractions):
+    """rows x cols product of random rows x inner and inner x cols factors."""
+    def entry():
+        x = rng.randint(-5, 5)
+        return Fraction(x, rng.randint(1, 4)) if fractions else x
+    a = [[entry() for _ in range(inner)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(inner)]
+    return ScalarMatrix(
+        [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+    )
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_kernel_row_selection_matches_full_bareiss(fractions, seed=31, cases=25):
+    rng = random.Random(seed)
+    nonempty = 0
+    for _ in range(cases):
+        cols = rng.randint(2, 7)
+        m = _tall_rank_deficient(rng, rng.randint(cols + 1, 3 * cols), cols, rng.randint(1, cols), fractions)
+        full = linalg._kernel_vectors(m.entries, m.cols)
+        assert [list(v) for v in kernel(m)] == full
+        nonempty += bool(full)
+    assert nonempty >= cases // 2
+
+
+def test_kernel_falls_back_when_p_divides_a_minor(monkeypatch):
+    # mod 3 every row is a multiple of (1, 1), so the selection keeps one row;
+    # its kernel vector (-1, 1) fails the exact re-check on (1, 4)
+    rows = [[1, 1], [1, 4], [2, 5]]
+    assert independent_rows_mod(rows, 3) == [0]
+    eliminated = []
+    bareiss = linalg._echelon_rational
+    monkeypatch.setattr(linalg, "DEFAULT_PRIME", 3)
+    monkeypatch.setattr(
+        linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
+    )
+    assert len(kernel(ScalarMatrix(rows))) == 0
+    assert eliminated == [1, 3]
 
 
 def test_solve_unique():

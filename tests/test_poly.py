@@ -1,12 +1,24 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, reducedness."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, ParseError, VariableCountError
 from hesse_lab.fields import substream
-from hesse_lab.poly import Polynomial, gcd, gcd_list, is_reduced, monomials_of_degree, parse
+from hesse_lab.poly import (
+    Polynomial,
+    _prs_gcd,
+    gcd,
+    gcd_list,
+    is_reduced,
+    monomials_of_degree,
+    parse,
+)
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -107,6 +119,20 @@ def test_ring_axioms_seeded(seed=11, cases=100):
         assert a * (b + c) == a * b + a * c
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 2**70])
+def test_product_exponents_beyond_a_byte(top):
+    # the largest exponent of a product is top: up to 255 it packs one byte
+    # per variable, beyond that wider fields
+    a = Polynomial(2, {(top - 1, 0): 2, (0, top - 1): -1, (1, 3): 3})
+    b = Polynomial(2, {(1, 0): 5, (0, 1): 1, (0, 0): -4})
+    expected = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            expected[e] = expected.get(e, 0) + ca * cb
+    assert a * b == Polynomial(2, expected)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +262,79 @@ def test_gcd_both_zero_rejected():
     z = Polynomial.zero(2)
     with pytest.raises(DomainError):
         gcd(z, z)
+
+
+@st.composite
+def gcd_cases(draw, max_vars=5):
+    """(a·b, a·c) for random a, b, c with int or Fraction coefficients."""
+    n = draw(st.integers(1, max_vars))
+    if draw(st.booleans()):
+        coeff = st.integers(-6, 6).filter(bool)
+    else:
+        coeff = st.fractions(-6, 6, max_denominator=5).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly(min_size=0):
+        return Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=min_size, max_size=3)))
+
+    a, b, c = poly(min_size=1), poly(), poly()
+    return a * b, a * c
+
+
+def sympy_gcd_monic(a, b):
+    xs = sympy.symbols(f"x0:{a.nvars}")
+
+    def expr(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** k for x, k in zip(xs, e))
+            for e, c in ((e, Fraction(c)) for e, c in p.terms.items())
+        )
+
+    g = sympy.Poly(sympy.gcd(expr(a), expr(b)), *xs)
+    terms = {e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()}
+    return Polynomial(a.nvars, terms).monic()
+
+
+CONSTANT_AND_ZERO_CASES = [
+    (parse("0", nvars=3), parse("x0*x2 - 3/2*x1^2")),
+    (parse("x0^2 - x1", nvars=2), parse("0", nvars=2)),
+    (parse("6", nvars=4), parse("4*x3 + 2")),
+    (parse("2/3", nvars=2), parse("5/7", nvars=2)),
+]
+
+# the first evaluation point clears only the root bound of x0, so it is a
+# root of the other input, whose image vanishes there
+VANISHING_IMAGE_CASES = [
+    (parse("x0 - 31"), parse("x0")),
+    (parse("x0 - 31*x1"), parse("x0", nvars=2)),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gcd_cases())
+@example(CONSTANT_AND_ZERO_CASES[0])
+@example(CONSTANT_AND_ZERO_CASES[1])
+@example(CONSTANT_AND_ZERO_CASES[2])
+@example(CONSTANT_AND_ZERO_CASES[3])
+@example(VANISHING_IMAGE_CASES[0])
+@example(VANISHING_IMAGE_CASES[1])
+def test_gcd_matches_sympy(case):
+    a, b = case
+    if not a and not b:
+        with pytest.raises(DomainError):
+            gcd(a, b)
+        return
+    assert gcd(a, b) == sympy_gcd_monic(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcd_cases(max_vars=3))
+@example(CONSTANT_AND_ZERO_CASES[2])
+@example(CONSTANT_AND_ZERO_CASES[3])
+def test_prs_fallback_matches_sympy(case):
+    a, b = case
+    if a and b:
+        assert _prs_gcd(a, b) == sympy_gcd_monic(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from hesse_lab.errors import DomainError
+from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.linalg import ScalarMatrix, projectively_equal, rank
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import (
@@ -261,3 +262,14 @@ def test_find_polar_relation_preconditions():
         find_polar_relation(PAPER_CUBIC, max_degree=0)
     with pytest.raises(DomainError):
         find_polar_relation(parse("x0 + x1"), max_degree=2)
+
+
+def test_build_psi_on_a_six_variable_sextic():
+    # the gcd of its three quintic g_i never returned under the primitive PRS
+    f = random_instance(GNSkeleton(5, 2, 1, 2, 1, 6), seed=0).f
+    rel = find_polar_relation(f, max_degree=2)
+    psi = build_psi(f, rel)
+    assert (psi.rho.degree(), psi.rho.num_terms()) == (3, 28)
+    assert sum(1 for g in psi.raw if g) == 3
+    for gi, hi in zip(psi.raw, psi.h):
+        assert psi.rho * hi == gi
