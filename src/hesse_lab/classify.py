@@ -104,7 +104,7 @@ def low_dim_hesse_suite(count, seed):
                     f = _random_cone(nvars, degree, rng)
                 else:
                     f = _random_form(nvars, degree, rng)
-                vanishes = hessian_vanishes(f, mode="symbolic").vanishes
+                vanishes = hessian_vanishes(f, seed=seed).vanishes
                 cone_dim = cone_test(f).projective_dim
                 polar_dim = None
                 if n == 3 and kind == "cone":
@@ -138,8 +138,7 @@ def low_polar_dim_check(f, seed=0):
     dimension at most two forces a cone.  True when verified or vacuous."""
     if f.nvars < 5:
         raise DomainError("needs an ambient space of at least five variables")
-    if not hessian_vanishes(f, mode="symbolic" if f.nvars <= 6 else "probabilistic",
-                            seed=seed).vanishes:
+    if not hessian_vanishes(f, seed=seed).vanishes:
         raise DomainError("precondition: vanishing Hessian")
     if polar_image_dim(f, seed=seed) <= 2:
         return cone_test(f).is_cone
@@ -179,7 +178,7 @@ def p4_plane_curve_check(f, psi, sample_count=30, seed=0):
     not certified, only recorded as unverified."""
     if f.nvars != 5:
         return _curve_precondition_failed("ambient space is not P^4")
-    if not hessian_vanishes(f, mode="symbolic").vanishes:
+    if not hessian_vanishes(f, seed=seed).vanishes:
         return _curve_precondition_failed("Hessian does not vanish")
     if cone_test(f).is_cone:
         return _curve_precondition_failed("input is a cone")
@@ -380,7 +379,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
         except RestrictionZeroError:
             continue
         used.add(c)
-        vanishes = hessian_vanishes(section, mode="symbolic").vanishes
+        vanishes = hessian_vanishes(section, seed=seed).vanishes
         vertex = cone_test(section)
         if not vanishes:
             violations.append(f"section at c={c} has nonvanishing Hessian")

@@ -50,7 +50,6 @@ from .reports import (
     run_psi_suite,
     scalar_str,
     sections_block,
-    trials_for_error,
 )
 
 EXIT_OK = 0
@@ -83,9 +82,9 @@ def build_parser():
             help="sampling field: 'rational' or 'p:<modulus>'",
         )
         sp.add_argument(
-            "--symbolic", action="store_true", help="force the exact determinant"
+            "--symbolic", dest="mode", action="store_const", const="symbolic",
+            default="probabilistic", help="decide the Hessian by the exact determinant",
         )
-        sp.add_argument("--trials", type=int, default=5, help="probabilistic trials")
 
     a = sub.add_parser("analyze", help="full pipeline on one polynomial")
     common(a)
@@ -144,13 +143,13 @@ def _parse_field(text):
     raise ValidationError([f"unknown field {text!r}; use 'rational' or 'p:<modulus>'"])
 
 
-def _check_count(count):
-    if count < 1:
-        raise ValidationError([f"--count must be >= 1 (got {count})"])
+def _check_positive(flag, value):
+    if value < 1:
+        raise ValidationError([f"{flag} must be >= 1 (got {value})"])
 
 
 def _check_symbolic(nvars, args):
-    if args.symbolic and nvars > DEFAULT_SIZE_CAP:
+    if args.mode == "symbolic" and nvars > DEFAULT_SIZE_CAP:
         raise ValidationError([
             f"--symbolic needs at most {DEFAULT_SIZE_CAP} variables, the cap of "
             f"the exact determinant (got {nvars})"
@@ -158,6 +157,7 @@ def _check_symbolic(nvars, args):
 
 
 def cmd_analyze(args):
+    _check_positive("--max-relation-degree", args.max_relation_degree)
     modulus = _parse_field(args.field)
     f = parse(args.poly)
     if f.is_zero() or not f.is_homogeneous():
@@ -172,9 +172,10 @@ def cmd_analyze(args):
         )
     n1, d = f.nvars, f.degree()
     _check_symbolic(n1, args)
-    mode = "symbolic" if (args.symbolic or (n1 <= 6 and d <= 6)) else "probabilistic"
-    verdict = hessian_vanishes(f, mode=mode, trials=args.trials, seed=args.seed)
+    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed)
     vertex = cone_test(f)
+    if vertex.is_cone:
+        verdict = verdict.upgraded("cone_vertex")
     results = {
         "hessian": hessian_block(verdict),
         "cone": cone_block(vertex),
@@ -185,6 +186,9 @@ def cmd_analyze(args):
         rel = find_polar_relation(f, max_degree=args.max_relation_degree)
         results["polar_relation"] = relation_block(rel) if rel else None
         if rel is not None:
+            if rel.certificate.is_zero():
+                verdict = verdict.upgraded("polar_relation")
+                results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
             checks, image, ok = psi_identity_battery(
@@ -205,19 +209,7 @@ def cmd_analyze(args):
                 ok = ok and curve.ok and sections.ok
             if not ok:
                 code = EXIT_INTERNAL_CHECK
-    return code, _doc({"poly": args.poly, "mode_requested": mode}, results, args)
-
-
-def _skeleton_verdict(f, skel, args, seed):
-    """Hessian verdict for a built instance: symbolic on small skeletons or
-    under --symbolic, else enough seeded trials for an error below 2^-40."""
-    if args.symbolic or (skel.n + 1 <= 6 and skel.d <= 6):
-        return hessian_vanishes(f, mode="symbolic")
-    trials = max(
-        args.trials,
-        trials_for_error((skel.n + 1) * max(skel.d - 2, 0), target_log2=40),
-    )
-    return hessian_vanishes(f, mode="probabilistic", trials=trials, seed=seed)
+    return code, _doc({"poly": args.poly, "mode_requested": args.mode}, results, args)
 
 
 def cmd_generate(args):
@@ -226,7 +218,7 @@ def cmd_generate(args):
     )
     _check_symbolic(skel.n + 1, args)
     instance = random_instance(skel, seed=args.seed)
-    verdict = _skeleton_verdict(instance.f, skel, args, args.seed)
+    verdict = hessian_vanishes(instance.f, mode=args.mode, seed=args.seed)
     vertex = cone_test(instance.f)
     data = instance_to_dict(instance)
     if args.out:
@@ -248,28 +240,27 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    _check_count(args.count)
+    _check_positive("--count", args.count)
     if args.suite == "lowdim":
         block = {"lowdim": run_lowdim_suite(args.count, args.seed)}
-        ok = block["lowdim"]["ok"]
     elif args.suite == "gn":
         block = {"gn": run_gn_suite(args.count, args.seed)}
-        ok = block["gn"]["ok"]
     elif args.suite == "psi":
         block = {"psi": run_psi_suite(args.seed, mutate=args.mutate)}
-        ok = block["psi"]["ok"]
     elif args.suite == "p4":
         block = {"p4": run_p4_suite(args.seed)}
-        ok = block["p4"]["ok"]
     else:
         block = run_all_suites(args.count, args.seed, mutate=args.mutate)
-        ok = block["ok"]
+    input_block = {"suite": args.suite}
+    if args.suite in ("lowdim", "gn", "all"):
+        input_block["count"] = args.count  # the psi and p4 suites have fixed inputs
+    ok = block["ok"] if args.suite == "all" else block[args.suite]["ok"]
     code = EXIT_OK if ok else EXIT_SUITE_FAILED
-    return code, _doc({"suite": args.suite, "count": args.count}, block, args)
+    return code, _doc(input_block, block, args)
 
 
 def cmd_catalog(args):
-    _check_count(args.count)
+    _check_positive("--count", args.count)
     skeletons = []
     problems = []
     for text in args.types:
@@ -296,7 +287,7 @@ def cmd_catalog(args):
     for skel in skeletons:
         for i in range(args.count):
             inst = random_instance(skel, seed=args.seed + i)
-            verdict = _skeleton_verdict(inst.f, skel, args, args.seed + i)
+            verdict = hessian_vanishes(inst.f, mode=args.mode, seed=args.seed + i)
             entries.append(
                 {
                     "type": [skel.n, skel.t, skel.m],

@@ -1,25 +1,27 @@
 """Hessian matrices, symbolic determinants, and vanishing verdicts.
 
-Two independent determinant routes are kept deliberately: minor expansion
-over memoized column subsets (fast on the sparse, symmetric matrices that
-show up here) and fraction-free Bareiss elimination with exact polynomial
-division.  The probabilistic vanishing test is Schwartz-Zippel at seeded
-points mod p with a certified error bound.
+`hessian_vanishes` decides h_f ≡ 0.  By default it evaluates H_f exactly at
+seeded integer points with coordinates in range(N), N = 2^61 - 1: a point of
+full rank is an exact witness of h_f ≠ 0, else the verdict "vanishes" carries the
+Schwartz-Zippel bound (D/N)^t, with t the fewest trials that put it below
+2^-40.  A cone vertex or a re-checked polar relation g(∇f) ≡ 0 (the
+Gordan-Noether criterion) later makes it exact.  The symbolic determinant, by
+minor expansion over memoized column subsets, is the opt-in route;
+fraction-free Bareiss elimination is the tests' oracle for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
 from .fields import DEFAULT_PRIME, substream
-from .linalg import independent_rows_mod
+from .linalg import ScalarMatrix, rank
 from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
-DEFAULT_TRIALS = 5
 DEFAULT_SAMPLES = 5
 
 
@@ -68,9 +70,10 @@ class PolyMatrix:
             out.append(acc)
         return out
 
-    def evaluate_mod(self, point, p):
-        """Integer matrix of entries evaluated at an integer point mod p."""
-        return [[e.eval_mod(point, p) for e in row] for row in self.entries]
+    def evaluate(self, point):
+        """Scalar matrix of the entries' exact values at a point.  Values mod p
+        would lose a nonzero minor whose coefficients p divides."""
+        return ScalarMatrix([[e.evaluate(point) for e in row] for row in self.entries])
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
@@ -80,10 +83,24 @@ class PolyMatrix:
 class HessianVerdict:
     mode: str                      # "symbolic" | "probabilistic"
     vanishes: bool
-    trials: int
-    modulus: Optional[int]
-    error_bound: Fraction          # upper bound on a false "vanishes"
+    trials: int                    # points evaluated
+    sample_range: Optional[int]    # point coordinates are drawn from range(sample_range)
+    error_bound: Fraction          # upper bound on a false "vanishes"; 0 when certified
     degree_bound: int
+    # "determinant" | "witness" | "cone_vertex" | "polar_relation", or None
+    # when only error_bound backs a vanishing verdict
+    certificate: Optional[str]
+
+    def upgraded(self, certificate):
+        """This verdict backed by an exact proof of h_f ≡ 0 found elsewhere:
+        a cone vertex or a re-checked polar relation."""
+        if not self.vanishes:
+            raise InternalCheckError(
+                f"{certificate} contradicts the {self.certificate} of h_f != 0"
+            )
+        if self.certificate is not None:
+            return self
+        return replace(self, error_bound=Fraction(0), certificate=certificate)
 
 
 def hessian_matrix(f):
@@ -160,67 +177,75 @@ def det_fraction_free(m):
     return b[n - 1][n - 1].scale(sign)
 
 
-def symbolic_determinant(m, algorithm="minor_expansion", size_cap=DEFAULT_SIZE_CAP):
+def symbolic_determinant(m, size_cap=DEFAULT_SIZE_CAP):
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square matrix")
     if m.rows > size_cap:
         raise DomainError(f"matrix size {m.rows} exceeds cap {size_cap}")
-    if algorithm == "minor_expansion":
-        return det_minor_expansion(m)
-    if algorithm == "fraction_free":
-        return det_fraction_free(m)
-    raise DomainError(f"unknown determinant algorithm {algorithm!r}")
+    return det_minor_expansion(m)
 
 
-def hessian_degree_bound(f):
-    """Trivial bound on deg(h_f): (n+1)·max(d-2, 0)."""
-    d = f.degree()
-    return f.nvars * max(d - 2, 0)
+def trials_for_error(degree_bound, target_log2=40):
+    """Fewest trials with certified error (D/N)^t < 2^-target_log2, N = DEFAULT_PRIME."""
+    if degree_bound == 0:
+        return 1
+    bound = Fraction(degree_bound, DEFAULT_PRIME)
+    target = Fraction(1, 2 ** target_log2)
+    t = 1
+    err = bound
+    while err >= target:
+        t += 1
+        err *= bound
+    return t
 
 
-def hessian_vanishes(f, mode="symbolic", trials=DEFAULT_TRIALS, seed=0, modulus=DEFAULT_PRIME):
-    """Decide h_f ≡ 0 exactly or probabilistically with a certified bound."""
+def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
+    """Decide h_f ≡ 0 by seeded points, stopping at the first witness of
+    h_f ≠ 0, or by the symbolic determinant when mode is "symbolic".
+    `trials` defaults to the count that `trials_for_error` gives."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
     h = hessian_matrix(f)
-    degree_bound = hessian_degree_bound(f)
+    degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
     if mode == "symbolic":
         det = symbolic_determinant(h)
         return HessianVerdict(
             mode="symbolic",
             vanishes=det.is_zero(),
             trials=0,
-            modulus=None,
+            sample_range=None,
             error_bound=Fraction(0),
             degree_bound=degree_bound,
+            certificate="determinant",
         )
     if mode != "probabilistic":
         raise DomainError(f"unknown mode {mode!r}")
+    if trials is None:
+        trials = trials_for_error(degree_bound)
     if trials < 1:
         raise DomainError("probabilistic mode needs trials >= 1")
-    p = modulus
-    vanishes = True
+    witness = False
     for t in range(trials):
         rng = substream(seed, "hessian_vanishes", t)
-        point = [rng.randrange(p) for _ in range(f.nvars)]
-        # det H(a) != 0 mod p exactly when H(a) has full rank mod p
-        if len(independent_rows_mod(h.evaluate_mod(point, p), p)) == f.nvars:
-            vanishes = False
+        point = [rng.randrange(DEFAULT_PRIME) for _ in range(f.nvars)]
+        if rank(h.evaluate(point)) == f.nvars:  # det H(a) != 0 proves h_f != 0
+            witness = True
             break
     return HessianVerdict(
         mode="probabilistic",
-        vanishes=vanishes,
-        trials=trials,
-        modulus=p,
-        error_bound=Fraction(degree_bound, p) ** trials,
+        vanishes=not witness,
+        trials=t + 1,
+        sample_range=DEFAULT_PRIME,
+        error_bound=Fraction(0) if witness else Fraction(degree_bound, DEFAULT_PRIME) ** trials,
         degree_bound=degree_bound,
+        certificate="witness" if witness else None,
     )
 
 
-def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0, modulus=DEFAULT_PRIME):
-    """Max rank of H_f over seeded random GF(p) points.
+def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0):
+    """Max rank of H_f over seeded random integer points.
 
     Per-sample seed substreams make the result non-decreasing in `samples`
     for a fixed seed.
@@ -232,17 +257,16 @@ def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0, modulus=DEFAULT_PRI
     if samples < 1:
         raise DomainError("samples must be >= 1")
     h = hessian_matrix(f)
-    p = modulus
     best = 0
     for s in range(samples):
         rng = substream(seed, "generic_rank", s)
-        point = [rng.randrange(p) for _ in range(f.nvars)]
-        best = max(best, len(independent_rows_mod(h.evaluate_mod(point, p), p)))
+        point = [rng.randrange(DEFAULT_PRIME) for _ in range(f.nvars)]
+        best = max(best, rank(h.evaluate(point)))
         if best == f.nvars:
             break
     return best
 
 
-def polar_image_dim(f, samples=DEFAULT_SAMPLES, seed=0, modulus=DEFAULT_PRIME):
+def polar_image_dim(f, samples=DEFAULT_SAMPLES, seed=0):
     """dim Z(f) = generic rank of the polar map's Jacobian minus one."""
-    return generic_hessian_rank(f, samples=samples, seed=seed, modulus=modulus) - 1
+    return generic_hessian_rank(f, samples=samples, seed=seed) - 1

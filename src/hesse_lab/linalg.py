@@ -3,10 +3,8 @@
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
 input.  ``independent_rows_mod`` is the one modular elimination, on plain
-ints mod a prime: its count of independent rows is the rank mod p used for
-probabilistic identity testing, and its rows cut a tall matrix down before
-``kernel`` runs Bareiss; the kernel is then re-checked exactly against every
-row.  Pivots are always the first nonzero entry in column order, ties broken
+ints mod a prime: its rows cut a tall matrix down before ``kernel`` runs
+Bareiss; the kernel is then re-checked exactly against every row.  Pivots are always the first nonzero entry in column order, ties broken
 by row order, so all outputs are deterministic.
 """
 
@@ -157,9 +155,7 @@ def independent_rows_mod(rows, p):
     matrix that are linearly independent mod a prime p; their count is the
     rank mod p.
 
-    H(a) has full rank mod p exactly when det H(a) is nonzero mod p, so this
-    one elimination serves the vanishing test, the generic-rank sampler and
-    the row selection of ``kernel``.  The chosen rows are kept mod p in
+    ``kernel`` selects its rows with it.  The chosen rows are kept mod p in
     reduced echelon form (1 at their pivot, 0 at every other pivot), so a row
     depends on them exactly when its residue on the other columns is zero.
     """

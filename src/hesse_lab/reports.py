@@ -7,8 +7,6 @@ rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .classify import (
     degenerate_image_guard,
     low_dim_hesse_suite,
@@ -16,7 +14,6 @@ from .classify import (
     p4_section_check,
 )
 from .cones import cone_test
-from .fields import DEFAULT_PRIME
 from .gn import GNSkeleton, core_multiplicity, random_instance
 from .hessian import hessian_vanishes
 from .poly import parse
@@ -33,7 +30,7 @@ from .psi import (
     taylor_membership,
 )
 
-SCHEMA = "hesse-lab/1"
+SCHEMA = "hesse-lab/2"
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -53,26 +50,13 @@ def vector_strs(v):
     return [str(c) for c in v]
 
 
-def trials_for_error(degree_bound, target_log2, modulus=DEFAULT_PRIME):
-    """Fewest trials with certified error (D/p)^t < 2^-target_log2."""
-    if degree_bound == 0:
-        return 1
-    bound = Fraction(degree_bound, modulus)
-    target = Fraction(1, 2 ** target_log2)
-    t = 1
-    err = bound
-    while err >= target:
-        t += 1
-        err *= bound
-    return t
-
-
 def hessian_block(verdict):
     return {
         "mode": verdict.mode,
         "vanishes": verdict.vanishes,
+        "certificate": verdict.certificate,
         "trials": verdict.trials,
-        "modulus": verdict.modulus,
+        "sample_range": verdict.sample_range,
         "error_bound": scalar_str(verdict.error_bound),
         "degree_bound": verdict.degree_bound,
     }
@@ -233,15 +217,7 @@ def run_gn_suite(count, seed):
         non_cones = 0
         for i in range(count):
             inst = random_instance(skel, seed=seed + i)
-            if skel.n <= 4:
-                verdict = hessian_vanishes(inst.f, mode="symbolic")
-            else:
-                trials = trials_for_error(
-                    (skel.n + 1) * max(skel.d - 2, 0), target_log2=40
-                )
-                verdict = hessian_vanishes(
-                    inst.f, mode="probabilistic", trials=trials, seed=seed + i
-                )
+            verdict = hessian_vanishes(inst.f, seed=seed + i)
             mult = core_multiplicity(inst)
             is_cone = cone_test(inst.f).is_cone
             if not verdict.vanishes:

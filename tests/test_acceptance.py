@@ -31,11 +31,11 @@ from hesse_lab.hessian import (
     hessian_matrix,
     hessian_vanishes,
     polar_image_dim,
+    trials_for_error,
 )
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.psi import build_psi, find_polar_relation
-from hesse_lab.reports import trials_for_error
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 

@@ -1,10 +1,13 @@
 """Command-line contract: exit codes, JSON schema shape, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hesse_lab import hessian
 from hesse_lab.cli import main
+from hesse_lab.cones import VertexSubspace
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -19,10 +22,11 @@ def run(tmp_path, *argv, name="out.json"):
 def test_analyze_paper_cubic(tmp_path):
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
     assert code == 0
-    assert doc["schema"] == "hesse-lab/1"
+    assert doc["schema"] == "hesse-lab/2"
     r = doc["results"]
-    assert r["hessian"]["mode"] == "symbolic"
+    assert r["hessian"]["mode"] == "probabilistic"
     assert r["hessian"]["vanishes"] is True
+    assert r["hessian"]["certificate"] == "polar_relation"
     assert r["cone"]["is_cone"] is False
     assert r["polar_image_dim"] == 3
     assert r["polar_relation"]["degree"] == 2
@@ -150,14 +154,18 @@ def test_verify_suites_pass(tmp_path):
 
 def test_common_flags_accepted_everywhere(tmp_path):
     code, _ = run(tmp_path, "verify", "--suite", "lowdim", "--count", "2",
-                  "--field", "rational", "--symbolic", "--trials", "2")
+                  "--field", "rational", "--symbolic")
     assert code == 0
     code, doc = run(tmp_path, "generate",
                     "--n", "4", "--t", "2", "--m", "1",
                     "--hdeg", "2", "--psideg", "1", "--d", "3",
-                    "--symbolic", "--trials", "3", name="gsym.json")
+                    "--symbolic", name="gsym.json")
     assert code == 0
     assert doc["results"]["hessian"]["mode"] == "symbolic"
+    # the trial count follows from the 2^-40 error target; there is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--poly", PAPER_CUBIC, "--trials", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_mutation_control(tmp_path):
@@ -233,3 +241,64 @@ def test_analyze_probabilistic_default_for_many_variables(tmp_path):
     assert r["hessian"]["vanishes"] is True
     assert r["cone"]["is_cone"] is True  # three of seven variables: a cone
     assert "polar_relation" not in r
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_max_relation_degree_below_one_exit_5(degree, capsys):
+    assert main(["analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", degree]) == 5
+    out = capsys.readouterr()
+    assert f"validation: --max-relation-degree must be >= 1 (got {degree})" in out.err
+    assert out.out == ""
+
+
+def test_verify_echoes_count_only_for_suites_that_read_it(tmp_path):
+    _, doc = run(tmp_path, "verify", "--suite", "psi", "--count", "7")
+    assert doc["input"] == {"suite": "psi"}
+    _, doc = run(tmp_path, "verify", "--suite", "lowdim", "--count", "1", name="l.json")
+    assert doc["input"] == {"suite": "lowdim", "count": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, vanishes, certificate",
+    [
+        (("--poly", "x0^3+x1^3+x2^3"), False, "witness"),
+        (("--poly", "x0^3 + x1^3 + x6^3"), True, "cone_vertex"),
+        (("--poly", PAPER_CUBIC), True, "polar_relation"),
+        (("--poly", PAPER_CUBIC, "--max-relation-degree", "1"), True, None),
+        (("--poly", PAPER_CUBIC, "--symbolic"), True, "determinant"),
+    ],
+)
+def test_analyze_hessian_certificate(tmp_path, argv, vanishes, certificate):
+    code, doc = run(tmp_path, "analyze", *argv)
+    assert code == 0
+    block = doc["results"]["hessian"]
+    assert block["vanishes"] is vanishes
+    assert block["certificate"] == certificate
+    bound = Fraction(block["error_bound"])
+    if certificate is None:
+        assert 0 < bound < Fraction(1, 2**40)
+    else:
+        assert bound == 0
+
+
+class DeterminantReached(Exception):
+    pass
+
+
+def test_default_route_never_expands_the_determinant(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise DeterminantReached
+
+    monkeypatch.setattr(hessian, "symbolic_determinant", refuse)
+    assert run(tmp_path, "analyze", "--poly", PAPER_CUBIC)[0] == 0
+    assert run(tmp_path, "verify", "--suite", "all", "--count", "1")[0] == 0
+    assert run(tmp_path, "catalog", "--types", "4,2,1,2,1,3")[0] == 0
+    with pytest.raises(DeterminantReached):
+        main(["analyze", "--poly", PAPER_CUBIC, "--symbolic"])
+
+
+def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):
+    fake_vertex = VertexSubspace(basis=((0, 0, 1),), projective_dim=0)
+    monkeypatch.setattr("hesse_lab.cli.cone_test", lambda f: fake_vertex)
+    assert main(["analyze", "--poly", "x0^3+x1^3+x2^3"]) == 4
+    assert "cone_vertex contradicts the witness of h_f != 0" in capsys.readouterr().err

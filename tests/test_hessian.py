@@ -16,6 +16,7 @@ from hesse_lab.hessian import (
     hessian_vanishes,
     polar_image_dim,
     symbolic_determinant,
+    trials_for_error,
 )
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
@@ -84,8 +85,8 @@ def test_det_diag_with_zero():
 
 def test_det_paper_cubic_vanishes_both_algorithms():
     h = hessian_matrix(PAPER_CUBIC)
-    assert symbolic_determinant(h, "minor_expansion").is_zero()
-    assert symbolic_determinant(h, "fraction_free").is_zero()
+    assert det_minor_expansion(h).is_zero()
+    assert det_fraction_free(h).is_zero()
 
 
 def test_det_2x2():
@@ -159,6 +160,34 @@ def test_probabilistic_consistent_with_symbolic(seed=41, cases=15):
             assert not sym
 
 
+def test_default_route_witness_or_bound():
+    v = hessian_vanishes(FERMAT_CUBIC)
+    assert (v.mode, v.vanishes, v.certificate, v.error_bound) == (
+        "probabilistic", False, "witness", 0)
+    cone = parse("x0^3 + x1^3", nvars=4)
+    v = hessian_vanishes(cone)
+    assert (v.vanishes, v.certificate, v.trials) == (True, None, 1)
+    assert v.error_bound == Fraction(4, DEFAULT_PRIME)
+    exact = v.upgraded("cone_vertex")
+    assert (exact.certificate, exact.error_bound) == ("cone_vertex", 0)
+
+
+def test_sampling_sees_a_hessian_that_p_divides():
+    # det H = 4p: every value is 0 mod p, but not 0, at every point
+    f = parse(f"{DEFAULT_PRIME}*x0^2 + x1^2")
+    assert symbolic_determinant(hessian_matrix(f)) == Polynomial.constant(2, 4 * DEFAULT_PRIME)
+    v = hessian_vanishes(f)
+    assert (v.vanishes, v.certificate) == (False, "witness")
+    assert polar_image_dim(f, seed=0) == 1  # a smooth conic's polar map is onto P^1
+
+
+def test_trials_for_error_meets_the_target():
+    # one trial suffices while D/p < 2^-40, i.e. D < (2^61 - 1) / 2^40
+    assert trials_for_error(0) == 1
+    assert trials_for_error(2**21 - 1) == 1
+    assert trials_for_error(2**21) == 2
+
+
 def test_probabilistic_trials_validation():
     with pytest.raises(DomainError):
         hessian_vanishes(PAPER_CUBIC, mode="probabilistic", trials=0)
@@ -198,12 +227,6 @@ def test_cone_implies_vanishing():
     for text, n in (("x0^3 + x1^3", 4), ("x0^4", 3), ("x0^2 + x0*x1", 3)):
         f = parse(text, nvars=n)
         assert hessian_vanishes(f, mode="symbolic").vanishes
-
-
-def test_unknown_determinant_algorithm_rejected():
-    m = hessian_matrix(FERMAT_CUBIC)
-    with pytest.raises(DomainError):
-        symbolic_determinant(m, "cofactor_magic")
 
 
 def test_vanishes_rejects_bad_input():
