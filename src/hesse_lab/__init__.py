@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for hypersurfaces with vanishing Hessian.
 
-Everything here is computed exactly over the rationals, with integers mod a
-large prime reserved for probabilistic identity testing; no floating point
-enters any verdict.
+Everything here is computed exactly over the rationals; no floating point
+enters any verdict.  Integers mod a large prime serve only to select the rows
+that ``kernel`` eliminates and to sample the ψ_g image under
+``analyze --field p:MODULUS``.
 """
 
 from .fields import DEFAULT_PRIME, substream

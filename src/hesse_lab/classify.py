@@ -175,12 +175,14 @@ def _span_coordinates(basis, point):
 def p4_plane_curve_check(f, psi, sample_count=30, seed=0):
     """Sampled ψ_g image must span exactly a plane; interpolate the least-degree
     curve through it in span coordinates.  Rationality and irreducibility are
-    not certified, only recorded as unverified."""
+    not certified, only recorded as unverified.
+
+    ψ's re-checked relation already proves h_f ≡ 0, and the relation is
+    linear exactly when the partials are dependent, that is when V(f) is a
+    cone, so neither fact is decided again here."""
     if f.nvars != 5:
         return _curve_precondition_failed("ambient space is not P^4")
-    if not hessian_vanishes(f, seed=seed).vanishes:
-        return _curve_precondition_failed("Hessian does not vanish")
-    if cone_test(f).is_cone:
+    if psi.cone_flagged:
         return _curve_precondition_failed("input is a cone")
     points = sample_image(psi, max(sample_count, 12), seed).points
     matrix = ScalarMatrix([list(q) for q in points])
@@ -395,13 +397,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
                 )
             )
             continue
-        ambient_vertex = [
-            [
-                sum(chart.parametrization[i][j] * v[j] for j in range(4))
-                for i in range(5)
-            ]
-            for v in vertex.basis
-        ]
+        ambient_vertex = [chart.embed_point(v) for v in vertex.basis]
         line = _intersect_spans(ambient_vertex, [list(b) for b in basis])
         status = "tangent"
         point = None

@@ -14,7 +14,6 @@ import json
 import sys
 import time
 
-from .classify import p4_plane_curve_check, p4_section_check
 from .cones import cone_test
 from .errors import (
     HesseLabError,
@@ -24,32 +23,25 @@ from .errors import (
     ValidationError,
 )
 from .fields import PRIME_TEST_LIMIT, is_prime
-from .gn import (
-    GNSkeleton,
-    core_multiplicity,
-    instance_to_dict,
-    random_instance,
-    validate_skeleton,
-)
+from .gn import GNSkeleton, instance_to_dict, validate_skeleton
 from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, polar_image_dim
 from .poly import parse
-from .psi import build_psi, find_polar_relation, sample_polar_image
+from .psi import build_psi, find_polar_relation
 from .reports import (
     SCHEMA,
     cone_block,
-    curve_block,
+    gn_entry,
     hessian_block,
+    image_block,
+    p4_classification,
     psi_block,
     psi_identity_battery,
-    image_block,
     relation_block,
     run_all_suites,
     run_gn_suite,
     run_lowdim_suite,
     run_p4_suite,
     run_psi_suite,
-    scalar_str,
-    sections_block,
 )
 
 EXIT_OK = 0
@@ -76,11 +68,8 @@ def build_parser():
             action="store_true",
             help="omit the timings block (byte-deterministic output)",
         )
-        sp.add_argument(
-            "--field",
-            default="rational",
-            help="sampling field: 'rational' or 'p:<modulus>'",
-        )
+
+    def symbolic(sp):
         sp.add_argument(
             "--symbolic", dest="mode", action="store_const", const="symbolic",
             default="probabilistic", help="decide the Hessian by the exact determinant",
@@ -88,13 +77,20 @@ def build_parser():
 
     a = sub.add_parser("analyze", help="full pipeline on one polynomial")
     common(a)
+    symbolic(a)
     a.add_argument("--poly", required=True, help="polynomial in x-variables")
+    a.add_argument(
+        "--field",
+        default="rational",
+        help="field of the ψ_g image sample: 'rational' or 'p:<modulus>'",
+    )
     a.add_argument(
         "--max-relation-degree", type=int, default=4, help="polar relation search cap"
     )
 
     g = sub.add_parser("generate", help="build one seeded construction instance")
     common(g)
+    symbolic(g)
     for flag in ("n", "t", "m", "hdeg", "psideg", "d"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.add_argument("--out", metavar="PATH", help="write the instance JSON here")
@@ -113,6 +109,7 @@ def build_parser():
 
     c = sub.add_parser("catalog", help="batch-generate instances with metadata")
     common(c)
+    symbolic(c)
     c.add_argument(
         "--types",
         action="append",
@@ -186,27 +183,20 @@ def cmd_analyze(args):
         rel = find_polar_relation(f, max_degree=args.max_relation_degree)
         results["polar_relation"] = relation_block(rel) if rel else None
         if rel is not None:
-            if rel.certificate.is_zero():
-                verdict = verdict.upgraded("polar_relation")
-                results["hessian"] = hessian_block(verdict)
+            # PolarRelation refuses a nonzero certificate: h_f ≡ 0 is proven
+            verdict = verdict.upgraded("polar_relation")
+            results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            checks, image, ok = psi_identity_battery(
+            checks, image, polar_sample, ok = psi_identity_battery(
                 f, psi, seed=args.seed, modulus=modulus
             )
             results["identity_checks"] = checks
             results["image"] = image_block(image)
-            results["polar_image"] = image_block(
-                sample_polar_image(f, 12, args.seed)
-            )
+            results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                curve = p4_plane_curve_check(f, psi, seed=args.seed)
-                sections = p4_section_check(f, psi, curve, seed=args.seed)
-                results["classification"] = {
-                    "plane_curve": curve_block(curve),
-                    "sections": sections_block(sections),
-                }
-                ok = ok and curve.ok and sections.ok
+                results["classification"], p4_ok = p4_classification(f, psi, args.seed)
+                ok = ok and p4_ok
             if not ok:
                 code = EXIT_INTERNAL_CHECK
     return code, _doc({"poly": args.poly, "mode_requested": args.mode}, results, args)
@@ -217,9 +207,7 @@ def cmd_generate(args):
         n=args.n, t=args.t, m=args.m, hdeg=args.hdeg, psideg=args.psideg, d=args.d
     )
     _check_symbolic(skel.n + 1, args)
-    instance = random_instance(skel, seed=args.seed)
-    verdict = hessian_vanishes(instance.f, mode=args.mode, seed=args.seed)
-    vertex = cone_test(instance.f)
+    instance, verdict, entry = gn_entry(skel, args.seed, mode=args.mode)
     data = instance_to_dict(instance)
     if args.out:
         with open(args.out, "w") as fh:
@@ -228,8 +216,8 @@ def cmd_generate(args):
     results = {
         "instance": data,
         "hessian": hessian_block(verdict),
-        "cone": cone_block(vertex),
-        "core_multiplicity": core_multiplicity(instance),
+        "cone": cone_block(instance.vertex),
+        "core_multiplicity": entry["core_multiplicity"],
         "core_multiplicity_expected": skel.d - instance.mu,
     }
     return EXIT_OK, _doc(
@@ -286,25 +274,8 @@ def cmd_catalog(args):
     entries = []
     for skel in skeletons:
         for i in range(args.count):
-            inst = random_instance(skel, seed=args.seed + i)
-            verdict = hessian_vanishes(inst.f, mode=args.mode, seed=args.seed + i)
-            entries.append(
-                {
-                    "type": [skel.n, skel.t, skel.m],
-                    "hdeg": skel.hdeg,
-                    "psideg": skel.psideg,
-                    "d": skel.d,
-                    "s": inst.s,
-                    "mu": inst.mu,
-                    "seed": args.seed + i,
-                    "hessian_mode": verdict.mode,
-                    "vanishes": verdict.vanishes,
-                    "error_bound": scalar_str(verdict.error_bound),
-                    "is_cone": cone_test(inst.f).is_cone,
-                    "core_multiplicity": core_multiplicity(inst),
-                    "instance": instance_to_dict(inst),
-                }
-            )
+            inst, _, entry = gn_entry(skel, args.seed + i, mode=args.mode)
+            entries.append({**entry, "instance": instance_to_dict(inst)})
     return EXIT_OK, _doc({"types": args.types, "count": args.count}, {"catalog": entries}, args)
 
 

@@ -202,12 +202,3 @@ def projection_lemma_check(f, chart, samples=10, seed=0, corrupt_partial=None):
     if checked == 0:
         raise SampleBudgetError("all samples hit base loci; retry with a new seed")
     return True
-
-
-def apply_linear_change(f, matrix):
-    """f(A·x) for an invertible (n+1)×(n+1) rational matrix A."""
-    n1 = f.nvars
-    if matrix.rows != n1 or matrix.cols != n1:
-        raise DimensionError("change of coordinates must be square of matching size")
-    args = [Polynomial.linear_form(list(matrix.entries[i])) for i in range(n1)]
-    return f.compose(args)

@@ -3,8 +3,9 @@
 Every coefficient is a rational, stored as plain ``int`` when integral and
 ``fractions.Fraction`` otherwise; both interoperate transparently, and keeping
 the integer fast path matters in the symbolic-determinant kernels.  Prime
-fields appear only as ints in [0, p), through ``rational_to_mod``, for
-probabilistic identity testing; ``is_prime`` vets a user-supplied modulus.
+fields appear only as ints in [0, p): in the kernel's row selection, and
+through ``rational_to_mod`` in the ψ_g image sampling of
+``analyze --field p:MODULUS``, whose modulus ``is_prime`` vets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 from .errors import DomainError, FieldMismatchError
 
-# Default modulus for probabilistic identity testing: the Mersenne prime 2^61 - 1.
+# The Mersenne prime 2^61 - 1: the kernel's row-selection modulus and the
+# coordinate range of the Hessian verdict's sample points.
 DEFAULT_PRIME = (1 << 61) - 1
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import cone_test
+from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from .fields import substream
 from .hessian import PolyMatrix, symbolic_determinant
@@ -56,6 +56,11 @@ class GNSkeleton:
     @property
     def expected_mu(self):
         return self.d // self.expected_s
+
+    @property
+    def promises_non_cone(self):
+        """General data of this shape gives a non-cone: μ > n-t-2."""
+        return self.expected_mu > self.n - self.t - 2
 
     def violations(self):
         """Structural constraints, checkable before any polynomial is built."""
@@ -170,6 +175,7 @@ class GNInstance:
     f: Polynomial
     s: int
     mu: int
+    vertex: VertexSubspace  # cone test of f
 
 
 def _construction_rows(params):
@@ -228,7 +234,8 @@ def build_Q(params):
 
 
 def build_f(params):
-    """Assemble the full instance; f must come out homogeneous of degree d."""
+    """Assemble the full instance; f must come out homogeneous of degree d.
+    The instance carries the cone test of f, so no caller repeats it."""
     qs, cofactors, s = build_Q(params)
     n1 = params.n + 1
     mu = params.d // s
@@ -248,6 +255,7 @@ def build_f(params):
         f=f,
         s=s,
         mu=mu,
+        vertex=cone_test(f),
     )
 
 
@@ -313,7 +321,7 @@ def validate_skeleton(skel):
 def random_instance(skel, seed, retries=RETRY_BUDGET):
     """Seeded instance with small nonzero integer coefficients.
 
-    Degenerate draws (zero Q, zero f, or a cone when μ > n-t-2 promises
+    Degenerate draws (zero Q, zero f, or a cone where the skeleton promises
     non-cones for general data) are retried; exhaustion raises.
     """
     validate_skeleton(skel)
@@ -325,7 +333,7 @@ def random_instance(skel, seed, retries=RETRY_BUDGET):
             instance = build_f(params)
         except DegenerateDataError:
             continue
-        if skel.expected_mu > skel.n - skel.t - 2 and cone_test(instance.f).is_cone:
+        if skel.promises_non_cone and instance.vertex.is_cone:
             cone_draws += 1  # non-general draw
             continue
         return instance

@@ -54,11 +54,6 @@ class PolyMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def transpose(self):
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def mul_poly_vector(self, v):
         if len(v) != self.cols:
             raise DimensionError("vector length mismatch")

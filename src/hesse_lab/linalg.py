@@ -36,10 +36,6 @@ class ScalarMatrix:
         self.entries = entries
 
     @staticmethod
-    def identity(n):
-        return ScalarMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_polynomials(polys, basis=None):
         """Rows = coefficient vectors of polys over a shared monomial basis.
 
@@ -287,18 +283,3 @@ def random_invertible(n, rng, lo=-9, hi=9):
         if rank(m) == n:
             return m
     raise InternalCheckError("could not draw an invertible matrix")
-
-
-def invert(matrix):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    if matrix.rows != matrix.cols:
-        raise DimensionError("inverse of a non-square matrix")
-    n = matrix.rows
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve(matrix, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return ScalarMatrix([[cols[j][i] for j in range(n)] for i in range(n)])

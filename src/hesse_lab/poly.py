@@ -114,9 +114,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) == 1
 
-    def num_terms(self):
-        return len(self.terms)
-
     def sorted_terms(self):
         """Terms in canonical graded-lex descending order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -348,13 +345,6 @@ class Polynomial:
         if r:
             raise InexactDivisionError("division left a nonzero remainder")
         return q
-
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivisionError:
-            return False
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""

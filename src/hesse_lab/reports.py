@@ -13,7 +13,6 @@ from .classify import (
     p4_plane_curve_check,
     p4_section_check,
 )
-from .cones import cone_test
 from .gn import GNSkeleton, core_multiplicity, random_instance
 from .hessian import hessian_vanishes
 from .poly import parse
@@ -138,7 +137,9 @@ def sections_block(report):
 
 
 def psi_identity_battery(f, psi, seed=0, sample_count=12, modulus=None, fiber_samples=3):
-    """Every identity the relation implies, plus the sampled inclusions."""
+    """Every identity the relation implies, plus the sampled inclusions.
+    Returns the checks, the ψ_g image sample, the polar-image sample the
+    relation was checked on, and whether every check passed."""
     checks = {}
     checks["second_derivative_zero"] = check_second_derivative_relation(f, psi)
     inv_f = check_invariance(f, psi, mode="symbolic")
@@ -187,7 +188,7 @@ def psi_identity_battery(f, psi, seed=0, sample_count=12, modulus=None, fiber_sa
         and checks.get("fiber_lines", True)
         and checks["relation_vanishes_on_polar_sample"]
     )
-    return checks, image, ok
+    return checks, image, polar_sample, ok
 
 
 # ----------------------------------------------------------------------
@@ -210,43 +211,50 @@ def run_lowdim_suite(count, seed):
     }
 
 
+def gn_entry(skel, seed, mode="probabilistic"):
+    """Draw the seeded instance of skel and decide it once: the Hessian
+    verdict, the vertex the draw already computed, and the core multiplicity.
+    Returns the instance, the verdict and the report entry."""
+    inst = random_instance(skel, seed=seed)
+    verdict = hessian_vanishes(inst.f, mode=mode, seed=seed)
+    entry = {
+        "type": [skel.n, skel.t, skel.m],
+        "hdeg": skel.hdeg,
+        "psideg": skel.psideg,
+        "d": skel.d,
+        "s": inst.s,
+        "mu": inst.mu,
+        "seed": seed,
+        "hessian_mode": verdict.mode,
+        "vanishes": verdict.vanishes,
+        "error_bound": scalar_str(verdict.error_bound),
+        "is_cone": inst.vertex.is_cone,
+        "core_multiplicity": core_multiplicity(inst),
+    }
+    return inst, verdict, entry
+
+
 def run_gn_suite(count, seed):
     entries = []
     violations = []
     for skel in GN_SUITE_SKELETONS:
-        non_cones = 0
+        cones = 0
         for i in range(count):
-            inst = random_instance(skel, seed=seed + i)
-            verdict = hessian_vanishes(inst.f, seed=seed + i)
-            mult = core_multiplicity(inst)
-            is_cone = cone_test(inst.f).is_cone
-            if not verdict.vanishes:
+            _, _, entry = gn_entry(skel, seed + i)
+            if not entry["vanishes"]:
                 violations.append(f"{skel} seed {seed + i}: Hessian does not vanish")
-            if mult != skel.d - inst.mu:
+            if entry["core_multiplicity"] != skel.d - entry["mu"]:
                 violations.append(
-                    f"{skel} seed {seed + i}: core multiplicity {mult} != d-mu"
+                    f"{skel} seed {seed + i}: core multiplicity "
+                    f"{entry['core_multiplicity']} != d-mu"
                 )
-            if not is_cone:
-                non_cones += 1
-            entries.append(
-                {
-                    "type": [skel.n, skel.t, skel.m],
-                    "d": skel.d,
-                    "s": inst.s,
-                    "mu": inst.mu,
-                    "seed": seed + i,
-                    "vanishes": verdict.vanishes,
-                    "hessian_mode": verdict.mode,
-                    "error_bound": scalar_str(verdict.error_bound),
-                    "core_multiplicity": mult,
-                    "is_cone": is_cone,
-                }
-            )
-        if skel.expected_mu > skel.n - skel.t - 2:
+            cones += entry["is_cone"]
+            entries.append(entry)
+        if skel.promises_non_cone:
             allowed = max(1, count // 10)
-            if count - non_cones > allowed:
+            if cones > allowed:
                 violations.append(
-                    f"{skel}: {count - non_cones} cone draws exceed the "
+                    f"{skel}: {cones} cone draws exceed the "
                     f"non-general allowance of {allowed}"
                 )
     return {"ok": not violations, "entries": entries, "violations": violations}
@@ -270,7 +278,7 @@ def run_psi_suite(seed, mutate=False):
     if mutate:
         psi = _mutated(psi)
     block["psi"] = psi_block(psi)
-    checks, image, battery_ok = psi_identity_battery(f, psi, seed=seed)
+    checks, image, _, battery_ok = psi_identity_battery(f, psi, seed=seed)
     block["checks"] = checks
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
@@ -282,7 +290,17 @@ def run_psi_suite(seed, mutate=False):
     return block
 
 
-def run_p4_suite(seed, instances=5, chart_count=5, sample_count=30):
+def p4_classification(f, psi, seed, chart_count=5):
+    """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
+    through the sampled ψ_g image and the hyperplane sections through its
+    plane.  Returns the report block and whether both stages passed."""
+    curve = p4_plane_curve_check(f, psi, seed=seed)
+    sections = p4_section_check(f, psi, curve, chart_count=chart_count, seed=seed)
+    block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
+    return block, curve.ok and sections.ok
+
+
+def run_p4_suite(seed, instances=5, chart_count=5):
     cases = []
     violations = []
     inputs = [("paper_cubic", parse(PAPER_CUBIC_TEXT))]
@@ -295,22 +313,21 @@ def run_p4_suite(seed, instances=5, chart_count=5, sample_count=30):
             violations.append(f"{name}: no polar relation up to degree 4")
             continue
         psi = build_psi(f, rel)
-        curve = p4_plane_curve_check(f, psi, sample_count=sample_count, seed=seed)
-        sections = p4_section_check(f, psi, curve, chart_count=chart_count, seed=seed)
-        image = sample_image(psi, 12, seed)
-        guard = degenerate_image_guard(f, image)
-        if not curve.ok:
+        block, _ = p4_classification(f, psi, seed, chart_count=chart_count)
+        guard = degenerate_image_guard(f, sample_image(psi, 12, seed))
+        if not block["plane_curve"]["ok"]:
             violations.append(f"{name}: plane-curve stage failed")
-        if not sections.ok:
-            violations.append(f"{name}: sections stage failed: {sections.violations}")
+        if not block["sections"]["ok"]:
+            violations.append(
+                f"{name}: sections stage failed: {block['sections']['violations']}"
+            )
         if not guard:
             violations.append(f"{name}: degenerate-image guard failed")
         cases.append(
             {
                 "input": name,
                 "f": f.to_string("x"),
-                "plane_curve": curve_block(curve),
-                "sections": sections_block(sections),
+                **block,
                 "degenerate_image_guard": guard,
             }
         )

@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, JSON schema shape, determinism."""
 
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hesse_lab import hessian
+from hesse_lab import cones, hessian, psi
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 
@@ -152,20 +154,27 @@ def test_verify_suites_pass(tmp_path):
         assert doc["results"][suite]["ok"] is True
 
 
-def test_common_flags_accepted_everywhere(tmp_path):
-    code, _ = run(tmp_path, "verify", "--suite", "lowdim", "--count", "2",
-                  "--field", "rational", "--symbolic")
-    assert code == 0
+def test_options_only_on_subcommands_that_read_them(tmp_path):
     code, doc = run(tmp_path, "generate",
                     "--n", "4", "--t", "2", "--m", "1",
                     "--hdeg", "2", "--psideg", "1", "--d", "3",
                     "--symbolic", name="gsym.json")
     assert code == 0
     assert doc["results"]["hessian"]["mode"] == "symbolic"
-    # the trial count follows from the 2^-40 error target; there is no option
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--poly", PAPER_CUBIC, "--trials", "2"])
-    assert exc.value.code == 2
+    # an option the subcommand would ignore is a parse error, not a no-op;
+    # the trial count follows from the 2^-40 error target, so --trials is none
+    for argv in (
+        ("verify", "--suite", "lowdim", "--count", "2", "--field", "rational", "--symbolic"),
+        ("verify", "--suite", "psi", "--field", "p:abc"),
+        ("verify", "--suite", "psi", "--symbolic"),
+        ("catalog", "--types", "4,2,1,2,1,3", "--field", "p:4"),
+        ("generate", "--n", "4", "--t", "2", "--m", "1", "--hdeg", "2",
+         "--psideg", "1", "--d", "3", "--field", "p:1"),
+        ("analyze", "--poly", PAPER_CUBIC, "--trials", "2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 def test_verify_mutation_control(tmp_path):
@@ -295,6 +304,35 @@ def test_default_route_never_expands_the_determinant(tmp_path, monkeypatch):
     assert run(tmp_path, "catalog", "--types", "4,2,1,2,1,3")[0] == 0
     with pytest.raises(DeterminantReached):
         main(["analyze", "--poly", PAPER_CUBIC, "--symbolic"])
+
+
+def test_no_form_is_decided_twice(tmp_path, monkeypatch):
+    calls = Counter()
+    for original in (hessian.hessian_vanishes, cones.cone_test, psi.sample_polar_image):
+        def counted(f, *args, _original=original, **kwargs):
+            calls[_original.__name__, f] += 1
+            return _original(f, *args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "hesse_lab" or key.startswith("hesse_lab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    for argv in (
+        ("analyze", "--poly", PAPER_CUBIC),
+        ("generate", "--n", "7", "--t", "5", "--m", "1", "--hdeg", "2", "--psideg", "1", "--d", "6"),
+        ("catalog", "--types", "7,5,1,2,1,6", "--types", "8,5,1,2,1,6", "--count", "2"),
+        ("verify", "--suite", "gn", "--count", "2"),
+        ("verify", "--suite", "p4"),
+    ):
+        calls.clear()
+        assert run(tmp_path, *argv)[0] == 0
+        repeated = [(name, f.to_string("x")) for (name, f), n in calls.items() if n > 1]
+        assert repeated == [], argv
+        if argv[0] == "analyze":
+            # f itself once, then each of the five hyperplane sections once
+            per_function = Counter(name for name, _ in calls.elements())
+            assert per_function == {"hessian_vanishes": 6, "cone_test": 6, "sample_polar_image": 1}
 
 
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):

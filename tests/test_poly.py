@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hesse_lab.errors import DomainError, ParseError, VariableCountError
+from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, VariableCountError
 from hesse_lab.fields import substream
 from hesse_lab.poly import (
     Polynomial,
@@ -21,6 +21,14 @@ from hesse_lab.poly import (
 )
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
+
+
+def divides(g, p):
+    try:
+        p.exact_div(g)
+    except InexactDivisionError:
+        return False
+    return True
 
 
 def random_poly(rng, nvars=3, max_deg=4, max_terms=6):
@@ -37,7 +45,7 @@ def random_poly(rng, nvars=3, max_deg=4, max_terms=6):
 def test_parse_paper_cubic():
     f = parse(PAPER_CUBIC)
     assert f.nvars == 5
-    assert f.num_terms() == 3
+    assert len(f.terms) == 3
     assert f.degree() == 3
     assert f.is_homogeneous()
 
@@ -50,7 +58,7 @@ def test_parse_zero():
 
 def test_parse_fermat_cubic():
     f = parse("x0^3 + x1^3 + x2^3")
-    assert f.num_terms() == 3
+    assert len(f.terms) == 3
     assert f.is_homogeneous()
 
 
@@ -226,7 +234,7 @@ def test_gcd_of_paper_cubic_psi_numerators():
     # trial division confirms no non-unit common factor
     for p in polys:
         if p:
-            assert g.divides(p)
+            assert divides(g, p)
 
 
 def test_gcd_idempotent_and_monic():
@@ -245,9 +253,9 @@ def test_gcd_divides_both(seed=13, cases=40):
             continue
         g = gcd(a, b)
         if a:
-            assert g.divides(a)
+            assert divides(g, a)
         if b:
-            assert g.divides(b)
+            assert divides(g, b)
 
 
 def test_gcd_with_common_factor():

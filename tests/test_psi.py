@@ -269,7 +269,7 @@ def test_build_psi_on_a_six_variable_sextic():
     f = random_instance(GNSkeleton(5, 2, 1, 2, 1, 6), seed=0).f
     rel = find_polar_relation(f, max_degree=2)
     psi = build_psi(f, rel)
-    assert (psi.rho.degree(), psi.rho.num_terms()) == (3, 28)
+    assert (psi.rho.degree(), len(psi.rho.terms)) == (3, 28)
     assert sum(1 for g in psi.raw if g) == 3
     for gi, hi in zip(psi.raw, psi.h):
         assert psi.rho * hi == gi
