@@ -52,7 +52,7 @@ def cone_test(f):
     if not f or not f.is_homogeneous():
         raise DomainError("cone_test expects a nonzero homogeneous polynomial")
     partials = f.gradient()
-    coeff_matrix, _ = ScalarMatrix.from_polynomials(partials)
+    coeff_matrix = ScalarMatrix.from_polynomials(partials)
     # v ↦ Σ v_i f_i reads the coefficient rows as columns
     basis = kernel(coeff_matrix.transpose())
     vectors = tuple(tuple(v) for v in basis)

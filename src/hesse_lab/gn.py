@@ -3,10 +3,12 @@
 Data of type (n, t, m): forms h_i(y_0..y_m) of one degree, forms
 ψ_j(x_{t+1}..x_n) of one degree, and constant rows a^(ℓ).  Each Q_ℓ is the
 determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
-∂h_i/∂y_j evaluated at y = ψ, and the constants; expanding along the first
-row gives Q_ℓ = Σ M_{ℓ,i}·x_i with M_{ℓ,i} of degree s-1 in the tail
-variables.  The output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for
-biforms P_k of bidegree (k, d-k·s), and it always has vanishing Hessian.
+∂h_i/∂y_j evaluated at y = ψ, and the constants.  Only the first row holds
+x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i is linear in them and its first-row
+cofactors are read off one expansion as M_{ℓ,i} = ∂Q_ℓ/∂x_i, of degree s-1
+in the tail variables.  The output form is
+f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
+(k, d-k·s), and it always has vanishing Hessian.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ class GNSkeleton:
     def violations(self):
         """Structural constraints, checkable before any polynomial is built."""
         out = _shape_violations(self.n, self.t, self.m)
-        s = self.expected_s
-        if not self.d >= s:
-            out.append(f"d >= s violated (d={self.d}, s={s})")
+        if self.hdeg < 1:
+            out.append(f"hdeg >= 1 violated (hdeg={self.hdeg})")
+        if self.psideg < 0:
+            out.append(f"psideg >= 0 violated (psideg={self.psideg})")
+        elif self.hdeg >= 1 and not self.d >= self.expected_s:
+            out.append(f"d >= s violated (d={self.d}, s={self.expected_s})")
         return out
 
 
@@ -190,35 +195,26 @@ def _construction_rows(params):
 
 
 def build_Q(params):
-    """All Q_ℓ with their first-row cofactors M_{ℓ,i}; rejects degenerate data."""
+    """All Q_ℓ, each expanded once, with their first-row cofactors
+    M_{ℓ,i} = ∂Q_ℓ/∂x_i; rejects degenerate data."""
     validate(params)
     n1 = params.n + 1
-    t, m = params.t, params.m
+    t = params.t
     shared = _construction_rows(params)
+    xs = shared[0]
     qs = []
     cofactors = []
     for block in params.a_consts:
-        rows = [list(r) for r in shared]
-        for const_row in block:
-            rows.append([Polynomial.constant(n1, Fraction(c)) for c in const_row])
-        matrix = PolyMatrix(rows)
-        ms = []
-        for i in range(t + 1):
-            sub = [
-                [rows[r][c] for c in range(t + 1) if c != i]
-                for r in range(1, t + 1)
-            ]
-            minor = symbolic_determinant(PolyMatrix(sub))
-            ms.append(minor if i % 2 == 0 else -minor)
-        q = Polynomial.zero(n1)
-        for i, mi in enumerate(ms):
-            q = q + mi * Polynomial.variable(n1, i)
-        if q != symbolic_determinant(matrix):
-            raise InternalCheckError("Laplace expansion disagrees with the determinant")
+        consts = [[Polynomial.constant(n1, Fraction(c)) for c in row] for row in block]
+        q = symbolic_determinant(PolyMatrix(shared + consts))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
+        ms = tuple(q.partial(i) for i in range(t + 1))
+        # Euler: q = Σ x_i·∂q/∂x_i holds iff q is linear in x_0..x_t
+        if q != sum((mi * x for x, mi in zip(xs, ms)), Polynomial.zero(n1)):
+            raise InternalCheckError("Q_l is not linear in x_0..x_t")
         qs.append(q)
-        cofactors.append(tuple(ms))
+        cofactors.append(ms)
     degrees = {q.degree() for q in qs}
     if len(degrees) != 1:
         raise DegenerateDataError("the Q_l do not share one degree")

@@ -172,11 +172,11 @@ def det_fraction_free(m):
     return b[n - 1][n - 1].scale(sign)
 
 
-def symbolic_determinant(m, size_cap=DEFAULT_SIZE_CAP):
+def symbolic_determinant(m):
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square matrix")
-    if m.rows > size_cap:
-        raise DomainError(f"matrix size {m.rows} exceeds cap {size_cap}")
+    if m.rows > DEFAULT_SIZE_CAP:
+        raise DomainError(f"matrix size {m.rows} exceeds cap {DEFAULT_SIZE_CAP}")
     return det_minor_expansion(m)
 
 
@@ -192,6 +192,19 @@ def trials_for_error(degree_bound, target_log2=40):
         t += 1
         err *= bound
     return t
+
+
+def _seeded_max_rank(h, count, seed, label):
+    """Max rank of h at up to `count` seeded points with coordinates in
+    range(DEFAULT_PRIME), stopping at full rank; returns (rank, points used)."""
+    best = 0
+    for i in range(count):
+        rng = substream(seed, label, i)
+        point = [rng.randrange(DEFAULT_PRIME) for _ in range(h.nvars)]
+        best = max(best, rank(h.evaluate(point)))
+        if best == h.rows:
+            return best, i + 1
+    return best, count
 
 
 def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
@@ -221,17 +234,12 @@ def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
         trials = trials_for_error(degree_bound)
     if trials < 1:
         raise DomainError("probabilistic mode needs trials >= 1")
-    witness = False
-    for t in range(trials):
-        rng = substream(seed, "hessian_vanishes", t)
-        point = [rng.randrange(DEFAULT_PRIME) for _ in range(f.nvars)]
-        if rank(h.evaluate(point)) == f.nvars:  # det H(a) != 0 proves h_f != 0
-            witness = True
-            break
+    best, used = _seeded_max_rank(h, trials, seed, "hessian_vanishes")
+    witness = best == f.nvars  # det H(a) != 0 proves h_f != 0
     return HessianVerdict(
         mode="probabilistic",
         vanishes=not witness,
-        trials=t + 1,
+        trials=used,
         sample_range=DEFAULT_PRIME,
         error_bound=Fraction(0) if witness else Fraction(degree_bound, DEFAULT_PRIME) ** trials,
         degree_bound=degree_bound,
@@ -251,15 +259,7 @@ def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0):
         raise DomainError("polar map is constant for degree < 2; dimension undefined")
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    h = hessian_matrix(f)
-    best = 0
-    for s in range(samples):
-        rng = substream(seed, "generic_rank", s)
-        point = [rng.randrange(DEFAULT_PRIME) for _ in range(f.nvars)]
-        best = max(best, rank(h.evaluate(point)))
-        if best == f.nvars:
-            break
-    return best
+    return _seeded_max_rank(hessian_matrix(f), samples, seed, "generic_rank")[0]
 
 
 def polar_image_dim(f, samples=DEFAULT_SAMPLES, seed=0):

@@ -36,21 +36,16 @@ class ScalarMatrix:
         self.entries = entries
 
     @staticmethod
-    def from_polynomials(polys, basis=None):
-        """Rows = coefficient vectors of polys over a shared monomial basis.
+    def from_polynomials(polys):
+        """Rows = coefficient vectors of polys over the union of their
+        supports, in graded-lex descending order."""
+        from .poly import grlex_key
 
-        The basis defaults to the union of supports in graded-lex descending
-        order; it is returned alongside the matrix.
-        """
-        if basis is None:
-            from .poly import grlex_key
-
-            support = set()
-            for p in polys:
-                support.update(p.terms)
-            basis = sorted(support, key=grlex_key, reverse=True)
-        rows = [[p.terms.get(e, 0) for e in basis] for p in polys]
-        return ScalarMatrix(rows), basis
+        support = set()
+        for p in polys:
+            support.update(p.terms)
+        basis = sorted(support, key=grlex_key, reverse=True)
+        return ScalarMatrix([[p.terms.get(e, 0) for e in basis] for p in polys])
 
     def transpose(self):
         return ScalarMatrix(

@@ -10,6 +10,7 @@ checked either symbolically or on exact sampled points, never by elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
@@ -23,17 +24,28 @@ DEFAULT_MAX_RELATION_DEGREE = 4
 
 @dataclass(frozen=True)
 class PolarRelation:
-    """g with g(f_0,…,f_n) ≡ 0; degree-1 relations flag a cone."""
+    """g with g(f_0,…,f_n) ≡ 0; degree-1 relations flag a cone.  The g_i are
+    composed once: the certificate comes from them by Euler's identity,
+    g(∇f) = (1/e)·Σ f_i·g_i for g of degree e, and ψ_g divides them by ρ."""
 
     g: Polynomial                 # in y_0..y_n
     degree: int
-    certificate: Polynomial       # g composed with the partials; must be zero
+    raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
+    certificate: Polynomial       # g(∇f) = (1/e)·Σ f_i·g_i; must be zero
 
     def __post_init__(self):
         if not self.g:
             raise DomainError("a polar relation must be a nonzero polynomial")
         if not self.certificate.is_zero():
             raise InternalCheckError("polar relation certificate is nonzero")
+
+    @classmethod
+    def from_partials(cls, g, partials):
+        """Compose each ∂g/∂y_i with the partials once, and certify g from them."""
+        raw = tuple(g.partial(i).compose(partials) for i in range(g.nvars))
+        euler = sum((fi * gi for fi, gi in zip(partials, raw)), Polynomial.zero(partials[0].nvars))
+        e = g.degree()
+        return cls(g=g, degree=e, raw=raw, certificate=euler.scale(Fraction(1, e)))
 
     @property
     def is_linear(self):
@@ -42,10 +54,10 @@ class PolarRelation:
 
 @dataclass(frozen=True)
 class PsiMap:
-    """ψ_g = (h_0 : … : h_n) with provenance (g, ρ)."""
+    """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): h_i = g_i/ρ for the
+    relation's g_i = ∂g/∂y_i ∘ ∇f, read from `relation.raw`."""
 
     relation: PolarRelation
-    raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
     rho: Polynomial               # gcd(g_0,…,g_n), scaled so ρ·h_i = g_i exactly
     h: tuple                      # components with gcd 1 and integer content 1
     cone_flagged: bool = False
@@ -70,7 +82,6 @@ class SampledSet:
     points: tuple                 # normalized projective points
     preimages: tuple              # parallel provenance (() when not applicable)
     seed: int
-    requested: int
     modulus: Optional[int] = None  # None: rational points; else GF(p)
 
     def __len__(self):
@@ -121,7 +132,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
                 if a:
                     prod = prod * partial_pow(i, a)
             comps.append(prod)
-        matrix, _ = ScalarMatrix.from_polynomials(comps)
+        matrix = ScalarMatrix.from_polynomials(comps)
         kern = kernel(matrix.transpose())
         if not len(kern):
             continue
@@ -130,11 +141,10 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
         candidates = sorted((primitive_vector(v) for v in kern), reverse=True)
         for vec in candidates:
             g = Polynomial(n1, {m: c for m, c in zip(monos, vec) if c})
-            raw = [g.partial(i).compose(partials) for i in range(n1)]
-            if not any(raw):
-                continue  # violates the standing assumption; try the next one
-            cert = g.compose(partials)
-            return PolarRelation(g=g, degree=e, certificate=cert)
+            relation = PolarRelation.from_partials(g, partials)
+            if any(relation.raw):
+                return relation
+            # all g_i ≡ 0 violates the standing assumption; try the next one
     return None
 
 
@@ -148,8 +158,7 @@ def build_psi(f, relation, allow_cone=False):
         raise DomainError(
             "degree-1 relation: V(f) is a cone; pass allow_cone=True to proceed"
         )
-    partials = f.gradient()
-    raw = tuple(relation.g.partial(i).compose(partials) for i in range(f.nvars))
+    raw = relation.raw
     if not any(raw):
         raise DomainError("all derivative compositions vanish; choose another relation")
     rho = gcd_list([g for g in raw if g])
@@ -167,7 +176,6 @@ def build_psi(f, relation, allow_cone=False):
         raise InternalCheckError("components h_i still share a factor")
     return PsiMap(
         relation=relation,
-        raw=raw,
         rho=rho,
         h=tuple(h),
         cone_flagged=relation.is_linear,
@@ -282,7 +290,6 @@ def _sample_values(components, count, seed, stream, label, modulus=None):
         points=tuple(points),
         preimages=tuple(preimages),
         seed=seed,
-        requested=count,
         modulus=modulus,
     )
 

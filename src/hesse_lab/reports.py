@@ -264,7 +264,7 @@ def _mutated(psi):
     h = list(psi.h)
     h[0], h[1] = h[1], h[0]
     return PsiMap(
-        relation=psi.relation, raw=psi.raw, rho=psi.rho, h=tuple(h),
+        relation=psi.relation, rho=psi.rho, h=tuple(h),
         cone_flagged=psi.cone_flagged,
     )
 

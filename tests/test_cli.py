@@ -144,6 +144,17 @@ def test_generate_validation_exit_5(capsys):
     assert main(["generate", "--n", "3", "--t", "3", "--m", "1",
                  "--hdeg", "2", "--psideg", "1", "--d", "3"]) == 5
     assert "t <= n-2 violated (t=3, n=3)" in capsys.readouterr().err
+    # degrees outside the construction are named, not left to fail later as
+    # a retry exhaustion or a count of forms
+    for hdeg, psideg, reason in (
+        ("0", "0", "hdeg >= 1 violated (hdeg=0)"),
+        ("2", "-1", "psideg >= 0 violated (psideg=-1)"),
+    ):
+        assert main(["generate", "--n", "4", "--t", "2", "--m", "1",
+                     "--hdeg", hdeg, "--psideg", psideg, "--d", "3"]) == 5
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "cone draws" not in err and "psi-forms" not in err
 
 
 def test_verify_suites_pass(tmp_path):
@@ -239,6 +250,11 @@ def test_catalog_invalid_skeleton_exit_5(capsys):
     assert "3,4,1,2,1,3: t <= n-2 violated (t=4, n=3)" in err
     assert "4,2,1,2,1,2: d >= s violated (d=2, s=3)" in err
     assert "4,2,1,2,1,3:" not in err
+    assert main(["catalog", "--types", "4,2,1,0,1,3", "--types", "4,2,1,2,-1,3"]) == 5
+    err = capsys.readouterr().err
+    assert "4,2,1,0,1,3: hdeg >= 1 violated (hdeg=0)" in err
+    assert "4,2,1,2,-1,3: psideg >= 0 violated (psideg=-1)" in err
+    assert "biforms" not in err
 
 
 def test_analyze_probabilistic_default_for_many_variables(tmp_path):

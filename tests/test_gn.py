@@ -2,6 +2,7 @@
 
 import pytest
 
+from hesse_lab import gn
 from hesse_lab.cones import cone_test
 from hesse_lab.errors import DegenerateDataError, RetryBudgetError, ValidationError
 from hesse_lab.gn import (
@@ -17,7 +18,7 @@ from hesse_lab.gn import (
     random_instance,
     validate,
 )
-from hesse_lab.hessian import hessian_vanishes
+from hesse_lab.hessian import PolyMatrix, det_fraction_free, hessian_vanishes, symbolic_determinant
 from hesse_lab.poly import Polynomial, parse
 
 
@@ -145,17 +146,49 @@ def test_skeleton_d_below_s_rejected():
         random_instance(skel, seed=0)
 
 
-def test_laplace_consistency_random(seed=0):
-    skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=4)
-    inst = random_instance(skel, seed=seed)
-    for q, ms in zip(inst.q_polys, inst.m_coeffs):
-        rebuilt = Polynomial.zero(5)
+def _construction_matrix(params, block):
+    """The matrix whose determinant is Q_l, rebuilt from the params."""
+    n1 = params.n + 1
+    psi = list(params.psi_forms)
+    rows = [[Polynomial.variable(n1, i) for i in range(params.t + 1)]]
+    rows += [[h.partial(j).compose(psi) for h in params.h_forms] for j in range(params.m + 1)]
+    rows += [[Polynomial.constant(n1, c) for c in row] for row in block]
+    return rows
+
+
+def test_laplace_consistency_random():
+    # oracle: Bareiss on the full matrix and on every first-row minor, on a
+    # 5-variable and an 8-variable skeleton
+    for types, seed in (((4, 2, 1, 2, 1, 4), 0), ((7, 4, 1, 2, 1, 5), 3)):
+        _check_laplace(random_instance(GNSkeleton(*types), seed=seed))
+
+
+def _check_laplace(inst):
+    n1 = inst.params.n + 1
+    for q, ms, block in zip(inst.q_polys, inst.m_coeffs, inst.params.a_consts):
+        rows = _construction_matrix(inst.params, block)
+        assert q == det_fraction_free(PolyMatrix(rows))
+        rebuilt = Polynomial.zero(n1)
         for i, mi in enumerate(ms):
-            rebuilt = rebuilt + mi * Polynomial.variable(5, i)
-        assert rebuilt == q
-        for mi in ms:
+            minor = det_fraction_free(PolyMatrix([r[:i] + r[i + 1:] for r in rows[1:]]))
+            assert mi == (minor if i % 2 == 0 else -minor)
+            rebuilt = rebuilt + mi * Polynomial.variable(n1, i)
             if mi:
                 assert mi.degree() == inst.s - 1
+        assert rebuilt == q
+
+
+def test_build_f_expands_one_determinant_per_Q(monkeypatch):
+    params = random_instance(GNSkeleton(7, 5, 1, 2, 1, 6), seed=0).params
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return symbolic_determinant(m)
+
+    monkeypatch.setattr(gn, "symbolic_determinant", counted)
+    build_f(params)
+    assert calls == [params.t + 1] * (params.t - params.m)
 
 
 def test_core_multiplicity_d6():

@@ -1,0 +1,43 @@
+"""Byte-for-byte regression of whole reports.
+
+`golden/commands.json` maps a name to an argv (each with --no-timings), and
+`golden/<name>.json` holds the report that argv printed when it was recorded.
+A change that alters any report byte fails here; when the change is meant,
+rerun `PYTHONPATH=src python tests/test_golden.py` to re-record the reports
+and review their diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hesse_lab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden(name):
+    code, text = report(COMMANDS[name])
+    assert code == 0
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in COMMANDS.items():
+        code, text = report(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.json").write_text(text)

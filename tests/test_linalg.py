@@ -33,7 +33,7 @@ def test_kernel_of_paper_cubic_partials_is_empty():
     # monomial basis; independent, so the directional-derivative map has
     # trivial kernel (rank 5)
     f = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
-    m, _ = ScalarMatrix.from_polynomials(f.gradient())
+    m = ScalarMatrix.from_polynomials(f.gradient())
     assert rank(m) == 5
     # kernel of v -> Σ v_i f_i = kernel of the transposed coefficient matrix
     assert len(kernel(m.transpose())) == 0

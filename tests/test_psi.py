@@ -2,11 +2,12 @@
 
 import pytest
 
-from hesse_lab.errors import DomainError
+from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.linalg import ScalarMatrix, projectively_equal, rank
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import (
+    PolarRelation,
     PsiMap,
     build_psi,
     check_fiber_lines,
@@ -35,6 +36,30 @@ def test_polar_relation_paper_cubic():
     expected = parse("y1^2 - 4*y0*y2", var_prefix="y", nvars=5)
     assert rel.g == expected or rel.g == -expected or rel.g == expected.scale(-1)
     assert rel.certificate.is_zero()
+
+
+def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
+    # five g_i = ∂g/∂y_i ∘ ∇f; the certificate comes from them by Euler's
+    # identity, and build_psi reuses them
+    calls = []
+    compose = Polynomial.compose
+
+    def counted(self, args):
+        calls.append(self)
+        return compose(self, args)
+
+    monkeypatch.setattr(Polynomial, "compose", counted)
+    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    psi = build_psi(PAPER_CUBIC, rel)
+    assert len(calls) == 5
+    assert psi.relation is rel
+
+
+def test_certificate_by_euler_rejects_a_non_relation():
+    # g = y0*y1 is no relation: (1/2)·(f_0·g_0 + f_1·g_1) = f_0·f_1 != 0
+    g = parse("y0*y1", var_prefix="y", nvars=5)
+    with pytest.raises(InternalCheckError, match="certificate is nonzero"):
+        PolarRelation.from_partials(g, PAPER_CUBIC.gradient())
 
 
 def test_polar_relation_none_for_fermat():
@@ -71,7 +96,7 @@ def test_psi_components_paper_cubic(cubic_psi):
     )
     assert h[3].is_zero() and h[4].is_zero()
     # ρ·h_i = g_i exactly
-    for gi, hi in zip(cubic_psi.raw, h):
+    for gi, hi in zip(cubic_psi.relation.raw, h):
         assert cubic_psi.rho * hi == gi
 
 
@@ -96,7 +121,6 @@ def test_second_derivative_relation_mutated(cubic_psi):
     h[0], h[1] = h[1], h[0]
     mutated = PsiMap(
         relation=cubic_psi.relation,
-        raw=cubic_psi.raw,
         rho=cubic_psi.rho,
         h=tuple(h),
     )
@@ -175,7 +199,6 @@ def test_sample_image_mod_p_reverifies(cubic_psi):
         points=((1, 1, 1, 0, 0),) + img.points[1:],
         preimages=img.preimages,
         seed=img.seed,
-        requested=img.requested,
         modulus=p,
     )
     assert not bad.reverify(cubic_psi)
@@ -216,7 +239,6 @@ def test_check_inclusions_corrupted_point(cubic_psi):
         points=img.points + ((1, 1, 1, 1, 1),),
         preimages=img.preimages + ((1, 1, 1, 1, 1),),
         seed=img.seed,
-        requested=img.requested,
     )
     report = check_inclusions(PAPER_CUBIC, cubic_psi, corrupted)
     assert not report.ok
@@ -235,9 +257,8 @@ def test_fiber_lines_without_gcd_division(cubic_psi):
     # fiber-cone property still holds wherever ρ != 0
     undivided = PsiMap(
         relation=cubic_psi.relation,
-        raw=cubic_psi.raw,
         rho=Polynomial.constant(5, 1),
-        h=cubic_psi.raw,
+        h=cubic_psi.relation.raw,
     )
     q = undivided.evaluate((0, 0, 0, 0, 1))
     assert check_fiber_lines(PAPER_CUBIC, undivided, q, samples=3, seed=0)
@@ -270,6 +291,6 @@ def test_build_psi_on_a_six_variable_sextic():
     rel = find_polar_relation(f, max_degree=2)
     psi = build_psi(f, rel)
     assert (psi.rho.degree(), len(psi.rho.terms)) == (3, 28)
-    assert sum(1 for g in psi.raw if g) == 3
-    for gi, hi in zip(psi.raw, psi.h):
+    assert sum(1 for g in psi.relation.raw if g) == 3
+    for gi, hi in zip(psi.relation.raw, psi.h):
         assert psi.rho * hi == gi
