@@ -172,7 +172,7 @@ def _span_coordinates(basis, point):
     return primitive_vector(z)
 
 
-def p4_plane_curve_check(f, psi, sample_count=30, seed=0):
+def p4_plane_curve_check(f, psi, seed=0):
     """Sampled ψ_g image must span exactly a plane; interpolate the least-degree
     curve through it in span coordinates.  Rationality and irreducibility are
     not certified, only recorded as unverified.
@@ -184,7 +184,7 @@ def p4_plane_curve_check(f, psi, sample_count=30, seed=0):
         return _curve_precondition_failed("ambient space is not P^4")
     if psi.cone_flagged:
         return _curve_precondition_failed("input is a cone")
-    points = sample_image(psi, max(sample_count, 12), seed).points
+    points = sample_image(psi, 30, seed).points
     matrix = ScalarMatrix([list(q) for q in points])
     span_rank = rank(matrix)
     if span_rank != 3:

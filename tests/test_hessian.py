@@ -71,11 +71,9 @@ def test_euler_derived_identity():
     # H_f · x = (d-1) · grad(f) for homogeneous f of degree d
     for f in (PAPER_CUBIC, FERMAT_CUBIC, parse("x0^4 + x1^2*x2^2")):
         d = f.degree()
-        h = hessian_matrix(f)
         xs = [Polynomial.variable(f.nvars, i) for i in range(f.nvars)]
-        lhs = h.mul_poly_vector(xs)
-        for i, fi in enumerate(f.gradient()):
-            assert lhs[i] == fi.scale(d - 1)
+        for row, fi in zip(hessian_matrix(f).entries, f.gradient()):
+            assert sum((e * x for e, x in zip(row, xs)), Polynomial.zero(f.nvars)) == fi.scale(d - 1)
 
 
 def test_det_diag_with_zero():

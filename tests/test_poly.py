@@ -12,7 +12,8 @@ from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, Vari
 from hesse_lab.fields import substream
 from hesse_lab.poly import (
     Polynomial,
-    _prs_gcd,
+    _heu_gcd,
+    _primitive_ints,
     gcd,
     gcd_list,
     is_reduced,
@@ -335,14 +336,29 @@ def test_gcd_matches_sympy(case):
     assert gcd(a, b) == sympy_gcd_monic(a, b)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(gcd_cases(max_vars=3))
-@example(CONSTANT_AND_ZERO_CASES[2])
-@example(CONSTANT_AND_ZERO_CASES[3])
-def test_prs_fallback_matches_sympy(case):
-    a, b = case
-    if a and b:
-        assert _prs_gcd(a, b) == sympy_gcd_monic(a, b)
+# M is the product of the first eight evaluation points for the pair
+# (x0^2 + x0, (x0 + 1)(x0 + M)): 31, 169, 1385, 22702, 744261, 58966268,
+# 14015328567 and 13171708628261.  Each divides M, so at each of them the
+# image gcd is (xi + 1)·xi, whose digits x0^2 + x0 do not divide the second
+# input; the gcd x0 + 1 first shows at the ninth point.
+M = 1334555360177676571497380129494860626631764270280
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ("x0^2 + x0", f"(x0 + 1)*(x0 + {M})", "x0 + 1"),
+        # the inner x0 recursion meets the same eight points
+        ("(x0^2 + x0)*(x1 + 1)", f"(x0 + 1)*(x0 + {M})*(x1 + 1)", "(x0 + 1)*(x1 + 1)"),
+    ],
+)
+def test_heuristic_gcd_draws_points_until_one_passes(a, b, expected):
+    a, b, expected = parse(a), parse(b), parse(expected)
+    g, qa, qb = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), sorted(a.variables_used()))
+    assert Polynomial(a.nvars, g).monic() == expected
+    assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qa) == a
+    assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qb) == b
+    assert gcd(a, b) == expected
 
 
 # ----------------------------------------------------------------------
