@@ -2,8 +2,7 @@
 
 Everything here is computed exactly over the rationals; no floating point
 enters any verdict.  Integers mod a large prime serve only to select the rows
-that ``kernel`` eliminates and to sample the ψ_g image under
-``analyze --field p:MODULUS``.
+that ``kernel`` eliminates.
 """
 
 from .fields import DEFAULT_PRIME, substream

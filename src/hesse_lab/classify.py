@@ -22,13 +22,11 @@ from .linalg import (
     _echelon_rational,
     kernel,
     primitive_vector,
-    projectively_equal,
     random_invertible,
     rank,
     solve,
 )
 from .poly import Polynomial, gcd, is_reduced, monomials_of_degree
-from .psi import sample_image
 
 MAX_CURVE_DEGREE = 6
 
@@ -172,10 +170,12 @@ def _span_coordinates(basis, point):
     return primitive_vector(z)
 
 
-def p4_plane_curve_check(f, psi, seed=0):
-    """Sampled ψ_g image must span exactly a plane; interpolate the least-degree
-    curve through it in span coordinates.  Rationality and irreducibility are
-    not certified, only recorded as unverified.
+def p4_plane_curve_check(f, psi, image):
+    """The sampled ψ_g image must span exactly a plane; interpolate the
+    least-degree curve through it in span coordinates.  A curve of degree e
+    is sought only when the sample has at least C(e+2, 2) points.
+    Rationality and irreducibility are not certified, only recorded as
+    unverified.
 
     ψ's re-checked relation already proves h_f ≡ 0, and the relation is
     linear exactly when the partials are dependent, that is when V(f) is a
@@ -184,7 +184,7 @@ def p4_plane_curve_check(f, psi, seed=0):
         return _curve_precondition_failed("ambient space is not P^4")
     if psi.cone_flagged:
         return _curve_precondition_failed("input is a cone")
-    points = sample_image(psi, 30, seed).points
+    points = image.points
     matrix = ScalarMatrix([list(q) for q in points])
     span_rank = rank(matrix)
     if span_rank != 3:
@@ -207,19 +207,7 @@ def p4_plane_curve_check(f, psi, seed=0):
         zs.append(z)
     for e in range(2, MAX_CURVE_DEGREE + 1):
         monos = monomials_of_degree(3, e)
-        needed = len(monos)
-        while len(zs) < needed:
-            extra = sample_image(psi, len(zs) + needed, seed).points
-            if len(extra) <= len(points):
-                break  # the image itself has too few distinct points
-            points = extra
-            zs = []
-            for q in points:
-                z = _span_coordinates(basis, q)
-                if z is None:
-                    return _curve_precondition_failed("sampled point escapes its own span")
-                zs.append(z)
-        if len(zs) < needed:
+        if len(zs) < len(monos):
             continue
         rows = [[_eval_monomial(z, mono) for mono in monos] for z in zs]
         kern = kernel(ScalarMatrix(rows))
@@ -268,12 +256,9 @@ def _eval_monomial(point, mono):
 
 def degenerate_image_guard(f, image):
     """A one-point ψ_g image means every polar tangent hyperplane is fixed,
-    which forces a cone; returns True when the guard is satisfied."""
-    distinct = []
-    for q in image.points:
-        if not any(projectively_equal(q, p) for p in distinct):
-            distinct.append(q)
-    if len(distinct) == 1:
+    which forces a cone; returns True when the guard is satisfied.  The
+    sample's points are distinct, so one point means a one-point image."""
+    if len(image) == 1:
         return cone_test(f).is_cone
     return True
 

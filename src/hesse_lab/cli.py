@@ -22,11 +22,10 @@ from .errors import (
     RetryBudgetError,
     ValidationError,
 )
-from .fields import PRIME_TEST_LIMIT, is_prime
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
 from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, polar_image_dim
 from .poly import parse
-from .psi import build_psi, find_polar_relation
+from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
     SCHEMA,
     cone_block,
@@ -80,12 +79,10 @@ def build_parser():
     symbolic(a)
     a.add_argument("--poly", required=True, help="polynomial in x-variables")
     a.add_argument(
-        "--field",
-        default="rational",
-        help="field of the ψ_g image sample: 'rational' or 'p:<modulus>'",
-    )
-    a.add_argument(
-        "--max-relation-degree", type=int, default=4, help="polar relation search cap"
+        "--max-relation-degree",
+        type=int,
+        default=DEFAULT_MAX_RELATION_DEGREE,
+        help="polar relation search cap",
     )
 
     g = sub.add_parser("generate", help="build one seeded construction instance")
@@ -122,24 +119,6 @@ def build_parser():
     return p
 
 
-def _parse_field(text):
-    if text == "rational":
-        return None
-    if text.startswith("p:"):
-        try:
-            modulus = int(text[2:])
-        except ValueError:
-            raise ValidationError([f"modulus {text[2:]!r} is not an integer"]) from None
-        if modulus >= PRIME_TEST_LIMIT:
-            raise ValidationError(
-                [f"modulus {modulus} is too large to prove prime (limit {PRIME_TEST_LIMIT})"]
-            )
-        if not is_prime(modulus):
-            raise ValidationError([f"modulus {modulus} is not a prime > 1"])
-        return modulus
-    raise ValidationError([f"unknown field {text!r}; use 'rational' or 'p:<modulus>'"])
-
-
 def _check_positive(flag, value):
     if value < 1:
         raise ValidationError([f"{flag} must be >= 1 (got {value})"])
@@ -155,7 +134,6 @@ def _check_symbolic(nvars, args):
 
 def cmd_analyze(args):
     _check_positive("--max-relation-degree", args.max_relation_degree)
-    modulus = _parse_field(args.field)
     f = parse(args.poly)
     if f.is_zero() or not f.is_homogeneous():
         if f.is_zero():
@@ -188,14 +166,12 @@ def cmd_analyze(args):
             results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            checks, image, polar_sample, ok = psi_identity_battery(
-                f, psi, seed=args.seed, modulus=modulus
-            )
+            checks, image, polar_sample, ok = psi_identity_battery(f, psi, seed=args.seed)
             results["identity_checks"] = checks
             results["image"] = image_block(image)
             results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                results["classification"], p4_ok = p4_classification(f, psi, args.seed)
+                results["classification"], p4_ok, _ = p4_classification(f, psi, args.seed)
                 ok = ok and p4_ok
             if not ok:
                 code = EXIT_INTERNAL_CHECK

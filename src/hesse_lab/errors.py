@@ -16,10 +16,6 @@ class ParseError(HesseLabError):
         self.position = position
 
 
-class FieldMismatchError(HesseLabError):
-    """Operands live in different coefficient fields."""
-
-
 class VariableCountError(HesseLabError):
     """Operands disagree on the number of variables."""
 

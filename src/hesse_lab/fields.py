@@ -1,11 +1,10 @@
-"""The coefficient domain: exact rationals, with plain-int images mod p.
+"""The coefficient domain: exact rationals.
 
 Every coefficient is a rational, stored as plain ``int`` when integral and
 ``fractions.Fraction`` otherwise; both interoperate transparently, and keeping
-the integer fast path matters in the symbolic-determinant kernels.  Prime
-fields appear only as ints in [0, p): in the kernel's row selection, and
-through ``rational_to_mod`` in the ψ_g image sampling of
-``analyze --field p:MODULUS``, whose modulus ``is_prime`` vets.
+the integer fast path matters in the symbolic-determinant kernels.  The one
+prime field, GF(DEFAULT_PRIME) as ints in [0, p), appears only in the
+kernel's row selection (``linalg.independent_rows_mod``).
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-
-from .errors import DomainError, FieldMismatchError
 
 # The Mersenne prime 2^61 - 1: the kernel's row-selection modulus and the
 # coordinate range of the Hessian verdict's sample points.
@@ -32,46 +29,6 @@ def norm_coeff(c):
 def coeff_div(a, b):
     """Exact division of rational coefficients."""
     return norm_coeff(Fraction(a) / Fraction(b))
-
-
-def rational_to_mod(c, p):
-    """Reduce an int or Fraction to GF(p) via modular inverse of the denominator."""
-    if isinstance(c, int):
-        return c % p
-    if c.denominator % p == 0:
-        raise FieldMismatchError(f"denominator divisible by modulus {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
-# The first 13 primes as Miller-Rabin bases decide primality exactly below
-# this bound (Sorenson and Webster, Math. Comp. 2017).
-PRIME_TEST_LIMIT = 3317044064679887385961981
-_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin; exact for n < PRIME_TEST_LIMIT."""
-    if n >= PRIME_TEST_LIMIT:
-        raise DomainError(f"{n} is beyond the exact primality test (< {PRIME_TEST_LIMIT})")
-    if n < 2:
-        return False
-    for q in _PRIME_TEST_BASES:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _PRIME_TEST_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def rational_content(coeffs):

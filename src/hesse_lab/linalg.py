@@ -2,10 +2,11 @@
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input.  ``independent_rows_mod`` is the one modular elimination, on plain
-ints mod a prime: its rows cut a tall matrix down before ``kernel`` runs
-Bareiss; the kernel is then re-checked exactly against every row.  Pivots are always the first nonzero entry in column order, ties broken
-by row order, so all outputs are deterministic.
+input.  ``independent_rows_mod`` is the package's one modular elimination,
+on plain ints mod a prime: its rows cut a tall matrix down before ``kernel``
+runs Bareiss; the kernel is then re-checked exactly against every row.
+Pivots are always the first nonzero entry in column order, ties broken by
+row order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -255,18 +256,15 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
-def projectively_equal(a, b, modulus=None):
+def projectively_equal(a, b):
     """True iff nonzero vectors a, b agree up to a scalar (all 2x2 minors
-    vanish); over the rationals, or over GF(modulus) for int vectors."""
+    vanish)."""
     if not any(a) or not any(b):
         return False
     n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
-            minor = a[i] * b[j] - a[j] * b[i]
-            if modulus is not None:
-                minor %= modulus
-            if minor:
+            if a[i] * b[j] != a[j] * b[i]:
                 return False
     return True
 

@@ -1,10 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic.
 
 A polynomial is a map from exponent tuples to nonzero rational coefficients
-(int / Fraction, see fields.py); ``eval_mod`` gives the image of a value in
-GF(p) as a plain int.  Terms are kept canonical: no zero coefficients, no
-duplicate monomials, and all printing/iteration uses graded-lexicographic
-descending order, so equal polynomials print identically.
+(int / Fraction, see fields.py).  Terms are kept canonical: no zero
+coefficients, no duplicate monomials, and all printing/iteration uses
+graded-lexicographic descending order, so equal polynomials print identically.
 
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
@@ -22,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
-from .fields import coeff_div, norm_coeff, rational_to_mod, substream
+from .fields import coeff_div, norm_coeff, substream
 
 MINUS_INFINITY = float("-inf")
 
@@ -302,17 +301,6 @@ class Polynomial:
             return self
         pad = (0,) * (new_nvars - self.nvars)
         return Polynomial(new_nvars, {e + pad: c for e, c in self.terms.items()})
-
-    def eval_mod(self, point, p):
-        """Value at an integer point mod p, as an int in [0, p)."""
-        acc = 0
-        for e, c in self.terms.items():
-            t = rational_to_mod(c, p)
-            for i, a in enumerate(e):
-                if a:
-                    t = t * pow(point[i], a, p) % p
-            acc = (acc + t) % p
-        return acc
 
     # ------------------------------------------------------------------
     # division and normalization

@@ -4,14 +4,14 @@ Given f with vanishing Hessian, the partials satisfy a polynomial relation
 g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ with the
 common factor ρ divided out; everything the relation implies (translation
 invariance, the base-locus and singular-locus inclusions, fiber cones) is
-checked either symbolically or on exact sampled points, never by elimination.
+checked either symbolically or on one exact sample of the image at integer
+points, never by elimination or mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
@@ -81,7 +81,6 @@ class SampledSet:
     points: tuple                 # normalized projective points
     preimages: tuple              # parallel provenance (() when not applicable)
     seed: int
-    modulus: Optional[int] = None  # None: rational points; else GF(p)
 
     def __len__(self):
         return len(self.points)
@@ -89,13 +88,8 @@ class SampledSet:
     def reverify(self, psi):
         """Each stored image point must equal ψ of its stored preimage."""
         for pt, pre in zip(self.points, self.preimages):
-            if self.modulus is None:
-                val = psi.evaluate(pre)
-            else:
-                val = tuple(h.eval_mod(pre, self.modulus) for h in psi.h)
-                if not any(val):
-                    val = None
-            if val is None or not projectively_equal(val, pt, self.modulus):
+            val = psi.evaluate(pre)
+            if val is None or not projectively_equal(val, pt):
                 return False
         return True
 
@@ -227,13 +221,10 @@ def taylor_membership(F, psi):
     return F.compose(list(psi.h)).is_zero()
 
 
-def _sample_values(components, count, seed, stream, label, modulus=None):
-    """Distinct normalized values of the map x -> (c(x) for c in components)
-    at seeded points, skipping points where every component vanishes.
-
-    Rational points and primitive-integer values by default; with a prime
-    modulus, points and values are ints mod p scaled to a leading 1.  The
-    preimage of every value is stored alongside it.
+def _sample_values(components, count, seed, stream, label):
+    """Distinct primitive-integer values of the map x -> (c(x) for c in
+    components) at seeded integer points, skipping points where every
+    component vanishes.  The preimage of every value is stored alongside it.
     """
     nvars = components[0].nvars
     points = []
@@ -244,19 +235,11 @@ def _sample_values(components, count, seed, stream, label, modulus=None):
         if len(points) == count:
             break
         rng = substream(seed, stream, s)
-        if modulus is None:
-            pt = tuple(rng.randint(-20, 20) for _ in range(nvars))
-            val = tuple(c.evaluate(pt) for c in components)
-        else:
-            pt = tuple(rng.randrange(modulus) for _ in range(nvars))
-            val = tuple(c.eval_mod(pt, modulus) for c in components)
+        pt = tuple(rng.randint(-20, 20) for _ in range(nvars))
+        val = tuple(c.evaluate(pt) for c in components)
         if not any(pt) or not any(val):
             continue
-        if modulus is None:
-            norm = primitive_vector(val)
-        else:
-            inv = pow(next(v for v in val if v), -1, modulus)
-            norm = tuple(v * inv % modulus for v in val)
+        norm = primitive_vector(val)
         if norm in seen:
             continue
         seen.add(norm)
@@ -267,19 +250,17 @@ def _sample_values(components, count, seed, stream, label, modulus=None):
         points=tuple(points),
         preimages=tuple(preimages),
         seed=seed,
-        modulus=modulus,
     )
 
 
-def sample_image(psi, count, seed, modulus=None):
+def sample_image(psi, count, seed):
     """Distinct exact points of ψ_g(P^n), skipping the base locus.
 
-    Rational by default; pass a prime modulus for GF(p) sampling (faster on
-    large inputs, still exact as a field).  Stores the preimage of every
-    image point so fiber checks can reuse them.  Errors only if no image
-    point is found at all (ψ_g undefined generically).
+    Stores the preimage of every image point so fiber checks can reuse them.
+    Errors only if no image point is found at all (ψ_g undefined
+    generically).
     """
-    image = _sample_values(psi.h, count, seed, "image", "S*_Z image", modulus)
+    image = _sample_values(psi.h, count, seed, "image", "S*_Z image")
     if count > 0 and not len(image):
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image
@@ -311,17 +292,10 @@ def check_inclusions(f, psi, image):
     bs_bad = []
     sing_bad = []
     partials = f.gradient()
-    p = image.modulus
     for q in image.points:
-        if p is None:
-            in_bs = all(hi.evaluate(q) == 0 for hi in psi.h)
-            in_sing = all(fi.evaluate(q) == 0 for fi in partials)
-        else:
-            in_bs = all(hi.eval_mod(q, p) == 0 for hi in psi.h)
-            in_sing = all(fi.eval_mod(q, p) == 0 for fi in partials)
-        if not in_bs:
+        if any(hi.evaluate(q) for hi in psi.h):
             bs_bad.append(q)
-        if not in_sing:
+        if any(fi.evaluate(q) for fi in partials):
             sing_bad.append(q)
     return InclusionReport(
         ok=not bs_bad and not sing_bad,
@@ -340,48 +314,24 @@ def _line_in_common_zeros(polys, w, q):
     return all(p.compose(args).is_zero() for p in polys)
 
 
-def check_fiber_lines(f, psi, q, samples=3, seed=0, image=None):
-    """Point-level fiber-cone and line-in-locus checks at an image point q.
+def check_fiber_lines(f, psi, image):
+    """Point-level fiber-cone and line-in-locus checks at the sample's first
+    point q, reached from its stored preimage p.
 
-    (i) For preimages p of q (from the sample's provenance, else a seeded
-    search): ψ_g(p + λq) = q projectively for λ = 1..samples.
-    (ii) For other sampled image points w (all of them lie in Bs(ψ_g) and in
-    Sing(X)): the whole line ⟨w, q⟩ stays inside both loci, symbolically in λ.
+    (i) ψ_g(p + λq) = q projectively for λ = 1..3.
+    (ii) For the next three sampled image points w (all of them lie in
+    Bs(ψ_g) and in Sing(X)): the whole line ⟨w, q⟩ stays inside both loci,
+    symbolically in λ.
     """
-    preimages = []
-    if image is not None:
-        for pt, pre in zip(image.points, image.preimages):
-            if projectively_equal(pt, q):
-                preimages.append(pre)
-    if not preimages:
-        for s in range(200):
-            rng = substream(seed, "fiber", s)
-            pt = tuple(rng.randint(-20, 20) for _ in range(psi.nvars))
-            if not any(pt):
-                continue
-            val = psi.evaluate(pt)
-            if val is not None and projectively_equal(val, q):
-                preimages.append(pt)
-                break
-        if not preimages:
-            raise SampleBudgetError("no preimage of q found in budget")
-    for p in preimages[:samples]:
-        for lam in range(1, samples + 1):
-            moved = [a + lam * b for a, b in zip(p, q)]
-            val = psi.evaluate(moved)
-            if val is None or not projectively_equal(val, q):
-                return False
-    if image is not None:
-        partials = f.gradient()
-        checked = 0
-        for w in image.points:
-            if projectively_equal(w, q):
-                continue
-            if not _line_in_common_zeros(list(psi.h), w, q):
-                return False
-            if not _line_in_common_zeros(partials, w, q):
-                return False
-            checked += 1
-            if checked >= samples:
-                break
+    q, p = image.points[0], image.preimages[0]
+    for lam in (1, 2, 3):
+        val = psi.evaluate([a + lam * b for a, b in zip(p, q)])
+        if val is None or not projectively_equal(val, q):
+            return False
+    partials = f.gradient()
+    for w in image.points[1:4]:
+        if not _line_in_common_zeros(list(psi.h), w, q):
+            return False
+        if not _line_in_common_zeros(partials, w, q):
+            return False
     return True

@@ -17,6 +17,7 @@ from .gn import GNSkeleton, core_multiplicity, random_instance
 from .hessian import hessian_vanishes
 from .poly import parse
 from .psi import (
+    DEFAULT_MAX_RELATION_DEGREE,
     PsiMap,
     build_psi,
     check_fiber_lines,
@@ -31,6 +32,9 @@ from .psi import (
 SCHEMA = "hesse-lab/2"
 
 IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
+# points the P^4 stage draws from the ψ_g image: the C(MAX_CURVE_DEGREE + 2, 2)
+# = 28 monomials of a plane curve of degree up to 6, plus two
+CURVE_SAMPLES = 30
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -100,7 +104,7 @@ def image_block(image):
     return {
         "label": image.label,
         "count": len(image),
-        "modulus": image.modulus,
+        "modulus": None,  # images are rational; the key stays until the schema changes
         "points": [vector_strs(q) for q in image.points],
         "seed": image.seed,
     }
@@ -137,7 +141,7 @@ def sections_block(report):
     }
 
 
-def psi_identity_battery(f, psi, seed=0, modulus=None):
+def psi_identity_battery(f, psi, seed=0):
     """Every identity the relation implies, plus the sampled inclusions.
     Returns the checks, the ψ_g image sample, the polar-image sample the
     relation was checked on, and whether every check passed."""
@@ -162,14 +166,11 @@ def psi_identity_battery(f, psi, seed=0, modulus=None):
     checks["image_in_singular_locus_symbolic"] = all(
         taylor_membership(fi, psi) for fi in f.gradient()
     )
-    image = sample_image(psi, IMAGE_SAMPLES, seed, modulus=modulus)
+    image = sample_image(psi, IMAGE_SAMPLES, seed)
     inclusions = check_inclusions(f, psi, image)
     checks["sampled_inclusions"] = inclusions.ok
     checks["cone_caveat"] = inclusions.cone_caveat
-    if image.modulus is None and len(image):
-        checks["fiber_lines"] = check_fiber_lines(
-            f, psi, image.points[0], seed=seed, image=image
-        )
+    checks["fiber_lines"] = check_fiber_lines(f, psi, image)
     polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed)
     checks["relation_vanishes_on_polar_sample"] = all(
         psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
@@ -184,7 +185,7 @@ def psi_identity_battery(f, psi, seed=0, modulus=None):
         and checks["image_in_base_locus_symbolic"]
         and checks["image_in_singular_locus_symbolic"]
         and checks["sampled_inclusions"]
-        and checks.get("fiber_lines", True)
+        and checks["fiber_lines"]
         and checks["relation_vanishes_on_polar_sample"]
     )
     return checks, image, polar_sample, ok
@@ -270,7 +271,7 @@ def _mutated(psi):
 
 def run_psi_suite(seed, mutate=False):
     f = parse(PAPER_CUBIC_TEXT)
-    rel = find_polar_relation(f, max_degree=4)
+    rel = find_polar_relation(f)
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
     psi = build_psi(f, rel)
@@ -292,11 +293,13 @@ def run_psi_suite(seed, mutate=False):
 def p4_classification(f, psi, seed, chart_count=5):
     """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
     through the sampled ψ_g image and the hyperplane sections through its
-    plane.  Returns the report block and whether both stages passed."""
-    curve = p4_plane_curve_check(f, psi, seed=seed)
+    plane.  Returns the report block, whether both stages passed, and the
+    image sample the curve was read from."""
+    image = sample_image(psi, CURVE_SAMPLES, seed)
+    curve = p4_plane_curve_check(f, psi, image)
     sections = p4_section_check(f, psi, curve, chart_count=chart_count, seed=seed)
     block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
-    return block, curve.ok and sections.ok
+    return block, curve.ok and sections.ok, image
 
 
 def run_p4_suite(seed, instances=5, chart_count=5):
@@ -307,13 +310,15 @@ def run_p4_suite(seed, instances=5, chart_count=5):
     for i in range(instances):
         inputs.append((f"gn_421_3_seed{seed + i}", random_instance(skel, seed=seed + i).f))
     for name, f in inputs:
-        rel = find_polar_relation(f, max_degree=4)
+        rel = find_polar_relation(f)
         if rel is None:
-            violations.append(f"{name}: no polar relation up to degree 4")
+            violations.append(
+                f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
+            )
             continue
         psi = build_psi(f, rel)
-        block, _ = p4_classification(f, psi, seed, chart_count=chart_count)
-        guard = degenerate_image_guard(f, sample_image(psi, 12, seed))
+        block, _, image = p4_classification(f, psi, seed, chart_count=chart_count)
+        guard = degenerate_image_guard(f, image)
         if not block["plane_curve"]["ok"]:
             violations.append(f"{name}: plane-curve stage failed")
         if not block["sections"]["ok"]:

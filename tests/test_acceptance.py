@@ -35,7 +35,8 @@ from hesse_lab.hessian import (
 )
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
-from hesse_lab.psi import build_psi, find_polar_relation
+from hesse_lab.psi import build_psi, find_polar_relation, sample_image
+from hesse_lab.reports import CURVE_SAMPLES
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -190,7 +191,7 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: no relation")
             continue
         psi = build_psi(f, rel)
-        curve = p4_plane_curve_check(f, psi, seed=0)
+        curve = p4_plane_curve_check(f, psi, sample_image(psi, CURVE_SAMPLES, 0))
         if not (curve.ok and curve.span_rank == 3 and curve.points_used >= 12):
             failures.append(f"{name}: span/curve stage failed")
             continue

@@ -13,6 +13,7 @@ from hesse_lab.errors import DomainError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
+from hesse_lab.reports import CURVE_SAMPLES
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -24,7 +25,8 @@ def cubic_psi():
 
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
-    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi, seed=0)
+    image = sample_image(cubic_psi, CURVE_SAMPLES, 0)
+    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi, image)
 
 
 def test_low_dim_suite_small():
@@ -79,7 +81,7 @@ def test_p4_curve_paper_cubic(cubic_curve):
 def test_p4_curve_rejects_cone_input(cubic_psi):
     cone = parse("x0^3 + x1^3", nvars=5)
     psi = build_psi(cone, find_polar_relation(cone, max_degree=1), allow_cone=True)
-    report = p4_plane_curve_check(cone, psi, seed=0)
+    report = p4_plane_curve_check(cone, psi, sample_image(psi, CURVE_SAMPLES, 0))
     assert report.precondition == "input is a cone"
     assert not report.ok
 
@@ -119,7 +121,7 @@ def test_p4_sections_corrupted_curve(cubic_psi, cubic_curve):
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
-    curve = p4_plane_curve_check(inst.f, psi, seed=0)
+    curve = p4_plane_curve_check(inst.f, psi, sample_image(psi, CURVE_SAMPLES, 0))
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hesse_lab import cones, hessian, psi
+from hesse_lab import cones, hessian, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 
@@ -92,29 +92,6 @@ def test_count_below_one_exit_5(argv, capsys):
     assert out.out == ""
 
 
-def test_analyze_probabilistic_field(tmp_path):
-    code, doc = run(
-        tmp_path, "analyze", "--poly", PAPER_CUBIC, "--field", "p:2305843009213693951"
-    )
-    assert code == 0
-    assert doc["results"]["image"]["modulus"] == 2305843009213693951
-    assert doc["results"]["identity_checks"]["sampled_inclusions"] is True
-
-
-@pytest.mark.parametrize(
-    "field, reason",
-    [
-        ("p:abc", "modulus 'abc' is not an integer"),
-        ("p:4", "modulus 4 is not a prime > 1"),
-        ("p:1", "modulus 1 is not a prime > 1"),
-        ("p:" + str(2**89 - 1), "too large to prove prime"),
-    ],
-)
-def test_analyze_bad_field_exit_5(field, reason, capsys):
-    assert main(["analyze", "--poly", PAPER_CUBIC, "--field", field]) == 5
-    assert reason in capsys.readouterr().err
-
-
 def test_generate_writes_instance(tmp_path):
     out = tmp_path / "instance.json"
     code, doc = run(
@@ -185,6 +162,8 @@ def test_options_only_on_subcommands_that_read_them(tmp_path):
         ("generate", "--n", "4", "--t", "2", "--m", "1", "--hdeg", "2",
          "--psideg", "1", "--d", "3", "--field", "p:1"),
         ("analyze", "--poly", PAPER_CUBIC, "--trials", "2"),
+        # the ψ_g image is sampled over Q only, so no subcommand takes --field
+        ("analyze", "--poly", PAPER_CUBIC, "--field", "p:5"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -330,6 +309,15 @@ def test_default_route_never_expands_the_determinant(tmp_path, monkeypatch):
         main(["analyze", "--poly", PAPER_CUBIC, "--symbolic"])
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind every package-level name that holds original."""
+    for key, module in list(sys.modules.items()):
+        if key == "hesse_lab" or key.startswith("hesse_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_no_form_is_decided_twice(tmp_path, monkeypatch):
     calls = Counter()
     for original in (hessian.hessian_vanishes, cones.cone_test, psi.sample_polar_image):
@@ -337,11 +325,7 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
             calls[_original.__name__, f] += 1
             return _original(f, *args, **kwargs)
 
-        for key, module in list(sys.modules.items()):
-            if key == "hesse_lab" or key.startswith("hesse_lab."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        _patch_everywhere(monkeypatch, original, counted)
     for argv in (
         ("analyze", "--poly", PAPER_CUBIC),
         ("generate", "--n", "7", "--t", "5", "--m", "1", "--hdeg", "2", "--psideg", "1", "--d", "6"),
@@ -357,6 +341,20 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
             # f itself once, then each of the five hyperplane sections once
             per_function = Counter(name for name, _ in calls.elements())
             assert per_function == {"hessian_vanishes": 6, "cone_test": 6, "sample_polar_image": 1}
+
+
+def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):
+    # the plane-curve stage and the degenerate-image guard read one sample
+    counts = []
+    original = psi.sample_image
+
+    def counted(psi_map, count, seed):
+        counts.append(count)
+        return original(psi_map, count, seed)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    assert run(tmp_path, "verify", "--suite", "p4")[0] == 0
+    assert counts == [reports.CURVE_SAMPLES] * 6  # the paper cubic and five GN draws
 
 
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):

@@ -4,11 +4,12 @@ import pytest
 
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
-from hesse_lab.linalg import ScalarMatrix, projectively_equal, rank
+from hesse_lab.linalg import ScalarMatrix, primitive_vector, projectively_equal, rank
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import (
     PolarRelation,
     PsiMap,
+    SampledSet,
     build_psi,
     check_fiber_lines,
     check_inclusions,
@@ -188,21 +189,16 @@ def test_sample_image_shape_and_determinism(cubic_psi):
     assert img.reverify(cubic_psi)
 
 
-def test_sample_image_mod_p_reverifies(cubic_psi):
-    p = 2305843009213693951
-    img = sample_image(cubic_psi, count=8, seed=4, modulus=p)
-    assert len(img) == 8 and img.modulus == p
-    for q in img.points:
-        assert all(0 <= c < p for c in q)
-        assert q[next(i for i, c in enumerate(q) if c)] == 1
+def test_sample_image_reverify_rejects_wrong_point(cubic_psi):
+    img = sample_image(cubic_psi, count=8, seed=4)
+    assert len(img) == 8
     assert img.reverify(cubic_psi)
-    # a wrong stored image point must be caught mod p too
-    bad = type(img)(
+    # a stored image point that is not ψ of its stored preimage must be caught
+    bad = SampledSet(
         label=img.label,
         points=((1, 1, 1, 0, 0),) + img.points[1:],
         preimages=img.preimages,
         seed=img.seed,
-        modulus=p,
     )
     assert not bad.reverify(cubic_psi)
 
@@ -250,9 +246,16 @@ def test_check_inclusions_corrupted_point(cubic_psi):
 
 
 def test_fiber_lines_at_known_point(cubic_psi):
+    # the checks run at the sample's first point, here ψ(0:0:0:0:1)
     img = sample_image(cubic_psi, count=10, seed=4)
-    q = cubic_psi.evaluate((0, 0, 0, 0, 1))
-    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, q, samples=3, seed=0, image=img)
+    p = (0, 0, 0, 0, 1)
+    known = SampledSet(
+        label=img.label,
+        points=(primitive_vector(cubic_psi.evaluate(p)),) + img.points,
+        preimages=(p,) + img.preimages,
+        seed=img.seed,
+    )
+    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, known)
 
 
 def test_fiber_lines_without_gcd_division(cubic_psi):
@@ -263,8 +266,8 @@ def test_fiber_lines_without_gcd_division(cubic_psi):
         rho=Polynomial.constant(5, 1),
         h=cubic_psi.relation.raw,
     )
-    q = undivided.evaluate((0, 0, 0, 0, 1))
-    assert check_fiber_lines(PAPER_CUBIC, undivided, q, samples=3, seed=0)
+    img = sample_image(undivided, count=10, seed=4)
+    assert check_fiber_lines(PAPER_CUBIC, undivided, img)
 
 
 def test_fiber_lines_lambda_zero_trivial(cubic_psi):
@@ -272,13 +275,6 @@ def test_fiber_lines_lambda_zero_trivial(cubic_psi):
     p = (0, 0, 0, 0, 1)
     moved = [a + 0 * b for a, b in zip(p, q)]
     assert projectively_equal(cubic_psi.evaluate(moved), q)
-
-
-def test_fiber_lines_no_preimage_budget(cubic_psi):
-    from hesse_lab.errors import SampleBudgetError
-
-    with pytest.raises(SampleBudgetError):
-        check_fiber_lines(PAPER_CUBIC, cubic_psi, (1, 1, 1, 1, 1), samples=2, seed=0)
 
 
 def test_find_polar_relation_preconditions():
