@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for hypersurfaces with vanishing Hessian.
 
 Everything here is computed exactly over the rationals; no floating point
-enters any verdict.  Integers mod a large prime serve only to select the rows
-that ``kernel`` eliminates.
+enters any verdict.  Integers mod a large prime serve only ``kernel``, which
+solves mod p, lifts to Q and re-checks exactly.
 """
 
 from .fields import DEFAULT_PRIME, substream

@@ -3,8 +3,8 @@
 Every coefficient is a rational, stored as plain ``int`` when integral and
 ``fractions.Fraction`` otherwise; both interoperate transparently, and keeping
 the integer fast path matters in the symbolic-determinant kernels.  The one
-prime field, GF(DEFAULT_PRIME) as ints in [0, p), appears only in the
-kernel's row selection (``linalg.independent_rows_mod``).
+prime field, GF(DEFAULT_PRIME) as ints in [0, p), appears only in exact
+kernels, which are solved mod p and lifted to Q (``linalg.kernel``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 import random
 from fractions import Fraction
 
-# The Mersenne prime 2^61 - 1: the kernel's row-selection modulus and the
-# coordinate range of the Hessian verdict's sample points.
+# The Mersenne prime 2^61 - 1: the modulus exact kernels are solved in before
+# they are lifted, and the coordinate range of the Hessian verdict's samples.
 DEFAULT_PRIME = (1 << 61) - 1
 
 

@@ -1,10 +1,11 @@
-"""Exact linear algebra over the rationals, plus row selection mod p.
+"""Exact linear algebra over the rationals, plus kernels lifted from mod p.
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
 input.  ``independent_rows_mod`` is the package's one modular elimination,
-on plain ints mod a prime: its rows cut a tall matrix down before ``kernel``
-runs Bareiss; the kernel is then re-checked exactly against every row.
+on plain ints mod a prime: ``kernel`` reads the kernel of a tall matrix mod
+p off its reduced rows, lifts it to Q by rational reconstruction and
+re-checks it exactly against every row, with full Bareiss as the fallback.
 Pivots are always the first nonzero entry in column order, ties broken by
 row order, so all outputs are deterministic.
 """
@@ -144,37 +145,62 @@ def rank(matrix):
 
 def independent_rows_mod(rows, p):
     """Indices of the first maximal set of rows, in row order, of an integer
-    matrix that are linearly independent mod a prime p; their count is the
-    rank mod p.
-
-    ``kernel`` selects its rows with it.  The chosen rows are kept mod p in
-    reduced echelon form (1 at their pivot, 0 at every other pivot), so a row
-    depends on them exactly when its residue on the other columns is zero.
-    """
+    matrix that are linearly independent mod a prime p, and those rows in
+    reduced echelon form mod p: a dict from each pivot column to a row with 1
+    there and 0 at every other pivot.  A row depends on them exactly when it
+    reduces to zero; their count is the rank mod p."""
     ncols = len(rows[0])
     basis = {}  # pivot column -> reduced chosen row
     chosen = []
     for i, row in enumerate(rows):
         row = [x % p for x in row]
-
-        def residue(j):
-            return (row[j] - sum(row[c] * b[j] for c, b in basis.items())) % p
-
-        lead = next((j for j in range(ncols) if j not in basis and residue(j)), None)
+        # each reduced row is 0 at the other pivots, so one pass suffices
+        for c, b in basis.items():
+            f = row[c] % p
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+        row = [x % p for x in row]
+        lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        r = [residue(j) for j in range(ncols)]
-        inv = pow(r[lead], -1, p)
-        r = [x * inv % p for x in r]
+        inv = pow(row[lead], -1, p)
+        row = [x * inv % p for x in row]
         for b in basis.values():
             f = b[lead]
             if f:
-                b[:] = [(x - f * y) % p for x, y in zip(b, r)]
-        basis[lead] = r
+                b[:] = [(x - f * y) % p for x, y in zip(b, row)]
+        basis[lead] = row
         chosen.append(i)
         if len(chosen) == ncols:
             break
-    return chosen
+    return chosen, basis
+
+
+def _rational_reconstruction(u, p):
+    """The a/b ≡ u mod p with |a|, b ≤ √(p/2), or None (Wang 1981)."""
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return norm_coeff(Fraction(r1, t1)) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
+
+
+def _lifted_kernel(basis, ncols, p):
+    """The kernel mod p of the reduced rows, one vector per free column c with
+    1 at c and 0 at the other free columns, lifted to Q entry by entry; None
+    if an entry has no reconstruction.  A reduced row is 0 before its pivot,
+    so each vector is also 0 after c."""
+    lifted = []
+    for c in range(ncols):
+        if c not in basis:
+            v = [int(j == c) for j in range(ncols)]
+            for pc, b in basis.items():
+                v[pc] = _rational_reconstruction(-b[c] % p, p)
+            if None in v:
+                return None
+            lifted.append(v)
+    return lifted
 
 
 def _back_substitute(rows, pivots, ncols, free_col):
@@ -191,7 +217,7 @@ def _back_substitute(rows, pivots, ncols, free_col):
 
 
 def _kernel_vectors(entries, ncols):
-    rows, pivots = _echelon_rational(entries) if entries else ([], [])
+    rows, pivots = _echelon_rational(entries)
     pivot_set = set(pivots)
     return [
         _back_substitute(rows, pivots, ncols, c)
@@ -203,20 +229,23 @@ def _kernel_vectors(entries, ncols):
 def kernel(matrix):
     """Basis of {v : M·v = 0}; one vector per free column, unit at that column.
 
-    On a tall matrix, Bareiss runs only on a maximal set of rows independent
-    mod ``DEFAULT_PRIME``.  Their kernel contains ker(M), and the exact
-    re-check of M·v = 0 over all rows gives the reverse inclusion; the basis
-    depends only on the kernel, so it is the one full elimination gives.  The
-    chosen rows are independent over Q too, so they span the row space unless
-    p divides a minor of M; then the re-check fails and full Bareiss runs.
+    On a tall matrix the kernel is read off mod ``DEFAULT_PRIME`` from the
+    rows ``independent_rows_mod`` reduces, and each entry is lifted by
+    rational reconstruction.  The lifted vectors are independent and at least
+    dim ker(M) in number, so once the exact re-check of M·v = 0 passes they
+    span ker(M); with 1 at their free column and 0 at the others and after
+    it, they are the reduced basis full Bareiss gives, which depends on the
+    span alone.  A failed lift or re-check runs full Bareiss instead.
     """
     if matrix.rows > matrix.cols:
         ints = [_clear_denominators(row) for row in matrix.entries]
-        chosen = [ints[i] for i in independent_rows_mod(ints, DEFAULT_PRIME)]
-        try:
-            return KernelBasis(matrix, _kernel_vectors(chosen, matrix.cols))
-        except InternalCheckError:
-            pass
+        _, basis = independent_rows_mod(ints, DEFAULT_PRIME)
+        lifted = _lifted_kernel(basis, matrix.cols, DEFAULT_PRIME)
+        if lifted is not None:
+            try:
+                return KernelBasis(matrix, lifted)
+            except InternalCheckError:
+                pass
     return KernelBasis(matrix, _kernel_vectors(matrix.entries, matrix.cols))
 
 

@@ -5,13 +5,15 @@ g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ
 common factor ρ divided out; everything the relation implies (translation
 invariance, the base-locus and singular-locus inclusions, fiber cones) is
 checked either symbolically or on one exact sample of the image at integer
-points, never by elimination or mod p.
+points.  The relation itself is searched for by evaluating ∇f at integer
+points, and every candidate is certified symbolically before it is used.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
@@ -40,11 +42,13 @@ class PolarRelation:
 
     @classmethod
     def from_partials(cls, g, partials):
-        """Compose each ∂g/∂y_i with the partials once, and certify g from them."""
+        """Compose each ∂g/∂y_i with the partials once, and certify g from
+        them; None when the certificate is nonzero, so g is no relation."""
         raw = tuple(g.partial(i).compose(partials) for i in range(g.nvars))
         euler = sum((fi * gi for fi, gi in zip(partials, raw)), Polynomial.zero(partials[0].nvars))
-        e = g.degree()
-        return cls(g=g, degree=e, raw=raw, certificate=euler.scale(Fraction(1, e)))
+        if euler:
+            return None
+        return cls(g=g, degree=g.degree(), raw=raw, certificate=euler)
 
     @property
     def is_linear(self):
@@ -94,13 +98,30 @@ class SampledSet:
         return True
 
 
+def _relation_points(nvars, width):
+    """Endless seeded integer points with coordinates in [-width, width]."""
+    rng = substream(0, "relation-points", nvars, width)
+    while True:
+        yield tuple(rng.randint(-width, width) for _ in range(nvars))
+
+
+def _monomial_row(partials, point, monos):
+    """The monomials monos in y, at y = ∇f(point)."""
+    vals = [fi.evaluate(point) for fi in partials]
+    return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
+
+
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
     """Smallest-degree relation among the partials, or None up to the cap.
 
-    For each degree e, all degree-e monomials in y are composed with the
-    partials and an exact kernel of the resulting linear system is taken over
-    the monomial coefficients.  Among kernel vectors at the minimal degree,
-    the primitive-integer vector supported on the earliest monomials wins.
+    For each degree e, the exact kernel of the degree-e monomials in y at
+    ∇f of C(n+e, e) + 2 seeded integer points contains every relation of
+    degree e, so an empty one rules e out.  Each basis vector g is certified
+    by g(∇f) ≡ 0, and one that fails gets a row at a point where g(∇f) ≠ 0,
+    until the kernel is the relation space.  Its basis is then the one that
+    elimination on the symbolic coefficients gives, and among the basis
+    vectors the primitive-integer one supported on the earliest monomials
+    wins.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -108,33 +129,31 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
         raise DomainError("expects a homogeneous polynomial of degree >= 2")
     partials = f.gradient()
     n1 = f.nvars
-    pow_cache = [{0: Polynomial.constant(n1, 1)} for _ in range(n1)]
-
-    def partial_pow(i, e):
-        cache = pow_cache[i]
-        if e not in cache:
-            cache[e] = partial_pow(i, e - 1) * partials[i]
-        return cache[e]
-
     for e in range(1, max_degree + 1):
         monos = monomials_of_degree(n1, e)
-        comps = []
-        for mono in monos:
-            prod = Polynomial.constant(n1, 1)
-            for i, a in enumerate(mono):
-                if a:
-                    prod = prod * partial_pow(i, a)
-            comps.append(prod)
-        matrix = ScalarMatrix.from_polynomials(comps)
-        kern = kernel(matrix.transpose())
-        if not len(kern):
-            continue
+        # a nonzero g(∇f) has degree e(d-1), so it cannot vanish on a grid
+        # with more than e(d-1) values per coordinate
+        points = _relation_points(n1, e * (f.degree() - 1))
+        rows = [_monomial_row(partials, next(points), monos) for _ in range(len(monos) + 2)]
+        while True:
+            nrows, relations = len(rows), []
+            for v in kernel(ScalarMatrix(rows)):
+                vec = primitive_vector(v)
+                g = Polynomial(n1, {m: c for m, c in zip(monos, vec) if c})
+                relation = PolarRelation.from_partials(g, partials)
+                if relation is not None:
+                    relations.append((vec, relation))
+                    continue
+                # a row where g(∇f) ≠ 0 takes g out of the kernel
+                rows.append(next(
+                    row for row in (_monomial_row(partials, a, monos) for a in points)
+                    if sum(map(operator.mul, row, vec))
+                ))
+            if len(rows) == nrows:
+                break
         # columns run graded-lex descending, so preferring support on the
         # earliest monomials means taking the lexicographically greatest vector
-        candidates = sorted((primitive_vector(v) for v in kern), reverse=True)
-        for vec in candidates:
-            g = Polynomial(n1, {m: c for m, c in zip(monos, vec) if c})
-            relation = PolarRelation.from_partials(g, partials)
+        for _, relation in sorted(relations, key=lambda r: r[0], reverse=True):
             if any(relation.raw):
                 return relation
             # all g_i ≡ 0 violates the standing assumption; try the next one

@@ -10,6 +10,7 @@ import pytest
 from hesse_lab import cones, hessian, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
+from hesse_lab.gn import GNSkeleton, random_instance
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -362,3 +363,14 @@ def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):
     monkeypatch.setattr("hesse_lab.cli.cone_test", lambda f: fake_vertex)
     assert main(["analyze", "--poly", "x0^3+x1^3+x2^3"]) == 4
     assert "cone_vertex contradicts the witness of h_f != 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("skeleton, degree", [((6, 3, 2, 2, 1, 4), 3), ((4, 2, 1, 3, 1, 5), 4)])
+def test_analyze_certifies_relations_above_degree_two(tmp_path, skeleton, degree):
+    f = random_instance(GNSkeleton(*skeleton), seed=0).f
+    code, doc = run(tmp_path, "analyze", "--poly", f.to_string("x"))
+    assert code == 0
+    r = doc["results"]
+    assert r["polar_relation"]["degree"] == degree
+    assert r["polar_relation"]["certificate_zero"] is True
+    assert r["hessian"]["certificate"] == "polar_relation"

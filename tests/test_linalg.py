@@ -1,5 +1,6 @@
 """Exact rank / kernel / solve over the rationals, and row selection mod p."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -70,8 +71,9 @@ def test_rank_mod_p_matches_rational(seed=23, cases=20):
     for _ in range(cases):
         m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         r_q = rank(ScalarMatrix(m))
-        r_p = len(independent_rows_mod(m, p))
-        assert r_p <= r_q
+        chosen, reduced = independent_rows_mod(m, p)
+        r_p = len(chosen)
+        assert len(reduced) == r_p <= r_q
         assert r_p == r_q  # a drop would flag an unlucky prime
 
 
@@ -79,14 +81,21 @@ def test_rank_mod_drops_when_p_divides_a_minor():
     # det [[1, 2], [3, 13]] = 7: full rank over Q, rank 1 mod 7
     m = [[1, 2], [3, 13]]
     assert rank(ScalarMatrix(m)) == 2
-    assert independent_rows_mod(m, 7) == [0]
-    assert independent_rows_mod(m, 11) == [0, 1]
-    assert independent_rows_mod([[0, 7], [14, 0]], 7) == []
+    assert independent_rows_mod(m, 7) == ([0], {0: [1, 2]})
+    assert independent_rows_mod(m, 11) == ([0, 1], {0: [1, 0], 1: [0, 1]})
+    assert independent_rows_mod([[0, 7], [14, 0]], 7) == ([], {})
 
 
 def test_independent_rows_mod_first_maximal_set():
     rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [5, 0, 1], [7, 7, 7]]
-    assert independent_rows_mod(rows, DEFAULT_PRIME) == [1, 3, 5]
+    chosen, reduced = independent_rows_mod(rows, DEFAULT_PRIME)
+    assert chosen == [1, 3, 5]
+    # reduced echelon form: 1 at each pivot, 0 at the other pivots
+    assert reduced == {0: [1, 0, 0], 1: [0, 1, 0], 2: [0, 0, 1]}
+    # rank 2 of 4: the kernel mod p is read off the free columns 1 and 3
+    chosen, reduced = independent_rows_mod([[2, 4, 6, 8], [1, 2, 4, 5], [3, 6, 10, 13]], 101)
+    assert chosen == [0, 1]
+    assert reduced == {0: [1, 2, 0, 1], 2: [0, 0, 1, 1]}
 
 
 def _tall_rank_deficient(rng, rows, cols, inner, fractions):
@@ -101,24 +110,75 @@ def _tall_rank_deficient(rng, rows, cols, inner, fractions):
     )
 
 
+def _kernel_matches_full_bareiss(m):
+    full = linalg._kernel_vectors(m.entries, m.cols)
+    assert [list(v) for v in kernel(m)] == full
+    return full
+
+
 @pytest.mark.parametrize("fractions", [False, True])
 def test_kernel_row_selection_matches_full_bareiss(fractions, seed=31, cases=25):
     rng = random.Random(seed)
-    nonempty = 0
+    nonempty = multi = 0
     for _ in range(cases):
         cols = rng.randint(2, 7)
         m = _tall_rank_deficient(rng, rng.randint(cols + 1, 3 * cols), cols, rng.randint(1, cols), fractions)
-        full = linalg._kernel_vectors(m.entries, m.cols)
-        assert [list(v) for v in kernel(m)] == full
+        full = _kernel_matches_full_bareiss(m)
         nonempty += bool(full)
+        multi += len(full) > 1
+        # the kernel mod p is read off with free columns chosen in row order;
+        # shuffled rows move them, and the reduced basis must not move
+        rows = m.entries[:]
+        rng.shuffle(rows)
+        assert _kernel_matches_full_bareiss(ScalarMatrix(rows)) == full
+        # scaling a column by more than √(p/2) scales the kernel's entries
+        # there beyond rational reconstruction
+        _kernel_matches_full_bareiss(ScalarMatrix([row[:-1] + [row[-1] * (2**31 + 11)] for row in rows]))
     assert nonempty >= cases // 2
+    assert multi >= cases // 4
+
+
+@pytest.mark.parametrize("big", [2**31, 3**20, 10**12 + 39])
+def test_kernel_entries_beyond_reconstruction_fall_back(big, monkeypatch):
+    # √(p/2) is below 2^30, so a kernel entry with numerator or denominator
+    # `big` has no rational reconstruction mod p; the kernel must still be
+    # the one full Bareiss gives, from the fallback
+    bound = math.isqrt(DEFAULT_PRIME // 2)
+    assert big > bound
+    eliminated = []
+    bareiss = linalg._echelon_rational
+    monkeypatch.setattr(
+        linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
+    )
+    cases = [
+        [[big, -1, 0], [0, 0, 1], [2 * big, -2, 3], [big, -1, 1]],   # kernel (1, big, 0)
+        [[1, -big, 0], [0, 0, 1], [3, -3 * big, 5], [1, -big, 1]],   # kernel (big, 1, 0)
+        [[big, 7, 0], [0, 0, 1], [big, 7, 1], [2 * big, 14, 0]],     # kernel (-7, big, 0)/big
+    ]
+    for rows in cases:
+        eliminated.clear()
+        full = _kernel_matches_full_bareiss(ScalarMatrix(rows))
+        assert len(full) == 1
+        assert eliminated == [len(rows), len(rows)]  # the oracle's and the fallback's
+
+
+def test_kernel_lifts_small_entries_without_elimination(monkeypatch):
+    bareiss = linalg._echelon_rational
+    monkeypatch.setattr(linalg, "_echelon_rational", lambda entries: pytest.fail("eliminated"))
+    m = ScalarMatrix([[3, -1, 0, 2], [0, 2, 1, 4], [3, 1, 1, 6], [6, 0, 1, 8], [3, -1, 0, 2]])
+    vectors = [list(v) for v in kernel(m)]
+    monkeypatch.setattr(linalg, "_echelon_rational", bareiss)
+    assert vectors == linalg._kernel_vectors(m.entries, m.cols)
+    assert len(vectors) == 2
 
 
 def test_kernel_falls_back_when_p_divides_a_minor(monkeypatch):
     # mod 3 every row is a multiple of (1, 1), so the selection keeps one row;
-    # its kernel vector (-1, 1) fails the exact re-check on (1, 4)
+    # its kernel vector (-1, 1), lifted from (2, 1), fails the exact re-check
+    # on (1, 4)
     rows = [[1, 1], [1, 4], [2, 5]]
-    assert independent_rows_mod(rows, 3) == [0]
+    assert independent_rows_mod(rows, 3) == ([0], {0: [1, 1]})
+    assert linalg._lifted_kernel({0: [1, 1]}, 2, 3) == [[-1, 1]]
     eliminated = []
     bareiss = linalg._echelon_rational
     monkeypatch.setattr(linalg, "DEFAULT_PRIME", 3)
@@ -126,7 +186,7 @@ def test_kernel_falls_back_when_p_divides_a_minor(monkeypatch):
         linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
     )
     assert len(kernel(ScalarMatrix(rows))) == 0
-    assert eliminated == [1, 3]
+    assert eliminated == [3]
 
 
 def test_solve_unique():

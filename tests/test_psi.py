@@ -1,11 +1,14 @@
 """Polar relation search, ψ_g construction, and the identity battery."""
 
+import math
+
 import pytest
 
+from hesse_lab import psi as psi_module
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
-from hesse_lab.linalg import ScalarMatrix, primitive_vector, projectively_equal, rank
-from hesse_lab.poly import Polynomial, parse
+from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, rank
+from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.psi import (
     PolarRelation,
     PsiMap,
@@ -58,8 +61,11 @@ def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
 def test_certificate_by_euler_rejects_a_non_relation():
     # g = y0*y1 is no relation: (1/2)·(f_0·g_0 + f_1·g_1) = f_0·f_1 != 0
     g = parse("y0*y1", var_prefix="y", nvars=5)
+    f0, f1, *_ = partials = PAPER_CUBIC.gradient()
+    assert PolarRelation.from_partials(g, partials) is None
+    zero = Polynomial.zero(5)
     with pytest.raises(InternalCheckError, match="certificate is nonzero"):
-        PolarRelation.from_partials(g, PAPER_CUBIC.gradient())
+        PolarRelation(g=g, degree=2, raw=(f1, f0, zero, zero, zero), certificate=f0 * f1)
 
 
 def test_polar_relation_none_for_fermat():
@@ -293,3 +299,79 @@ def test_build_psi_on_a_six_variable_sextic():
     assert sum(1 for g in psi.relation.raw if g) == 3
     for gi, hi in zip(psi.relation.raw, psi.h):
         assert psi.rho * hi == gi
+
+
+def symbolic_relation_oracle(f, max_degree):
+    """(g, degree, g_i) by the symbolic route: the degree-e products of the
+    partials expanded, their coefficient matrix transposed, and its exact
+    kernel; the primitive basis vector on the earliest monomials whose g_i
+    do not all vanish wins."""
+    partials = f.gradient()
+    n1 = f.nvars
+    for e in range(1, max_degree + 1):
+        monos = monomials_of_degree(n1, e)
+        products = [
+            math.prod((partials[i] ** a for i, a in enumerate(m) if a), start=Polynomial.constant(n1, 1))
+            for m in monos
+        ]
+        basis = kernel(ScalarMatrix.from_polynomials(products).transpose())
+        for vec in sorted((primitive_vector(v) for v in basis), reverse=True):
+            g = Polynomial(n1, {m: c for m, c in zip(monos, vec) if c})
+            raw = tuple(g.partial(i).compose(partials) for i in range(n1))
+            if any(raw):
+                return g, e, raw
+    return None
+
+
+def _gn(skeleton, seed=0):
+    return random_instance(GNSkeleton(*map(int, skeleton.split(","))), seed=seed).f
+
+
+@pytest.mark.parametrize(
+    "f, max_degree, degree",
+    [
+        (PAPER_CUBIC, 4, 2),
+        *((_gn("4,2,1,2,1,3", s), 4, 2) for s in range(3)),
+        *((_gn("4,2,1,2,1,4", s), 4, 2) for s in range(3)),
+        (_gn("4,2,1,3,1,5"), 4, 4),
+        (parse("x0^3 + x1^3", nvars=5), 4, 1),       # linear kernel span(y2, y3, y4)
+        (parse("x0^2*x1 + x1^3", nvars=4), 4, 1),    # linear kernel span(y2, y3)
+        (parse("x0^3 + x1^3 + x2^3"), 3, None),
+    ],
+)
+def test_relation_search_matches_symbolic_oracle(f, max_degree, degree):
+    expected = symbolic_relation_oracle(f, max_degree)
+    rel = find_polar_relation(f, max_degree=max_degree)
+    if degree is None:
+        assert expected is None and rel is None
+        return
+    assert (rel.g, rel.degree, rel.raw) == expected
+    assert rel.degree == degree
+
+
+def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
+    # every point of each first batch is (1, …, 1): the evaluation matrix has
+    # rank 1, its kernel holds non-relations, and each one that fails its
+    # certificate must draw a further point from the source
+    expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    source = psi_module._relation_points
+    draws = []
+
+    def degenerate_first(nvars, width):
+        e = width // (PAPER_CUBIC.degree() - 1)
+        batch = math.comb(nvars - 1 + e, e) + 2
+        points = source(nvars, width)
+        for k in range(batch):
+            draws.append(e)
+            yield (1,) * nvars
+        while True:
+            draws.append(e)
+            yield next(points)
+
+    monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
+    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    assert (rel.g, rel.degree, rel.raw) == (expected.g, expected.degree, expected.raw)
+    # the first batches hold 5 + 2 and 15 + 2 points; rank 1 leaves kernels of
+    # dimension 4 and 14, so at least 4 and 13 more rows are needed
+    assert draws.count(1) >= 7 + 4
+    assert draws.count(2) >= 17 + 13
