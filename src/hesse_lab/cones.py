@@ -71,9 +71,7 @@ def translation_invariant(f, v):
         if v[i]:
             a = a + Polynomial.variable(n + 1, n).scale(v[i])
         args.append(a)
-    shifted = f.compose(args)
-    embedded = f.compose([Polynomial.variable(n + 1, i) for i in range(n)])
-    return shifted == embedded
+    return f.compose(args) == f.extend(n + 1)
 
 
 def sing_membership(f, point):

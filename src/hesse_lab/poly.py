@@ -8,6 +8,11 @@ graded-lexicographic descending order, so equal polynomials print identically.
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
 
+Products and compositions work on dicts keyed by packed exponent ints, where
+a monomial product is one int add; ``_mul_packed`` is the one multiply loop.
+``compose`` runs Horner's rule one variable at a time on such dicts, adds in
+place and unpacks once.
+
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
 integers, integer gcd, reconstruction from symmetric digits).  It accepts a
 result only after exact trial division and draws larger points until one
@@ -43,6 +48,34 @@ def _packing(top, nvars):
         lambda e: sum(x << s for x, s in zip(e, shifts)),
         lambda k: tuple(k >> s & mask for s in shifts),
     )
+
+
+def _add_into(acc, terms):
+    """acc += terms in place, dropping the sums that cancel; returns acc."""
+    for k, c in terms.items():
+        s = acc.get(k, 0) + c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
+
+
+def _mul_packed(a, b):
+    """Product of two term dicts keyed by packed exponents: a monomial product
+    is one int add.  The one multiply loop, behind __mul__ and compose."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
 
 
 def grlex_key(exps):
@@ -125,12 +158,7 @@ class Polynomial:
         return e, self.terms[e]
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, a in enumerate(e):
-                if a:
-                    used.add(i)
-        return used
+        return {i for e in self.terms for i, a in enumerate(e) if a}
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,14 +189,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -192,21 +213,8 @@ class Polynomial:
         if not self.terms or not other.terms:
             return Polynomial.zero(self.nvars)
         a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        # a monomial product is one int add of packed exponents
         pack, unpack = _packing(max(map(max, a)) + max(map(max, b)), self.nvars)
-        out = {}
-        pa = [(pack(e), c) for e, c in a.items()]
-        for eb, cb in b.items():
-            kb = pack(eb)
-            for ka, ca in pa:
-                k = ka + kb
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        out = _mul_packed({pack(e): c for e, c in a.items()}, {pack(e): c for e, c in b.items()})
         return Polynomial(self.nvars, {unpack(k): c for k, c in out.items()})
 
     __rmul__ = __mul__
@@ -235,17 +243,10 @@ class Polynomial:
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i < self.nvars:
             raise VariableCountError(f"variable index {i} out of range")
-        out = {}
-        for e, c in self.terms.items():
-            a = e[i]
-            if a:
-                ee = e[:i] + (a - 1,) + e[i + 1:]
-                s = out.get(ee, 0) + c * a
-                if s:
-                    out[ee] = s
-                else:
-                    del out[ee]
-        return Polynomial(self.nvars, out)
+        # distinct terms differentiate to distinct monomials, so nothing collects
+        return Polynomial(self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        })
 
     def gradient(self):
         return [self.partial(i) for i in range(self.nvars)]
@@ -266,32 +267,41 @@ class Polynomial:
         return norm_coeff(acc)
 
     def compose(self, args):
-        """Substitute args[i] for x_i; args share one variable count."""
+        """Substitute args[i] for x_i; args share one variable count.
+
+        Horner's rule one variable at a time: F = Σ_k x_v^k·F_k gives
+        F(a) = (…(F_K(a)·a_v + F_{K−1}(a))·a_v + …)·a_v + F_0(a), each F_k(a)
+        composed alike from x_{v+1}, on dicts keyed by packed exponents."""
         if len(args) != self.nvars:
             raise VariableCountError(
                 f"{len(args)} substitution arguments for {self.nvars} variables"
             )
         m = args[0].nvars
-        for a in args:
-            if a.nvars != m:
-                raise VariableCountError("substitution arguments disagree on variable count")
-        pow_cache = [{0: Polynomial.constant(m, 1)} for _ in args]
+        if any(a.nvars != m for a in args):
+            raise VariableCountError("substitution arguments disagree on variable count")
+        if not self.terms:
+            return Polynomial.zero(m)
+        # Horner forms only monomials of a_v^j·F_k(a), products included, with
+        # j <= k and k + deg F_k <= deg F, so no exponent passes deg F · e_max
+        e_max = max((max(map(max, a.terms)) for a in args if a.terms), default=0)
+        pack, unpack = _packing(self.degree() * e_max, m)
+        packed = [{pack(e): c for e, c in a.terms.items()} for a in args]
 
-        def arg_pow(i, e):
-            cache = pow_cache[i]
-            if e not in cache:
-                half = arg_pow(i, e // 2)
-                cache[e] = half * half if e % 2 == 0 else half * half * args[i]
-            return cache[e]
+        def horner(terms, v):
+            # terms: (exponents, coefficient) pairs that agree before x_v
+            if v == self.nvars:
+                return {0: terms[0][1]}
+            parts = {}
+            for t in terms:
+                parts.setdefault(t[0][v], []).append(t)
+            acc = {}
+            for k in range(max(parts), -1, -1):
+                acc = _mul_packed(acc, packed[v])
+                if k in parts:
+                    _add_into(acc, horner(parts[k], v + 1))
+            return acc
 
-        acc = Polynomial.zero(m)
-        for e, c in self.terms.items():
-            t = Polynomial.constant(m, c)
-            for i, a in enumerate(e):
-                if a:
-                    t = t * arg_pow(i, a)
-            acc = acc + t
-        return acc
+        return Polynomial(m, {unpack(k): c for k, c in horner(list(self.terms.items()), 0).items()})
 
     def extend(self, new_nvars):
         """Embed into a larger variable set by padding trailing exponents."""
@@ -500,7 +510,7 @@ class _Parser:
 
 def _eval_parsed(parsed, nvars):
     """Turn the parse tree into a Polynomial with nvars variables."""
-    acc = Polynomial.zero(nvars)
+    acc = {}
     for sign, factors in parsed:
         term = Polynomial.constant(nvars, sign)
         for f in factors:
@@ -510,8 +520,8 @@ def _eval_parsed(parsed, nvars):
                 term = term * Polynomial.variable(nvars, f[1]) ** f[2]
             else:
                 term = term * _eval_parsed(f[1], nvars)
-        acc = acc + term
-    return acc
+        _add_into(acc, term.terms)
+    return Polynomial(nvars, acc)
 
 
 def _max_index(parsed):

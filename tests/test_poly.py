@@ -213,6 +213,65 @@ def test_compose_length_mismatch():
         g.compose([Polynomial.variable(3, 0)])
 
 
+def compose_term_by_term(f, args):
+    """The test oracle: each term of f as a product of argument powers, summed."""
+    acc = Polynomial.zero(args[0].nvars)
+    for e, c in f.terms.items():
+        t = Polynomial.constant(args[0].nvars, c)
+        for a, k in zip(args, e):
+            t = t * a ** k
+        acc = acc + t
+    return acc
+
+
+@st.composite
+def compose_cases(draw):
+    """(F, args) with 1-5 variables each side, int or Fraction coefficients;
+    empty dictionaries give zero arguments, and exponent 0 constants."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        coeff = st.integers(-6, 6).filter(bool)
+    else:
+        coeff = st.fractions(-6, 6, max_denominator=5).filter(bool)
+
+    def poly(nvars, top):
+        exps = st.tuples(*[st.integers(0, top)] * nvars)
+        return Polynomial(nvars, draw(st.dictionaries(exps, coeff, max_size=4)))
+
+    return poly(n, 3), [poly(m, 2) for _ in range(n)]
+
+
+COMPOSE_CASES = [
+    # zero and constant arguments
+    (parse("x0^2*x1 - 3*x1^2 + x2"), [parse("0", nvars=2), parse("5", nvars=2), parse("2*x1^2")]),
+    # the terms cancel: (x0 + x1)^2 - (x0 + x1)^2 and x0·x1 - x0·x1
+    (parse("x0^2 - x1^2"), [parse("x0 + x1"), parse("x0 + x1")]),
+    (parse("x0*x1 - x2"), [parse("x0", nvars=2), parse("x1"), parse("x0*x1")]),
+    # three variables into one, with Fractions
+    (parse("1/2*x0*x2^2 + x1^3 - 2/3"), [parse("x0 - 1/3"), parse("2*x0^2"), parse("x0")]),
+    # deg F · e_max = 40 · 8 = 320 passes a byte, so the wide packing runs
+    (parse("x0^40"), [parse("x0^8 + x1^8")]),
+    (parse("x0^40*x1 - 2*x1^3"), [parse("x0^8 + x1^8"), parse("x0 - 3*x1")]),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(compose_cases())
+@example(COMPOSE_CASES[0])
+@example(COMPOSE_CASES[1])
+@example(COMPOSE_CASES[2])
+@example(COMPOSE_CASES[3])
+@example(COMPOSE_CASES[4])
+@example(COMPOSE_CASES[5])
+def test_compose_matches_term_by_term(case):
+    f, args = case
+    got = f.compose(args)
+    assert got.nvars == args[0].nvars
+    assert got == compose_term_by_term(f, args)
+    # canonical coefficients: integral values are ints
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
 # ----------------------------------------------------------------------
 # gcd
 
