@@ -4,9 +4,9 @@ Data of type (n, t, m): forms h_i(y_0..y_m) of one degree, forms
 ψ_j(x_{t+1}..x_n) of one degree, and constant rows a^(ℓ).  Each Q_ℓ is the
 determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
 ∂h_i/∂y_j evaluated at y = ψ, and the constants.  Only the first row holds
-x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i is linear in them and its first-row
-cofactors are read off one expansion as M_{ℓ,i} = ∂Q_ℓ/∂x_i, of degree s-1
-in the tail variables.  The output form is
+x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i.  Its first-row cofactors M_{ℓ,i}, of degree
+s-1 in the tail variables, come from Laplace along the ψ-rows (`build_Q`),
+whose minors every Q_ℓ shares.  The output form is
 f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
 (k, d-k·s), and it always has vanishing Hessian.
 """
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
-from .fields import substream
-from .hessian import PolyMatrix, symbolic_determinant
+from .fields import norm_coeff, substream
+from .hessian import PolyMatrix, column_minors, symbolic_determinant
 from .poly import Polynomial, monomials_of_degree
 
 RETRY_BUDGET = 8
@@ -201,25 +202,44 @@ def _construction_rows(params):
     return rows
 
 
+def _combination(n1, pairs):
+    """Σ c·p over (scalar c, polynomial p) pairs."""
+    acc = {}
+    for c, p in pairs:
+        for e, v in p.terms.items():
+            acc[e] = acc.get(e, 0) + c * v
+    return Polynomial(n1, acc)
+
+
 def build_Q(params):
-    """All Q_ℓ, each expanded once, with their first-row cofactors
-    M_{ℓ,i} = ∂Q_ℓ/∂x_i; rejects degenerate data."""
+    """All Q_ℓ and cofactors by Laplace along the ψ-rows B, with A_ℓ the
+    constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
+    the (m+1)-subsets T of the columns but i, rest the columns in neither, and
+    ε_i(T) = (-1)^(Σ positions of T among them - m(m+1)/2).  Each M_ℓ must
+    annihilate the rows of A_ℓ; rejects degenerate data."""
     validate(params)
     n1 = params.n + 1
-    t = params.t
-    shared = _construction_rows(params)
-    xs = shared[0]
-    qs = []
-    cofactors = []
+    t, m = params.t, params.m
+    xs, *b_rows = _construction_rows(params)
+    cols = range(t + 1)
+    b_minors = {T: symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in b_rows]))
+                for T in combinations(cols, m + 1)}
+    # plan[i]: (T, column mask of rest, (-1)^i·ε_i(T)) where det B[:,T] ≠ 0
+    plan = [[(T, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
+              (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
+             for T in combinations([j for j in cols if j != i], m + 1) if b_minors[T]]
+            for i in cols]
+    qs, cofactors = [], []
     for block in params.a_consts:
-        consts = [[Polynomial.constant(n1, Fraction(c)) for c in row] for row in block]
-        q = symbolic_determinant(PolyMatrix(shared + consts))
+        a_rows = [[norm_coeff(c) for c in row] for row in block]
+        a_minor = column_minors(a_rows, 0, 1)
+        ms = tuple(_combination(n1, ((sg * a_minor(r), b_minors[T]) for T, r, sg in terms))
+                   for terms in plan)
+        q = sum((mi * x for x, mi in zip(xs, ms)), Polynomial.zero(n1))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
-        ms = tuple(q.partial(i) for i in range(t + 1))
-        # Euler: q = Σ x_i·∂q/∂x_i holds iff q is linear in x_0..x_t
-        if q != sum((mi * x for x, mi in zip(xs, ms)), Polynomial.zero(n1)):
-            raise InternalCheckError("Q_l is not linear in x_0..x_t")
+        if any(_combination(n1, zip(row, ms)) for row in a_rows):
+            raise InternalCheckError("a cofactor row fails to annihilate a constant row")
         qs.append(q)
         cofactors.append(ms)
     degrees = {q.degree() for q in qs}

@@ -6,8 +6,8 @@ full rank is an exact witness of h_f ≠ 0, else the verdict "vanishes" carries 
 Schwartz-Zippel bound (D/N)^t, with t the fewest trials that put it below
 2^-40.  A cone vertex or a re-checked polar relation g(∇f) ≡ 0 (the
 Gordan-Noether criterion) later makes it exact.  The symbolic determinant, by
-minor expansion over memoized column subsets, is the opt-in route;
-fraction-free Bareiss elimination is the tests' oracle for it.
+minor expansion over memoized column subsets, serves `--symbolic` and the GN
+ψ-row minors; fraction-free Bareiss elimination is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -95,12 +95,11 @@ def hessian_matrix(f):
     return PolyMatrix(entries)
 
 
-def det_minor_expansion(m):
-    """Determinant by first-row expansion over memoized column subsets."""
-    n = m.rows
-    entries = m.entries
-    zero = Polynomial.zero(m.nvars)
-    memo = {0: Polynomial.constant(m.nvars, 1)}
+def column_minors(rows, zero, one):
+    """minor(mask): det of the last popcount(mask) rows on the columns in mask,
+    memoized; entries are polynomials or scalars, zero and one of their kind."""
+    n = len(rows)
+    memo = {0: one}
 
     def minor(mask):
         if mask in memo:
@@ -112,7 +111,7 @@ def det_minor_expansion(m):
         while rest:
             low = rest & (-rest)
             j = low.bit_length() - 1
-            e = entries[row][j]
+            e = rows[row][j]
             if e:
                 term = e * minor(mask ^ low)
                 acc = acc + term if sign > 0 else acc - term
@@ -121,7 +120,13 @@ def det_minor_expansion(m):
         memo[mask] = acc
         return acc
 
-    return minor((1 << n) - 1)
+    return minor
+
+
+def det_minor_expansion(m):
+    """Determinant by first-row expansion over memoized column subsets."""
+    one = Polynomial.constant(m.nvars, 1)
+    return column_minors(m.entries, Polynomial.zero(m.nvars), one)((1 << m.rows) - 1)
 
 
 def det_fraction_free(m):

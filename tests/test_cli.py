@@ -111,6 +111,22 @@ def test_generate_writes_instance(tmp_path):
     assert instance["s"] == 3
 
 
+def test_generate_t_8_builds(tmp_path):
+    # GN matrices of size t+1 = 9 are built by Laplace along the psi-rows and
+    # never meet the symbolic determinant's size cap
+    code, doc = run(
+        tmp_path,
+        "generate",
+        "--n", "12", "--t", "8", "--m", "1",
+        "--hdeg", "2", "--psideg", "1", "--d", "6",
+        "--seed", "0",
+    )
+    assert code == 0
+    r = doc["results"]
+    assert r["hessian"]["vanishes"] is True
+    assert r["core_multiplicity"] == r["core_multiplicity_expected"]
+
+
 def test_generate_validation_exit_5(capsys):
     assert main(["generate", "--n", "4", "--t", "3", "--m", "1",
                  "--hdeg", "2", "--psideg", "1", "--d", "3"]) == 5

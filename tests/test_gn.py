@@ -1,5 +1,8 @@
 """Construction of vanishing-Hessian forms from determinant data."""
 
+from dataclasses import replace
+from math import comb
+
 import pytest
 
 from hesse_lab import gn
@@ -157,38 +160,84 @@ def _construction_matrix(params, block):
 
 
 def test_laplace_consistency_random():
-    # oracle: Bareiss on the full matrix and on every first-row minor, on a
-    # 5-variable and an 8-variable skeleton
-    for types, seed in (((4, 2, 1, 2, 1, 4), 0), ((7, 4, 1, 2, 1, 5), 3)):
+    # oracle: Bareiss on the full matrix and on every first-row minor, for
+    # m = 1, 2, 3, hdeg 3, psideg 2, and t = 8 (Bareiss has no size cap)
+    cases = (
+        ((4, 2, 1, 2, 1, 4), 0),
+        ((7, 4, 1, 2, 1, 5), 3),
+        ((6, 3, 2, 2, 1, 4), 0),
+        ((9, 5, 3, 2, 1, 5), 0),
+        ((6, 3, 1, 3, 1, 7), 2),
+        ((7, 4, 1, 2, 2, 5), 0),
+        ((10, 8, 1, 2, 1, 6), 0),
+    )
+    for types, seed in cases:
         _check_laplace(random_instance(GNSkeleton(*types), seed=seed))
 
 
+def test_laplace_consistency_fraction_constants():
+    data = params_to_dict(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=1).params)
+    data["a_consts"] = [
+        [[f"{c}/{k + 2}" for k, c in enumerate(row)] for row in block]
+        for block in data["a_consts"]
+    ]
+    params = params_from_dict(data)
+    assert any(c.denominator > 1 for block in params.a_consts for row in block for c in row)
+    _check_laplace(build_f(params))
+
+
+def test_build_Q_rejects_repeated_constant_row():
+    params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
+    row = params.a_consts[0][0]
+    params = replace(params, a_consts=((row, row),) + params.a_consts[1:])
+    with pytest.raises(DegenerateDataError):
+        build_Q(params)
+
+
 def _check_laplace(inst):
-    n1 = inst.params.n + 1
+    # Bareiss pivots on the constant rows first, then the psi-rows, then
+    # (x_0..x_t); the reordering costs the sign (-1)^((t-m-1)(m+1)), and
+    # (-1)^t more where the x-row moves to the bottom
+    params = inst.params
+    n1 = params.n + 1
+    sign = (-1) ** ((params.t - params.m - 1) * (params.m + 1))
     for q, ms, block in zip(inst.q_polys, inst.m_coeffs, inst.params.a_consts):
-        rows = _construction_matrix(inst.params, block)
-        assert q == det_fraction_free(PolyMatrix(rows))
+        rows = _construction_matrix(params, block)
+        reordered = rows[params.m + 2:] + rows[1:params.m + 2]
+        assert q.scale(sign * (-1) ** params.t) == det_fraction_free(PolyMatrix(reordered + rows[:1]))
         rebuilt = Polynomial.zero(n1)
         for i, mi in enumerate(ms):
-            minor = det_fraction_free(PolyMatrix([r[:i] + r[i + 1:] for r in rows[1:]]))
-            assert mi == (minor if i % 2 == 0 else -minor)
+            minor = det_fraction_free(PolyMatrix([r[:i] + r[i + 1:] for r in reordered]))
+            assert mi.scale(sign * (-1) ** i) == minor
             rebuilt = rebuilt + mi * Polynomial.variable(n1, i)
             if mi:
                 assert mi.degree() == inst.s - 1
         assert rebuilt == q
 
 
-def test_build_f_expands_one_determinant_per_Q(monkeypatch):
-    params = random_instance(GNSkeleton(7, 5, 1, 2, 1, 6), seed=0).params
-    calls = []
+def test_build_f_expands_only_psi_row_minors(monkeypatch):
+    # Laplace along the psi-rows: one (m+1)x(m+1) determinant per column
+    # subset, shared by every Q_l, and none of the (t+1)x(t+1) matrices
+    for types in ((7, 5, 1, 2, 1, 6), (6, 3, 2, 2, 1, 4)):
+        params = random_instance(GNSkeleton(*types), seed=0).params
+        calls = []
 
-    def counted(m):
-        calls.append(m.rows)
-        return symbolic_determinant(m)
+        def counted(m):
+            calls.append(m.rows)
+            return symbolic_determinant(m)
 
-    monkeypatch.setattr(gn, "symbolic_determinant", counted)
-    build_f(params)
-    assert calls == [params.t + 1] * (params.t - params.m)
+        monkeypatch.setattr(gn, "symbolic_determinant", counted)
+        build_f(params)
+        monkeypatch.undo()
+        assert calls == [params.m + 1] * comb(params.t + 1, params.m + 1)
+
+
+def test_d_equal_s_with_t_minus_m_at_least_2_need_not_be_a_cone():
+    # counterexample to "d = s and t - m >= 2 always give a cone": s = d = 4,
+    # t - m = 3, and the seed-0 draw (like seeds 1 and 2) is not a cone
+    skel = GNSkeleton(8, 5, 2, 2, 1, 4)
+    assert skel.expected_s == skel.d and skel.t - skel.m >= 2
+    assert random_instance(skel, seed=0).vertex.is_cone is False
 
 
 def test_core_multiplicity_d6():
