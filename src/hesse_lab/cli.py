@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
-from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, polar_image_dim
+from .hessian import DEFAULT_SIZE_CAP, hessian_matrix, hessian_vanishes, sample_kernels
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
@@ -36,6 +36,7 @@ from .reports import (
     psi_block,
     psi_identity_battery,
     relation_block,
+    relation_search_block,
     run_all_suites,
     run_gn_suite,
     run_lowdim_suite,
@@ -147,19 +148,23 @@ def cmd_analyze(args):
         )
     n1, d = f.nvars, f.degree()
     _check_symbolic(n1, args)
-    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed)
+    h = hessian_matrix(f)
+    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed, hessian=h)
     vertex = cone_test(f)
     if vertex.is_cone:
         verdict = verdict.upgraded("cone_vertex")
+    # one sample of H_f gives the polar image's dimension and W for the search
+    sample = sample_kernels(h, seed=args.seed) if d >= 2 else None
     results = {
         "hessian": hessian_block(verdict),
         "cone": cone_block(vertex),
-        "polar_image_dim": polar_image_dim(f, seed=args.seed) if d >= 2 else None,
+        "polar_image_dim": sample.rank - 1 if sample else None,
     }
     code = EXIT_OK
     if verdict.vanishes and not vertex.is_cone and d >= 2:
-        rel = find_polar_relation(f, max_degree=args.max_relation_degree)
+        rel = find_polar_relation(f, max_degree=args.max_relation_degree, span=sample.span)
         results["polar_relation"] = relation_block(rel) if rel else None
+        results["relation_search"] = relation_search_block(sample, args.max_relation_degree, n1)
         if rel is not None:
             # PolarRelation refuses a nonzero certificate: h_f ≡ 0 is proven
             verdict = verdict.upgraded("polar_relation")

@@ -5,20 +5,24 @@ seeded integer points with coordinates in range(N), N = 2^61 - 1: a point of
 full rank is an exact witness of h_f ≠ 0, else the verdict "vanishes" carries the
 Schwartz-Zippel bound (D/N)^t, with t the fewest trials that put it below
 2^-40.  A cone vertex or a re-checked polar relation g(∇f) ≡ 0 (the
-Gordan-Noether criterion) later makes it exact.  The symbolic determinant, by
+Gordan-Noether criterion) later makes it exact.  `sample_kernels` evaluates
+H_f at a second seeded stream and reads off both the generic rank, behind
+the polar image's dimension, and W, the span of the exact kernels, on which
+the relation search runs.  The symbolic determinant, by
 minor expansion over memoized column subsets, serves `--symbolic` and the GN
 ψ-row minors; fraction-free Bareiss elimination is the tests' oracle for it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
 from .fields import DEFAULT_PRIME, substream
-from .linalg import ScalarMatrix, rank
+from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
@@ -179,28 +183,33 @@ def trials_for_error(degree_bound):
     return t
 
 
+def _seeded_point(nvars, seed, label, i):
+    """The i-th seeded point of a substream, coordinates in range(DEFAULT_PRIME)."""
+    rng = substream(seed, label, i)
+    return [rng.randrange(DEFAULT_PRIME) for _ in range(nvars)]
+
+
 def _seeded_max_rank(h, count, seed, label):
-    """Max rank of h at up to `count` seeded points with coordinates in
-    range(DEFAULT_PRIME), stopping at full rank; returns (rank, points used)."""
+    """Max rank of h at up to `count` seeded points, stopping at full rank;
+    returns (rank, points used)."""
     best = 0
     for i in range(count):
-        rng = substream(seed, label, i)
-        point = [rng.randrange(DEFAULT_PRIME) for _ in range(h.nvars)]
-        best = max(best, rank(h.evaluate(point)))
+        best = max(best, rank(h.evaluate(_seeded_point(h.nvars, seed, label, i))))
         if best == h.rows:
             return best, i + 1
     return best, count
 
 
-def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
+def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0, hessian=None):
     """Decide h_f ≡ 0 by seeded points, stopping at the first witness of
     h_f ≠ 0, or by the symbolic determinant when mode is "symbolic".
-    `trials` defaults to the count that `trials_for_error` gives."""
+    `trials` defaults to the count that `trials_for_error` gives; `hessian`
+    is H_f when the caller has built it already."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
-    h = hessian_matrix(f)
+    h = hessian or hessian_matrix(f)
     degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
     if mode == "symbolic":
         det = symbolic_determinant(h)
@@ -230,6 +239,37 @@ def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
         degree_bound=degree_bound,
         certificate="witness" if witness else None,
     )
+
+
+@dataclass(frozen=True)
+class KernelSample:
+    """H_f at the seeded points of one substream: its generic rank and W, the
+    span of its kernels."""
+
+    rank: int                      # max rank over the first DEFAULT_SAMPLES points
+    span: tuple                    # W as primitive reduced-echelon integer rows
+    points: int                    # points evaluated; the last one added nothing to W
+
+
+def sample_kernels(h, seed=0):
+    """Exact kernels of the Hessian matrix h at the seeded points that
+    `generic_hessian_rank` reads, drawn until DEFAULT_SAMPLES points are in
+    and the last one adds nothing to their span W, or until one has full
+    rank.
+
+    The rank is read at the first DEFAULT_SAMPLES points only, so it equals
+    `generic_hessian_rank`.  A sampled W can only be too small: every
+    kernel lies in the true span.
+    """
+    best, span = 0, ()
+    for i in itertools.count():
+        vectors = kernel(h.evaluate(_seeded_point(h.nvars, seed, "generic_rank", i))).vectors
+        if i < DEFAULT_SAMPLES:
+            best = max(best, h.rows - len(vectors))
+        grown = reduced_row_basis([*span, *vectors])
+        if best == h.rows or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
+            return KernelSample(rank=best, span=grown, points=i + 1)
+        span = grown
 
 
 def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0):

@@ -143,6 +143,25 @@ def rank(matrix):
     return len(pivots)
 
 
+def reduced_row_basis(vectors):
+    """The reduced row echelon basis of the span of rational vectors, each row
+    scaled to coprime integers with a positive pivot, so it depends on the
+    span alone; () for no vectors or only zero ones."""
+    if not vectors:
+        return ()
+    rows, pivots = _echelon_rational(vectors)
+    rows = [primitive_vector(row) for row in rows]
+    # clear each pivot column upward, last pivot first, so that a cleared
+    # column never fills in again
+    for r in range(len(rows) - 1, 0, -1):
+        p, row = pivots[r], rows[r]
+        for s in range(r):
+            c = rows[s][p]
+            if c:
+                rows[s] = primitive_vector([row[p] * x - c * y for x, y in zip(rows[s], row)])
+    return tuple(rows)
+
+
 def independent_rows_mod(rows, p):
     """Indices of the first maximal set of rows, in row order, of an integer
     matrix that are linearly independent mod a prime p, and those rows in
@@ -269,14 +288,8 @@ def solve(matrix, b):
 
 def primitive_vector(v):
     """Scale a rational vector to coprime integers with first nonzero positive."""
-    fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in v]
-    l = 1
-    for c in fracs:
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    ints = [int(c * l) for c in fracs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    ints = _clear_denominators(v)
+    g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)
     first = next(x for x in ints if x)

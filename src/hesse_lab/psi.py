@@ -5,8 +5,11 @@ g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ
 common factor ρ divided out; everything the relation implies (translation
 invariance, the base-locus and singular-locus inclusions, fiber cones) is
 checked either symbolically or on one exact sample of the image at integer
-points.  The relation itself is searched for by evaluating ∇f at integer
-points, and every candidate is certified symbolically before it is used.
+points.  The relation itself is searched for on W, the span of the kernels
+of H_f: ψ_g takes its values there, and the polar image is a cone over P(W),
+so its lowest-degree relations are polynomials in the dim W forms ⟨w, ∇f⟩.
+They are found by evaluating those forms at integer points, and every
+candidate is certified symbolically before it is used.
 """
 
 from __future__ import annotations
@@ -17,38 +20,59 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
+from .hessian import hessian_matrix, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_list, monomials_of_degree
 
-DEFAULT_MAX_RELATION_DEGREE = 4
+DEFAULT_MAX_RELATION_DEGREE = 8
 
 
 @dataclass(frozen=True)
 class PolarRelation:
-    """g with g(f_0,…,f_n) ≡ 0; degree-1 relations flag a cone.  The g_i are
-    composed once: the certificate comes from them by Euler's identity,
-    g(∇f) = (1/e)·Σ f_i·g_i for g of degree e, and ψ_g divides them by ρ."""
+    """g with g(f_0,…,f_n) ≡ 0; degree-1 relations flag a cone.
+
+    g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
+    certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
+    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1
+    compositions (∂_jG)(F) are made once: ψ_g divides out their gcd, and
+    the g_i = ∂g/∂y_i ∘ ∇f are their combinations Σ_j w_{j,i}·(∂_jG)(F)."""
 
     g: Polynomial                 # in y_0..y_n
     degree: int
     raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
-    certificate: Polynomial       # g(∇f) = (1/e)·Σ f_i·g_i; must be zero
+    certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f); must be zero
+    parts: tuple = None           # (∂_jG)(F); the g_i themselves when W is everything
 
     def __post_init__(self):
         if not self.g:
             raise DomainError("a polar relation must be a nonzero polynomial")
         if not self.certificate.is_zero():
             raise InternalCheckError("polar relation certificate is nonzero")
+        if self.parts is None:
+            object.__setattr__(self, "parts", self.raw)
 
     @classmethod
-    def from_partials(cls, g, partials):
-        """Compose each ∂g/∂y_i with the partials once, and certify g from
-        them; None when the certificate is nonzero, so g is no relation."""
-        raw = tuple(g.partial(i).compose(partials) for i in range(g.nvars))
-        euler = sum((fi * gi for fi, gi in zip(partials, raw)), Polynomial.zero(partials[0].nvars))
+    def from_partials(cls, G, forms, span=None):
+        """Certify G(F) ≡ 0 for the forms F_j = ⟨w_j, ∇f⟩ of the rows of
+        span, or of the unit rows (F = ∇f, g = G) when span is None; None
+        when the certificate is nonzero, so G is no relation.  G and the
+        compositions are scaled so that g has coprime integer coefficients
+        and a positive leading one."""
+        parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
+        euler = sum((F * p for F, p in zip(forms, parts)), Polynomial.zero(forms[0].nvars))
         if euler:
             return None
-        return cls(g=g, degree=g.degree(), raw=raw, certificate=euler)
+        if span is None:
+            g, raw = G, parts
+        else:
+            g = G.compose([Polynomial.linear_form(w) for w in span])
+            raw = [_combination([w[i] for w in span], parts) for i in range(g.nvars)]
+        scale = 1 / rational_content(g.terms.values())
+        if g.leading()[1] < 0:
+            scale = -scale
+        if scale != 1:
+            g, parts, raw = g.scale(scale), [p.scale(scale) for p in parts], [p.scale(scale) for p in raw]
+        return cls(g=g, degree=g.degree(), raw=tuple(raw), certificate=euler, parts=tuple(parts))
 
     @property
     def is_linear(self):
@@ -105,52 +129,75 @@ def _relation_points(nvars, width):
         yield tuple(rng.randint(-width, width) for _ in range(nvars))
 
 
-def _monomial_row(partials, point, monos):
-    """The monomials monos in y, at y = ∇f(point)."""
-    vals = [fi.evaluate(point) for fi in partials]
+def _monomial_row(forms, point, monos):
+    """The monomials monos in z, at z = F(point)."""
+    vals = [F.evaluate(point) for F in forms]
     return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
 
 
-def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
+def _combination(coeffs, polys):
+    """Σ_j coeffs[j]·polys[j], skipping zero coefficients."""
+    acc = Polynomial.zero(polys[0].nvars)
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = acc + p.scale(c)
+    return acc
+
+
+def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
-    For each degree e, the exact kernel of the degree-e monomials in y at
-    ∇f of C(n+e, e) + 2 seeded integer points contains every relation of
-    degree e, so an empty one rules e out.  Each basis vector g is certified
-    by g(∇f) ≡ 0, and one that fails gets a row at a point where g(∇f) ≠ 0,
-    until the kernel is the relation space.  Its basis is then the one that
-    elimination on the symbolic coefficients gives, and among the basis
+    The polar image is a cone over P(W), W the span of the kernels of H_f,
+    so its lowest-degree relations are polynomials G in the k+1 forms
+    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
+    when None).  For each degree e, the exact kernel of the degree-e
+    monomials in z at F of C(k+e, e) + 2 seeded integer points contains
+    every such G, so an empty one rules e out within W.  Each basis vector
+    G is certified by G(F) ≡ 0, and one that fails gets a row at a point
+    where G(F) ≠ 0, until the kernel is the relation space.  A W that is
+    too small can hide a relation but never fake one.  Among the basis
     vectors the primitive-integer one supported on the earliest monomials
-    wins.
+    wins, as in a search over all n+1 coordinates.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
     if not f or not f.is_homogeneous() or f.degree() < 2:
         raise DomainError("expects a homogeneous polynomial of degree >= 2")
+    if span is None:
+        span = sample_kernels(hessian_matrix(f)).span
+    if not span:
+        return None  # H_f is invertible somewhere, so the partials are independent
     partials = f.gradient()
-    n1 = f.nvars
+    forms = [_combination(w, partials) for w in span]
     for e in range(1, max_degree + 1):
-        monos = monomials_of_degree(n1, e)
-        # a nonzero g(∇f) has degree e(d-1), so it cannot vanish on a grid
+        monos = monomials_of_degree(len(span), e)
+        # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
         # with more than e(d-1) values per coordinate
-        points = _relation_points(n1, e * (f.degree() - 1))
-        rows = [_monomial_row(partials, next(points), monos) for _ in range(len(monos) + 2)]
+        points = _relation_points(f.nvars, e * (f.degree() - 1))
+        rows = [_monomial_row(forms, next(points), monos) for _ in range(len(monos) + 2)]
         while True:
             nrows, relations = len(rows), []
             for v in kernel(ScalarMatrix(rows)):
                 vec = primitive_vector(v)
-                g = Polynomial(n1, {m: c for m, c in zip(monos, vec) if c})
-                relation = PolarRelation.from_partials(g, partials)
+                G = Polynomial(len(span), {m: c for m, c in zip(monos, vec) if c})
+                relation = PolarRelation.from_partials(G, forms, span)
                 if relation is not None:
                     relations.append((vec, relation))
                     continue
-                # a row where g(∇f) ≠ 0 takes g out of the kernel
+                # a row where G(F) ≠ 0 takes G out of the kernel
                 rows.append(next(
-                    row for row in (_monomial_row(partials, a, monos) for a in points)
+                    row for row in (_monomial_row(forms, a, monos) for a in points)
                     if sum(map(operator.mul, row, vec))
                 ))
             if len(rows) == nrows:
                 break
+        if len(relations) > 1 and any(sum(map(bool, w)) > 1 for w in span):
+            # only unit rows map the kernel's basis and order in z onto those
+            # of the search over all coordinates in y, so widen W to the unit
+            # rows on its support
+            support = sorted({i for w in span for i, c in enumerate(w) if c})
+            unit = [tuple(int(i == j) for i in range(f.nvars)) for j in support]
+            return find_polar_relation(f, max_degree, span=unit)
         # columns run graded-lex descending, so preferring support on the
         # earliest monomials means taking the lexicographically greatest vector
         for _, relation in sorted(relations, key=lambda r: r[0], reverse=True):
@@ -161,7 +208,9 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE):
 
 
 def build_psi(f, relation, allow_cone=False):
-    """Assemble ψ_g from a polar relation: divide out ρ = gcd of the g_i.
+    """Assemble ψ_g from a polar relation: divide out ρ = gcd of the g_i,
+    taken as the gcd of the k+1 (∂_jG)(F) they are combinations of and that
+    are combinations of them.
 
     Degree-1 relations mean V(f) is a cone, outside the construction's
     standing hypothesis; pass allow_cone=True to proceed anyway.
@@ -173,7 +222,7 @@ def build_psi(f, relation, allow_cone=False):
     raw = relation.raw
     if not any(raw):
         raise DomainError("all derivative compositions vanish; choose another relation")
-    rho = gcd_list([g for g in raw if g])
+    rho = gcd_list([p for p in relation.parts if p])
     h = [g.exact_div(rho) if g else Polynomial.zero(f.nvars) for g in raw]
     content = rational_content(
         [c for hi in h for c in hi.terms.values()]

@@ -29,7 +29,7 @@ from .psi import (
     taylor_membership,
 )
 
-SCHEMA = "hesse-lab/2"
+SCHEMA = "hesse-lab/3"
 
 IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
 # points the P^4 stage draws from the ψ_g image: the C(MAX_CURVE_DEGREE + 2, 2)
@@ -83,6 +83,19 @@ def relation_block(rel):
     }
 
 
+def relation_search_block(sample, max_degree, nvars):
+    """Where the relation search ran: W and the points that fixed it.  A
+    degree below the relation's, or up to the cap when none was found, is
+    excluded outright when W is the whole space, else only within W."""
+    return {
+        "w_basis": [vector_strs(w) for w in sample.span],
+        "w_dim": len(sample.span),
+        "hessian_points": sample.points,
+        "max_degree": max_degree,
+        "lower_degrees_excluded": "exact" if len(sample.span) == nvars else "within_W",
+    }
+
+
 def psi_block(psi):
     return {
         "rho": psi.rho.to_string("x"),
@@ -104,7 +117,6 @@ def image_block(image):
     return {
         "label": image.label,
         "count": len(image),
-        "modulus": None,  # images are rational; the key stays until the schema changes
         "points": [vector_strs(q) for q in image.points],
         "seed": image.seed,
     }

@@ -25,7 +25,7 @@ def run(tmp_path, *argv, name="out.json"):
 def test_analyze_paper_cubic(tmp_path):
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
     assert code == 0
-    assert doc["schema"] == "hesse-lab/2"
+    assert doc["schema"] == "hesse-lab/3"
     r = doc["results"]
     assert r["hessian"]["mode"] == "probabilistic"
     assert r["hessian"]["vanishes"] is True
@@ -381,7 +381,9 @@ def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):
     assert "cone_vertex contradicts the witness of h_f != 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("skeleton, degree", [((6, 3, 2, 2, 1, 4), 3), ((4, 2, 1, 3, 1, 5), 4)])
+@pytest.mark.parametrize(
+    "skeleton, degree", [((6, 3, 2, 2, 1, 4), 3), ((4, 2, 1, 3, 1, 5), 4), ((4, 2, 1, 4, 1, 7), 6)]
+)
 def test_analyze_certifies_relations_above_degree_two(tmp_path, skeleton, degree):
     f = random_instance(GNSkeleton(*skeleton), seed=0).f
     code, doc = run(tmp_path, "analyze", "--poly", f.to_string("x"))

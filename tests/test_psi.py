@@ -6,8 +6,18 @@ import pytest
 
 from hesse_lab import psi as psi_module
 from hesse_lab.errors import DomainError, InternalCheckError
+from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
-from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, rank
+from hesse_lab.hessian import hessian_matrix, sample_kernels
+from hesse_lab.linalg import (
+    ScalarMatrix,
+    kernel,
+    primitive_vector,
+    projectively_equal,
+    random_invertible,
+    rank,
+    reduced_row_basis,
+)
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.psi import (
     PolarRelation,
@@ -42,8 +52,8 @@ def test_polar_relation_paper_cubic():
 
 
 def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
-    # five g_i = ∂g/∂y_i ∘ ∇f; the certificate comes from them by Euler's
-    # identity, and build_psi reuses them
+    # W has three rows, so three (∂_jG)(F) and one G(⟨w_0, y⟩, …) = g; the
+    # certificate and the five g_i come from them, and build_psi reuses them
     calls = []
     compose = Polynomial.compose
 
@@ -54,7 +64,7 @@ def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "compose", counted)
     rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
     psi = build_psi(PAPER_CUBIC, rel)
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert psi.relation is rel
 
 
@@ -327,6 +337,15 @@ def _gn(skeleton, seed=0):
     return random_instance(GNSkeleton(*map(int, skeleton.split(","))), seed=seed).f
 
 
+def _conjugate(f, a):
+    """f∘A: f(A·x)."""
+    return f.compose([Polynomial.linear_form(row) for row in a.entries])
+
+
+def _dense(f):
+    return _conjugate(f, random_invertible(f.nvars, substream(0, "dense")))
+
+
 @pytest.mark.parametrize(
     "f, max_degree, degree",
     [
@@ -337,6 +356,9 @@ def _gn(skeleton, seed=0):
         (parse("x0^3 + x1^3", nvars=5), 4, 1),       # linear kernel span(y2, y3, y4)
         (parse("x0^2*x1 + x1^3", nvars=4), 4, 1),    # linear kernel span(y2, y3)
         (parse("x0^3 + x1^3 + x2^3"), 3, None),
+        (_gn("7,4,1,2,1,5"), 4, 2),                  # dim W = 5 of 8
+        (_gn("7,5,1,2,1,6"), 4, 2),                  # W has no unit rows
+        (_dense(parse("x0^3 + x1^3", nvars=4)), 4, 1),  # span(y2, y3) with W not on unit rows
     ],
 )
 def test_relation_search_matches_symbolic_oracle(f, max_degree, degree):
@@ -354,12 +376,14 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
     # rank 1, its kernel holds non-relations, and each one that fails its
     # certificate must draw a further point from the source
     expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    w_dim = len(sample_kernels(hessian_matrix(PAPER_CUBIC)).span)
+    assert w_dim == 3
     source = psi_module._relation_points
     draws = []
 
     def degenerate_first(nvars, width):
         e = width // (PAPER_CUBIC.degree() - 1)
-        batch = math.comb(nvars - 1 + e, e) + 2
+        batch = math.comb(w_dim - 1 + e, e) + 2
         points = source(nvars, width)
         for k in range(batch):
             draws.append(e)
@@ -371,7 +395,51 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
     monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
     rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
     assert (rel.g, rel.degree, rel.raw) == (expected.g, expected.degree, expected.raw)
-    # the first batches hold 5 + 2 and 15 + 2 points; rank 1 leaves kernels of
-    # dimension 4 and 14, so at least 4 and 13 more rows are needed
-    assert draws.count(1) >= 7 + 4
-    assert draws.count(2) >= 17 + 13
+    # the search runs on the three forms ⟨w_j, ∇f⟩, so the first batches hold
+    # 3 + 2 and 6 + 2 points; rank 1 leaves kernels of dimension 2 and 5, so
+    # at least 2 and 4 more rows are needed
+    assert draws.count(1) >= 5 + 2
+    assert draws.count(2) >= 8 + 4
+
+
+def _in_row_space(rows, q):
+    return rank(ScalarMatrix([*rows, q])) == len(rows)
+
+
+@pytest.mark.parametrize("f", [PAPER_CUBIC, _gn("5,3,1,2,1,6")])
+def test_psi_image_lies_in_w(f):
+    # ψ_g takes its values in ker H_f, so every image point lies in W
+    span = sample_kernels(hessian_matrix(f)).span
+    psi = build_psi(f, find_polar_relation(f, span=span))
+    image = sample_image(psi, count=12, seed=0)
+    assert len(image) == 12
+    assert all(_in_row_space(span, q) for q in image.points)
+
+
+@pytest.mark.parametrize(
+    "f, found",
+    [(PAPER_CUBIC, 0), (_gn("5,3,1,2,1,6"), 0), (parse("x0^3 + x1^3", nvars=5), 3)],
+)
+def test_too_small_w_hides_relations_but_fakes_none(f, found):
+    span = sample_kernels(hessian_matrix(f)).span
+    partials = f.gradient()
+    relations = [
+        find_polar_relation(f, max_degree=4, span=span[:i] + span[i + 1:])
+        for i in range(len(span))
+    ]
+    assert sum(rel is not None for rel in relations) == found
+    for rel in filter(None, relations):
+        assert rel.certificate.is_zero()
+        assert rel.g.compose(partials).is_zero()
+
+
+@pytest.mark.parametrize("f", [PAPER_CUBIC, _gn("4,2,1,2,1,3")])
+def test_w_and_relation_degree_are_coordinate_free(f):
+    # H_{f∘A}(x) = Aᵀ·H_f(A·x)·A, so W(f∘A) = A⁻¹·W(f): A maps it back
+    a = random_invertible(f.nvars, substream(0, "dense"))
+    g = _conjugate(f, a)
+    span = sample_kernels(hessian_matrix(f)).span
+    conj_span = sample_kernels(hessian_matrix(g), seed=1).span
+    assert len(conj_span) == len(span)
+    assert reduced_row_basis([a.mul_vector(w) for w in conj_span]) == span
+    assert find_polar_relation(g).degree == find_polar_relation(f).degree
