@@ -23,8 +23,6 @@ from .linalg import (
     kernel,
     primitive_vector,
     random_invertible,
-    rank,
-    solve,
 )
 from .poly import Polynomial, gcd, is_reduced, monomials_of_degree
 
@@ -150,7 +148,8 @@ def low_polar_dim_check(f, seed=0):
 class PlaneCurveReport:
     precondition: Optional[str]
     span_rank: Optional[int]
-    span_basis: tuple
+    span_basis: tuple                 # echelon rows, each primitive
+    span_pivots: tuple                # the pivot column of each basis row
     curve: Optional[Polynomial]       # in 3 span coordinates
     curve_degree: Optional[int]
     irreducibility_unverified: bool
@@ -161,13 +160,25 @@ class PlaneCurveReport:
         return self.precondition is None and self.span_rank == 3 and self.curve is not None
 
 
-def _span_coordinates(basis, point):
-    """Coordinates of an ambient point in the span basis, primitive, or None."""
-    a = ScalarMatrix([[basis[k][i] for k in range(len(basis))] for i in range(len(point))])
-    z = solve(a, list(point))
-    if z is None:
-        return None
-    return primitive_vector(z)
+def _span_coordinates(basis, pivots, point):
+    """Coordinates of an ambient point in an echelon span basis, primitive,
+    or None when the point lies outside the span.
+
+    Row k of the basis is 0 before its pivot column pivots[k], so the
+    coordinates are read off the pivot columns by forward substitution, kept
+    in integers as Z/D by scaling Z and D by each pivot; Σ Z_k·b_k = D·q is
+    then checked on every column."""
+    zs, den = [], 1
+    for b, pc in zip(basis, pivots):
+        r = den * point[pc] - sum(z * c[pc] for z, c in zip(zs, basis))
+        a = b[pc]
+        zs = [z * a for z in zs]
+        zs.append(r)
+        den *= a
+    for i, x in enumerate(point):
+        if sum(z * c[i] for z, c in zip(zs, basis)) != den * x:
+            return None
+    return primitive_vector(zs)
 
 
 def p4_plane_curve_check(f, psi, image):
@@ -185,23 +196,23 @@ def p4_plane_curve_check(f, psi, image):
     if psi.cone_flagged:
         return _curve_precondition_failed("input is a cone")
     points = image.points
-    matrix = ScalarMatrix([list(q) for q in points])
-    span_rank = rank(matrix)
-    if span_rank != 3:
+    rows, pivots = _echelon_rational([list(q) for q in points])
+    if len(pivots) != 3:
         return PlaneCurveReport(
             precondition=None,
-            span_rank=span_rank,
+            span_rank=len(pivots),
             span_basis=(),
+            span_pivots=(),
             curve=None,
             curve_degree=None,
             irreducibility_unverified=True,
             points_used=len(points),
         )
-    rows, _ = _echelon_rational(matrix.entries)
     basis = tuple(primitive_vector(r) for r in rows)
+    pivots = tuple(pivots)
     zs = []
     for q in points:
-        z = _span_coordinates(basis, q)
+        z = _span_coordinates(basis, pivots, q)
         if z is None:
             return _curve_precondition_failed("sampled point escapes its own span")
         zs.append(z)
@@ -218,6 +229,7 @@ def p4_plane_curve_check(f, psi, image):
                 precondition=None,
                 span_rank=3,
                 span_basis=basis,
+                span_pivots=pivots,
                 curve=curve,
                 curve_degree=e,
                 irreducibility_unverified=True,
@@ -227,6 +239,7 @@ def p4_plane_curve_check(f, psi, image):
         precondition=None,
         span_rank=3,
         span_basis=basis,
+        span_pivots=pivots,
         curve=None,
         curve_degree=None,
         irreducibility_unverified=True,
@@ -239,6 +252,7 @@ def _curve_precondition_failed(reason):
         precondition=reason,
         span_rank=None,
         span_basis=(),
+        span_pivots=(),
         curve=None,
         curve_degree=None,
         irreducibility_unverified=True,
@@ -284,13 +298,14 @@ class SectionReport:
 
 
 def _intersect_spans(vectors_a, vectors_b):
-    """Basis of span(vectors_a) ∩ span(vectors_b), primitive rows."""
+    """Basis of span(vectors_a) ∩ span(vectors_b), primitive rows.  With
+    integer vectors every step is in integers."""
     width = len(vectors_a[0])
     cols = [list(v) for v in vectors_a] + [[-x for x in v] for v in vectors_b]
     a = ScalarMatrix([[cols[j][i] for j in range(len(cols))] for i in range(width)])
     out = []
     for kv in kernel(a):
-        alpha = kv[: len(vectors_a)]
+        alpha = primitive_vector(kv)[: len(vectors_a)]
         x = [
             sum(alpha[j] * vectors_a[j][i] for j in range(len(vectors_a)))
             for i in range(width)
@@ -357,7 +372,8 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
         c = Fraction(rng.randint(1, 40), rng.randint(1, 4))
         if c in used:
             continue
-        dual = tuple(x + c * y for x, y in zip(a1, a2))
+        # the hyperplane a1 + c·a2, as a primitive integer dual point
+        dual = primitive_vector([c.denominator * x + c.numerator * y for x, y in zip(a1, a2)])
         if not any(dual):
             continue
         chart = chart_for_hyperplane(dual)
@@ -382,7 +398,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
                 )
             )
             continue
-        ambient_vertex = [chart.embed_point(v) for v in vertex.basis]
+        ambient_vertex = [chart.embed_point(primitive_vector(v)) for v in vertex.basis]
         line = _intersect_spans(ambient_vertex, [list(b) for b in basis])
         status = "tangent"
         point = None
@@ -392,7 +408,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
         elif curve_report.curve_degree < 2:
             status = "inconclusive"  # a degree-1 curve has no double-root test
         else:
-            zeta = [_span_coordinates(basis, w) for w in line[:2]]
+            zeta = [_span_coordinates(basis, curve_report.span_pivots, w) for w in line[:2]]
             if None in zeta:
                 status = "no_line"
                 violations.append(f"section at c={c}: vertex line escapes Π")

@@ -1,10 +1,10 @@
 """Command-line front end: analyze | generate | verify | catalog.
 
 Exit codes: 0 success; 1 verification suite failure; 2 parse error or bad
-invocation; 3 zero or non-homogeneous input; 4 internal check violation (an
-identity the construction guarantees failed); 5 parameter validation failure;
-6 seeded retry budget exhausted.  Every nonzero exit prints its reason on
-stderr.
+invocation; 3 zero, constant or non-homogeneous input; 4 internal check
+violation (an identity the construction guarantees failed); 5 parameter
+validation failure; 6 seeded retry budget exhausted.  Every nonzero exit
+prints its reason on stderr.
 """
 
 from __future__ import annotations
@@ -136,9 +136,11 @@ def _check_symbolic(nvars, args):
 def cmd_analyze(args):
     _check_positive("--max-relation-degree", args.max_relation_degree)
     f = parse(args.poly)
-    if f.is_zero() or not f.is_homogeneous():
+    if f.is_zero() or not f.is_homogeneous() or f.degree() == 0:
         if f.is_zero():
             reason = "the polynomial is zero"
+        elif f.is_homogeneous():
+            reason = "degree 0"
         else:
             degrees = ", ".join(str(e) for e in sorted({sum(e) for e in f.terms}))
             reason = f"terms of degrees {degrees} occur"

@@ -20,6 +20,7 @@ from .fields import substream
 from .linalg import (
     ScalarMatrix,
     kernel,
+    primitive_vector,
     projectively_equal,
     random_invertible,
     rank,
@@ -123,14 +124,14 @@ class HyperplaneChart:
 def chart_for_hyperplane(dual_point, seed=None):
     """Chart for the hyperplane {Σ h_i x_i = 0} from its dual point h.
 
-    Columns are a kernel basis of [h]; with a seed they are mixed by a random
-    invertible change of chart coordinates.
+    Columns are a kernel basis of [h], each scaled to coprime integers; with a
+    seed they are mixed by a random invertible change of chart coordinates.
     """
     if not any(dual_point):
         raise DomainError("dual point must be nonzero")
     n1 = len(dual_point)
-    basis = list(kernel(ScalarMatrix([list(dual_point)])))
-    cols = [list(v) for v in basis]
+    basis = kernel(ScalarMatrix([list(dual_point)]))
+    cols = [list(primitive_vector(v)) for v in basis]
     if seed is not None:
         rng = substream(seed, "chart")
         mix = random_invertible(n1 - 1, rng)

@@ -2,10 +2,12 @@
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input.  ``independent_rows_mod`` is the package's one modular elimination,
-on plain ints mod a prime: ``kernel`` reads the kernel of a tall matrix mod
-p off its reduced rows, lifts it to Q by rational reconstruction and
-re-checks it exactly against every row, with full Bareiss as the fallback.
+input; kernel vectors are back-substituted in integers too, and become
+rationals only entry by entry at the end.  ``independent_rows_mod`` is the
+package's one modular elimination, on plain ints mod a prime: ``kernel``
+reads the kernel of a tall matrix mod p off its reduced rows, lifts it to Q
+by rational reconstruction and re-checks it exactly against every row, with
+full Bareiss as the fallback.
 Pivots are always the first nonzero entry in column order, ties broken by
 row order, so all outputs are deterministic.
 """
@@ -17,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionError, InternalCheckError
-from .fields import DEFAULT_PRIME, coeff_div, norm_coeff
+from .fields import DEFAULT_PRIME, norm_coeff
 
 
 class ScalarMatrix:
@@ -54,24 +56,13 @@ class ScalarMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def mul_vector(self, v):
-        """M·v, exact.  v = scale·w with w coprime integers, so each row is
-        a sum of plain products, multiplied by scale once at the end."""
-        if len(v) != self.cols:
-            raise DimensionError("vector length mismatch")
-        w = primitive_vector(v)
-        j = next((j for j, x in enumerate(w) if x), None)
-        if j is None:
-            return [0] * self.rows
-        scale = Fraction(v[j]) / w[j]
-        return [norm_coeff(sum(map(operator.mul, row, w)) * scale) for row in self.entries]
-
     def __repr__(self):
         return f"ScalarMatrix({self.rows}x{self.cols})"
 
 
 class KernelBasis:
-    """Linearly independent kernel vectors, each re-verified by multiplication."""
+    """Linearly independent kernel vectors, each re-verified by multiplication:
+    M·w = 0 for w, the vector scaled to coprime integers."""
 
     __slots__ = ("vectors", "cols")
 
@@ -79,7 +70,8 @@ class KernelBasis:
         self.cols = matrix.cols
         self.vectors = [list(v) for v in vectors]
         for v in self.vectors:
-            if any(matrix.mul_vector(v)):
+            w = primitive_vector(v)
+            if any(sum(map(operator.mul, row, w)) for row in matrix.entries):
                 raise InternalCheckError("claimed kernel vector fails M·v = 0")
 
     def __len__(self):
@@ -223,16 +215,22 @@ def _lifted_kernel(basis, ncols, p):
 
 
 def _back_substitute(rows, pivots, ncols, free_col):
-    """Kernel vector with 1 in free_col, solving pivot entries bottom-up."""
-    v = [Fraction(0)] * ncols
-    v[free_col] = Fraction(1)
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        if pc > free_col:
-            continue
-        s = sum(rows[r][j] * v[j] for j in range(pc + 1, ncols))
-        v[pc] = -coeff_div(s, rows[r][pc])
-    return [norm_coeff(x) for x in v]
+    """Kernel vector with 1 in free_col, solving pivot entries bottom-up.
+
+    Only the k pivots before free_col take part, and the Bareiss pivot of
+    row k-1 is the k×k minor D of those rows and pivot columns, so by
+    Cramer's rule D times the vector is an integer vector.  It is solved in
+    integers with exact divisions by the pivots, and each entry becomes a
+    rational only at the end; a division that was not exact would fail the
+    kernel's re-check."""
+    k = sum(1 for pc in pivots if pc < free_col)
+    den = rows[k - 1][pivots[k - 1]] if k else 1
+    num = [0] * ncols
+    num[free_col] = den
+    for r in range(k - 1, -1, -1):
+        pc, row = pivots[r], rows[r]
+        num[pc] = -sum(map(operator.mul, row[pc + 1 :], num[pc + 1 :])) // row[pc]
+    return [x // den if x % den == 0 else Fraction(x, den) for x in num]
 
 
 def _kernel_vectors(entries, ncols):
@@ -266,24 +264,6 @@ def kernel(matrix):
             except InternalCheckError:
                 pass
     return KernelBasis(matrix, _kernel_vectors(matrix.entries, matrix.cols))
-
-
-def solve(matrix, b):
-    """One exact solution of M·x = b, or None if the system is inconsistent."""
-    if len(b) != matrix.rows:
-        raise DimensionError("right-hand side length mismatch")
-    rows, pivots = _echelon_rational(
-        [list(row) + [bv] for row, bv in zip(matrix.entries, b)]
-    )
-    if pivots and pivots[-1] == matrix.cols:
-        return None
-    n = matrix.cols
-    x = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = rows[r][n] - sum(rows[r][j] * x[j] for j in range(pc + 1, n))
-        x[pc] = coeff_div(s, rows[r][pc])
-    return [norm_coeff(v) for v in x]
 
 
 def primitive_vector(v):

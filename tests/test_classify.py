@@ -1,8 +1,11 @@
 """Low-dimension equivalence, corollary, and P^4 structure checks."""
 
+import dataclasses
+
 import pytest
 
 from hesse_lab.classify import (
+    _span_coordinates,
     degenerate_image_guard,
     low_dim_hesse_suite,
     low_polar_dim_check,
@@ -104,18 +107,38 @@ def test_p4_sections_corrupted_curve(cubic_psi, cubic_curve):
     corrupted_curve = dict(cubic_curve.curve.terms)
     key = next(iter(corrupted_curve))
     corrupted_curve[key] = -corrupted_curve[key]
-    fake = type(cubic_curve)(
-        precondition=None,
-        span_rank=3,
-        span_basis=cubic_curve.span_basis,
-        curve=Polynomial(3, corrupted_curve),
-        curve_degree=cubic_curve.curve_degree,
-        irreducibility_unverified=True,
-        points_used=cubic_curve.points_used,
-    )
+    fake = dataclasses.replace(cubic_curve, curve=Polynomial(3, corrupted_curve))
     report = p4_section_check(PAPER_CUBIC, cubic_psi, fake, chart_count=3, seed=0)
     assert not report.ok
     assert any("double root" in v for v in report.violations)
+
+
+def test_span_coordinates_read_off_the_echelon_basis(cubic_curve):
+    basis, pivots = cubic_curve.span_basis, cubic_curve.span_pivots
+    assert pivots == (0, 1, 2)
+    z = (3, -7, 11)
+    q = [sum(zk * b[i] for zk, b in zip(z, basis)) for i in range(5)]
+    assert _span_coordinates(basis, pivots, q) == z
+    # a scalar multiple of q has the same primitive coordinates
+    assert _span_coordinates(basis, pivots, [-2 * x for x in q]) == z
+
+
+def test_span_coordinates_outside_the_span_is_none():
+    basis, pivots = ((1, 2, 0, 0), (0, 0, 3, 1)), (0, 2)
+    # agrees with 1·b0 + 1·b1 on the pivot columns, not on column 3
+    assert _span_coordinates(basis, pivots, (1, 2, 3, 2)) is None
+    assert _span_coordinates(basis, pivots, (0, 1, 0, 0)) is None
+    assert _span_coordinates(basis, pivots, (1, 2, 3, 1)) == (1, 1)
+
+
+def test_span_coordinates_negative_pivot_is_sign_normalized():
+    # rows with negative pivots: the coordinates are still primitive with a
+    # positive first nonzero entry, whatever the signs of the pivots
+    basis, pivots = ((-2, 1, 0), (0, -3, 6)), (0, 1)
+    q = [2 * a - 4 * b for a, b in zip(*basis)]   # 2·b0 - 4·b1
+    assert _span_coordinates(basis, pivots, q) == (1, -2)
+    assert _span_coordinates(basis, pivots, [-x for x in q]) == (1, -2)
+    assert _span_coordinates(basis, pivots, [0, -3, 6]) == (0, 1)
 
 
 def test_p4_pipeline_on_gn_instance():

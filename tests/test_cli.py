@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab import cones, hessian, psi, reports
 from hesse_lab.cli import main
@@ -61,6 +63,14 @@ def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
     assert "nonzero homogeneous: terms of degrees 1, 2 occur" in capsys.readouterr().err
     assert main(["analyze", "--poly", "0", "--no-timings"]) == 3
     assert "nonzero homogeneous: the polynomial is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["2", "7/3", "x0 - x0 - 5"])
+def test_analyze_constant_exit_3_degree_0(text, capsys):
+    assert main(["analyze", "--poly", text, "--no-timings"]) == 3
+    err = capsys.readouterr().err
+    assert "nonzero homogeneous: degree 0" in err
+    assert "error:" not in err
 
 
 def test_symbolic_beyond_the_determinant_cap_exit_5(capsys):
@@ -392,3 +402,69 @@ def test_analyze_certifies_relations_above_degree_two(tmp_path, skeleton, degree
     assert r["polar_relation"]["degree"] == degree
     assert r["polar_relation"]["certificate_zero"] is True
     assert r["hessian"]["certificate"] == "polar_relation"
+
+
+# ----------------------------------------------------------------------
+# fuzzed argv: every outcome is a documented exit code, never a traceback
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}
+
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    ),
+    max_size=4,
+)
+
+
+def _poly_text(terms):
+    parts = []
+    for c, exps in terms:
+        factors = [str(c)] + [f"x{i}^{e}" for i, e in enumerate(exps) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+_POLY = st.one_of(
+    _TERMS.map(_poly_text),
+    st.text(alphabet="x0123^*+-/() ", max_size=12),
+)
+_SMALL = st.integers(-1, 6).map(str)
+_SKELETON = ("4", "2", "1", "2", "1", "3")   # a valid n,t,m,hdeg,psideg,d
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["analyze", "generate", "catalog"]))
+    argv = [command]
+    if command == "analyze":
+        if draw(st.integers(0, 9)):
+            argv.append("--poly=" + draw(_POLY))
+        if draw(st.booleans()):
+            argv += ["--max-relation-degree", draw(st.integers(-1, 3).map(str))]
+    elif command == "generate":
+        for flag, value in zip(("n", "t", "m", "hdeg", "psideg", "d"), _SKELETON):
+            if draw(st.integers(0, 9)):
+                argv += [f"--{flag}", draw(st.one_of(st.just(value), _SMALL))]
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            values = [draw(st.one_of(st.just(v), _SMALL)) for v in _SKELETON]
+            argv += ["--types", ",".join(values[: draw(st.integers(5, 7))])]
+        if draw(st.booleans()):
+            argv += ["--count", draw(st.integers(-1, 2).map(str))]
+    if draw(st.booleans()):
+        argv.append("--symbolic")
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "3", "-1", "x"]))]
+    return argv + ["--no-timings"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing the invocation
+        code = exc.code
+    assert code in DOCUMENTED_EXIT_CODES, argv

@@ -1,10 +1,11 @@
-"""Exact rank / kernel / solve over the rationals, and row selection mod p."""
+"""Exact rank / kernel over the rationals, and row selection mod p."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hesse_lab import linalg
 from hesse_lab.errors import DimensionError
@@ -15,9 +16,21 @@ from hesse_lab.linalg import (
     kernel,
     random_invertible,
     rank,
-    solve,
 )
 from hesse_lab.poly import parse
+
+
+def _mul(m, v):
+    """M·v, exact (test-local)."""
+    return [sum(a * x for a, x in zip(row, v)) for row in m.entries]
+
+
+def _solve(m, b):
+    """One exact solution of M·x = b, or None (test-local): the kernel vector
+    of [M | -b] with 1 in its last column.  Every other kernel vector is 0
+    there, since it is 0 at the free columns other than its own."""
+    augmented = ScalarMatrix(m.transpose().entries + [[-x for x in b]]).transpose()
+    return next((v[:-1] for v in kernel(augmented) if v[-1]), None)
 
 
 def test_rank_diagonal():
@@ -49,7 +62,7 @@ def test_kernel_vectors_annihilate(seed=17, cases=30):
         basis = kernel(m)
         assert rank(m) + len(basis) == cols
         for v in basis:
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert all(x == 0 for x in _mul(m, v))
 
 
 def test_rank_invariant_under_permutations(seed=19, cases=20):
@@ -98,7 +111,7 @@ def test_independent_rows_mod_first_maximal_set():
     assert reduced == {0: [1, 2, 0, 1], 2: [0, 0, 1, 1]}
 
 
-def _tall_rank_deficient(rng, rows, cols, inner, fractions):
+def _low_rank_product(rng, rows, cols, inner, fractions):
     """rows x cols product of random rows x inner and inner x cols factors."""
     def entry():
         x = rng.randint(-5, 5)
@@ -122,7 +135,7 @@ def test_kernel_row_selection_matches_full_bareiss(fractions, seed=31, cases=25)
     nonempty = multi = 0
     for _ in range(cases):
         cols = rng.randint(2, 7)
-        m = _tall_rank_deficient(rng, rng.randint(cols + 1, 3 * cols), cols, rng.randint(1, cols), fractions)
+        m = _low_rank_product(rng, rng.randint(cols + 1, 3 * cols), cols, rng.randint(1, cols), fractions)
         full = _kernel_matches_full_bareiss(m)
         nonempty += bool(full)
         multi += len(full) > 1
@@ -191,31 +204,32 @@ def test_kernel_falls_back_when_p_divides_a_minor(monkeypatch):
 
 def test_solve_unique():
     m = ScalarMatrix([[2, 1], [1, 3]])
-    x = solve(m, [5, 10])
-    assert m.mul_vector(x) == [5, 10]
+    x = _solve(m, [5, 10])
+    assert _mul(m, x) == [5, 10]
     assert x == [1, 3]
 
 
 def test_solve_inconsistent_returns_none():
     m = ScalarMatrix([[1, 1], [1, 1]])
-    assert solve(m, [0, 1]) is None
+    assert _solve(m, [0, 1]) is None
 
 
 def test_solve_underdetermined_returns_some_solution():
     m = ScalarMatrix([[1, 1, 1]])
-    x = solve(m, [6])
+    x = _solve(m, [6])
     assert sum(x) == 6
 
 
 def test_solve_dimension_mismatch():
+    # the right-hand side is one column too many: [M | -b] is ragged
     with pytest.raises(DimensionError):
-        solve(ScalarMatrix([[1, 2]]), [1, 2])
+        _solve(ScalarMatrix([[1, 2]]), [1, 2])
 
 
 def test_solve_with_fractions():
     m = ScalarMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]])
-    x = solve(m, [1, 1])
-    assert m.mul_vector(x) == [1, 1]
+    x = _solve(m, [1, 1])
+    assert _mul(m, x) == [1, 1]
 
 
 def test_random_invertible_and_inverse(seed=29):
@@ -225,7 +239,35 @@ def test_random_invertible_and_inverse(seed=29):
     # column j of the inverse solves m·x = e_j
     for j in range(4):
         e = [int(i == j) for i in range(4)]
-        assert m.mul_vector(solve(m, e)) == e
+        assert _mul(m, _solve(m, e)) == e
+
+
+def _sympy_nullspace(m):
+    return [
+        [Fraction(int(x.p), int(x.q)) for x in v]
+        for v in sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]).nullspace()
+    ]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("shape", ["wide", "square"])
+def test_kernel_matches_sympy_nullspace(shape, fractions, seed=37, cases=40):
+    # wide and square matrices take the Bareiss path with integer
+    # back-substitution; both bases are unit at their free column and 0 at
+    # the other free columns, so they agree exactly
+    rng = random.Random(f"{seed}/{shape}/{fractions}")
+    nonempty = 0
+    for _ in range(cases):
+        cols = rng.randint(2, 7)
+        rows = rng.randint(1, cols - 1) if shape == "wide" else cols
+        inner = rng.randint(1, rows)
+        m = _low_rank_product(rng, rows, cols, inner, fractions)
+        expected = _sympy_nullspace(m)
+        got = [list(v) for v in kernel(m)]
+        assert got == expected
+        assert all(type(x) is int or x.denominator > 1 for v in got for x in v)
+        nonempty += bool(got)
+    assert nonempty == cases if shape == "wide" else nonempty >= cases // 2
 
 
 def test_bareiss_exactness_regression():
