@@ -85,6 +85,93 @@ def test_parse_negative_exponent_rejected():
         parse("x0^-2")
 
 
+# (text, keyword arguments, message, position).  A variable's token is its
+# index digits at the position of its name, and the token after the current
+# one is read before the current one is judged, so its lexical error wins.
+MALFORMED = [
+    ("", {}, "expected coefficient, variable, or '(', found ''", 0),
+    ("   ", {}, "expected coefficient, variable, or '(', found ''", 3),
+    ("x0 + * x1", {}, "expected coefficient, variable, or '(', found '*'", 5),
+    ("-", {}, "expected coefficient, variable, or '(', found ''", 1),
+    ("--x0", {}, "expected coefficient, variable, or '(', found '-'", 1),
+    ("()", {}, "expected coefficient, variable, or '(', found ')'", 1),
+    ("x0 x1", {}, "unexpected trailing '1'", 3),
+    ("x0^2 3", {}, "unexpected trailing '3'", 5),
+    ("2^3", {}, "unexpected trailing '^'", 1),
+    ("x0/2", {}, "unexpected trailing '/'", 2),
+    ("1/2/3", {}, "unexpected trailing '/'", 3),
+    ("(x0))", {}, "unexpected trailing ')'", 4),
+    ("x0 + y1", {}, "variable prefix 'y' does not match expected 'x'", 5),
+    ("x0 + x1 y2", {}, "variable prefix 'y' does not match expected 'x'", 8),
+    ("x_0", {}, "variable prefix 'x_' does not match expected 'x'", 0),
+    ("y0 + x1", {"var_prefix": "y"}, "variable prefix 'x' does not match expected 'y'", 5),
+    ("x + x0", {}, "variable needs a numeric index", 0),
+    ("1/x", {}, "variable needs a numeric index", 2),
+    ("(x0 x", {}, "variable needs a numeric index", 4),
+    ("x0^", {}, "expected 'int', found ''", 3),
+    ("x0^x1", {}, "expected 'int', found '1'", 3),
+    ("1/x0", {}, "expected 'int', found '0'", 2),
+    ("x0^-2", {}, "negative exponent", 3),
+    ("3 / 0", {}, "zero denominator", 0),
+    ("(x0 + x1", {}, "expected ')', found ''", 8),
+    ("x0^#", {}, "unexpected character '#'", 3),
+    ("2 * x5 + $", {"nvars": 3}, "unexpected character '$'", 9),
+    ("x9 +", {"nvars": 2}, "expected coefficient, variable, or '(', found ''", 4),
+    ("x3", {"nvars": 2}, "variable index 3 exceeds nvars=2", 0),
+    ("x1 + x0^2", {"nvars": 1}, "variable index 1 exceeds nvars=1", 0),
+]
+
+
+@pytest.mark.parametrize("text, kwargs, message, position", MALFORMED)
+def test_parse_error_message_and_position(text, kwargs, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text, **kwargs)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+_X = sympy.symbols("x0:3")
+_WS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def expression_text(draw, depth=2):
+    """(text, sympy value) of a sum of signed products of a or a/b
+    coefficients, powers of x0..x2 and parenthesized sums, nested up to
+    depth, with whitespace between tokens."""
+    text, value = "", 0
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+", "-"] if k else ["", "+", "-"]))
+        factors, term = [], -1 if sign == "-" else 1
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["coeff", "var", "paren"] if depth else ["coeff", "var"]))
+            if kind == "coeff":
+                a = draw(st.integers(0, 40))
+                b = draw(st.one_of(st.none(), st.integers(1, 9)))
+                factors.append(str(a) if b is None else f"{a}{draw(_WS)}/{draw(_WS)}{b}")
+                term *= sympy.Rational(a, b or 1)
+            elif kind == "var":
+                i, e = draw(st.integers(0, 2)), draw(st.one_of(st.none(), st.integers(0, 4)))
+                factors.append(f"x{i}" if e is None else f"x{i}{draw(_WS)}^{draw(_WS)}{e}")
+                term *= _X[i] ** (1 if e is None else e)
+            else:
+                inner, inner_value = draw(expression_text(depth - 1))
+                factors.append(f"({draw(_WS)}{inner}{draw(_WS)})")
+                term *= inner_value
+        text += f"{draw(_WS)}{sign}{draw(_WS)}" + f"{draw(_WS)}*{draw(_WS)}".join(factors)
+        value += term
+    return text, value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(expression_text())
+def test_parse_matches_sympy_expansion(case):
+    text, value = case
+    expanded = sympy.Poly(sympy.expand(value), *_X)
+    terms = {e: Fraction(int(c.p), int(c.q)) for e, c in expanded.terms()}
+    assert parse(text, nvars=3) == Polynomial(3, terms)
+
+
 def test_print_is_graded_lex_descending():
     f = parse("x1^2 + x0*x2 + x0^2 + x2")
     assert f.to_string() == "x0^2 + x0*x2 + x1^2 + x2"
@@ -463,6 +550,34 @@ def test_exact_div_and_remainder():
     f = parse("x0^2 - x1^2")
     q = f.exact_div(parse("x0 + x1"))
     assert q == parse("x0 - x1")
+    with pytest.raises(InexactDivisionError):
+        parse("x0^2 + x1^2").exact_div(parse("x0 + x1"))
+
+
+@st.composite
+def division_cases(draw):
+    """(a, b, r): a and b in 1-3 variables with Fraction coefficients, b
+    nonconstant, and r nonzero of lower degree than b, so that b divides
+    a·b but not a·b + r."""
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(-6, 6, max_denominator=5).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    a = Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=4)))
+    b = draw(st.dictionaries(exps, coeff, max_size=3))
+    b[draw(exps.filter(any))] = draw(coeff)
+    b = Polynomial(n, b)
+    lower = exps.filter(lambda e: sum(e) < b.degree())
+    return a, b, Polynomial(n, draw(st.dictionaries(lower, coeff, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(division_cases())
+def test_exact_div_inverts_multiplication_and_refuses_non_multiples(case):
+    a, b, r = case
+    assert (a * b).exact_div(b) == a
+    with pytest.raises(InexactDivisionError):
+        (a * b + r).exact_div(b)
 
 
 def test_substream_determinism():
