@@ -284,7 +284,10 @@ def _emit(doc, args, started):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     started = time.time()
     handlers = {
         "analyze": cmd_analyze,

@@ -25,7 +25,7 @@ from .linalg import (
     random_invertible,
     rank,
 )
-from .poly import Polynomial
+from .poly import Polynomial, directional_derivative
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ class VertexSubspace:
     @property
     def is_cone(self):
         return self.projective_dim >= 0
-
-
-def directional_derivative(f, v):
-    acc = Polynomial.zero(f.nvars)
-    for i, vi in enumerate(v):
-        if vi:
-            acc = acc + f.partial(i).scale(vi)
-    return acc
 
 
 def cone_test(f):

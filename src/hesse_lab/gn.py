@@ -21,7 +21,7 @@ from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from .fields import norm_coeff, substream
 from .hessian import PolyMatrix, column_minors, symbolic_determinant
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial, linear_combination, monomials_of_degree
 
 RETRY_BUDGET = 8
 
@@ -202,15 +202,6 @@ def _construction_rows(params):
     return rows
 
 
-def _combination(n1, pairs):
-    """Σ c·p over (scalar c, polynomial p) pairs."""
-    acc = {}
-    for c, p in pairs:
-        for e, v in p.terms.items():
-            acc[e] = acc.get(e, 0) + c * v
-    return Polynomial(n1, acc)
-
-
 def build_Q(params):
     """All Q_ℓ and cofactors by Laplace along the ψ-rows B, with A_ℓ the
     constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
@@ -233,12 +224,12 @@ def build_Q(params):
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
         a_minor = column_minors(a_rows, 0, 1)
-        ms = tuple(_combination(n1, ((sg * a_minor(r), b_minors[T]) for T, r, sg in terms))
+        ms = tuple(linear_combination(n1, ((sg * a_minor(r), b_minors[T]) for T, r, sg in terms))
                    for terms in plan)
         q = sum((mi * x for x, mi in zip(xs, ms)), Polynomial.zero(n1))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
-        if any(_combination(n1, zip(row, ms)) for row in a_rows):
+        if any(linear_combination(n1, zip(row, ms)) for row in a_rows):
             raise InternalCheckError("a cofactor row fails to annihilate a constant row")
         qs.append(q)
         cofactors.append(ms)

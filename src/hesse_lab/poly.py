@@ -17,16 +17,21 @@ place and unpacks once.
 integers, integer gcd, reconstruction from symmetric digits).  It accepts a
 result only after exact trial division and draws larger points until one
 passes, which always happens; the comment above ``_heu_gcd`` proves both.
-Results are monic.
+Results are monic.  ``exact_div`` is the same integer trial division
+(``_int_quotient``) on the primitive integer parts.
+
+``parse`` reads text in one recursive-descent pass over ASCII tokens,
+folding each term into one exponent vector as it goes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
-from .fields import coeff_div, norm_coeff, substream
+from .fields import coeff_div, norm_coeff, rational_content, substream
 
 MINUS_INFINITY = float("-inf")
 
@@ -315,34 +320,22 @@ class Polynomial:
     # ------------------------------------------------------------------
     # division and normalization
 
-    def divmod_by(self, g):
-        """Leading-term division: self = q·g + r with no r-term divisible by lt(g)."""
+    def exact_div(self, g):
+        """self / g, or InexactDivisionError when g does not divide self.
+
+        Trial division of the primitive integer parts, rescaled by the ratio
+        of the contents: by Gauss's lemma their quotient lies in Z[x]
+        whenever it lies in Q[x]."""
         if not g:
             raise DomainError("division by the zero polynomial")
         self._check_compat(g)
-        ge, gc = g.leading()
-        if not any(ge):
-            q = Polynomial(
-                self.nvars, {e: coeff_div(c, gc) for e, c in self.terms.items()}
-            )
-            return q, Polynomial.zero(self.nvars)
-        q = Polynomial.zero(self.nvars)
-        r = self
-        while r:
-            re, rc = r.leading()
-            diff = tuple(a - b for a, b in zip(re, ge))
-            if any(d < 0 for d in diff):
-                break
-            t = Polynomial(self.nvars, {diff: coeff_div(rc, gc)})
-            q = q + t
-            r = r - t * g
-        return q, r
-
-    def exact_div(self, g):
-        q, r = self.divmod_by(g)
-        if r:
+        if not self.terms:
+            return self
+        q = _int_quotient(_primitive_ints(self.terms), _primitive_ints(g.terms))
+        if q is None:
             raise InexactDivisionError("division left a nonzero remainder")
-        return q
+        ratio = rational_content(self.terms.values()) / rational_content(g.terms.values())
+        return Polynomial(self.nvars, {e: c * ratio for e, c in q.items()})
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
@@ -387,71 +380,75 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.to_string()!r})"
 
 
+def linear_combination(nvars, pairs):
+    """Σ c·p over (scalar c, polynomial p) pairs, summed in one dict."""
+    acc = {}
+    for c, p in pairs:
+        if c:
+            for e, v in p.terms.items():
+                acc[e] = acc.get(e, 0) + c * v
+    return Polynomial(nvars, acc)
+
+
+def directional_derivative(f, v):
+    """D_v f = Σ v_i·∂f/∂x_i."""
+    return linear_combination(f.nvars, ((vi, f.partial(i)) for i, vi in enumerate(v) if vi))
+
+
 # ----------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, text, prefix):
-        self.text = text
-        self.prefix = prefix
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def next_token(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        start = self.pos
-        ch = self.text[start]
-        if ch in "+-*^/()":
-            self.pos += 1
-            return (ch, ch, start)
-        if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            self.pos = j
-            return ("int", self.text[start:j], start)
-        if ch.isalpha() or ch == "_":
-            j = start
-            while j < len(self.text) and (self.text[j].isalpha() or self.text[j] == "_"):
-                j += 1
-            name = self.text[start:j]
-            k = j
-            while k < len(self.text) and self.text[k].isdigit():
-                k += 1
-            if name != self.prefix:
-                raise ParseError(
-                    f"variable prefix {name!r} does not match expected {self.prefix!r}",
-                    start,
-                )
-            if k == j:
-                raise ParseError("variable needs a numeric index", start)
-            self.pos = k
-            return ("var", self.text[j:k], start)
-        raise ParseError(f"unexpected character {ch!r}", start)
+# after optional whitespace: ASCII digits, a name and its index digits, or
+# one other character; no group matches at the end of the text
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_]+)([0-9]*)|(\S))?")
+_INDEX = re.compile(r"[A-Za-z_]+([0-9]+)")
 
 
 class _Parser:
-    """Recursive descent over: expr := [sign] term ((+|-) term)*;
-    term := factor (* factor)*; factor := coeff | var [^ int] | ( expr )."""
+    """One recursive descent over: expr := [sign] term ((+|-) term)*;
+    term := factor (* factor)*; factor := coeff | var [^ int] | ( expr ).
 
-    def __init__(self, text, prefix):
-        self.toks = _Tokenizer(text, prefix)
-        self.cur = self.toks.next_token()
+    `cur` is the (kind, value, position) of the next token; a variable's
+    value is its index digits and its position that of its name.  Each term
+    folds its coefficients and variables into one exponent vector with a
+    slot per index in `indices`; only a parenthesized factor is multiplied
+    out."""
+
+    def __init__(self, text, prefix, indices):
+        self.text, self.prefix = text, prefix
+        self.slots = {i: k for k, i in enumerate(indices)}
+        self.width = max(len(indices), 1)
+        self.pos = 0
+        self.advance()
 
     def advance(self):
-        self.cur = self.toks.next_token()
+        m = _TOKEN.match(self.text, self.pos)
+        self.pos = m.end()
+        digits, name, index, other = m.groups()
+        if digits:
+            self.cur = ("int", digits, m.start(1))
+        elif name:
+            if name != self.prefix:
+                raise ParseError(
+                    f"variable prefix {name!r} does not match expected {self.prefix!r}",
+                    m.start(2),
+                )
+            if not index:
+                raise ParseError("variable needs a numeric index", m.start(2))
+            self.cur = ("var", index, m.start(2))
+        elif other is None:
+            self.cur = ("end", "", self.pos)
+        elif other in "+-*^/()":
+            self.cur = (other, other, m.start(4))
+        else:
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
 
     def expect(self, kind):
         if self.cur[0] != kind:
             raise ParseError(f"expected {kind!r}, found {self.cur[1]!r}", self.cur[2])
-        tok = self.cur
+        value = self.cur[1]
         self.advance()
-        return tok
+        return value
 
     def parse(self):
         terms = self.expr()
@@ -459,80 +456,62 @@ class _Parser:
             raise ParseError(f"unexpected trailing {self.cur[1]!r}", self.cur[2])
         return terms
 
+    def sign(self):
+        """Consume a '+' or '-' and return its sign; 1 when there is none."""
+        kind = self.cur[0]
+        if kind not in ("+", "-"):
+            return 1
+        self.advance()
+        return -1 if kind == "-" else 1
+
     def expr(self):
-        sign = 1
-        if self.cur[0] in "+-":
-            sign = -1 if self.cur[0] == "-" else 1
-            self.advance()
-        acc = [(sign, self.term())]
-        while self.cur[0] in "+-":
-            sign = -1 if self.cur[0] == "-" else 1
-            self.advance()
-            acc.append((sign, self.term()))
-        return acc
+        acc = {}
+        sign = self.sign()
+        while True:
+            _add_into(acc, self.term(sign))
+            if self.cur[0] not in ("+", "-"):
+                return acc
+            sign = self.sign()
 
-    def term(self):
-        factors = [self.factor()]
-        while self.cur[0] == "*":
-            self.advance()
-            factors.append(self.factor())
-        return factors
-
-    def factor(self):
-        kind, value, pos = self.cur
-        if kind == "int":
-            self.advance()
-            num = int(value)
-            if self.cur[0] == "/":
+    def term(self, c):
+        e = [0] * self.width
+        inner = []
+        while True:
+            kind, value, pos = self.cur
+            if kind == "int":
                 self.advance()
-                den = int(self.expect("int")[1])
-                if den == 0:
-                    raise ParseError("zero denominator", pos)
-                return ("coeff", Fraction(num, den))
-            return ("coeff", num)
-        if kind == "var":
-            self.advance()
-            idx = int(value)
-            if self.cur[0] == "^":
+                if self.cur[0] == "/":
+                    self.advance()
+                    den = int(self.expect("int"))
+                    if den == 0:
+                        raise ParseError("zero denominator", pos)
+                    c *= Fraction(int(value), den)
+                else:
+                    c *= int(value)
+            elif kind == "var":
                 self.advance()
-                if self.cur[0] == "-":
-                    raise ParseError("negative exponent", self.cur[2])
-                exp = int(self.expect("int")[1])
-                return ("mono", idx, exp)
-            return ("mono", idx, 1)
-        if kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return ("expr", inner)
-        raise ParseError(f"expected coefficient, variable, or '(', found {value!r}", pos)
-
-
-def _eval_parsed(parsed, nvars):
-    """Turn the parse tree into a Polynomial with nvars variables."""
-    acc = {}
-    for sign, factors in parsed:
-        term = Polynomial.constant(nvars, sign)
-        for f in factors:
-            if f[0] == "coeff":
-                term = term.scale(f[1])
-            elif f[0] == "mono":
-                term = term * Polynomial.variable(nvars, f[1]) ** f[2]
+                exp = 1
+                if self.cur[0] == "^":
+                    self.advance()
+                    if self.cur[0] == "-":
+                        raise ParseError("negative exponent", self.cur[2])
+                    exp = int(self.expect("int"))
+                e[self.slots[int(value)]] += exp
+            elif kind == "(":
+                self.advance()
+                inner.append(self.expr())
+                self.expect(")")
             else:
-                term = term * _eval_parsed(f[1], nvars)
-        _add_into(acc, term.terms)
-    return Polynomial(nvars, acc)
-
-
-def _max_index(parsed):
-    best = -1
-    for _, factors in parsed:
-        for f in factors:
-            if f[0] == "mono":
-                best = max(best, f[1])
-            elif f[0] == "expr":
-                best = max(best, _max_index(f[1]))
-    return best
+                raise ParseError(f"expected coefficient, variable, or '(', found {value!r}", pos)
+            if self.cur[0] != "*":
+                break
+            self.advance()
+        if not c:
+            return {}
+        term = {tuple(e): c}
+        for p in inner:
+            term = (Polynomial(self.width, term) * Polynomial(self.width, p)).terms
+        return term
 
 
 def parse(text, var_prefix="x", nvars=None):
@@ -541,13 +520,23 @@ def parse(text, var_prefix="x", nvars=None):
     The variable count defaults to one more than the largest index used
     (at least 1); pass ``nvars`` to embed in a larger variable set.
     """
-    parsed = _Parser(text, var_prefix).parse()
-    inferred = _max_index(parsed) + 1
-    if nvars is None:
-        nvars = max(inferred, 1)
-    elif inferred > nvars:
+    # the pass keeps one exponent slot per index used, so that no tuple as
+    # wide as the largest index is built before the text is known to parse
+    indices = sorted({int(i) for i in _INDEX.findall(text)})
+    terms = _Parser(text, var_prefix, indices).parse()
+    inferred = indices[-1] + 1 if indices else 0
+    width = max(inferred, 1) if nvars is None else nvars
+    if inferred > width:
         raise ParseError(f"variable index {inferred - 1} exceeds nvars={nvars}", 0)
-    return _eval_parsed(parsed, nvars)
+    if len(indices) < width:  # some index is unused
+        def spread(e):
+            full = [0] * width
+            for i, a in zip(indices, e):
+                full[i] = a
+            return tuple(full)
+
+        terms = {spread(e): c for e, c in terms.items()}
+    return Polynomial(width, terms)
 
 
 # ----------------------------------------------------------------------
@@ -804,10 +793,7 @@ def is_reduced(f, seed=0):
         v = [rng.randint(-9, 9) for _ in range(f.nvars)]
         if not any(v):
             v[0] = 1
-        dv = Polynomial.zero(f.nvars)
-        for i, vi in enumerate(v):
-            if vi:
-                dv = dv + f.partial(i).scale(vi)
+        dv = directional_derivative(f, v)
         if not dv:
             # degree-0 input or a degenerate direction: gcd(f, 0) = f
             if f.degree() == 0:

@@ -22,7 +22,7 @@ from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
 from .hessian import hessian_matrix, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
-from .poly import Polynomial, gcd_list, monomials_of_degree
+from .poly import Polynomial, gcd_list, linear_combination, monomials_of_degree
 
 DEFAULT_MAX_RELATION_DEGREE = 8
 
@@ -41,32 +41,27 @@ class PolarRelation:
     degree: int
     raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
     certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f); must be zero
-    parts: tuple = None           # (∂_jG)(F); the g_i themselves when W is everything
+    parts: tuple                  # (∂_jG)(F)
 
     def __post_init__(self):
         if not self.g:
             raise DomainError("a polar relation must be a nonzero polynomial")
         if not self.certificate.is_zero():
             raise InternalCheckError("polar relation certificate is nonzero")
-        if self.parts is None:
-            object.__setattr__(self, "parts", self.raw)
 
     @classmethod
-    def from_partials(cls, G, forms, span=None):
+    def from_partials(cls, G, forms, span):
         """Certify G(F) ≡ 0 for the forms F_j = ⟨w_j, ∇f⟩ of the rows of
-        span, or of the unit rows (F = ∇f, g = G) when span is None; None
-        when the certificate is nonzero, so G is no relation.  G and the
-        compositions are scaled so that g has coprime integer coefficients
-        and a positive leading one."""
+        span; None when the certificate is nonzero, so G is no relation.
+        G and the compositions are scaled so that g has coprime integer
+        coefficients and a positive leading one."""
+        n = forms[0].nvars
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
-        euler = sum((F * p for F, p in zip(forms, parts)), Polynomial.zero(forms[0].nvars))
+        euler = sum((F * p for F, p in zip(forms, parts)), Polynomial.zero(n))
         if euler:
             return None
-        if span is None:
-            g, raw = G, parts
-        else:
-            g = G.compose([Polynomial.linear_form(w) for w in span])
-            raw = [_combination([w[i] for w in span], parts) for i in range(g.nvars)]
+        g = G.compose([Polynomial.linear_form(w) for w in span])
+        raw = [linear_combination(n, zip((w[i] for w in span), parts)) for i in range(g.nvars)]
         scale = 1 / rational_content(g.terms.values())
         if g.leading()[1] < 0:
             scale = -scale
@@ -135,15 +130,6 @@ def _monomial_row(forms, point, monos):
     return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
 
 
-def _combination(coeffs, polys):
-    """Σ_j coeffs[j]·polys[j], skipping zero coefficients."""
-    acc = Polynomial.zero(polys[0].nvars)
-    for c, p in zip(coeffs, polys):
-        if c:
-            acc = acc + p.scale(c)
-    return acc
-
-
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
@@ -168,7 +154,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
     partials = f.gradient()
-    forms = [_combination(w, partials) for w in span]
+    forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
     for e in range(1, max_degree + 1):
         monos = monomials_of_degree(len(span), e)
         # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid

@@ -56,6 +56,9 @@ def test_analyze_exit_codes(tmp_path):
     assert main(["analyze", "--poly", "x0^2+x1"]) == 3
     assert main(["analyze", "--poly", "x0 + * x1"]) == 2
     assert main(["analyze", "--poly", "x0 + y1"]) == 2
+    # non-ASCII digits and letters are no part of the grammar
+    for text in ("x0^²", "x٣", "é"):
+        assert main(["analyze", "--poly", text]) == 2, text
 
 
 def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
@@ -192,9 +195,7 @@ def test_options_only_on_subcommands_that_read_them(tmp_path):
         # the ψ_g image is sampled over Q only, so no subcommand takes --field
         ("analyze", "--poly", PAPER_CUBIC, "--field", "p:5"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2, argv
+        assert main(list(argv)) == 2, argv
 
 
 def test_verify_mutation_control(tmp_path):
@@ -204,9 +205,7 @@ def test_verify_mutation_control(tmp_path):
 
 
 def test_verify_unknown_suite_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "bogus"])
-    assert exc.value.code == 2
+    assert main(["verify", "--suite", "bogus"]) == 2
 
 
 def test_verify_all_deterministic(tmp_path):
@@ -428,7 +427,7 @@ def _poly_text(terms):
 
 _POLY = st.one_of(
     _TERMS.map(_poly_text),
-    st.text(alphabet="x0123^*+-/() ", max_size=12),
+    st.text(alphabet="x0123^*+-/() ²٣é", max_size=12),
 )
 _SMALL = st.integers(-1, 6).map(str)
 _SKELETON = ("4", "2", "1", "2", "1", "3")   # a valid n,t,m,hdeg,psideg,d
@@ -463,8 +462,4 @@ def _argv(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_argv())
 def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refusing the invocation
-        code = exc.code
-    assert code in DOCUMENTED_EXIT_CODES, argv
+    assert main(argv) in DOCUMENTED_EXIT_CODES, argv

@@ -130,6 +130,21 @@ def test_parse_error_message_and_position(text, kwargs, message, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x0^²", "unexpected character '²'", 3),
+        ("x٣", "variable needs a numeric index", 0),
+        ("x0 + é", "unexpected character 'é'", 5),
+    ],
+)
+def test_parse_grammar_is_ascii(text, message, position):
+    # str.isdigit admits '²' and '٣', which int rejects or reads as 3
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 _X = sympy.symbols("x0:3")
 _WS = st.sampled_from(["", "", " ", "  ", "\t"])
 

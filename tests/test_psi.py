@@ -72,10 +72,12 @@ def test_certificate_by_euler_rejects_a_non_relation():
     # g = y0*y1 is no relation: (1/2)·(f_0·g_0 + f_1·g_1) = f_0·f_1 != 0
     g = parse("y0*y1", var_prefix="y", nvars=5)
     f0, f1, *_ = partials = PAPER_CUBIC.gradient()
-    assert PolarRelation.from_partials(g, partials) is None
+    unit = [tuple(int(i == j) for i in range(5)) for j in range(5)]
+    assert PolarRelation.from_partials(g, partials, unit) is None
     zero = Polynomial.zero(5)
+    raw = (f1, f0, zero, zero, zero)
     with pytest.raises(InternalCheckError, match="certificate is nonzero"):
-        PolarRelation(g=g, degree=2, raw=(f1, f0, zero, zero, zero), certificate=f0 * f1)
+        PolarRelation(g=g, degree=2, raw=raw, certificate=f0 * f1, parts=raw)
 
 
 def test_polar_relation_none_for_fermat():
