@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
-from .hessian import DEFAULT_SIZE_CAP, hessian_matrix, hessian_vanishes, sample_kernels
+from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, sample_kernels
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
@@ -150,13 +150,12 @@ def cmd_analyze(args):
         )
     n1, d = f.nvars, f.degree()
     _check_symbolic(n1, args)
-    h = hessian_matrix(f)
-    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed, hessian=h)
+    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed)
     vertex = cone_test(f)
     if vertex.is_cone:
         verdict = verdict.upgraded("cone_vertex")
     # one sample of H_f gives the polar image's dimension and W for the search
-    sample = sample_kernels(h, seed=args.seed) if d >= 2 else None
+    sample = sample_kernels(f, seed=args.seed) if d >= 2 else None
     results = {
         "hessian": hessian_block(verdict),
         "cone": cone_block(vertex),

@@ -2,7 +2,7 @@
 
 A hypersurface V(f) is a cone iff its partials are linearly dependent; the
 vertex is the kernel of v ↦ Σ v_i·∂f/∂x_i, which is pure linear algebra over
-the coefficient vectors of the partials.  Hyperplanes are handled through
+the coefficients of the partials, read straight from the terms of f.  Hyperplanes are handled through
 explicit parametrizations so no implicit coordinate convention sneaks in.
 """
 
@@ -41,13 +41,28 @@ class VertexSubspace:
 
 
 def cone_test(f):
-    """Vertex of V(f) as the kernel of the directional-derivative map."""
+    """Vertex of V(f) as the kernel of the directional-derivative map.
+
+    Its matrix has a row per monomial of the partials and a column per
+    variable: the term c·x^e puts c·e_i in column i of the row of x^(e−ε_i).
+    The reduced kernel basis depends on the row space alone, so the order
+    of the rows does not matter."""
     if not f or not f.is_homogeneous():
         raise DomainError("cone_test expects a nonzero homogeneous polynomial")
-    partials = f.gradient()
-    coeff_matrix = ScalarMatrix.from_polynomials(partials)
-    # v ↦ Σ v_i f_i reads the coefficient rows as columns
-    basis = kernel(coeff_matrix.transpose())
+    n = f.nvars
+    rows = {}
+    for e, c in f.terms.items():
+        m = list(e)
+        for i, x in enumerate(e):
+            if x:
+                m[i] = x - 1
+                key = tuple(m)
+                m[i] = x
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [0] * n
+                row[i] = c * x
+    basis = kernel(ScalarMatrix(list(rows.values())))
     vectors = tuple(tuple(v) for v in basis)
     for v in vectors:
         if directional_derivative(f, v):

@@ -34,17 +34,13 @@ def coeff_div(a, b):
 def rational_content(coeffs):
     """Positive rational c such that dividing the coefficients by c leaves
     coprime integers.  Input must be nonempty rational coefficients."""
-    nums, dens = [], []
+    g, l = 0, 1
     for c in coeffs:
-        f = c if isinstance(c, Fraction) else Fraction(c)
-        nums.append(abs(f.numerator))
-        dens.append(f.denominator)
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
+        if type(c) is int:
+            g = math.gcd(g, c)
+        else:
+            g = math.gcd(g, c.numerator)
+            l = math.lcm(l, c.denominator)
     return Fraction(g, l)
 
 

@@ -1,16 +1,19 @@
 """Hessian matrices, symbolic determinants, and vanishing verdicts.
 
 `hessian_vanishes` decides h_f ≡ 0.  By default it evaluates H_f exactly at
-seeded integer points with coordinates in range(N), N = 2^61 - 1: a point of
+seeded integer points with coordinates in range(N), N = 2^61 - 1, reading
+H_f(a) straight from the terms of f (`hessian_at`): a point of
 full rank is an exact witness of h_f ≠ 0, else the verdict "vanishes" carries the
 Schwartz-Zippel bound (D/N)^t, with t the fewest trials that put it below
 2^-40.  A cone vertex or a re-checked polar relation g(∇f) ≡ 0 (the
 Gordan-Noether criterion) later makes it exact.  `sample_kernels` evaluates
 H_f at a second seeded stream and reads off both the generic rank, behind
 the polar image's dimension, and W, the span of the exact kernels, on which
-the relation search runs.  The symbolic determinant, by
-minor expansion over memoized column subsets, serves `--symbolic` and the GN
-ψ-row minors; fraction-free Bareiss elimination is the tests' oracle for it.
+the relation search runs.  The matrix of second partials (`hessian_matrix`)
+is built only for `--symbolic` and for points with a zero coordinate.  The
+symbolic determinant, by minor expansion over memoized column subsets,
+serves `--symbolic` and the GN ψ-row minors; fraction-free Bareiss
+elimination is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
-from .fields import DEFAULT_PRIME, substream
+from .fields import DEFAULT_PRIME, norm_coeff, substream
 from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
@@ -97,6 +100,48 @@ def hessian_matrix(f):
             entries[i][j] = grads[i].partial(j)
             entries[j][i] = entries[i][j]
     return PolyMatrix(entries)
+
+
+def hessian_at(f, a):
+    """H_f(a), read from the terms of f without expanding a second partial.
+
+    Euler's identity on a monomial, x_i·x_j·∂_i∂_j x^e = e_i·(e_j − δ_ij)·x^e,
+    gives K = Σ_t c_t·a^(e_t)·(e_t·e_tᵀ − diag e_t) = D·H_f(a)·D with
+    D = diag(a): one monomial value per term, from a table of powers, and
+    small-integer multiply-adds.  Then H_ij = K_ij / (a_i·a_j) exactly.  A
+    point with a zero coordinate goes through `hessian_matrix` instead."""
+    if not f:
+        raise DomainError("Hessian of the zero polynomial")
+    n = f.nvars
+    if not all(a):
+        return hessian_matrix(f).evaluate(a)
+    top = max(map(max, f.terms))
+    powers = []
+    for x in a:
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+    k = [[0] * n for _ in range(n)]
+    for e, c in f.terms.items():
+        support = [(i, x) for i, x in enumerate(e) if x]
+        v = c
+        for i, x in support:
+            v *= powers[i][x]
+        for s, (i, x) in enumerate(support):
+            vx = v * x
+            row = k[i]
+            row[i] += vx * (x - 1)
+            for j, y in support[s + 1 :]:
+                row[j] += vx * y
+    for i in range(n):
+        for j in range(i, n):
+            h = k[i][j]
+            if h:
+                d = a[i] * a[j]
+                h = h // d if type(h) is int and type(d) is int else h / d
+            k[i][j] = k[j][i] = norm_coeff(h)
+    return ScalarMatrix(k)
 
 
 def column_minors(rows, zero, one):
@@ -189,30 +234,28 @@ def _seeded_point(nvars, seed, label, i):
     return [rng.randrange(DEFAULT_PRIME) for _ in range(nvars)]
 
 
-def _seeded_max_rank(h, count, seed, label):
-    """Max rank of h at up to `count` seeded points, stopping at full rank;
+def _seeded_max_rank(f, count, seed, label):
+    """Max rank of H_f at up to `count` seeded points, stopping at full rank;
     returns (rank, points used)."""
     best = 0
     for i in range(count):
-        best = max(best, rank(h.evaluate(_seeded_point(h.nvars, seed, label, i))))
-        if best == h.rows:
+        best = max(best, rank(hessian_at(f, _seeded_point(f.nvars, seed, label, i))))
+        if best == f.nvars:
             return best, i + 1
     return best, count
 
 
-def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0, hessian=None):
+def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
     """Decide h_f ≡ 0 by seeded points, stopping at the first witness of
     h_f ≠ 0, or by the symbolic determinant when mode is "symbolic".
-    `trials` defaults to the count that `trials_for_error` gives; `hessian`
-    is H_f when the caller has built it already."""
+    `trials` defaults to the count that `trials_for_error` gives."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
-    h = hessian or hessian_matrix(f)
     degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
     if mode == "symbolic":
-        det = symbolic_determinant(h)
+        det = symbolic_determinant(hessian_matrix(f))
         return HessianVerdict(
             mode="symbolic",
             vanishes=det.is_zero(),
@@ -228,7 +271,7 @@ def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0, hessian=None)
         trials = trials_for_error(degree_bound)
     if trials < 1:
         raise DomainError("probabilistic mode needs trials >= 1")
-    best, used = _seeded_max_rank(h, trials, seed, "hessian_vanishes")
+    best, used = _seeded_max_rank(f, trials, seed, "hessian_vanishes")
     witness = best == f.nvars  # det H(a) != 0 proves h_f != 0
     return HessianVerdict(
         mode="probabilistic",
@@ -251,8 +294,8 @@ class KernelSample:
     points: int                    # points evaluated; the last one added nothing to W
 
 
-def sample_kernels(h, seed=0):
-    """Exact kernels of the Hessian matrix h at the seeded points that
+def sample_kernels(f, seed=0):
+    """Exact kernels of H_f at the seeded points that
     `generic_hessian_rank` reads, drawn until DEFAULT_SAMPLES points are in
     and the last one adds nothing to their span W, or until one has full
     rank.
@@ -261,13 +304,14 @@ def sample_kernels(h, seed=0):
     `generic_hessian_rank`.  A sampled W can only be too small: every
     kernel lies in the true span.
     """
+    n = f.nvars
     best, span = 0, ()
     for i in itertools.count():
-        vectors = kernel(h.evaluate(_seeded_point(h.nvars, seed, "generic_rank", i))).vectors
+        vectors = kernel(hessian_at(f, _seeded_point(n, seed, "generic_rank", i))).vectors
         if i < DEFAULT_SAMPLES:
-            best = max(best, h.rows - len(vectors))
+            best = max(best, n - len(vectors))
         grown = reduced_row_basis([*span, *vectors])
-        if best == h.rows or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
+        if best == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
             return KernelSample(rank=best, span=grown, points=i + 1)
         span = grown
 
@@ -284,7 +328,7 @@ def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0):
         raise DomainError("polar map is constant for degree < 2; dimension undefined")
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    return _seeded_max_rank(hessian_matrix(f), samples, seed, "generic_rank")[0]
+    return _seeded_max_rank(f, samples, seed, "generic_rank")[0]
 
 
 def polar_image_dim(f, samples=DEFAULT_SAMPLES, seed=0):

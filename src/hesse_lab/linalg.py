@@ -159,8 +159,8 @@ def independent_rows_mod(rows, p):
     matrix that are linearly independent mod a prime p, and those rows in
     reduced echelon form mod p: a dict from each pivot column to a row with 1
     there and 0 at every other pivot.  A row depends on them exactly when it
-    reduces to zero; their count is the rank mod p."""
-    ncols = len(rows[0])
+    reduces to zero; their count is the rank mod p.  `rows` may be any
+    iterable; rows after the first full-rank set are never read."""
     basis = {}  # pivot column -> reduced chosen row
     chosen = []
     for i, row in enumerate(rows):
@@ -182,7 +182,7 @@ def independent_rows_mod(rows, p):
                 b[:] = [(x - f * y) % p for x, y in zip(b, row)]
         basis[lead] = row
         chosen.append(i)
-        if len(chosen) == ncols:
+        if len(chosen) == len(row):
             break
     return chosen, basis
 
@@ -255,8 +255,7 @@ def kernel(matrix):
     span alone.  A failed lift or re-check runs full Bareiss instead.
     """
     if matrix.rows > matrix.cols:
-        ints = [_clear_denominators(row) for row in matrix.entries]
-        _, basis = independent_rows_mod(ints, DEFAULT_PRIME)
+        _, basis = independent_rows_mod(map(_clear_denominators, matrix.entries), DEFAULT_PRIME)
         lifted = _lifted_kernel(basis, matrix.cols, DEFAULT_PRIME)
         if lifted is not None:
             try:

@@ -21,12 +21,15 @@ Results are monic.  ``exact_div`` is the same integer trial division
 (``_int_quotient``) on the primitive integer parts.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
-folding each term into one exponent vector as it goes.
+folding each term into one exponent vector as it goes, and refuses a
+variable index past ``MAX_VARIABLE_INDEX``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -402,6 +405,18 @@ def directional_derivative(f, v):
 # one other character; no group matches at the end of the text
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_]+)([0-9]*)|(\S))?")
 _INDEX = re.compile(r"[A-Za-z_]+([0-9]+)")
+# The largest variable index `parse` accepts.  Exponent tuples are as wide as
+# the largest index, and no exact kernel here finishes on a thousand variables.
+MAX_VARIABLE_INDEX = 999
+
+
+def _capped_index(digits):
+    """The index that ASCII digits spell, or None past MAX_VARIABLE_INDEX; a
+    long digit string is refused by its length, before any conversion."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VARIABLE_INDEX)) or int(digits) > MAX_VARIABLE_INDEX:
+        return None
+    return int(digits)
 
 
 class _Parser:
@@ -435,6 +450,10 @@ class _Parser:
                 )
             if not index:
                 raise ParseError("variable needs a numeric index", m.start(2))
+            if _capped_index(index) is None:
+                raise ParseError(
+                    f"variable index exceeds the cap {MAX_VARIABLE_INDEX}", m.start(3)
+                )
             self.cur = ("var", index, m.start(2))
         elif other is None:
             self.cur = ("end", "", self.pos)
@@ -522,7 +541,7 @@ def parse(text, var_prefix="x", nvars=None):
     """
     # the pass keeps one exponent slot per index used, so that no tuple as
     # wide as the largest index is built before the text is known to parse
-    indices = sorted({int(i) for i in _INDEX.findall(text)})
+    indices = sorted({i for i in map(_capped_index, _INDEX.findall(text)) if i is not None})
     terms = _Parser(text, var_prefix, indices).parse()
     inferred = indices[-1] + 1 if indices else 0
     width = max(inferred, 1) if nvars is None else nvars
@@ -668,26 +687,35 @@ def _int_quotient(a, h):
     """a / h in Z[x], or None when h does not divide a there.  Lex-leading-term
     division stops at the first term that proves the division inexact: one
     not divisible by the leading term of h, or one beyond the degree of the
-    quotient in some variable, deg_j(a) - deg_j(h)."""
+    quotient in some variable, deg_j(a) - deg_j(h).  The remainder's
+    exponents wait, negated, in a min-heap, so each step finds its leading
+    term without a scan; a cancelled exponent is skipped when it comes up."""
     cap = tuple(x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*h))))
     he = max(h)
     hc = h[he]
     r = dict(a)
+    heap = [tuple(map(operator.neg, e)) for e in r]
+    heapq.heapify(heap)
     q = {}
-    while r:
-        re = max(r)
-        d = tuple(x - y for x, y in zip(re, he))
-        if any(x < 0 or x > c for x, c in zip(d, cap)):
+    while heap:
+        re = tuple(map(operator.neg, heapq.heappop(heap)))
+        if re not in r:
+            continue
+        d = tuple(map(operator.sub, re, he))
+        if min(d) < 0 or any(map(operator.gt, d, cap)):
             return None
         qc, rem = divmod(r[re], hc)
         if rem:
             return None
         q[d] = qc
         for e, c in h.items():
-            k = tuple(x + y for x, y in zip(e, d))
-            s = r.get(k, 0) - qc * c
-            if s:
-                r[k] = s
+            k = tuple(map(operator.add, e, d))
+            s = r.get(k)
+            if s is None:
+                r[k] = -qc * c
+                heapq.heappush(heap, tuple(map(operator.neg, k)))
+            elif s != qc * c:
+                r[k] = s - qc * c
             else:
                 del r[k]
     return q

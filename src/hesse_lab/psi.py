@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
-from .hessian import hessian_matrix, sample_kernels
+from .hessian import sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_list, linear_combination, monomials_of_degree
 
@@ -150,7 +150,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     if not f or not f.is_homogeneous() or f.degree() < 2:
         raise DomainError("expects a homogeneous polynomial of degree >= 2")
     if span is None:
-        span = sample_kernels(hessian_matrix(f)).span
+        span = sample_kernels(f).span
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
     partials = f.gradient()

@@ -7,6 +7,8 @@ rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
+
 from .classify import (
     degenerate_image_guard,
     low_dim_hesse_suite,
@@ -223,11 +225,29 @@ def run_lowdim_suite(count, seed):
     }
 
 
-def gn_entry(skel, seed, mode="probabilistic"):
+def _draw(skel, seed):
+    """The seeded GN instance of skel."""
+    return random_instance(skel, seed=seed)
+
+
+def _relation_and_psi(f):
+    """The polar relation of f and its ψ_g, or (None, None)."""
+    rel = find_polar_relation(f)
+    return rel, (build_psi(f, rel) if rel is not None else None)
+
+
+def _paper_cubic():
+    """(f, relation, ψ_g) for the paper cubic, which the psi and p4 suites
+    both read."""
+    f = parse(PAPER_CUBIC_TEXT)
+    return (f, *_relation_and_psi(f))
+
+
+def gn_entry(skel, seed, mode="probabilistic", draw=_draw):
     """Draw the seeded instance of skel and decide it once: the Hessian
     verdict, the vertex the draw already computed, and the core multiplicity.
     Returns the instance, the verdict and the report entry."""
-    inst = random_instance(skel, seed=seed)
+    inst = draw(skel, seed)
     verdict = hessian_vanishes(inst.f, mode=mode, seed=seed)
     entry = {
         "type": [skel.n, skel.t, skel.m],
@@ -246,13 +266,13 @@ def gn_entry(skel, seed, mode="probabilistic"):
     return inst, verdict, entry
 
 
-def run_gn_suite(count, seed):
+def run_gn_suite(count, seed, draw=_draw):
     entries = []
     violations = []
     for skel in GN_SUITE_SKELETONS:
         cones = 0
         for i in range(count):
-            _, _, entry = gn_entry(skel, seed + i)
+            _, _, entry = gn_entry(skel, seed + i, draw=draw)
             if not entry["vanishes"]:
                 violations.append(f"{skel} seed {seed + i}: Hessian does not vanish")
             if entry["core_multiplicity"] != skel.d - entry["mu"]:
@@ -281,12 +301,12 @@ def _mutated(psi):
     )
 
 
-def run_psi_suite(seed, mutate=False):
-    f = parse(PAPER_CUBIC_TEXT)
-    rel = find_polar_relation(f)
+def run_psi_suite(seed, mutate=False, paper_cubic=None):
+    """The ψ_g identity battery on the paper cubic; `mutate` corrupts this
+    suite's own copy of ψ_g, so the suite must fail."""
+    f, rel, psi = paper_cubic or _paper_cubic()
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
-    psi = build_psi(f, rel)
     if mutate:
         psi = _mutated(psi)
     block["psi"] = psi_block(psi)
@@ -314,21 +334,23 @@ def p4_classification(f, psi, seed, chart_count=5):
     return block, curve.ok and sections.ok, image
 
 
-def run_p4_suite(seed, instances=5, chart_count=5):
+def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None):
     cases = []
     violations = []
-    inputs = [("paper_cubic", parse(PAPER_CUBIC_TEXT))]
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
-    for i in range(instances):
-        inputs.append((f"gn_421_3_seed{seed + i}", random_instance(skel, seed=seed + i).f))
-    for name, f in inputs:
-        rel = find_polar_relation(f)
+
+    def inputs():
+        yield ("paper_cubic", *(paper_cubic or _paper_cubic()))
+        for i in range(instances):
+            f = draw(skel, seed + i).f
+            yield (f"gn_421_3_seed{seed + i}", f, *_relation_and_psi(f))
+
+    for name, f, rel, psi in inputs():
         if rel is None:
             violations.append(
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        psi = build_psi(f, rel)
         block, _, image = p4_classification(f, psi, seed, chart_count=chart_count)
         guard = degenerate_image_guard(f, image)
         if not block["plane_curve"]["ok"]:
@@ -351,11 +373,17 @@ def run_p4_suite(seed, instances=5, chart_count=5):
 
 
 def run_all_suites(count, seed, mutate=False):
+    """Every suite once.  The gn and p4 suites share their GN draws, and the
+    psi and p4 suites the paper cubic's relation and ψ_g."""
+    draw = functools.cache(_draw)
+    paper_cubic = _paper_cubic()
     blocks = {
         "lowdim": run_lowdim_suite(count, seed),
-        "gn": run_gn_suite(count, seed),
-        "psi": run_psi_suite(seed, mutate=mutate),
-        "p4": run_p4_suite(seed, instances=3, chart_count=3),
+        "gn": run_gn_suite(count, seed, draw=draw),
+        "psi": run_psi_suite(seed, mutate=mutate, paper_cubic=paper_cubic),
+        "p4": run_p4_suite(
+            seed, instances=3, chart_count=3, draw=draw, paper_cubic=paper_cubic
+        ),
     }
     blocks["ok"] = all(b["ok"] for b in blocks.values())
     return blocks

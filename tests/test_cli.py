@@ -61,6 +61,16 @@ def test_analyze_exit_codes(tmp_path):
         assert main(["analyze", "--poly", text]) == 2, text
 
 
+@pytest.mark.parametrize(
+    "text, position", [("x999999999", 1), ("x0 + x1000", 6), ("x0*x" + "9" * 5000, 4)]
+)
+def test_analyze_variable_index_past_the_cap_exit_2(text, position, capsys):
+    # refused by the parser, before an exponent tuple as wide as the index
+    assert main(["analyze", "--poly", text]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: variable index exceeds the cap 999 (at position {position})\n"
+
+
 def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
     assert main(["analyze", "--poly", "x0^2+x1", "--no-timings"]) == 3
     assert "nonzero homogeneous: terms of degrees 1, 2 occur" in capsys.readouterr().err
@@ -335,6 +345,24 @@ def test_default_route_never_expands_the_determinant(tmp_path, monkeypatch):
         main(["analyze", "--poly", PAPER_CUBIC, "--symbolic"])
 
 
+class SecondPartialsBuilt(Exception):
+    pass
+
+
+def test_default_route_never_builds_the_second_partials(tmp_path, monkeypatch):
+    # H_f(a) and the vertex matrix are read from the terms of f; the matrix
+    # of second partials serves --symbolic and points with a zero coordinate
+    def refuse(*args, **kwargs):
+        raise SecondPartialsBuilt
+
+    _patch_everywhere(monkeypatch, hessian.hessian_matrix, refuse)
+    gn_form = random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=0).f.to_string("x")
+    assert run(tmp_path, "analyze", "--poly", gn_form)[0] == 0
+    assert run(tmp_path, "catalog", "--types", "7,5,1,2,1,6", "--types", "4,2,1,2,1,3")[0] == 0
+    with pytest.raises(SecondPartialsBuilt):
+        main(["analyze", "--poly", gn_form, "--symbolic"])
+
+
 def _patch_everywhere(monkeypatch, original, replacement):
     """Rebind every package-level name that holds original."""
     for key, module in list(sys.modules.items()):
@@ -367,6 +395,30 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
             # f itself once, then each of the five hyperplane sections once
             per_function = Counter(name for name, _ in calls.elements())
             assert per_function == {"hessian_vanishes": 6, "cone_test": 6, "sample_polar_image": 1}
+
+
+def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):
+    # the gn and p4 suites share the GN draws of 4,2,1,2,1,3 at each seed,
+    # and the psi and p4 suites the paper cubic's relation and ψ_g
+    draws, searches = Counter(), Counter()
+    originals = (reports.random_instance, psi.find_polar_relation)
+
+    def drawn(skel, seed):
+        draws[skel, seed] += 1
+        return originals[0](skel, seed=seed)
+
+    def searched(f, *args, **kwargs):
+        searches[f.to_string("x")] += 1
+        return originals[1](f, *args, **kwargs)
+
+    _patch_everywhere(monkeypatch, originals[0], drawn)
+    _patch_everywhere(monkeypatch, originals[1], searched)
+    assert run(tmp_path, "verify", "--suite", "all", "--count", "2")[0] == 0
+    shared = GNSkeleton(4, 2, 1, 2, 1, 3)
+    assert draws[shared, 0] == draws[shared, 1] == draws[shared, 2] == 1
+    assert set(draws.values()) == {1}
+    assert searches[PAPER_CUBIC] == 1
+    assert set(searches.values()) == {1}
 
 
 def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):

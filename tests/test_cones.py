@@ -18,8 +18,9 @@ from hesse_lab.cones import (
     translation_invariant,
 )
 from hesse_lab.fields import substream
+from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
-from hesse_lab.linalg import random_invertible
+from hesse_lab.linalg import ScalarMatrix, kernel, random_invertible
 from hesse_lab.poly import Polynomial, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -34,6 +35,39 @@ def test_paper_cubic_not_a_cone():
     v = cone_test(PAPER_CUBIC)
     assert v.projective_dim == -1
     assert not v.is_cone
+
+
+def _gn_form(skeleton, seed):
+    return random_instance(GNSkeleton(*skeleton), seed=seed).f
+
+
+def _conjugate(f, seed):
+    return apply_linear_change(f, random_invertible(f.nvars, substream(seed, "test_conjugate")))
+
+
+@pytest.mark.parametrize(
+    "f, vertex_dim",
+    [
+        (parse("x0^3 + x1^3", nvars=4), 1),
+        (_conjugate(parse("x0^3 + x1^3", nvars=4), 0), 1),
+        (parse("1/2*x0^2*x1 - 2/3*x1^3 + x0*x1*x2", nvars=5), 1),
+        (_conjugate(PAPER_CUBIC.extend(6), 1), 0),
+        (PAPER_CUBIC, -1),
+        (_gn_form((4, 2, 1, 2, 1, 3), 0), -1),
+        (_gn_form((4, 2, 1, 2, 1, 3), 1).extend(6), 0),
+        (_gn_form((5, 3, 1, 2, 1, 4), 0), -1),
+        (_gn_form((7, 5, 1, 2, 1, 6), 0), -1),
+        (_conjugate(_gn_form((4, 2, 1, 2, 1, 4), 0), 2), -1),
+    ],
+)
+def test_vertex_from_the_terms_equals_the_expanded_partials_oracle(f, vertex_dim):
+    # the rows read from the terms of f are the transposed coefficient matrix
+    # of the expanded partials, up to row order, which the reduced basis
+    # does not see
+    oracle = kernel(ScalarMatrix.from_polynomials(f.gradient()).transpose())
+    v = cone_test(f)
+    assert v.basis == tuple(tuple(w) for w in oracle)
+    assert v.projective_dim == vertex_dim
 
 
 def test_cone_x0_x1_cubed():

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hesse_lab import hessian
 from hesse_lab.errors import DimensionError, DomainError
 from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.hessian import (
@@ -12,6 +15,7 @@ from hesse_lab.hessian import (
     det_fraction_free,
     det_minor_expansion,
     generic_hessian_rank,
+    hessian_at,
     hessian_matrix,
     hessian_vanishes,
     polar_image_dim,
@@ -238,3 +242,55 @@ def test_vanishes_rejects_bad_input():
         hessian_vanishes(parse("x0^2 + x1"))
     with pytest.raises(DomainError):
         hessian_vanishes(FERMAT_CUBIC, mode="numerology")
+
+
+@st.composite
+def forms_and_points(draw):
+    """(f, a): f with int or Fraction coefficients in 1-4 variables, any
+    degrees up to 5, and an integer point that often has zero coordinates."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(
+        st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)
+    ).filter(bool)
+    exps = st.tuples(*[st.integers(0, 5)] * n).filter(lambda e: sum(e) <= 5)
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=6))
+    point = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-50, 50), st.integers(-DEFAULT_PRIME, DEFAULT_PRIME)),
+        min_size=n, max_size=n,
+    ))
+    return Polynomial(n, terms), point
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(forms_and_points())
+def test_hessian_at_equals_the_evaluated_second_partials(case):
+    f, a = case
+    expected = hessian_matrix(f).evaluate(a).entries
+    got = hessian_at(f, a).entries
+    assert got == expected
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
+
+
+def test_hessian_at_a_zero_coordinate_goes_through_the_second_partials(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return hessian_matrix(f)
+
+    monkeypatch.setattr(hessian, "hessian_matrix", counted)
+    assert hessian_at(PAPER_CUBIC, [3, 1, 4, 1, 5]).entries == (
+        hessian_matrix(PAPER_CUBIC).evaluate([3, 1, 4, 1, 5]).entries
+    )
+    assert calls == []
+    # a seeded point has a zero coordinate with probability at most
+    # (n+1)/(2^61 - 1); force one at every point of the verdict
+    seeded = hessian._seeded_point
+    monkeypatch.setattr(
+        hessian, "_seeded_point", lambda *args: [0, *seeded(*args)[1:]]
+    )
+    v = hessian_vanishes(FERMAT_CUBIC, trials=2)
+    # H = diag(6·x_i) loses rank at x0 = 0, so no point is a witness
+    assert (v.vanishes, v.trials) == (True, 2)
+    assert calls == [FERMAT_CUBIC, FERMAT_CUBIC]
+    assert generic_hessian_rank(PAPER_CUBIC) == 4

@@ -18,6 +18,8 @@ TEST_ORACLES = {
     "det_fraction_free": "Bareiss determinant, the oracle for the minor expansion; acceptance criterion 7",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
+    "ScalarMatrix.from_polynomials": "coefficient matrix of expanded polynomials, the oracle for cone_test's rows; test_cones, test_linalg, test_psi",
+    "ScalarMatrix.transpose": "reads that coefficient matrix as the directional-derivative map; test_cones, test_linalg",
 }
 
 

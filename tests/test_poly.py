@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, VariableCountError
 from hesse_lab.fields import substream
+from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
+    MAX_VARIABLE_INDEX,
     Polynomial,
     _heu_gcd,
     _primitive_ints,
@@ -119,6 +121,11 @@ MALFORMED = [
     ("x9 +", {"nvars": 2}, "expected coefficient, variable, or '(', found ''", 4),
     ("x3", {"nvars": 2}, "variable index 3 exceeds nvars=2", 0),
     ("x1 + x0^2", {"nvars": 1}, "variable index 1 exceeds nvars=1", 0),
+    ("x0 + x1000", {}, "variable index exceeds the cap 999", 6),
+    ("x0 x1000", {}, "variable index exceeds the cap 999", 4),
+    ("x0^# + x1000", {}, "unexpected character '#'", 3),
+    ("x00001000", {}, "variable index exceeds the cap 999", 1),
+    ("x" + "9" * 5000, {}, "variable index exceeds the cap 999", 1),
 ]
 
 
@@ -128,6 +135,12 @@ def test_parse_error_message_and_position(text, kwargs, message, position):
         parse(text, **kwargs)
     assert str(exc.value) == f"{message} (at position {position})"
     assert exc.value.position == position
+
+
+def test_parse_accepts_indices_up_to_the_cap():
+    assert MAX_VARIABLE_INDEX == 999
+    assert parse("x999").nvars == 1000
+    assert parse("x000999 + x0") == parse("x999 + x0")
 
 
 @pytest.mark.parametrize(
@@ -567,6 +580,19 @@ def test_exact_div_and_remainder():
     assert q == parse("x0 - x1")
     with pytest.raises(InexactDivisionError):
         parse("x0^2 + x1^2").exact_div(parse("x0 + x1"))
+
+
+def test_exact_div_by_a_monomial_on_a_large_form():
+    # the seed-0 9,4,1,2,1,6 GN form: each step of the division takes the
+    # remainder's leading term from a heap, not by a scan of 1890 terms
+    f = random_instance(GNSkeleton(9, 4, 1, 2, 1, 6), seed=0).f
+    assert len(f.terms) == 1890
+    assert f.scale(6).exact_div(Polynomial.constant(f.nvars, 4)) == f.scale(Fraction(3, 2))
+    x0 = Polynomial.variable(f.nvars, 0)
+    assert (f * x0).exact_div(x0) == f
+    assert (f * x0 * x0).exact_div(f) == x0 * x0
+    with pytest.raises(InexactDivisionError):
+        (f * x0 + Polynomial.variable(f.nvars, 1) ** 7).exact_div(x0)
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hesse_lab import psi as psi_module
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
-from hesse_lab.hessian import hessian_matrix, sample_kernels
+from hesse_lab.hessian import sample_kernels
 from hesse_lab.linalg import (
     ScalarMatrix,
     kernel,
@@ -378,7 +378,7 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
     # rank 1, its kernel holds non-relations, and each one that fails its
     # certificate must draw a further point from the source
     expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
-    w_dim = len(sample_kernels(hessian_matrix(PAPER_CUBIC)).span)
+    w_dim = len(sample_kernels(PAPER_CUBIC).span)
     assert w_dim == 3
     source = psi_module._relation_points
     draws = []
@@ -411,7 +411,7 @@ def _in_row_space(rows, q):
 @pytest.mark.parametrize("f", [PAPER_CUBIC, _gn("5,3,1,2,1,6")])
 def test_psi_image_lies_in_w(f):
     # ψ_g takes its values in ker H_f, so every image point lies in W
-    span = sample_kernels(hessian_matrix(f)).span
+    span = sample_kernels(f).span
     psi = build_psi(f, find_polar_relation(f, span=span))
     image = sample_image(psi, count=12, seed=0)
     assert len(image) == 12
@@ -423,7 +423,7 @@ def test_psi_image_lies_in_w(f):
     [(PAPER_CUBIC, 0), (_gn("5,3,1,2,1,6"), 0), (parse("x0^3 + x1^3", nvars=5), 3)],
 )
 def test_too_small_w_hides_relations_but_fakes_none(f, found):
-    span = sample_kernels(hessian_matrix(f)).span
+    span = sample_kernels(f).span
     partials = f.gradient()
     relations = [
         find_polar_relation(f, max_degree=4, span=span[:i] + span[i + 1:])
@@ -440,8 +440,8 @@ def test_w_and_relation_degree_are_coordinate_free(f):
     # H_{f∘A}(x) = Aᵀ·H_f(A·x)·A, so W(f∘A) = A⁻¹·W(f): A maps it back
     a = random_invertible(f.nvars, substream(0, "dense"))
     g = _conjugate(f, a)
-    span = sample_kernels(hessian_matrix(f)).span
-    conj_span = sample_kernels(hessian_matrix(g), seed=1).span
+    span = sample_kernels(f).span
+    conj_span = sample_kernels(g, seed=1).span
     assert len(conj_span) == len(span)
     assert reduced_row_basis([[sum(x * y for x, y in zip(row, w)) for row in a.entries] for w in conj_span]) == span
     assert find_polar_relation(g).degree == find_polar_relation(f).degree
