@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
-from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, sample_kernels
+from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, rank_verdict, sample_kernels
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
@@ -150,16 +150,17 @@ def cmd_analyze(args):
         )
     n1, d = f.nvars, f.degree()
     _check_symbolic(n1, args)
-    verdict = hessian_vanishes(f, mode=args.mode, seed=args.seed)
+    # one sample of H_f gives the verdict, the polar image's dimension and W
+    sample = sample_kernels(f, seed=args.seed)
+    verdict = (hessian_vanishes(f, mode="symbolic") if args.mode == "symbolic"
+               else rank_verdict(f, sample.ranks))
     vertex = cone_test(f)
     if vertex.is_cone:
         verdict = verdict.upgraded("cone_vertex")
-    # one sample of H_f gives the polar image's dimension and W for the search
-    sample = sample_kernels(f, seed=args.seed) if d >= 2 else None
     results = {
         "hessian": hessian_block(verdict),
         "cone": cone_block(vertex),
-        "polar_image_dim": sample.rank - 1 if sample else None,
+        "polar_image_dim": sample.rank - 1 if d >= 2 else None,
     }
     code = EXIT_OK
     if verdict.vanishes and not vertex.is_cone and d >= 2:

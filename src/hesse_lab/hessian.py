@@ -1,19 +1,19 @@
 """Hessian matrices, symbolic determinants, and vanishing verdicts.
 
-`hessian_vanishes` decides h_f ≡ 0.  By default it evaluates H_f exactly at
-seeded integer points with coordinates in range(N), N = 2^61 - 1, reading
-H_f(a) straight from the terms of f (`hessian_at`): a point of
-full rank is an exact witness of h_f ≠ 0, else the verdict "vanishes" carries the
-Schwartz-Zippel bound (D/N)^t, with t the fewest trials that put it below
-2^-40.  A cone vertex or a re-checked polar relation g(∇f) ≡ 0 (the
-Gordan-Noether criterion) later makes it exact.  `sample_kernels` evaluates
-H_f at a second seeded stream and reads off both the generic rank, behind
-the polar image's dimension, and W, the span of the exact kernels, on which
-the relation search runs.  The matrix of second partials (`hessian_matrix`)
-is built only for `--symbolic` and for points with a zero coordinate.  The
-symbolic determinant, by minor expansion over memoized column subsets,
-serves `--symbolic` and the GN ψ-row minors; fraction-free Bareiss
-elimination is the tests' oracle for it.
+H_f is evaluated exactly at one stream of seeded integer points with
+coordinates in range(N), N = 2^61 - 1, reading H_f(a) straight from the
+terms of f (`hessian_at`).  `sample_kernels` reads the rank and the exact
+kernel at each point.  `rank_verdict` reads the verdict on h_f ≡ 0 off the
+ranks: a full-rank point is an exact witness of h_f ≠ 0, else "vanishes"
+carries the Schwartz-Zippel bound (D/N)^t, with t the fewest points that
+put it below 2^-40; `hessian_vanishes` ranks the same first points alone.
+The ranks also give the generic rank behind the polar image's dimension, and
+the kernels span W, on which the relation search runs.  A cone vertex or a
+re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) later
+makes a vanishing verdict exact.  The matrix of second partials is built only
+for `--symbolic` and for points with a zero coordinate.  The symbolic
+determinant, by minor expansion over memoized column subsets, serves
+`--symbolic` and the GN ψ-row minors; Bareiss elimination is its tests' oracle.
 """
 
 from __future__ import annotations
@@ -228,32 +228,46 @@ def trials_for_error(degree_bound):
     return t
 
 
-def _seeded_point(nvars, seed, label, i):
-    """The i-th seeded point of a substream, coordinates in range(DEFAULT_PRIME)."""
-    rng = substream(seed, label, i)
+def _seeded_point(nvars, seed, i):
+    """The i-th seeded point of H_f, coordinates in range(DEFAULT_PRIME)."""
+    rng = substream(seed, "generic_rank", i)
     return [rng.randrange(DEFAULT_PRIME) for _ in range(nvars)]
 
 
-def _seeded_max_rank(f, count, seed, label):
-    """Max rank of H_f at up to `count` seeded points, stopping at full rank;
-    returns (rank, points used)."""
-    best = 0
-    for i in range(count):
-        best = max(best, rank(hessian_at(f, _seeded_point(f.nvars, seed, label, i))))
-        if best == f.nvars:
-            return best, i + 1
-    return best, count
+def rank_verdict(f, ranks):
+    """The verdict on h_f ≡ 0 that the ranks of H_f at the seeded points, in
+    order, give: a full-rank point among the first `trials_for_error` is a
+    witness of h_f ≠ 0, else "vanishes" carries the bound (D/N)^t.  Ranks are
+    read up to the first witness only, so `ranks` may be a lazy iterable."""
+    degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
+    trials = trials_for_error(degree_bound)
+    used, witness = 0, False
+    for r in itertools.islice(ranks, trials):
+        used += 1
+        witness = r == f.nvars  # det H(a) != 0 proves h_f != 0
+        if witness:
+            break
+    if used < trials and not witness:
+        raise InternalCheckError(f"the verdict needs {trials} points, the sample took {used}")
+    return HessianVerdict(
+        mode="probabilistic",
+        vanishes=not witness,
+        trials=used,
+        sample_range=DEFAULT_PRIME,
+        error_bound=Fraction(0) if witness else Fraction(degree_bound, DEFAULT_PRIME) ** used,
+        degree_bound=degree_bound,
+        certificate="witness" if witness else None,
+    )
 
 
-def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
-    """Decide h_f ≡ 0 by seeded points, stopping at the first witness of
-    h_f ≠ 0, or by the symbolic determinant when mode is "symbolic".
-    `trials` defaults to the count that `trials_for_error` gives."""
+def hessian_vanishes(f, mode="probabilistic", seed=0):
+    """Decide h_f ≡ 0 by the ranks of H_f at the first seeded points of
+    `sample_kernels`, stopping at the first witness of h_f ≠ 0, or by the
+    symbolic determinant when mode is "symbolic"."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
-    degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
     if mode == "symbolic":
         det = symbolic_determinant(hessian_matrix(f))
         return HessianVerdict(
@@ -262,75 +276,50 @@ def hessian_vanishes(f, mode="probabilistic", trials=None, seed=0):
             trials=0,
             sample_range=None,
             error_bound=Fraction(0),
-            degree_bound=degree_bound,
+            degree_bound=f.nvars * max(f.degree() - 2, 0),
             certificate="determinant",
         )
     if mode != "probabilistic":
         raise DomainError(f"unknown mode {mode!r}")
-    if trials is None:
-        trials = trials_for_error(degree_bound)
-    if trials < 1:
-        raise DomainError("probabilistic mode needs trials >= 1")
-    best, used = _seeded_max_rank(f, trials, seed, "hessian_vanishes")
-    witness = best == f.nvars  # det H(a) != 0 proves h_f != 0
-    return HessianVerdict(
-        mode="probabilistic",
-        vanishes=not witness,
-        trials=used,
-        sample_range=DEFAULT_PRIME,
-        error_bound=Fraction(0) if witness else Fraction(degree_bound, DEFAULT_PRIME) ** trials,
-        degree_bound=degree_bound,
-        certificate="witness" if witness else None,
-    )
+    points = (_seeded_point(f.nvars, seed, i) for i in itertools.count())
+    return rank_verdict(f, (rank(hessian_at(f, a)) for a in points))
 
 
 @dataclass(frozen=True)
 class KernelSample:
-    """H_f at the seeded points of one substream: its generic rank and W, the
-    span of its kernels."""
+    """H_f at its seeded points: the rank at each, and W, the span of the
+    exact kernels."""
 
-    rank: int                      # max rank over the first DEFAULT_SAMPLES points
+    ranks: tuple                   # rank of H_f at each point evaluated, in order
     span: tuple                    # W as primitive reduced-echelon integer rows
-    points: int                    # points evaluated; the last one added nothing to W
+
+    @property
+    def rank(self):  # the generic rank, over the first DEFAULT_SAMPLES points
+        return max(self.ranks[:DEFAULT_SAMPLES])
 
 
 def sample_kernels(f, seed=0):
-    """Exact kernels of H_f at the seeded points that
-    `generic_hessian_rank` reads, drawn until DEFAULT_SAMPLES points are in
-    and the last one adds nothing to their span W, or until one has full
-    rank.
-
-    The rank is read at the first DEFAULT_SAMPLES points only, so it equals
-    `generic_hessian_rank`.  A sampled W can only be too small: every
-    kernel lies in the true span.
+    """Exact kernels of H_f at its seeded points, drawn until DEFAULT_SAMPLES
+    points are in and the last one adds nothing to their span W, or until
+    one has full rank.  Its first points are those `hessian_vanishes` reads,
+    so `rank_verdict` on its ranks is that verdict.  A sampled W can only
+    be too small: every kernel lies in the true span.
     """
     n = f.nvars
-    best, span = 0, ()
+    ranks, span = [], ()
     for i in itertools.count():
-        vectors = kernel(hessian_at(f, _seeded_point(n, seed, "generic_rank", i))).vectors
-        if i < DEFAULT_SAMPLES:
-            best = max(best, n - len(vectors))
+        vectors = kernel(hessian_at(f, _seeded_point(n, seed, i))).vectors
+        ranks.append(n - len(vectors))
         grown = reduced_row_basis([*span, *vectors])
-        if best == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
-            return KernelSample(rank=best, span=grown, points=i + 1)
+        if ranks[-1] == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
+            return KernelSample(ranks=tuple(ranks), span=grown)
         span = grown
 
 
-def generic_hessian_rank(f, samples=DEFAULT_SAMPLES, seed=0):
-    """Max rank of H_f over seeded random integer points.
-
-    Per-sample seed substreams make the result non-decreasing in `samples`
-    for a fixed seed.
-    """
+def polar_image_dim(f, seed=0):
+    """dim Z(f) = generic rank of the polar map's Jacobian minus one."""
     if not f or not f.is_homogeneous():
         raise DomainError("expects a nonzero homogeneous polynomial")
     if f.degree() < 2:
         raise DomainError("polar map is constant for degree < 2; dimension undefined")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    return _seeded_max_rank(f, samples, seed, "generic_rank")[0]
-
-
-def polar_image_dim(f, samples=DEFAULT_SAMPLES, seed=0):
-    """dim Z(f) = generic rank of the polar map's Jacobian minus one."""
-    return generic_hessian_rank(f, samples=samples, seed=seed) - 1
+    return sample_kernels(f, seed=seed).rank - 1

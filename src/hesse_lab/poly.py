@@ -22,7 +22,8 @@ Results are monic.  ``exact_div`` is the same integer trial division
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one exponent vector as it goes, and refuses a
-variable index past ``MAX_VARIABLE_INDEX``.
+variable index past ``MAX_VARIABLE_INDEX`` and a number longer than the
+interpreter's int-string limit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import heapq
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
@@ -441,6 +443,9 @@ class _Parser:
         self.pos = m.end()
         digits, name, index, other = m.groups()
         if digits:
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise ParseError(f"number has more than {limit} digits", m.start(1))
             self.cur = ("int", digits, m.start(1))
         elif name:
             if name != self.prefix:

@@ -235,6 +235,7 @@ class InvarianceCheck:
 
     derivative_zero: bool         # Σ ∂F/∂x_i · h_i = 0
     invariant: bool               # F(x) = F(x + λ·ψ_g(x))
+    image_zero: bool              # F(h_0,…,h_n) = 0
 
     @property
     def agree(self):
@@ -255,24 +256,28 @@ def _shifted_arguments(psi):
 
 
 def check_invariance(F, psi):
-    """Verify both directions of: Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)).
+    """Verify both directions of: Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
+    and read F(h) ≡ 0 off the same expansion.
 
     Both sides are decided symbolically: the right one by expanding
     F(x + λ·h(x)) in n+2 variables.  They must agree for every F, or the
-    theorem itself is falsified.
+    theorem itself is falsified.  F is homogeneous, of degree D say, so the
+    λ^D coefficient of the expansion is F(h): F(h) ≡ 0 exactly when no term
+    has λ-exponent D.  Taylor's argument forces it when Σ F_i h_i = 0.
     """
     if F.nvars != psi.nvars:
         raise DomainError("F must live in the same variables as ψ_g")
+    if not F.is_homogeneous():
+        raise DomainError("F must be homogeneous")
     sigma = Polynomial.zero(F.nvars)
     for i in range(F.nvars):
         sigma = sigma + F.partial(i) * psi.h[i]
-    invariant = F.compose(_shifted_arguments(psi)) == F.extend(F.nvars + 1)
-    return InvarianceCheck(derivative_zero=sigma.is_zero(), invariant=invariant)
-
-
-def taylor_membership(F, psi):
-    """For F with Σ F_i h_i = 0, Taylor's argument forces F(h_0,…,h_n) = 0."""
-    return F.compose(list(psi.h)).is_zero()
+    shifted, top = F.compose(_shifted_arguments(psi)), F.degree()
+    return InvarianceCheck(
+        derivative_zero=sigma.is_zero(),
+        invariant=shifted == F.extend(F.nvars + 1),
+        image_zero=all(e[-1] != top for e in shifted.terms),
+    )
 
 
 def _sample_values(components, count, seed, stream, label):

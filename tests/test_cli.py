@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from hesse_lab import cones, hessian, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
+from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
+from hesse_lab.linalg import random_invertible
+from hesse_lab.poly import Polynomial, parse
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -69,6 +72,22 @@ def test_analyze_variable_index_past_the_cap_exit_2(text, position, capsys):
     assert main(["analyze", "--poly", text]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: variable index exceeds the cap 999 (at position {position})\n"
+
+
+LONG = "9" * 5000  # past the interpreter's default int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG + "*x0^2", 0), ("1/" + LONG + "*x0", 2), ("x0^" + LONG, 3)],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_analyze_digit_run_past_the_int_string_limit_exit_2(text, position, capsys):
+    # refused by the parser at the digit run, before int() would raise
+    assert main(["analyze", "--poly", text]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == f"parse error: number has more than {limit} digits (at position {position})\n"
 
 
 def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
@@ -392,9 +411,78 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
         repeated = [(name, f.to_string("x")) for (name, f), n in calls.items() if n > 1]
         assert repeated == [], argv
         if argv[0] == "analyze":
-            # f itself once, then each of the five hyperplane sections once
+            # f's verdict comes from its H_f sample; each of the five
+            # hyperplane sections is decided once, and f is cone-tested once
             per_function = Counter(name for name, _ in calls.elements())
-            assert per_function == {"hessian_vanishes": 6, "cone_test": 6, "sample_polar_image": 1}
+            assert per_function == {"hessian_vanishes": 5, "cone_test": 6, "sample_polar_image": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, own_points",
+    [
+        (("analyze", "--poly", PAPER_CUBIC), None),
+        (("analyze", "--poly", PAPER_CUBIC, "--symbolic"), None),
+        (("analyze", "--poly", "x0^3 + x1^3 + x2^3 + x3^3"), 1),
+        (("analyze", "--poly", "x0 + 2*x1"), hessian.DEFAULT_SAMPLES),
+    ],
+    ids=["paper-cubic", "symbolic", "witness", "linear"],
+)
+def test_analyze_evaluates_h_f_once_per_seeded_point(tmp_path, monkeypatch, argv, own_points):
+    # the verdict, the generic rank and W are read off one sample of H_f;
+    # the P^4 sections are other forms, each with points of its own
+    points = Counter()
+    original = hessian.hessian_at
+
+    def counted(f, a):
+        points[f.to_string("x"), tuple(a)] += 1
+        return original(f, a)
+
+    monkeypatch.setattr(hessian, "hessian_at", counted)
+    code, doc = run(tmp_path, *argv)
+    assert code == 0
+    assert max(points.values()) == 1
+    own = [a for g, a in points if g == parse(argv[2]).to_string("x")]
+    if own_points is None:
+        own_points = doc["results"]["relation_search"]["hessian_points"]
+    assert len(own) == own_points
+
+
+def _invariants(doc):
+    """The report fields that a change of coordinates must keep."""
+    r = doc["results"]
+    return {
+        "vanishes": r["hessian"]["vanishes"],
+        "is_cone": r["cone"]["is_cone"],
+        "vertex_dim": r["cone"]["vertex_projective_dim"],
+        "polar_image_dim": r["polar_image_dim"],
+        "relation_degree": (r.get("polar_relation") or {}).get("degree"),
+        "w_dim": r.get("relation_search", {}).get("w_dim"),
+        "identity_checks": r.get("identity_checks"),
+        "curve_degree": r.get("classification", {}).get("plane_curve", {}).get("curve_degree"),
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PAPER_CUBIC,
+        "x0^3 + x1^3 + x2^3 + x3^3",
+        random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=0).f.to_string("x"),
+    ],
+    ids=["paper-cubic", "fermat-surface", "gn-4,2,1,2,1,3"],
+)
+def test_analyze_is_coordinate_free(tmp_path, text):
+    # every field compared is a projective invariant, so analyze(f) and
+    # analyze(f∘A) agree for invertible A; each text names every variable,
+    # since parse infers the variable count from the largest index
+    f = parse(text)
+    a = random_invertible(f.nvars, substream(0, "dense"))
+    g = f.compose([Polynomial.linear_form(row) for row in a.entries])
+    code, doc = run(tmp_path, "analyze", "--poly", text)
+    conj_code, conj_doc = run(tmp_path, "analyze", "--poly", g.to_string("x"), name="conj.json")
+    assert (code, conj_code) == (0, 0)
+    assert _invariants(conj_doc) == _invariants(doc)
+    assert _invariants(doc)["vanishes"] is (text != "x0^3 + x1^3 + x2^3 + x3^3")
 
 
 def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):

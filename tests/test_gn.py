@@ -265,7 +265,7 @@ def test_vanishing_hessian_symbolic_up_to_n5():
 
 def test_vanishing_hessian_probabilistic_up_to_n7():
     inst = random_instance(GNSkeleton(n=7, t=3, m=1, hdeg=2, psideg=1, d=4), seed=0)
-    v = hessian_vanishes(inst.f, mode="probabilistic", trials=3, seed=0)
+    v = hessian_vanishes(inst.f, mode="probabilistic", seed=0)
     assert v.vanishes
     assert v.error_bound * 2 ** 40 < 1
 

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import hessian
-from hesse_lab.errors import DimensionError, DomainError
+from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
 from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.hessian import (
     PolyMatrix,
     det_fraction_free,
     det_minor_expansion,
-    generic_hessian_rank,
     hessian_at,
     hessian_matrix,
     hessian_vanishes,
     polar_image_dim,
+    rank_verdict,
+    sample_kernels,
     symbolic_determinant,
     trials_for_error,
 )
@@ -144,11 +145,11 @@ def test_vanishes_symbolic_fermat_false():
 
 def test_vanishes_probabilistic_cone():
     f = parse("x0^3 + x1^3", nvars=4)
-    v = hessian_vanishes(f, mode="probabilistic", trials=3, seed=0)
+    v = hessian_vanishes(f, mode="probabilistic", seed=0)
     assert v.vanishes is True
     assert v.degree_bound == 4
-    assert v.error_bound == Fraction(4, DEFAULT_PRIME) ** 3
-    assert v.error_bound <= Fraction(8, DEFAULT_PRIME) ** 3
+    assert v.error_bound == Fraction(4, DEFAULT_PRIME) ** v.trials
+    assert v.error_bound <= Fraction(8, DEFAULT_PRIME)
 
 
 def test_probabilistic_consistent_with_symbolic(seed=41, cases=15):
@@ -159,7 +160,7 @@ def test_probabilistic_consistent_with_symbolic(seed=41, cases=15):
         if not f:
             continue
         sym = hessian_vanishes(f, mode="symbolic").vanishes
-        prob = hessian_vanishes(f, mode="probabilistic", trials=3, seed=case).vanishes
+        prob = hessian_vanishes(f, mode="probabilistic", seed=case).vanishes
         if sym:
             assert prob
         if not prob:
@@ -194,22 +195,66 @@ def test_trials_for_error_meets_the_target():
     assert trials_for_error(2**21) == 2
 
 
+# deg h_f <= 1·(2^21 + 2 - 2) = 2^21 puts the bound for one trial above
+# 2^-40, so the verdict reads two points
+TWO_TRIALS = parse(f"x0^{2**21 + 2}")
+
+
+def test_rank_verdict_reads_trials_points_and_stops_at_a_witness():
+    v = rank_verdict(TWO_TRIALS, [0, 0, 1])
+    assert (v.vanishes, v.trials, v.certificate) == (True, 2, None)
+    assert v.error_bound == Fraction(2**21, DEFAULT_PRIME) ** 2
+    v = rank_verdict(TWO_TRIALS, [0, 1])
+    assert (v.vanishes, v.trials, v.certificate, v.error_bound) == (False, 2, "witness", 0)
+
+    def ranks():
+        yield 1
+        raise AssertionError("read past the witness")
+
+    assert rank_verdict(TWO_TRIALS, ranks()).trials == 1
+
+
 def test_probabilistic_trials_validation():
-    with pytest.raises(DomainError):
-        hessian_vanishes(PAPER_CUBIC, mode="probabilistic", trials=0)
+    # the verdict never reads a rank the sample did not take
+    with pytest.raises(InternalCheckError):
+        rank_verdict(TWO_TRIALS, [0])
+    with pytest.raises(InternalCheckError):
+        rank_verdict(PAPER_CUBIC, [])
 
 
 def test_generic_rank_paper_cubic():
     # oracle: H_f at (1,1,1,1,1) row-reduces to rank 4, and the polar
     # relation y1^2 - 4*y0*y2 forces rank <= 4 everywhere
-    assert generic_hessian_rank(PAPER_CUBIC, seed=0) == 4
+    assert sample_kernels(PAPER_CUBIC, seed=0).rank == 4
     assert polar_image_dim(PAPER_CUBIC, seed=0) == 3
 
 
 def test_generic_rank_smooth_quadric():
     f = parse("x0^2 + x1^2 + x2^2 + x3^2")
-    assert generic_hessian_rank(f, seed=0) == 4
+    assert sample_kernels(f, seed=0).rank == 4
     assert polar_image_dim(f, seed=0) == 3
+
+
+@pytest.mark.parametrize("f", [PAPER_CUBIC, FERMAT_CUBIC, parse("x0^3 + x1^3", nvars=4)])
+def test_the_verdict_is_read_off_the_sample(f, monkeypatch):
+    # hessian_vanishes reads the first points of sample_kernels' stream, so
+    # its verdict is the one the sample's ranks give
+    points = []
+
+    def recorded(g, a):
+        points.append(list(a))
+        return hessian_at(g, a)
+
+    monkeypatch.setattr(hessian, "hessian_at", recorded)
+    for seed in (0, 1):
+        points.clear()
+        sample = sample_kernels(f, seed=seed)
+        sampled = points[:]
+        points.clear()
+        verdict = hessian_vanishes(f, seed=seed)
+        assert points == sampled[: verdict.trials]
+        assert verdict == rank_verdict(f, sample.ranks)
+        assert len(sampled) == len(sample.ranks)
 
 
 def test_polar_dim_of_cone():
@@ -220,12 +265,6 @@ def test_polar_dim_of_cone():
 def test_polar_dim_rejects_low_degree():
     with pytest.raises(DomainError):
         polar_image_dim(parse("x0 + x1"))
-
-
-def test_rank_monotone_in_samples():
-    f = parse("x0^3 + x1^3", nvars=4)
-    ranks = [generic_hessian_rank(f, samples=s, seed=7) for s in range(1, 6)]
-    assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
 
 def test_cone_implies_vanishing():
@@ -289,8 +328,13 @@ def test_hessian_at_a_zero_coordinate_goes_through_the_second_partials(monkeypat
     monkeypatch.setattr(
         hessian, "_seeded_point", lambda *args: [0, *seeded(*args)[1:]]
     )
-    v = hessian_vanishes(FERMAT_CUBIC, trials=2)
+    v = hessian_vanishes(FERMAT_CUBIC)
     # H = diag(6·x_i) loses rank at x0 = 0, so no point is a witness
-    assert (v.vanishes, v.trials) == (True, 2)
-    assert calls == [FERMAT_CUBIC, FERMAT_CUBIC]
-    assert generic_hessian_rank(PAPER_CUBIC) == 4
+    assert (v.vanishes, v.trials) == (True, 1)
+    assert calls == [FERMAT_CUBIC]
+    sample = sample_kernels(FERMAT_CUBIC)
+    # every kernel is the x0 axis, so W is that line after DEFAULT_SAMPLES points
+    assert sample.ranks == (2,) * hessian.DEFAULT_SAMPLES
+    assert sample.span == ((1, 0, 0),)
+    assert calls == [FERMAT_CUBIC] * (1 + hessian.DEFAULT_SAMPLES)
+    assert polar_image_dim(PAPER_CUBIC) == 3

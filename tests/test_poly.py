@@ -1,6 +1,7 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, reducedness."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,13 @@ def test_parse_accepts_indices_up_to_the_cap():
     assert MAX_VARIABLE_INDEX == 999
     assert parse("x999").nvars == 1000
     assert parse("x000999 + x0") == parse("x999 + x0")
+
+
+def test_parse_accepts_a_digit_run_at_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse("9" * limit + "*x0") == parse("x0").scale(10**limit - 1)
+    with pytest.raises(ParseError, match=f"more than {limit} digits"):
+        parse("0" * (limit + 1) + "*x0")  # leading zeros count towards the limit
 
 
 @pytest.mark.parametrize(

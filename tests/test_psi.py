@@ -29,7 +29,6 @@ from hesse_lab.psi import (
     check_invariance,
     find_polar_relation,
     sample_image,
-    taylor_membership,
 )
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -188,11 +187,18 @@ def test_invariance_fails_coherently_for_generic_linear(cubic_psi):
 
 
 def test_taylor_membership(cubic_psi):
-    for hk in cubic_psi.h:
-        if hk:
-            assert taylor_membership(hk, cubic_psi)
-    for fi in PAPER_CUBIC.gradient():
-        assert taylor_membership(fi, cubic_psi)
+    # F(h) ≡ 0, read off the λ^D coefficient of F(x + λ·h), agrees with the
+    # composition F(h_0,…,h_n) for each F of the battery and the control x0
+    x0 = parse("x0", nvars=5)
+    for F in [*(hk for hk in cubic_psi.h if hk), *PAPER_CUBIC.gradient(), x0]:
+        image_zero = F.compose(list(cubic_psi.h)).is_zero()
+        assert check_invariance(F, cubic_psi).image_zero is image_zero
+        assert image_zero is (F is not x0)
+
+
+def test_invariance_refuses_a_non_homogeneous_form(cubic_psi):
+    with pytest.raises(DomainError, match="homogeneous"):
+        check_invariance(parse("x0^2 + x1", nvars=5), cubic_psi)
 
 
 def test_sample_image_shape_and_determinism(cubic_psi):
