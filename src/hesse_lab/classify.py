@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .cones import chart_for_hyperplane, cone_test, restrict
-from .errors import DomainError, RestrictionZeroError
+from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import substream
-from .hessian import hessian_vanishes, polar_image_dim
+from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
 from .linalg import (
     ScalarMatrix,
     _echelon_rational,
@@ -100,15 +100,19 @@ def low_dim_hesse_suite(count, seed):
                     f = _random_cone(nvars, degree, rng)
                 else:
                     f = _random_form(nvars, degree, rng)
-                vanishes = hessian_vanishes(f, seed=seed).vanishes
-                cone_dim = cone_test(f).projective_dim
                 polar_dim = None
                 if n == 3 and kind == "cone":
-                    polar_dim = polar_image_dim(f, seed=seed)
+                    # one sample of H_f gives the verdict and dim Z(f)
+                    sample = sample_kernels(f, seed=seed)
+                    vanishes = rank_verdict(f, sample.ranks).vanishes
+                    polar_dim = sample.rank - 1
                     if polar_dim not in (1, 2):
                         violations.append(
                             f"P3 cone (seed {seed}, case {i}) has dim Z = {polar_dim}"
                         )
+                else:
+                    vanishes = hessian_vanishes(f, seed=seed).vanishes
+                cone_dim = cone_test(f).projective_dim
                 if vanishes != (cone_dim >= 0):
                     violations.append(
                         f"biconditional fails in P{n} for {kind} case {i}: "
@@ -146,10 +150,9 @@ def low_polar_dim_check(f, seed=0):
 
 @dataclass(frozen=True)
 class PlaneCurveReport:
-    precondition: Optional[str]
-    span_rank: Optional[int]
-    span_basis: tuple                 # echelon rows, each primitive
-    span_pivots: tuple                # the pivot column of each basis row
+    span_rank: int
+    span_basis: tuple                 # echelon rows, each primitive; () unless a plane
+    span_pivots: tuple                # the pivot column of each echelon row
     curve: Optional[Polynomial]       # in 3 span coordinates
     curve_degree: Optional[int]
     irreducibility_unverified: bool
@@ -157,7 +160,7 @@ class PlaneCurveReport:
 
     @property
     def ok(self):
-        return self.precondition is None and self.span_rank == 3 and self.curve is not None
+        return self.span_rank == 3 and self.curve is not None
 
 
 def _span_coordinates(basis, pivots, point):
@@ -181,82 +184,43 @@ def _span_coordinates(basis, pivots, point):
     return primitive_vector(zs)
 
 
-def p4_plane_curve_check(f, psi, image):
+def p4_plane_curve_check(f, image):
     """The sampled ψ_g image must span exactly a plane; interpolate the
     least-degree curve through it in span coordinates.  A curve of degree e
     is sought only when the sample has at least C(e+2, 2) points.
     Rationality and irreducibility are not certified, only recorded as
     unverified.
 
-    ψ's re-checked relation already proves h_f ≡ 0, and the relation is
-    linear exactly when the partials are dependent, that is when V(f) is a
-    cone, so neither fact is decided again here."""
+    ψ's re-checked relation already proves h_f ≡ 0, and `build_psi` refuses
+    the degree-1 relation of a cone, so neither fact is decided again here."""
     if f.nvars != 5:
-        return _curve_precondition_failed("ambient space is not P^4")
-    if psi.cone_flagged:
-        return _curve_precondition_failed("input is a cone")
+        raise DomainError("the plane-curve stage needs a form on P^4")
     points = image.points
     rows, pivots = _echelon_rational([list(q) for q in points])
-    if len(pivots) != 3:
-        return PlaneCurveReport(
-            precondition=None,
-            span_rank=len(pivots),
-            span_basis=(),
-            span_pivots=(),
-            curve=None,
-            curve_degree=None,
-            irreducibility_unverified=True,
-            points_used=len(points),
-        )
-    basis = tuple(primitive_vector(r) for r in rows)
-    pivots = tuple(pivots)
-    zs = []
-    for q in points:
-        z = _span_coordinates(basis, pivots, q)
-        if z is None:
-            return _curve_precondition_failed("sampled point escapes its own span")
-        zs.append(z)
-    for e in range(2, MAX_CURVE_DEGREE + 1):
-        monos = monomials_of_degree(3, e)
-        if len(zs) < len(monos):
-            continue
-        rows = [[_eval_monomial(z, mono) for mono in monos] for z in zs]
-        kern = kernel(ScalarMatrix(rows))
-        if len(kern):
-            vec = sorted((primitive_vector(v) for v in kern), reverse=True)[0]
-            curve = Polynomial(3, {m: c for m, c in zip(monos, vec) if c})
-            return PlaneCurveReport(
-                precondition=None,
-                span_rank=3,
-                span_basis=basis,
-                span_pivots=pivots,
-                curve=curve,
-                curve_degree=e,
-                irreducibility_unverified=True,
-                points_used=len(zs),
-            )
+    basis, curve, degree = (), None, None
+    if len(pivots) == 3:
+        basis = tuple(primitive_vector(r) for r in rows)
+        zs = [_span_coordinates(basis, pivots, q) for q in points]
+        if None in zs:
+            raise InternalCheckError("a sampled ψ_g point escapes its own span")
+        for e in range(2, MAX_CURVE_DEGREE + 1):
+            monos = monomials_of_degree(3, e)
+            if len(zs) < len(monos):
+                break
+            kern = kernel(ScalarMatrix([[_eval_monomial(z, m) for m in monos] for z in zs]))
+            if len(kern):
+                vec = max(primitive_vector(v) for v in kern)
+                curve = Polynomial(3, {m: c for m, c in zip(monos, vec) if c})
+                degree = e
+                break
     return PlaneCurveReport(
-        precondition=None,
-        span_rank=3,
+        span_rank=len(pivots),
         span_basis=basis,
-        span_pivots=pivots,
-        curve=None,
-        curve_degree=None,
+        span_pivots=tuple(pivots),
+        curve=curve,
+        curve_degree=degree,
         irreducibility_unverified=True,
-        points_used=len(zs),
-    )
-
-
-def _curve_precondition_failed(reason):
-    return PlaneCurveReport(
-        precondition=reason,
-        span_rank=None,
-        span_basis=(),
-        span_pivots=(),
-        curve=None,
-        curve_degree=None,
-        irreducibility_unverified=True,
-        points_used=0,
+        points_used=len(points),
     )
 
 
@@ -266,15 +230,6 @@ def _eval_monomial(point, mono):
         if e:
             acc *= v ** e
     return acc
-
-
-def degenerate_image_guard(f, image):
-    """A one-point ψ_g image means every polar tangent hyperplane is fixed,
-    which forces a cone; returns True when the guard is satisfied.  The
-    sample's points are distinct, so one point means a one-point image."""
-    if len(image) == 1:
-        return cone_test(f).is_cone
-    return True
 
 
 @dataclass(frozen=True)
@@ -347,7 +302,7 @@ def _repeated_root_data(binary_form):
     return True, None
 
 
-def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
+def p4_section_check(f, curve_report, chart_count=5, seed=0):
     """Hyperplane sections through the core plane Π must be vanishing-Hessian
     cones with a vertex line, and that line (inside Π) must meet the
     interpolated curve in a repeated root: the tangency of the theorem."""
@@ -358,9 +313,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
     basis = curve_report.span_basis
     pencil = [list(v) for v in kernel(ScalarMatrix([list(b) for b in basis]))]
     if len(pencil) != 2:
-        return SectionReport(
-            precondition="core plane does not come from a rank-3 span", records=(), violations=()
-        )
+        raise InternalCheckError("the pencil through a rank-3 span is not 2-dimensional")
     a1, a2 = (primitive_vector(v) for v in pencil)
     records = []
     violations = []

@@ -22,7 +22,6 @@ from .linalg import (
     kernel,
     primitive_vector,
     projectively_equal,
-    random_invertible,
     rank,
 )
 from .poly import Polynomial, directional_derivative
@@ -128,28 +127,16 @@ class HyperplaneChart:
         ]
 
 
-def chart_for_hyperplane(dual_point, seed=None):
+def chart_for_hyperplane(dual_point):
     """Chart for the hyperplane {Σ h_i x_i = 0} from its dual point h.
 
-    Columns are a kernel basis of [h], each scaled to coprime integers; with a
-    seed they are mixed by a random invertible change of chart coordinates.
+    Columns are a kernel basis of [h], each scaled to coprime integers.
     """
     if not any(dual_point):
         raise DomainError("dual point must be nonzero")
     n1 = len(dual_point)
-    basis = kernel(ScalarMatrix([list(dual_point)]))
-    cols = [list(primitive_vector(v)) for v in basis]
-    if seed is not None:
-        rng = substream(seed, "chart")
-        mix = random_invertible(n1 - 1, rng)
-        cols = [
-            [
-                sum(cols[k][i] * mix.entries[k][j] for k in range(n1 - 1))
-                for i in range(n1)
-            ]
-            for j in range(n1 - 1)
-        ]
-    rows = tuple(tuple(cols[j][i] for j in range(n1 - 1)) for i in range(n1))
+    cols = [primitive_vector(v) for v in kernel(ScalarMatrix([list(dual_point)]))]
+    rows = tuple(zip(*cols))
     return HyperplaneChart(
         ambient_vars=n1, parametrization=rows, dual_point=tuple(dual_point)
     )

@@ -22,8 +22,8 @@ Results are monic.  ``exact_div`` is the same integer trial division
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one exponent vector as it goes, and refuses a
-variable index past ``MAX_VARIABLE_INDEX`` and a number longer than the
-interpreter's int-string limit.
+variable index past ``MAX_VARIABLE_INDEX``, a variable exponent past
+``MAX_EXPONENT`` and a number longer than the interpreter's int-string limit.
 """
 
 from __future__ import annotations
@@ -410,6 +410,10 @@ _INDEX = re.compile(r"[A-Za-z_]+([0-9]+)")
 # The largest variable index `parse` accepts.  Exponent tuples are as wide as
 # the largest index, and no exact kernel here finishes on a thousand variables.
 MAX_VARIABLE_INDEX = 999
+# The largest exponent of a variable `parse` accepts in a term, written out or
+# reached by a product.  H_f(a) is read from a table of each coordinate's
+# powers up to the largest exponent, which a huge exponent could not hold.
+MAX_EXPONENT = 999
 
 
 def _capped_index(digits):
@@ -520,10 +524,13 @@ class _Parser:
                     if self.cur[0] == "-":
                         raise ParseError("negative exponent", self.cur[2])
                     exp = int(self.expect("int"))
-                e[self.slots[int(value)]] += exp
+                slot = self.slots[int(value)]
+                e[slot] += exp
+                if e[slot] > MAX_EXPONENT:
+                    raise _exponent_error(pos)
             elif kind == "(":
                 self.advance()
-                inner.append(self.expr())
+                inner.append((self.expr(), pos))
                 self.expect(")")
             else:
                 raise ParseError(f"expected coefficient, variable, or '(', found {value!r}", pos)
@@ -533,9 +540,15 @@ class _Parser:
         if not c:
             return {}
         term = {tuple(e): c}
-        for p in inner:
+        for p, pos in inner:
             term = (Polynomial(self.width, term) * Polynomial(self.width, p)).terms
+            if any(x > MAX_EXPONENT for m in term for x in m):
+                raise _exponent_error(pos)
         return term
+
+
+def _exponent_error(position):
+    return ParseError(f"variable exponent exceeds the cap {MAX_EXPONENT}", position)
 
 
 def parse(text, var_prefix="x", nvars=None):

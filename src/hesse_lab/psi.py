@@ -29,7 +29,7 @@ DEFAULT_MAX_RELATION_DEGREE = 8
 
 @dataclass(frozen=True)
 class PolarRelation:
-    """g with g(f_0,…,f_n) ≡ 0; degree-1 relations flag a cone.
+    """g with g(f_0,…,f_n) ≡ 0.
 
     g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
     certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
@@ -69,10 +69,6 @@ class PolarRelation:
             g, parts, raw = g.scale(scale), [p.scale(scale) for p in parts], [p.scale(scale) for p in raw]
         return cls(g=g, degree=g.degree(), raw=tuple(raw), certificate=euler, parts=tuple(parts))
 
-    @property
-    def is_linear(self):
-        return self.degree == 1
-
 
 @dataclass(frozen=True)
 class PsiMap:
@@ -82,7 +78,6 @@ class PsiMap:
     relation: PolarRelation
     rho: Polynomial               # gcd(g_0,…,g_n), scaled so ρ·h_i = g_i exactly
     h: tuple                      # components with gcd 1 and integer content 1
-    cone_flagged: bool = False
 
     @property
     def nvars(self):
@@ -193,18 +188,17 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     return None
 
 
-def build_psi(f, relation, allow_cone=False):
+def build_psi(f, relation):
     """Assemble ψ_g from a polar relation: divide out ρ = gcd of the g_i,
     taken as the gcd of the k+1 (∂_jG)(F) they are combinations of and that
     are combinations of them.
 
-    Degree-1 relations mean V(f) is a cone, outside the construction's
-    standing hypothesis; pass allow_cone=True to proceed anyway.
+    A degree-1 relation means V(f) is a cone, outside the construction's
+    standing hypothesis; `cones.cone_test` decides cones, and callers reach
+    this only for non-cones.
     """
-    if relation.is_linear and not allow_cone:
-        raise DomainError(
-            "degree-1 relation: V(f) is a cone; pass allow_cone=True to proceed"
-        )
+    if relation.degree == 1:
+        raise DomainError("degree-1 relation: V(f) is a cone, and ψ_g needs a non-cone")
     raw = relation.raw
     if not any(raw):
         raise DomainError("all derivative compositions vanish; choose another relation")
@@ -221,12 +215,7 @@ def build_psi(f, relation, allow_cone=False):
             raise InternalCheckError("ρ·h_i != g_i after normalization")
     if gcd_list([hi for hi in h if hi]).degree() != 0:
         raise InternalCheckError("components h_i still share a factor")
-    return PsiMap(
-        relation=relation,
-        rho=rho,
-        h=tuple(h),
-        cone_flagged=relation.is_linear,
-    )
+    return PsiMap(relation=relation, rho=rho, h=tuple(h))
 
 
 @dataclass(frozen=True)
@@ -341,7 +330,6 @@ class InclusionReport:
     ok: bool
     base_locus_violations: tuple
     singular_violations: tuple
-    cone_caveat: bool
 
 
 def check_inclusions(f, psi, image):
@@ -360,7 +348,6 @@ def check_inclusions(f, psi, image):
         ok=not bs_bad and not sing_bad,
         base_locus_violations=tuple(bs_bad),
         singular_violations=tuple(sing_bad),
-        cone_caveat=psi.cone_flagged,
     )
 
 

@@ -190,13 +190,13 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: no relation")
             continue
         psi = build_psi(f, rel)
-        curve = p4_plane_curve_check(f, psi, sample_image(psi, CURVE_SAMPLES, 0))
+        curve = p4_plane_curve_check(f, sample_image(psi, CURVE_SAMPLES, 0))
         if not (curve.ok and curve.span_rank == 3 and curve.points_used >= 12):
             failures.append(f"{name}: span/curve stage failed")
             continue
         if not 2 <= curve.curve_degree <= 6:
             failures.append(f"{name}: curve degree {curve.curve_degree} out of range")
-        sections = p4_section_check(f, psi, curve, chart_count=5, seed=0)
+        sections = p4_section_check(f, curve, chart_count=5, seed=0)
         if len(sections.records) != 5 or not sections.ok:
             failures.append(f"{name}: sections failed: {sections.violations}")
             continue

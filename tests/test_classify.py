@@ -4,15 +4,15 @@ import dataclasses
 
 import pytest
 
+from hesse_lab import classify
 from hesse_lab.classify import (
     _span_coordinates,
-    degenerate_image_guard,
     low_dim_hesse_suite,
     low_polar_dim_check,
     p4_plane_curve_check,
     p4_section_check,
 )
-from hesse_lab.errors import DomainError
+from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
@@ -29,7 +29,7 @@ def cubic_psi():
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
     image = sample_image(cubic_psi, CURVE_SAMPLES, 0)
-    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi, image)
+    return p4_plane_curve_check(PAPER_CUBIC, image)
 
 
 def test_low_dim_suite_small():
@@ -81,16 +81,29 @@ def test_p4_curve_paper_cubic(cubic_curve):
     assert cubic_curve.points_used >= 12
 
 
-def test_p4_curve_rejects_cone_input(cubic_psi):
-    cone = parse("x0^3 + x1^3", nvars=5)
-    psi = build_psi(cone, find_polar_relation(cone, max_degree=1), allow_cone=True)
-    report = p4_plane_curve_check(cone, psi, sample_image(psi, CURVE_SAMPLES, 0))
-    assert report.precondition == "input is a cone"
-    assert not report.ok
+def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
+    image = sample_image(cubic_psi, CURVE_SAMPLES, 0)
+    with pytest.raises(DomainError, match="P\\^4"):
+        p4_plane_curve_check(parse("x0^3 + x1^3 + x2^3 + x3^3"), image)
 
 
-def test_p4_sections_paper_cubic(cubic_psi, cubic_curve):
-    report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=5, seed=0)
+def test_p4_curve_point_outside_its_own_span_is_an_internal_error(cubic_psi, monkeypatch):
+    # every sampled point lies in the span of the sample, so only a broken
+    # coordinate reader gets here
+    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, pivots, point: None)
+    with pytest.raises(InternalCheckError, match="escapes its own span"):
+        p4_plane_curve_check(PAPER_CUBIC, sample_image(cubic_psi, CURVE_SAMPLES, 0))
+
+
+def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
+    # an ok curve report spans a plane, whose pencil of hyperplanes is 2-dimensional
+    line = dataclasses.replace(cubic_curve, span_basis=cubic_curve.span_basis[:2])
+    with pytest.raises(InternalCheckError, match="not 2-dimensional"):
+        p4_section_check(PAPER_CUBIC, line, chart_count=1, seed=0)
+
+
+def test_p4_sections_paper_cubic(cubic_curve):
+    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=5, seed=0)
     assert report.ok, report.violations
     assert len(report.records) == 5
     for r in report.records:
@@ -102,13 +115,13 @@ def test_p4_sections_paper_cubic(cubic_psi, cubic_curve):
     assert len(set(points)) == len(points)
 
 
-def test_p4_sections_corrupted_curve(cubic_psi, cubic_curve):
+def test_p4_sections_corrupted_curve(cubic_curve):
     # flip a sign in the conic: the double-root test must now fail
     corrupted_curve = dict(cubic_curve.curve.terms)
     key = next(iter(corrupted_curve))
     corrupted_curve[key] = -corrupted_curve[key]
     fake = dataclasses.replace(cubic_curve, curve=Polynomial(3, corrupted_curve))
-    report = p4_section_check(PAPER_CUBIC, cubic_psi, fake, chart_count=3, seed=0)
+    report = p4_section_check(PAPER_CUBIC, fake, chart_count=3, seed=0)
     assert not report.ok
     assert any("double root" in v for v in report.violations)
 
@@ -144,23 +157,10 @@ def test_span_coordinates_negative_pivot_is_sign_normalized():
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
-    curve = p4_plane_curve_check(inst.f, psi, sample_image(psi, CURVE_SAMPLES, 0))
+    curve = p4_plane_curve_check(inst.f, sample_image(psi, CURVE_SAMPLES, 0))
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
-    sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
+    sections = p4_section_check(inst.f, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations
-
-
-def test_degenerate_image_guard():
-    cone = parse("x0^3 + x1^3", nvars=5)
-    psi = build_psi(cone, find_polar_relation(cone, max_degree=1), allow_cone=True)
-    img = sample_image(psi, count=8, seed=0)
-    assert len(img.points) == 1  # ψ_g is constant here
-    assert degenerate_image_guard(cone, img) is True
-
-
-def test_degenerate_image_guard_vacuous(cubic_psi):
-    img = sample_image(cubic_psi, count=8, seed=0)
-    assert degenerate_image_guard(PAPER_CUBIC, img) is True
 
 
 def test_low_dim_suite_rejects_bad_count():

@@ -4,6 +4,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ def run(tmp_path, *argv, name="out.json"):
 def test_analyze_paper_cubic(tmp_path):
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
     assert code == 0
-    assert doc["schema"] == "hesse-lab/3"
+    assert doc["schema"] == "hesse-lab/4"
     r = doc["results"]
     assert r["hessian"]["mode"] == "probabilistic"
     assert r["hessian"]["vanishes"] is True
@@ -38,14 +39,24 @@ def test_analyze_paper_cubic(tmp_path):
     assert r["cone"]["is_cone"] is False
     assert r["polar_image_dim"] == 3
     assert r["polar_relation"]["degree"] == 2
-    assert all(
-        v is True
-        for k, v in r["identity_checks"].items()
-        if isinstance(v, bool) and k != "cone_caveat"
-    )
-    assert r["identity_checks"]["cone_caveat"] is False
+    assert all(v is True for v in r["identity_checks"].values() if isinstance(v, bool))
     assert r["classification"]["plane_curve"]["ok"] is True
     assert r["classification"]["sections"]["ok"] is True
+
+
+def test_readme_documents_the_report_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f'{{"schema": "{reports.SCHEMA}"' in readme
+
+
+def test_analyze_cone_stops_at_the_vertex(tmp_path):
+    # cone_test decides cones, so ψ_g is never built for one
+    code, doc = run(tmp_path, "analyze", "--poly", "x0^3 + x1^3 + 0*x4")
+    assert code == 0
+    r = doc["results"]
+    assert r["cone"]["is_cone"] is True
+    assert r["hessian"]["certificate"] == "cone_vertex"
+    assert "polar_relation" not in r and "psi" not in r
 
 
 def test_analyze_fermat_stops_after_hessian(tmp_path):
@@ -72,6 +83,18 @@ def test_analyze_variable_index_past_the_cap_exit_2(text, position, capsys):
     assert main(["analyze", "--poly", text]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: variable index exceeds the cap 999 (at position {position})\n"
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x0^99999999", 0), ("x1*x0^600*x0^600", 10), ("x1*(x0^600 + x1)*(x0^400*x1)", 17)],
+    ids=["written", "folded", "parenthesized"],
+)
+def test_analyze_exponent_past_the_cap_exit_2(text, position, capsys):
+    # refused by the parser at the factor, before H_f(a) builds a power table
+    assert main(["analyze", "--poly", text]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: variable exponent exceeds the cap 999 (at position {position})\n"
 
 
 LONG = "9" * 5000  # past the interpreter's default int-string limit of 4300 digits
@@ -445,6 +468,21 @@ def test_analyze_evaluates_h_f_once_per_seeded_point(tmp_path, monkeypatch, argv
     if own_points is None:
         own_points = doc["results"]["relation_search"]["hessian_points"]
     assert len(own) == own_points
+
+
+def test_lowdim_suite_evaluates_h_f_once_per_form_and_point(tmp_path, monkeypatch):
+    # a P^3 cone reads its verdict and dim Z(f) off one sample of H_f
+    points = Counter()
+    original = hessian.hessian_at
+
+    def counted(f, a):
+        points[f.to_string("x"), tuple(a)] += 1
+        return original(f, a)
+
+    monkeypatch.setattr(hessian, "hessian_at", counted)
+    assert run(tmp_path, "verify", "--suite", "lowdim", "--count", "20")[0] == 0
+    assert max(points.values()) == 1
+    assert sum(points.values()) == 200
 
 
 def _invariants(doc):

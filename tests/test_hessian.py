@@ -196,8 +196,9 @@ def test_trials_for_error_meets_the_target():
 
 
 # deg h_f <= 1·(2^21 + 2 - 2) = 2^21 puts the bound for one trial above
-# 2^-40, so the verdict reads two points
-TWO_TRIALS = parse(f"x0^{2**21 + 2}")
+# 2^-40, so the verdict reads two points; built directly, as its exponent is
+# past the parser's cap
+TWO_TRIALS = Polynomial(1, {(2**21 + 2,): 1})
 
 
 def test_rank_verdict_reads_trials_points_and_stops_at_a_witness():

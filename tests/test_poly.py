@@ -13,6 +13,7 @@ from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, Vari
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
+    MAX_EXPONENT,
     MAX_VARIABLE_INDEX,
     Polynomial,
     _heu_gcd,
@@ -127,6 +128,9 @@ MALFORMED = [
     ("x0^# + x1000", {}, "unexpected character '#'", 3),
     ("x00001000", {}, "variable index exceeds the cap 999", 1),
     ("x" + "9" * 5000, {}, "variable index exceeds the cap 999", 1),
+    ("x0^99999999", {}, "variable exponent exceeds the cap 999", 0),
+    ("x1 + 2*x0^600*x0^600", {}, "variable exponent exceeds the cap 999", 14),
+    ("x1 + (x0^600 + x1)*(x0^400*x1)", {}, "variable exponent exceeds the cap 999", 19),
 ]
 
 
@@ -142,6 +146,12 @@ def test_parse_accepts_indices_up_to_the_cap():
     assert MAX_VARIABLE_INDEX == 999
     assert parse("x999").nvars == 1000
     assert parse("x000999 + x0") == parse("x999 + x0")
+
+
+def test_parse_accepts_exponents_up_to_the_cap():
+    assert MAX_EXPONENT == 999
+    assert parse("x0^999*x1^999").degree() == 1998
+    assert parse("x0^500*x0^499") == parse("(x0^500)*(x0^499)") == parse("x0^999")
 
 
 def test_parse_accepts_a_digit_run_at_the_int_string_limit():

@@ -87,18 +87,19 @@ def test_polar_relation_linear_for_cone():
     f = parse("x0^3 + x1^3", nvars=4)
     rel = find_polar_relation(f, max_degree=1)
     assert rel is not None
-    assert rel.is_linear
+    assert rel.degree == 1
     # f_2 ≡ 0 and f_3 ≡ 0; lexicographic pick takes y2
     assert rel.g == parse("y2", var_prefix="y", nvars=4)
 
 
-def test_build_psi_requires_cone_flag():
-    f = parse("x0^3 + x1^3", nvars=4)
+def test_build_psi_refuses_the_degree_1_relation_of_a_cone():
+    # a degree-1 relation among the partials is exactly a cone, and ψ_g is
+    # built only for non-cones
+    f = parse("x0^3 + x1^3", nvars=5)
     rel = find_polar_relation(f, max_degree=1)
-    with pytest.raises(DomainError):
+    assert rel.degree == 1
+    with pytest.raises(DomainError, match="cone"):
         build_psi(f, rel)
-    psi = build_psi(f, rel, allow_cone=True)
-    assert psi.cone_flagged
 
 
 def test_psi_components_paper_cubic(cubic_psi):
@@ -147,12 +148,6 @@ def test_second_derivative_relation_mutated(cubic_psi):
         h=tuple(h),
     )
     assert hessian_kills_h(PAPER_CUBIC, mutated) is False
-
-
-def test_second_derivative_relation_for_cone_relation():
-    f = parse("x0^3 + x1^3", nvars=4)
-    psi = build_psi(f, find_polar_relation(f, max_degree=1), allow_cone=True)
-    assert hessian_kills_h(f, psi) is True
 
 
 def test_invariance_of_f_both_modes(cubic_psi):
@@ -252,7 +247,6 @@ def test_check_inclusions_pass(cubic_psi):
     img = sample_image(cubic_psi, count=10, seed=3)
     report = check_inclusions(PAPER_CUBIC, cubic_psi, img)
     assert report.ok
-    assert not report.cone_caveat
 
 
 def test_check_inclusions_corrupted_point(cubic_psi):
