@@ -363,24 +363,21 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         else:
             zeta = [_span_coordinates(basis, curve_report.span_pivots, w) for w in line[:2]]
             if None in zeta:
-                status = "no_line"
-                violations.append(f"section at c={c}: vertex line escapes Π")
+                # `_intersect_spans` returns rows of span(Π): only a broken reader gets here
+                raise InternalCheckError(f"section at c={c}: vertex line escapes Π")
+            restricted = curve_report.curve.compose(
+                [Polynomial.linear_form([z1, z2]) for z1, z2 in zip(*zeta)]
+            )
+            if restricted.is_zero():
+                status = "line_in_curve"
             else:
-                restricted = curve_report.curve.compose(
-                    [Polynomial.linear_form([z1, z2]) for z1, z2 in zip(*zeta)]
-                )
-                if restricted.is_zero():
-                    status = "line_in_curve"
-                else:
-                    repeated, root = _repeated_root_data(restricted)
-                    if not repeated:
-                        status = "failed"
-                        violations.append(f"section at c={c}: tangency double root missing")
-                    elif root is not None:
-                        u, v = root
-                        point = primitive_vector(
-                            [u * z1 + v * z2 for z1, z2 in zip(*zeta)]
-                        )
+                repeated, root = _repeated_root_data(restricted)
+                if not repeated:
+                    status = "failed"
+                    violations.append(f"section at c={c}: tangency double root missing")
+                elif root is not None:
+                    u, v = root
+                    point = primitive_vector([u * z1 + v * z2 for z1, z2 in zip(*zeta)])
         records.append(
             SectionRecord(
                 pencil_value=c,

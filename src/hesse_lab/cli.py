@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
-from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, rank_verdict, sample_kernels
+from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, rank_verdict, sample_kernels, term_table
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
@@ -164,7 +164,8 @@ def cmd_analyze(args):
     }
     code = EXIT_OK
     if verdict.vanishes and not vertex.is_cone and d >= 2:
-        rel = find_polar_relation(f, max_degree=args.max_relation_degree, span=sample.span)
+        table = term_table(f)  # read by the relation search and the battery
+        rel = find_polar_relation(f, args.max_relation_degree, sample.span, table)
         results["polar_relation"] = relation_block(rel) if rel else None
         results["relation_search"] = relation_search_block(sample, args.max_relation_degree, n1)
         if rel is not None:
@@ -173,7 +174,7 @@ def cmd_analyze(args):
             results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            checks, image, polar_sample, ok = psi_identity_battery(f, psi, seed=args.seed)
+            checks, image, polar_sample, ok = psi_identity_battery(f, psi, args.seed, table)
             results["identity_checks"] = checks
             results["image"] = image_block(image)
             results["polar_image"] = image_block(polar_sample)

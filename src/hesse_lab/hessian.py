@@ -2,16 +2,19 @@
 
 H_f is evaluated exactly at one stream of seeded integer points with
 coordinates in range(N), N = 2^61 - 1, reading H_f(a) straight from the
-terms of f (`hessian_at`).  `sample_kernels` reads the rank and the exact
-kernel at each point.  `rank_verdict` reads the verdict on h_f ≡ 0 off the
-ranks: a full-rank point is an exact witness of h_f ≠ 0, else "vanishes"
-carries the Schwartz-Zippel bound (D/N)^t, with t the fewest points that
-put it below 2^-40; `hessian_vanishes` ranks the same first points alone.
+terms of f (`hessian_at`); ∇f(a) is read the same way (`gradient_at`), off
+a table of f's terms built once per form.  `sample_kernels` reads the rank
+and the exact kernel at each point.  `rank_verdict` reads the verdict on
+h_f ≡ 0 off the ranks: a full-rank point is an exact witness of h_f ≠ 0,
+else "vanishes" carries the Schwartz-Zippel bound (D/N)^t, with t the fewest
+points that put it below 2^-40; `hessian_vanishes` ranks the same first
+points alone.
 The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex or a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) later
 makes a vanishing verdict exact.  The matrix of second partials is built only
-for `--symbolic` and for points with a zero coordinate.  The symbolic
+for `--symbolic` and for points with a zero coordinate; the ψ battery reads
+the second partials as polynomials (`second_partials`).  The symbolic
 determinant, by minor expansion over memoized column subsets, serves
 `--symbolic` and the GN ψ-row minors; Bareiss elimination is its tests' oracle.
 """
@@ -19,6 +22,7 @@ determinant, by minor expansion over memoized column subsets, serves
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -87,19 +91,40 @@ class HessianVerdict:
         return replace(self, error_bound=Fraction(0), certificate=certificate)
 
 
+def second_partials(gradient):
+    """Rows ∇f_i of the second partials from ∇f, in order.  Mixed partials
+    commute, so f_ij for j > i is kept for row j, and only until then."""
+    n, later = len(gradient), {}
+    for i, fi in enumerate(gradient):
+        row = [later.pop((j, i)) for j in range(i)] + [fi.partial(j) for j in range(i, n)]
+        later.update(((i, j), row[j]) for j in range(i + 1, n))
+        yield row
+
+
 def hessian_matrix(f):
-    """Matrix of second partials, filled from i <= j since mixed partials
-    commute."""
+    """Matrix of second partials."""
     if not f:
         raise DomainError("Hessian of the zero polynomial")
-    n = f.nvars
-    grads = f.gradient()
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entries[i][j] = grads[i].partial(j)
-            entries[j][i] = entries[i][j]
-    return PolyMatrix(entries)
+    return PolyMatrix(second_partials(f.gradient()))
+
+
+def term_table(f):
+    """(top, coefficients, supports): the largest exponent in f, and per term
+    of f its coefficient and its nonzero exponents as ((i, e_i), …).  Built
+    once per form; terms share equal pairs, so a term costs about one tuple."""
+    pairs = {}
+    supports = tuple(tuple(pairs.setdefault(p, p) for p in enumerate(e) if p[1]) for e in f.terms)
+    return max(map(max, f.terms), default=0), tuple(f.terms.values()), supports
+
+
+def _powers(a, top):
+    """a_i^k for every coordinate, k = 0..top."""
+    return [list(itertools.accumulate([x] * top, operator.mul, initial=1)) for x in a]
+
+
+def _divide(h, d):
+    """h/d for a d that divides h exactly, in integers when both are."""
+    return norm_coeff(h // d if type(h) is int and type(d) is int else h / d)
 
 
 def hessian_at(f, a):
@@ -115,13 +140,7 @@ def hessian_at(f, a):
     n = f.nvars
     if not all(a):
         return hessian_matrix(f).evaluate(a)
-    top = max(map(max, f.terms))
-    powers = []
-    for x in a:
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x)
-        powers.append(row)
+    powers = _powers(a, max(map(max, f.terms)))
     k = [[0] * n for _ in range(n)]
     for e, c in f.terms.items():
         support = [(i, x) for i, x in enumerate(e) if x]
@@ -136,12 +155,37 @@ def hessian_at(f, a):
                 row[j] += vx * y
     for i in range(n):
         for j in range(i, n):
-            h = k[i][j]
-            if h:
-                d = a[i] * a[j]
-                h = h // d if type(h) is int and type(d) is int else h / d
-            k[i][j] = k[j][i] = norm_coeff(h)
+            k[i][j] = k[j][i] = _divide(k[i][j], a[i] * a[j]) if k[i][j] else 0
     return ScalarMatrix(k)
+
+
+def gradient_at(f, a, table=None):
+    """∇f(a) in one pass over `term_table(f)`, built here when None.
+
+    Euler's identity on a monomial, x_i·∂_i x^e = e_i·x^e, gives
+    a_i·∂_i f(a) = Σ_t c_t·e_ti·a^(e_t), read from a table of powers and
+    divided by a_i.  At a zero a_i, ∂_i f(a) = Σ_t c_t·e_ti·a^(e_t − ε_i)
+    gets a term only when e_ti = 1 and no other of its variables is zero
+    at a, and such a term adds to no other partial."""
+    top, coeffs, supports = table or term_table(f)
+    powers = _powers(a, top)
+    k = [0] * f.nvars  # a_i·∂_i f(a) where a_i != 0, ∂_i f(a) where a_i = 0
+    for c, support in zip(coeffs, supports):
+        v, hole = c, None
+        for i, x in support:
+            if a[i]:
+                v *= powers[i][x]
+            elif x == 1 and hole is None:
+                hole = i
+            else:
+                break
+        else:
+            if hole is not None:
+                k[hole] += v
+            else:
+                for i, x in support:
+                    k[i] += v * x
+    return [_divide(h, x) if x and h else norm_coeff(h) for h, x in zip(k, a)]
 
 
 def column_minors(rows, zero, one):

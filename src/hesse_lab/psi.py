@@ -5,11 +5,14 @@ g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ
 common factor ρ divided out; everything the relation implies (translation
 invariance, the base-locus and singular-locus inclusions, fiber cones) is
 checked either symbolically or on one exact sample of the image at integer
-points.  The relation itself is searched for on W, the span of the kernels
-of H_f: ψ_g takes its values there, and the polar image is a cone over P(W),
-so its lowest-degree relations are polynomials in the dim W forms ⟨w, ∇f⟩.
-They are found by evaluating those forms at integer points, and every
-candidate is certified symbolically before it is used.
+points, where ∇f is read in one pass per point (`gradient_at`).  A line
+⟨w, q⟩ lies in a locus exactly when its equations vanish at one integer
+point w + 2^B·q (`_line_point`).  The relation itself is searched for on W,
+the span of the kernels of H_f: ψ_g takes its values there, and the polar
+image is a cone over P(W), so its lowest-degree relations are polynomials in
+the dim W forms ⟨w, ∇f⟩.  They are found by evaluating those forms at
+integer points, and every candidate is certified symbolically before it is
+used.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
-from .fields import rational_content, substream
-from .hessian import sample_kernels
+from .fields import norm_coeff, rational_content, substream
+from .hessian import gradient_at, sample_kernels, term_table
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_list, linear_combination, monomials_of_degree
 
@@ -119,13 +122,14 @@ def _relation_points(nvars, width):
         yield tuple(rng.randint(-width, width) for _ in range(nvars))
 
 
-def _monomial_row(forms, point, monos):
-    """The monomials monos in z, at z = F(point)."""
-    vals = [F.evaluate(point) for F in forms]
+def _monomial_row(f, table, span, point, monos):
+    """The monomials monos in z, at z_j = F_j(point) = ⟨w_j, ∇f(point)⟩."""
+    grad = gradient_at(f, point, table)
+    vals = [norm_coeff(sum(map(operator.mul, w, grad))) for w in span]
     return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
 
 
-def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
+def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, table=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
     The polar image is a cone over P(W), W the span of the kernels of H_f,
@@ -138,7 +142,8 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     where G(F) ≠ 0, until the kernel is the relation space.  A W that is
     too small can hide a relation but never fake one.  Among the basis
     vectors the primitive-integer one supported on the earliest monomials
-    wins, as in a search over all n+1 coordinates.
+    wins, as in a search over all n+1 coordinates.  `table` is
+    `term_table(f)`, built here when None.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -148,6 +153,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
         span = sample_kernels(f).span
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
+    table = table or term_table(f)
     partials = f.gradient()
     forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
     for e in range(1, max_degree + 1):
@@ -155,7 +161,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
         # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
         # with more than e(d-1) values per coordinate
         points = _relation_points(f.nvars, e * (f.degree() - 1))
-        rows = [_monomial_row(forms, next(points), monos) for _ in range(len(monos) + 2)]
+        rows = [_monomial_row(f, table, span, next(points), monos) for _ in range(len(monos) + 2)]
         while True:
             nrows, relations = len(rows), []
             for v in kernel(ScalarMatrix(rows)):
@@ -167,7 +173,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
                     continue
                 # a row where G(F) ≠ 0 takes G out of the kernel
                 rows.append(next(
-                    row for row in (_monomial_row(forms, a, monos) for a in points)
+                    row for row in (_monomial_row(f, table, span, a, monos) for a in points)
                     if sum(map(operator.mul, row, vec))
                 ))
             if len(rows) == nrows:
@@ -178,7 +184,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
             # rows on its support
             support = sorted({i for w in span for i, c in enumerate(w) if c})
             unit = [tuple(int(i == j) for i in range(f.nvars)) for j in support]
-            return find_polar_relation(f, max_degree, span=unit)
+            return find_polar_relation(f, max_degree, span=unit, table=table)
         # columns run graded-lex descending, so preferring support on the
         # earliest monomials means taking the lexicographically greatest vector
         for _, relation in sorted(relations, key=lambda r: r[0], reverse=True):
@@ -234,17 +240,14 @@ class InvarianceCheck:
         return self.agree
 
 
-def _shifted_arguments(psi):
+def shifted_arguments(psi):
     """x_i + λ·h_i(x) as polynomials in (x_0..x_n, λ)."""
     n1 = psi.nvars
     lam = Polynomial.variable(n1 + 1, n1)
-    args = []
-    for i in range(n1):
-        args.append(Polynomial.variable(n1 + 1, i) + lam * psi.h[i].extend(n1 + 1))
-    return args
+    return [Polynomial.variable(n1 + 1, i) + lam * hi.extend(n1 + 1) for i, hi in enumerate(psi.h)]
 
 
-def check_invariance(F, psi):
+def check_invariance(F, psi, gradient=None, shifted=None):
     """Verify both directions of: Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
     and read F(h) ≡ 0 off the same expansion.
 
@@ -253,38 +256,39 @@ def check_invariance(F, psi):
     theorem itself is falsified.  F is homogeneous, of degree D say, so the
     λ^D coefficient of the expansion is F(h): F(h) ≡ 0 exactly when no term
     has λ-exponent D.  Taylor's argument forces it when Σ F_i h_i = 0.
+    A battery that checks many F passes ∇F and `shifted_arguments(psi)`,
+    built once; they are built here when None.
     """
     if F.nvars != psi.nvars:
         raise DomainError("F must live in the same variables as ψ_g")
     if not F.is_homogeneous():
         raise DomainError("F must be homogeneous")
-    sigma = Polynomial.zero(F.nvars)
-    for i in range(F.nvars):
-        sigma = sigma + F.partial(i) * psi.h[i]
-    shifted, top = F.compose(_shifted_arguments(psi)), F.degree()
+    sigma = {}
+    for Fi, hi in zip(gradient or F.gradient(), psi.h):
+        if Fi and hi:
+            for e, c in (Fi * hi).terms.items():
+                sigma[e] = sigma.get(e, 0) + c
+    shifted, top = F.compose(shifted or shifted_arguments(psi)), F.degree()
     return InvarianceCheck(
-        derivative_zero=sigma.is_zero(),
+        derivative_zero=not any(sigma.values()),
         invariant=shifted == F.extend(F.nvars + 1),
         image_zero=all(e[-1] != top for e in shifted.terms),
     )
 
 
-def _sample_values(components, count, seed, stream, label):
-    """Distinct primitive-integer values of the map x -> (c(x) for c in
-    components) at seeded integer points, skipping points where every
-    component vanishes.  The preimage of every value is stored alongside it.
+def _sample_values(values, nvars, count, seed, stream, label):
+    """Distinct primitive-integer values of the map x -> values(x) at seeded
+    integer points, skipping points where every component vanishes.  The
+    preimage of every value is stored alongside it.
     """
-    nvars = components[0].nvars
-    points = []
-    preimages = []
-    seen = set()
+    points, preimages, seen = [], [], set()
     budget = max(40 * count, 40)
     for s in range(budget):
         if len(points) == count:
             break
         rng = substream(seed, stream, s)
         pt = tuple(rng.randint(-20, 20) for _ in range(nvars))
-        val = tuple(c.evaluate(pt) for c in components)
+        val = values(pt)
         if not any(pt) or not any(val):
             continue
         norm = primitive_vector(val)
@@ -293,12 +297,7 @@ def _sample_values(components, count, seed, stream, label):
         seen.add(norm)
         points.append(norm)
         preimages.append(pt)
-    return SampledSet(
-        label=label,
-        points=tuple(points),
-        preimages=tuple(preimages),
-        seed=seed,
-    )
+    return SampledSet(label=label, points=tuple(points), preimages=tuple(preimages), seed=seed)
 
 
 def sample_image(psi, count, seed):
@@ -308,18 +307,22 @@ def sample_image(psi, count, seed):
     Errors only if no image point is found at all (ψ_g undefined
     generically).
     """
-    image = _sample_values(psi.h, count, seed, "image", "S*_Z image")
+    image = _sample_values(
+        lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
+    )
     if count > 0 and not len(image):
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image
 
 
-def sample_polar_image(f, count, seed):
+def sample_polar_image(f, count, seed, table=None):
     """Distinct exact points of the polar map's image: the tangent-hyperplane
-    locus Z(f) sampled through the gradient, skipping singular points."""
+    locus Z(f) sampled through `gradient_at`, skipping singular points."""
     if not f or f.degree() < 1:
         raise DomainError("polar map needs a nonzero polynomial of degree >= 1")
-    image = _sample_values(f.gradient(), count, seed, "polar_image", "Z(f) image")
+    image = _sample_values(
+        lambda pt: gradient_at(f, pt, table), f.nvars, count, seed, "polar_image", "Z(f) image"
+    )
     if count > 0 and not len(image):
         raise SampleBudgetError("the polar map vanished at every sampled point")
     return image
@@ -332,17 +335,16 @@ class InclusionReport:
     singular_violations: tuple
 
 
-def check_inclusions(f, psi, image):
+def check_inclusions(f, psi, image, table=None):
     """Every sampled image point must lie in Bs(ψ_g) and in Sing(V(f))."""
     if not len(image):
         raise DomainError("empty image sample")
     bs_bad = []
     sing_bad = []
-    partials = f.gradient()
     for q in image.points:
         if any(hi.evaluate(q) for hi in psi.h):
             bs_bad.append(q)
-        if any(fi.evaluate(q) for fi in partials):
+        if any(gradient_at(f, q, table)):
             sing_bad.append(q)
     return InclusionReport(
         ok=not bs_bad and not sing_bad,
@@ -351,33 +353,49 @@ def check_inclusions(f, psi, image):
     )
 
 
-def _line_in_common_zeros(polys, w, q):
-    """Substituting x = w + λ·q must kill every polynomial identically in λ."""
-    args = [
-        Polynomial.constant(1, wi) + Polynomial.variable(1, 0).scale(qi)
-        for wi, qi in zip(w, q)
-    ]
-    return all(p.compose(args).is_zero() for p in polys)
+def _line_point(w, q, norm, degree):
+    """w + 2^B·q, 2^B > norm·M^degree with M = max_i(|w_i| + |q_i|): a point
+    where p, with integer coefficients of ‖p‖₁ ≤ norm and degree ≤ degree,
+    vanishes exactly when p(w + λq) ≡ 0 in λ (Kronecker substitution).
+
+    A monomial of p expands at w + λq to λ-coefficients of absolute sum at
+    most M^degree, so each λ-coefficient c_k of p(w + λq) has |c_k| < 2^B.
+    If some c_k ≠ 0 and k is the lowest such, p(w + 2^B·q) =
+    2^(Bk)·(c_k + 2^B·r) for an integer r, and 2^B cannot divide c_k, as
+    0 < |c_k| < 2^B: the value is nonzero.  If every c_k is 0, it is 0."""
+    m = max(abs(a) + abs(b) for a, b in zip(w, q))
+    shift = 1 << (norm * m**degree).bit_length()
+    return [a + shift * b for a, b in zip(w, q)]
 
 
-def check_fiber_lines(f, psi, image):
+def _primitive_norm(p):
+    """‖p‖₁ of p scaled to coprime integers, which vanishes where p does."""
+    coeffs = list(p.terms.values())
+    return int(sum(map(abs, coeffs)) / rational_content(coeffs))
+
+
+def check_fiber_lines(f, psi, image, table=None):
     """Point-level fiber-cone and line-in-locus checks at the sample's first
     point q, reached from its stored preimage p.
 
     (i) ψ_g(p + λq) = q projectively for λ = 1..3.
     (ii) For the next three sampled image points w (all of them lie in
     Bs(ψ_g) and in Sing(X)): the whole line ⟨w, q⟩ stays inside both loci,
-    symbolically in λ.
+    symbolically in λ, each by one evaluation at a `_line_point`.  Every h_i
+    is checked against the largest ‖h_i‖₁; every partial of f, of degree
+    D − 1 and absolute coefficient sum at most D·‖f‖₁, by one `gradient_at`.
     """
     q, p = image.points[0], image.preimages[0]
     for lam in (1, 2, 3):
         val = psi.evaluate([a + lam * b for a, b in zip(p, q)])
         if val is None or not projectively_equal(val, q):
             return False
-    partials = f.gradient()
+    h_bound = max(_primitive_norm(hi) for hi in psi.h if hi), max(hi.degree() for hi in psi.h)
+    d = f.degree()
+    f_bound = d * _primitive_norm(f), d - 1
     for w in image.points[1:4]:
-        if not _line_in_common_zeros(list(psi.h), w, q):
+        if psi.evaluate(_line_point(w, q, *h_bound)) is not None:
             return False
-        if not _line_in_common_zeros(partials, w, q):
+        if any(gradient_at(f, _line_point(w, q, *f_bound), table)):
             return False
     return True

@@ -11,7 +11,7 @@ import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
 from .gn import GNSkeleton, core_multiplicity, random_instance
-from .hessian import hessian_vanishes
+from .hessian import hessian_vanishes, second_partials, term_table
 from .poly import parse
 from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
@@ -23,6 +23,7 @@ from .psi import (
     find_polar_relation,
     sample_image,
     sample_polar_image,
+    shifted_arguments,
 )
 
 SCHEMA = "hesse-lab/4"
@@ -146,19 +147,25 @@ def sections_block(report):
     }
 
 
-def psi_identity_battery(f, psi, seed=0):
+def psi_identity_battery(f, psi, seed=0, table=None):
     """Every identity the relation implies, plus the sampled inclusions.
     Returns the checks, the ψ_g image sample, the polar-image sample the
-    relation was checked on, and whether every check passed."""
-    inv_f = check_invariance(f, psi)
-    partial_results = [check_invariance(fi, psi) for fi in f.gradient()]
+    relation was checked on, and whether every check passed.  ∇f, the
+    second partials, x + λh and `term_table(f)` (when None) are built once."""
+    gradient, shifted = f.gradient(), shifted_arguments(psi)
+    table = table or term_table(f)
+    inv_f = check_invariance(f, psi, gradient, shifted)
+    partial_results = [
+        check_invariance(fi, psi, row, shifted)
+        for fi, row in zip(gradient, second_partials(gradient))
+    ]
     checks = {
         # row i of H_f·h is Σ_j ∂_j f_i·h_j, the derivative side for F = f_i
         "second_derivative_zero": all(r.derivative_zero for r in partial_results),
         "invariance_f": invariance_entry(inv_f),
         "partials_invariant": all(r.derivative_zero and r.invariant for r in partial_results),
     }
-    comp_results = [check_invariance(hk, psi) for hk in psi.h if hk]
+    comp_results = [check_invariance(hk, psi, shifted=shifted) for hk in psi.h if hk]
     checks["components_invariant"] = all(
         r.derivative_zero and r.invariant for r in comp_results
     )
@@ -168,25 +175,16 @@ def psi_identity_battery(f, psi, seed=0):
     checks["image_in_base_locus_symbolic"] = all(r.image_zero for r in comp_results)
     checks["image_in_singular_locus_symbolic"] = all(r.image_zero for r in partial_results)
     image = sample_image(psi, IMAGE_SAMPLES, seed)
-    inclusions = check_inclusions(f, psi, image)
+    inclusions = check_inclusions(f, psi, image, table)
     checks["sampled_inclusions"] = inclusions.ok
-    checks["fiber_lines"] = check_fiber_lines(f, psi, image)
-    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed)
+    checks["fiber_lines"] = check_fiber_lines(f, psi, image, table)
+    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed, table)
     checks["relation_vanishes_on_polar_sample"] = all(
         psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
     )
-    ok = (
-        checks["second_derivative_zero"]
-        and checks["invariance_f"]["agree"]
-        and inv_f.derivative_zero
-        and checks["partials_invariant"]
-        and checks["components_invariant"]
-        and checks["equivalence_integrity"]
-        and checks["image_in_base_locus_symbolic"]
-        and checks["image_in_singular_locus_symbolic"]
-        and checks["sampled_inclusions"]
-        and checks["fiber_lines"]
-        and checks["relation_vanishes_on_polar_sample"]
+    # every other check is a bool
+    ok = inv_f.agree and inv_f.derivative_zero and all(
+        v for k, v in checks.items() if k != "invariance_f"
     )
     return checks, image, polar_sample, ok
 

@@ -102,6 +102,14 @@ def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
         p4_section_check(PAPER_CUBIC, line, chart_count=1, seed=0)
 
 
+def test_p4_sections_vertex_line_outside_the_plane_is_an_internal_error(cubic_curve, monkeypatch):
+    # the vertex line is read as rows of span(Π), so it always has coordinates
+    # in Π's basis; only a broken coordinate reader gets here
+    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, pivots, point: None)
+    with pytest.raises(InternalCheckError, match="vertex line escapes Π"):
+        p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+
+
 def test_p4_sections_paper_cubic(cubic_curve):
     report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=5, seed=0)
     assert report.ok, report.violations

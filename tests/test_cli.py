@@ -505,14 +505,19 @@ def _invariants(doc):
     [
         PAPER_CUBIC,
         "x0^3 + x1^3 + x2^3 + x3^3",
-        random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=0).f.to_string("x"),
+        *(
+            random_instance(GNSkeleton(4, 2, 1, 2, 1, d), seed=0).f.to_string("x")
+            for d in (3, 4, 6)
+        ),
     ],
-    ids=["paper-cubic", "fermat-surface", "gn-4,2,1,2,1,3"],
+    ids=["paper-cubic", "fermat-surface", "gn-4,2,1,2,1,3", "gn-4,2,1,2,1,4", "gn-4,2,1,2,1,6"],
 )
 def test_analyze_is_coordinate_free(tmp_path, text):
     # every field compared is a projective invariant, so analyze(f) and
     # analyze(f∘A) agree for invertible A; each text names every variable,
-    # since parse infers the variable count from the largest index
+    # since parse infers the variable count from the largest index.  The
+    # sampled ψ_g image points of a GN form have zero coordinates and those
+    # of a dense conjugate have none, so both paths of gradient_at run
     f = parse(text)
     a = random_invertible(f.nvars, substream(0, "dense"))
     g = f.compose([Polynomial.linear_form(row) for row in a.entries])

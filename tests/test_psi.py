@@ -1,10 +1,14 @@
 """Polar relation search, ψ_g construction, and the identity battery."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab import psi as psi_module
+from hesse_lab import reports
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
@@ -286,6 +290,96 @@ def test_fiber_lines_without_gcd_division(cubic_psi):
     )
     img = sample_image(undivided, count=10, seed=4)
     assert check_fiber_lines(PAPER_CUBIC, undivided, img)
+
+
+def test_fiber_lines_fail_on_a_line_that_leaves_sing_v_f(cubic_psi):
+    # x3·h has the same image as h where x3 != 0, and its base locus is the
+    # hyperplane x3 = 0, so only the Sing V(f) check can catch a line in it:
+    # w = (0:0:0:0:1) lies in {x3 = 0} but f_2 = x4^2 is 1 on ⟨w, q⟩
+    x3 = Polynomial.variable(5, 3)
+    widened = PsiMap(
+        relation=cubic_psi.relation,
+        rho=cubic_psi.rho,
+        h=tuple(x3 * hi for hi in cubic_psi.h),
+    )
+    p = (0, 0, 0, 1, 1)
+    q = primitive_vector(widened.evaluate(p))
+
+    def sample(w):
+        return SampledSet(label="lines", points=(q, w), preimages=(p, p), seed=0)
+
+    assert check_fiber_lines(PAPER_CUBIC, widened, sample((1, 0, 0, 0, 0)))
+    assert not check_fiber_lines(PAPER_CUBIC, widened, sample((0, 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 300])
+def test_line_point_tells_a_line_one_digit_off_zero(k):
+    # x0 restricts to -2^k + λ on w + λq: the point w + 2^k·q would read 0,
+    # but the bound ‖x0‖₁·(2^k + 1) forces a shift of k + 1
+    x0 = Polynomial.variable(1, 0)
+    w, q = (-(2**k),), (1,)
+    assert x0.evaluate([w[0] + (q[0] << k)]) == 0
+    assert x0.evaluate(psi_module._line_point(w, q, 1, 1)) != 0
+
+
+@st.composite
+def forms_and_lines(draw):
+    """(p, w, q): an integer form in three variables and a line, where p is
+    made to vanish on the line about half the time by a factor w × q."""
+    d = draw(st.integers(1, 4))
+    monos = monomials_of_degree(3, d)
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
+    p = Polynomial(3, dict(zip(monos, coeffs)))
+    w, q = (draw(st.tuples(*[st.integers(-30, 30)] * 3)) for _ in range(2))
+    cross = (w[1] * q[2] - w[2] * q[1], w[2] * q[0] - w[0] * q[2], w[0] * q[1] - w[1] * q[0])
+    if draw(st.booleans()) and any(cross):
+        p = p * Polynomial.linear_form(cross)
+    return p, w, q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forms_and_lines())
+def test_line_point_agrees_with_the_composition(case):
+    p, w, q = case
+    lam = Polynomial.variable(1, 0)
+    args = [Polynomial.constant(1, a) + lam.scale(b) for a, b in zip(w, q)]
+    norm = sum(abs(c) for c in p.terms.values())
+    point = psi_module._line_point(w, q, norm, max(p.degree(), 0))
+    assert (p.evaluate(point) == 0) is p.compose(args).is_zero()
+
+
+def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothing(
+    cubic_psi, monkeypatch
+):
+    calls = Counter()
+    compose, fiber = Polynomial.compose, reports.check_fiber_lines
+    shifted = psi_module.shifted_arguments
+
+    def counted_compose(self, args):
+        calls["compose in fiber lines" if calls["open fiber lines"] else "compose"] += 1
+        return compose(self, args)
+
+    def counted_fiber(*args):
+        calls["open fiber lines"] += 1
+        try:
+            return fiber(*args)
+        finally:
+            calls["open fiber lines"] -= 1
+
+    def counted_shifted(psi):
+        calls["shifted"] += 1
+        return shifted(psi)
+
+    monkeypatch.setattr(Polynomial, "compose", counted_compose)
+    monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
+    for module in (reports, psi_module):
+        monkeypatch.setattr(module, "shifted_arguments", counted_shifted)
+    checks, _, _, ok = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi)
+    assert ok and checks["fiber_lines"]
+    assert calls["shifted"] == 1
+    assert calls["compose in fiber lines"] == 0
+    # one F(x + λh) for f, each of its five partials and the three nonzero h_k
+    assert calls["compose"] == 1 + 5 + 3
 
 
 def test_fiber_lines_lambda_zero_trivial(cubic_psi):
