@@ -13,8 +13,7 @@ The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex or a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) later
 makes a vanishing verdict exact.  The matrix of second partials is built only
-for `--symbolic` and for points with a zero coordinate; the ψ battery reads
-the second partials as polynomials (`second_partials`).  The symbolic
+for `--symbolic` and for points with a zero coordinate.  The symbolic
 determinant, by minor expansion over memoized column subsets, serves
 `--symbolic` and the GN ψ-row minors; Bareiss elimination is its tests' oracle.
 """
@@ -91,21 +90,11 @@ class HessianVerdict:
         return replace(self, error_bound=Fraction(0), certificate=certificate)
 
 
-def second_partials(gradient):
-    """Rows ∇f_i of the second partials from ∇f, in order.  Mixed partials
-    commute, so f_ij for j > i is kept for row j, and only until then."""
-    n, later = len(gradient), {}
-    for i, fi in enumerate(gradient):
-        row = [later.pop((j, i)) for j in range(i)] + [fi.partial(j) for j in range(i, n)]
-        later.update(((i, j), row[j]) for j in range(i + 1, n))
-        yield row
-
-
 def hessian_matrix(f):
     """Matrix of second partials."""
     if not f:
         raise DomainError("Hessian of the zero polynomial")
-    return PolyMatrix(second_partials(f.gradient()))
+    return PolyMatrix([fi.gradient() for fi in f.gradient()])
 
 
 def term_table(f):

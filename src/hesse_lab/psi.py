@@ -5,7 +5,10 @@ g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ
 common factor ρ divided out; everything the relation implies (translation
 invariance, the base-locus and singular-locus inclusions, fiber cones) is
 checked either symbolically or on one exact sample of the image at integer
-points, where ∇f is read in one pass per point (`gradient_at`).  A line
+points, where ∇f is read in one pass per point (`gradient_at`).  The
+symbolic checks are Z-linear in the form, so a family is checked at once on
+P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
+battery costs one expansion, and a relation's certificate one product.  A line
 ⟨w, q⟩ lies in a locus exactly when its equations vanish at one integer
 point w + 2^B·q (`_line_point`).  The relation itself is searched for on W,
 the span of the kernels of H_f: ψ_g takes its values there, and the polar
@@ -30,6 +33,63 @@ from .poly import Polynomial, gcd_list, linear_combination, monomials_of_degree
 DEFAULT_MAX_RELATION_DEGREE = 8
 
 
+def _integral(polys):
+    """The term dicts of polys, all scaled by the lcm of their denominators,
+    which changes no answer to "does this vanish"."""
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    if lcm == 1:
+        return [p.terms for p in polys]
+    return [{e: int(c * lcm) for e, c in p.terms.items()} for p in polys]
+
+
+def _norm(terms):
+    return sum(map(abs, terms.values()))
+
+
+class _Digits:
+    """Kronecker substitution on the index of a family: integer term dicts
+    p_k are packed into Σ_k p_k·2^(bits·k), and a Z-linear image of them is
+    read back digit by digit.  With 2^(bits−1) > bound ≥ |a_k|, a coefficient
+    c = Σ_k a_k·2^(bits·k) of the image has the plain base-2^bits digits
+    a_k + 2^(bits−1) ∈ [1, 2^bits) once offset = Σ_k 2^(bits·k + bits − 1) is
+    added, so a_k = 0 exactly when field k of (c + offset) XOR offset is."""
+
+    def __init__(self, bound, count):
+        self.bits, self.count = bound.bit_length() + 1, count
+        self.offset = sum(1 << (self.bits * k + self.bits - 1) for k in range(count))
+
+    def pack(self, family):
+        packed = {}
+        for k, terms in enumerate(family):
+            for e, c in terms.items():
+                packed[e] = packed.get(e, 0) + (c << self.bits * k)
+        return packed
+
+    def digit(self, terms, k):
+        """Digit k of each coefficient of a packed term dict."""
+        shift, mask, half = self.bits * k, (1 << self.bits) - 1, 1 << (self.bits - 1)
+        return {e: ((c + self.offset) >> shift & mask) - half for e, c in terms.items()}
+
+    def nonzero(self, coeffs):
+        """Per digit k < count: whether a_k ≠ 0 in some coefficient."""
+        flags, offset = 0, self.offset
+        for c in coeffs:
+            flags |= (c + offset) ^ offset
+        mask = (1 << self.bits) - 1
+        return [bool(flags >> (self.bits * k) & mask) for k in range(self.count)]
+
+
+def _packed_dot(a, b):
+    """Σ_j a_j·b_j up to a positive scale: digit k of the one product
+    (Σ_j a_j·2^(bits·j))·(Σ_j b_j·2^(bits·(k−j))), whose digit i is
+    Σ_{j−j' = i−k} a_j·b_j', of coefficients at most (Σ_j ‖a_j‖₁)(Σ_j ‖b_j‖₁)."""
+    n, k = a[0].nvars, len(a) - 1
+    a, b = _integral(a), _integral(b)
+    digits = _Digits(sum(map(_norm, a)) * sum(map(_norm, b)), 2 * k + 1)
+    product = Polynomial(n, digits.pack(a)) * Polynomial(n, digits.pack(b[::-1]))
+    return Polynomial(n, digits.digit(product.terms, k))
+
+
 @dataclass(frozen=True)
 class PolarRelation:
     """g with g(f_0,…,f_n) ≡ 0.
@@ -43,7 +103,7 @@ class PolarRelation:
     g: Polynomial                 # in y_0..y_n
     degree: int
     raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
-    certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f); must be zero
+    certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f), up to a scale; must be zero
     parts: tuple                  # (∂_jG)(F)
 
     def __post_init__(self):
@@ -60,7 +120,7 @@ class PolarRelation:
         coefficients and a positive leading one."""
         n = forms[0].nvars
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
-        euler = sum((F * p for F, p in zip(forms, parts)), Polynomial.zero(n))
+        euler = _packed_dot(forms, parts)
         if euler:
             return None
         g = G.compose([Polynomial.linear_form(w) for w in span])
@@ -236,44 +296,50 @@ class InvarianceCheck:
     def agree(self):
         return self.derivative_zero == self.invariant
 
-    def __bool__(self):
-        return self.agree
 
+def check_invariance(forms, psi):
+    """For each F in forms, both sides of Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
+    and F(h) ≡ 0; the sides must agree, or the theorem itself is falsified.
 
-def shifted_arguments(psi):
-    """x_i + λ·h_i(x) as polynomials in (x_0..x_n, λ)."""
-    n1 = psi.nvars
-    lam = Polynomial.variable(n1 + 1, n1)
-    return [Polynomial.variable(n1 + 1, i) + lam * hi.extend(n1 + 1) for i, hi in enumerate(psi.h)]
-
-
-def check_invariance(F, psi, gradient=None, shifted=None):
-    """Verify both directions of: Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
-    and read F(h) ≡ 0 off the same expansion.
-
-    Both sides are decided symbolically: the right one by expanding
-    F(x + λ·h(x)) in n+2 variables.  They must agree for every F, or the
-    theorem itself is falsified.  F is homogeneous, of degree D say, so the
-    λ^D coefficient of the expansion is F(h): F(h) ≡ 0 exactly when no term
-    has λ-exponent D.  Taylor's argument forces it when Σ F_i h_i = 0.
-    A battery that checks many F passes ∇F and `shifted_arguments(psi)`,
-    built once; they are built here when None.
+    All symbolic, read off digit k of one expansion P(x + λ·h(x)) and one sum
+    Σ_j ∂_jP·h_j of the packed family P = Σ_k F_k·2^(bits·k) (`_Digits`).
+    F_k is invariant when digit k vanishes on every term of λ-exponent ≥ 1.
+    F_k is homogeneous, of degree D say, so F_k(h) is the λ^D coefficient of
+    its expansion (Taylor's argument forces it to vanish when Σ F_i h_i = 0).
+    The bound, with F and h scaled to integers and M = 1 + max_j ‖h_j‖₁: a
+    term c·x^e of F expands to c·Π_i (x_i + λh_i)^e_i, of absolute coefficient
+    sum at most |c|·M^D, so no coefficient of F(x + λh), nor of its
+    λ-coefficient Σ_j ∂_jF·h_j, exceeds ‖F‖₁·M^D.
     """
-    if F.nvars != psi.nvars:
-        raise DomainError("F must live in the same variables as ψ_g")
-    if not F.is_homogeneous():
-        raise DomainError("F must be homogeneous")
-    sigma = {}
-    for Fi, hi in zip(gradient or F.gradient(), psi.h):
-        if Fi and hi:
-            for e, c in (Fi * hi).terms.items():
+    for F in forms:
+        if F.nvars != psi.nvars:
+            raise DomainError("F must live in the same variables as ψ_g")
+        if not F.is_homogeneous():
+            raise DomainError("F must be homogeneous")
+    n1, family, h = psi.nvars, _integral(forms), _integral(psi.h)
+    degrees, m = [F.degree() for F in forms], 1 + max(map(_norm, h))
+    digits = _Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
+    packed, sigma = Polynomial(n1, digits.pack(family)), {}
+    for j, hj in enumerate(h):
+        pj = packed.partial(j)
+        if pj and hj:
+            for e, c in (pj * Polynomial(n1, hj)).terms.items():
                 sigma[e] = sigma.get(e, 0) + c
-    shifted, top = F.compose(shifted or shifted_arguments(psi)), F.degree()
-    return InvarianceCheck(
-        derivative_zero=not any(sigma.values()),
-        invariant=shifted == F.extend(F.nvars + 1),
-        image_zero=all(e[-1] != top for e in shifted.terms),
-    )
+    # x_i + λ·h_i(x) in (x_0..x_n, λ)
+    shifted = packed.compose([
+        Polynomial.variable(n1 + 1, i) + Polynomial(n1 + 1, {e + (1,): c for e, c in hi.items()})
+        for i, hi in enumerate(h)
+    ])
+    by_lambda = {}
+    for e, c in shifted.terms.items():
+        by_lambda.setdefault(e[-1], []).append(c)
+    derivative = digits.nonzero(sigma.values())
+    moved = digits.nonzero(c for a, cs in by_lambda.items() if a for c in cs)
+    top = {D: digits.nonzero(by_lambda.get(D, ())) for D in set(degrees)}
+    return [
+        InvarianceCheck(derivative_zero=not derivative[k], invariant=not moved[k], image_zero=not top[D][k])
+        for k, D in enumerate(degrees)
+    ]
 
 
 def _sample_values(values, nvars, count, seed, stream, label):

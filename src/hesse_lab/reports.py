@@ -11,7 +11,7 @@ import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
 from .gn import GNSkeleton, core_multiplicity, random_instance
-from .hessian import hessian_vanishes, second_partials, term_table
+from .hessian import hessian_vanishes, term_table
 from .poly import parse
 from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
@@ -23,7 +23,6 @@ from .psi import (
     find_polar_relation,
     sample_image,
     sample_polar_image,
-    shifted_arguments,
 )
 
 SCHEMA = "hesse-lab/4"
@@ -150,30 +149,23 @@ def sections_block(report):
 def psi_identity_battery(f, psi, seed=0, table=None):
     """Every identity the relation implies, plus the sampled inclusions.
     Returns the checks, the ψ_g image sample, the polar-image sample the
-    relation was checked on, and whether every check passed.  ∇f, the
-    second partials, x + λh and `term_table(f)` (when None) are built once."""
-    gradient, shifted = f.gradient(), shifted_arguments(psi)
+    relation was checked on, and whether every check passed.  One
+    `check_invariance` call checks f, ∇f and the nonzero h_k together, and
+    `term_table(f)` (when None) is built once."""
     table = table or term_table(f)
-    inv_f = check_invariance(f, psi, gradient, shifted)
-    partial_results = [
-        check_invariance(fi, psi, row, shifted)
-        for fi, row in zip(gradient, second_partials(gradient))
-    ]
+    gradient, components = f.gradient(), [hk for hk in psi.h if hk]
+    inv_f, *results = check_invariance([f, *gradient, *components], psi)
+    partial_results, comp_results = results[:len(gradient)], results[len(gradient):]
     checks = {
         # row i of H_f·h is Σ_j ∂_j f_i·h_j, the derivative side for F = f_i
         "second_derivative_zero": all(r.derivative_zero for r in partial_results),
         "invariance_f": invariance_entry(inv_f),
         "partials_invariant": all(r.derivative_zero and r.invariant for r in partial_results),
+        "components_invariant": all(r.derivative_zero and r.invariant for r in comp_results),
+        "equivalence_integrity": all(r.agree for r in [inv_f, *results]),
+        "image_in_base_locus_symbolic": all(r.image_zero for r in comp_results),
+        "image_in_singular_locus_symbolic": all(r.image_zero for r in partial_results),
     }
-    comp_results = [check_invariance(hk, psi, shifted=shifted) for hk in psi.h if hk]
-    checks["components_invariant"] = all(
-        r.derivative_zero and r.invariant for r in comp_results
-    )
-    checks["equivalence_integrity"] = all(
-        r.agree for r in [inv_f, *partial_results, *comp_results]
-    )
-    checks["image_in_base_locus_symbolic"] = all(r.image_zero for r in comp_results)
-    checks["image_in_singular_locus_symbolic"] = all(r.image_zero for r in partial_results)
     image = sample_image(psi, IMAGE_SAMPLES, seed)
     inclusions = check_inclusions(f, psi, image, table)
     checks["sampled_inclusions"] = inclusions.ok
@@ -296,7 +288,7 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
     x0 = parse("x0", nvars=5)
-    neg = check_invariance(x0, psi)
+    [neg] = check_invariance([x0], psi)
     block["negative_control"] = invariance_entry(neg)
     ok = ok and battery_ok and neg.agree and not neg.derivative_zero
     block["ok"] = ok

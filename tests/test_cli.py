@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, JSON schema shape, determinism."""
 
+import contextlib
+import io
 import json
 import sys
 from collections import Counter
@@ -16,7 +18,7 @@ from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.linalg import random_invertible
-from hesse_lab.poly import Polynomial, parse
+from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -526,6 +528,38 @@ def test_analyze_is_coordinate_free(tmp_path, text):
     assert (code, conj_code) == (0, 0)
     assert _invariants(conj_doc) == _invariants(doc)
     assert _invariants(doc)["vanishes"] is (text != "x0^3 + x1^3 + x2^3 + x3^3")
+
+
+@st.composite
+def small_random_forms(draw):
+    """(text, seed): a random form of degree 2 or 3 in the first u of n = 3
+    or 4 variables, a cone when u < n, written with + 0*x_{n−1} so that it
+    names every variable; and a seed for the change of coordinates."""
+    n = draw(st.integers(3, 4))
+    u, d = draw(st.integers(2, n)), draw(st.integers(2, 3))
+    monos = monomials_of_degree(u, d)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[0] = 1
+    f = Polynomial(u, {m: c for m, c in zip(monos, coeffs) if c})
+    return f"{f.to_string('x')} + 0*x{n - 1}", draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_random_forms())
+def test_analyze_agrees_on_a_form_and_its_conjugate(case):
+    text, seed = case
+    f = parse(text)
+    a = random_invertible(f.nvars, substream(seed, "conjugate"))
+    g = f.compose([Polynomial.linear_form(row) for row in a.entries])
+    compared = []
+    for poly in (text, g.to_string("x")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--poly", poly, "--no-timings"]) == 0
+        inv = _invariants(json.loads(out.getvalue()))
+        compared.append([inv[k] for k in ("vanishes", "is_cone", "vertex_dim", "polar_image_dim")])
+    assert compared[0] == compared[1]
 
 
 def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):

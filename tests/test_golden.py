@@ -1,7 +1,9 @@
 """Byte-for-byte regression of whole reports.
 
-`golden/commands.json` maps a name to an argv (each with --no-timings), and
-`golden/<name>.json` holds the report that argv printed when it was recorded.
+`golden/commands.json` maps a name to an argv (each with --no-timings), or to
+`{"argv": …, "exit": code}` for a command that must exit with a nonzero code,
+and `golden/<name>.json` holds the report that argv printed when it was
+recorded.
 A change that alters any report byte fails here; when the change is meant,
 rerun `PYTHONPATH=src python tests/test_golden.py` to re-record the reports
 and review their diff.
@@ -21,6 +23,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
+def command(entry):
+    """(argv, expected exit code) of one commands.json entry."""
+    if isinstance(entry, dict):
+        return entry["argv"], entry["exit"]
+    return entry, 0
+
+
 def report(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -30,14 +39,16 @@ def report(argv):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_golden(name):
-    code, text = report(COMMANDS[name])
-    assert code == 0
+    argv, expected = command(COMMANDS[name])
+    code, text = report(argv)
+    assert code == expected
     assert text == (GOLDEN / f"{name}.json").read_text()
 
 
 if __name__ == "__main__":
-    for name, argv in COMMANDS.items():
+    for name, entry in COMMANDS.items():
+        argv, expected = command(entry)
         code, text = report(argv)
-        if code != 0:
+        if code != expected:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.json").write_text(text)

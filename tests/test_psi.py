@@ -2,8 +2,10 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +138,7 @@ def test_psi_projective_well_defined(cubic_psi):
 
 def hessian_kills_h(f, psi):
     """H_f·h ≡ 0: row i is Σ_j ∂_j f_i·h_j, the derivative side for F = f_i."""
-    return all(check_invariance(fi, psi).derivative_zero for fi in f.gradient())
+    return all(r.derivative_zero for r in check_invariance(f.gradient(), psi))
 
 
 def test_second_derivative_relation(cubic_psi):
@@ -155,7 +157,7 @@ def test_second_derivative_relation_mutated(cubic_psi):
 
 
 def test_invariance_of_f_both_modes(cubic_psi):
-    res = check_invariance(PAPER_CUBIC, cubic_psi)
+    [res] = check_invariance([PAPER_CUBIC], cubic_psi)
     assert res.derivative_zero is True
     assert res.invariant is True
     assert res.agree
@@ -163,23 +165,19 @@ def test_invariance_of_f_both_modes(cubic_psi):
 
 def test_invariance_of_partials(cubic_psi):
     # f_i(x) = f_i(x + λψ_g(x)) for every i
-    for fi in PAPER_CUBIC.gradient():
-        res = check_invariance(fi, cubic_psi)
+    for res in check_invariance(PAPER_CUBIC.gradient(), cubic_psi):
         assert res.derivative_zero and res.invariant
 
 
 def test_invariance_of_psi_components(cubic_psi):
     # Σ ∂h_k/∂x_i · h_i = 0 and ψ_g(p) = ψ_g(p + λψ_g(p))
-    for hk in cubic_psi.h:
-        if hk.is_zero():
-            continue
-        res = check_invariance(hk, cubic_psi)
+    for res in check_invariance([hk for hk in cubic_psi.h if hk], cubic_psi):
         assert res.derivative_zero and res.invariant
 
 
 def test_invariance_fails_coherently_for_generic_linear(cubic_psi):
     x0 = parse("x0", nvars=5)
-    res = check_invariance(x0, cubic_psi)
+    [res] = check_invariance([x0], cubic_psi)
     assert res.derivative_zero is False
     assert res.invariant is False
     assert res.agree  # both sides fail together, as the equivalence demands
@@ -189,15 +187,16 @@ def test_taylor_membership(cubic_psi):
     # F(h) ≡ 0, read off the λ^D coefficient of F(x + λ·h), agrees with the
     # composition F(h_0,…,h_n) for each F of the battery and the control x0
     x0 = parse("x0", nvars=5)
-    for F in [*(hk for hk in cubic_psi.h if hk), *PAPER_CUBIC.gradient(), x0]:
+    forms = [*(hk for hk in cubic_psi.h if hk), *PAPER_CUBIC.gradient(), x0]
+    for F, res in zip(forms, check_invariance(forms, cubic_psi)):
         image_zero = F.compose(list(cubic_psi.h)).is_zero()
-        assert check_invariance(F, cubic_psi).image_zero is image_zero
+        assert res.image_zero is image_zero
         assert image_zero is (F is not x0)
 
 
 def test_invariance_refuses_a_non_homogeneous_form(cubic_psi):
     with pytest.raises(DomainError, match="homogeneous"):
-        check_invariance(parse("x0^2 + x1", nvars=5), cubic_psi)
+        check_invariance([PAPER_CUBIC, parse("x0^2 + x1", nvars=5)], cubic_psi)
 
 
 def test_sample_image_shape_and_determinism(cubic_psi):
@@ -353,7 +352,7 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
 ):
     calls = Counter()
     compose, fiber = Polynomial.compose, reports.check_fiber_lines
-    shifted = psi_module.shifted_arguments
+    invariance = psi_module.check_invariance
 
     def counted_compose(self, args):
         calls["compose in fiber lines" if calls["open fiber lines"] else "compose"] += 1
@@ -366,20 +365,20 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
         finally:
             calls["open fiber lines"] -= 1
 
-    def counted_shifted(psi):
-        calls["shifted"] += 1
-        return shifted(psi)
+    def counted_invariance(forms, psi):
+        calls["invariance"] += 1
+        return invariance(forms, psi)
 
     monkeypatch.setattr(Polynomial, "compose", counted_compose)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
-    for module in (reports, psi_module):
-        monkeypatch.setattr(module, "shifted_arguments", counted_shifted)
+    monkeypatch.setattr(reports, "check_invariance", counted_invariance)
     checks, _, _, ok = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi)
     assert ok and checks["fiber_lines"]
-    assert calls["shifted"] == 1
+    assert calls["invariance"] == 1
     assert calls["compose in fiber lines"] == 0
-    # one F(x + λh) for f, each of its five partials and the three nonzero h_k
-    assert calls["compose"] == 1 + 5 + 3
+    # one P(x + λh) for P the packed family of f, its five partials and the
+    # three nonzero h_k
+    assert calls["compose"] == 1
 
 
 def test_fiber_lines_lambda_zero_trivial(cubic_psi):
@@ -539,3 +538,163 @@ def test_w_and_relation_degree_are_coordinate_free(f):
     assert len(conj_span) == len(span)
     assert reduced_row_basis([[sum(x * y for x, y in zip(row, w)) for row in a.entries] for w in conj_span]) == span
     assert find_polar_relation(g).degree == find_polar_relation(f).degree
+
+
+# ----------------------------------------------------------------------
+# packed families against a sympy oracle
+
+_R, *_RX = sympy.polys.rings.ring("x0,x1,x2,lam", sympy.QQ)
+_LAM = _RX.pop()
+_SX = sympy.symbols("x0:3")
+
+
+def _sympy(p, args=_RX):
+    """p at args, in sympy's own sparse polynomial ring."""
+    return sum(
+        (sympy.QQ(c.numerator, c.denominator) * math.prod(x**k for x, k in zip(args, e) if k)
+         for e, c in p.terms.items()),
+        _R.zero,
+    )
+
+
+def _oracle_invariance(F, h):
+    """(derivative_zero, invariant, image_zero) of F by sympy expansion."""
+    f, hs = _sympy(F), [_sympy(hi) for hi in h]
+    derivative = sum((f.diff(x) * hx for x, hx in zip(_RX, hs)), _R.zero)
+    shifted = _sympy(F, [x + _LAM * hx for x, hx in zip(_RX, hs)])
+    return derivative == 0, shifted == f, _sympy(F, hs) == 0
+
+
+@st.composite
+def small_forms(draw, variables=(0, 1, 2), degrees=(1, 2, 3), fractions=True):
+    """A nonzero homogeneous form in the given variables of three."""
+    d = draw(st.sampled_from(degrees))
+    monos = [m for m in monomials_of_degree(3, d) if all(m[i] == 0 for i in range(3) if i not in variables)]
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[0] = 1
+    den = draw(st.sampled_from((1, 1, 2, 3, 7))) if fractions else 1
+    return Polynomial(3, {m: Fraction(c, den) for m, c in zip(monos, coeffs) if c})
+
+
+@st.composite
+def digit_families(draw):
+    """(bound, family): term dicts in two monomials whose coefficients lie in
+    [−bound, bound], the extremes and zero drawn often."""
+    bound = draw(st.sampled_from((0, 1, 2, 3, 2**8 - 1, 2**8, 10**30)))
+    coeff = st.one_of(st.sampled_from((-bound, bound, 0)), st.integers(-bound, bound))
+    terms = st.dictionaries(st.sampled_from(((1, 0), (0, 1))), coeff, max_size=2)
+    return bound, draw(st.lists(terms, min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(digit_families())
+def test_digits_read_back_every_packed_coefficient(case):
+    bound, family = case
+    digits = psi_module._Digits(bound, len(family))
+    packed = digits.pack(family)
+    for k, terms in enumerate(family):
+        assert {e: c for e, c in digits.digit(packed, k).items() if c} == {e: c for e, c in terms.items() if c}
+    assert digits.nonzero(packed.values()) == [any(terms.values()) for terms in family]
+
+
+@st.composite
+def invariance_families(draw):
+    """(forms, h): h = (0, 0, q(x0, x1)), under which forms in x0, x1 pass
+    every check and x0·G passes only F(h) ≡ 0, or h random in all three
+    variables; members of mixed degrees, zero and constant ones included."""
+    if draw(st.booleans()):
+        h = (Polynomial.zero(3), Polynomial.zero(3), draw(small_forms((0, 1), (1, 2), False)))
+    else:
+        delta = draw(st.sampled_from((1, 2)))
+        h = tuple(draw(small_forms(degrees=(delta,), fractions=False)) for _ in range(3))
+    member = st.one_of(
+        small_forms((0, 1)),
+        small_forms(),
+        small_forms(degrees=(1, 2)).map(lambda g: g * Polynomial.variable(3, 0)),
+        st.just(Polynomial.zero(3)),
+        st.integers(1, 5).map(lambda c: Polynomial.constant(3, c)),
+    )
+    return draw(st.lists(member, min_size=1, max_size=6)), h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(invariance_families())
+def test_packed_invariance_matches_the_sympy_expansion_of_each_form(case):
+    forms, h = case
+    psi = PsiMap(relation=None, rho=None, h=h)
+    got = [(r.derivative_zero, r.invariant, r.image_zero) for r in check_invariance(forms, psi)]
+    assert got == [_oracle_invariance(F, h) for F in forms]
+
+
+@pytest.mark.parametrize("t", [2, 7, 31, 64, 200])
+def test_packed_invariance_reads_a_digit_just_under_half_the_base(t):
+    # with h = (0, 0, s·x0) and s = 2^t − 2, the bound ‖F‖₁·M^D of F = ±x2 is
+    # 1·(1 + s) = 2^t − 1, so 2^(bits−1) = 2^t, and the λ·x0 coefficient ±s
+    # of ±x2(x + λh) sits just under it beside the zero digits of x0, x1, 0
+    s = 2**t - 2
+    assert psi_module._Digits(s + 1, 1).bits - 1 == t
+    x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
+    h = (Polynomial.zero(3), Polynomial.zero(3), x0.scale(s))
+    forms = [x2, x0, -x2, x1, Polynomial.zero(3), -x2, x0.scale(-1)]
+    got = check_invariance(forms, PsiMap(relation=None, rho=None, h=h))
+    assert [(r.derivative_zero, r.invariant, r.image_zero) for r in got] == [
+        _oracle_invariance(F, h) for F in forms
+    ]
+    assert [r.invariant for r in got] == [False, True, False, True, True, False, True]
+
+
+@st.composite
+def dot_cases(draw):
+    """(a, b): random forms, or b_0 = c·a_1, b_1 = −c·a_0 and zero beyond,
+    so that Σ_j a_j·b_j ≡ 0."""
+    k = draw(st.integers(1, 3))
+    member = st.one_of(small_forms(), st.just(Polynomial.zero(3)))
+    a = draw(st.lists(member, min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        c = draw(small_forms(degrees=(0, 1)))
+        return a, [a[1] * c, -(a[0] * c), *(Polynomial.zero(3) for _ in a[2:])]
+    return a, draw(st.lists(member, min_size=k, max_size=k))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dot_cases())
+def test_packed_dot_is_a_positive_multiple_of_the_expanded_sum(case):
+    a, b = case
+    got = psi_module._packed_dot(a, b)
+    expected = sympy.expand(sum((_sympy(x).as_expr() * _sympy(y).as_expr() for x, y in zip(a, b)), 0))
+    assert got.is_zero() is (expected == 0)
+    if got:
+        ratio = sympy.Rational(got.leading()[1]) / sympy.Poly(expected, *_SX).LC(order="grlex")
+        assert ratio > 0
+        assert sympy.expand(_sympy(got).as_expr() - ratio * expected) == 0
+
+
+@st.composite
+def relation_candidates(draw):
+    """(G, forms): G(a², ab, b²) for the relation G = z0·z2 − z1², or a random
+    nonzero G in k+1 variables at random forms."""
+    if draw(st.booleans()):
+        a, b = (draw(small_forms(degrees=(1,))) for _ in range(2))
+        return parse("z0*z2 - z1^2", var_prefix="z", nvars=3), [a * a, a * b, b * b]
+    k1 = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 2))
+    monos = monomials_of_degree(k1, e)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[-1] = 1
+    forms = [draw(small_forms(degrees=(2,))) for _ in range(k1)]
+    return Polynomial(k1, {m: c for m, c in zip(monos, coeffs) if c}), forms
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(relation_candidates())
+def test_from_partials_certifies_exactly_the_relations(case):
+    G, forms = case
+    k1 = G.nvars
+    is_relation = _sympy(G, [_sympy(F) for F in forms]) == 0
+    unit = [tuple(int(i == j) for i in range(k1)) for j in range(k1)]
+    rel = PolarRelation.from_partials(G, forms, unit)
+    assert (rel is not None) is is_relation
+    if rel is not None:
+        assert rel.certificate.is_zero()
