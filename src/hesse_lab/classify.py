@@ -9,6 +9,7 @@ plane are cones whose vertex line is tangent to the curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -207,7 +208,8 @@ def p4_plane_curve_check(f, image):
             monos = monomials_of_degree(3, e)
             if len(zs) < len(monos):
                 break
-            kern = kernel(ScalarMatrix([[_eval_monomial(z, m) for m in monos] for z in zs]))
+            values = [[math.prod(v ** a for v, a in zip(z, m) if a) for m in monos] for z in zs]
+            kern = kernel(ScalarMatrix(values))
             if len(kern):
                 vec = max(primitive_vector(v) for v in kern)
                 curve = Polynomial(3, {m: c for m, c in zip(monos, vec) if c})
@@ -224,20 +226,12 @@ def p4_plane_curve_check(f, image):
     )
 
 
-def _eval_monomial(point, mono):
-    acc = 1
-    for v, e in zip(point, mono):
-        if e:
-            acc *= v ** e
-    return acc
-
-
 @dataclass(frozen=True)
 class SectionRecord:
     pencil_value: Fraction
     vanishes: bool
     vertex_dim: int
-    tangency_status: str          # tangent | line_in_curve | inconclusive | failed | no_line
+    tangency_status: str          # tangent | line_in_curve | failed | no_line
     tangency_point: Optional[tuple]
 
 
@@ -252,53 +246,19 @@ class SectionReport:
         return self.precondition is None and not self.violations
 
 
-def _intersect_spans(vectors_a, vectors_b):
-    """Basis of span(vectors_a) ∩ span(vectors_b), primitive rows.  With
-    integer vectors every step is in integers."""
-    width = len(vectors_a[0])
-    cols = [list(v) for v in vectors_a] + [[-x for x in v] for v in vectors_b]
-    a = ScalarMatrix([[cols[j][i] for j in range(len(cols))] for i in range(width)])
-    out = []
-    for kv in kernel(a):
-        alpha = primitive_vector(kv)[: len(vectors_a)]
-        x = [
-            sum(alpha[j] * vectors_a[j][i] for j in range(len(vectors_a)))
-            for i in range(width)
-        ]
-        if any(x):
-            out.append(x)
-    if not out:
-        return ()
-    rows, _ = _echelon_rational(out)
-    return tuple(primitive_vector(r) for r in rows)
+def _repeated_root_data(r):
+    """(has_repeated_root, root_or_None) for a nonzero binary form r(u, v)
+    of degree at least two.
 
-
-def _repeated_root_data(binary_form):
-    """(has_repeated_root, witness_point_or_None) for a binary form in (u, v).
-
-    Dehomogenizes at v = 1; a degree drop of two or more is a repeated root
-    at infinity, otherwise the gcd with the derivative must be non-constant.
-    """
-    total = binary_form.degree()
-    affine = Polynomial(
-        1, {(e[0],): c for e, c in binary_form.terms.items()}
-    )
-    drop = total - (affine.degree() if affine else 0)
-    if not affine:
-        return True, None  # identically zero: the line lies in the curve
-    if drop >= 2:
-        return True, (1, 0)
-    deriv = affine.partial(0)
-    if not deriv:
-        return (affine.degree() == 0 and drop >= 2), None
-    g = gcd(affine, deriv)
+    By Euler's identity deg(r)·r = u·∂_u r + v·∂_v r, a linear form divides
+    both partials exactly when its square divides r, so r has a repeated
+    root iff g = gcd(∂_u r, ∂_v r) is not constant.  When g = a·u + b·v the
+    repeated root is the single point (b : -a)."""
+    g = gcd(r.partial(0), r.partial(1))
     if g.degree() == 0:
         return False, None
     if g.degree() == 1:
-        # g = u + c  →  root u = -c, v = 1
-        c1 = g.terms.get((1,), 0)
-        c0 = g.terms.get((0,), 0)
-        return True, primitive_vector((Fraction(-c0, c1), 1))
+        return True, primitive_vector((g.terms.get((0, 1), 0), -g.terms.get((1, 0), 0)))
     return True, None
 
 
@@ -310,7 +270,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         return SectionReport(
             precondition="plane-curve stage did not complete", records=(), violations=()
         )
-    basis = curve_report.span_basis
+    basis, pivots = curve_report.span_basis, curve_report.span_pivots
     pencil = [list(v) for v in kernel(ScalarMatrix([list(b) for b in basis]))]
     if len(pencil) != 2:
         raise InternalCheckError("the pencil through a rank-3 span is not 2-dimensional")
@@ -339,35 +299,19 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         vertex = cone_test(section)
         if not vanishes:
             violations.append(f"section at c={c} has nonvanishing Hessian")
+        # the vertex line lies in Π: read it in Π's coordinates
+        zeta = [_span_coordinates(basis, pivots, chart.embed_point(v)) for v in vertex.basis]
+        status, point = "no_line", None
         if vertex.projective_dim < 1:
             violations.append(f"section at c={c} has vertex dimension {vertex.projective_dim}")
-            records.append(
-                SectionRecord(
-                    pencil_value=c,
-                    vanishes=vanishes,
-                    vertex_dim=vertex.projective_dim,
-                    tangency_status="no_line",
-                    tangency_point=None,
-                )
-            )
-            continue
-        ambient_vertex = [chart.embed_point(primitive_vector(v)) for v in vertex.basis]
-        line = _intersect_spans(ambient_vertex, [list(b) for b in basis])
-        status = "tangent"
-        point = None
-        if len(line) < 2:
-            status = "no_line"
+        elif None in zeta:
             violations.append(f"section at c={c}: vertex does not meet Π in a line")
-        elif curve_report.curve_degree < 2:
-            status = "inconclusive"  # a degree-1 curve has no double-root test
         else:
-            zeta = [_span_coordinates(basis, curve_report.span_pivots, w) for w in line[:2]]
-            if None in zeta:
-                # `_intersect_spans` returns rows of span(Π): only a broken reader gets here
-                raise InternalCheckError(f"section at c={c}: vertex line escapes Π")
-            restricted = curve_report.curve.compose(
-                [Polynomial.linear_form([z1, z2]) for z1, z2 in zip(*zeta)]
-            )
+            # the line through the first two vertex vectors, as pairs of Π
+            # coordinates; the curve has degree 2..MAX_CURVE_DEGREE
+            line = list(zip(*zeta[:2]))
+            restricted = curve_report.curve.compose([Polynomial.linear_form(p) for p in line])
+            status = "tangent"
             if restricted.is_zero():
                 status = "line_in_curve"
             else:
@@ -377,7 +321,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
                     violations.append(f"section at c={c}: tangency double root missing")
                 elif root is not None:
                     u, v = root
-                    point = primitive_vector([u * z1 + v * z2 for z1, z2 in zip(*zeta)])
+                    point = primitive_vector([u * z1 + v * z2 for z1, z2 in line])
         records.append(
             SectionRecord(
                 pencil_value=c,

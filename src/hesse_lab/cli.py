@@ -25,8 +25,10 @@ from .errors import (
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
 from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, rank_verdict, sample_kernels, term_table
 from .poly import parse
-from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
+from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation, sample_image
 from .reports import (
+    CURVE_SAMPLES,
+    IMAGE_SAMPLES,
     SCHEMA,
     cone_block,
     gn_entry,
@@ -42,6 +44,7 @@ from .reports import (
     run_lowdim_suite,
     run_p4_suite,
     run_psi_suite,
+    with_vertex,
 )
 
 EXIT_OK = 0
@@ -155,8 +158,7 @@ def cmd_analyze(args):
     verdict = (hessian_vanishes(f, mode="symbolic") if args.mode == "symbolic"
                else rank_verdict(f, sample.ranks))
     vertex = cone_test(f)
-    if vertex.is_cone:
-        verdict = verdict.upgraded("cone_vertex")
+    verdict = with_vertex(verdict, vertex)
     results = {
         "hessian": hessian_block(verdict),
         "cone": cone_block(vertex),
@@ -174,12 +176,15 @@ def cmd_analyze(args):
             results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            checks, image, polar_sample, ok = psi_identity_battery(f, psi, args.seed, table)
+            # one ψ_g image sample: the battery reads its first IMAGE_SAMPLES
+            # points, and on P^4 the curve stage reads all of them
+            image = sample_image(psi, CURVE_SAMPLES if n1 == 5 else IMAGE_SAMPLES, args.seed)
+            checks, head, polar_sample, ok = psi_identity_battery(f, psi, image, args.seed, table)
             results["identity_checks"] = checks
-            results["image"] = image_block(image)
+            results["image"] = image_block(head)
             results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                results["classification"], p4_ok, _ = p4_classification(f, psi, args.seed)
+                results["classification"], p4_ok = p4_classification(f, image, args.seed)
                 ok = ok and p4_ok
             if not ok:
                 code = EXIT_INTERNAL_CHECK

@@ -7,6 +7,7 @@ rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
@@ -146,9 +147,15 @@ def sections_block(report):
     }
 
 
-def psi_identity_battery(f, psi, seed=0, table=None):
-    """Every identity the relation implies, plus the sampled inclusions.
-    Returns the checks, the ψ_g image sample, the polar-image sample the
+def with_vertex(verdict, vertex):
+    """The Hessian verdict, proven exactly when the cone test found a vertex."""
+    return verdict.upgraded("cone_vertex") if vertex.is_cone else verdict
+
+
+def psi_identity_battery(f, psi, image, seed=0, table=None):
+    """Every identity the relation implies, plus the sampled inclusions on
+    the first IMAGE_SAMPLES points of the ψ_g image sample `image`.
+    Returns the checks, those image points, the polar-image sample the
     relation was checked on, and whether every check passed.  One
     `check_invariance` call checks f, ∇f and the nonzero h_k together, and
     `term_table(f)` (when None) is built once."""
@@ -166,7 +173,9 @@ def psi_identity_battery(f, psi, seed=0, table=None):
         "image_in_base_locus_symbolic": all(r.image_zero for r in comp_results),
         "image_in_singular_locus_symbolic": all(r.image_zero for r in partial_results),
     }
-    image = sample_image(psi, IMAGE_SAMPLES, seed)
+    image = dataclasses.replace(
+        image, points=image.points[:IMAGE_SAMPLES], preimages=image.preimages[:IMAGE_SAMPLES]
+    )
     inclusions = check_inclusions(f, psi, image, table)
     checks["sampled_inclusions"] = inclusions.ok
     checks["fiber_lines"] = check_fiber_lines(f, psi, image, table)
@@ -224,7 +233,7 @@ def gn_entry(skel, seed, mode="probabilistic", draw=_draw):
     verdict, the vertex the draw already computed, and the core multiplicity.
     Returns the instance, the verdict and the report entry."""
     inst = draw(skel, seed)
-    verdict = hessian_vanishes(inst.f, mode=mode, seed=seed)
+    verdict = with_vertex(hessian_vanishes(inst.f, mode=mode, seed=seed), inst.vertex)
     entry = {
         "type": [skel.n, skel.t, skel.m],
         "hdeg": skel.hdeg,
@@ -283,7 +292,8 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
     if mutate:
         psi = _mutated(psi)
     block["psi"] = psi_block(psi)
-    checks, image, _, battery_ok = psi_identity_battery(f, psi, seed=seed)
+    image = sample_image(psi, IMAGE_SAMPLES, seed)
+    checks, image, _, battery_ok = psi_identity_battery(f, psi, image, seed=seed)
     block["checks"] = checks
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
@@ -295,16 +305,15 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
     return block
 
 
-def p4_classification(f, psi, seed, chart_count=5):
+def p4_classification(f, image, seed, chart_count=5):
     """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
-    through the sampled ψ_g image and the hyperplane sections through its
-    plane.  Returns the report block, whether both stages passed, and the
-    image sample the curve was read from."""
-    image = sample_image(psi, CURVE_SAMPLES, seed)
+    through `image`, a sample of CURVE_SAMPLES ψ_g image points, and the
+    hyperplane sections through its plane.  Returns the report block and
+    whether both stages passed."""
     curve = p4_plane_curve_check(f, image)
     sections = p4_section_check(f, curve, chart_count=chart_count, seed=seed)
     block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
-    return block, curve.ok and sections.ok, image
+    return block, curve.ok and sections.ok
 
 
 def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None):
@@ -324,7 +333,8 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        block, _, image = p4_classification(f, psi, seed, chart_count=chart_count)
+        image = sample_image(psi, CURVE_SAMPLES, seed)
+        block, _ = p4_classification(f, image, seed, chart_count=chart_count)
         # a one-point ψ_g image forces a cone, and every input here is a
         # non-cone: the paper cubic, or a GN draw retried until it is one
         guard = len(image) > 1

@@ -3,6 +3,9 @@
 import dataclasses
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hesse_lab import classify
 from hesse_lab.classify import (
@@ -102,12 +105,13 @@ def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
         p4_section_check(PAPER_CUBIC, line, chart_count=1, seed=0)
 
 
-def test_p4_sections_vertex_line_outside_the_plane_is_an_internal_error(cubic_curve, monkeypatch):
-    # the vertex line is read as rows of span(Π), so it always has coordinates
-    # in Π's basis; only a broken coordinate reader gets here
+def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_curve, monkeypatch):
+    # a vertex vector without coordinates in Π's basis is not a line of Π
     monkeypatch.setattr(classify, "_span_coordinates", lambda basis, pivots, point: None)
-    with pytest.raises(InternalCheckError, match="vertex line escapes Π"):
-        p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+    assert not report.ok
+    assert [(r.tangency_status, r.tangency_point) for r in report.records] == [("no_line", None)]
+    assert report.violations[-1].endswith("vertex does not meet Π in a line")
 
 
 def test_p4_sections_paper_cubic(cubic_curve):
@@ -132,6 +136,42 @@ def test_p4_sections_corrupted_curve(cubic_curve):
     report = p4_section_check(PAPER_CUBIC, fake, chart_count=3, seed=0)
     assert not report.ok
     assert any("double root" in v for v in report.violations)
+
+
+@st.composite
+def binary_forms(draw):
+    """Nonzero binary forms of degree >= 2: products of linear forms (so
+    repeated roots are common), times a random form, times v^2 (a repeated
+    root at infinity) or not."""
+    pairs = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+    r = Polynomial.constant(2, draw(st.sampled_from((1, -2, 3))))
+    for ab in draw(st.lists(pairs, max_size=4)):
+        r = r * Polynomial.linear_form(list(ab))
+    if draw(st.booleans()):
+        e = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=e + 1, max_size=e + 1).filter(any))
+        r = r * Polynomial(2, {(e - i, i): c for i, c in enumerate(coeffs) if c})
+    if draw(st.booleans()):
+        r = r * Polynomial.variable(2, 1) ** 2
+    assume(r.degree() >= 2)
+    return r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(binary_forms())
+def test_repeated_root_by_euler_matches_sympy_sqf_list(r):
+    u, v = sympy.symbols("u v")
+    expr = sum(c * u ** e[0] * v ** e[1] for e, c in r.terms.items())
+    _, factors = sympy.sqf_list(expr, u, v)
+    square = [(p, k) for p, k in factors if k >= 2]
+    repeated, root = classify._repeated_root_data(r)
+    assert repeated == bool(square)
+    # a point is reported exactly when the repeated part is one double linear factor
+    single = len(square) == 1 and square[0][1] == 2
+    single = single and sympy.Poly(square[0][0], u, v).total_degree() == 1
+    assert (root is not None) == single
+    if single:
+        assert square[0][0].subs({u: root[0], v: root[1]}) == 0
 
 
 def test_span_coordinates_read_off_the_echelon_basis(cubic_curve):

@@ -600,6 +600,24 @@ def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):
     assert counts == [reports.CURVE_SAMPLES] * 6  # the paper cubic and five GN draws
 
 
+def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
+    # on P^4 the battery reads the first IMAGE_SAMPLES points of the sample
+    # that the plane-curve stage reads
+    counts = []
+    original = psi.sample_image
+
+    def counted(psi_map, count, seed):
+        counts.append(count)
+        return original(psi_map, count, seed)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
+    assert code == 0 and counts == [reports.CURVE_SAMPLES]
+    r = doc["results"]
+    assert r["image"]["count"] == reports.IMAGE_SAMPLES
+    assert r["classification"]["plane_curve"]["points_used"] == reports.CURVE_SAMPLES
+
+
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):
     fake_vertex = VertexSubspace(basis=((0, 0, 1),), projective_dim=0)
     monkeypatch.setattr("hesse_lab.cli.cone_test", lambda f: fake_vertex)

@@ -1,6 +1,7 @@
 """Construction of vanishing-Hessian forms from determinant data."""
 
 from dataclasses import replace
+from itertools import product
 from math import comb
 
 import pytest
@@ -147,6 +148,22 @@ def test_skeleton_d_below_s_rejected():
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=2)  # s = 3
     with pytest.raises(ValidationError, match="d >= s"):
         random_instance(skel, seed=0)
+
+
+def test_every_skeleton_that_passes_its_checks_gives_valid_params():
+    # validate_skeleton checks only GNSkeleton.violations(): no params of a
+    # passing shape break GNParams.violations(), swept over the all-ones
+    # draw of every shape with n <= 9, hdeg <= 3, psideg <= 2, d <= 8
+    passing = 0
+    for n, t, m, hdeg, psideg, d in product(
+        range(1, 10), range(10), range(10), (1, 2, 3), (0, 1, 2), range(1, 9)
+    ):
+        skel = GNSkeleton(n, t, m, hdeg, psideg, d)
+        if skel.violations():
+            continue
+        passing += 1
+        assert not gn._random_params(skel, lambda: 1).violations(), skel
+    assert passing == 396
 
 
 def _construction_matrix(params, block):

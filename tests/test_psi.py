@@ -369,16 +369,28 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
         calls["invariance"] += 1
         return invariance(forms, psi)
 
+    image = sample_image(cubic_psi, reports.IMAGE_SAMPLES, 0)
     monkeypatch.setattr(Polynomial, "compose", counted_compose)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
     monkeypatch.setattr(reports, "check_invariance", counted_invariance)
-    checks, _, _, ok = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi)
+    checks, _, _, ok = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
     assert ok and checks["fiber_lines"]
     assert calls["invariance"] == 1
     assert calls["compose in fiber lines"] == 0
     # one P(x + λh) for P the packed family of f, its five partials and the
     # three nonzero h_k
     assert calls["compose"] == 1
+
+
+def test_battery_reads_the_prefix_of_a_longer_image_sample(cubic_psi):
+    # the first IMAGE_SAMPLES points of a CURVE_SAMPLES draw are the
+    # IMAGE_SAMPLES draw, so the P^4 stage and the battery can share one sample
+    short = sample_image(cubic_psi, reports.IMAGE_SAMPLES, 0)
+    long = sample_image(cubic_psi, reports.CURVE_SAMPLES, 0)
+    assert len(long) == reports.CURVE_SAMPLES
+    a = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, short)
+    b = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, long)
+    assert a == b and b[1] == short and b[3]
 
 
 def test_fiber_lines_lambda_zero_trivial(cubic_psi):
