@@ -25,7 +25,7 @@ from .linalg import (
     primitive_vector,
     random_invertible,
 )
-from .poly import Polynomial, gcd, is_reduced, monomials_of_degree
+from .poly import Polynomial, is_reduced, monomials_of_degree
 
 MAX_CURVE_DEGREE = 6
 
@@ -171,7 +171,9 @@ def _span_coordinates(basis, pivots, point):
     Row k of the basis is 0 before its pivot column pivots[k], so the
     coordinates are read off the pivot columns by forward substitution, kept
     in integers as Z/D by scaling Z and D by each pivot; Σ Z_k·b_k = D·q is
-    then checked on every column."""
+    then checked on the other columns.  The pivot columns need no check:
+    step k makes column pivots[k] agree, the rows after k are 0 there, and
+    each later step scales both sides by the same pivot."""
     zs, den = [], 1
     for b, pc in zip(basis, pivots):
         r = den * point[pc] - sum(z * c[pc] for z, c in zip(zs, basis))
@@ -180,7 +182,7 @@ def _span_coordinates(basis, pivots, point):
         zs.append(r)
         den *= a
     for i, x in enumerate(point):
-        if sum(z * c[i] for z, c in zip(zs, basis)) != den * x:
+        if i not in pivots and sum(z * c[i] for z, c in zip(zs, basis)) != den * x:
             return None
     return primitive_vector(zs)
 
@@ -252,13 +254,28 @@ def _repeated_root_data(r):
 
     By Euler's identity deg(r)·r = u·∂_u r + v·∂_v r, a linear form divides
     both partials exactly when its square divides r, so r has a repeated
-    root iff g = gcd(∂_u r, ∂_v r) is not constant.  When g = a·u + b·v the
-    repeated root is the single point (b : -a)."""
-    g = gcd(r.partial(0), r.partial(1))
-    if g.degree() == 0:
+    root iff g = gcd(∂_u r, ∂_v r) is not constant.  g is v^k, k the least
+    order of v in the two partials, times the gcd of ∂_u r(u, 1) and
+    ∂_v r(u, 1) made homogeneous, found by Euclid's algorithm.  When
+    g = a·u + b·v the repeated root is the single point (b : -a)."""
+    d = r.degree() - 1
+    partials = [r.partial(0).terms, r.partial(1).terms]
+    k = min(e[1] for p in partials for e in p)
+    # the coefficients of ∂r(u, 1) = (∂r/v^k)(u, 1) at u^(d−k), …, u^0; a
+    # leading zero of a costs one step at q = 0, and b is trimmed first
+    a, b = ([Fraction(p.get((i, d - i), 0)) for i in range(d - k, -1, -1)] for p in partials)
+    while any(b):
+        b = b[next(i for i, c in enumerate(b) if c) :]
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+        a, b = b, a
+    degree = len(a) - 1 + k
+    if degree == 0:
         return False, None
-    if g.degree() == 1:
-        return True, primitive_vector((g.terms.get((0, 1), 0), -g.terms.get((1, 0), 0)))
+    if degree == 1:
+        gu, gv = [0, *a] if k else a
+        return True, primitive_vector((gv, -gu))
     return True, None
 
 
@@ -295,12 +312,16 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         except RestrictionZeroError:
             continue
         used.add(c)
-        vanishes = hessian_vanishes(section, seed=seed).vanishes
+        # a vertex proves the Hessian zero: D_v s ≡ 0 makes H_s·v ≡ 0
         vertex = cone_test(section)
+        vanishes = vertex.is_cone or hessian_vanishes(section, seed=seed).vanishes
         if not vanishes:
             violations.append(f"section at c={c} has nonvanishing Hessian")
         # the vertex line lies in Π: read it in Π's coordinates
-        zeta = [_span_coordinates(basis, pivots, chart.embed_point(v)) for v in vertex.basis]
+        zeta = [
+            _span_coordinates(basis, pivots, chart.embed_point(primitive_vector(v)))
+            for v in vertex.basis
+        ]
         status, point = "no_line", None
         if vertex.projective_dim < 1:
             violations.append(f"section at c={c} has vertex dimension {vertex.projective_dim}")

@@ -130,16 +130,20 @@ class HyperplaneChart:
 def chart_for_hyperplane(dual_point):
     """Chart for the hyperplane {Σ h_i x_i = 0} from its dual point h.
 
-    Columns are a kernel basis of [h], each scaled to coprime integers.
+    Columns are h_p·e_j − h_j·e_p for j ≠ p, p the first nonzero entry of h,
+    each scaled to coprime integers: the reduced kernel basis of [h], read
+    off h without elimination.
     """
     if not any(dual_point):
         raise DomainError("dual point must be nonzero")
-    n1 = len(dual_point)
-    cols = [primitive_vector(v) for v in kernel(ScalarMatrix([list(dual_point)]))]
-    rows = tuple(zip(*cols))
-    return HyperplaneChart(
-        ambient_vars=n1, parametrization=rows, dual_point=tuple(dual_point)
-    )
+    h, n1 = tuple(dual_point), len(dual_point)
+    p = next(i for i, x in enumerate(h) if x)
+    cols = [
+        primitive_vector([h[p] if i == j else -x if i == p else 0 for i in range(n1)])
+        for j, x in enumerate(h)
+        if j != p
+    ]
+    return HyperplaneChart(ambient_vars=n1, parametrization=tuple(zip(*cols)), dual_point=h)
 
 
 def restrict(f, chart):

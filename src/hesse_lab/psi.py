@@ -371,11 +371,23 @@ def sample_image(psi, count, seed):
 
     Stores the preimage of every image point so fiber checks can reuse them.
     Errors only if no image point is found at all (ψ_g undefined
-    generically).
+    generically).  The components are read from their term tables, so a
+    monomial visits only the variables it contains.
     """
-    image = _sample_values(
-        lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
-    )
+    tables = [term_table(hi)[1:] for hi in psi.h]
+
+    def values(pt):
+        out = []
+        for coeffs, supports in tables:
+            acc = 0
+            for c, support in zip(coeffs, supports):
+                for i, x in support:
+                    c *= pt[i] ** x
+                acc += c
+            out.append(acc)
+        return out
+
+    image = _sample_values(values, psi.nvars, count, seed, "image", "S*_Z image")
     if count > 0 and not len(image):
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image

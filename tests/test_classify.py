@@ -15,8 +15,10 @@ from hesse_lab.classify import (
     p4_plane_curve_check,
     p4_section_check,
 )
+from hesse_lab.cones import VertexSubspace
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
+from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
 from hesse_lab.reports import CURVE_SAMPLES
@@ -114,6 +116,30 @@ def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_curve, monkeypatch):
     assert report.violations[-1].endswith("vertex does not meet Π in a line")
 
 
+def test_p4_sections_without_a_vertex_take_the_sampled_verdict(cubic_curve, monkeypatch):
+    # a section with no vertex is decided by its sampled Hessian, and both
+    # its nonvanishing Hessian and its missing vertex are violations
+    fermat = parse("x0^3 + x1^3 + x2^3 + x3^3")
+    sampled = []
+
+    def nonvanishing(f, seed=0):
+        sampled.append(f)
+        return hessian_vanishes(fermat, seed=seed)
+
+    monkeypatch.setattr(classify, "cone_test", lambda f: VertexSubspace(basis=(), projective_dim=-1))
+    monkeypatch.setattr(classify, "hessian_vanishes", nonvanishing)
+    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+    assert len(sampled) == 1
+    assert [(r.vanishes, r.vertex_dim, r.tangency_status) for r in report.records] == [
+        (False, -1, "no_line")
+    ]
+    c = report.records[0].pencil_value
+    assert report.violations == (
+        f"section at c={c} has nonvanishing Hessian",
+        f"section at c={c} has vertex dimension -1",
+    )
+
+
 def test_p4_sections_paper_cubic(cubic_curve):
     report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=5, seed=0)
     assert report.ok, report.violations
@@ -140,19 +166,20 @@ def test_p4_sections_corrupted_curve(cubic_curve):
 
 @st.composite
 def binary_forms(draw):
-    """Nonzero binary forms of degree >= 2: products of linear forms (so
-    repeated roots are common), times a random form, times v^2 (a repeated
-    root at infinity) or not."""
+    """Nonzero binary forms of degree 2..8: products of linear forms (so
+    repeated roots are common), times a random form, times u^2 or v^2 (a
+    repeated root at 0 or at infinity) or neither."""
     pairs = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
     r = Polynomial.constant(2, draw(st.sampled_from((1, -2, 3))))
-    for ab in draw(st.lists(pairs, max_size=4)):
+    for ab in draw(st.lists(pairs, max_size=3)):
         r = r * Polynomial.linear_form(list(ab))
     if draw(st.booleans()):
         e = draw(st.integers(1, 3))
         coeffs = draw(st.lists(st.integers(-5, 5), min_size=e + 1, max_size=e + 1).filter(any))
         r = r * Polynomial(2, {(e - i, i): c for i, c in enumerate(coeffs) if c})
-    if draw(st.booleans()):
-        r = r * Polynomial.variable(2, 1) ** 2
+    square = draw(st.sampled_from((None, 0, 1)))
+    if square is not None:
+        r = r * Polynomial.variable(2, square) ** 2
     assume(r.degree() >= 2)
     return r
 

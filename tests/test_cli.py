@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import cones, hessian, psi, reports
+from hesse_lab import cones, hessian, linalg, poly, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
@@ -437,9 +437,24 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
         assert repeated == [], argv
         if argv[0] == "analyze":
             # f's verdict comes from its H_f sample; each of the five
-            # hyperplane sections is decided once, and f is cone-tested once
+            # hyperplane sections is decided by its cone vertex, and f is
+            # cone-tested once
             per_function = Counter(name for name, _ in calls.elements())
-            assert per_function == {"hessian_vanishes": 5, "cone_test": 6, "sample_polar_image": 1}
+            assert per_function == Counter(hessian_vanishes=0, cone_test=6, sample_polar_image=1)
+
+
+def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
+    # one `verify --suite all` op is deterministic, so its call counts are
+    # exact regression gates: a larger count is work added back
+    calls = Counter()
+    for original in (hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, counted)
+    assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
+    assert calls == Counter(hessian_vanishes=9, kernel=65, gcd=12, hessian_at=34)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, RestrictionZeroError
 from hesse_lab.cones import (
@@ -20,7 +22,7 @@ from hesse_lab.cones import (
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
-from hesse_lab.linalg import ScalarMatrix, kernel, random_invertible
+from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
 from hesse_lab.poly import Polynomial, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -167,6 +169,20 @@ def test_chart_for_hyperplane_invariants():
     chart = chart_for_hyperplane((1, 2, 3, 4))
     for j in range(3):
         assert sum(chart.dual_point[i] * chart.parametrization[i][j] for i in range(4)) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=6).filter(lambda h: h[0] != 0),
+)
+def test_chart_columns_are_the_reduced_kernel_basis(zeros, tail):
+    # leading zeros move the first nonzero entry p; the columns read off h
+    # must be the primitive reduced kernel basis of [h], in the same order
+    h = [0] * zeros + tail
+    chart = chart_for_hyperplane(h)
+    expected = [primitive_vector(v) for v in kernel(ScalarMatrix([h]))]
+    assert list(zip(*chart.parametrization)) == expected
 
 
 def test_projection_lemma_paper_cubic():

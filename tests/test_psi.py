@@ -225,6 +225,20 @@ def test_sample_image_reverify_rejects_wrong_point(cubic_psi):
     assert not bad.reverify(cubic_psi)
 
 
+@pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["paper-cubic", "gn-0", "gn-1", "gn-2"])
+def test_sample_image_values_agree_with_evaluate(draw):
+    # the image is read from a table of powers; reverify re-reads every
+    # point through Polynomial.evaluate
+    if draw is None:
+        f = PAPER_CUBIC
+    else:
+        f = random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=draw).f
+    psi = build_psi(f, find_polar_relation(f))
+    image = sample_image(psi, count=30, seed=draw or 0)
+    assert len(image) == 30
+    assert image.reverify(psi)
+
+
 def test_sample_image_count_zero(cubic_psi):
     assert len(sample_image(cubic_psi, count=0, seed=0)) == 0
 
