@@ -6,9 +6,12 @@ determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
 ∂h_i/∂y_j evaluated at y = ψ, and the constants.  Only the first row holds
 x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i.  Its first-row cofactors M_{ℓ,i}, of degree
 s-1 in the tail variables, come from Laplace along the ψ-rows (`build_Q`),
-whose minors every Q_ℓ shares.  The output form is
-f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
-(k, d-k·s), and it always has vanishing Hessian.
+whose minors every Q_ℓ shares.  Past those minors, `build_Q` works on term
+dicts keyed by packed exponents (`poly._packing`), with `poly._mul_packed`
+as its one multiply loop, and unpacks each Q_ℓ and M_{ℓ,i} once.  The
+output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
+bidegree (k, d-k·s), and it always has vanishing Hessian; `compose` applies
+the tail variables as key offsets and runs Horner over the Q_ℓ alone.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from .fields import norm_coeff, substream
 from .hessian import PolyMatrix, column_minors, symbolic_determinant
-from .poly import Polynomial, linear_combination, monomials_of_degree
+from .poly import Polynomial, _add_into, _mul_packed, _packing, monomials_of_degree
 
 RETRY_BUDGET = 8
 
@@ -191,15 +195,10 @@ class GNInstance:
     vertex: VertexSubspace  # cone test of f
 
 
-def _construction_rows(params):
-    """Rows shared by every Q_ℓ: (x_0..x_t), then ∂h_i/∂y_j at y = ψ."""
-    n1 = params.n + 1
-    t = params.t
-    rows = [[Polynomial.variable(n1, i) for i in range(t + 1)]]
+def _psi_rows(params):
+    """The rows ∂h_i/∂y_j at y = ψ, shared by every Q_ℓ."""
     psi_args = list(params.psi_forms)
-    for j in range(params.m + 1):
-        rows.append([h.partial(j).compose(psi_args) for h in params.h_forms])
-    return rows
+    return [[h.partial(j).compose(psi_args) for h in params.h_forms] for j in range(params.m + 1)]
 
 
 def build_Q(params):
@@ -207,35 +206,59 @@ def build_Q(params):
     constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
     the (m+1)-subsets T of the columns but i, rest the columns in neither, and
     ε_i(T) = (-1)^(Σ positions of T among them - m(m+1)/2).  Each M_ℓ must
-    annihilate the rows of A_ℓ; rejects degenerate data."""
+    annihilate the rows of A_ℓ; rejects degenerate data.
+
+    Past the polynomial minors det B[:,T], everything runs on term dicts
+    keyed by packed exponents, each returned polynomial unpacked once.  The
+    coefficient of a monomial in M_{ℓ,i} is one dot product of the scalar
+    minors' row with the minors' coefficients of that monomial, the
+    annihilation check one dot product of a row of A_ℓ with the M_{ℓ,i}'s,
+    and Q_ℓ = Σ_i x_i·M_{ℓ,i} a key shift per i, then a sum."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
-    xs, *b_rows = _construction_rows(params)
+    b_rows = _psi_rows(params)
     cols = range(t + 1)
-    b_minors = {T: symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in b_rows]))
-                for T in combinations(cols, m + 1)}
-    # plan[i]: (T, column mask of rest, (-1)^i·ε_i(T)) where det B[:,T] ≠ 0
-    plan = [[(T, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
+    subsets = list(combinations(cols, m + 1))
+    b_minors = [symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in b_rows]))
+                for T in subsets]
+    # x_i·M_{ℓ,i} has exponents at most one above the minors'
+    pack, unpack = _packing(1 + max((max(map(max, b.terms)) for b in b_minors if b), default=0), n1)
+    # per packed monomial, its coefficient in each det B[:,T]
+    monomials = {}
+    for u, b in enumerate(b_minors):
+        for e, c in b.terms.items():
+            monomials.setdefault(pack(e), [0] * len(subsets))[u] = c
+    xs = [{pack(tuple(int(i == j) for j in range(n1))): 1} for i in cols]
+    # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
+    plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
-             for T in combinations([j for j in cols if j != i], m + 1) if b_minors[T]]
+             for u, T in enumerate(subsets) if i not in T]
             for i in cols]
     qs, cofactors = [], []
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
         a_minor = column_minors(a_rows, 0, 1)
-        ms = tuple(linear_combination(n1, ((sg * a_minor(r), b_minors[T]) for T, r, sg in terms))
-                   for terms in plan)
-        q = sum((mi * x for x, mi in zip(xs, ms)), Polynomial.zero(n1))
+        ms = []
+        for terms in plan:
+            weights = [0] * len(subsets)
+            for u, r, sg in terms:
+                weights[u] = sg * a_minor(r)
+            ms.append({k: c for k, coeffs in monomials.items() if (c := sum(map(mul, weights, coeffs)))})
+        q = {}
+        for x, mi in zip(xs, ms):
+            _add_into(q, _mul_packed(mi, x))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
-        if any(linear_combination(n1, zip(row, ms)) for row in a_rows):
-            raise InternalCheckError("a cofactor row fails to annihilate a constant row")
-        qs.append(q)
-        cofactors.append(ms)
+        for k in monomials:
+            values = [mi.get(k, 0) for mi in ms]
+            if any(sum(map(mul, row, values)) for row in a_rows):
+                raise InternalCheckError("a cofactor row fails to annihilate a constant row")
+        qs.append(Polynomial(n1, {unpack(k): c for k, c in q.items()}))
+        cofactors.append(tuple(Polynomial(n1, {unpack(k): c for k, c in mi.items()}) for mi in ms))
     # each nonzero Q_ℓ is homogeneous of degree s, and validation checked d >= s
     s = params.skeleton().expected_s
-    tail = set(range(t + 1, params.n + 1))
+    tail = set(range(t + 1, n1))
     for ms in cofactors:
         for mi in ms:
             if mi and (mi.degree() != s - 1 or not mi.variables_used() <= tail):
@@ -250,7 +273,8 @@ def build_f(params):
     n1 = params.n + 1
     mu = params.d // s
     args = list(qs) + [Polynomial.variable(n1, i) for i in range(params.t + 1, params.n + 1)]
-    # composition is linear, so Σ_k P_k is composed once
+    # composition is linear, so Σ_k P_k is composed once; the tail variables
+    # are single-term arguments, so Horner runs over the Q_ℓ alone
     f = sum(params.p_forms[1:], params.p_forms[0]).compose(args)
     if not f:
         raise DegenerateDataError("built form is identically zero")

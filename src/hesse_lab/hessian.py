@@ -181,7 +181,8 @@ def column_minors(rows, zero, one):
     """minor(mask): det of the last popcount(mask) rows on the columns in mask,
     memoized; entries are polynomials or scalars, zero and one of their kind."""
     n = len(rows)
-    memo = {0: one}
+    # a one-column minor of the last row is its entry
+    memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
 
     def minor(mask):
         if mask in memo:

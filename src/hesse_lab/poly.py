@@ -10,8 +10,12 @@ compares below every integer.
 
 Products and compositions work on dicts keyed by packed exponent ints, where
 a monomial product is one int add; ``_mul_packed`` is the one multiply loop.
-``compose`` runs Horner's rule one variable at a time on such dicts, adds in
-place and unpacks once.
+``compose`` applies each single-term argument as a key offset and a
+coefficient power, runs Horner's rule over the multi-term arguments one
+variable at a time on such dicts, adds in place and unpacks once.
+``gn.build_Q`` keeps its cofactor sums on packed keys too.  A polynomial
+reads its least and greatest total degree on first use and keeps them, so
+``degree`` and ``is_homogeneous`` scan the terms once.
 
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
 integers, integer gcd, reconstruction from symmetric digits).  It accepts a
@@ -88,6 +92,23 @@ def _mul_packed(a, b):
     return out
 
 
+def _horner(items, packed, i):
+    """Σ_k a_i^k·F_k(a) by Horner's rule in the packed argument a_i =
+    packed[i], for items the (exponents, packed dict) pairs of F's groups,
+    which agree before position i; each F_k(a) alike from position i + 1."""
+    if i == len(packed):
+        return items[0][1]
+    parts = {}
+    for item in items:
+        parts.setdefault(item[0][i], []).append(item)
+    acc = {}
+    for k in range(max(parts), -1, -1):
+        acc = _mul_packed(acc, packed[i])
+        if k in parts:
+            _add_into(acc, _horner(parts[k], packed, i + 1))
+    return acc
+
+
 def grlex_key(exps):
     """Sort key realizing graded-lex: higher total degree first, then lex on
     exponents with x0 heaviest.  Use with reverse=True for descending order."""
@@ -97,13 +118,16 @@ def grlex_key(exps):
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` variables x0..x_{nvars-1}."""
 
-    __slots__ = ("nvars", "terms")
+    # _low and _high: the least and greatest total degree of a term, read on
+    # first use; _high is None until then
+    __slots__ = ("nvars", "terms", "_low", "_high")
 
     def __init__(self, nvars, terms):
         if nvars < 1:
             raise VariableCountError("a polynomial needs at least one variable")
         self.nvars = nvars
         self.terms = {e: norm_coeff(c) for e, c in terms.items() if c}
+        self._high = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -145,16 +169,19 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
+    def _scan_degrees(self):
+        degrees = list(map(sum, self.terms)) or [MINUS_INFINITY]
+        self._low, self._high = min(degrees), max(degrees)
+
     def degree(self):
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(sum(e) for e in self.terms)
+        if self._high is None:
+            self._scan_degrees()
+        return self._high
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
+        if self._high is None:
+            self._scan_degrees()
+        return self._low == self._high
 
     def sorted_terms(self):
         """Terms in canonical graded-lex descending order."""
@@ -242,9 +269,23 @@ class Polynomial:
         return result
 
     def scale(self, c):
+        """c·self.  For c = p/q in lowest terms, an int coefficient v becomes
+        v·p // q when q divides v·p, else the Fraction v·p/q: the values and
+        types of the Fraction product, without building one per term."""
+        c = norm_coeff(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+        if type(c) is not Fraction:
+            return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+        p, q = c.numerator, c.denominator
+        out = {}
+        for e, v in self.terms.items():
+            if type(v) is int:
+                w, r = divmod(v * p, q)
+                out[e] = Fraction(v * p, q) if r else w
+            else:
+                out[e] = v * c
+        return Polynomial(self.nvars, out)
 
     # ------------------------------------------------------------------
     # calculus, evaluation, substitution
@@ -279,9 +320,12 @@ class Polynomial:
     def compose(self, args):
         """Substitute args[i] for x_i; args share one variable count.
 
-        Horner's rule one variable at a time: F = Σ_k x_v^k·F_k gives
+        A single-term argument c·x^a turns x_v^k into c^k·x^(k·a): a key
+        offset and a coefficient power on each term, and a zero argument
+        drops the terms it enters.  Over the multi-term arguments, Horner's
+        rule one variable at a time: F = Σ_k x_v^k·F_k gives
         F(a) = (…(F_K(a)·a_v + F_{K−1}(a))·a_v + …)·a_v + F_0(a), each F_k(a)
-        composed alike from x_{v+1}, on dicts keyed by packed exponents."""
+        composed alike from the next one, on dicts keyed by packed exponents."""
         if len(args) != self.nvars:
             raise VariableCountError(
                 f"{len(args)} substitution arguments for {self.nvars} variables"
@@ -291,27 +335,37 @@ class Polynomial:
             raise VariableCountError("substitution arguments disagree on variable count")
         if not self.terms:
             return Polynomial.zero(m)
-        # Horner forms only monomials of a_v^j·F_k(a), products included, with
-        # j <= k and k + deg F_k <= deg F, so no exponent passes deg F · e_max
+        # Horner forms only monomials of a_v^j·F_k(a), products and offsets
+        # included, with j <= k and k + deg F_k <= deg F, so no exponent
+        # passes deg F · e_max
         e_max = max((max(map(max, a.terms)) for a in args if a.terms), default=0)
         pack, unpack = _packing(self.degree() * e_max, m)
-        packed = [{pack(e): c for e, c in a.terms.items()} for a in args]
-
-        def horner(terms, v):
-            # terms: (exponents, coefficient) pairs that agree before x_v
-            if v == self.nvars:
-                return {0: terms[0][1]}
-            parts = {}
-            for t in terms:
-                parts.setdefault(t[0][v], []).append(t)
-            acc = {}
-            for k in range(max(parts), -1, -1):
-                acc = _mul_packed(acc, packed[v])
-                if k in parts:
-                    _add_into(acc, horner(parts[k], v + 1))
-            return acc
-
-        return Polynomial(m, {unpack(k): c for k, c in horner(list(self.terms.items()), 0).items()})
+        multi = [v for v, a in enumerate(args) if len(a.terms) > 1]
+        single = [(v, pack(e), c) for v, a in enumerate(args) if len(a.terms) == 1
+                  for e, c in a.terms.items()]
+        zero = [v for v, a in enumerate(args) if not a.terms]
+        # F's terms grouped by their exponents of the multi-term arguments,
+        # each group a packed dict of what the other arguments made of it
+        groups = {}
+        for e, c in self.terms.items():
+            if any(e[v] for v in zero):
+                continue
+            k = 0
+            for v, kv, cv in single:
+                x = e[v]
+                if x:
+                    k += x * kv
+                    if cv != 1:
+                        c *= cv ** x
+            group = groups.setdefault(tuple(e[v] for v in multi), {})
+            c += group.get(k, 0)
+            if c:
+                group[k] = c
+            else:
+                del group[k]
+        packed = [{pack(e): c for e, c in args[v].terms.items()} for v in multi]
+        out = _horner(list(groups.items()), packed, 0) if groups else {}
+        return Polynomial(m, {unpack(k): c for k, c in out.items()})
 
     def extend(self, new_nvars):
         """Embed into a larger variable set by padding trailing exponents."""

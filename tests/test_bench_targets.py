@@ -4,7 +4,9 @@
 `LookupError` when one is missing, so deleting or renaming a traced function
 (say `check_invariance`, `gcd`, `gcd_list` or `polar_image_dim`) breaks the
 benchmark.  Installing the tracer once and undoing it catches that here,
-without running a workload; `bench/` itself is only read.
+without running a workload; `bench/` itself is only read.  The benchmark's
+own tests also read three `from .x import y` bindings; a refactor that drops
+one of them fails here too.
 """
 
 import importlib
@@ -39,3 +41,12 @@ def test_span_tracer_installs_on_every_target_and_undoes():
         undo()
     assert poly.gcd is gcd
     assert _namespaces() == before
+
+
+def test_from_import_bindings_the_benchmark_reads_are_the_home_objects():
+    # bench/test_bench.py checks that the tracer rebinds these copies
+    from hesse_lab import cli, gn, hessian, poly, psi
+
+    assert psi.gcd_list is poly.gcd_list
+    assert gn.symbolic_determinant is hessian.symbolic_determinant
+    assert cli.build_psi is psi.build_psi

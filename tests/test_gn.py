@@ -8,7 +8,7 @@ import pytest
 
 from hesse_lab import gn
 from hesse_lab.cones import cone_test
-from hesse_lab.errors import DegenerateDataError, RetryBudgetError, ValidationError
+from hesse_lab.errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from hesse_lab.gn import (
     GNParams,
     GNSkeleton,
@@ -247,6 +247,31 @@ def test_build_f_expands_only_psi_row_minors(monkeypatch):
         build_f(params)
         monkeypatch.undo()
         assert calls == [params.m + 1] * comb(params.t + 1, params.m + 1)
+
+
+def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatch):
+    # doubling the scalar minors on columns that include x_0's breaks the
+    # Laplace identity Σ_i a_i·M_i = 0 for a row a of A_l
+    params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
+    real = gn.column_minors
+
+    def skewed(rows, zero, one):
+        minor = real(rows, zero, one)
+        return lambda mask: 2 * minor(mask) if mask & 1 else minor(mask)
+
+    monkeypatch.setattr(gn, "column_minors", skewed)
+    with pytest.raises(InternalCheckError, match="annihilate"):
+        build_Q(params)
+
+
+@pytest.mark.parametrize("variable", [0, 7])
+def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, variable):
+    # every psi-row minor times x_0 (a head variable) or x_7 (one degree up)
+    params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
+    x = Polynomial.variable(8, variable)
+    monkeypatch.setattr(gn, "symbolic_determinant", lambda m: symbolic_determinant(m) * x)
+    with pytest.raises(InternalCheckError, match="tail-support"):
+        build_Q(params)
 
 
 def test_d_equal_s_with_t_minus_m_at_least_2_need_not_be_a_cone():

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, VariableCountError
-from hesse_lab.fields import substream
+from hesse_lab.fields import norm_coeff, substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
     MAX_EXPONENT,
     MAX_VARIABLE_INDEX,
+    MINUS_INFINITY,
     Polynomial,
     _heu_gcd,
     _primitive_ints,
@@ -403,6 +404,155 @@ def test_compose_matches_term_by_term(case):
     assert got == compose_term_by_term(f, args)
     # canonical coefficients: integral values are ints
     assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def to_sympy(p, symbols):
+    return sum((c * sympy.Mul(*(x ** k for x, k in zip(symbols, e))) for e, c in p.terms.items()),
+               sympy.Integer(0))
+
+
+@st.composite
+def single_term_compose_cases(draw):
+    """(F, args) where most arguments are one term c·x^a (c ≠ 1 and c < 0
+    included) or zero, and at most one is a binomial; F's exponents up to 40
+    and the arguments' up to 8 take deg F · e_max past one byte."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)).filter(bool)
+    top = draw(st.sampled_from([3, 40]))
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    f = Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
+    arg_exps = st.tuples(*[st.integers(0, 8)] * m)
+    multi = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    args = []
+    for v in range(n):
+        size = 2 if v == multi else draw(st.sampled_from([0, 1, 1, 1]))
+        args.append(Polynomial(m, draw(st.dictionaries(arg_exps, coeff, min_size=size, max_size=size))))
+    return f, args
+
+
+SINGLE_TERM_CASES = [
+    # coefficients 3 and -2/3 raised to the exponents of F
+    (parse("x0^3*x1 - 5*x1^2"), [parse("3*x1^2"), parse("-2/3*x0", nvars=2)]),
+    # a zero argument drops the terms it enters
+    (parse("x0^2*x1 + 7*x1^3 - x2"), [parse("0", nvars=2), parse("x0*x1"), parse("x1 - x0")]),
+    # deg F · e_max = 41 · 8 = 328 passes a byte, so the wide packing runs
+    (parse("x0^40*x1 - 2*x1^3"), [parse("-x0^8", nvars=2), parse("x0 + 2*x1")]),
+    # two single-term arguments meet in one monomial and cancel
+    (parse("x0 - x1"), [parse("2*x0^2"), parse("2*x0^2")]),
+    (parse("x0 - x1 + x0*x1"), [parse("-x0^2"), parse("-x0^2")]),
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(single_term_compose_cases())
+@example(SINGLE_TERM_CASES[0])
+@example(SINGLE_TERM_CASES[1])
+@example(SINGLE_TERM_CASES[2])
+@example(SINGLE_TERM_CASES[3])
+@example(SINGLE_TERM_CASES[4])
+def test_compose_single_term_arguments_match_sympy(case):
+    f, args = case
+    xs = sympy.symbols(f"y0:{f.nvars}")
+    zs = sympy.symbols(f"x0:{args[0].nvars}")
+    expected = sympy.expand(to_sympy(f, xs).subs(
+        {x: to_sympy(a, zs) for x, a in zip(xs, args)}, simultaneous=True))
+    got = f.compose(args)
+    assert sympy.expand(to_sympy(got, zs) - expected) == 0
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def _scanned_degrees(p):
+    """(degree, is_homogeneous) by a fresh scan of the terms."""
+    degrees = {sum(e) for e in p.terms}
+    return (max(degrees) if degrees else MINUS_INFINITY), len(degrees) <= 1
+
+
+@st.composite
+def constructed_polynomials(draw):
+    """A polynomial from one of the constructors, or from arithmetic on them."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+
+    def base():
+        kind = draw(st.sampled_from(["zero", "constant", "variable", "linear_form", "terms", "parse"]))
+        if kind == "zero":
+            return Polynomial.zero(n)
+        if kind == "constant":
+            return Polynomial.constant(n, draw(coeff))
+        if kind == "variable":
+            return Polynomial.variable(n, draw(st.integers(0, n - 1)))
+        if kind == "linear_form":
+            return Polynomial.linear_form([draw(coeff) for _ in range(n)])
+        p = Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=5)))
+        return parse(p.to_string(), nvars=n) if kind == "parse" else p
+
+    a, b = base(), base()
+    a.degree()  # a cached scan must not leak into what is built from a
+    op = draw(st.sampled_from(["base", "add", "sub", "mul", "neg", "pow", "scale", "partial",
+                               "compose", "extend", "monic"]))
+    if op == "base":
+        return a
+    if op in ("add", "sub", "mul"):
+        return {"add": a + b, "sub": a - b, "mul": a * b}[op]
+    if op == "neg":
+        return -a
+    if op == "pow":
+        return a ** draw(st.integers(0, 3))
+    if op == "scale":
+        return a.scale(draw(coeff))
+    if op == "partial":
+        return a.partial(draw(st.integers(0, n - 1)))
+    if op == "compose":
+        return a.compose([base() for _ in range(n)])
+    if op == "extend":
+        return a.extend(n + draw(st.integers(0, 2)))
+    return a.monic()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(constructed_polynomials())
+@example(Polynomial.zero(3))
+@example(Polynomial.constant(2, 7))
+@example(Polynomial(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5}))
+def test_degree_and_homogeneity_match_a_fresh_scan(p):
+    for _ in range(2):  # the first call scans, the second reads the cache
+        assert (p.degree(), p.is_homogeneous()) == _scanned_degrees(p)
+
+
+def test_zero_polynomial_degree_and_homogeneity():
+    z = Polynomial.zero(2)
+    assert z.degree() == MINUS_INFINITY and z.is_homogeneous()
+    assert Polynomial.constant(2, 3).degree() == 0
+
+
+SCALE_FACTORS = [Fraction(1, 3), Fraction(-2, 3), Fraction(7, 4), Fraction(6, 1), Fraction(-1), 5, -2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=6)),
+                    max_size=6),
+    st.one_of(st.sampled_from(SCALE_FACTORS), st.fractions(-9, 9, max_denominator=12), st.integers(-9, 9)),
+)
+def test_scale_matches_the_fraction_route(terms, c):
+    # products q does not divide stay Fractions, divisible ones become ints,
+    # and Fraction coefficients are multiplied as before
+    p = Polynomial(2, terms)
+    expected = {e: norm_coeff(Fraction(v) * c) for e, v in p.terms.items() if v * c}
+    got = p.scale(c)
+    assert got.terms == expected
+    assert {e: type(v) for e, v in got.terms.items()} == {e: type(v) for e, v in expected.items()}
+
+
+def test_scale_by_a_fraction_keeps_types():
+    p = Polynomial(1, {(2,): 6, (1,): 4, (0,): Fraction(3, 2)})
+    got = p.scale(Fraction(1, 3)).terms
+    assert got == {(2,): 2, (1,): Fraction(4, 3), (0,): Fraction(1, 2)}
+    assert type(got[(2,)]) is int and type(got[(1,)]) is Fraction
+    assert p.scale(Fraction(2, 3)).terms[(0,)] == 1 and type(p.scale(Fraction(2, 3)).terms[(0,)]) is int
+    assert p.scale(Fraction(0)).is_zero()
 
 
 # ----------------------------------------------------------------------
