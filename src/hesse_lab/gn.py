@@ -247,7 +247,7 @@ def build_Q(params):
             ms.append({k: c for k, coeffs in monomials.items() if (c := sum(map(mul, weights, coeffs)))})
         q = {}
         for x, mi in zip(xs, ms):
-            _add_into(q, _mul_packed(mi, x))
+            _add_into(q, _mul_packed(mi, x).items())
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
         for k in monomials:

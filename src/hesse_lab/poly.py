@@ -64,9 +64,10 @@ def _packing(top, nvars):
     )
 
 
-def _add_into(acc, terms):
-    """acc += terms in place, dropping the sums that cancel; returns acc."""
-    for k, c in terms.items():
+def _add_into(acc, pairs):
+    """acc += the (key, coefficient) pairs in place, dropping the sums that
+    cancel; returns acc."""
+    for k, c in pairs:
         s = acc.get(k, 0) + c
         if s:
             acc[k] = s
@@ -92,20 +93,21 @@ def _mul_packed(a, b):
     return out
 
 
-def _horner(items, packed, i):
-    """Σ_k a_i^k·F_k(a) by Horner's rule in the packed argument a_i =
-    packed[i], for items the (exponents, packed dict) pairs of F's groups,
-    which agree before position i; each F_k(a) alike from position i + 1."""
+def _horner(terms, packed, i):
+    """Σ_k a_v^k·F_k(a) by Horner's rule in (v, a_v) = packed[i], for terms
+    the (exponents, (packed key, coefficient)) pairs of F that agree on the
+    variables of packed[:i]; each F_k(a) alike from packed[i + 1]."""
     if i == len(packed):
-        return items[0][1]
+        return _add_into({}, map(operator.itemgetter(1), terms))
+    v, a = packed[i]
     parts = {}
-    for item in items:
-        parts.setdefault(item[0][i], []).append(item)
+    for t in terms:
+        parts.setdefault(t[0][v], []).append(t)
     acc = {}
     for k in range(max(parts), -1, -1):
-        acc = _mul_packed(acc, packed[i])
+        acc = _mul_packed(acc, a)
         if k in parts:
-            _add_into(acc, _horner(parts[k], packed, i + 1))
+            _add_into(acc, _horner(parts[k], packed, i + 1).items())
     return acc
 
 
@@ -226,7 +228,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compat(other)
-        return Polynomial(self.nvars, _add_into(dict(self.terms), other.terms))
+        return Polynomial(self.nvars, _add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -340,15 +342,14 @@ class Polynomial:
         # passes deg F · e_max
         e_max = max((max(map(max, a.terms)) for a in args if a.terms), default=0)
         pack, unpack = _packing(self.degree() * e_max, m)
-        multi = [v for v, a in enumerate(args) if len(a.terms) > 1]
         single = [(v, pack(e), c) for v, a in enumerate(args) if len(a.terms) == 1
                   for e, c in a.terms.items()]
         zero = [v for v, a in enumerate(args) if not a.terms]
-        # F's terms grouped by their exponents of the multi-term arguments,
-        # each group a packed dict of what the other arguments made of it
-        groups = {}
+        # each term of F as (exponents, (packed key, coefficient)) of what
+        # the single-term arguments make of it
+        terms = []
         for e, c in self.terms.items():
-            if any(e[v] for v in zero):
+            if zero and any(e[v] for v in zero):
                 continue
             k = 0
             for v, kv, cv in single:
@@ -357,14 +358,10 @@ class Polynomial:
                     k += x * kv
                     if cv != 1:
                         c *= cv ** x
-            group = groups.setdefault(tuple(e[v] for v in multi), {})
-            c += group.get(k, 0)
-            if c:
-                group[k] = c
-            else:
-                del group[k]
-        packed = [{pack(e): c for e, c in args[v].terms.items()} for v in multi]
-        out = _horner(list(groups.items()), packed, 0) if groups else {}
+            terms.append((e, (k, c)))
+        packed = [(v, {pack(e): c for e, c in a.terms.items()})
+                  for v, a in enumerate(args) if len(a.terms) > 1]
+        out = _horner(terms, packed, 0) if terms else {}
         return Polynomial(m, {unpack(k): c for k, c in out.items()})
 
     def extend(self, new_nvars):
@@ -550,7 +547,7 @@ class _Parser:
         acc = {}
         sign = self.sign()
         while True:
-            _add_into(acc, self.term(sign))
+            _add_into(acc, self.term(sign).items())
             if self.cur[0] not in ("+", "-"):
                 return acc
             sign = self.sign()
