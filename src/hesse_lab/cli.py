@@ -1,5 +1,11 @@
 """Command-line front end: analyze | generate | verify | catalog.
 
+Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
+exact certificates of a vanishing verdict in order of cost: the cone vertex,
+a polar relation and, for at most DEFAULT_SIZE_CAP variables, det H_f ≡ 0
+under DETERMINANT_BUDGET monomial products.  `generate`, `catalog` and the
+gn suite stop at the cone vertex.
+
 Exit codes: 0 success; 1 verification suite failure; 2 parse error or bad
 invocation; 3 zero, constant or non-homogeneous input; 4 internal check
 violation (an identity the construction guarantees failed); 5 parameter
@@ -23,7 +29,15 @@ from .errors import (
     ValidationError,
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
-from .hessian import DEFAULT_SIZE_CAP, hessian_vanishes, rank_verdict, sample_kernels, term_table
+from .hessian import (
+    DEFAULT_SIZE_CAP,
+    DETERMINANT_BUDGET,
+    hessian_matrix,
+    rank_verdict,
+    sample_kernels,
+    symbolic_determinant,
+    term_table,
+)
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation, sample_image
 from .reports import (
@@ -72,15 +86,8 @@ def build_parser():
             help="omit the timings block (byte-deterministic output)",
         )
 
-    def symbolic(sp):
-        sp.add_argument(
-            "--symbolic", dest="mode", action="store_const", const="symbolic",
-            default="probabilistic", help="decide the Hessian by the exact determinant",
-        )
-
     a = sub.add_parser("analyze", help="full pipeline on one polynomial")
     common(a)
-    symbolic(a)
     a.add_argument("--poly", required=True, help="polynomial in x-variables")
     a.add_argument(
         "--max-relation-degree",
@@ -91,7 +98,6 @@ def build_parser():
 
     g = sub.add_parser("generate", help="build one seeded construction instance")
     common(g)
-    symbolic(g)
     for flag in ("n", "t", "m", "hdeg", "psideg", "d"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.add_argument("--out", metavar="PATH", help="write the instance JSON here")
@@ -110,7 +116,6 @@ def build_parser():
 
     c = sub.add_parser("catalog", help="batch-generate instances with metadata")
     common(c)
-    symbolic(c)
     c.add_argument(
         "--types",
         action="append",
@@ -126,14 +131,6 @@ def build_parser():
 def _check_positive(flag, value):
     if value < 1:
         raise ValidationError([f"{flag} must be >= 1 (got {value})"])
-
-
-def _check_symbolic(nvars, args):
-    if args.mode == "symbolic" and nvars > DEFAULT_SIZE_CAP:
-        raise ValidationError([
-            f"--symbolic needs at most {DEFAULT_SIZE_CAP} variables, the cap of "
-            f"the exact determinant (got {nvars})"
-        ])
 
 
 def cmd_analyze(args):
@@ -152,11 +149,9 @@ def cmd_analyze(args):
             {"poly": args.poly}, {"error": "input must be nonzero homogeneous"}, args
         )
     n1, d = f.nvars, f.degree()
-    _check_symbolic(n1, args)
     # one sample of H_f gives the verdict, the polar image's dimension and W
     sample = sample_kernels(f, seed=args.seed)
-    verdict = (hessian_vanishes(f, mode="symbolic") if args.mode == "symbolic"
-               else rank_verdict(f, sample.ranks))
+    verdict = rank_verdict(f, sample.ranks)
     vertex = cone_test(f)
     verdict = with_vertex(verdict, vertex)
     results = {
@@ -173,7 +168,6 @@ def cmd_analyze(args):
         if rel is not None:
             # PolarRelation refuses a nonzero certificate: h_f ≡ 0 is proven
             verdict = verdict.upgraded("polar_relation")
-            results["hessian"] = hessian_block(verdict)
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
             # one ψ_g image sample: the battery reads its first IMAGE_SAMPLES
@@ -188,15 +182,22 @@ def cmd_analyze(args):
                 ok = ok and p4_ok
             if not ok:
                 code = EXIT_INTERNAL_CHECK
-    return code, _doc({"poly": args.poly, "mode_requested": args.mode}, results, args)
+        elif n1 <= DEFAULT_SIZE_CAP:
+            # the last certificate: det H_f, expanded under a fixed budget
+            det = symbolic_determinant(hessian_matrix(f), DETERMINANT_BUDGET)
+            if det:
+                raise InternalCheckError("det H_f is nonzero, against the sampled verdict")
+            if det is not None:
+                verdict = verdict.upgraded("determinant")
+        results["hessian"] = hessian_block(verdict)
+    return code, _doc({"poly": args.poly}, results, args)
 
 
 def cmd_generate(args):
     skel = GNSkeleton(
         n=args.n, t=args.t, m=args.m, hdeg=args.hdeg, psideg=args.psideg, d=args.d
     )
-    _check_symbolic(skel.n + 1, args)
-    instance, verdict, entry = gn_entry(skel, args.seed, mode=args.mode)
+    instance, verdict, entry = gn_entry(skel, args.seed)
     data = instance_to_dict(instance)
     if args.out:
         with open(args.out, "w") as fh:
@@ -253,7 +254,6 @@ def cmd_catalog(args):
         skel = GNSkeleton(*nums)
         try:
             validate_skeleton(skel)
-            _check_symbolic(skel.n + 1, args)
         except ValidationError as exc:
             problems.extend(f"{text}: {v}" for v in exc.violations)
             continue
@@ -263,7 +263,7 @@ def cmd_catalog(args):
     entries = []
     for skel in skeletons:
         for i in range(args.count):
-            inst, _, entry = gn_entry(skel, args.seed + i, mode=args.mode)
+            inst, _, entry = gn_entry(skel, args.seed + i)
             entries.append({**entry, "instance": instance_to_dict(inst)})
     return EXIT_OK, _doc({"types": args.types, "count": args.count}, {"catalog": entries}, args)
 

@@ -24,7 +24,7 @@ from operator import mul
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from .fields import norm_coeff, substream
-from .hessian import PolyMatrix, column_minors, symbolic_determinant
+from .hessian import ColumnMinors, PolyMatrix, symbolic_determinant
 from .poly import Polynomial, _add_into, _mul_packed, _packing, monomials_of_degree
 
 RETRY_BUDGET = 8
@@ -238,7 +238,7 @@ def build_Q(params):
     qs, cofactors = [], []
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
-        a_minor = column_minors(a_rows, 0, 1)
+        a_minor = ColumnMinors(a_rows, 0, 1)
         ms = []
         for terms in plan:
             weights = [0] * len(subsets)

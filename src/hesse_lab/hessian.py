@@ -8,14 +8,15 @@ and the exact kernel at each point.  `rank_verdict` reads the verdict on
 h_f ≡ 0 off the ranks: a full-rank point is an exact witness of h_f ≠ 0,
 else "vanishes" carries the Schwartz-Zippel bound (D/N)^t, with t the fewest
 points that put it below 2^-40; `hessian_vanishes` ranks the same first
-points alone.
+points alone.  This is the only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
-the kernels span W, on which the relation search runs.  A cone vertex or a
-re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) later
-makes a vanishing verdict exact.  The matrix of second partials is built only
-for `--symbolic` and for points with a zero coordinate.  The symbolic
-determinant, by minor expansion over memoized column subsets, serves
-`--symbolic` and the GN ψ-row minors; Bareiss elimination is its tests' oracle.
+the kernels span W, on which the relation search runs.  A cone vertex, a
+re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
+det H_f ≡ 0 expanded under DETERMINANT_BUDGET later makes a vanishing verdict
+exact.  The matrix of second partials is built only for that determinant and
+for points with a zero coordinate.  The symbolic determinant, by minor
+expansion over memoized column subsets, serves that certificate and the GN
+ψ-row minors.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DimensionError, DomainError, InexactDivisionError, InternalCheckError
+from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
 from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_SAMPLES = 5
+# monomial products, Σ len(a.terms)·len(b.terms), that the determinant
+# certificate may spend; a count, not a time, so reports stay byte-identical
+DETERMINANT_BUDGET = 10 ** 6
 
 
 class PolyMatrix:
@@ -68,19 +72,19 @@ class PolyMatrix:
 
 @dataclass(frozen=True)
 class HessianVerdict:
-    mode: str                      # "symbolic" | "probabilistic"
+    mode = "probabilistic"         # every verdict is read off sampled ranks
     vanishes: bool
     trials: int                    # points evaluated
-    sample_range: Optional[int]    # point coordinates are drawn from range(sample_range)
+    sample_range: int              # point coordinates are drawn from range(sample_range)
     error_bound: Fraction          # upper bound on a false "vanishes"; 0 when certified
     degree_bound: int
-    # "determinant" | "witness" | "cone_vertex" | "polar_relation", or None
+    # "witness" | "cone_vertex" | "polar_relation" | "determinant", or None
     # when only error_bound backs a vanishing verdict
     certificate: Optional[str]
 
     def upgraded(self, certificate):
         """This verdict backed by an exact proof of h_f ≡ 0 found elsewhere:
-        a cone vertex or a re-checked polar relation."""
+        a cone vertex, a re-checked polar relation or det H_f ≡ 0."""
         if not self.vanishes:
             raise InternalCheckError(
                 f"{certificate} contradicts the {self.certificate} of h_f != 0"
@@ -177,75 +181,58 @@ def gradient_at(f, a, table=None):
     return [_divide(h, x) if x and h else norm_coeff(h) for h, x in zip(k, a)]
 
 
-def column_minors(rows, zero, one):
-    """minor(mask): det of the last popcount(mask) rows on the columns in mask,
-    memoized; entries are polynomials or scalars, zero and one of their kind."""
-    n = len(rows)
-    # a one-column minor of the last row is its entry
-    memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
+class _OverBudget(Exception):
+    pass
 
-    def minor(mask):
-        if mask in memo:
-            return memo[mask]
-        row = n - bin(mask).count("1")
-        acc = zero
+
+class ColumnMinors:
+    """minors(mask): det of the last popcount(mask) rows on the columns in
+    mask, memoized; entries are polynomials or scalars, zero and one of their
+    kind.  With a budget (polynomial entries only), each product a·b spends
+    len(a.terms)·len(b.terms) of it, and the expansion stops before one
+    would overspend."""
+
+    def __init__(self, rows, zero, one, budget=None):
+        self.rows, self.zero, self.budget = rows, zero, budget
+        # a one-column minor of the last row is its entry
+        self.memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
+
+    def __call__(self, mask):
+        if mask in self.memo:
+            return self.memo[mask]
+        entries = self.rows[len(self.rows) - bin(mask).count("1")]
+        acc = self.zero
         sign = 1
         rest = mask
         while rest:
             low = rest & (-rest)
-            j = low.bit_length() - 1
-            e = rows[row][j]
+            e = entries[low.bit_length() - 1]
             if e:
-                term = e * minor(mask ^ low)
+                sub = self(mask ^ low)
+                if self.budget is not None:
+                    self.budget -= len(e.terms) * len(sub.terms)
+                    if self.budget < 0:
+                        raise _OverBudget
+                term = e * sub
                 acc = acc + term if sign > 0 else acc - term
             sign = -sign
             rest ^= low
-        memo[mask] = acc
+        self.memo[mask] = acc
         return acc
 
-    return minor
 
-
-def det_minor_expansion(m):
-    """Determinant by first-row expansion over memoized column subsets."""
-    one = Polynomial.constant(m.nvars, 1)
-    return column_minors(m.entries, Polynomial.zero(m.nvars), one)((1 << m.rows) - 1)
-
-
-def det_fraction_free(m):
-    """Bareiss over polynomial entries; every division must be exact."""
-    n = m.rows
-    b = [row[:] for row in m.entries]
-    zero = Polynomial.zero(m.nvars)
-    prev = Polynomial.constant(m.nvars, 1)
-    sign = 1
-    for k in range(n - 1):
-        if not b[k][k]:
-            swap = next((i for i in range(k + 1, n) if b[i][k]), None)
-            if swap is None:
-                return zero
-            b[k], b[swap] = b[swap], b[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = b[k][k] * b[i][j] - b[i][k] * b[k][j]
-                try:
-                    b[i][j] = num.exact_div(prev)
-                except InexactDivisionError as exc:
-                    raise InternalCheckError(
-                        "fraction-free elimination hit an inexact division"
-                    ) from exc
-            b[i][k] = zero
-        prev = b[k][k]
-    return b[n - 1][n - 1].scale(sign)
-
-
-def symbolic_determinant(m):
+def symbolic_determinant(m, budget=None):
+    """det m by first-row expansion over memoized column subsets, or None
+    when the expansion would spend more than `budget` monomial products."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square matrix")
     if m.rows > DEFAULT_SIZE_CAP:
         raise DomainError(f"matrix size {m.rows} exceeds cap {DEFAULT_SIZE_CAP}")
-    return det_minor_expansion(m)
+    one = Polynomial.constant(m.nvars, 1)
+    try:
+        return ColumnMinors(m.entries, Polynomial.zero(m.nvars), one, budget)((1 << m.rows) - 1)
+    except _OverBudget:
+        return None
 
 
 def trials_for_error(degree_bound):
@@ -284,7 +271,6 @@ def rank_verdict(f, ranks):
     if used < trials and not witness:
         raise InternalCheckError(f"the verdict needs {trials} points, the sample took {used}")
     return HessianVerdict(
-        mode="probabilistic",
         vanishes=not witness,
         trials=used,
         sample_range=DEFAULT_PRIME,
@@ -294,27 +280,13 @@ def rank_verdict(f, ranks):
     )
 
 
-def hessian_vanishes(f, mode="probabilistic", seed=0):
+def hessian_vanishes(f, seed=0):
     """Decide h_f ≡ 0 by the ranks of H_f at the first seeded points of
-    `sample_kernels`, stopping at the first witness of h_f ≠ 0, or by the
-    symbolic determinant when mode is "symbolic"."""
+    `sample_kernels`, stopping at the first witness of h_f ≠ 0."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
-    if mode == "symbolic":
-        det = symbolic_determinant(hessian_matrix(f))
-        return HessianVerdict(
-            mode="symbolic",
-            vanishes=det.is_zero(),
-            trials=0,
-            sample_range=None,
-            error_bound=Fraction(0),
-            degree_bound=f.nvars * max(f.degree() - 2, 0),
-            certificate="determinant",
-        )
-    if mode != "probabilistic":
-        raise DomainError(f"unknown mode {mode!r}")
     points = (_seeded_point(f.nvars, seed, i) for i in itertools.count())
     return rank_verdict(f, (rank(hessian_at(f, a)) for a in points))
 

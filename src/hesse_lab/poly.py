@@ -631,18 +631,12 @@ def parse(text, var_prefix="x", nvars=None):
 # monomial enumeration
 
 def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d, graded-lex descending."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), d, nvars)
-    return out
+    """All exponent tuples of total degree d, graded-lex descending: each
+    pass extends every prefix by its next exponent, largest first."""
+    prefixes = [()]
+    for _ in range(nvars - 1):
+        prefixes = [p + (a,) for p in prefixes for a in range(d - sum(p), -1, -1)]
+    return [p + (d - sum(p),) for p in prefixes]
 
 
 # ----------------------------------------------------------------------

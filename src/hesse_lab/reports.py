@@ -26,7 +26,7 @@ from .psi import (
     sample_polar_image,
 )
 
-SCHEMA = "hesse-lab/4"
+SCHEMA = "hesse-lab/5"
 
 IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
 # points the P^4 stage draws from the ψ_g image: the C(MAX_CURVE_DEGREE + 2, 2)
@@ -53,7 +53,6 @@ def vector_strs(v):
 
 def hessian_block(verdict):
     return {
-        "mode": verdict.mode,
         "vanishes": verdict.vanishes,
         "certificate": verdict.certificate,
         "trials": verdict.trials,
@@ -104,7 +103,6 @@ def invariance_entry(result):
         "derivative_zero": result.derivative_zero,
         "invariant": result.invariant,
         "agree": result.agree,
-        "mode": "symbolic",
     }
 
 
@@ -228,12 +226,12 @@ def _paper_cubic():
     return (f, *_relation_and_psi(f))
 
 
-def gn_entry(skel, seed, mode="probabilistic", draw=_draw):
+def gn_entry(skel, seed, draw=_draw):
     """Draw the seeded instance of skel and decide it once: the Hessian
     verdict, the vertex the draw already computed, and the core multiplicity.
     Returns the instance, the verdict and the report entry."""
     inst = draw(skel, seed)
-    verdict = with_vertex(hessian_vanishes(inst.f, mode=mode, seed=seed), inst.vertex)
+    verdict = with_vertex(hessian_vanishes(inst.f, seed=seed), inst.vertex)
     entry = {
         "type": [skel.n, skel.t, skel.m],
         "hdeg": skel.hdeg,
@@ -242,7 +240,6 @@ def gn_entry(skel, seed, mode="probabilistic", draw=_draw):
         "s": inst.s,
         "mu": inst.mu,
         "seed": seed,
-        "hessian_mode": verdict.mode,
         "vanishes": verdict.vanishes,
         "error_bound": scalar_str(verdict.error_bound),
         "is_cone": inst.vertex.is_cone,

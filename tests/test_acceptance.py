@@ -26,11 +26,10 @@ from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, core_multiplicity, random_instance
 from hesse_lab.hessian import (
     PolyMatrix,
-    det_fraction_free,
-    det_minor_expansion,
     hessian_matrix,
     hessian_vanishes,
     polar_image_dim,
+    symbolic_determinant,
     trials_for_error,
 )
 from hesse_lab.linalg import random_invertible
@@ -48,17 +47,23 @@ def _report(number, label, ok, elapsed, limit):
     assert elapsed < limit, f"criterion {number} exceeded its {limit}s budget"
 
 
+def _analyze(tmp_path, *argv):
+    path = tmp_path / "analyze.json"
+    code = main(["analyze", *argv, "--json", str(path), "--no-timings"])
+    return code, json.loads(path.read_text())["results"]
+
+
 def test_criterion_1_paper_example_symbolic(tmp_path):
     started = time.time()
-    path = tmp_path / "analyze.json"
-    code = main([
-        "analyze", "--poly", "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2", "--symbolic",
-        "--json", str(path), "--no-timings",
-    ])
-    doc = json.loads(path.read_text())
-    r = doc["results"]
-    ok = code == 0
-    ok = ok and r["hessian"]["mode"] == "symbolic" and r["hessian"]["vanishes"] is True
+    text = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
+    # with the relation search capped below degree 2, det H_f ≡ 0 is the
+    # certificate that makes the verdict exact
+    code, r = _analyze(tmp_path, "--poly", text, "--max-relation-degree", "1")
+    ok = code == 0 and r["polar_relation"] is None
+    ok = ok and r["hessian"]["certificate"] == "determinant" and r["hessian"]["error_bound"] == "0"
+    code, r = _analyze(tmp_path, "--poly", text)
+    ok = ok and code == 0
+    ok = ok and r["hessian"]["certificate"] == "polar_relation" and r["hessian"]["vanishes"] is True
     ok = ok and r["hessian"]["error_bound"] == "0"
     ok = ok and r["cone"]["is_cone"] is False
     ok = ok and r["polar_image_dim"] == 3
@@ -83,7 +88,7 @@ def test_criterion_1_paper_example_symbolic(tmp_path):
     ok = ok and checks["image_in_singular_locus_symbolic"] is True
     ok = ok and checks["sampled_inclusions"] is True
     ok = ok and checks["equivalence_integrity"] is True
-    _report(1, "paper example, fully symbolic", ok, time.time() - started, 10)
+    _report(1, "paper example, exact by determinant and by relation", ok, time.time() - started, 10)
 
 
 # (5,3,1) with d = s = 3 is provably always a cone (the combined constant
@@ -112,14 +117,15 @@ def test_criterion_2_and_3_generator_soundness_and_genericity(gn_batches):
         non_cones = 0
         for seed, inst in enumerate(batch):
             if skel.n == 4:
-                verdict = hessian_vanishes(inst.f, mode="symbolic")
+                vanishes = symbolic_determinant(hessian_matrix(inst.f)).is_zero()
             else:
-                verdict = hessian_vanishes(inst.f, mode="probabilistic", seed=seed)
+                verdict = hessian_vanishes(inst.f, seed=seed)
+                vanishes = verdict.vanishes
                 if verdict.trials != trials_for_error((skel.n + 1) * max(skel.d - 2, 0)):
                     failures.append(f"{skel} seed {seed}: {verdict.trials} trials")
                 if verdict.error_bound * 2 ** 40 >= 1:
                     failures.append(f"{skel} seed {seed}: error bound not < 2^-40")
-            if not verdict.vanishes:
+            if not vanishes:
                 failures.append(f"{skel} seed {seed}: Hessian does not vanish")
             if core_multiplicity(inst) != skel.d - inst.mu:
                 failures.append(f"{skel} seed {seed}: core multiplicity != d - mu")
@@ -211,10 +217,10 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             not failures, time.time() - started, 300)
 
 
-def test_criterion_7_kernel_cross_checks(gn_batches):
+def test_criterion_7_kernel_cross_checks(gn_batches, sympy_det):
     started = time.time()
     ok = True
-    # (a) determinant route agreement on 50 seeded 4x4 polynomial matrices
+    # (a) the minor expansion against sympy on 50 seeded 4x4 polynomial matrices
     rng = substream(777, "detagree")
     monos = (
         monomials_of_degree(3, 2) + monomials_of_degree(3, 1) + monomials_of_degree(3, 0)
@@ -227,7 +233,7 @@ def test_criterion_7_kernel_cross_checks(gn_batches):
             ]
             for _ in range(4)
         ])
-        if det_minor_expansion(m) != det_fraction_free(m):
+        if symbolic_determinant(m) != sympy_det(m):
             ok = False
     # (b) Euler relation and H·x = (d-1)·grad f on every suite polynomial
     suite_polys = [PAPER_CUBIC, parse("x0^3+x1^3+x2^3"), parse("x0^4+x1^2*x2^2")]

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, JSON schema shape, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import cones, hessian, linalg, poly, psi, reports
-from hesse_lab.cli import main
+from hesse_lab import cli, cones, hessian, linalg, poly, psi, reports
+from hesse_lab.cli import build_parser, main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
@@ -21,6 +23,15 @@ from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
+
+
+def _gn_form(*types):
+    """The seed-0 GN form of a skeleton, as analyze reads it."""
+    return random_instance(GNSkeleton(*types), seed=0).f.to_string("x")
+
+
+# det H_f of this form spends about 7.6 M monomial products
+OVER_BUDGET = _gn_form(5, 2, 1, 2, 1, 6)
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -33,9 +44,9 @@ def run(tmp_path, *argv, name="out.json"):
 def test_analyze_paper_cubic(tmp_path):
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
     assert code == 0
-    assert doc["schema"] == "hesse-lab/4"
+    assert doc["schema"] == "hesse-lab/5"
+    assert doc["input"] == {"poly": PAPER_CUBIC}
     r = doc["results"]
-    assert r["hessian"]["mode"] == "probabilistic"
     assert r["hessian"]["vanishes"] is True
     assert r["hessian"]["certificate"] == "polar_relation"
     assert r["cone"]["is_cone"] is False
@@ -46,9 +57,35 @@ def test_analyze_paper_cubic(tmp_path):
     assert r["classification"]["sections"]["ok"] is True
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_documents_the_report_schema():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    assert f'{{"schema": "{reports.SCHEMA}"' in readme
+    assert f'{{"schema": "{reports.SCHEMA}"' in README.read_text()
+
+
+def _readme_flags():
+    """Per subcommand, the --flags on its lines of the README's synopsis
+    block, and the common flags of the sentence that follows it."""
+    section = README.read_text().split("## Command line", 1)[1]
+    flags, command = {}, None
+    for line in section.split("```")[1].splitlines():
+        if match := re.match(r"hesse-lab (\w+)", line):
+            command = match.group(1)
+        if command:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    common = section.split("Common flags:", 1)[1].split(". ", 1)[0]
+    return flags, set(re.findall(r"`(--[a-z-]+)", common))
+
+
+def test_readme_synopsis_matches_the_parser():
+    # a flag the README shows must parse, and a flag that parses must be shown
+    documented, common = _readme_flags()
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented.keys() == sub.choices.keys()
+    for command, parser in sub.choices.items():
+        accepted = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert documented[command] | common == accepted - {"--help"}, command
 
 
 def test_analyze_cone_stops_at_the_vertex(tmp_path):
@@ -130,16 +167,15 @@ def test_analyze_constant_exit_3_degree_0(text, capsys):
     assert "error:" not in err
 
 
-def test_symbolic_beyond_the_determinant_cap_exit_5(capsys):
-    nine_cubes = " + ".join(f"x{i}^3" for i in range(9))
-    reason = "validation: --symbolic needs at most 8 variables"
-    assert main(["analyze", "--poly", nine_cubes, "--symbolic"]) == 5
-    assert reason in capsys.readouterr().err
-    assert main(["generate", "--n", "8", "--t", "5", "--m", "1", "--hdeg", "2",
-                 "--psideg", "1", "--d", "6", "--symbolic"]) == 5
-    assert reason in capsys.readouterr().err
-    assert main(["catalog", "--types", "8,5,1,2,1,6", "--symbolic"]) == 5
-    assert "8,5,1,2,1,6: --symbolic needs at most 8 variables" in capsys.readouterr().err
+def test_symbolic_option_is_gone_exit_2(capsys):
+    # one verdict path: the determinant is analyze's last certificate, not a mode
+    for argv in (
+        ("analyze", "--poly", PAPER_CUBIC),
+        ("generate", "--n", "4", "--t", "2", "--m", "1", "--hdeg", "2", "--psideg", "1", "--d", "3"),
+        ("catalog", "--types", "4,2,1,2,1,3"),
+    ):
+        assert main([*argv, "--symbolic"]) == 2, argv
+        assert "unrecognized arguments: --symbolic" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -229,17 +265,11 @@ def test_verify_suites_pass(tmp_path):
         assert doc["results"][suite]["ok"] is True
 
 
-def test_options_only_on_subcommands_that_read_them(tmp_path):
-    code, doc = run(tmp_path, "generate",
-                    "--n", "4", "--t", "2", "--m", "1",
-                    "--hdeg", "2", "--psideg", "1", "--d", "3",
-                    "--symbolic", name="gsym.json")
-    assert code == 0
-    assert doc["results"]["hessian"]["mode"] == "symbolic"
+def test_options_only_on_subcommands_that_read_them():
     # an option the subcommand would ignore is a parse error, not a no-op;
     # the trial count follows from the 2^-40 error target, so --trials is none
     for argv in (
-        ("verify", "--suite", "lowdim", "--count", "2", "--field", "rational", "--symbolic"),
+        ("verify", "--suite", "lowdim", "--count", "2", "--field", "rational"),
         ("verify", "--suite", "psi", "--field", "p:abc"),
         ("verify", "--suite", "psi", "--symbolic"),
         ("catalog", "--types", "4,2,1,2,1,3", "--field", "p:4"),
@@ -325,12 +355,12 @@ def test_catalog_invalid_skeleton_exit_5(capsys):
 
 
 def test_analyze_probabilistic_default_for_many_variables(tmp_path):
-    # seven ambient variables exceed the symbolic default threshold
+    # the sampled verdict of a seven-variable cone, made exact by its vertex
     code, doc = run(tmp_path, "analyze", "--poly", "x0^3 + x1^3 + x6^3", name="p7.json")
     assert code == 0
     r = doc["results"]
-    assert r["hessian"]["mode"] == "probabilistic"
     assert r["hessian"]["vanishes"] is True
+    assert r["hessian"]["certificate"] == "cone_vertex"
     assert r["cone"]["is_cone"] is True  # three of seven variables: a cone
     assert "polar_relation" not in r
 
@@ -356,8 +386,12 @@ def test_verify_echoes_count_only_for_suites_that_read_it(tmp_path):
         (("--poly", "x0^3+x1^3+x2^3"), False, "witness"),
         (("--poly", "x0^3 + x1^3 + x6^3"), True, "cone_vertex"),
         (("--poly", PAPER_CUBIC), True, "polar_relation"),
-        (("--poly", PAPER_CUBIC, "--max-relation-degree", "1"), True, None),
-        (("--poly", PAPER_CUBIC, "--symbolic"), True, "determinant"),
+        # no relation of degree 1, and det H_f passes DETERMINANT_BUDGET
+        (("--poly", OVER_BUDGET, "--max-relation-degree", "1"), True, None),
+        # no relation of degree 1, and det H_f ≡ 0 within the budget
+        (("--poly", PAPER_CUBIC, "--max-relation-degree", "1"), True, "determinant"),
+        # nine variables: past DEFAULT_SIZE_CAP the determinant is not tried
+        (("--poly", _gn_form(8, 5, 1, 2, 1, 6), "--max-relation-degree", "1"), True, None),
     ],
 )
 def test_analyze_hessian_certificate(tmp_path, argv, vanishes, certificate):
@@ -373,20 +407,66 @@ def test_analyze_hessian_certificate(tmp_path, argv, vanishes, certificate):
         assert bound == 0
 
 
+@pytest.mark.parametrize("types", [(6, 3, 2, 3, 1, 7), (6, 3, 2, 3, 1, 8), (7, 3, 2, 3, 1, 7)])
+def test_the_determinant_certifies_forms_without_a_relation(tmp_path, types):
+    # m = 2, hdeg = 3: no polar relation up to degree 8, and det H_f ≡ 0
+    # within the budget (the expansion skips zero entries and zero minors)
+    code, doc = run(tmp_path, "analyze", "--poly", _gn_form(*types))
+    assert code == 0
+    r = doc["results"]
+    assert r["cone"]["is_cone"] is False and r["polar_relation"] is None
+    assert (r["hessian"]["certificate"], r["hessian"]["error_bound"]) == ("determinant", "0")
+
+
+def test_a_form_over_the_determinant_budget_keeps_its_error_bound(tmp_path):
+    argv = ("analyze", "--poly", OVER_BUDGET, "--max-relation-degree", "1")
+    code, doc = run(tmp_path, *argv, name="first.json")
+    assert code == 0
+    block = doc["results"]["hessian"]
+    assert block["certificate"] is None
+    assert 0 < Fraction(block["error_bound"]) < Fraction(1, 2**40)
+    # the budget counts products, not seconds: the same bytes on every run
+    assert run(tmp_path, *argv, name="second.json")[0] == 0
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+
+def test_analyze_a_form_of_corank_3(tmp_path):
+    # the seed-0 8,5,2,2,1,4 form: nine variables, generic rank 6
+    code, doc = run(tmp_path, "analyze", "--poly", _gn_form(8, 5, 2, 2, 1, 4))
+    assert code == 0
+    r = doc["results"]
+    assert r["polar_image_dim"] == 5
+    assert r["hessian"]["certificate"] == "polar_relation"
+    assert r["polar_relation"]["degree"] == 3
+    assert r["relation_search"]["w_dim"] == 6
+    checks = r["identity_checks"]
+    assert all(checks["invariance_f"].values())
+    assert all(v is True for k, v in checks.items() if k != "invariance_f")
+
+
 class DeterminantReached(Exception):
     pass
 
 
 def test_default_route_never_expands_the_determinant(tmp_path, monkeypatch):
+    # det H_f is analyze's last certificate, after the relation search
     def refuse(*args, **kwargs):
         raise DeterminantReached
 
-    monkeypatch.setattr(hessian, "symbolic_determinant", refuse)
+    monkeypatch.setattr(cli, "symbolic_determinant", refuse)
     assert run(tmp_path, "analyze", "--poly", PAPER_CUBIC)[0] == 0
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1")[0] == 0
     assert run(tmp_path, "catalog", "--types", "4,2,1,2,1,3")[0] == 0
     with pytest.raises(DeterminantReached):
-        main(["analyze", "--poly", PAPER_CUBIC, "--symbolic"])
+        main(["analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", "1"])
+
+
+def test_nonzero_determinant_against_the_sample_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "symbolic_determinant", lambda m, budget: parse("x0", nvars=5))
+    assert main(["analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", "1"]) == 4
+    out = capsys.readouterr()
+    assert "internal check violation: det H_f is nonzero" in out.err
+    assert out.out == ""
 
 
 class SecondPartialsBuilt(Exception):
@@ -395,16 +475,17 @@ class SecondPartialsBuilt(Exception):
 
 def test_default_route_never_builds_the_second_partials(tmp_path, monkeypatch):
     # H_f(a) and the vertex matrix are read from the terms of f; the matrix
-    # of second partials serves --symbolic and points with a zero coordinate
+    # of second partials serves the determinant certificate and points with
+    # a zero coordinate
     def refuse(*args, **kwargs):
         raise SecondPartialsBuilt
 
     _patch_everywhere(monkeypatch, hessian.hessian_matrix, refuse)
-    gn_form = random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=0).f.to_string("x")
+    gn_form = _gn_form(4, 2, 1, 2, 1, 3)
     assert run(tmp_path, "analyze", "--poly", gn_form)[0] == 0
     assert run(tmp_path, "catalog", "--types", "7,5,1,2,1,6", "--types", "4,2,1,2,1,3")[0] == 0
     with pytest.raises(SecondPartialsBuilt):
-        main(["analyze", "--poly", gn_form, "--symbolic"])
+        main(["analyze", "--poly", gn_form, "--max-relation-degree", "1"])
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -461,7 +542,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     "argv, own_points",
     [
         (("analyze", "--poly", PAPER_CUBIC), None),
-        (("analyze", "--poly", PAPER_CUBIC, "--symbolic"), None),
+        (("analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", "1"), None),
         (("analyze", "--poly", "x0^3 + x1^3 + x2^3 + x3^3"), 1),
         (("analyze", "--poly", "x0 + 2*x1"), hessian.DEFAULT_SAMPLES),
     ],
@@ -702,8 +783,6 @@ def _argv(draw):
             argv += ["--types", ",".join(values[: draw(st.integers(5, 7))])]
         if draw(st.booleans()):
             argv += ["--count", draw(st.integers(-1, 2).map(str))]
-    if draw(st.booleans()):
-        argv.append("--symbolic")
     if draw(st.booleans()):
         argv += ["--seed", draw(st.sampled_from(["0", "3", "-1", "x"]))]
     return argv + ["--no-timings"]

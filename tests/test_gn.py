@@ -1,12 +1,14 @@
 """Construction of vanishing-Hessian forms from determinant data."""
 
+import gc
+import types
 from dataclasses import replace
 from itertools import product
 from math import comb
 
 import pytest
 
-from hesse_lab import gn
+from hesse_lab import gn, hessian
 from hesse_lab.cones import cone_test
 from hesse_lab.errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from hesse_lab.gn import (
@@ -22,8 +24,8 @@ from hesse_lab.gn import (
     random_instance,
     validate,
 )
-from hesse_lab.hessian import PolyMatrix, det_fraction_free, hessian_vanishes, symbolic_determinant
-from hesse_lab.poly import Polynomial, parse
+from hesse_lab.hessian import PolyMatrix, hessian_matrix, hessian_vanishes, symbolic_determinant
+from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 
 def spec_params_421(d=3, p1=None, p0=None):
@@ -114,7 +116,7 @@ def test_build_f_reproduces_paper_cubic_shape():
     # projectively equivalent to the worked cubic: x1 -> -x1/2 scaling aside
     assert inst.f == parse("2*x0*x3^2 - 4*x1*x3*x4 + 2*x2*x4^2")
     assert inst.s == 3 and inst.mu == 1
-    assert hessian_vanishes(inst.f, mode="symbolic").vanishes
+    assert symbolic_determinant(hessian_matrix(inst.f)).is_zero()
     assert not cone_test(inst.f).is_cone
     assert core_multiplicity(inst) == 2  # d - mu = 3 - 1
 
@@ -131,7 +133,7 @@ def test_random_instance_properties():
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
     inst = random_instance(skel, seed=0)
     assert inst.f.is_homogeneous() and inst.f.degree() == 3
-    assert hessian_vanishes(inst.f, mode="symbolic").vanishes
+    assert symbolic_determinant(hessian_matrix(inst.f)).is_zero()
     assert core_multiplicity(inst) == 3 - inst.mu
 
 
@@ -176,9 +178,9 @@ def _construction_matrix(params, block):
     return rows
 
 
-def test_laplace_consistency_random():
-    # oracle: Bareiss on the full matrix and on every first-row minor, for
-    # m = 1, 2, 3, hdeg 3, psideg 2, and t = 8 (Bareiss has no size cap)
+def test_laplace_consistency_random(sympy_det):
+    # oracle: sympy's determinant of the full matrix and of every first-row
+    # minor, for m = 1, 2, 3, hdeg 3, psideg 2, and t = 8 (sympy has no size cap)
     cases = (
         ((4, 2, 1, 2, 1, 4), 0),
         ((7, 4, 1, 2, 1, 5), 3),
@@ -189,10 +191,10 @@ def test_laplace_consistency_random():
         ((10, 8, 1, 2, 1, 6), 0),
     )
     for types, seed in cases:
-        _check_laplace(random_instance(GNSkeleton(*types), seed=seed))
+        _check_laplace(random_instance(GNSkeleton(*types), seed=seed), sympy_det)
 
 
-def test_laplace_consistency_fraction_constants():
+def test_laplace_consistency_fraction_constants(sympy_det):
     data = params_to_dict(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=1).params)
     data["a_consts"] = [
         [[f"{c}/{k + 2}" for k, c in enumerate(row)] for row in block]
@@ -200,7 +202,7 @@ def test_laplace_consistency_fraction_constants():
     ]
     params = params_from_dict(data)
     assert any(c.denominator > 1 for block in params.a_consts for row in block for c in row)
-    _check_laplace(build_f(params))
+    _check_laplace(build_f(params), sympy_det)
 
 
 def test_build_Q_rejects_repeated_constant_row():
@@ -211,8 +213,8 @@ def test_build_Q_rejects_repeated_constant_row():
         build_Q(params)
 
 
-def _check_laplace(inst):
-    # Bareiss pivots on the constant rows first, then the psi-rows, then
+def _check_laplace(inst, det):
+    # the rows go in as constant rows first, then the psi-rows, then
     # (x_0..x_t); the reordering costs the sign (-1)^((t-m-1)(m+1)), and
     # (-1)^t more where the x-row moves to the bottom
     params = inst.params
@@ -221,10 +223,10 @@ def _check_laplace(inst):
     for q, ms, block in zip(inst.q_polys, inst.m_coeffs, inst.params.a_consts):
         rows = _construction_matrix(params, block)
         reordered = rows[params.m + 2:] + rows[1:params.m + 2]
-        assert q.scale(sign * (-1) ** params.t) == det_fraction_free(PolyMatrix(reordered + rows[:1]))
+        assert q.scale(sign * (-1) ** params.t) == det(PolyMatrix(reordered + rows[:1]))
         rebuilt = Polynomial.zero(n1)
         for i, mi in enumerate(ms):
-            minor = det_fraction_free(PolyMatrix([r[:i] + r[i + 1:] for r in reordered]))
+            minor = det(PolyMatrix([r[:i] + r[i + 1:] for r in reordered]))
             assert mi.scale(sign * (-1) ** i) == minor
             rebuilt = rebuilt + mi * Polynomial.variable(n1, i)
             if mi:
@@ -249,17 +251,47 @@ def test_build_f_expands_only_psi_row_minors(monkeypatch):
         assert calls == [params.m + 1] * comb(params.t + 1, params.m + 1)
 
 
+def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypatch):
+    # the memoized minors and the monomial enumeration hold no closure that
+    # refers to itself, so reference counting frees them, memo and all
+    params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
+    budgets = []
+
+    class Recorded(hessian.ColumnMinors):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self.budget)
+
+    # the scalar minors in gn, the ψ-row minors through symbolic_determinant
+    for module in (gn, hessian):
+        monkeypatch.setattr(module, "ColumnMinors", Recorded)
+    build_Q(params)
+    monkeypatch.undo()
+    assert budgets and set(budgets) == {None}
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build_Q(params)
+        monomials_of_degree(4, 3)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (Polynomial, types.FunctionType))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatch):
     # doubling the scalar minors on columns that include x_0's breaks the
     # Laplace identity Σ_i a_i·M_i = 0 for a row a of A_l
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real = gn.column_minors
+    real = gn.ColumnMinors
 
     def skewed(rows, zero, one):
         minor = real(rows, zero, one)
         return lambda mask: 2 * minor(mask) if mask & 1 else minor(mask)
 
-    monkeypatch.setattr(gn, "column_minors", skewed)
+    monkeypatch.setattr(gn, "ColumnMinors", skewed)
     with pytest.raises(InternalCheckError, match="annihilate"):
         build_Q(params)
 
@@ -302,12 +334,12 @@ def test_genericity_non_cone_rate():
 
 def test_vanishing_hessian_symbolic_up_to_n5():
     inst = random_instance(GNSkeleton(n=5, t=3, m=1, hdeg=2, psideg=1, d=4), seed=2)
-    assert hessian_vanishes(inst.f, mode="symbolic").vanishes
+    assert symbolic_determinant(hessian_matrix(inst.f)).is_zero()
 
 
 def test_vanishing_hessian_probabilistic_up_to_n7():
     inst = random_instance(GNSkeleton(n=7, t=3, m=1, hdeg=2, psideg=1, d=4), seed=0)
-    v = hessian_vanishes(inst.f, mode="probabilistic", seed=0)
+    v = hessian_vanishes(inst.f, seed=0)
     assert v.vanishes
     assert v.error_bound * 2 ** 40 < 1
 

@@ -45,6 +45,24 @@ def test_report_matches_golden(name):
     assert text == (GOLDEN / f"{name}.json").read_text()
 
 
+def _keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def test_no_report_carries_a_mode():
+    # one verdict path: schema hesse-lab/5 dropped every mode key
+    for name in COMMANDS:
+        doc = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert doc["schema"] == "hesse-lab/5"
+        assert not {"mode", "hessian_mode", "mode_requested"} & set(_keys(doc)), name
+
+
 if __name__ == "__main__":
     for name, entry in COMMANDS.items():
         argv, expected = command(entry)

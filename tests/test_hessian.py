@@ -12,9 +12,8 @@ from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
 from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import (
+    ColumnMinors,
     PolyMatrix,
-    det_fraction_free,
-    det_minor_expansion,
     gradient_at,
     hessian_at,
     hessian_matrix,
@@ -93,10 +92,10 @@ def test_det_diag_with_zero():
     assert symbolic_determinant(hessian_matrix(f)).is_zero()
 
 
-def test_det_paper_cubic_vanishes_both_algorithms():
+def test_det_paper_cubic_vanishes_both_algorithms(sympy_det):
     h = hessian_matrix(PAPER_CUBIC)
-    assert det_minor_expansion(h).is_zero()
-    assert det_fraction_free(h).is_zero()
+    assert symbolic_determinant(h).is_zero()
+    assert sympy_det(h).is_zero()
 
 
 def test_det_2x2():
@@ -106,12 +105,21 @@ def test_det_2x2():
     assert symbolic_determinant(m) == parse("x0^2 - x1^2")
 
 
+def test_det_budget_counts_monomial_products():
+    # each product a·b spends len(a.terms)·len(b.terms): here 2·1 + 1·1
+    m = PolyMatrix([[parse("x0 + x1"), parse("x1")], [parse("x1"), parse("x0", nvars=2)]])
+    assert symbolic_determinant(m, budget=3) == parse("x0^2 + x0*x1 - x1^2")
+    assert symbolic_determinant(m, budget=2) is None
+    # zero entries and zero minors cost nothing
+    assert symbolic_determinant(hessian_matrix(PAPER_CUBIC), budget=0).is_zero()
+
+
 def test_det_fermat_cubic():
     det = symbolic_determinant(hessian_matrix(FERMAT_CUBIC))
     assert det == parse("216*x0*x1*x2")
 
 
-def test_det_algorithms_agree_seeded(seed=37, cases=50):
+def test_det_algorithms_agree_seeded(sympy_det, seed=37, cases=50):
     rng = random.Random(seed)
     monos = monomials_of_degree(3, 2) + monomials_of_degree(3, 1) + monomials_of_degree(3, 0)
     for _ in range(cases):
@@ -123,7 +131,7 @@ def test_det_algorithms_agree_seeded(seed=37, cases=50):
             for _ in range(4)
         ]
         m = PolyMatrix(entries)
-        assert det_minor_expansion(m) == det_fraction_free(m)
+        assert symbolic_determinant(m) == sympy_det(m)
 
 
 def test_det_rejects_non_square_and_oversize():
@@ -136,19 +144,25 @@ def test_det_rejects_non_square_and_oversize():
 
 
 def test_vanishes_symbolic_paper_cubic():
-    v = hessian_vanishes(PAPER_CUBIC, mode="symbolic")
-    assert v.vanishes is True
-    assert v.error_bound == 0
-    assert v.mode == "symbolic"
+    # the sampled verdict, and det H_f ≡ 0 that makes it exact
+    v = hessian_vanishes(PAPER_CUBIC)
+    assert (v.vanishes, v.certificate) == (True, None)
+    exact = v.upgraded("determinant")
+    assert (exact.certificate, exact.error_bound) == ("determinant", 0)
+    assert symbolic_determinant(hessian_matrix(PAPER_CUBIC)).is_zero()
 
 
 def test_vanishes_symbolic_fermat_false():
-    assert hessian_vanishes(FERMAT_CUBIC, mode="symbolic").vanishes is False
+    assert symbolic_determinant(hessian_matrix(FERMAT_CUBIC)) == parse("216*x0*x1*x2")
+    v = hessian_vanishes(FERMAT_CUBIC)
+    assert (v.vanishes, v.certificate) == (False, "witness")
+    with pytest.raises(InternalCheckError):
+        v.upgraded("determinant")
 
 
 def test_vanishes_probabilistic_cone():
     f = parse("x0^3 + x1^3", nvars=4)
-    v = hessian_vanishes(f, mode="probabilistic", seed=0)
+    v = hessian_vanishes(f, seed=0)
     assert v.vanishes is True
     assert v.degree_bound == 4
     assert v.error_bound == Fraction(4, DEFAULT_PRIME) ** v.trials
@@ -162,8 +176,8 @@ def test_probabilistic_consistent_with_symbolic(seed=41, cases=15):
         f = Polynomial(3, {e: rng.randint(-5, 5) for e in monos})
         if not f:
             continue
-        sym = hessian_vanishes(f, mode="symbolic").vanishes
-        prob = hessian_vanishes(f, mode="probabilistic", seed=case).vanishes
+        sym = symbolic_determinant(hessian_matrix(f)).is_zero()
+        prob = hessian_vanishes(f, seed=case).vanishes
         if sym:
             assert prob
         if not prob:
@@ -275,7 +289,7 @@ def test_cone_implies_vanishing():
     # classical direction: every cone here must have vanishing Hessian
     for text, n in (("x0^3 + x1^3", 4), ("x0^4", 3), ("x0^2 + x0*x1", 3)):
         f = parse(text, nvars=n)
-        assert hessian_vanishes(f, mode="symbolic").vanishes
+        assert symbolic_determinant(hessian_matrix(f)).is_zero()
 
 
 def test_vanishes_rejects_bad_input():
@@ -283,8 +297,8 @@ def test_vanishes_rejects_bad_input():
         hessian_vanishes(Polynomial.zero(3))
     with pytest.raises(DomainError):
         hessian_vanishes(parse("x0^2 + x1"))
-    with pytest.raises(DomainError):
-        hessian_vanishes(FERMAT_CUBIC, mode="numerology")
+    with pytest.raises(TypeError):
+        hessian_vanishes(FERMAT_CUBIC, mode="symbolic")  # one verdict path
 
 
 @st.composite

@@ -15,7 +15,6 @@ TEST_ORACLES = {
     "projection_lemma_check": "restricting commutes with projecting the gradient; acceptance criterion 7",
     "translation_invariant": "a vertex certifies translation invariance; test_cones",
     "sing_membership": "exact point membership in Sing V(f); test_cones",
-    "det_fraction_free": "Bareiss determinant, the oracle for the minor expansion; acceptance criterion 7",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
     "ScalarMatrix.from_polynomials": "coefficient matrix of expanded polynomials, the oracle for cone_test's rows; test_cones, test_linalg, test_psi",
