@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for hypersurfaces with vanishing Hessian.
 
 Everything here is computed exactly over the rationals; no floating point
-enters any verdict.  Integers mod a large prime serve only ``kernel``, which
-solves mod p, lifts to Q and re-checks exactly.
+enters any verdict.  Integers mod a large prime serve only exact kernels
+(``linalg.kernel_of_rows``), solved mod p, lifted to Q and re-checked exactly.
 """
 
 from .fields import DEFAULT_PRIME, substream

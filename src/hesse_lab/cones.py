@@ -19,7 +19,7 @@ from .errors import (
 from .fields import substream
 from .linalg import (
     ScalarMatrix,
-    kernel,
+    kernel_of_rows,
     primitive_vector,
     projectively_equal,
     rank,
@@ -39,30 +39,49 @@ class VertexSubspace:
         return self.projective_dim >= 0
 
 
+def _derivative_rows(f):
+    """The rows of the directional-derivative matrix of f, one per monomial μ
+    of the partials, in the order of μ's first appearance as x^e/x_i over
+    the terms c·x^e of f: the row of μ is (c_{μ+ε_j}·(μ_j + 1))_j, read by
+    lookup, so a row costs nvars lookups and no row is built before it is
+    read."""
+    terms, n = f.terms, f.nvars
+    seen = set()
+    for e in terms:
+        for i, x in enumerate(e):
+            if x:
+                mu = e[:i] + (x - 1,) + e[i + 1:]
+                if mu in seen:
+                    continue
+                seen.add(mu)
+                up = list(mu)
+                row = [0] * n
+                for j, y in enumerate(mu):
+                    up[j] = y + 1
+                    c = terms.get(tuple(up))
+                    up[j] = y
+                    if c:
+                        row[j] = c * (y + 1)
+                yield row
+
+
 def cone_test(f):
     """Vertex of V(f) as the kernel of the directional-derivative map.
 
     Its matrix has a row per monomial of the partials and a column per
     variable: the term c·x^e puts c·e_i in column i of the row of x^(e−ε_i).
-    The reduced kernel basis depends on the row space alone, so the order
-    of the rows does not matter."""
-    if not f or not f.is_homogeneous():
-        raise DomainError("cone_test expects a nonzero homogeneous polynomial")
-    n = f.nvars
-    rows = {}
-    for e, c in f.terms.items():
-        m = list(e)
-        for i, x in enumerate(e):
-            if x:
-                m[i] = x - 1
-                key = tuple(m)
-                m[i] = x
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [0] * n
-                row[i] = c * x
-    basis = kernel(ScalarMatrix(list(rows.values())))
-    vectors = tuple(tuple(v) for v in basis)
+    `kernel_of_rows` reads the rows one at a time and stops once N = nvars
+    of them are independent mod p.  Their N×N minor is then nonzero mod p,
+    so it is a nonzero integer (rows cleared of denominators), the matrix has
+    rank N over Q, and the vertex is empty: V(f) is not a cone, exactly,
+    whatever the rows not read hold.  A GN non-cone settles within its first
+    few rows.  Only a form whose rows run out below rank N has all of them
+    read, for the lifted kernel and its exact re-check.  The reduced kernel
+    basis depends on the row space alone, so the order of the rows does not
+    matter."""
+    if not f or not f.is_homogeneous() or f.degree() < 1:
+        raise DomainError("cone_test expects a nonzero homogeneous polynomial of degree >= 1")
+    vectors = tuple(tuple(v) for v in kernel_of_rows(_derivative_rows(f), f.nvars))
     for v in vectors:
         if directional_derivative(f, v):
             raise InternalCheckError("vertex direction fails D_v f = 0")

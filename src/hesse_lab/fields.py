@@ -4,7 +4,7 @@ Every coefficient is a rational, stored as plain ``int`` when integral and
 ``fractions.Fraction`` otherwise; both interoperate transparently, and keeping
 the integer fast path matters in the symbolic-determinant kernels.  The one
 prime field, GF(DEFAULT_PRIME) as ints in [0, p), appears only in exact
-kernels, which are solved mod p and lifted to Q (``linalg.kernel``).
+kernels, which are solved mod p and lifted to Q (``linalg.kernel_of_rows``).
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
 input; kernel vectors are back-substituted in integers too, and become
 rationals only entry by entry at the end.  ``independent_rows_mod`` is the
-package's one modular elimination, on plain ints mod a prime: ``kernel``
-reads the kernel of a tall matrix mod p off its reduced rows, lifts it to Q
-by rational reconstruction and re-checks it exactly against every row, with
-full Bareiss as the fallback.
+package's one modular elimination, on plain ints mod a prime.
+``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
+as they come and stops at full rank, which proves the kernel {0}; a stream
+that runs out below full rank is kept, and its kernel mod p is lifted to Q by
+rational reconstruction and re-checked exactly against every row, with full
+Bareiss as the fallback.  ``kernel`` sends a tall matrix there.
 Pivots are always the first nonzero entry in column order, ties broken by
 row order, so all outputs are deterministic.
 """
@@ -66,12 +68,12 @@ class KernelBasis:
 
     __slots__ = ("vectors", "cols")
 
-    def __init__(self, matrix, vectors):
-        self.cols = matrix.cols
+    def __init__(self, rows, cols, vectors):
+        self.cols = cols
         self.vectors = [list(v) for v in vectors]
         for v in self.vectors:
             w = primitive_vector(v)
-            if any(sum(map(operator.mul, row, w)) for row in matrix.entries):
+            if any(sum(map(operator.mul, row, w)) for row in rows):
                 raise InternalCheckError("claimed kernel vector fails M·v = 0")
 
     def __len__(self):
@@ -243,26 +245,50 @@ def _kernel_vectors(entries, ncols):
     ]
 
 
+def kernel_of_rows(rows, ncols):
+    """Basis of {v : M·v = 0} for the matrix M with ncols columns whose rows
+    the iterable `rows` yields; one vector per free column, unit at that
+    column.
+
+    The rows are cleared to integers and reduced mod ``DEFAULT_PRIME`` as
+    they come, and none is read once ncols of them are independent mod p.
+    Those rows then have an ncols×ncols minor that is nonzero mod p, so
+    nonzero as an integer: M has full rank over Q and its kernel is {0},
+    exactly.  A stream that runs out below full rank is kept as M.  Its
+    kernel mod p is read off the rows already reduced, with no second
+    elimination, and each entry is lifted by rational reconstruction.  The
+    lifted vectors are independent and at least dim ker(M) in number, so
+    once the exact re-check of M·v = 0 passes they span ker(M); with 1 at
+    their free column and 0 at the others and after it, they are the
+    reduced basis full Bareiss gives, which depends on the span alone.  A
+    failed lift or re-check runs full Bareiss instead."""
+    kept = []
+
+    def cleared():
+        for row in rows:
+            kept.append(row)
+            yield _clear_denominators(row)
+
+    _, basis = independent_rows_mod(cleared(), DEFAULT_PRIME)
+    if len(basis) == ncols:
+        return KernelBasis(kept, ncols, ())
+    lifted = _lifted_kernel(basis, ncols, DEFAULT_PRIME)
+    if lifted is not None:
+        try:
+            return KernelBasis(kept, ncols, lifted)
+        except InternalCheckError:
+            pass
+    return KernelBasis(kept, ncols, _kernel_vectors(kept, ncols))
+
+
 def kernel(matrix):
     """Basis of {v : M·v = 0}; one vector per free column, unit at that column.
 
-    On a tall matrix the kernel is read off mod ``DEFAULT_PRIME`` from the
-    rows ``independent_rows_mod`` reduces, and each entry is lifted by
-    rational reconstruction.  The lifted vectors are independent and at least
-    dim ker(M) in number, so once the exact re-check of M·v = 0 passes they
-    span ker(M); with 1 at their free column and 0 at the others and after
-    it, they are the reduced basis full Bareiss gives, which depends on the
-    span alone.  A failed lift or re-check runs full Bareiss instead.
-    """
+    A tall matrix goes through `kernel_of_rows`; any other is eliminated by
+    full Bareiss."""
     if matrix.rows > matrix.cols:
-        _, basis = independent_rows_mod(map(_clear_denominators, matrix.entries), DEFAULT_PRIME)
-        lifted = _lifted_kernel(basis, matrix.cols, DEFAULT_PRIME)
-        if lifted is not None:
-            try:
-                return KernelBasis(matrix, lifted)
-            except InternalCheckError:
-                pass
-    return KernelBasis(matrix, _kernel_vectors(matrix.entries, matrix.cols))
+        return kernel_of_rows(matrix.entries, matrix.cols)
+    return KernelBasis(matrix.entries, matrix.cols, _kernel_vectors(matrix.entries, matrix.cols))
 
 
 def primitive_vector(v):

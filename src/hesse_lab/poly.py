@@ -13,7 +13,8 @@ a monomial product is one int add; ``_mul_packed`` is the one multiply loop.
 ``compose`` applies each single-term argument as a key offset and a
 coefficient power, runs Horner's rule over the multi-term arguments one
 variable at a time on such dicts, adds in place and unpacks once.
-``gn.build_Q`` keeps its cofactor sums on packed keys too.  A polynomial
+``gn.build_Q`` builds its ψ-rows by the same Horner's rule (``_horner``),
+and keeps their minors and its cofactor sums on packed keys too.  A polynomial
 reads its least and greatest total degree on first use and keeps them, so
 ``degree`` and ``is_homogeneous`` scan the terms once.
 
@@ -32,7 +33,9 @@ variable index past ``MAX_VARIABLE_INDEX``, a variable exponent past
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -184,10 +187,6 @@ class Polynomial:
         if self._high is None:
             self._scan_degrees()
         return self._low == self._high
-
-    def sorted_terms(self):
-        """Terms in canonical graded-lex descending order."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
@@ -408,32 +407,35 @@ class Polynomial:
     # printing
 
     def to_string(self, prefix="x"):
+        """The terms in graded-lex descending order.  Each factor is a cached
+        variable name and an exponent suffix, made once per distinct exponent
+        of the polynomial, so no name or suffix is formatted per term."""
         if not self.terms:
             return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{prefix}{i}" + (f"^{a}" if a > 1 else "")
-                for i, a in enumerate(e)
-                if a
-            )
-            sign = "-" if c < 0 else "+"
+        terms = self.terms
+        names = _variable_names(prefix, self.nvars)
+        powers = {a: f"^{a}" for a in set(itertools.chain.from_iterable(terms))}
+        powers[1] = ""
+        out = []
+        for _, e in sorted(zip(map(sum, terms), terms), reverse=True):
+            c = terms[e]
+            mono = "*".join([v + powers[a] for v, a in zip(names, e) if a])
             mag = str(abs(c))
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = mag
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+            out.append((" - " if c < 0 else " + ") + body)
+        # the first term has no spaces around its sign, and no "+"
+        out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
+        return "".join(out)
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.to_string()!r})"
+
+
+@functools.lru_cache(maxsize=64)
+def _variable_names(prefix, nvars):
+    """("x0", "x1", …) for prefix "x", shared by every polynomial printed
+    with the same prefix and variable count."""
+    return tuple(f"{prefix}{i}" for i in range(nvars))
 
 
 def linear_combination(nvars, pairs):

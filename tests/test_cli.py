@@ -526,16 +526,20 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
 
 def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
-    # exact regression gates: a larger count is work added back
+    # exact regression gates: a larger count is work added back.  The 24
+    # cone tests read their rows through `linalg.kernel_of_rows` and stop at
+    # full rank, so none of them is a `kernel` call
     calls = Counter()
-    for original in (hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at):
+    for original in (
+        hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test
+    ):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
             return _original(*args, **kwargs)
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=65, gcd=12, hessian_at=34)
+    assert calls == Counter(hessian_vanishes=9, kernel=41, gcd=12, hessian_at=34, cone_test=24)
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hesse_lab.errors import DomainError, RestrictionZeroError
+from hesse_lab import cones, linalg
+from hesse_lab.errors import DomainError, InternalCheckError, RestrictionZeroError
 from hesse_lab.cones import (
     HyperplaneChart,
     chart_for_hyperplane,
@@ -23,7 +24,7 @@ from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_matrix, symbolic_determinant
 from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
-from hesse_lab.poly import Polynomial, parse
+from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -70,6 +71,114 @@ def test_vertex_from_the_terms_equals_the_expanded_partials_oracle(f, vertex_dim
     v = cone_test(f)
     assert v.basis == tuple(tuple(w) for w in oracle)
     assert v.projective_dim == vertex_dim
+
+
+def _sympy_vertex(f):
+    """sympy's nullspace of the full directional-derivative matrix: its basis
+    has 1 at each free column and 0 at the others, so it is the reduced
+    basis, which depends on the span alone."""
+    rows = ScalarMatrix.from_polynomials(f.gradient()).transpose().entries
+    m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(-1, 2), st.integers(2, 4), st.integers(0, 2**32))
+def test_cone_test_matches_the_sympy_nullspace(nvars, vertex_dim, degree, seed):
+    # a form in k = nvars - vertex_dim - 1 variables with Fraction
+    # coefficients, after a seeded change of coordinates of all nvars: a
+    # non-cone for vertex_dim = -1, else a cone with a vertex of dimension
+    # vertex_dim or more
+    k = nvars - vertex_dim - 1
+    assume(k >= 1)
+    rng = substream(seed, "test_cone_oracle")
+    terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in monomials_of_degree(k, degree)}
+    g = Polynomial(k, terms)
+    assume(g)
+    f = apply_linear_change(g.extend(nvars), random_invertible(nvars, rng))
+    v = cone_test(f)
+    assert v.basis == _sympy_vertex(f)
+    assert v.projective_dim >= vertex_dim
+
+
+def _derivative_rows_read(monkeypatch, f):
+    """cone_test(f) and the number of rows it read from its row stream."""
+    real = cones.kernel_of_rows
+    read = []
+
+    def tallied(rows, ncols):
+        return real((read.append(row) or row for row in rows), ncols)
+
+    monkeypatch.setattr(cones, "kernel_of_rows", tallied)
+    vertex = cone_test(f)
+    monkeypatch.undo()
+    return vertex, len(read)
+
+
+def _all_derivative_rows(f):
+    return len({e[:i] + (x - 1,) + e[i + 1:] for e in f.terms for i, x in enumerate(e) if x})
+
+
+@pytest.mark.parametrize(
+    "skeleton, read, total",
+    [
+        ((6, 3, 1, 2, 1, 5), 7, 55),
+        ((7, 4, 1, 2, 1, 5), 9, 65),
+        ((7, 5, 1, 2, 1, 6), 11, 120),
+        ((8, 5, 1, 2, 1, 6), 19, 321),
+        ((6, 3, 2, 2, 1, 4), 7, 34),
+        ((8, 5, 2, 2, 1, 4), 11, 46),
+    ],
+)
+def test_a_gn_non_cone_is_settled_from_its_first_rows(monkeypatch, skeleton, read, total):
+    # the cone test stops once nvars rows are independent mod p, of `total`
+    # rows in the matrix; the counts are pinned, so a larger one is work
+    # added back
+    f = _gn_form(skeleton, 0)
+    vertex, rows = _derivative_rows_read(monkeypatch, f)
+    assert not vertex.is_cone
+    assert (rows, _all_derivative_rows(f)) == (read, total)
+
+
+def test_a_seeded_gn_non_cone_reads_at_most_twice_nvars_rows(monkeypatch):
+    f = _gn_form((7, 5, 1, 2, 1, 6), 0)
+    vertex, rows = _derivative_rows_read(monkeypatch, f)
+    assert not vertex.is_cone
+    assert rows <= 2 * f.nvars
+
+
+def test_a_cone_reads_every_row_and_eliminates_once(monkeypatch):
+    # the rows run out below full rank: all are kept for the lift and its
+    # exact re-check, with no second, Bareiss, elimination
+    f = _conjugate(_gn_form((4, 2, 1, 2, 1, 3), 1).extend(6), 3)
+    monkeypatch.setattr(linalg, "_echelon_rational", lambda entries: pytest.fail("eliminated"))
+    vertex, rows = _derivative_rows_read(monkeypatch, f)
+    assert vertex.projective_dim == 0
+    assert rows == _all_derivative_rows(f)
+
+
+def test_cone_test_rechecks_each_vertex_direction(monkeypatch):
+    # a kernel that hands back a direction with D_v f != 0 must be caught
+    monkeypatch.setattr(cones, "kernel_of_rows", lambda rows, ncols: [[1] + [0] * (ncols - 1)])
+    with pytest.raises(InternalCheckError, match="D_v f"):
+        cone_test(PAPER_CUBIC)
+
+
+def test_a_corrupted_lift_on_a_cone_fails_the_exact_recheck(monkeypatch):
+    # a lifted vector off by one in every entry fails M·v = 0, and full
+    # Bareiss gives the vertex instead
+    f = _conjugate(parse("x0^3 + x1^3", nvars=4), 0)
+    expected = cone_test(f).basis
+    real_lift, bareiss = linalg._lifted_kernel, linalg._echelon_rational
+    eliminated = []
+    monkeypatch.setattr(
+        linalg, "_lifted_kernel", lambda basis, ncols, p: [[x + 1 for x in v] for v in real_lift(basis, ncols, p)]
+    )
+    monkeypatch.setattr(
+        linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
+    )
+    assert cone_test(f).basis == expected
+    assert len(eliminated) == 1
 
 
 def test_cone_x0_x1_cubed():

@@ -3,14 +3,16 @@
 import gc
 import types
 from dataclasses import replace
-from itertools import product
-from math import comb
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab import gn, hessian
 from hesse_lab.cones import cone_test
 from hesse_lab.errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
+from hesse_lab.fields import substream
 from hesse_lab.gn import (
     GNParams,
     GNSkeleton,
@@ -25,7 +27,7 @@ from hesse_lab.gn import (
     validate,
 )
 from hesse_lab.hessian import PolyMatrix, hessian_matrix, hessian_vanishes, symbolic_determinant
-from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from hesse_lab.poly import Polynomial, _mul_packed, _packing, monomials_of_degree, parse
 
 
 def spec_params_421(d=3, p1=None, p0=None):
@@ -235,20 +237,66 @@ def _check_laplace(inst, det):
 
 
 def test_build_f_expands_only_psi_row_minors(monkeypatch):
-    # Laplace along the psi-rows: one (m+1)x(m+1) determinant per column
-    # subset, shared by every Q_l, and none of the (t+1)x(t+1) matrices
+    # Laplace along the psi-rows: each (m+1)-column minor det B[:,T] is
+    # formed once per draw in the shared memo, and no minor on more than m+1
+    # columns, so none of the (t+1)x(t+1) matrices, is expanded
     for types in ((7, 5, 1, 2, 1, 6), (6, 3, 2, 2, 1, 4)):
         params = random_instance(GNSkeleton(*types), seed=0).params
-        calls = []
+        masks = []
+        real = gn._expand_minor
 
-        def counted(m):
-            calls.append(m.rows)
-            return symbolic_determinant(m)
+        def counted(memo, row, mask):
+            masks.append(mask)
+            return real(memo, row, mask)
 
-        monkeypatch.setattr(gn, "symbolic_determinant", counted)
+        def refuse(*args, **kwargs):
+            pytest.fail("build_f expanded a symbolic determinant")
+
+        monkeypatch.setattr(gn, "_expand_minor", counted)
+        monkeypatch.setattr(gn, "symbolic_determinant", refuse)
+        monkeypatch.setattr(hessian, "symbolic_determinant", refuse)
         build_f(params)
         monkeypatch.undo()
-        assert calls == [params.m + 1] * comb(params.t + 1, params.m + 1)
+        sizes = [bin(mask).count("1") for mask in masks]
+        assert len(set(masks)) == len(masks)
+        assert max(sizes) == params.m + 1
+        assert sorted(mask for mask, k in zip(masks, sizes) if k == params.m + 1) == sorted(
+            sum(1 << j for j in T) for T in combinations(range(params.t + 1), params.m + 1)
+        )
+
+
+_MINOR_SKELETONS = (
+    (4, 2, 1, 2, 1, 3),
+    (4, 2, 1, 3, 1, 5),
+    (5, 2, 1, 2, 2, 5),
+    (5, 3, 1, 3, 2, 9),
+    (6, 3, 2, 2, 1, 4),
+    (6, 3, 2, 3, 1, 7),
+    (6, 3, 2, 2, 2, 7),
+    (6, 3, 2, 3, 2, 13),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_MINOR_SKELETONS), st.integers(0, 2**32))
+def test_packed_psi_rows_and_minors_match_the_polynomial_oracle(types, seed):
+    # the Horner psi-rows and the memo's minors, unpacked, against compose
+    # and symbolic_determinant of PolyMatrix on the Polynomial psi-rows
+    skel = GNSkeleton(*types)
+    assert not skel.violations()
+    rng = substream(seed, "test_minors")
+    params = gn._random_params(skel, lambda: gn._nonzero(rng))
+    n1, t, m = params.n + 1, params.t, params.m
+    pack, unpack = _packing(skel.expected_s, n1)
+    rows = gn._psi_rows(params, pack)
+    oracle_rows = [[h.partial(j).compose(list(params.psi_forms)) for h in params.h_forms]
+                   for j in range(m + 1)]
+    as_poly = lambda terms: Polynomial(n1, {unpack(k): c for k, c in terms.items()})
+    assert [[as_poly(e) for e in row] for row in rows] == oracle_rows
+    subsets = list(combinations(range(t + 1), m + 1))
+    for minor, T in zip(gn._psi_row_minors(rows, subsets), subsets):
+        expected = symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in oracle_rows]))
+        assert as_poly(minor) == expected
 
 
 def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypatch):
@@ -298,10 +346,23 @@ def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatc
 
 @pytest.mark.parametrize("variable", [0, 7])
 def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, variable):
-    # every psi-row minor times x_0 (a head variable) or x_7 (one degree up)
+    # every psi-row minor det B[:,T] from the memo times x_0 (a head
+    # variable) or x_7 (one degree up), on the packing build_Q chose
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    x = Polynomial.variable(8, variable)
-    monkeypatch.setattr(gn, "symbolic_determinant", lambda m: symbolic_determinant(m) * x)
+    real_packing, real_minors = gn._packing, gn._psi_row_minors
+    packings = []
+
+    def recorded(top, nvars):
+        packings.append(real_packing(top, nvars))
+        return packings[-1]
+
+    def shifted(rows, subsets):
+        pack, _ = packings[-1]
+        x = {pack(tuple(int(i == variable) for i in range(8))): 1}
+        return [_mul_packed(b, x) for b in real_minors(rows, subsets)]
+
+    monkeypatch.setattr(gn, "_packing", recorded)
+    monkeypatch.setattr(gn, "_psi_row_minors", shifted)
     with pytest.raises(InternalCheckError, match="tail-support"):
         build_Q(params)
 

@@ -224,6 +224,37 @@ def test_print_is_graded_lex_descending():
     assert f.to_string() == "x0^2 + x0*x2 + x1^2 + x2"
 
 
+def test_print_fractions_signs_and_wide_exponents():
+    f = Polynomial(4, {(12, 0, 0, 1): Fraction(-1, 2), (0, 10, 0, 0): 1, (0, 0, 0, 0): -3,
+                       (1, 0, 11, 0): Fraction(7, 3), (0, 1, 0, 1): -1})
+    assert f.to_string("y") == "-1/2*y0^12*y3 + 7/3*y0*y2^11 + y1^10 - y1*y3 - 3"
+    assert Polynomial.constant(2, Fraction(-5, 4)).to_string() == "-5/4"
+    assert Polynomial.zero(3).to_string("z") == "0"
+
+
+_COEFFS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+)
+
+
+@st.composite
+def printable_polynomials(draw):
+    nvars = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 14)] * nvars)
+    terms = draw(st.dictionaries(exponents, _COEFFS, max_size=8))
+    return Polynomial(nvars, terms), draw(st.sampled_from(["x", "y", "z"]))
+
+
+@given(printable_polynomials())
+@example((Polynomial.zero(2), "x"))
+@example((Polynomial.constant(3, Fraction(-7, 2)), "y"))
+@example((Polynomial(2, {(10, 0): -1, (0, 12): Fraction(3, 11)}), "z"))
+def test_print_parse_round_trip(case):
+    p, prefix = case
+    assert parse(p.to_string(prefix), prefix, nvars=p.nvars) == p
+
+
 def test_roundtrip_random(seed=7, cases=100):
     rng = random.Random(seed)
     for _ in range(cases):
