@@ -7,14 +7,16 @@ determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
 x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i.  Its first-row cofactors M_{ℓ,i}, of degree
 s-1 in the tail variables, come from Laplace along the ψ-rows (`build_Q`),
 whose minors every Q_ℓ shares.  `build_Q` chooses one packing of exponents
-(`poly._packing`) first, since nothing it forms has total degree above s,
-and works on term dicts keyed by it throughout, with `poly._mul_packed` as
-its one multiply loop: the ψ-rows (∂h_i/∂y_j)(ψ) come from Horner's rule
-over the packed ψ_j (`poly._horner`), all minors det B[:,T] from one
-bitmask memo, and each Q_ℓ and M_{ℓ,i} is unpacked once.  The
-output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
-bidegree (k, d-k·s), and it always has vanishing Hessian; `compose` applies
-the tail variables as key offsets and runs Horner over the Q_ℓ alone.
+(`poly._packing`) first, since nothing it forms has total degree above s.
+The ψ-rows (∂h_i/∂y_j)(ψ) come from Horner's rule over the packed ψ_j
+(`poly._horner`), each entry unpacked once; all minors det B[:,T] are read
+from one `hessian.ColumnMinors` memo over those rows, the memo that also
+gives the scalar minors of the constant rows.  The cofactor sums, their
+annihilation check and each Q_ℓ run on term dicts keyed by the packing,
+and each Q_ℓ and M_{ℓ,i} is unpacked once.  The output form is f =
+Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree (k, d-k·s),
+and it always has vanishing Hessian; `compose` applies the tail variables as
+key offsets and runs Horner over the Q_ℓ alone.
 """
 
 from __future__ import annotations
@@ -203,52 +205,20 @@ class GNInstance:
     vertex: VertexSubspace  # cone test of f
 
 
-def _psi_rows(params, pack):
-    """The rows (∂h_i/∂y_j)(ψ), shared by every Q_ℓ, as term dicts keyed by
-    packed exponents: Horner's rule in y over the packed ψ_j."""
+def _psi_rows(params, pack, unpack):
+    """The rows (∂h_i/∂y_j)(ψ), shared by every Q_ℓ: Horner's rule in y over
+    the packed ψ_j, each entry unpacked once."""
+    n1 = params.n + 1
     psi = [(j, {pack(e): c for e, c in p.terms.items()}) for j, p in enumerate(params.psi_forms)]
     rows = []
     for j in range(params.m + 1):
         row = []
         for h in params.h_forms:
             terms = [(e, (0, c)) for e, c in h.partial(j).terms.items()]
-            row.append(_horner(terms, psi, 0) if terms else {})
+            entry = _horner(terms, psi, 0) if terms else {}
+            row.append(Polynomial(n1, {unpack(k): c for k, c in entry.items()}))
         rows.append(row)
     return rows
-
-
-def _expand_minor(memo, row, mask):
-    """The minor of the last popcount(mask) ψ-rows on the columns in mask, by
-    expansion along `row`, the first of those rows, over the memoized minors
-    of the rows below it."""
-    acc = {}
-    sign = 1
-    rest = mask
-    while rest:
-        low = rest & -rest
-        e = row[low.bit_length() - 1]
-        if e:
-            term = _mul_packed(e, memo[mask ^ low])
-            _add_into(acc, term.items() if sign > 0 else ((k, -c) for k, c in term.items()))
-        sign = -sign
-        rest ^= low
-    return acc
-
-
-def _psi_row_minors(rows, subsets):
-    """det B[:,T] for each column subset T, read from one bitmask memo that is
-    filled bottom-up, as `hessian.ColumnMinors` fills it: first the minors
-    of the last row, then of the last two, up to all m+1.  Every k-subset of
-    columns, k <= m+1, lies in some T, so each minor formed is used, and
-    each m-row sub-minor is formed once and shared by every T that holds
-    its columns."""
-    memo = {0: {0: 1}}
-    for k in range(1, len(rows) + 1):
-        row = rows[-k]
-        for cols in combinations(range(len(row)), k):
-            mask = sum(1 << j for j in cols)
-            memo[mask] = _expand_minor(memo, row, mask)
-    return [memo[sum(1 << j for j in T)] for T in subsets]
 
 
 def build_Q(params):
@@ -258,13 +228,14 @@ def build_Q(params):
     ε_i(T) = (-1)^(Σ positions of T among them - m(m+1)/2).  Each M_ℓ must
     annihilate the rows of A_ℓ; rejects degenerate data.
 
-    Everything runs on term dicts keyed by one packing of exponents, chosen
-    first, and each returned polynomial is unpacked once: every ψ-row entry,
-    minor det B[:,T], M_{ℓ,i} and x_i·M_{ℓ,i} has total degree at most s.
-    The coefficient of a monomial in M_{ℓ,i} is one dot product of the
-    scalar minors' row with the minors' coefficients of that monomial, the
-    annihilation check one dot product of a row of A_ℓ with the M_{ℓ,i}'s,
-    and Q_ℓ = Σ_i x_i·M_{ℓ,i} a key shift per i, then a sum."""
+    One packing of exponents is chosen first: every ψ-row entry, minor
+    det B[:,T], M_{ℓ,i} and x_i·M_{ℓ,i} has total degree at most s.  The
+    minors come from one memo, so each m-row sub-minor is formed once and
+    shared by every T that holds its columns.  The coefficient of a monomial
+    in M_{ℓ,i} is one dot product of the scalar minors' row with the minors'
+    coefficients of that monomial, the annihilation check one dot product of
+    a row of A_ℓ with the M_{ℓ,i}'s, and Q_ℓ = Σ_i x_i·M_{ℓ,i} a key shift
+    per i, then a sum; each returned polynomial is unpacked once."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
@@ -272,12 +243,13 @@ def build_Q(params):
     pack, unpack = _packing(s, n1)
     cols = range(t + 1)
     subsets = list(combinations(cols, m + 1))
-    b_minors = _psi_row_minors(_psi_rows(params, pack), subsets)
+    rows = _psi_rows(params, pack, unpack)
+    b_minor = ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
     # per packed monomial, its coefficient in each det B[:,T]
     monomials = {}
-    for u, b in enumerate(b_minors):
-        for k, c in b.items():
-            monomials.setdefault(k, [0] * len(subsets))[u] = c
+    for u, T in enumerate(subsets):
+        for e, c in b_minor(sum(1 << j for j in T)).terms.items():
+            monomials.setdefault(pack(e), [0] * len(subsets))[u] = c
     xs = [{pack(tuple(int(i == j) for j in range(n1))): 1} for i in cols]
     # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
     plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),

@@ -15,9 +15,9 @@ re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
 det H_f ≡ 0 expanded under DETERMINANT_BUDGET later makes a vanishing verdict
 exact.  The matrix of second partials is built only for that determinant and
 for points with a zero coordinate.  The symbolic determinant, by minor
-expansion over memoized column subsets, serves that certificate alone; the
-GN ψ-row minors are read from a packed memo in `gn`, and `ColumnMinors`
-gives `gn` its scalar minors of the constant rows.
+expansion over memoized column subsets, serves that certificate alone; its
+memo, `ColumnMinors`, also gives `gn` the minors of its ψ-rows and the
+scalar minors of its constant rows.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from hesse_lab.gn import (
     validate,
 )
 from hesse_lab.hessian import PolyMatrix, hessian_matrix, hessian_vanishes, symbolic_determinant
-from hesse_lab.poly import Polynomial, _mul_packed, _packing, monomials_of_degree, parse
+from hesse_lab.poly import Polynomial, _packing, monomials_of_degree, parse
 
 
 def spec_params_421(d=3, p1=None, p0=None):
@@ -243,16 +243,17 @@ def test_build_f_expands_only_psi_row_minors(monkeypatch):
     for types in ((7, 5, 1, 2, 1, 6), (6, 3, 2, 2, 1, 4)):
         params = random_instance(GNSkeleton(*types), seed=0).params
         masks = []
-        real = gn._expand_minor
 
-        def counted(memo, row, mask):
-            masks.append(mask)
-            return real(memo, row, mask)
+        class Counted(hessian.ColumnMinors):
+            def __call__(self, mask):
+                if isinstance(self.zero, Polynomial) and mask not in self.memo:
+                    masks.append(mask)
+                return super().__call__(mask)
 
         def refuse(*args, **kwargs):
             pytest.fail("build_f expanded a symbolic determinant")
 
-        monkeypatch.setattr(gn, "_expand_minor", counted)
+        monkeypatch.setattr(gn, "ColumnMinors", Counted)
         monkeypatch.setattr(gn, "symbolic_determinant", refuse)
         monkeypatch.setattr(hessian, "symbolic_determinant", refuse)
         build_f(params)
@@ -279,24 +280,23 @@ _MINOR_SKELETONS = (
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_MINOR_SKELETONS), st.integers(0, 2**32))
-def test_packed_psi_rows_and_minors_match_the_polynomial_oracle(types, seed):
-    # the Horner psi-rows and the memo's minors, unpacked, against compose
-    # and symbolic_determinant of PolyMatrix on the Polynomial psi-rows
+def test_horner_psi_rows_and_shared_minors_match_the_polynomial_oracle(types, seed):
+    # the Horner psi-rows against compose, and the minors of the memo shared
+    # by all column subsets against symbolic_determinant of each PolyMatrix
     skel = GNSkeleton(*types)
     assert not skel.violations()
     rng = substream(seed, "test_minors")
     params = gn._random_params(skel, lambda: gn._nonzero(rng))
     n1, t, m = params.n + 1, params.t, params.m
     pack, unpack = _packing(skel.expected_s, n1)
-    rows = gn._psi_rows(params, pack)
+    rows = gn._psi_rows(params, pack, unpack)
     oracle_rows = [[h.partial(j).compose(list(params.psi_forms)) for h in params.h_forms]
                    for j in range(m + 1)]
-    as_poly = lambda terms: Polynomial(n1, {unpack(k): c for k, c in terms.items()})
-    assert [[as_poly(e) for e in row] for row in rows] == oracle_rows
-    subsets = list(combinations(range(t + 1), m + 1))
-    for minor, T in zip(gn._psi_row_minors(rows, subsets), subsets):
+    assert rows == oracle_rows
+    minors = hessian.ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
+    for T in combinations(range(t + 1), m + 1):
         expected = symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in oracle_rows]))
-        assert as_poly(minor) == expected
+        assert minors(sum(1 << j for j in T)) == expected
 
 
 def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypatch):
@@ -310,7 +310,7 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
             super().__init__(*args, **kwargs)
             budgets.append(self.budget)
 
-    # the scalar minors in gn, the ψ-row minors through symbolic_determinant
+    # the scalar and the ψ-row minors in gn; none through symbolic_determinant
     for module in (gn, hessian):
         monkeypatch.setattr(module, "ColumnMinors", Recorded)
     build_Q(params)
@@ -346,23 +346,17 @@ def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatc
 
 @pytest.mark.parametrize("variable", [0, 7])
 def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, variable):
-    # every psi-row minor det B[:,T] from the memo times x_0 (a head
-    # variable) or x_7 (one degree up), on the packing build_Q chose
+    # the first psi-row times x_0 (a head variable) or x_7 (one degree up),
+    # so every minor det B[:,T] from the memo is x_0 or x_7 times its own
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real_packing, real_minors = gn._packing, gn._psi_row_minors
-    packings = []
+    real_rows = gn._psi_rows
+    x = Polynomial.variable(8, variable)
 
-    def recorded(top, nvars):
-        packings.append(real_packing(top, nvars))
-        return packings[-1]
+    def shifted(params, pack, unpack):
+        first, *rest = real_rows(params, pack, unpack)
+        return [[e * x for e in first], *rest]
 
-    def shifted(rows, subsets):
-        pack, _ = packings[-1]
-        x = {pack(tuple(int(i == variable) for i in range(8))): 1}
-        return [_mul_packed(b, x) for b in real_minors(rows, subsets)]
-
-    monkeypatch.setattr(gn, "_packing", recorded)
-    monkeypatch.setattr(gn, "_psi_row_minors", shifted)
+    monkeypatch.setattr(gn, "_psi_rows", shifted)
     with pytest.raises(InternalCheckError, match="tail-support"):
         build_Q(params)
 
