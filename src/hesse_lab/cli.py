@@ -36,7 +36,6 @@ from .hessian import (
     rank_verdict,
     sample_kernels,
     symbolic_determinant,
-    term_table,
 )
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation, sample_image
@@ -161,8 +160,7 @@ def cmd_analyze(args):
     }
     code = EXIT_OK
     if verdict.vanishes and not vertex.is_cone and d >= 2:
-        table = term_table(f)  # read by the relation search and the battery
-        rel = find_polar_relation(f, args.max_relation_degree, sample.span, table)
+        rel = find_polar_relation(f, args.max_relation_degree, sample.span)
         results["polar_relation"] = relation_block(rel) if rel else None
         results["relation_search"] = relation_search_block(sample, args.max_relation_degree, n1)
         if rel is not None:
@@ -173,7 +171,7 @@ def cmd_analyze(args):
             # one ψ_g image sample: the battery reads its first IMAGE_SAMPLES
             # points, and on P^4 the curve stage reads all of them
             image = sample_image(psi, CURVE_SAMPLES if n1 == 5 else IMAGE_SAMPLES, args.seed)
-            checks, head, polar_sample, ok = psi_identity_battery(f, psi, image, args.seed, table)
+            checks, head, polar_sample, ok = psi_identity_battery(f, psi, image, args.seed)
             results["identity_checks"] = checks
             results["image"] = image_block(head)
             results["polar_image"] = image_block(polar_sample)

@@ -2,8 +2,10 @@
 
 A hypersurface V(f) is a cone iff its partials are linearly dependent; the
 vertex is the kernel of v ↦ Σ v_i·∂f/∂x_i, which is pure linear algebra over
-the coefficients of the partials, read straight from the terms of f.  Hyperplanes are handled through
-explicit parametrizations so no implicit coordinate convention sneaks in.
+the coefficients of the partials, read straight from the terms of f; on a
+subspace W, it gives the linear polar relations (`vertex_kernel`).
+Hyperplanes are handled through explicit parametrizations so no implicit
+coordinate convention sneaks in.
 """
 
 from __future__ import annotations
@@ -65,23 +67,27 @@ def _derivative_rows(f):
                 yield row
 
 
-def cone_test(f):
-    """Vertex of V(f) as the kernel of the directional-derivative map.
+def vertex_kernel(f, basis=None):
+    """The reduced basis of the u with D_v f ≡ 0 for v = Σ_j u_j·b_j, b_j
+    the rows of `basis` (the unit rows when None).
 
-    Its matrix has a row per monomial of the partials and a column per
-    variable: the term c·x^e puts c·e_i in column i of the row of x^(e−ε_i).
-    `kernel_of_rows` reads the rows one at a time and stops once N = nvars
-    of them are independent mod p.  Their N×N minor is then nonzero mod p,
-    so it is a nonzero integer (rows cleared of denominators), the matrix has
-    rank N over Q, and the vertex is empty: V(f) is not a cone, exactly,
-    whatever the rows not read hold.  A GN non-cone settles within its first
-    few rows.  Only a form whose rows run out below rank N has all of them
-    read, for the lifted kernel and its exact re-check.  The reduced kernel
-    basis depends on the row space alone, so the order of the rows does not
-    matter."""
+    The matrix of v ↦ D_v f has a row per monomial of the partials, each
+    read on the b_j as it comes.  `kernel_of_rows` stops once N = len(basis)
+    rows are independent mod p: their N×N minor is then a nonzero integer,
+    so the kernel is {0} exactly, and a GN non-cone settles within a few
+    rows.  Rows that run out below rank N are all read, for the lifted
+    kernel and its exact re-check; the basis depends on the row space alone."""
+    rows = _derivative_rows(f)
+    if basis is None:
+        return kernel_of_rows(rows, f.nvars)
+    return kernel_of_rows(([sum(x * y for x, y in zip(row, b)) for b in basis] for row in rows), len(basis))
+
+
+def cone_test(f):
+    """Vertex of V(f): `vertex_kernel` on the whole space."""
     if not f or not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("cone_test expects a nonzero homogeneous polynomial of degree >= 1")
-    vectors = tuple(tuple(v) for v in kernel_of_rows(_derivative_rows(f), f.nvars))
+    vectors = tuple(tuple(v) for v in vertex_kernel(f))
     for v in vectors:
         if directional_derivative(f, v):
             raise InternalCheckError("vertex direction fails D_v f = 0")

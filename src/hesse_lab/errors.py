@@ -28,10 +28,6 @@ class DomainError(HesseLabError):
     """Input outside an operation's stated precondition (degree, zero input, ...)."""
 
 
-class InexactDivisionError(HesseLabError):
-    """An exact division failed; in fraction-free elimination this signals a bug."""
-
-
 class RestrictionZeroError(HesseLabError):
     """Hyperplane restriction of a polynomial vanished identically (H is inside V(f))."""
 

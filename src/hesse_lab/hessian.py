@@ -3,7 +3,7 @@
 H_f is evaluated exactly at one stream of seeded integer points with
 coordinates in range(N), N = 2^61 - 1, reading H_f(a) straight from the
 terms of f (`hessian_at`); ∇f(a) is read the same way (`gradient_at`), off
-a table of f's terms built once per form.  `sample_kernels` reads the rank
+the table of terms each form builds once.  `sample_kernels` reads the rank
 and the exact kernel at each point.  `rank_verdict` reads the verdict on
 h_f ≡ 0 off the ranks: a full-rank point is an exact witness of h_f ≠ 0,
 else "vanishes" carries the Schwartz-Zippel bound (D/N)^t, with t the fewest
@@ -13,9 +13,9 @@ The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex, a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
 det H_f ≡ 0 expanded under DETERMINANT_BUDGET later makes a vanishing verdict
-exact.  The matrix of second partials is built only for that determinant and
-for points with a zero coordinate.  The symbolic determinant, by minor
-expansion over memoized column subsets, serves that certificate alone; its
+exact.  The matrix of second partials is built only for that determinant.
+The symbolic determinant, by minor expansion over memoized column subsets,
+serves that certificate alone; its
 memo, `ColumnMinors`, also gives `gn` the minors of its ψ-rows and the
 scalar minors of its constant rows.
 """
@@ -62,11 +62,6 @@ class PolyMatrix:
         self.entries = entries
         self.nvars = nvars
 
-    def evaluate(self, point):
-        """Scalar matrix of the entries' exact values at a point.  Values mod p
-        would lose a nonzero minor whose coefficients p divides."""
-        return ScalarMatrix([[e.evaluate(point) for e in row] for row in self.entries])
-
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
 
@@ -102,15 +97,6 @@ def hessian_matrix(f):
     return PolyMatrix([fi.gradient() for fi in f.gradient()])
 
 
-def term_table(f):
-    """(top, coefficients, supports): the largest exponent in f, and per term
-    of f its coefficient and its nonzero exponents as ((i, e_i), …).  Built
-    once per form; terms share equal pairs, so a term costs about one tuple."""
-    pairs = {}
-    supports = tuple(tuple(pairs.setdefault(p, p) for p in enumerate(e) if p[1]) for e in f.terms)
-    return max(map(max, f.terms), default=0), tuple(f.terms.values()), supports
-
-
 def _powers(a, top):
     """a_i^k for every coordinate, k = 0..top."""
     return [list(itertools.accumulate([x] * top, operator.mul, initial=1)) for x in a]
@@ -122,22 +108,23 @@ def _divide(h, d):
 
 
 def hessian_at(f, a):
-    """H_f(a), read from the terms of f without expanding a second partial.
+    """H_f(a), read from `f.term_table()` without expanding a second partial.
 
     Euler's identity on a monomial, x_i·x_j·∂_i∂_j x^e = e_i·(e_j − δ_ij)·x^e,
     gives K = Σ_t c_t·a^(e_t)·(e_t·e_tᵀ − diag e_t) = D·H_f(a)·D with
     D = diag(a): one monomial value per term, from a table of powers, and
-    small-integer multiply-adds.  Then H_ij = K_ij / (a_i·a_j) exactly.  A
-    point with a zero coordinate goes through `hessian_matrix` instead."""
+    small-integer multiply-adds.  Then H_ij = K_ij / (a_i·a_j) exactly.  At
+    a point with a zero coordinate, row i is ∇(∂_i f)(a), read off the term
+    table of f's kept partial by `gradient_at`."""
     if not f:
         raise DomainError("Hessian of the zero polynomial")
-    n = f.nvars
     if not all(a):
-        return hessian_matrix(f).evaluate(a)
-    powers = _powers(a, max(map(max, f.terms)))
+        return ScalarMatrix([gradient_at(fi, a) for fi in f.gradient()])
+    n = f.nvars
+    top, coeffs, supports = f.term_table()
+    powers = _powers(a, top)
     k = [[0] * n for _ in range(n)]
-    for e, c in f.terms.items():
-        support = [(i, x) for i, x in enumerate(e) if x]
+    for c, support in zip(coeffs, supports):
         v = c
         for i, x in support:
             v *= powers[i][x]
@@ -153,15 +140,15 @@ def hessian_at(f, a):
     return ScalarMatrix(k)
 
 
-def gradient_at(f, a, table=None):
-    """∇f(a) in one pass over `term_table(f)`, built here when None.
+def gradient_at(f, a):
+    """∇f(a) in one pass over `f.term_table()`.
 
     Euler's identity on a monomial, x_i·∂_i x^e = e_i·x^e, gives
     a_i·∂_i f(a) = Σ_t c_t·e_ti·a^(e_t), read from a table of powers and
     divided by a_i.  At a zero a_i, ∂_i f(a) = Σ_t c_t·e_ti·a^(e_t − ε_i)
     gets a term only when e_ti = 1 and no other of its variables is zero
     at a, and such a term adds to no other partial."""
-    top, coeffs, supports = table or term_table(f)
+    top, coeffs, supports = f.term_table()
     powers = _powers(a, top)
     k = [0] * f.nvars  # a_i·∂_i f(a) where a_i != 0, ∂_i f(a) where a_i = 0
     for c, support in zip(coeffs, supports):

@@ -8,8 +8,8 @@ package's one modular elimination, on plain ints mod a prime.
 ``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
 as they come and stops at full rank, which proves the kernel {0}; a stream
 that runs out below full rank is kept, and its kernel mod p is lifted to Q by
-rational reconstruction and re-checked exactly against every row, with full
-Bareiss as the fallback.  ``kernel`` sends a tall matrix there.
+rational reconstruction and re-checked exactly against every row, Bareiss on
+the chosen rows, then on all, as fallbacks.  ``kernel`` sends a tall matrix there.
 Pivots are always the first nonzero entry in column order, ties broken by
 row order, so all outputs are deterministic.
 """
@@ -261,7 +261,9 @@ def kernel_of_rows(rows, ncols):
     once the exact re-check of M·v = 0 passes they span ker(M); with 1 at
     their free column and 0 at the others and after it, they are the
     reduced basis full Bareiss gives, which depends on the span alone.  A
-    failed lift or re-check runs full Bareiss instead."""
+    failed lift or re-check runs Bareiss on the rows chosen mod p, whose
+    kernel holds ker(M), under the same re-check; full Bareiss runs only
+    when that fails too (p divides a minor of M)."""
     kept = []
 
     def cleared():
@@ -269,16 +271,18 @@ def kernel_of_rows(rows, ncols):
             kept.append(row)
             yield _clear_denominators(row)
 
-    _, basis = independent_rows_mod(cleared(), DEFAULT_PRIME)
+    chosen, basis = independent_rows_mod(cleared(), DEFAULT_PRIME)
     if len(basis) == ncols:
         return KernelBasis(kept, ncols, ())
-    lifted = _lifted_kernel(basis, ncols, DEFAULT_PRIME)
-    if lifted is not None:
-        try:
-            return KernelBasis(kept, ncols, lifted)
-        except InternalCheckError:
-            pass
-    return KernelBasis(kept, ncols, _kernel_vectors(kept, ncols))
+    vectors = _lifted_kernel(basis, ncols, DEFAULT_PRIME)
+    for eliminated in ([kept[i] for i in chosen], kept):
+        if vectors is not None:
+            try:
+                return KernelBasis(kept, ncols, vectors)
+            except InternalCheckError:
+                pass
+        vectors = _kernel_vectors(eliminated, ncols)
+    return KernelBasis(kept, ncols, vectors)
 
 
 def kernel(matrix):

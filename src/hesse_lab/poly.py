@@ -16,14 +16,16 @@ variable at a time on such dicts, adds in place and unpacks once.
 ``gn.build_Q`` builds its ψ-rows by the same Horner's rule (``_horner``),
 and keeps their minors and its cofactor sums on packed keys too.  A polynomial
 reads its least and greatest total degree on first use and keeps them, so
-``degree`` and ``is_homogeneous`` scan the terms once.
+``degree`` and ``is_homogeneous`` scan the terms once; its partials
+(``gradient``) and the table its values are read from (``term_table``) are
+kept the same way, so every caller of one form shares one copy.
 
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
 integers, integer gcd, reconstruction from symmetric digits).  It accepts a
 result only after exact trial division and draws larger points until one
 passes, which always happens; the comment above ``_heu_gcd`` proves both.
-Results are monic.  ``exact_div`` is the same integer trial division
-(``_int_quotient``) on the primitive integer parts.
+Results are monic.  GCDHEU finds the cofactors along with the gcd, so
+``gcd_cofactors`` folds it over a list and divides nothing.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one exponent vector as it goes, and refuses a
@@ -42,7 +44,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, InexactDivisionError, ParseError, VariableCountError
+from .errors import DomainError, ParseError, VariableCountError
 from .fields import coeff_div, norm_coeff, rational_content, substream
 
 MINUS_INFINITY = float("-inf")
@@ -123,16 +125,16 @@ def grlex_key(exps):
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` variables x0..x_{nvars-1}."""
 
-    # _low and _high: the least and greatest total degree of a term, read on
-    # first use; _high is None until then
-    __slots__ = ("nvars", "terms", "_low", "_high")
+    # _low and _high: the least and greatest total degree of a term, _grad
+    # and _table: `gradient` and `term_table`; each None until first use
+    __slots__ = ("nvars", "terms", "_low", "_high", "_grad", "_table")
 
     def __init__(self, nvars, terms):
         if nvars < 1:
             raise VariableCountError("a polynomial needs at least one variable")
         self.nvars = nvars
         self.terms = {e: norm_coeff(c) for e, c in terms.items() if c}
-        self._high = None
+        self._high = self._grad = self._table = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -301,21 +303,33 @@ class Polynomial:
         })
 
     def gradient(self):
-        return [self.partial(i) for i in range(self.nvars)]
+        """The partials (∂_0 f, …, ∂_n f), built on first use and kept."""
+        if self._grad is None:
+            self._grad = tuple(self.partial(i) for i in range(self.nvars))
+        return self._grad
+
+    def term_table(self):
+        """(top, coefficients, supports): the largest exponent, and per term its
+        coefficient and nonzero exponents ((i, e_i), …) as shared pairs; built once."""
+        if self._table is None:
+            top = max(map(max, self.terms), default=0)
+            pairs = [[(i, x) for x in range(top + 1)] for i in range(self.nvars)]
+            supports = [tuple(itertools.compress(map(operator.getitem, pairs, e), e)) for e in self.terms]
+            self._table = top, tuple(self.terms.values()), supports
+        return self._table
 
     def evaluate(self, point):
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point, off `term_table`."""
         if len(point) != self.nvars:
             raise VariableCountError(
                 f"point length {len(point)} != variable count {self.nvars}"
             )
         acc = 0
-        for e, c in self.terms.items():
-            t = c
-            for i, a in enumerate(e):
-                if a:
-                    t = t * point[i] ** a
-            acc = acc + t
+        _, coeffs, supports = self.term_table()
+        for c, support in zip(coeffs, supports):
+            for i, x in support:
+                c *= point[i] ** x
+            acc += c
         return norm_coeff(acc)
 
     def compose(self, args):
@@ -374,23 +388,6 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     # division and normalization
-
-    def exact_div(self, g):
-        """self / g, or InexactDivisionError when g does not divide self.
-
-        Trial division of the primitive integer parts, rescaled by the ratio
-        of the contents: by Gauss's lemma their quotient lies in Z[x]
-        whenever it lies in Q[x]."""
-        if not g:
-            raise DomainError("division by the zero polynomial")
-        self._check_compat(g)
-        if not self.terms:
-            return self
-        q = _int_quotient(_primitive_ints(self.terms), _primitive_ints(g.terms))
-        if q is None:
-            raise InexactDivisionError("division left a nonzero remainder")
-        ratio = rational_content(self.terms.values()) / rational_content(g.terms.values())
-        return Polynomial(self.nvars, {e: c * ratio for e, c in q.items()})
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
@@ -859,12 +856,36 @@ def gcd(a, b):
     return Polynomial(a.nvars, g).monic()
 
 
+def gcd_cofactors(polys):
+    """(ρ, [p/ρ for p in polys]) for ρ the monic gcd of polys, not all zero.
+
+    GCDHEU returns the cofactors with the gcd (Char, Geddes and Gonnet), so
+    the fold over the primitive integer parts keeps them and divides
+    nothing: where gcd(g, p_j) = g/q, each earlier cofactor gains the factor
+    q.  ρ is made monic once, at the end."""
+    parts = [_primitive_ints(p.terms) for p in polys if p]
+    if not parts:
+        raise DomainError("gcd of an all-zero list")
+    n = polys[0].nvars
+    g, cofactors = parts[0], [Polynomial.constant(n, 1)]
+    for a in parts[1:]:
+        g, q, b = _heu_gcd(g, a, sorted({i for e in (*g, *a) for i, x in enumerate(e) if x}))
+        q = Polynomial(n, q)
+        if q != 1:
+            cofactors = [c * q for c in cofactors]
+        cofactors.append(Polynomial(n, b))
+    rho, quotients = Polynomial(n, g), iter(cofactors)
+    # p = content(p)·g·q_p, and ρ = g/lc(g)
+    return rho.monic(), [
+        next(quotients).scale(rational_content(p.terms.values()) * rho.leading()[1]) if p else p
+        for p in polys
+    ]
+
+
 def gcd_list(polys):
     """Fold gcd over a list, skipping zeros; error if all zero."""
     acc = None
-    for p in polys:
-        if not p:
-            continue
+    for p in filter(None, polys):
         acc = p.monic() if acc is None else gcd(acc, p)
         if acc.degree() == 0:
             break

@@ -2,10 +2,11 @@
 
 Given f with vanishing Hessian, the partials satisfy a polynomial relation
 g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ with the
-common factor ρ divided out; everything the relation implies (translation
-invariance, the base-locus and singular-locus inclusions, fiber cones) is
-checked either symbolically or on one exact sample of the image at integer
-points, where ∇f is read in one pass per point (`gradient_at`).  The
+common factor ρ taken out, as combinations of the cofactors the gcd fold
+returns with ρ, so nothing is divided.  Everything the relation implies
+(translation invariance, the base-locus and singular-locus inclusions, fiber
+cones) is checked either symbolically or on one exact sample of the image at
+integer points, where ∇f is read in one pass per point (`gradient_at`).  The
 symbolic checks are Z-linear in the form, so a family is checked at once on
 P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
 battery costs one expansion, and a relation's certificate one product.  A line
@@ -13,9 +14,10 @@ battery costs one expansion, and a relation's certificate one product.  A line
 point w + 2^B·q (`_line_point`).  The relation itself is searched for on W,
 the span of the kernels of H_f: ψ_g takes its values there, and the polar
 image is a cone over P(W), so its lowest-degree relations are polynomials in
-the dim W forms ⟨w, ∇f⟩.  They are found by evaluating those forms at
-integer points, and every candidate is certified symbolically before it is
-used.
+the dim W forms ⟨w, ∇f⟩.  A linear one is a direction v ∈ W with D_v f ≡ 0,
+read exactly off f's coefficients (`cones.vertex_kernel`); the others are
+found by evaluating those forms at integer points.  Every candidate is
+certified symbolically before it is used.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import norm_coeff, rational_content, substream
-from .hessian import gradient_at, sample_kernels, term_table
+from .cones import vertex_kernel
+from .hessian import gradient_at, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
-from .poly import Polynomial, gcd_list, linear_combination, monomials_of_degree
+from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
 
 DEFAULT_MAX_RELATION_DEGREE = 8
 
@@ -97,7 +100,7 @@ class PolarRelation:
     g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
     certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
     Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1
-    compositions (∂_jG)(F) are made once: ψ_g divides out their gcd, and
+    compositions (∂_jG)(F) are made once: ψ_g takes out their gcd, and
     the g_i = ∂g/∂y_i ∘ ∇f are their combinations Σ_j w_{j,i}·(∂_jG)(F)."""
 
     g: Polynomial                 # in y_0..y_n
@@ -105,6 +108,7 @@ class PolarRelation:
     raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
     certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f), up to a scale; must be zero
     parts: tuple                  # (∂_jG)(F)
+    span: tuple                   # the rows w_j
 
     def __post_init__(self):
         if not self.g:
@@ -130,7 +134,7 @@ class PolarRelation:
             scale = -scale
         if scale != 1:
             g, parts, raw = g.scale(scale), [p.scale(scale) for p in parts], [p.scale(scale) for p in raw]
-        return cls(g=g, degree=g.degree(), raw=tuple(raw), certificate=euler, parts=tuple(parts))
+        return cls(g=g, degree=g.degree(), raw=tuple(raw), certificate=euler, parts=tuple(parts), span=span)
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,28 @@ def _relation_points(nvars, width):
         yield tuple(rng.randint(-width, width) for _ in range(nvars))
 
 
-def _monomial_row(f, table, span, point, monos):
+def _monomial_row(f, span, point, monos):
     """The monomials monos in z, at z_j = F_j(point) = ⟨w_j, ∇f(point)⟩."""
-    grad = gradient_at(f, point, table)
+    grad = gradient_at(f, point)
     vals = [norm_coeff(sum(map(operator.mul, w, grad))) for w in span]
     return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
 
 
-def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, table=None):
+def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
     The polar image is a cone over P(W), W the span of the kernels of H_f,
     so its lowest-degree relations are polynomials G in the k+1 forms
     F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
-    when None).  For each degree e, the exact kernel of the degree-e
-    monomials in z at F of C(k+e, e) + 2 seeded integer points contains
-    every such G, so an empty one rules e out within W.  Each basis vector
-    G is certified by G(F) ≡ 0, and one that fails gets a row at a point
-    where G(F) ≠ 0, until the kernel is the relation space.  A W that is
-    too small can hide a relation but never fake one.  Among the basis
-    vectors the primitive-integer one supported on the earliest monomials
-    wins, as in a search over all n+1 coordinates.  `table` is
-    `term_table(f)`, built here when None.
+    when None).  A linear G(F) = Σ_j u_j·F_j is D_v f, v = Σ_j u_j·w_j, so
+    degree 1 starts from the exact kernel of u ↦ D_v f (`vertex_kernel`).
+    For each degree e ≥ 2, the exact kernel of the degree-e monomials in z
+    at F of C(k+e, e) + 2 seeded integer points contains every such G, so
+    an empty one rules e out within W.  Each basis vector G is certified by G(F) ≡ 0, and one that
+    fails gets a row at a point where G(F) ≠ 0, until the kernel is the
+    relation space.  A W that is too small can hide a relation but never
+    fake one.  Among the basis vectors the primitive-integer one supported
+    on the earliest monomials wins, as in a search over all n+1 coordinates.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -213,7 +217,6 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, ta
         span = sample_kernels(f).span
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
-    table = table or term_table(f)
     partials = f.gradient()
     forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
     for e in range(1, max_degree + 1):
@@ -221,10 +224,10 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, ta
         # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
         # with more than e(d-1) values per coordinate
         points = _relation_points(f.nvars, e * (f.degree() - 1))
-        rows = [_monomial_row(f, table, span, next(points), monos) for _ in range(len(monos) + 2)]
+        rows = [_monomial_row(f, span, next(points), monos) for _ in range(len(monos) + 2)] if e > 1 else []
         while True:
             nrows, relations = len(rows), []
-            for v in kernel(ScalarMatrix(rows)):
+            for v in kernel(ScalarMatrix(rows)) if rows else vertex_kernel(f, span):
                 vec = primitive_vector(v)
                 G = Polynomial(len(span), {m: c for m, c in zip(monos, vec) if c})
                 relation = PolarRelation.from_partials(G, forms, span)
@@ -233,7 +236,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, ta
                     continue
                 # a row where G(F) ≠ 0 takes G out of the kernel
                 rows.append(next(
-                    row for row in (_monomial_row(f, table, span, a, monos) for a in points)
+                    row for row in (_monomial_row(f, span, a, monos) for a in points)
                     if sum(map(operator.mul, row, vec))
                 ))
             if len(rows) == nrows:
@@ -243,8 +246,8 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, ta
             # of the search over all coordinates in y, so widen W to the unit
             # rows on its support
             support = sorted({i for w in span for i, c in enumerate(w) if c})
-            unit = [tuple(int(i == j) for i in range(f.nvars)) for j in support]
-            return find_polar_relation(f, max_degree, span=unit, table=table)
+            unit = tuple(tuple(int(i == j) for i in range(f.nvars)) for j in support)
+            return find_polar_relation(f, max_degree, span=unit)
         # columns run graded-lex descending, so preferring support on the
         # earliest monomials means taking the lexicographically greatest vector
         for _, relation in sorted(relations, key=lambda r: r[0], reverse=True):
@@ -255,9 +258,10 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None, ta
 
 
 def build_psi(f, relation):
-    """Assemble ψ_g from a polar relation: divide out ρ = gcd of the g_i,
-    taken as the gcd of the k+1 (∂_jG)(F) they are combinations of and that
-    are combinations of them.
+    """Assemble ψ_g from a polar relation: take out ρ = gcd of the g_i,
+    taken as the gcd of the k+1 parts P_j = (∂_jG)(F) they are combinations
+    of and that are combinations of them.  The gcd fold returns each P_j/ρ,
+    so h_i = Σ_j w_{j,i}·(P_j/ρ) needs no division.
 
     A degree-1 relation means V(f) is a cone, outside the construction's
     standing hypothesis; `cones.cone_test` decides cones, and callers reach
@@ -268,11 +272,9 @@ def build_psi(f, relation):
     raw = relation.raw
     if not any(raw):
         raise DomainError("all derivative compositions vanish; choose another relation")
-    rho = gcd_list([p for p in relation.parts if p])
-    h = [g.exact_div(rho) if g else Polynomial.zero(f.nvars) for g in raw]
-    content = rational_content(
-        [c for hi in h for c in hi.terms.values()]
-    )
+    rho, quotients = gcd_cofactors(relation.parts)
+    h = [linear_combination(f.nvars, zip((w[i] for w in relation.span), quotients)) for i in range(f.nvars)]
+    content = rational_content([c for hi in h for c in hi.terms.values()])
     if content != 1:
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
@@ -321,8 +323,8 @@ def check_invariance(forms, psi):
     digits = _Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
     packed, sigma = Polynomial(n1, digits.pack(family)), {}
     for j, hj in enumerate(h):
-        pj = packed.partial(j)
-        if pj and hj:
+        pj = hj and packed.partial(j)
+        if pj:
             for e, c in (pj * Polynomial(n1, hj)).terms.items():
                 sigma[e] = sigma.get(e, 0) + c
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
@@ -371,35 +373,23 @@ def sample_image(psi, count, seed):
 
     Stores the preimage of every image point so fiber checks can reuse them.
     Errors only if no image point is found at all (ψ_g undefined
-    generically).  The components are read from their term tables, so a
-    monomial visits only the variables it contains.
+    generically).
     """
-    tables = [term_table(hi)[1:] for hi in psi.h]
-
-    def values(pt):
-        out = []
-        for coeffs, supports in tables:
-            acc = 0
-            for c, support in zip(coeffs, supports):
-                for i, x in support:
-                    c *= pt[i] ** x
-                acc += c
-            out.append(acc)
-        return out
-
-    image = _sample_values(values, psi.nvars, count, seed, "image", "S*_Z image")
+    image = _sample_values(
+        lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
+    )
     if count > 0 and not len(image):
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image
 
 
-def sample_polar_image(f, count, seed, table=None):
+def sample_polar_image(f, count, seed):
     """Distinct exact points of the polar map's image: the tangent-hyperplane
     locus Z(f) sampled through `gradient_at`, skipping singular points."""
     if not f or f.degree() < 1:
         raise DomainError("polar map needs a nonzero polynomial of degree >= 1")
     image = _sample_values(
-        lambda pt: gradient_at(f, pt, table), f.nvars, count, seed, "polar_image", "Z(f) image"
+        lambda pt: gradient_at(f, pt), f.nvars, count, seed, "polar_image", "Z(f) image"
     )
     if count > 0 and not len(image):
         raise SampleBudgetError("the polar map vanished at every sampled point")
@@ -413,7 +403,7 @@ class InclusionReport:
     singular_violations: tuple
 
 
-def check_inclusions(f, psi, image, table=None):
+def check_inclusions(f, psi, image):
     """Every sampled image point must lie in Bs(ψ_g) and in Sing(V(f))."""
     if not len(image):
         raise DomainError("empty image sample")
@@ -422,7 +412,7 @@ def check_inclusions(f, psi, image, table=None):
     for q in image.points:
         if any(hi.evaluate(q) for hi in psi.h):
             bs_bad.append(q)
-        if any(gradient_at(f, q, table)):
+        if any(gradient_at(f, q)):
             sing_bad.append(q)
     return InclusionReport(
         ok=not bs_bad and not sing_bad,
@@ -452,7 +442,7 @@ def _primitive_norm(p):
     return int(sum(map(abs, coeffs)) / rational_content(coeffs))
 
 
-def check_fiber_lines(f, psi, image, table=None):
+def check_fiber_lines(f, psi, image):
     """Point-level fiber-cone and line-in-locus checks at the sample's first
     point q, reached from its stored preimage p.
 
@@ -474,6 +464,6 @@ def check_fiber_lines(f, psi, image, table=None):
     for w in image.points[1:4]:
         if psi.evaluate(_line_point(w, q, *h_bound)) is not None:
             return False
-        if any(gradient_at(f, _line_point(w, q, *f_bound), table)):
+        if any(gradient_at(f, _line_point(w, q, *f_bound))):
             return False
     return True

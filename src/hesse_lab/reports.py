@@ -12,7 +12,7 @@ import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
 from .gn import GNSkeleton, core_multiplicity, random_instance
-from .hessian import hessian_vanishes, term_table
+from .hessian import hessian_vanishes
 from .poly import parse
 from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
@@ -150,14 +150,12 @@ def with_vertex(verdict, vertex):
     return verdict.upgraded("cone_vertex") if vertex.is_cone else verdict
 
 
-def psi_identity_battery(f, psi, image, seed=0, table=None):
+def psi_identity_battery(f, psi, image, seed=0):
     """Every identity the relation implies, plus the sampled inclusions on
     the first IMAGE_SAMPLES points of the ψ_g image sample `image`.
     Returns the checks, those image points, the polar-image sample the
     relation was checked on, and whether every check passed.  One
-    `check_invariance` call checks f, ∇f and the nonzero h_k together, and
-    `term_table(f)` (when None) is built once."""
-    table = table or term_table(f)
+    `check_invariance` call checks f, ∇f and the nonzero h_k together."""
     gradient, components = f.gradient(), [hk for hk in psi.h if hk]
     inv_f, *results = check_invariance([f, *gradient, *components], psi)
     partial_results, comp_results = results[:len(gradient)], results[len(gradient):]
@@ -174,10 +172,10 @@ def psi_identity_battery(f, psi, image, seed=0, table=None):
     image = dataclasses.replace(
         image, points=image.points[:IMAGE_SAMPLES], preimages=image.preimages[:IMAGE_SAMPLES]
     )
-    inclusions = check_inclusions(f, psi, image, table)
+    inclusions = check_inclusions(f, psi, image)
     checks["sampled_inclusions"] = inclusions.ok
-    checks["fiber_lines"] = check_fiber_lines(f, psi, image, table)
-    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed, table)
+    checks["fiber_lines"] = check_fiber_lines(f, psi, image)
+    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed)
     checks["relation_vanishes_on_polar_sample"] = all(
         psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
     )

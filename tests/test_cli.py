@@ -539,7 +539,43 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=41, gcd=12, hessian_at=34, cone_test=24)
+    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=7, hessian_at=34, cone_test=24)
+
+
+@pytest.mark.parametrize(
+    "text, gradient_points",
+    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 35), (PAPER_CUBIC, 35)],
+    ids=["gn-7,4,1,2,1,6", "paper-cubic"],
+)
+def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
+    # `analyze` derives each object of f once: its n+1 partials and its term
+    # table are built on first use and kept, ψ_g is read off the gcd's
+    # cofactors with no division, and degree 1 of the relation search reads
+    # f's coefficients, not ∇f at points.  Both forms have dim W = 3, so ∇f
+    # is read at the 6 + 2 points of the degree-2 search, 12 sampled
+    # inclusions, 3 fiber lines and 12 polar-image samples
+    f = parse(text)
+    calls = Counter()
+    partial, term_table = Polynomial.partial, Polynomial.term_table
+
+    def counted_partial(self, i):
+        calls["partial"] += self == f
+        return partial(self, i)
+
+    def counted_table(self):
+        calls["table_build"] += self._table is None and self == f
+        return term_table(self)
+
+    def counted_gradient(*args, _original=hessian.gradient_at):
+        calls["gradient_at"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(Polynomial, "partial", counted_partial)
+    monkeypatch.setattr(Polynomial, "term_table", counted_table)
+    _patch_everywhere(monkeypatch, hessian.gradient_at, counted_gradient)
+    assert run(tmp_path, "analyze", "--poly", text)[0] == 0
+    assert calls == Counter(partial=f.nvars, table_build=1, gradient_at=gradient_points)
+    assert not hasattr(Polynomial, "exact_div")
 
 
 @pytest.mark.parametrize(

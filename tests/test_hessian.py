@@ -22,7 +22,6 @@ from hesse_lab.hessian import (
     rank_verdict,
     sample_kernels,
     symbolic_determinant,
-    term_table,
     trials_for_error,
 )
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
@@ -301,6 +300,11 @@ def test_vanishes_rejects_bad_input():
         hessian_vanishes(FERMAT_CUBIC, mode="symbolic")  # one verdict path
 
 
+def _second_partials_at(f, a):
+    """The oracle: each entry of the matrix of second partials, evaluated."""
+    return [[p.evaluate(a) for p in row] for row in hessian_matrix(f).entries]
+
+
 @st.composite
 def forms_and_points(draw):
     """(f, a): f with int or Fraction coefficients in 1-4 variables, any
@@ -322,13 +326,13 @@ def forms_and_points(draw):
 @given(forms_and_points())
 def test_hessian_at_equals_the_evaluated_second_partials(case):
     f, a = case
-    expected = hessian_matrix(f).evaluate(a).entries
+    expected = _second_partials_at(f, a)
     got = hessian_at(f, a).entries
     assert got == expected
     assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
 
 
-def test_hessian_at_a_zero_coordinate_goes_through_the_second_partials(monkeypatch):
+def test_hessian_at_a_zero_coordinate_reads_the_term_table(monkeypatch):
     calls = []
 
     def counted(f):
@@ -336,10 +340,9 @@ def test_hessian_at_a_zero_coordinate_goes_through_the_second_partials(monkeypat
         return hessian_matrix(f)
 
     monkeypatch.setattr(hessian, "hessian_matrix", counted)
-    assert hessian_at(PAPER_CUBIC, [3, 1, 4, 1, 5]).entries == (
-        hessian_matrix(PAPER_CUBIC).evaluate([3, 1, 4, 1, 5]).entries
-    )
-    assert calls == []
+    for a in ([3, 1, 4, 1, 5], [0, 1, 4, 0, 5], [0, 0, 0, 0, 0]):
+        assert hessian_at(PAPER_CUBIC, a).entries == _second_partials_at(PAPER_CUBIC, a)
+    calls.clear()
     # a seeded point has a zero coordinate with probability at most
     # (n+1)/(2^61 - 1); force one at every point of the verdict
     seeded = hessian._seeded_point
@@ -349,13 +352,39 @@ def test_hessian_at_a_zero_coordinate_goes_through_the_second_partials(monkeypat
     v = hessian_vanishes(FERMAT_CUBIC)
     # H = diag(6·x_i) loses rank at x0 = 0, so no point is a witness
     assert (v.vanishes, v.trials) == (True, 1)
-    assert calls == [FERMAT_CUBIC]
     sample = sample_kernels(FERMAT_CUBIC)
     # every kernel is the x0 axis, so W is that line after DEFAULT_SAMPLES points
     assert sample.ranks == (2,) * hessian.DEFAULT_SAMPLES
     assert sample.span == ((1, 0, 0),)
-    assert calls == [FERMAT_CUBIC] * (1 + hessian.DEFAULT_SAMPLES)
     assert polar_image_dim(PAPER_CUBIC) == 3
+    # the verdict path never builds the matrix of second partials
+    assert calls == []
+
+
+@st.composite
+def forms_and_points_with_zeros(draw):
+    """(f, a): f in 2-6 variables of degree up to 6 with int or Fraction
+    coefficients and up to 12 terms, and an integer point with at least one
+    zero coordinate, so a term can meet zero, one or two of them."""
+    n = draw(st.integers(2, 6))
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 6)
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=12))
+    point = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-50, 50), st.integers(-DEFAULT_PRIME, DEFAULT_PRIME)),
+        min_size=n, max_size=n,
+    ).filter(lambda a: not all(a)))
+    return Polynomial(n, terms), point
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forms_and_points_with_zeros())
+def test_hessian_at_a_point_with_zero_coordinates_matches_the_matrix_oracle(case):
+    f, a = case
+    expected = _second_partials_at(f, a)
+    got = hessian_at(f, a).entries
+    assert got == expected
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
 
 
 def _evaluated_partials(f, a):
@@ -367,7 +396,10 @@ def _assert_gradient_matches(f, a):
     got = gradient_at(f, a)
     assert got == expected
     assert list(map(type, got)) == list(map(type, expected))
-    assert gradient_at(f, a, term_table(f)) == expected
+    # a second call reads the table the form kept
+    table = f.term_table()
+    assert gradient_at(f, a) == expected
+    assert f.term_table() is table
 
 
 @pytest.mark.parametrize("text", [

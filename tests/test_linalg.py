@@ -155,7 +155,7 @@ def test_kernel_row_selection_matches_full_bareiss(fractions, seed=31, cases=25)
 def test_kernel_entries_beyond_reconstruction_fall_back(big, monkeypatch):
     # √(p/2) is below 2^30, so a kernel entry with numerator or denominator
     # `big` has no rational reconstruction mod p; the kernel must still be
-    # the one full Bareiss gives, from the fallback
+    # the one full Bareiss gives, from Bareiss on the two rows chosen mod p
     bound = math.isqrt(DEFAULT_PRIME // 2)
     assert big > bound
     eliminated = []
@@ -172,7 +172,49 @@ def test_kernel_entries_beyond_reconstruction_fall_back(big, monkeypatch):
         eliminated.clear()
         full = _kernel_matches_full_bareiss(ScalarMatrix(rows))
         assert len(full) == 1
-        assert eliminated == [len(rows), len(rows)]  # the oracle's and the fallback's
+        assert eliminated == [len(rows), 2]  # the oracle's and the chosen rows'
+
+
+def _counted_bareiss(monkeypatch):
+    eliminated = []
+    bareiss = linalg._echelon_rational
+    monkeypatch.setattr(
+        linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
+    )
+    return eliminated
+
+
+def test_a_failed_lift_eliminates_only_the_rows_chosen_mod_p(monkeypatch):
+    # 40 rows of rank 2 in 3 columns whose kernel (-b/3, 1, 0) has an entry
+    # past √(p/2): the lift fails, and Bareiss runs on the 2 chosen rows alone
+    b = 2**40 + 1
+    rng = random.Random(5)
+    rows = [[3 * x, b * x, y] for x, y in ((rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(40))]
+    chosen, reduced = independent_rows_mod(rows, DEFAULT_PRIME)
+    assert len(chosen) == 2
+    assert linalg._lifted_kernel(reduced, 3, DEFAULT_PRIME) != [[Fraction(-b, 3), 1, 0]]
+    eliminated = _counted_bareiss(monkeypatch)
+    vectors = [list(v) for v in linalg.kernel_of_rows(iter(rows), 3)]
+    assert eliminated == [2]
+    assert vectors == [[Fraction(-b, 3), 1, 0]] == linalg._kernel_vectors(rows, 3)
+
+
+def test_a_corrupted_chosen_rows_kernel_trips_the_recheck_and_full_bareiss_runs_once(monkeypatch):
+    b = 2**40 + 1
+    rows = [[3, b, 0], [0, 0, 1], [6, 2 * b, 5], [3, b, 1]]
+    kernel_vectors = linalg._kernel_vectors
+
+    def corrupted(entries, ncols):
+        vectors = kernel_vectors(entries, ncols)
+        if len(entries) < len(rows):  # the chosen rows' kernel
+            vectors[0][0] += 1
+        return vectors
+
+    monkeypatch.setattr(linalg, "_kernel_vectors", corrupted)
+    eliminated = _counted_bareiss(monkeypatch)
+    vectors = [list(v) for v in kernel(ScalarMatrix(rows))]
+    assert eliminated == [2, len(rows)]
+    assert vectors == [[Fraction(-b, 3), 1, 0]]
 
 
 def test_kernel_lifts_small_entries_without_elimination(monkeypatch):
@@ -188,18 +230,14 @@ def test_kernel_lifts_small_entries_without_elimination(monkeypatch):
 def test_kernel_falls_back_when_p_divides_a_minor(monkeypatch):
     # mod 3 every row is a multiple of (1, 1), so the selection keeps one row;
     # its kernel vector (-1, 1), lifted from (2, 1), fails the exact re-check
-    # on (1, 4)
+    # on (1, 4), and so does the kernel of that one row over Q
     rows = [[1, 1], [1, 4], [2, 5]]
     assert independent_rows_mod(rows, 3) == ([0], {0: [1, 1]})
     assert linalg._lifted_kernel({0: [1, 1]}, 2, 3) == [[-1, 1]]
-    eliminated = []
-    bareiss = linalg._echelon_rational
     monkeypatch.setattr(linalg, "DEFAULT_PRIME", 3)
-    monkeypatch.setattr(
-        linalg, "_echelon_rational", lambda entries: eliminated.append(len(entries)) or bareiss(entries)
-    )
+    eliminated = _counted_bareiss(monkeypatch)
     assert len(kernel(ScalarMatrix(rows))) == 0
-    assert eliminated == [3]
+    assert eliminated == [1, 3]  # the chosen row's, then the full fallback's
 
 
 def test_solve_unique():

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hesse_lab.errors import DomainError, InexactDivisionError, ParseError, VariableCountError
+from hesse_lab.errors import DomainError, ParseError, VariableCountError
 from hesse_lab.fields import norm_coeff, substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
@@ -18,8 +18,10 @@ from hesse_lab.poly import (
     MINUS_INFINITY,
     Polynomial,
     _heu_gcd,
+    _int_quotient,
     _primitive_ints,
     gcd,
+    gcd_cofactors,
     gcd_list,
     is_reduced,
     monomials_of_degree,
@@ -29,12 +31,14 @@ from hesse_lab.poly import (
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
 
+def quotient(p, g):
+    """prim(p)/prim(g) in Z[x] by trial division, or None; by Gauss's lemma
+    g divides p in Q[x] exactly when this is not None."""
+    return _int_quotient(_primitive_ints(p.terms), _primitive_ints(g.terms))
+
+
 def divides(g, p):
-    try:
-        p.exact_div(g)
-    except InexactDivisionError:
-        return False
-    return True
+    return quotient(p, g) is not None
 
 
 def random_poly(rng, nvars=3, max_deg=4, max_terms=6):
@@ -697,6 +701,31 @@ def test_gcd_matches_sympy(case):
     assert gcd(a, b) == sympy_gcd_monic(a, b)
 
 
+@st.composite
+def cofactor_cases(draw, max_vars=4):
+    """a·b_1, …, a·b_k for k = 1..4, some of them zero."""
+    n = draw(st.integers(1, max_vars))
+    coeff = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5)).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    a = Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)))
+    count = draw(st.integers(1, 4))
+    return [a * Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=3))) for _ in range(count)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cofactor_cases())
+def test_gcd_cofactors_are_the_exact_quotients_of_the_gcd(polys):
+    if not any(polys):
+        with pytest.raises(DomainError):
+            gcd_cofactors(polys)
+        return
+    rho, quotients = gcd_cofactors(polys)
+    assert rho == gcd_list(polys)
+    assert len(quotients) == len(polys)
+    for p, q in zip(polys, quotients):
+        assert rho * q == p
+
+
 # M is the product of the first eight evaluation points for the pair
 # (x0^2 + x0, (x0 + 1)(x0 + M)): 31, 169, 1385, 22702, 744261, 58966268,
 # 14015328567 and 13171708628261.  Each divides M, so at each of them the
@@ -761,25 +790,23 @@ def test_monomials_of_degree_order():
     assert len(monos) == 6
 
 
-def test_exact_div_and_remainder():
+def test_int_quotient_and_remainder():
     f = parse("x0^2 - x1^2")
-    q = f.exact_div(parse("x0 + x1"))
-    assert q == parse("x0 - x1")
-    with pytest.raises(InexactDivisionError):
-        parse("x0^2 + x1^2").exact_div(parse("x0 + x1"))
+    assert quotient(f, parse("x0 + x1")) == parse("x0 - x1").terms
+    assert quotient(parse("x0^2 + x1^2"), parse("x0 + x1")) is None
 
 
-def test_exact_div_by_a_monomial_on_a_large_form():
+def test_int_quotient_by_a_monomial_on_a_large_form():
     # the seed-0 9,4,1,2,1,6 GN form: each step of the division takes the
     # remainder's leading term from a heap, not by a scan of 1890 terms
     f = random_instance(GNSkeleton(9, 4, 1, 2, 1, 6), seed=0).f
     assert len(f.terms) == 1890
-    assert f.scale(6).exact_div(Polynomial.constant(f.nvars, 4)) == f.scale(Fraction(3, 2))
+    prim = _primitive_ints(f.terms)
+    assert _int_quotient({e: 4 * c for e, c in prim.items()}, {(0,) * f.nvars: 4}) == prim
     x0 = Polynomial.variable(f.nvars, 0)
-    assert (f * x0).exact_div(x0) == f
-    assert (f * x0 * x0).exact_div(f) == x0 * x0
-    with pytest.raises(InexactDivisionError):
-        (f * x0 + Polynomial.variable(f.nvars, 1) ** 7).exact_div(x0)
+    assert quotient(f * x0, x0) == prim
+    assert quotient(f * x0 * x0, f) == (x0 * x0).terms
+    assert quotient(f * x0 + Polynomial.variable(f.nvars, 1) ** 7, x0) is None
 
 
 @st.composite
@@ -801,11 +828,11 @@ def division_cases(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(division_cases())
-def test_exact_div_inverts_multiplication_and_refuses_non_multiples(case):
+def test_int_quotient_inverts_multiplication_and_refuses_non_multiples(case):
+    # prim(a·b) = prim(a)·prim(b) by Gauss's lemma
     a, b, r = case
-    assert (a * b).exact_div(b) == a
-    with pytest.raises(InexactDivisionError):
-        (a * b + r).exact_div(b)
+    assert quotient(a * b, b) == (_primitive_ints(a.terms) if a else {})
+    assert quotient(a * b + r, b) is None
 
 
 def test_substream_determinism():

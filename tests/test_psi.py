@@ -1,6 +1,7 @@
 """Polar relation search, ψ_g construction, and the identity battery."""
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hesse_lab import psi as psi_module
 from hesse_lab import reports
+from hesse_lab.cones import cone_test, vertex_kernel
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
@@ -24,7 +26,7 @@ from hesse_lab.linalg import (
     rank,
     reduced_row_basis,
 )
-from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from hesse_lab.poly import Polynomial, directional_derivative, monomials_of_degree, parse
 from hesse_lab.psi import (
     PolarRelation,
     PsiMap,
@@ -82,7 +84,7 @@ def test_certificate_by_euler_rejects_a_non_relation():
     zero = Polynomial.zero(5)
     raw = (f1, f0, zero, zero, zero)
     with pytest.raises(InternalCheckError, match="certificate is nonzero"):
-        PolarRelation(g=g, degree=2, raw=raw, certificate=f0 * f1, parts=raw)
+        PolarRelation(g=g, degree=2, raw=raw, certificate=f0 * f1, parts=raw, span=tuple(unit))
 
 
 def test_polar_relation_none_for_fermat():
@@ -516,10 +518,11 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
     monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
     rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
     assert (rel.g, rel.degree, rel.raw) == (expected.g, expected.degree, expected.raw)
-    # the search runs on the three forms ⟨w_j, ∇f⟩, so the first batches hold
-    # 3 + 2 and 6 + 2 points; rank 1 leaves kernels of dimension 2 and 5, so
-    # at least 2 and 4 more rows are needed
-    assert draws.count(1) >= 5 + 2
+    # degree 1 is read off f's coefficients and draws no point; the search
+    # runs on the three forms ⟨w_j, ∇f⟩, so the degree-2 batch holds 6 + 2
+    # points, and rank 1 leaves a kernel of dimension 5, so at least 4 more
+    # rows are needed
+    assert draws.count(1) == 0
     assert draws.count(2) >= 8 + 4
 
 
@@ -564,6 +567,107 @@ def test_w_and_relation_degree_are_coordinate_free(f):
     assert len(conj_span) == len(span)
     assert reduced_row_basis([[sum(x * y for x, y in zip(row, w)) for row in a.entries] for w in conj_span]) == span
     assert find_polar_relation(g).degree == find_polar_relation(f).degree
+
+
+# ----------------------------------------------------------------------
+# ψ_g from the gcd's cofactors, and degree 1 from f's coefficients
+
+
+def _sympy_expr(p):
+    xs = sympy.symbols(f"x0:{p.nvars}")
+    return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+               for e, c in p.terms.items())
+
+
+@st.composite
+def small_gn_forms(draw):
+    """A small GN form (P^4, or P^5 with t = 2 or 3) of a drawn seed, or its
+    dense conjugate."""
+    skeleton = draw(st.sampled_from(["4,2,1,2,1,3", "4,2,1,2,1,4", "5,2,1,2,1,3", "5,3,1,2,1,4"]))
+    f = _gn(skeleton, draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        f = _conjugate(f, random_invertible(f.nvars, substream(draw(st.integers(0, 2**16)), "conjugate")))
+    return f
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(small_gn_forms())
+def test_psi_from_cofactors_matches_the_sympy_gcd(f):
+    psi = build_psi(f, find_polar_relation(f))
+    parts = [p for p in psi.relation.parts if p]
+    for gi, hi in zip(psi.relation.raw, psi.h):
+        assert psi.rho * hi == gi
+    h = [_sympy_expr(hi) for hi in psi.h if hi]
+    assert sympy.gcd_list(h).is_number
+    # ρ is the gcd of the parts: a multiple of sympy's gcd of the same degree
+    oracle = sympy.Poly(sympy.gcd_list([_sympy_expr(p) for p in parts]), *sympy.symbols(f"x0:{f.nvars}"))
+    rho = sympy.Poly(_sympy_expr(psi.rho), *oracle.gens)
+    assert rho.total_degree() == oracle.total_degree()
+    assert rho.rem(oracle).is_zero
+
+
+def _sampled_degree_1_kernel(f, span):
+    """The degree-1 relations as the search found them by sampling: the
+    kernel of the rows ⟨w_j, ∇f(a)⟩ at k+3 seeded points, with one more row
+    at a point where a kernel vector's D_v f does not vanish, until every
+    kernel vector is a relation."""
+    monos = monomials_of_degree(len(span), 1)
+    points = psi_module._relation_points(f.nvars, f.degree() - 1)
+    rows = [psi_module._monomial_row(f, span, next(points), monos) for _ in range(len(monos) + 2)]
+    while True:
+        vectors = [primitive_vector(v) for v in kernel(ScalarMatrix(rows))]
+        failing = [
+            vec for vec in vectors
+            if directional_derivative(f, [sum(u * w[i] for u, w in zip(vec, span)) for i in range(f.nvars)])
+        ]
+        if not failing:
+            return vectors
+        for vec in failing:
+            rows.append(next(
+                row for row in (psi_module._monomial_row(f, span, a, monos) for a in points)
+                if sum(map(operator.mul, row, vec))
+            ))
+
+
+@st.composite
+def degree_1_cases(draw):
+    """(f, span, kind): a non-cone GN form with its W; a cone (a random form
+    in the first u < n variables, maybe densely conjugated) with its W, which
+    holds the vertex; or that cone with random rows in place of W, which
+    generically miss the vertex."""
+    kind = draw(st.sampled_from(["non-cone", "cone, vertex in W", "cone, rows missing the vertex"]))
+    if kind == "non-cone":
+        f = draw(small_gn_forms())
+        return f, sample_kernels(f).span, kind
+    n = draw(st.integers(3, 5))
+    u, d = draw(st.integers(2, n - 1)), draw(st.integers(2, 3))
+    monos = monomials_of_degree(u, d)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[0] = 1
+    f = Polynomial(u, {m: c for m, c in zip(monos, coeffs) if c}).extend(n)
+    if draw(st.booleans()):
+        f = _conjugate(f, random_invertible(n, substream(draw(st.integers(0, 2**16)), "conjugate")))
+    if kind == "cone, vertex in W":
+        return f, sample_kernels(f).span, kind
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any), min_size=1, max_size=u))
+    return f, reduced_row_basis(rows), kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(degree_1_cases())
+def test_degree_1_from_coefficients_matches_the_sampled_kernel(case):
+    f, span, kind = case
+    exact = [primitive_vector(v) for v in vertex_kernel(f, span)]
+    assert exact == _sampled_degree_1_kernel(f, span)
+    vertex = cone_test(f).basis
+    assert len(exact) == len(span) + len(vertex) - rank(ScalarMatrix([*span, *vertex]))
+    if kind == "non-cone":
+        assert exact == []
+    if kind == "cone, vertex in W":
+        assert len(exact) == len(vertex) > 0
+    rel = find_polar_relation(f, max_degree=1, span=span)
+    assert (rel is None) == (exact == [])
 
 
 # ----------------------------------------------------------------------
