@@ -259,11 +259,11 @@ def _repeated_root_data(r):
     ∂_v r(u, 1) made homogeneous, found by Euclid's algorithm.  When
     g = a·u + b·v the repeated root is the single point (b : -a)."""
     d = r.degree() - 1
-    partials = [r.partial(0).terms, r.partial(1).terms]
-    k = min(e[1] for p in partials for e in p)
+    partials = [r.partial(0), r.partial(1)]
+    k = min(e[1] for p in partials for e in p.as_dict())
     # the coefficients of ∂r(u, 1) = (∂r/v^k)(u, 1) at u^(d−k), …, u^0; a
     # leading zero of a costs one step at q = 0, and b is trimmed first
-    a, b = ([Fraction(p.get((i, d - i), 0)) for i in range(d - k, -1, -1)] for p in partials)
+    a, b = ([Fraction(p.coefficient((i, d - i))) for i in range(d - k, -1, -1)] for p in partials)
     while any(b):
         b = b[next(i for i, c in enumerate(b) if c) :]
         while len(a) >= len(b):

@@ -6,16 +6,18 @@ a polar relation and, for at most DEFAULT_SIZE_CAP variables, det H_f ≡ 0
 under DETERMINANT_BUDGET monomial products.  `generate`, `catalog` and the
 gn suite stop at the cone vertex.
 
-Exit codes: 0 success; 1 verification suite failure; 2 parse error or bad
-invocation; 3 zero, constant or non-homogeneous input; 4 internal check
-violation (an identity the construction guarantees failed); 5 parameter
-validation failure; 6 seeded retry budget exhausted.  Every nonzero exit
-prints its reason on stderr.
+Exit codes: 0 success; 1 verification suite failure; 2 parse error, bad
+invocation or input outside a computation's domain (such as exponents past
+the exponent field); 3 zero, constant or non-homogeneous input; 4 internal
+check violation (an identity the construction guarantees failed); 5
+parameter validation failure; 6 seeded retry budget exhausted.  Every
+nonzero exit prints its reason on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,7 +71,9 @@ EXIT_VALIDATION = 5
 EXIT_RETRY = 6
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="hesse-lab",
         description="Exact analysis of hypersurfaces with vanishing Hessian.",
@@ -141,7 +145,7 @@ def cmd_analyze(args):
         elif f.is_homogeneous():
             reason = "degree 0"
         else:
-            degrees = ", ".join(str(e) for e in sorted({sum(e) for e in f.terms}))
+            degrees = ", ".join(str(e) for e in sorted({sum(e) for e in f.as_dict()}))
             reason = f"terms of degrees {degrees} occur"
         print(f"input must be nonzero homogeneous: {reason}", file=sys.stderr)
         return EXIT_NOT_HOMOGENEOUS, _doc(

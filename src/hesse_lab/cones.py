@@ -47,7 +47,7 @@ def _derivative_rows(f):
     the terms c·x^e of f: the row of μ is (c_{μ+ε_j}·(μ_j + 1))_j, read by
     lookup, so a row costs nvars lookups and no row is built before it is
     read."""
-    terms, n = f.terms, f.nvars
+    terms, n = f.as_dict(), f.nvars
     seen = set()
     for e in terms:
         for i, x in enumerate(e):

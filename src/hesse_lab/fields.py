@@ -26,11 +26,6 @@ def norm_coeff(c):
     return c
 
 
-def coeff_div(a, b):
-    """Exact division of rational coefficients."""
-    return norm_coeff(Fraction(a) / Fraction(b))
-
-
 def rational_content(coeffs):
     """Positive rational c such that dividing the coefficients by c leaves
     coprime integers.  Input must be nonempty rational coefficients."""

@@ -6,17 +6,15 @@ determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
 ∂h_i/∂y_j evaluated at y = ψ, and the constants.  Only the first row holds
 x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i.  Its first-row cofactors M_{ℓ,i}, of degree
 s-1 in the tail variables, come from Laplace along the ψ-rows (`build_Q`),
-whose minors every Q_ℓ shares.  `build_Q` chooses one packing of exponents
-(`poly._packing`) first, since nothing it forms has total degree above s.
-The ψ-rows (∂h_i/∂y_j)(ψ) come from Horner's rule over the packed ψ_j
-(`poly._horner`), each entry unpacked once; all minors det B[:,T] are read
-from one `hessian.ColumnMinors` memo over those rows, the memo that also
-gives the scalar minors of the constant rows.  The cofactor sums, their
-annihilation check and each Q_ℓ run on term dicts keyed by the packing,
-and each Q_ℓ and M_{ℓ,i} is unpacked once.  The output form is f =
-Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree (k, d-k·s),
-and it always has vanishing Hessian; `compose` applies the tail variables as
-key offsets and runs Horner over the Q_ℓ alone.
+whose minors every Q_ℓ shares.  Each ψ-row entry is (∂h_i/∂y_j)(ψ), one
+`compose`; all minors det B[:,T] are read from one `hessian.ColumnMinors`
+memo over those rows, the memo that also gives the scalar minors of the
+constant rows.  The M_{ℓ,i} of one ℓ are linear combinations of the minors,
+read off one table of their coefficients (`poly.linear_combinations`), and
+so is their annihilation check.  The output form is
+f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
+(k, d-k·s), and it always has vanishing Hessian; `compose` applies the tail
+variables as key offsets and runs Horner over the Q_ℓ alone.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
@@ -35,7 +32,7 @@ from .hessian import ColumnMinors
 # tests/test_bench_targets.py read it; drop it with them at the next change
 # to the benchmark (ROADMAP item 6).
 from .hessian import symbolic_determinant  # noqa: F401
-from .poly import Polynomial, _add_into, _horner, _mul_packed, _packing, monomials_of_degree
+from .poly import Polynomial, linear_combination, linear_combinations, monomials_of_degree
 
 RETRY_BUDGET = 8
 
@@ -169,7 +166,7 @@ class GNParams:
             if pk.nvars != zc + tailc:
                 out.append(f"P_{k} must use {zc + tailc} variables (z block then tail)")
                 continue
-            for e in pk.terms:
+            for e in pk.as_dict():
                 if sum(e[:zc]) != k or sum(e[zc:]) != d - k * s:
                     out.append(f"P_{k} is not bihomogeneous of bidegree ({k}, {d - k * s})")
                     break
@@ -205,22 +202,6 @@ class GNInstance:
     vertex: VertexSubspace  # cone test of f
 
 
-def _psi_rows(params, pack, unpack):
-    """The rows (∂h_i/∂y_j)(ψ), shared by every Q_ℓ: Horner's rule in y over
-    the packed ψ_j, each entry unpacked once."""
-    n1 = params.n + 1
-    psi = [(j, {pack(e): c for e, c in p.terms.items()}) for j, p in enumerate(params.psi_forms)]
-    rows = []
-    for j in range(params.m + 1):
-        row = []
-        for h in params.h_forms:
-            terms = [(e, (0, c)) for e, c in h.partial(j).terms.items()]
-            entry = _horner(terms, psi, 0) if terms else {}
-            row.append(Polynomial(n1, {unpack(k): c for k, c in entry.items()}))
-        rows.append(row)
-    return rows
-
-
 def build_Q(params):
     """All Q_ℓ and cofactors by Laplace along the ψ-rows B, with A_ℓ the
     constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
@@ -228,29 +209,23 @@ def build_Q(params):
     ε_i(T) = (-1)^(Σ positions of T among them - m(m+1)/2).  Each M_ℓ must
     annihilate the rows of A_ℓ; rejects degenerate data.
 
-    One packing of exponents is chosen first: every ψ-row entry, minor
-    det B[:,T], M_{ℓ,i} and x_i·M_{ℓ,i} has total degree at most s.  The
-    minors come from one memo, so each m-row sub-minor is formed once and
-    shared by every T that holds its columns.  The coefficient of a monomial
-    in M_{ℓ,i} is one dot product of the scalar minors' row with the minors'
-    coefficients of that monomial, the annihilation check one dot product of
-    a row of A_ℓ with the M_{ℓ,i}'s, and Q_ℓ = Σ_i x_i·M_{ℓ,i} a key shift
-    per i, then a sum; each returned polynomial is unpacked once."""
+    The ψ-rows are (∂h_i/∂y_j)(ψ), shared by every Q_ℓ.  Their minors come
+    from one memo, so each m-row sub-minor is formed once and shared by
+    every T that holds its columns.  M_{ℓ,i} is the combination of the
+    minors with the signed scalar minors as weights, the annihilation check
+    the combinations of the M_{ℓ,i}'s with the rows of A_ℓ, and Q_ℓ the sum
+    of the x_i·M_{ℓ,i}."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
     s = params.skeleton().expected_s
-    pack, unpack = _packing(s, n1)
     cols = range(t + 1)
     subsets = list(combinations(cols, m + 1))
-    rows = _psi_rows(params, pack, unpack)
+    psi = list(params.psi_forms)
+    rows = [[h.partial(j).compose(psi) for h in params.h_forms] for j in range(m + 1)]
     b_minor = ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
-    # per packed monomial, its coefficient in each det B[:,T]
-    monomials = {}
-    for u, T in enumerate(subsets):
-        for e, c in b_minor(sum(1 << j for j in T)).terms.items():
-            monomials.setdefault(pack(e), [0] * len(subsets))[u] = c
-    xs = [{pack(tuple(int(i == j) for j in range(n1))): 1} for i in cols]
+    minors = [b_minor(sum(1 << j for j in T)) for T in subsets]
+    xs = [Polynomial.variable(n1, i) for i in cols]
     # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
     plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
@@ -260,23 +235,18 @@ def build_Q(params):
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
         a_minor = ColumnMinors(a_rows, 0, 1)
-        ms = []
-        for terms in plan:
-            weights = [0] * len(subsets)
+        weights = [[0] * len(subsets) for _ in cols]
+        for w, terms in zip(weights, plan):
             for u, r, sg in terms:
-                weights[u] = sg * a_minor(r)
-            ms.append({k: c for k, coeffs in monomials.items() if (c := sum(map(mul, weights, coeffs)))})
-        q = {}
-        for x, mi in zip(xs, ms):
-            _add_into(q, _mul_packed(mi, x).items())
+                w[u] = sg * a_minor(r)
+        ms = tuple(linear_combinations(n1, weights, minors))
+        q = linear_combination(n1, ((1, x * mi) for x, mi in zip(xs, ms)))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
-        for k in monomials:
-            values = [mi.get(k, 0) for mi in ms]
-            if any(sum(map(mul, row, values)) for row in a_rows):
-                raise InternalCheckError("a cofactor row fails to annihilate a constant row")
-        qs.append(Polynomial(n1, {unpack(k): c for k, c in q.items()}))
-        cofactors.append(tuple(Polynomial(n1, {unpack(k): c for k, c in mi.items()}) for mi in ms))
+        if any(linear_combinations(n1, a_rows, ms)):
+            raise InternalCheckError("a cofactor row fails to annihilate a constant row")
+        qs.append(q)
+        cofactors.append(ms)
     # each nonzero Q_ℓ is homogeneous of degree s, and validation checked d >= s
     tail = set(range(t + 1, n1))
     for ms in cofactors:
@@ -330,11 +300,8 @@ def _random_params(skel, coeff):
     h_forms = tuple(_dense(m + 1, skel.hdeg, coeff) for _ in range(t + 1))
     psi_forms = []
     for _ in range(m + 1):
-        tail_poly = _dense(n - t, skel.psideg, coeff)
-        shifted = {
-            (0,) * (t + 1) + e: c for e, c in tail_poly.terms.items()
-        }
-        psi_forms.append(Polynomial(n1, shifted))
+        head = (0,) * (t + 1)
+        psi_forms.append(Polynomial(n1, {head + e: coeff() for e in monomials_of_degree(n - t, skel.psideg)}))
     a_consts = tuple(
         tuple(tuple(coeff() for _ in range(t + 1)) for _ in range(t - m - 1))
         for _ in range(t - m)
@@ -397,7 +364,7 @@ def core_multiplicity(instance):
     """Least total degree of f in the tail variables over all monomials;
     equals d - μ on non-degenerate instances."""
     t = instance.params.t
-    return min(sum(e[t + 1:]) for e in instance.f.terms)
+    return min(sum(e[t + 1:]) for e in instance.f.as_dict())
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .poly import Polynomial
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_SAMPLES = 5
-# monomial products, Σ len(a.terms)·len(b.terms), that the determinant
+# monomial products, Σ len(a)·len(b) over the products a·b, that the determinant
 # certificate may spend; a count, not a time, so reports stay byte-identical
 DETERMINANT_BUDGET = 10 ** 6
 
@@ -177,8 +177,8 @@ class ColumnMinors:
     """minors(mask): det of the last popcount(mask) rows on the columns in
     mask, memoized; entries are polynomials or scalars, zero and one of their
     kind.  With a budget (polynomial entries only), each product a·b spends
-    len(a.terms)·len(b.terms) of it, and the expansion stops before one
-    would overspend."""
+    len(a)·len(b) of it, the product of their term counts, and the expansion
+    stops before one would overspend."""
 
     def __init__(self, rows, zero, one, budget=None):
         self.rows, self.zero, self.budget = rows, zero, budget
@@ -198,7 +198,7 @@ class ColumnMinors:
             if e:
                 sub = self(mask ^ low)
                 if self.budget is not None:
-                    self.budget -= len(e.terms) * len(sub.terms)
+                    self.budget -= len(e) * len(sub)
                     if self.budget < 0:
                         raise _OverBudget
                 term = e * sub

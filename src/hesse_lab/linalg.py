@@ -45,13 +45,9 @@ class ScalarMatrix:
     def from_polynomials(polys):
         """Rows = coefficient vectors of polys over the union of their
         supports, in graded-lex descending order."""
-        from .poly import grlex_key
-
-        support = set()
-        for p in polys:
-            support.update(p.terms)
-        basis = sorted(support, key=grlex_key, reverse=True)
-        return ScalarMatrix([[p.terms.get(e, 0) for e in basis] for p in polys])
+        terms = [p.as_dict() for p in polys]
+        basis = sorted(set().union(*terms), key=lambda e: (sum(e), e), reverse=True)
+        return ScalarMatrix([[t.get(e, 0) for e in basis] for t in terms])
 
     def transpose(self):
         return ScalarMatrix(

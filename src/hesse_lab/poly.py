@@ -1,22 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-A polynomial is a map from exponent tuples to nonzero rational coefficients
-(int / Fraction, see fields.py).  Terms are kept canonical: no zero
-coefficients, no duplicate monomials, and all printing/iteration uses
-graded-lexicographic descending order, so equal polynomials print identically.
+A polynomial maps monomials to nonzero rational coefficients (int /
+Fraction, see fields.py).  A monomial x^e in n variables is one int key: from
+the top, the total degree |e| (an unbounded field), then e_0, …, e_{n−1} in
+fields of FIELD_BITS bits.  Key order is graded-lex order with x0 heaviest,
+a monomial product is one key add, `extend` one shift, and ∂/∂x_i subtracts
+x_i's key; a product or composition whose exponents could pass a field
+raises DomainError instead of carrying.  Exponent tuples appear only at the
+edges: the public constructor, `as_dict`, `coefficient`, printing, parsing
+and the gcd.
 
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
 
-Products and compositions work on dicts keyed by packed exponent ints, where
-a monomial product is one int add; ``_mul_packed`` is the one multiply loop.
-``compose`` applies each single-term argument as a key offset and a
-coefficient power, runs Horner's rule over the multi-term arguments one
-variable at a time on such dicts, adds in place and unpacks once.
-``gn.build_Q`` builds its ψ-rows by the same Horner's rule (``_horner``),
-and keeps their minors and its cofactor sums on packed keys too.  A polynomial
-reads its least and greatest total degree on first use and keeps them, so
-``degree`` and ``is_homogeneous`` scan the terms once; its partials
+``_mul_packed`` is the one multiply loop.  A polynomial reads its least and
+greatest total degree on first use and keeps them; its partials
 (``gradient``) and the table its values are read from (``term_table``) are
 kept the same way, so every caller of one form shares one copy.
 
@@ -28,9 +26,9 @@ Results are monic.  GCDHEU finds the cofactors along with the gcd, so
 ``gcd_cofactors`` folds it over a list and divides nothing.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
-folding each term into one exponent vector as it goes, and refuses a
-variable index past ``MAX_VARIABLE_INDEX``, a variable exponent past
-``MAX_EXPONENT`` and a number longer than the interpreter's int-string limit.
+folding each term into one key as it goes, and refuses a variable index past
+``MAX_VARIABLE_INDEX``, a variable exponent past ``MAX_EXPONENT`` and a
+number longer than the interpreter's int-string limit.
 """
 
 from __future__ import annotations
@@ -41,32 +39,50 @@ import itertools
 import math
 import operator
 import re
+import struct
 import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, VariableCountError
-from .fields import coeff_div, norm_coeff, rational_content, substream
+from .fields import norm_coeff, rational_content, substream
 
 MINUS_INFINITY = float("-inf")
 
+# The width of one exponent field of a key.  An exponent must stay below
+# FIELD_LIMIT; struct's "H" packs and unpacks 16-bit fields in C.
+FIELD_BITS = 16
+FIELD_LIMIT = 1 << FIELD_BITS
+_FIELD_MASK = FIELD_LIMIT - 1
 
-def _packing(top, nvars):
-    """(pack, unpack) between exponent tuples and ints, one field per
-    variable wide enough for exponents up to top, so that the sum of two
-    packed tuples whose exponent sums stay within top packs their sum."""
-    if top < 256:
-        # one byte per variable, so both directions run in C
-        return (
-            lambda e: int.from_bytes(bytes(e), "little"),
-            lambda k: tuple(k.to_bytes(nvars, "little")),
-        )
-    width = top.bit_length()
-    shifts = range(0, width * nvars, width)
-    mask = (1 << width) - 1
-    return (
-        lambda e: sum(x << s for x, s in zip(e, shifts)),
-        lambda k: tuple(k >> s & mask for s in shifts),
-    )
+
+class _Layout:
+    """The keys of monomials in n variables: `shift` is where the degree
+    field starts, offsets[i] where e_i's field starts, and units[i] the key
+    of x_i."""
+
+    def __init__(self, n):
+        if n < 1:
+            raise VariableCountError("a polynomial needs at least one variable")
+        self.shift = FIELD_BITS * n
+        self.offsets = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.units = tuple((1 << self.shift) | (1 << s) for s in self.offsets)
+        self.fields = struct.Struct(f">{n}H")
+        self.low = (1 << self.shift) - 1
+
+    def pack(self, e):
+        try:
+            fields = self.fields.pack(*e)
+        except struct.error:
+            raise DomainError(f"{tuple(e)} is no exponent vector below {FIELD_LIMIT}") from None
+        return sum(e) << self.shift | int.from_bytes(fields, "big")
+
+    def unpack(self, keys):
+        """The exponent tuples of keys, in order, unpacked in C."""
+        size, order = itertools.repeat(self.fields.size), itertools.repeat("big")
+        return map(self.fields.unpack, map(int.to_bytes, map(self.low.__and__, keys), size, order))
+
+
+_layout = functools.cache(_Layout)
 
 
 def _add_into(acc, pairs):
@@ -82,7 +98,7 @@ def _add_into(acc, pairs):
 
 
 def _mul_packed(a, b):
-    """Product of two term dicts keyed by packed exponents: a monomial product
+    """Product of two term dicts keyed by monomial keys: a monomial product
     is one int add.  The one multiply loop, behind __mul__ and compose."""
     if len(a) < len(b):
         a, b = b, a
@@ -98,13 +114,13 @@ def _mul_packed(a, b):
     return out
 
 
-def _horner(terms, packed, i):
-    """Σ_k a_v^k·F_k(a) by Horner's rule in (v, a_v) = packed[i], for terms
-    the (exponents, (packed key, coefficient)) pairs of F that agree on the
-    variables of packed[:i]; each F_k(a) alike from packed[i + 1]."""
-    if i == len(packed):
+def _horner(terms, args, i):
+    """Σ_k a_v^k·F_k(a) by Horner's rule in (v, a_v) = args[i], for terms
+    the (exponents, (key, coefficient)) pairs of F that agree on the
+    variables of args[:i]; each F_k(a) alike from args[i + 1]."""
+    if i == len(args):
         return _add_into({}, map(operator.itemgetter(1), terms))
-    v, a = packed[i]
+    v, a = args[i]
     parts = {}
     for t in terms:
         parts.setdefault(t[0][v], []).append(t)
@@ -112,28 +128,32 @@ def _horner(terms, packed, i):
     for k in range(max(parts), -1, -1):
         acc = _mul_packed(acc, a)
         if k in parts:
-            _add_into(acc, _horner(parts[k], packed, i + 1).items())
+            _add_into(acc, _horner(parts[k], args, i + 1).items())
     return acc
 
 
-def grlex_key(exps):
-    """Sort key realizing graded-lex: higher total degree first, then lex on
-    exponents with x0 heaviest.  Use with reverse=True for descending order."""
-    return (sum(exps), exps)
+def _new(nvars, keyed):
+    """The polynomial with the given key -> coefficient items."""
+    p = Polynomial.__new__(Polynomial)
+    p._init(nvars, keyed)
+    return p
 
 
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` variables x0..x_{nvars-1}."""
 
-    # _low and _high: the least and greatest total degree of a term, _grad
-    # and _table: `gradient` and `term_table`; each None until first use
-    __slots__ = ("nvars", "terms", "_low", "_high", "_grad", "_table")
+    # _terms: key -> coefficient; _low and _high: the least and greatest
+    # total degree of a term, _grad and _table: `gradient` and `term_table`;
+    # each None until first use
+    __slots__ = ("nvars", "_terms", "_low", "_high", "_grad", "_table")
 
     def __init__(self, nvars, terms):
-        if nvars < 1:
-            raise VariableCountError("a polynomial needs at least one variable")
+        """Σ c·x^e over the (exponent tuple e, coefficient c) items of terms."""
+        self._init(nvars, dict(zip(map(_layout(nvars).pack, terms), terms.values())))
+
+    def _init(self, nvars, keyed):
         self.nvars = nvars
-        self.terms = {e: norm_coeff(c) for e, c in terms.items() if c}
+        self._terms = {k: norm_coeff(c) for k, c in keyed.items() if c}
         self._high = self._grad = self._table = None
 
     # ------------------------------------------------------------------
@@ -151,34 +171,31 @@ class Polynomial:
     def variable(nvars, i):
         if not 0 <= i < nvars:
             raise VariableCountError(f"variable index {i} out of range for {nvars} variables")
-        e = [0] * nvars
-        e[i] = 1
-        return Polynomial(nvars, {tuple(e): 1})
+        return _new(nvars, {_layout(nvars).units[i]: 1})
 
     @staticmethod
     def linear_form(coeffs):
         """Σ coeffs[i]·x_i in len(coeffs) variables."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Polynomial(n, terms)
+        return _new(len(coeffs), dict(zip(_layout(len(coeffs)).units, coeffs)))
 
     # ------------------------------------------------------------------
-    # structure
+    # structure and exponents
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
 
     def _scan_degrees(self):
-        degrees = list(map(sum, self.terms)) or [MINUS_INFINITY]
-        self._low, self._high = min(degrees), max(degrees)
+        shift = FIELD_BITS * self.nvars
+        self._low, self._high = (
+            (min(self._terms) >> shift, max(self._terms) >> shift) if self._terms else (MINUS_INFINITY,) * 2
+        )
 
     def degree(self):
         if self._high is None:
@@ -192,23 +209,39 @@ class Polynomial:
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self._terms:
             raise DomainError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        k = max(self._terms)
+        return next(_layout(self.nvars).unpack([k])), self._terms[k]
 
     def variables_used(self):
-        return {i for e in self.terms for i, a in enumerate(e) if a}
+        used = functools.reduce(operator.or_, self._terms, 0)
+        return {i for i, s in enumerate(_layout(self.nvars).offsets) if used >> s & _FIELD_MASK}
+
+    def as_dict(self):
+        """{exponent tuple: coefficient}, one entry per term."""
+        return dict(zip(_layout(self.nvars).unpack(self._terms), self._terms.values()))
+
+    def coefficient(self, e):
+        """The coefficient of x^e, 0 when x^e is not a term."""
+        return self._terms.get(_layout(self.nvars).pack(e), 0)
+
+    def coefficients(self):
+        return self._terms.values()
+
+    def map_coefficients(self, fn):
+        """Σ fn(c)·x^e over the terms c·x^e; terms mapped to 0 drop out."""
+        return _new(self.nvars, {k: fn(c) for k, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -229,12 +262,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compat(other)
-        return Polynomial(self.nvars, _add_into(dict(self.terms), other.terms.items()))
+        return _new(self.nvars, _add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -250,12 +283,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compat(other)
-        if not self.terms or not other.terms:
+        if not self._terms or not other._terms:
             return Polynomial.zero(self.nvars)
-        a, b = self.terms, other.terms
-        pack, unpack = _packing(max(map(max, a)) + max(map(max, b)), self.nvars)
-        out = _mul_packed({pack(e): c for e, c in a.items()}, {pack(e): c for e, c in b.items()})
-        return Polynomial(self.nvars, {unpack(k): c for k, c in out.items()})
+        # below FIELD_LIMIT in total degree no field can carry; beyond it,
+        # the largest exponents of each variable decide
+        if self.degree() + other.degree() >= FIELD_LIMIT and any(
+            a + b >= FIELD_LIMIT for a, b in zip(*(map(max, zip(*p.as_dict())) for p in (self, other)))
+        ):
+            raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
+        return _new(self.nvars, _mul_packed(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -279,16 +315,16 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.nvars)
         if type(c) is not Fraction:
-            return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return _new(self.nvars, {k: v * c for k, v in self._terms.items()})
         p, q = c.numerator, c.denominator
         out = {}
-        for e, v in self.terms.items():
+        for k, v in self._terms.items():
             if type(v) is int:
                 w, r = divmod(v * p, q)
-                out[e] = Fraction(v * p, q) if r else w
+                out[k] = Fraction(v * p, q) if r else w
             else:
-                out[e] = v * c
-        return Polynomial(self.nvars, out)
+                out[k] = v * c
+        return _new(self.nvars, out)
 
     # ------------------------------------------------------------------
     # calculus, evaluation, substitution
@@ -297,9 +333,11 @@ class Polynomial:
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i < self.nvars:
             raise VariableCountError(f"variable index {i} out of range")
+        layout = _layout(self.nvars)
+        s, unit = layout.offsets[i], layout.units[i]
         # distinct terms differentiate to distinct monomials, so nothing collects
-        return Polynomial(self.nvars, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        return _new(self.nvars, {
+            k - unit: c * x for k, c in self._terms.items() if (x := k >> s & _FIELD_MASK)
         })
 
     def gradient(self):
@@ -312,10 +350,11 @@ class Polynomial:
         """(top, coefficients, supports): the largest exponent, and per term its
         coefficient and nonzero exponents ((i, e_i), …) as shared pairs; built once."""
         if self._table is None:
-            top = max(map(max, self.terms), default=0)
+            exps = list(_layout(self.nvars).unpack(self._terms))
+            top = max(map(max, exps), default=0)
             pairs = [[(i, x) for x in range(top + 1)] for i in range(self.nvars)]
-            supports = [tuple(itertools.compress(map(operator.getitem, pairs, e), e)) for e in self.terms]
-            self._table = top, tuple(self.terms.values()), supports
+            supports = [tuple(itertools.compress(map(operator.getitem, pairs, e), e)) for e in exps]
+            self._table = top, tuple(self._terms.values()), supports
         return self._table
 
     def evaluate(self, point):
@@ -340,7 +379,8 @@ class Polynomial:
         drops the terms it enters.  Over the multi-term arguments, Horner's
         rule one variable at a time: F = Σ_k x_v^k·F_k gives
         F(a) = (…(F_K(a)·a_v + F_{K−1}(a))·a_v + …)·a_v + F_0(a), each F_k(a)
-        composed alike from the next one, on dicts keyed by packed exponents."""
+        composed alike from the next one.  Raises DomainError when
+        deg F · max deg args reaches FIELD_LIMIT."""
         if len(args) != self.nvars:
             raise VariableCountError(
                 f"{len(args)} substitution arguments for {self.nvars} variables"
@@ -348,20 +388,19 @@ class Polynomial:
         m = args[0].nvars
         if any(a.nvars != m for a in args):
             raise VariableCountError("substitution arguments disagree on variable count")
-        if not self.terms:
+        if not self._terms:
             return Polynomial.zero(m)
         # Horner forms only monomials of a_v^j·F_k(a), products and offsets
-        # included, with j <= k and k + deg F_k <= deg F, so no exponent
-        # passes deg F · e_max
-        e_max = max((max(map(max, a.terms)) for a in args if a.terms), default=0)
-        pack, unpack = _packing(self.degree() * e_max, m)
-        single = [(v, pack(e), c) for v, a in enumerate(args) if len(a.terms) == 1
-                  for e, c in a.terms.items()]
-        zero = [v for v, a in enumerate(args) if not a.terms]
-        # each term of F as (exponents, (packed key, coefficient)) of what
-        # the single-term arguments make of it
+        # included, with j <= k and k + deg F_k <= deg F, so no total degree
+        # passes deg F · max deg args
+        if self.degree() * max((a.degree() for a in args if a._terms), default=0) >= FIELD_LIMIT:
+            raise DomainError(f"a composed exponent could reach {FIELD_LIMIT}")
+        single = [(v, *next(iter(a._terms.items()))) for v, a in enumerate(args) if len(a._terms) == 1]
+        zero = [v for v, a in enumerate(args) if not a._terms]
+        # each term of F as (exponents, (key, coefficient)) of what the
+        # single-term arguments make of it
         terms = []
-        for e, c in self.terms.items():
+        for e, c in zip(_layout(self.nvars).unpack(self._terms), self._terms.values()):
             if zero and any(e[v] for v in zero):
                 continue
             k = 0
@@ -372,50 +411,46 @@ class Polynomial:
                     if cv != 1:
                         c *= cv ** x
             terms.append((e, (k, c)))
-        packed = [(v, {pack(e): c for e, c in a.terms.items()})
-                  for v, a in enumerate(args) if len(a.terms) > 1]
-        out = _horner(terms, packed, 0) if terms else {}
-        return Polynomial(m, {unpack(k): c for k, c in out.items()})
+        multi = [(v, a._terms) for v, a in enumerate(args) if len(a._terms) > 1]
+        return _new(m, _horner(terms, multi, 0) if terms else {})
 
     def extend(self, new_nvars):
-        """Embed into a larger variable set by padding trailing exponents."""
+        """Embed into a larger variable set, the new variables last."""
         if new_nvars < self.nvars:
             raise VariableCountError("cannot shrink the variable set")
         if new_nvars == self.nvars:
             return self
-        pad = (0,) * (new_nvars - self.nvars)
-        return Polynomial(new_nvars, {e + pad: c for e, c in self.terms.items()})
+        shift = FIELD_BITS * (new_nvars - self.nvars)
+        return _new(new_nvars, {k << shift: c for k, c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # division and normalization
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
-        if not self.terms:
+        if not self._terms:
             return self
         _, lc = self.leading()
-        if lc == 1:
-            return self
-        return Polynomial(
-            self.nvars, {e: coeff_div(c, lc) for e, c in self.terms.items()}
-        )
+        return self if lc == 1 else self.scale(Fraction(1, lc))
 
     # ------------------------------------------------------------------
     # printing
 
     def to_string(self, prefix="x"):
-        """The terms in graded-lex descending order.  Each factor is a cached
-        variable name and an exponent suffix, made once per distinct exponent
-        of the polynomial, so no name or suffix is formatted per term."""
-        if not self.terms:
+        """The terms in graded-lex descending order, which is descending key
+        order.  Each factor is a cached variable name and an exponent suffix,
+        made once per distinct exponent of the polynomial, so no name or
+        suffix is formatted per term."""
+        if not self._terms:
             return "0"
-        terms = self.terms
+        keys = sorted(self._terms, reverse=True)
+        exps = list(_layout(self.nvars).unpack(keys))
         names = _variable_names(prefix, self.nvars)
-        powers = {a: f"^{a}" for a in set(itertools.chain.from_iterable(terms))}
+        powers = {a: f"^{a}" for a in set(itertools.chain.from_iterable(exps))}
         powers[1] = ""
         out = []
-        for _, e in sorted(zip(map(sum, terms), terms), reverse=True):
-            c = terms[e]
+        for k, e in zip(keys, exps):
+            c = self._terms[k]
             mono = "*".join([v + powers[a] for v, a in zip(names, e) if a])
             mag = str(abs(c))
             body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
@@ -440,9 +475,19 @@ def linear_combination(nvars, pairs):
     acc = {}
     for c, p in pairs:
         if c:
-            for e, v in p.terms.items():
-                acc[e] = acc.get(e, 0) + c * v
-    return Polynomial(nvars, acc)
+            for k, v in p._terms.items():
+                acc[k] = acc.get(k, 0) + c * v
+    return _new(nvars, acc)
+
+
+def linear_combinations(nvars, weights, polys):
+    """[Σ_u w_u·polys[u] for w in weights]: each coefficient one dot product
+    of w with the monomial's coefficients in polys, read from one table."""
+    table = {}
+    for u, p in enumerate(polys):
+        for k, c in p._terms.items():
+            table.setdefault(k, [0] * len(polys))[u] = c
+    return [_new(nvars, {k: sum(map(operator.mul, w, cs)) for k, cs in table.items()}) for w in weights]
 
 
 def directional_derivative(f, v):
@@ -457,8 +502,9 @@ def directional_derivative(f, v):
 # one other character; no group matches at the end of the text
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_]+)([0-9]*)|(\S))?")
 _INDEX = re.compile(r"[A-Za-z_]+([0-9]+)")
-# The largest variable index `parse` accepts.  Exponent tuples are as wide as
-# the largest index, and no exact kernel here finishes on a thousand variables.
+# The largest variable index `parse` accepts.  Keys spend FIELD_BITS bits per
+# variable up to the largest index, and no exact kernel here finishes on a
+# thousand variables.
 MAX_VARIABLE_INDEX = 999
 # The largest exponent of a variable `parse` accepts in a term, written out or
 # reached by a product.  H_f(a) is read from a table of each coordinate's
@@ -480,15 +526,13 @@ class _Parser:
     term := factor (* factor)*; factor := coeff | var [^ int] | ( expr ).
 
     `cur` is the (kind, value, position) of the next token; a variable's
-    value is its index digits and its position that of its name.  Each term
-    folds its coefficients and variables into one exponent vector with a
-    slot per index in `indices`; only a parenthesized factor is multiplied
-    out."""
+    value is its index digits and its position that of its name.  `index`
+    maps index digits to the index, or to None past the cap.  Each term folds
+    its coefficients and variables into one key of `layout`; only a
+    parenthesized factor is multiplied out."""
 
-    def __init__(self, text, prefix, indices):
-        self.text, self.prefix = text, prefix
-        self.slots = {i: k for k, i in enumerate(indices)}
-        self.width = max(len(indices), 1)
+    def __init__(self, text, prefix, layout, index):
+        self.text, self.prefix, self.layout, self.index = text, prefix, layout, index
         self.pos = 0
         self.advance()
 
@@ -509,7 +553,7 @@ class _Parser:
                 )
             if not index:
                 raise ParseError("variable needs a numeric index", m.start(2))
-            if _capped_index(index) is None:
+            if self.index[index] is None:
                 raise ParseError(
                     f"variable index exceeds the cap {MAX_VARIABLE_INDEX}", m.start(3)
                 )
@@ -552,7 +596,7 @@ class _Parser:
             sign = self.sign()
 
     def term(self, c):
-        e = [0] * self.width
+        key = 0
         inner = []
         while True:
             kind, value, pos = self.cur
@@ -574,10 +618,10 @@ class _Parser:
                     if self.cur[0] == "-":
                         raise ParseError("negative exponent", self.cur[2])
                     exp = int(self.expect("int"))
-                slot = self.slots[int(value)]
-                e[slot] += exp
-                if e[slot] > MAX_EXPONENT:
+                i = self.index[value]
+                if (key >> self.layout.offsets[i] & _FIELD_MASK) + exp > MAX_EXPONENT:
                     raise _exponent_error(pos)
+                key += exp * self.layout.units[i]
             elif kind == "(":
                 self.advance()
                 inner.append((self.expr(), pos))
@@ -589,10 +633,13 @@ class _Parser:
             self.advance()
         if not c:
             return {}
-        term = {tuple(e): c}
+        term = {key: c}
         for p, pos in inner:
-            term = (Polynomial(self.width, term) * Polynomial(self.width, p)).terms
-            if any(x > MAX_EXPONENT for m in term for x in m):
+            # fields of at most MAX_EXPONENT add without a carry
+            term = _mul_packed(term, p)
+            if term and max(term) >> self.layout.shift > MAX_EXPONENT and any(
+                x > MAX_EXPONENT for e in self.layout.unpack(term) for x in e
+            ):
                 raise _exponent_error(pos)
         return term
 
@@ -607,23 +654,18 @@ def parse(text, var_prefix="x", nvars=None):
     The variable count defaults to one more than the largest index used
     (at least 1); pass ``nvars`` to embed in a larger variable set.
     """
-    # the pass keeps one exponent slot per index used, so that no tuple as
-    # wide as the largest index is built before the text is known to parse
-    indices = sorted({i for i in map(_capped_index, _INDEX.findall(text)) if i is not None})
-    terms = _Parser(text, var_prefix, indices).parse()
-    inferred = indices[-1] + 1 if indices else 0
+    # each distinct index is converted once, before the pass; past nvars,
+    # the pass runs in the wider layout, so that a syntax error is reported
+    # before the index
+    index = {digits: _capped_index(digits) for digits in set(_INDEX.findall(text))}
+    inferred = max((i for i in index.values() if i is not None), default=-1) + 1
     width = max(inferred, 1) if nvars is None else nvars
+    terms = _Parser(text, var_prefix, _layout(max(width, inferred, 1)), index).parse()
     if inferred > width:
         raise ParseError(f"variable index {inferred - 1} exceeds nvars={nvars}", 0)
-    if len(indices) < width:  # some index is unused
-        def spread(e):
-            full = [0] * width
-            for i, a in zip(indices, e):
-                full[i] = a
-            return tuple(full)
-
-        terms = {spread(e): c for e, c in terms.items()}
-    return Polynomial(width, terms)
+    if width < 1:
+        raise VariableCountError("a polynomial needs at least one variable")
+    return _new(width, terms)
 
 
 # ----------------------------------------------------------------------
@@ -852,7 +894,7 @@ def gcd(a, b):
     used = sorted(a.variables_used() | b.variables_used())
     if not used:
         return Polynomial.constant(a.nvars, 1)
-    g, _, _ = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), used)
+    g, _, _ = _heu_gcd(_primitive_ints(a.as_dict()), _primitive_ints(b.as_dict()), used)
     return Polynomial(a.nvars, g).monic()
 
 
@@ -863,7 +905,7 @@ def gcd_cofactors(polys):
     the fold over the primitive integer parts keeps them and divides
     nothing: where gcd(g, p_j) = g/q, each earlier cofactor gains the factor
     q.  ρ is made monic once, at the end."""
-    parts = [_primitive_ints(p.terms) for p in polys if p]
+    parts = [_primitive_ints(p.as_dict()) for p in polys if p]
     if not parts:
         raise DomainError("gcd of an all-zero list")
     n = polys[0].nvars
@@ -877,7 +919,7 @@ def gcd_cofactors(polys):
     rho, quotients = Polynomial(n, g), iter(cofactors)
     # p = content(p)·g·q_p, and ρ = g/lc(g)
     return rho.monic(), [
-        next(quotients).scale(rational_content(p.terms.values()) * rho.leading()[1]) if p else p
+        next(quotients).scale(rational_content(p.coefficients()) * rho.leading()[1]) if p else p
         for p in polys
     ]
 

@@ -37,20 +37,18 @@ DEFAULT_MAX_RELATION_DEGREE = 8
 
 
 def _integral(polys):
-    """The term dicts of polys, all scaled by the lcm of their denominators,
-    which changes no answer to "does this vanish"."""
-    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    if lcm == 1:
-        return [p.terms for p in polys]
-    return [{e: int(c * lcm) for e, c in p.terms.items()} for p in polys]
+    """polys, all scaled by the lcm of their denominators, which changes no
+    answer to "does this vanish"."""
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
+    return polys if lcm == 1 else [p.scale(lcm) for p in polys]
 
 
-def _norm(terms):
-    return sum(map(abs, terms.values()))
+def _norm(p):
+    return sum(map(abs, p.coefficients()))
 
 
 class _Digits:
-    """Kronecker substitution on the index of a family: integer term dicts
+    """Kronecker substitution on the index of a family: integer polynomials
     p_k are packed into Σ_k p_k·2^(bits·k), and a Z-linear image of them is
     read back digit by digit.  With 2^(bits−1) > bound ≥ |a_k|, a coefficient
     c = Σ_k a_k·2^(bits·k) of the image has the plain base-2^bits digits
@@ -62,16 +60,12 @@ class _Digits:
         self.offset = sum(1 << (self.bits * k + self.bits - 1) for k in range(count))
 
     def pack(self, family):
-        packed = {}
-        for k, terms in enumerate(family):
-            for e, c in terms.items():
-                packed[e] = packed.get(e, 0) + (c << self.bits * k)
-        return packed
+        return linear_combination(family[0].nvars, ((1 << self.bits * k, p) for k, p in enumerate(family)))
 
-    def digit(self, terms, k):
-        """Digit k of each coefficient of a packed term dict."""
+    def digit(self, packed, k):
+        """Digit k of each coefficient of a packed polynomial."""
         shift, mask, half = self.bits * k, (1 << self.bits) - 1, 1 << (self.bits - 1)
-        return {e: ((c + self.offset) >> shift & mask) - half for e, c in terms.items()}
+        return packed.map_coefficients(lambda c: ((c + self.offset) >> shift & mask) - half)
 
     def nonzero(self, coeffs):
         """Per digit k < count: whether a_k ≠ 0 in some coefficient."""
@@ -86,11 +80,10 @@ def _packed_dot(a, b):
     """Σ_j a_j·b_j up to a positive scale: digit k of the one product
     (Σ_j a_j·2^(bits·j))·(Σ_j b_j·2^(bits·(k−j))), whose digit i is
     Σ_{j−j' = i−k} a_j·b_j', of coefficients at most (Σ_j ‖a_j‖₁)(Σ_j ‖b_j‖₁)."""
-    n, k = a[0].nvars, len(a) - 1
+    k = len(a) - 1
     a, b = _integral(a), _integral(b)
     digits = _Digits(sum(map(_norm, a)) * sum(map(_norm, b)), 2 * k + 1)
-    product = Polynomial(n, digits.pack(a)) * Polynomial(n, digits.pack(b[::-1]))
-    return Polynomial(n, digits.digit(product.terms, k))
+    return digits.digit(digits.pack(a) * digits.pack(b[::-1]), k)
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ class PolarRelation:
             return None
         g = G.compose([Polynomial.linear_form(w) for w in span])
         raw = [linear_combination(n, zip((w[i] for w in span), parts)) for i in range(g.nvars)]
-        scale = 1 / rational_content(g.terms.values())
+        scale = 1 / rational_content(g.coefficients())
         if g.leading()[1] < 0:
             scale = -scale
         if scale != 1:
@@ -274,7 +267,7 @@ def build_psi(f, relation):
         raise DomainError("all derivative compositions vanish; choose another relation")
     rho, quotients = gcd_cofactors(relation.parts)
     h = [linear_combination(f.nvars, zip((w[i] for w in relation.span), quotients)) for i in range(f.nvars)]
-    content = rational_content([c for hi in h for c in hi.terms.values()])
+    content = rational_content([c for hi in h for c in hi.coefficients()])
     if content != 1:
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
@@ -321,21 +314,17 @@ def check_invariance(forms, psi):
     n1, family, h = psi.nvars, _integral(forms), _integral(psi.h)
     degrees, m = [F.degree() for F in forms], 1 + max(map(_norm, h))
     digits = _Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
-    packed, sigma = Polynomial(n1, digits.pack(family)), {}
-    for j, hj in enumerate(h):
-        pj = hj and packed.partial(j)
-        if pj:
-            for e, c in (pj * Polynomial(n1, hj)).terms.items():
-                sigma[e] = sigma.get(e, 0) + c
+    packed = digits.pack(family)
+    sigma = linear_combination(n1, ((1, packed.partial(j) * hj) for j, hj in enumerate(h) if hj))
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
+    lam = Polynomial.variable(n1 + 1, n1)
     shifted = packed.compose([
-        Polynomial.variable(n1 + 1, i) + Polynomial(n1 + 1, {e + (1,): c for e, c in hi.items()})
-        for i, hi in enumerate(h)
+        Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1) * lam for i, hi in enumerate(h)
     ])
     by_lambda = {}
-    for e, c in shifted.terms.items():
+    for e, c in shifted.as_dict().items():
         by_lambda.setdefault(e[-1], []).append(c)
-    derivative = digits.nonzero(sigma.values())
+    derivative = digits.nonzero(sigma.coefficients())
     moved = digits.nonzero(c for a, cs in by_lambda.items() if a for c in cs)
     top = {D: digits.nonzero(by_lambda.get(D, ())) for D in set(degrees)}
     return [
@@ -438,7 +427,7 @@ def _line_point(w, q, norm, degree):
 
 def _primitive_norm(p):
     """‖p‖₁ of p scaled to coprime integers, which vanishes where p does."""
-    coeffs = list(p.terms.values())
+    coeffs = list(p.coefficients())
     return int(sum(map(abs, coeffs)) / rational_content(coeffs))
 
 

@@ -155,7 +155,7 @@ def test_p4_sections_paper_cubic(cubic_curve):
 
 def test_p4_sections_corrupted_curve(cubic_curve):
     # flip a sign in the conic: the double-root test must now fail
-    corrupted_curve = dict(cubic_curve.curve.terms)
+    corrupted_curve = cubic_curve.curve.as_dict()
     key = next(iter(corrupted_curve))
     corrupted_curve[key] = -corrupted_curve[key]
     fake = dataclasses.replace(cubic_curve, curve=Polynomial(3, corrupted_curve))
@@ -188,7 +188,7 @@ def binary_forms(draw):
 @given(binary_forms())
 def test_repeated_root_by_euler_matches_sympy_sqf_list(r):
     u, v = sympy.symbols("u v")
-    expr = sum(c * u ** e[0] * v ** e[1] for e, c in r.terms.items())
+    expr = sum(c * u ** e[0] * v ** e[1] for e, c in r.as_dict().items())
     _, factors = sympy.sqf_list(expr, u, v)
     square = [(p, k) for p, k in factors if k >= 2]
     repeated, root = classify._repeated_root_data(r)

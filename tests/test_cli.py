@@ -331,6 +331,39 @@ def test_catalog_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_one_parser_serves_successive_calls(tmp_path):
+    # main builds its parser once per process: calls with other subcommands
+    # and options, one after another on the kept parser, give the reports of
+    # calls that each build a fresh one, and no option leaks into the next
+    argvs = [
+        ["catalog", "--types", "4,2,1,2,1,3", "--types", "4,2,1,2,1,4", "--seed", "3"],
+        ["analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", "1"],
+        ["catalog", "--types", "4,2,1,2,1,3"],
+        ["analyze", "--poly", PAPER_CUBIC],
+    ]
+    kept = [run(tmp_path, *argv, name=f"kept{i}.json") for i, argv in enumerate(argvs)]
+    assert build_parser() is build_parser()
+    fresh = []
+    for i, argv in enumerate(argvs):
+        build_parser.cache_clear()
+        fresh.append(run(tmp_path, *argv, name=f"fresh{i}.json"))
+    assert kept == fresh
+    assert [doc["input"] for _, doc in kept[::2]] == [
+        {"types": ["4,2,1,2,1,3", "4,2,1,2,1,4"], "count": 1},
+        {"types": ["4,2,1,2,1,3"], "count": 1},
+    ]
+    assert kept[1][1]["results"]["polar_relation"] is None
+    assert kept[3][1]["results"]["polar_relation"]["degree"] == 2
+
+
+def test_analyze_past_the_exponent_field_exit_2(capsys):
+    # the ψ battery expands f(x + λh), of degree up to 257·257 here, past
+    # the 16-bit exponent field: a reason on stderr and exit 2, no traceback
+    text = "x0*x3^256 + x1*x3^128*x4^128 + x2*x4^256"
+    assert main(["analyze", "--poly", text, "--no-timings"]) == 2
+    assert capsys.readouterr().err == f"error: a composed exponent could reach {poly.FIELD_LIMIT}\n"
+
+
 def test_catalog_invalid_skeleton_exit_5(capsys):
     assert main(["catalog", "--types", "4,3,1,2,1,3"]) == 5
     # every bad skeleton is reported, not only the first

@@ -116,7 +116,7 @@ def _derivative_rows_read(monkeypatch, f):
 
 
 def _all_derivative_rows(f):
-    return len({e[:i] + (x - 1,) + e[i + 1:] for e in f.terms for i, x in enumerate(e) if x})
+    return len({e[:i] + (x - 1,) + e[i + 1:] for e in f.as_dict() for i, x in enumerate(e) if x})
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ import gc
 import types
 from dataclasses import replace
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import gn, hessian
-from hesse_lab.cones import cone_test
+from hesse_lab.cones import VertexSubspace, cone_test
 from hesse_lab.errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from hesse_lab.fields import substream
 from hesse_lab.gn import (
@@ -27,7 +28,8 @@ from hesse_lab.gn import (
     validate,
 )
 from hesse_lab.hessian import PolyMatrix, hessian_matrix, hessian_vanishes, symbolic_determinant
-from hesse_lab.poly import Polynomial, _packing, monomials_of_degree, parse
+from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from hesse_lab.reports import GN_SUITE_SKELETONS, run_gn_suite
 
 
 def spec_params_421(d=3, p1=None, p0=None):
@@ -278,18 +280,36 @@ _MINOR_SKELETONS = (
 )
 
 
+def _psi_rows_of_build_Q(params):
+    """The polynomial rows build_Q hands to ColumnMinors: its psi-rows."""
+    real, captured = gn.ColumnMinors, []
+
+    def recording(rows, zero, one):
+        if isinstance(zero, Polynomial):
+            captured.append(rows)
+        return real(rows, zero, one)
+
+    with mock.patch.object(gn, "ColumnMinors", recording):
+        try:
+            build_Q(params)
+        except DegenerateDataError:
+            pass
+    [rows] = captured
+    return rows
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_MINOR_SKELETONS), st.integers(0, 2**32))
 def test_horner_psi_rows_and_shared_minors_match_the_polynomial_oracle(types, seed):
-    # the Horner psi-rows against compose, and the minors of the memo shared
-    # by all column subsets against symbolic_determinant of each PolyMatrix
+    # the psi-rows build_Q passes to its memo against compose term by term,
+    # and the minors of the memo shared by all column subsets against
+    # symbolic_determinant of each PolyMatrix
     skel = GNSkeleton(*types)
     assert not skel.violations()
     rng = substream(seed, "test_minors")
     params = gn._random_params(skel, lambda: gn._nonzero(rng))
     n1, t, m = params.n + 1, params.t, params.m
-    pack, unpack = _packing(skel.expected_s, n1)
-    rows = gn._psi_rows(params, pack, unpack)
+    rows = _psi_rows_of_build_Q(params)
     oracle_rows = [[h.partial(j).compose(list(params.psi_forms)) for h in params.h_forms]
                    for j in range(m + 1)]
     assert rows == oracle_rows
@@ -349,16 +369,35 @@ def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, 
     # the first psi-row times x_0 (a head variable) or x_7 (one degree up),
     # so every minor det B[:,T] from the memo is x_0 or x_7 times its own
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real_rows = gn._psi_rows
+    real = gn.ColumnMinors
     x = Polynomial.variable(8, variable)
 
-    def shifted(params, pack, unpack):
-        first, *rest = real_rows(params, pack, unpack)
-        return [[e * x for e in first], *rest]
+    def shifted(rows, zero, one):
+        if isinstance(zero, Polynomial):
+            first, *rest = rows
+            rows = [[e * x for e in first], *rest]
+        return real(rows, zero, one)
 
-    monkeypatch.setattr(gn, "_psi_rows", shifted)
+    monkeypatch.setattr(gn, "ColumnMinors", shifted)
     with pytest.raises(InternalCheckError, match="tail-support"):
         build_Q(params)
+
+
+def test_gn_suite_reports_cone_draws_past_the_allowance():
+    # random_instance retries every cone draw, so the default draw never
+    # trips the suite's genericity check; a draw whose instances carry a
+    # cone vertex does, once per skeleton
+    def cone_draw(skel, seed):
+        instance = random_instance(skel, seed)
+        return replace(instance, vertex=VertexSubspace(basis=((1,) + (0,) * skel.n,), projective_dim=0))
+
+    report = run_gn_suite(2, 0, draw=cone_draw)
+    assert report["ok"] is False
+    assert all(entry["is_cone"] for entry in report["entries"])
+    assert report["violations"] == [
+        f"{skel}: 2 cone draws exceed the non-general allowance of 1" for skel in GN_SUITE_SKELETONS
+    ]
+    assert run_gn_suite(2, 0)["ok"] is True
 
 
 def test_d_equal_s_with_t_minus_m_at_least_2_need_not_be_a_cone():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -105,7 +106,7 @@ def test_det_2x2():
 
 
 def test_det_budget_counts_monomial_products():
-    # each product a·b spends len(a.terms)·len(b.terms): here 2·1 + 1·1
+    # each product a·b spends len(a)·len(b): here 2·1 + 1·1
     m = PolyMatrix([[parse("x0 + x1"), parse("x1")], [parse("x1"), parse("x0", nvars=2)]])
     assert symbolic_determinant(m, budget=3) == parse("x0^2 + x0*x1 - x1^2")
     assert symbolic_determinant(m, budget=2) is None
@@ -212,9 +213,9 @@ def test_trials_for_error_meets_the_target():
 
 
 # deg h_f <= 1·(2^21 + 2 - 2) = 2^21 puts the bound for one trial above
-# 2^-40, so the verdict reads two points; built directly, as its exponent is
-# past the parser's cap
-TWO_TRIALS = Polynomial(1, {(2**21 + 2,): 1})
+# 2^-40, so the verdict reads two points.  rank_verdict reads only the variable
+# count and the degree of x0^(2^21 + 2), whose exponent no Polynomial holds
+TWO_TRIALS = SimpleNamespace(nvars=1, degree=lambda: 2**21 + 2)
 
 
 def test_rank_verdict_reads_trials_points_and_stops_at_a_witness():

@@ -13,12 +13,14 @@ from hesse_lab.errors import DomainError, ParseError, VariableCountError
 from hesse_lab.fields import norm_coeff, substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
+    FIELD_LIMIT,
     MAX_EXPONENT,
     MAX_VARIABLE_INDEX,
     MINUS_INFINITY,
     Polynomial,
     _heu_gcd,
     _int_quotient,
+    _layout,
     _primitive_ints,
     gcd,
     gcd_cofactors,
@@ -34,7 +36,7 @@ PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 def quotient(p, g):
     """prim(p)/prim(g) in Z[x] by trial division, or None; by Gauss's lemma
     g divides p in Q[x] exactly when this is not None."""
-    return _int_quotient(_primitive_ints(p.terms), _primitive_ints(g.terms))
+    return _int_quotient(_primitive_ints(p.as_dict()), _primitive_ints(g.as_dict()))
 
 
 def divides(g, p):
@@ -55,7 +57,7 @@ def random_poly(rng, nvars=3, max_deg=4, max_terms=6):
 def test_parse_paper_cubic():
     f = parse(PAPER_CUBIC)
     assert f.nvars == 5
-    assert len(f.terms) == 3
+    assert len(f) == 3
     assert f.degree() == 3
     assert f.is_homogeneous()
 
@@ -63,12 +65,12 @@ def test_parse_paper_cubic():
 def test_parse_zero():
     z = parse("0")
     assert z.is_zero()
-    assert z.terms == {}
+    assert z.as_dict() == {}
 
 
 def test_parse_fermat_cubic():
     f = parse("x0^3 + x1^3 + x2^3")
-    assert len(f.terms) == 3
+    assert len(f) == 3
     assert f.is_homogeneous()
 
 
@@ -301,13 +303,17 @@ def test_ring_axioms_seeded(seed=11, cases=100):
 
 @pytest.mark.parametrize("top", [254, 255, 256, 2**70])
 def test_product_exponents_beyond_a_byte(top):
-    # the largest exponent of a product is top: up to 255 it packs one byte
-    # per variable, beyond that wider fields
+    # the largest exponent of a product is top: a byte and more fit the
+    # 16-bit exponent field, and 2^70 is refused when the form is built
+    if top > FIELD_LIMIT:
+        with pytest.raises(DomainError):
+            Polynomial(2, {(top - 1, 0): 2})
+        return
     a = Polynomial(2, {(top - 1, 0): 2, (0, top - 1): -1, (1, 3): 3})
     b = Polynomial(2, {(1, 0): 5, (0, 1): 1, (0, 0): -4})
     expected = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+    for ea, ca in a.as_dict().items():
+        for eb, cb in b.as_dict().items():
             e = (ea[0] + eb[0], ea[1] + eb[1])
             expected[e] = expected.get(e, 0) + ca * cb
     assert a * b == Polynomial(2, expected)
@@ -385,7 +391,7 @@ def test_compose_length_mismatch():
 def compose_term_by_term(f, args):
     """The test oracle: each term of f as a product of argument powers, summed."""
     acc = Polynomial.zero(args[0].nvars)
-    for e, c in f.terms.items():
+    for e, c in f.as_dict().items():
         t = Polynomial.constant(args[0].nvars, c)
         for a, k in zip(args, e):
             t = t * a ** k
@@ -438,11 +444,11 @@ def test_compose_matches_term_by_term(case):
     assert got.nvars == args[0].nvars
     assert got == compose_term_by_term(f, args)
     # canonical coefficients: integral values are ints
-    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert all(type(c) is int or c.denominator != 1 for c in got.coefficients())
 
 
 def to_sympy(p, symbols):
-    return sum((c * sympy.Mul(*(x ** k for x, k in zip(symbols, e))) for e, c in p.terms.items()),
+    return sum((c * sympy.Mul(*(x ** k for x, k in zip(symbols, e))) for e, c in p.as_dict().items()),
                sympy.Integer(0))
 
 
@@ -493,12 +499,12 @@ def test_compose_single_term_arguments_match_sympy(case):
         {x: to_sympy(a, zs) for x, a in zip(xs, args)}, simultaneous=True))
     got = f.compose(args)
     assert sympy.expand(to_sympy(got, zs) - expected) == 0
-    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert all(type(c) is int or c.denominator != 1 for c in got.coefficients())
 
 
 def _scanned_degrees(p):
     """(degree, is_homogeneous) by a fresh scan of the terms."""
-    degrees = {sum(e) for e in p.terms}
+    degrees = {sum(e) for e in p.as_dict()}
     return (max(degrees) if degrees else MINUS_INFINITY), len(degrees) <= 1
 
 
@@ -572,10 +578,10 @@ def test_scale_matches_the_fraction_route(terms, c):
     # products q does not divide stay Fractions, divisible ones become ints,
     # and Fraction coefficients are multiplied as before
     p = Polynomial(2, terms)
-    expected = {e: norm_coeff(Fraction(v) * c) for e, v in p.terms.items() if v * c}
+    expected = {e: norm_coeff(Fraction(v) * c) for e, v in p.as_dict().items() if v * c}
     got = p.scale(c)
-    assert got.terms == expected
-    assert {e: type(v) for e, v in got.terms.items()} == {e: type(v) for e, v in expected.items()}
+    assert got.as_dict() == expected
+    assert {e: type(v) for e, v in got.as_dict().items()} == {e: type(v) for e, v in expected.items()}
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +667,7 @@ def sympy_gcd_monic(a, b):
     def expr(p):
         return sum(
             sympy.Rational(c.numerator, c.denominator) * sympy.prod(x ** k for x, k in zip(xs, e))
-            for e, c in ((e, Fraction(c)) for e, c in p.terms.items())
+            for e, c in ((e, Fraction(c)) for e, c in p.as_dict().items())
         )
 
     g = sympy.Poly(sympy.gcd(expr(a), expr(b)), *xs)
@@ -744,7 +750,7 @@ M = 1334555360177676571497380129494860626631764270280
 )
 def test_heuristic_gcd_draws_points_until_one_passes(a, b, expected):
     a, b, expected = parse(a), parse(b), parse(expected)
-    g, qa, qb = _heu_gcd(_primitive_ints(a.terms), _primitive_ints(b.terms), sorted(a.variables_used()))
+    g, qa, qb = _heu_gcd(_primitive_ints(a.as_dict()), _primitive_ints(b.as_dict()), sorted(a.variables_used()))
     assert Polynomial(a.nvars, g).monic() == expected
     assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qa) == a
     assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qb) == b
@@ -792,7 +798,7 @@ def test_monomials_of_degree_order():
 
 def test_int_quotient_and_remainder():
     f = parse("x0^2 - x1^2")
-    assert quotient(f, parse("x0 + x1")) == parse("x0 - x1").terms
+    assert quotient(f, parse("x0 + x1")) == parse("x0 - x1").as_dict()
     assert quotient(parse("x0^2 + x1^2"), parse("x0 + x1")) is None
 
 
@@ -800,12 +806,12 @@ def test_int_quotient_by_a_monomial_on_a_large_form():
     # the seed-0 9,4,1,2,1,6 GN form: each step of the division takes the
     # remainder's leading term from a heap, not by a scan of 1890 terms
     f = random_instance(GNSkeleton(9, 4, 1, 2, 1, 6), seed=0).f
-    assert len(f.terms) == 1890
-    prim = _primitive_ints(f.terms)
+    assert len(f) == 1890
+    prim = _primitive_ints(f.as_dict())
     assert _int_quotient({e: 4 * c for e, c in prim.items()}, {(0,) * f.nvars: 4}) == prim
     x0 = Polynomial.variable(f.nvars, 0)
     assert quotient(f * x0, x0) == prim
-    assert quotient(f * x0 * x0, f) == (x0 * x0).terms
+    assert quotient(f * x0 * x0, f) == (x0 * x0).as_dict()
     assert quotient(f * x0 + Polynomial.variable(f.nvars, 1) ** 7, x0) is None
 
 
@@ -831,7 +837,7 @@ def division_cases(draw):
 def test_int_quotient_inverts_multiplication_and_refuses_non_multiples(case):
     # prim(a·b) = prim(a)·prim(b) by Gauss's lemma
     a, b, r = case
-    assert quotient(a * b, b) == (_primitive_ints(a.terms) if a else {})
+    assert quotient(a * b, b) == (_primitive_ints(a.as_dict()) if a else {})
     assert quotient(a * b + r, b) is None
 
 
@@ -865,3 +871,141 @@ def test_compose_args_must_share_variable_count():
     g = parse("y0*y1", var_prefix="y")
     with pytest.raises(VariableCountError):
         g.compose([Polynomial.variable(2, 0), Polynomial.variable(3, 1)])
+
+
+# ----------------------------------------------------------------------
+# the packed layout against a tuple-dict oracle
+
+def _grlex(e):
+    return sum(e), e
+
+
+def _oracle(terms):
+    """terms with canonical coefficients and no zeros, as Polynomial keeps them."""
+    return {e: norm_coeff(c) for e, c in terms.items() if c}
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _oracle(out)
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(sum, zip(ea, eb)))
+            out[e] = out.get(e, 0) + ca * cb
+    return _oracle(out)
+
+
+def _oracle_string(terms):
+    """The graded-lex descending printing, term by term."""
+    out = []
+    for e in sorted(terms, key=_grlex, reverse=True):
+        c = terms[e]
+        mono = "*".join(f"x{i}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(e) if a)
+        mag = str(abs(c))
+        body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+        out.append(("-" if c < 0 else "+", body))
+    first = out[0][1] if out[0][0] == "+" else "-" + out[0][1]
+    return first + "".join(f" {sign} {body}" for sign, body in out[1:])
+
+
+@st.composite
+def layout_cases(draw):
+    """(n, a, b): term dicts in 1-9 variables with int or Fraction
+    coefficients; exponents small, or up to one below the field limit."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        coeff = st.integers(-9, 9)
+    else:
+        coeff = st.fractions(-9, 9, max_denominator=6)
+    exponent = st.one_of(
+        st.integers(0, 3),
+        st.sampled_from((FIELD_LIMIT // 2 - 1, FIELD_LIMIT // 2, FIELD_LIMIT - 2, FIELD_LIMIT - 1)),
+        st.integers(0, FIELD_LIMIT - 1),
+    )
+    exps = st.tuples(*[exponent] * n)
+    a, b = (draw(st.dictionaries(exps, coeff, max_size=5)) for _ in range(2))
+    return n, a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(layout_cases())
+def test_packed_layout_matches_the_tuple_oracle(case):
+    n, a, b = case
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    a, b = _oracle(a), _oracle(b)
+    assert p.as_dict() == a
+    # key order is graded-lex order
+    es = list(a) + list(b)
+    assert sorted(es, key=_layout(n).pack) == sorted(es, key=_grlex)
+    assert (p + q).as_dict() == _oracle_add(a, b)
+    # a product raises exactly when some variable's exponents could pass a field
+    if a and b and any(x + y >= FIELD_LIMIT for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))):
+        with pytest.raises(DomainError):
+            p * q
+    else:
+        assert (p * q).as_dict() == _oracle_mul(a, b)
+    for i in range(n):
+        assert p.partial(i).as_dict() == _oracle(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+        )
+    assert p.extend(n + 2).as_dict() == {e + (0, 0): c for e, c in a.items()}
+    if a:
+        lead = max(a, key=_grlex)
+        assert p.leading() == (lead, a[lead])
+        assert p.degree() == sum(lead)
+        assert p.to_string() == _oracle_string(a)
+    else:
+        assert p.degree() == MINUS_INFINITY and p.to_string() == "0"
+
+
+@st.composite
+def layout_compose_cases(draw):
+    """(F, args): F with exponents up to 3 in 1-4 variables, args of up to
+    three terms in 1-4 variables whose exponents reach near the field limit,
+    so that deg F · max deg args passes it in some cases."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)).filter(bool)
+    f = Polynomial(n, draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=3)))
+    exponent = st.one_of(st.integers(0, 2), st.sampled_from((FIELD_LIMIT // 8, FIELD_LIMIT // 4 - 1)))
+    arg = st.dictionaries(st.tuples(*[exponent] * m), coeff, max_size=3)
+    return f, [Polynomial(m, draw(arg)) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(layout_compose_cases())
+def test_packed_compose_matches_sympy_below_the_field_limit(case):
+    f, args = case
+    top = f.degree() * max((a.degree() for a in args if a), default=0) if f else 0
+    if top >= FIELD_LIMIT:
+        with pytest.raises(DomainError, match="composed exponent"):
+            f.compose(args)
+        return
+    xs = sympy.symbols(f"y0:{f.nvars}")
+    zs = sympy.symbols(f"x0:{args[0].nvars}")
+    expected = sympy.expand(to_sympy(f, xs).subs(
+        {x: to_sympy(a, zs) for x, a in zip(xs, args)}, simultaneous=True))
+    assert sympy.expand(to_sympy(f.compose(args), zs) - expected) == 0
+
+
+def test_the_field_limit_raises_instead_of_carrying():
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    top = Polynomial(2, {(FIELD_LIMIT - 1, 0): 1})
+    with pytest.raises(DomainError):
+        Polynomial(2, {(FIELD_LIMIT, 0): 1})
+    with pytest.raises(DomainError):
+        Polynomial(2, {(-1, 0): 1})
+    with pytest.raises(DomainError, match="product exponent"):
+        top * x0
+    with pytest.raises(DomainError, match="product exponent"):
+        top ** 2
+    # past the limit in total degree only: the fields hold, so no error
+    assert (top * x1).as_dict() == {(FIELD_LIMIT - 1, 1): 1}
+    assert (top * Polynomial(2, {(0, FIELD_LIMIT - 1): 3})).degree() == 2 * FIELD_LIMIT - 2
+    with pytest.raises(DomainError, match="composed exponent"):
+        Polynomial(1, {(2,): 1}).compose([Polynomial(2, {(FIELD_LIMIT // 2, 0): 1})])

@@ -115,9 +115,9 @@ def test_psi_components_paper_cubic(cubic_psi):
     # overall sign; after content removal h ~ (x4^2, -x3*x4, x3^2, 0, 0)
     h = cubic_psi.h
     assert projectively_equal(
-        [hi.terms.get((0, 0, 0, 0, 2), 0) for hi in h]
-        + [hi.terms.get((0, 0, 0, 1, 1), 0) for hi in h]
-        + [hi.terms.get((0, 0, 0, 2, 0), 0) for hi in h],
+        [hi.coefficient((0, 0, 0, 0, 2)) for hi in h]
+        + [hi.coefficient((0, 0, 0, 1, 1)) for hi in h]
+        + [hi.coefficient((0, 0, 0, 2, 0)) for hi in h],
         [1, 0, 0, 0, 0] + [0, -1, 0, 0, 0] + [0, 0, 1, 0, 0],
     )
     assert h[3].is_zero() and h[4].is_zero()
@@ -358,7 +358,7 @@ def test_line_point_agrees_with_the_composition(case):
     p, w, q = case
     lam = Polynomial.variable(1, 0)
     args = [Polynomial.constant(1, a) + lam.scale(b) for a, b in zip(w, q)]
-    norm = sum(abs(c) for c in p.terms.values())
+    norm = sum(abs(c) for c in p.coefficients())
     point = psi_module._line_point(w, q, norm, max(p.degree(), 0))
     assert (p.evaluate(point) == 0) is p.compose(args).is_zero()
 
@@ -428,7 +428,7 @@ def test_build_psi_on_a_six_variable_sextic():
     f = random_instance(GNSkeleton(5, 2, 1, 2, 1, 6), seed=0).f
     rel = find_polar_relation(f, max_degree=2)
     psi = build_psi(f, rel)
-    assert (psi.rho.degree(), len(psi.rho.terms)) == (3, 28)
+    assert (psi.rho.degree(), len(psi.rho)) == (3, 28)
     assert sum(1 for g in psi.relation.raw if g) == 3
     for gi, hi in zip(psi.relation.raw, psi.h):
         assert psi.rho * hi == gi
@@ -576,7 +576,7 @@ def test_w_and_relation_degree_are_coordinate_free(f):
 def _sympy_expr(p):
     xs = sympy.symbols(f"x0:{p.nvars}")
     return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
-               for e, c in p.terms.items())
+               for e, c in p.as_dict().items())
 
 
 @st.composite
@@ -682,7 +682,7 @@ def _sympy(p, args=_RX):
     """p at args, in sympy's own sparse polynomial ring."""
     return sum(
         (sympy.QQ(c.numerator, c.denominator) * math.prod(x**k for x, k in zip(args, e) if k)
-         for e, c in p.terms.items()),
+         for e, c in p.as_dict().items()),
         _R.zero,
     )
 
@@ -709,12 +709,12 @@ def small_forms(draw, variables=(0, 1, 2), degrees=(1, 2, 3), fractions=True):
 
 @st.composite
 def digit_families(draw):
-    """(bound, family): term dicts in two monomials whose coefficients lie in
-    [−bound, bound], the extremes and zero drawn often."""
+    """(bound, family): polynomials in two monomials whose coefficients lie
+    in [−bound, bound], the extremes and zero drawn often."""
     bound = draw(st.sampled_from((0, 1, 2, 3, 2**8 - 1, 2**8, 10**30)))
     coeff = st.one_of(st.sampled_from((-bound, bound, 0)), st.integers(-bound, bound))
     terms = st.dictionaries(st.sampled_from(((1, 0), (0, 1))), coeff, max_size=2)
-    return bound, draw(st.lists(terms, min_size=1, max_size=5))
+    return bound, [Polynomial(2, t) for t in draw(st.lists(terms, min_size=1, max_size=5))]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -723,9 +723,9 @@ def test_digits_read_back_every_packed_coefficient(case):
     bound, family = case
     digits = psi_module._Digits(bound, len(family))
     packed = digits.pack(family)
-    for k, terms in enumerate(family):
-        assert {e: c for e, c in digits.digit(packed, k).items() if c} == {e: c for e, c in terms.items() if c}
-    assert digits.nonzero(packed.values()) == [any(terms.values()) for terms in family]
+    for k, p in enumerate(family):
+        assert digits.digit(packed, k) == p
+    assert digits.nonzero(packed.coefficients()) == [bool(p) for p in family]
 
 
 @st.composite
