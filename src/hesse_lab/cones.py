@@ -44,12 +44,12 @@ class VertexSubspace:
 def _derivative_rows(f):
     """The rows of the directional-derivative matrix of f, one per monomial μ
     of the partials, in the order of μ's first appearance as x^e/x_i over
-    the terms c·x^e of f: the row of μ is (c_{μ+ε_j}·(μ_j + 1))_j, read by
-    lookup, so a row costs nvars lookups and no row is built before it is
-    read."""
+    the terms c·x^e of f in ascending lex order, whose first nvars rows had
+    full rank on every GN form tried: the row of μ is (c_{μ+ε_j}·(μ_j + 1))_j,
+    built by nvars lookups when it is read."""
     terms, n = f.as_dict(), f.nvars
     seen = set()
-    for e in terms:
+    for e in sorted(terms):
         for i, x in enumerate(e):
             if x:
                 mu = e[:i] + (x - 1,) + e[i + 1:]

@@ -7,8 +7,8 @@ fields of FIELD_BITS bits.  Key order is graded-lex order with x0 heaviest,
 a monomial product is one key add, `extend` one shift, and ∂/∂x_i subtracts
 x_i's key; a product or composition whose exponents could pass a field
 raises DomainError instead of carrying.  Exponent tuples appear only at the
-edges: the public constructor, `as_dict`, `coefficient`, printing, parsing
-and the gcd.
+edges: the public constructor, `as_dict`, `coefficient`, printing and
+parsing.
 
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
@@ -19,11 +19,11 @@ greatest total degree on first use and keeps them; its partials
 kept the same way, so every caller of one form shares one copy.
 
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
-integers, integer gcd, reconstruction from symmetric digits).  It accepts a
-result only after exact trial division and draws larger points until one
-passes, which always happens; the comment above ``_heu_gcd`` proves both.
-Results are monic.  GCDHEU finds the cofactors along with the gcd, so
-``gcd_cofactors`` folds it over a list and divides nothing.
+integers, integer gcd, reconstruction from symmetric digits), on keys.  It
+accepts a result only after exact trial division and draws larger points
+until one passes, which always happens; the comment above ``_primitive_ints``
+proves both.  Results are monic.  ``gcd_cofactors`` folds trial divisions
+over a list, and GCDHEU only where the gcd so far fails to divide.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one key as it goes, and refuses a variable index past
@@ -80,6 +80,17 @@ class _Layout:
         """The exponent tuples of keys, in order, unpacked in C."""
         size, order = itertools.repeat(self.fields.size), itertools.repeat("big")
         return map(self.fields.unpack, map(int.to_bytes, map(self.low.__and__, keys), size, order))
+
+    def divide(self, k, h):
+        """The exponents of x^k / x^h, or None when x^h does not divide x^k."""
+        d = k - h
+        e = self.fields.unpack((d & self.low).to_bytes(self.fields.size, "big"))
+        return e if d >= 0 and sum(e) == d >> self.shift else None
+
+    def used(self, keys):
+        """The indices of the variables with a nonzero exponent in some key."""
+        used = functools.reduce(operator.or_, keys, 0)
+        return [i for i, s in enumerate(self.offsets) if used >> s & _FIELD_MASK]
 
 
 _layout = functools.cache(_Layout)
@@ -215,8 +226,7 @@ class Polynomial:
         return next(_layout(self.nvars).unpack([k])), self._terms[k]
 
     def variables_used(self):
-        used = functools.reduce(operator.or_, self._terms, 0)
-        return {i for i, s in enumerate(_layout(self.nvars).offsets) if used >> s & _FIELD_MASK}
+        return set(_layout(self.nvars).used(self._terms))
 
     def as_dict(self):
         """{exponent tuple: coefficient}, one entry per term."""
@@ -228,6 +238,13 @@ class Polynomial:
 
     def coefficients(self):
         return self._terms.values()
+
+    def coefficients_by_exponent(self, i):
+        """{a: the coefficients c of the terms c·x^e with e_i = a}."""
+        s, out = _layout(self.nvars).offsets[i], {}
+        for k, c in self._terms.items():
+            out.setdefault(k >> s & _FIELD_MASK, []).append(c)
+        return out
 
     def map_coefficients(self, fn):
         """Σ fn(c)·x^e over the terms c·x^e; terms mapped to 0 drop out."""
@@ -282,6 +299,15 @@ class Polynomial:
         other = self._lift(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
+        return self._times(other)
+
+    __rmul__ = __mul__
+
+    def times_variable(self, i):
+        """self·x_i, one key add per term."""
+        return self._times(Polynomial.variable(self.nvars, i))
+
+    def _times(self, other):
         self._check_compat(other)
         if not self._terms or not other._terms:
             return Polynomial.zero(self.nvars)
@@ -292,8 +318,6 @@ class Polynomial:
         ):
             raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
         return _new(self.nvars, _mul_packed(self._terms, other._terms))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
@@ -683,13 +707,22 @@ def monomials_of_degree(nvars, d):
 # ----------------------------------------------------------------------
 # gcd: GCDHEU over Z
 #
-# The heuristic works on primitive integer parts held as plain dicts
-# (exponent tuple -> int).  It evaluates one variable x_v at an integer xi,
-# takes the gcd and cofactors of the images recursively (down to integers),
-# and reads three candidates back from symmetric xi-adic digits: the
-# primitive part of the gcd's digits, and each input divided by the digits of
-# its cofactor.  A candidate is accepted only when it divides both inputs
-# exactly; otherwise xi grows and the next point is tried.
+# The heuristic works on primitive integer parts held as term dicts (key ->
+# int) in the layout of their variable count.  It evaluates one variable x_v
+# at an integer xi, takes the gcd and cofactors of the images recursively
+# (down to integers), and reads three candidates back from symmetric xi-adic
+# digits: the primitive part of the gcd's digits, and each input divided by
+# the digits of its cofactor.  A candidate is accepted only when it divides
+# both inputs exactly; otherwise xi grows and the next point is tried.  On
+# keys, x_v := xi subtracts e_v times x_v's key, and digit i adds i times it.
+#
+# Why x^h divides x^k exactly when d = k − h is ≥ 0 and the exponent fields
+# of d sum to its degree field (`_Layout.divide`): subtract field by field
+# from the bottom, and let B fields borrow from the one above, t ∈ {0, 1} of
+# them (the top exponent field) from the degree field.  Each borrower gains
+# 2^16 and each of the B − t exponent fields that lend loses 1, so the
+# exponent fields of d sum to |k| − |h| + 65535·B + t while its degree field
+# holds |k| − |h| − t: the two agree exactly when nothing borrows.
 #
 # Why an accepted candidate h is the gcd G: write G = h·q.  The image gcd is
 # G(xi)·k for some k.  For the first candidate the digit polynomial is c·h
@@ -730,94 +763,100 @@ def _primitive_ints(terms):
     for c in terms.values():
         if type(c) is not int:
             l = math.lcm(l, c.denominator)
-    ints = {e: int(c * l) for e, c in terms.items()}
+    ints = {k: c * l if type(c) is int else c.numerator * (l // c.denominator) for k, c in terms.items()}
     g = math.gcd(*ints.values())
-    return {e: c // g for e, c in ints.items()} if g != 1 else ints
+    return {k: c // g for k, c in ints.items()} if g != 1 else ints
 
 
-def _root_bound(a, v):
+def _root_bound(layout, a, v):
     """1 + max |coefficient| / |leading coefficient| over the coefficients of
     a viewed as univariate in x_v: every root of each of them is smaller."""
+    s, unit = layout.offsets[v], layout.units[v]
     norm, lead = {}, {}
-    for e, c in a.items():
-        k = e[:v] + e[v + 1:]
+    for k, c in a.items():
+        x = k >> s & _FIELD_MASK
+        k -= x * unit
         m = abs(c)
         if m > norm.get(k, 0):
             norm[k] = m
-        if k not in lead or e[v] > lead[k][0]:
-            lead[k] = (e[v], m)
+        if k not in lead or x > lead[k][0]:
+            lead[k] = (x, m)
     return 1 + max(-(-norm[k] // lc) for k, (_, lc) in lead.items())
 
 
-def _heu_first_xi(a, b, v):
+def _heu_first_xi(layout, a, b, v):
     """GCDHEU's usual first point, raised to twice the root bound that the
     acceptance argument above needs."""
     bound = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    return max(min(bound, 99 * math.isqrt(bound)), 2 * min(_root_bound(a, v), _root_bound(b, v)))
+    return max(min(bound, 99 * math.isqrt(bound)), 2 * min(_root_bound(layout, a, v), _root_bound(layout, b, v)))
 
 
-def _eval_var(a, v, xi):
-    """a with x_v := xi; the x_v exponent slot becomes 0."""
+def _eval_var(layout, a, v, xi):
+    """a with x_v := xi; the x_v field of every key becomes 0."""
+    s, unit = layout.offsets[v], layout.units[v]
     out = {}
     powers = [1]
-    for e, c in a.items():
-        d = e[v]
+    for k, c in a.items():
+        d = k >> s & _FIELD_MASK
         while len(powers) <= d:
             powers.append(powers[-1] * xi)
-        k = e[:v] + (0,) + e[v + 1:]
+        k -= d * unit
         out[k] = out.get(k, 0) + c * powers[d]
     return {k: c for k, c in out.items() if c}
 
 
-def _interpolate(g, v, xi):
+def _interpolate(layout, g, v, xi):
     """Spread each coefficient of g over powers of x_v by its symmetric
-    xi-adic digits, each in (-xi/2, xi/2]."""
-    half = xi // 2
-    out = {}
-    for e, c in g.items():
-        i = 0
+    xi-adic digits, each in (-xi/2, xi/2]; DomainError past x_v's field."""
+    half, unit = xi // 2, layout.units[v]
+    out, top = {}, FIELD_LIMIT * unit
+    for k0, c in g.items():
+        k = k0
         while c:
-            r = c % xi
+            c, r = divmod(c, xi)
             if r > half:
                 r -= xi
+                c += 1
             if r:
-                out[e[:v] + (i,) + e[v + 1:]] = r
-            c = (c - r) // xi
-            i += 1
+                out[k] = r
+            k += unit
+        if k - k0 > top:
+            raise DomainError(f"an xi-adic digit index would reach {FIELD_LIMIT}")
     return out
 
 
-def _int_quotient(a, h):
-    """a / h in Z[x], or None when h does not divide a there.  Lex-leading-term
-    division stops at the first term that proves the division inexact: one
-    not divisible by the leading term of h, or one beyond the degree of the
-    quotient in some variable, deg_j(a) - deg_j(h).  The remainder's
-    exponents wait, negated, in a min-heap, so each step finds its leading
-    term without a scan; a cancelled exponent is skipped when it comes up."""
-    cap = tuple(x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*h))))
-    he = max(h)
-    hc = h[he]
+def _int_quotient(layout, a, h):
+    """a / h in Z[x], or None when h does not divide a there.  Leading-term
+    division stops at the first term that proves it inexact: one not
+    divisible by the leading term of h, or one beyond the degree of the
+    quotient in some variable, deg_j(a) - deg_j(h).  The remainder's keys
+    wait, negated, in a min-heap, so each step finds its leading term
+    without a scan; a cancelled key is skipped when it comes up."""
+    cap = tuple(map(operator.sub, *(map(max, zip(*layout.unpack(p))) for p in (a, h))))
+    hk = max(h)
+    hc = h[hk]
     r = dict(a)
-    heap = [tuple(map(operator.neg, e)) for e in r]
+    heap = [-k for k in r]
     heapq.heapify(heap)
     q = {}
     while heap:
-        re = tuple(map(operator.neg, heapq.heappop(heap)))
-        if re not in r:
+        k = -heapq.heappop(heap)
+        if k not in r:
             continue
-        d = tuple(map(operator.sub, re, he))
-        if min(d) < 0 or any(map(operator.gt, d, cap)):
+        e = layout.divide(k, hk)
+        if e is None or any(map(operator.gt, e, cap)):
             return None
-        qc, rem = divmod(r[re], hc)
+        qc, rem = divmod(r[k], hc)
         if rem:
             return None
+        d = k - hk
         q[d] = qc
-        for e, c in h.items():
-            k = tuple(map(operator.add, e, d))
+        for kh, c in h.items():
+            k = kh + d
             s = r.get(k)
             if s is None:
                 r[k] = -qc * c
-                heapq.heappush(heap, tuple(map(operator.neg, k)))
+                heapq.heappush(heap, -k)
             elif s != qc * c:
                 r[k] = s - qc * c
             else:
@@ -825,101 +864,80 @@ def _int_quotient(a, h):
     return q
 
 
-def _heu_candidate(a, b, g, qa, qb):
+def _heu_candidate(layout, a, b, g, qa, qb):
     """(h, a/h, b/h) for the first of three candidates that divides both a
     and b: the primitive part of g, a/qa and b/qb.  g, qa and qb are read
     from the digits of the image gcd and of its two cofactors."""
     # quotients of nonzero polynomials are nonempty, so None is the only falsy one
     hc = math.gcd(*g.values())
-    h = {e: c // hc for e, c in g.items()}
-    ha = _int_quotient(a, h)
-    hb = ha and _int_quotient(b, h)
-    if hb:
+    h = {k: c // hc for k, c in g.items()}
+    if (ha := _int_quotient(layout, a, h)) and (hb := _int_quotient(layout, b, h)):
         return h, ha, hb
-    h = _int_quotient(a, qa)
-    hb = h and _int_quotient(b, h)
-    if hb:
+    if (h := _int_quotient(layout, a, qa)) and (hb := _int_quotient(layout, b, h)):
         return h, qa, hb
-    h = _int_quotient(b, qb)
-    ha = h and _int_quotient(a, h)
-    if ha:
+    if (h := _int_quotient(layout, b, qb)) and (ha := _int_quotient(layout, a, h)):
         return h, ha, qb
     return None
 
 
-def _scaled(a, k):
-    return a if k == 1 else {e: c * k for e, c in a.items()}
-
-
-def _heu_gcd(a, b, vs):
-    """(g, a/g, b/g) for the gcd g in Z[x] of nonzero integer dicts whose
-    exponents vanish outside the variables vs."""
+def _heu_gcd(layout, a, b, vs):
+    """(g, a/g, b/g) for the gcd g in Z[x] of nonzero integer term dicts
+    whose exponents vanish outside the variables vs."""
     ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     cont = math.gcd(ca, cb)
-    for x in (a, b):
-        if len(x) == 1 and not any(next(iter(x))):
-            g = {next(iter(x)): cont}
-            return g, {e: c // cont for e, c in a.items()}, {e: c // cont for e, c in b.items()}
+    if a.keys() == {0} or b.keys() == {0}:  # a constant; its key is 0
+        return {0: cont}, {k: c // cont for k, c in a.items()}, {k: c // cont for k, c in b.items()}
     if ca != 1:
-        a = {e: c // ca for e, c in a.items()}
+        a = {k: c // ca for k, c in a.items()}
     if cb != 1:
-        b = {e: c // cb for e, c in b.items()}
+        b = {k: c // cb for k, c in b.items()}
     v, rest = vs[-1], vs[:-1]
-    xi = _heu_first_xi(a, b, v)
+    xi = _heu_first_xi(layout, a, b, v)
     while True:
-        ea, eb = _eval_var(a, v, xi), _eval_var(b, v, xi)
+        ea, eb = _eval_var(layout, a, v, xi), _eval_var(layout, b, v, xi)
         # xi clears the root bound of only one input, so the other may vanish
         if ea and eb:
-            image = _heu_gcd(ea, eb, rest)
-            found = _heu_candidate(a, b, *(_interpolate(x, v, xi) for x in image))
+            image = _heu_gcd(layout, ea, eb, rest)
+            found = _heu_candidate(layout, a, b, *(_interpolate(layout, x, v, xi) for x in image))
             if found is not None:
-                h, ha, hb = found
-                return _scaled(h, cont), _scaled(ha, ca // cont), _scaled(hb, cb // cont)
+                scales = (cont, ca // cont, cb // cont)
+                return tuple(x if m == 1 else {k: c * m for k, c in x.items()} for x, m in zip(found, scales))
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def gcd(a, b):
-    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1).
-
-    GCDHEU on the primitive integer parts; see the comment above `_heu_gcd`
-    for why its answer is the gcd and why it always gives one."""
+    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1),
+    as `gcd_cofactors` finds it."""
     if a.nvars != b.nvars:
         raise VariableCountError("gcd arguments disagree on variable count")
     if not a and not b:
         raise DomainError("gcd(0, 0) is undefined")
-    if not a:
-        return b.monic()
-    if not b:
-        return a.monic()
-    used = sorted(a.variables_used() | b.variables_used())
-    if not used:
-        return Polynomial.constant(a.nvars, 1)
-    g, _, _ = _heu_gcd(_primitive_ints(a.as_dict()), _primitive_ints(b.as_dict()), used)
-    return Polynomial(a.nvars, g).monic()
+    return gcd_cofactors([a, b])[0]
 
 
 def gcd_cofactors(polys):
     """(ρ, [p/ρ for p in polys]) for ρ the monic gcd of polys, not all zero.
 
-    GCDHEU returns the cofactors with the gcd (Char, Geddes and Gonnet), so
-    the fold over the primitive integer parts keeps them and divides
-    nothing: where gcd(g, p_j) = g/q, each earlier cofactor gains the factor
-    q.  ρ is made monic once, at the end."""
-    parts = [_primitive_ints(p.as_dict()) for p in polys if p]
+    The fold divides each primitive integer part p_j by g, the gcd so far;
+    the quotient is p_j's cofactor.  Where g does not divide, GCDHEU returns
+    gcd(g, p_j) = g/q with both cofactors, and each earlier cofactor gains
+    the factor q.  ρ is made monic once, at the end."""
+    parts = [_primitive_ints(p._terms) for p in polys if p]
     if not parts:
         raise DomainError("gcd of an all-zero list")
     n = polys[0].nvars
-    g, cofactors = parts[0], [Polynomial.constant(n, 1)]
+    layout, g, cofactors = _layout(n), parts[0], [{0: 1}]
     for a in parts[1:]:
-        g, q, b = _heu_gcd(g, a, sorted({i for e in (*g, *a) for i, x in enumerate(e) if x}))
-        q = Polynomial(n, q)
-        if q != 1:
-            cofactors = [c * q for c in cofactors]
-        cofactors.append(Polynomial(n, b))
-    rho, quotients = Polynomial(n, g), iter(cofactors)
+        b = _int_quotient(layout, a, g)
+        if b is None:
+            # g does not divide a, so q = g/gcd(g, a) is not constant
+            g, q, b = _heu_gcd(layout, g, a, layout.used(itertools.chain(g, a)))
+            cofactors = [_mul_packed(c, q) for c in cofactors]
+        cofactors.append(b)
+    quotients, lc = iter(cofactors), g[max(g)]
     # p = content(p)·g·q_p, and ρ = g/lc(g)
-    return rho.monic(), [
-        next(quotients).scale(rational_content(p.coefficients()) * rho.leading()[1]) if p else p
+    return _new(n, g).monic(), [
+        _new(n, next(quotients)).scale(rational_content(p.coefficients()) * lc) if p else p
         for p in polys
     ]
 

@@ -317,13 +317,10 @@ def check_invariance(forms, psi):
     packed = digits.pack(family)
     sigma = linear_combination(n1, ((1, packed.partial(j) * hj) for j, hj in enumerate(h) if hj))
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
-    lam = Polynomial.variable(n1 + 1, n1)
     shifted = packed.compose([
-        Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1) * lam for i, hi in enumerate(h)
+        Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1).times_variable(n1) for i, hi in enumerate(h)
     ])
-    by_lambda = {}
-    for e, c in shifted.as_dict().items():
-        by_lambda.setdefault(e[-1], []).append(c)
+    by_lambda = shifted.coefficients_by_exponent(n1)
     derivative = digits.nonzero(sigma.coefficients())
     moved = digits.nonzero(c for a, cs in by_lambda.items() if a for c in cs)
     top = {D: digits.nonzero(by_lambda.get(D, ())) for D in set(degrees)}

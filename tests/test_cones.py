@@ -123,23 +123,23 @@ def _all_derivative_rows(f):
     "skeleton, read, total",
     [
         ((6, 3, 1, 2, 1, 5), 7, 55),
-        ((7, 4, 1, 2, 1, 5), 9, 65),
-        ((7, 5, 1, 2, 1, 6), 11, 120),
-        ((8, 5, 1, 2, 1, 6), 19, 321),
+        ((7, 4, 1, 2, 1, 5), 8, 65),
+        ((7, 5, 1, 2, 1, 6), 8, 120),
+        ((8, 5, 1, 2, 1, 6), 9, 321),
         ((6, 3, 2, 2, 1, 4), 7, 34),
-        ((8, 5, 2, 2, 1, 4), 11, 46),
+        ((8, 5, 2, 2, 1, 4), 9, 46),
     ],
 )
 def test_a_gn_non_cone_is_settled_from_its_first_rows(monkeypatch, skeleton, read, total):
     # the cone test stops once nvars rows are independent mod p, of `total`
     # rows in the matrix; the counts are pinned, so a larger one is work
-    # added back.  At most 2·nvars rows are read, but for 8,5,1,2,1,6: its
-    # 9 variables take 19 rows.
+    # added back.  Read in ascending lex order of f's terms, the first nvars
+    # rows are already independent on each of these forms.
     f = _gn_form(skeleton, 0)
     vertex, rows = _derivative_rows_read(monkeypatch, f)
     assert not vertex.is_cone
     assert (rows, _all_derivative_rows(f)) == (read, total)
-    assert (rows <= 2 * f.nvars) == (skeleton != (8, 5, 1, 2, 1, 6))
+    assert rows == f.nvars
 
 
 def test_a_cone_reads_every_row_and_eliminates_once(monkeypatch):

@@ -79,3 +79,25 @@ def test_no_module_but_poly_reads_exponent_storage():
             ):
                 offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert offenders == []
+
+
+def test_the_gcd_works_on_keys():
+    # one exponent representation: no function of poly's gcd section (from
+    # its header comment on) unpacks a polynomial through `as_dict` or
+    # builds one from exponent tuples
+    source = (SRC / "poly.py").read_text()
+    start = source[:source.index("# gcd: GCDHEU over Z")].count("\n") + 1
+    functions = [
+        node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.lineno > start
+    ]
+    assert {"gcd", "gcd_list", "gcd_cofactors", "is_reduced", "_heu_gcd", "_int_quotient"} <= {
+        f.name for f in functions
+    }
+    offenders = [
+        f"{f.name}:{node.lineno}"
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Attribute) and node.attr in ("as_dict", "constant")
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Polynomial"
+    ]
+    assert offenders == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, ParseError, VariableCountError
 from hesse_lab.fields import norm_coeff, substream
+from hesse_lab import poly as poly_module
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
     FIELD_LIMIT,
@@ -21,6 +22,7 @@ from hesse_lab.poly import (
     _heu_gcd,
     _int_quotient,
     _layout,
+    _new,
     _primitive_ints,
     gcd,
     gcd_cofactors,
@@ -29,14 +31,21 @@ from hesse_lab.poly import (
     monomials_of_degree,
     parse,
 )
+from hesse_lab.psi import find_polar_relation
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
 
 def quotient(p, g):
-    """prim(p)/prim(g) in Z[x] by trial division, or None; by Gauss's lemma
-    g divides p in Q[x] exactly when this is not None."""
-    return _int_quotient(_primitive_ints(p.as_dict()), _primitive_ints(g.as_dict()))
+    """prim(p)/prim(g) in Z[x] by trial division, as an exponent dict, or
+    None; by Gauss's lemma g divides p in Q[x] exactly when this is not None."""
+    q = _int_quotient(_layout(p.nvars), _primitive_ints(p._terms), _primitive_ints(g._terms))
+    return None if q is None else _new(p.nvars, q).as_dict()
+
+
+def primitive_dict(p):
+    """prim(p) as an exponent dict."""
+    return _new(p.nvars, _primitive_ints(p._terms)).as_dict()
 
 
 def divides(g, p):
@@ -732,6 +741,132 @@ def test_gcd_cofactors_are_the_exact_quotients_of_the_gcd(polys):
         assert rho * q == p
 
 
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_monomial_division_on_keys_refuses_every_borrow(n):
+    layout = _layout(n)
+
+    def key(*e):
+        return layout.pack(e + (0,) * (n - len(e)))
+
+    # x1 / x0: the difference is negative
+    assert key(0, 1) - key(1, 0) < 0
+    assert layout.divide(key(0, 1), key(1, 0)) is None
+    # x0^2 / (x0·x1): x1's field borrows from x0's; the difference is
+    # positive, but its fields sum to 65535 against a degree field of 0
+    assert key(2, 0) - key(1, 1) > 0
+    assert layout.divide(key(2, 0), key(1, 1)) is None
+    # x1^2 / x0: x0's field, the top one, borrows from the degree field
+    assert key(0, 2) - key(1, 0) > 0
+    assert layout.divide(key(0, 2), key(1, 0)) is None
+    if n > 2:
+        # x0·x2 / x1: one borrow between inner fields
+        assert key(1, 0, 1) - key(0, 1) > 0
+        assert layout.divide(key(1, 0, 1), key(0, 1)) is None
+        assert layout.divide(key(1, 1, 1), key(0, 1)) == (1, 0, 1) + (0,) * (n - 3)
+    # no borrow: the exponents of the quotient, or of 1
+    assert layout.divide(key(2, 1), key(1, 1)) == (1,) + (0,) * (n - 1)
+    assert layout.divide(key(FIELD_LIMIT - 1, 3), key(0, 3)) == (FIELD_LIMIT - 1,) + (0,) * (n - 1)
+    assert layout.divide(key(0, 1), key(0, 1)) == (0,) * n
+
+
+def from_sympy(expr, xs):
+    poly = sympy.Poly(expr, *xs)
+    return Polynomial(len(xs), {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+
+
+class TopLevelHeuCalls:
+    """Counts the calls of `_heu_gcd` that are not made by `_heu_gcd` itself."""
+
+    def __init__(self):
+        self.count, self.depth = 0, 0
+
+    def __enter__(self):
+        real = poly_module._heu_gcd
+
+        def counted(*args):
+            self.count += self.depth == 0
+            self.depth += 1
+            try:
+                return real(*args)
+            finally:
+                self.depth -= 1
+
+        poly_module._heu_gcd = counted
+        self.real = real
+        return self
+
+    def __exit__(self, *exc):
+        poly_module._heu_gcd = self.real
+
+
+def check_cofactors_against_sympy(polys):
+    """gcd_cofactors(polys) is sympy's monic gcd with sympy's exact
+    quotients, and runs GCDHEU once per part that the gcd so far does not
+    divide; returns that number of GCDHEU runs."""
+    xs = sympy.symbols(f"x0:{polys[0].nvars}")
+    exprs = [to_sympy(p, xs) for p in polys]
+    running, shrinks = exprs[0], 0
+    for e in exprs[1:]:
+        if sympy.div(e, running, *xs)[1] != 0:
+            running, shrinks = sympy.gcd(running, e), shrinks + 1
+    with TopLevelHeuCalls() as calls:
+        rho, quotients = gcd_cofactors(polys)
+    assert calls.count == shrinks
+    assert rho == from_sympy(running, xs).monic()
+    for e, q in zip(exprs, quotients):
+        quo, rem = sympy.div(e, to_sympy(rho, xs), *xs)
+        assert rem == 0 and q == from_sympy(quo, xs)
+    return calls.count
+
+
+@st.composite
+def gcd_families(draw, shrink):
+    """Nonzero P_0 = a·b·c_0 and P_1 = a·b·c_1, then one to three later
+    parts in 1-4 variables with int or Fraction coefficients.  With shrink
+    False, P_j = P_0·u_j + P_1·v_j, a multiple of gcd(P_0, P_1); with shrink
+    True, P_j = a·c_j for a nonconstant b, so the gcd shrinks at P_2 unless
+    b divides it."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5)).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly(exps=exps):
+        return Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)))
+
+    a, b = poly(), poly(exps.filter(any)) if shrink else poly()
+    p0, p1 = a * b * poly(), a * b * poly()
+    later = [a * poly() if shrink else p0 * poly() + p1 * poly() for _ in range(draw(st.integers(1, 3)))]
+    return [p0, p1, *(p or p0 for p in later)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcd_families(shrink=False))
+def test_gcd_cofactors_takes_later_multiples_by_trial_division(polys):
+    # at most P_1 needs GCDHEU; each later part divides by the gcd so far
+    assert check_cofactors_against_sympy(polys) <= 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcd_families(shrink=True))
+@example([parse("x0^2*x1 + x0*x1^2"), parse("x0^2*x1 - x0*x1^2"), parse("x1^3 + x1", nvars=2)])
+def test_gcd_cofactors_rescales_earlier_cofactors_when_the_gcd_shrinks(polys):
+    check_cofactors_against_sympy(polys)
+
+
+def test_gcd_cofactors_runs_gcdheu_only_where_the_gcd_shrinks():
+    # the paper cubic's parts 4·x4^2, -4·x3·x4, 4·x3^2: gcd x4 after two,
+    # which x3^2 refuses, so GCDHEU runs for each later part
+    cubic = parse(PAPER_CUBIC)
+    with TopLevelHeuCalls() as calls:
+        rho, _ = gcd_cofactors(find_polar_relation(cubic, max_degree=2).parts)
+    assert (rho, calls.count) == (1, 2)
+    # a ladder rung's five parts: ρ after two, which divides the other three
+    parts = find_polar_relation(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).f).parts
+    with TopLevelHeuCalls() as calls:
+        rho, _ = gcd_cofactors(parts)
+    assert (len(parts), rho.degree(), calls.count) == (5, 2, 1)
+
+
 # M is the product of the first eight evaluation points for the pair
 # (x0^2 + x0, (x0 + 1)(x0 + M)): 31, 169, 1385, 22702, 744261, 58966268,
 # 14015328567 and 13171708628261.  Each divides M, so at each of them the
@@ -750,10 +885,11 @@ M = 1334555360177676571497380129494860626631764270280
 )
 def test_heuristic_gcd_draws_points_until_one_passes(a, b, expected):
     a, b, expected = parse(a), parse(b), parse(expected)
-    g, qa, qb = _heu_gcd(_primitive_ints(a.as_dict()), _primitive_ints(b.as_dict()), sorted(a.variables_used()))
-    assert Polynomial(a.nvars, g).monic() == expected
-    assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qa) == a
-    assert Polynomial(a.nvars, g) * Polynomial(a.nvars, qb) == b
+    g, qa, qb = _heu_gcd(_layout(a.nvars), _primitive_ints(a._terms), _primitive_ints(b._terms), sorted(a.variables_used()))
+    g, qa, qb = (_new(a.nvars, x) for x in (g, qa, qb))
+    assert g.monic() == expected
+    assert g * qa == a
+    assert g * qb == b
     assert gcd(a, b) == expected
 
 
@@ -807,9 +943,10 @@ def test_int_quotient_by_a_monomial_on_a_large_form():
     # remainder's leading term from a heap, not by a scan of 1890 terms
     f = random_instance(GNSkeleton(9, 4, 1, 2, 1, 6), seed=0).f
     assert len(f) == 1890
-    prim = _primitive_ints(f.as_dict())
-    assert _int_quotient({e: 4 * c for e, c in prim.items()}, {(0,) * f.nvars: 4}) == prim
+    prim = _primitive_ints(f._terms)
+    assert _int_quotient(_layout(f.nvars), {k: 4 * c for k, c in prim.items()}, {0: 4}) == prim
     x0 = Polynomial.variable(f.nvars, 0)
+    prim = primitive_dict(f)
     assert quotient(f * x0, x0) == prim
     assert quotient(f * x0 * x0, f) == (x0 * x0).as_dict()
     assert quotient(f * x0 + Polynomial.variable(f.nvars, 1) ** 7, x0) is None
@@ -837,7 +974,7 @@ def division_cases(draw):
 def test_int_quotient_inverts_multiplication_and_refuses_non_multiples(case):
     # prim(a·b) = prim(a)·prim(b) by Gauss's lemma
     a, b, r = case
-    assert quotient(a * b, b) == (_primitive_ints(a.as_dict()) if a else {})
+    assert quotient(a * b, b) == (primitive_dict(a) if a else {})
     assert quotient(a * b + r, b) is None
 
 
@@ -955,6 +1092,24 @@ def test_packed_layout_matches_the_tuple_oracle(case):
             {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
         )
     assert p.extend(n + 2).as_dict() == {e + (0, 0): c for e, c in a.items()}
+    for i in range(n):
+        if any(e[i] == FIELD_LIMIT - 1 for e in a):
+            with pytest.raises(DomainError, match="product exponent"):
+                p.times_variable(i)
+        else:
+            assert p.times_variable(i).as_dict() == {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in a.items()}
+        by_exponent = {}
+        for e, c in a.items():
+            by_exponent.setdefault(e[i], []).append(c)
+        assert {x: sorted(cs) for x, cs in p.coefficients_by_exponent(i).items()} == {
+            x: sorted(cs) for x, cs in by_exponent.items()
+        }
+    # x^h divides x^e on keys exactly when it does on exponents
+    pack = _layout(n).pack
+    for e in es:
+        for h in es:
+            d = tuple(x - y for x, y in zip(e, h))
+            assert _layout(n).divide(pack(e), pack(h)) == (d if min(d) >= 0 else None)
     if a:
         lead = max(a, key=_grlex)
         assert p.leading() == (lead, a[lead])
@@ -1004,8 +1159,11 @@ def test_the_field_limit_raises_instead_of_carrying():
         top * x0
     with pytest.raises(DomainError, match="product exponent"):
         top ** 2
+    with pytest.raises(DomainError, match="product exponent"):
+        top.times_variable(0)
     # past the limit in total degree only: the fields hold, so no error
     assert (top * x1).as_dict() == {(FIELD_LIMIT - 1, 1): 1}
+    assert top.times_variable(1) == top * x1
     assert (top * Polynomial(2, {(0, FIELD_LIMIT - 1): 3})).degree() == 2 * FIELD_LIMIT - 2
     with pytest.raises(DomainError, match="composed exponent"):
         Polynomial(1, {(2,): 1}).compose([Polynomial(2, {(FIELD_LIMIT // 2, 0): 1})])
