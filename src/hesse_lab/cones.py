@@ -2,8 +2,9 @@
 
 A hypersurface V(f) is a cone iff its partials are linearly dependent; the
 vertex is the kernel of v ↦ Σ v_i·∂f/∂x_i, which is pure linear algebra over
-the coefficients of the partials, read straight from the terms of f; on a
-subspace W, it gives the linear polar relations (`vertex_kernel`).
+the coefficients of the partials, read straight from the keys of f.  A
+linear relation among the partials is exactly a vertex direction, so degree
+1 is decided here, and the relation search in `psi` starts at degree 2.
 Hyperplanes are handled through explicit parametrizations so no implicit
 coordinate convention sneaks in.
 """
@@ -26,7 +27,7 @@ from .linalg import (
     projectively_equal,
     rank,
 )
-from .poly import Polynomial, directional_derivative
+from .poly import Polynomial, derivative_rows, directional_derivative
 
 
 @dataclass(frozen=True)
@@ -41,53 +42,15 @@ class VertexSubspace:
         return self.projective_dim >= 0
 
 
-def _derivative_rows(f):
-    """The rows of the directional-derivative matrix of f, one per monomial μ
-    of the partials, in the order of μ's first appearance as x^e/x_i over
-    the terms c·x^e of f in ascending lex order, whose first nvars rows had
-    full rank on every GN form tried: the row of μ is (c_{μ+ε_j}·(μ_j + 1))_j,
-    built by nvars lookups when it is read."""
-    terms, n = f.as_dict(), f.nvars
-    seen = set()
-    for e in sorted(terms):
-        for i, x in enumerate(e):
-            if x:
-                mu = e[:i] + (x - 1,) + e[i + 1:]
-                if mu in seen:
-                    continue
-                seen.add(mu)
-                up = list(mu)
-                row = [0] * n
-                for j, y in enumerate(mu):
-                    up[j] = y + 1
-                    c = terms.get(tuple(up))
-                    up[j] = y
-                    if c:
-                        row[j] = c * (y + 1)
-                yield row
-
-
-def vertex_kernel(f, basis=None):
-    """The reduced basis of the u with D_v f ≡ 0 for v = Σ_j u_j·b_j, b_j
-    the rows of `basis` (the unit rows when None).
-
-    The matrix of v ↦ D_v f has a row per monomial of the partials, each
-    read on the b_j as it comes.  `kernel_of_rows` stops once N = len(basis)
-    rows are independent mod p: their N×N minor is then a nonzero integer,
-    so the kernel is {0} exactly, and a GN non-cone settles within a few
-    rows.  Rows that run out below rank N are all read, for the lifted
-    kernel and its exact re-check; the basis depends on the row space alone."""
-    rows = _derivative_rows(f)
-    if basis is None:
-        return kernel_of_rows(rows, f.nvars)
-    return kernel_of_rows(([sum(x * y for x, y in zip(row, b)) for b in basis] for row in rows), len(basis))
-
-
 def cone_test(f):
-    """Vertex of V(f): `vertex_kernel` on the whole space."""
+    """Vertex of V(f): the kernel of v ↦ D_v f, whose rows (`derivative_rows`)
+    `kernel_of_rows` reads as they come.  It stops once nvars rows are
+    independent mod p, which proves the kernel {0}, so a GN non-cone settles
+    within a few rows; rows that run out below full rank are all read, for
+    the lifted kernel, and every vertex direction is re-checked by D_v f ≡ 0."""
     if not f or not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("cone_test expects a nonzero homogeneous polynomial of degree >= 1")
-    vectors = tuple(tuple(v) for v in vertex_kernel(f))
+    vectors = tuple(tuple(v) for v in kernel_of_rows(derivative_rows(f), f.nvars))
     for v in vectors:
         if directional_derivative(f, v):
             raise InternalCheckError("vertex direction fails D_v f = 0")

@@ -22,8 +22,9 @@ kept the same way, so every caller of one form shares one copy.
 integers, integer gcd, reconstruction from symmetric digits), on keys.  It
 accepts a result only after exact trial division and draws larger points
 until one passes, which always happens; the comment above ``_primitive_ints``
-proves both.  Results are monic.  ``gcd_cofactors`` folds trial divisions
-over a list, and GCDHEU only where the gcd so far fails to divide.
+proves both.  Results are monic.  One fold runs trial divisions over a
+list, and GCDHEU only where the gcd so far fails to divide; only
+``gcd_cofactors`` keeps its quotients.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one key as it goes, and refuses a variable index past
@@ -232,6 +233,10 @@ class Polynomial:
         """{exponent tuple: coefficient}, one entry per term."""
         return dict(zip(_layout(self.nvars).unpack(self._terms), self._terms.values()))
 
+    def _top_exponents(self):
+        """The largest exponent of each variable over the terms."""
+        return tuple(map(max, zip(*_layout(self.nvars).unpack(self._terms))))
+
     def coefficient(self, e):
         """The coefficient of x^e, 0 when x^e is not a term."""
         return self._terms.get(_layout(self.nvars).pack(e), 0)
@@ -314,7 +319,7 @@ class Polynomial:
         # below FIELD_LIMIT in total degree no field can carry; beyond it,
         # the largest exponents of each variable decide
         if self.degree() + other.degree() >= FIELD_LIMIT and any(
-            a + b >= FIELD_LIMIT for a, b in zip(*(map(max, zip(*p.as_dict())) for p in (self, other)))
+            a + b >= FIELD_LIMIT for a, b in zip(self._top_exponents(), other._top_exponents())
         ):
             raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
         return _new(self.nvars, _mul_packed(self._terms, other._terms))
@@ -403,8 +408,8 @@ class Polynomial:
         drops the terms it enters.  Over the multi-term arguments, Horner's
         rule one variable at a time: F = Σ_k x_v^k·F_k gives
         F(a) = (…(F_K(a)·a_v + F_{K−1}(a))·a_v + …)·a_v + F_0(a), each F_k(a)
-        composed alike from the next one.  Raises DomainError when
-        deg F · max deg args reaches FIELD_LIMIT."""
+        composed alike from the next one.  Raises DomainError when an
+        exponent of the result could reach FIELD_LIMIT."""
         if len(args) != self.nvars:
             raise VariableCountError(
                 f"{len(args)} substitution arguments for {self.nvars} variables"
@@ -415,9 +420,14 @@ class Polynomial:
         if not self._terms:
             return Polynomial.zero(m)
         # Horner forms only monomials of a_v^j·F_k(a), products and offsets
-        # included, with j <= k and k + deg F_k <= deg F, so no total degree
-        # passes deg F · max deg args
-        if self.degree() * max((a.degree() for a in args if a._terms), default=0) >= FIELD_LIMIT:
+        # included, with j <= k and k + deg F_k <= deg F: products of at most
+        # E_i monomials of each args[i], E_i the largest exponent of x_i in F.
+        # So no total degree passes deg F · max deg args, and no y_v exponent
+        # passes Σ_i E_i·D_iv, D_iv the largest exponent of y_v in args[i].
+        if self.degree() * max((a.degree() for a in args if a._terms), default=0) >= FIELD_LIMIT and any(
+            sum(map(operator.mul, self._top_exponents(), col)) >= FIELD_LIMIT
+            for col in zip(*(a._top_exponents() if a._terms else (0,) * m for a in args))
+        ):
             raise DomainError(f"a composed exponent could reach {FIELD_LIMIT}")
         single = [(v, *next(iter(a._terms.items()))) for v, a in enumerate(args) if len(a._terms) == 1]
         zero = [v for v, a in enumerate(args) if not a._terms]
@@ -517,6 +527,28 @@ def linear_combinations(nvars, weights, polys):
 def directional_derivative(f, v):
     """D_v f = Σ v_i·∂f/∂x_i."""
     return linear_combination(f.nvars, ((vi, f.partial(i)) for i, vi in enumerate(v) if vi))
+
+
+def derivative_rows(f):
+    """The rows (c_{μ+ε_j}·(μ_j + 1))_j of v ↦ D_v f, one per monomial μ of
+    the partials, each built by key lookups when read, in the order of μ's
+    first appearance as x^e/x_i over f's keys in ascending order of their
+    exponent bits (lex order of e): on every GN form tried, the first nvars
+    rows had full rank."""
+    layout, terms = _layout(f.nvars), f._terms
+    seen = set()
+    for k in sorted(terms, key=layout.low.__and__):
+        for s, unit in zip(layout.offsets, layout.units):
+            if k >> s & _FIELD_MASK:
+                mu = k - unit
+                if mu in seen:
+                    continue
+                seen.add(mu)
+                row = []
+                for t, u in zip(layout.offsets, layout.units):
+                    c = terms.get(mu + u)
+                    row.append(c * ((mu >> t & _FIELD_MASK) + 1) if c else 0)
+                yield row
 
 
 # ----------------------------------------------------------------------
@@ -905,53 +937,54 @@ def _heu_gcd(layout, a, b, vs):
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
-def gcd(a, b):
-    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1),
-    as `gcd_cofactors` finds it."""
-    if a.nvars != b.nvars:
-        raise VariableCountError("gcd arguments disagree on variable count")
-    if not a and not b:
-        raise DomainError("gcd(0, 0) is undefined")
-    return gcd_cofactors([a, b])[0]
+def _gcd_fold(polys):
+    """(g, [p/g]) as term dicts, over the primitive integer parts p of the
+    nonzero polys, for g their primitive gcd.
 
-
-def gcd_cofactors(polys):
-    """(ρ, [p/ρ for p in polys]) for ρ the monic gcd of polys, not all zero.
-
-    The fold divides each primitive integer part p_j by g, the gcd so far;
-    the quotient is p_j's cofactor.  Where g does not divide, GCDHEU returns
-    gcd(g, p_j) = g/q with both cofactors, and each earlier cofactor gains
-    the factor q.  ρ is made monic once, at the end."""
+    The fold divides each part by g, the gcd so far; the quotient is the
+    part's cofactor.  Where g does not divide, GCDHEU returns gcd(g, p) = g/q
+    with both cofactors, and each earlier cofactor gains the factor q.  Once
+    g is 1, each later part is its own cofactor."""
     parts = [_primitive_ints(p._terms) for p in polys if p]
     if not parts:
         raise DomainError("gcd of an all-zero list")
     n = polys[0].nvars
+    if any(p.nvars != n for p in polys):
+        raise VariableCountError("gcd arguments disagree on variable count")
     layout, g, cofactors = _layout(n), parts[0], [{0: 1}]
-    for a in parts[1:]:
+    for j, a in enumerate(parts[1:], 1):
+        if g == {0: 1}:
+            cofactors += parts[j:]
+            break
         b = _int_quotient(layout, a, g)
         if b is None:
             # g does not divide a, so q = g/gcd(g, a) is not constant
             g, q, b = _heu_gcd(layout, g, a, layout.used(itertools.chain(g, a)))
             cofactors = [_mul_packed(c, q) for c in cofactors]
         cofactors.append(b)
+    return g, cofactors
+
+
+def gcd(a, b):
+    """A gcd of two polynomials, normalized monic (graded-lex leading coeff 1)."""
+    return gcd_list([a, b])
+
+
+def gcd_cofactors(polys):
+    """(ρ, [p/ρ for p in polys]) for ρ the monic gcd of polys, not all zero,
+    from `_gcd_fold`; ρ is made monic once, at the end."""
+    g, cofactors = _gcd_fold(polys)
     quotients, lc = iter(cofactors), g[max(g)]
     # p = content(p)·g·q_p, and ρ = g/lc(g)
-    return _new(n, g).monic(), [
-        _new(n, next(quotients)).scale(rational_content(p.coefficients()) * lc) if p else p
+    return _new(polys[0].nvars, g).monic(), [
+        _new(p.nvars, next(quotients)).scale(rational_content(p.coefficients()) * lc) if p else p
         for p in polys
     ]
 
 
 def gcd_list(polys):
-    """Fold gcd over a list, skipping zeros; error if all zero."""
-    acc = None
-    for p in filter(None, polys):
-        acc = p.monic() if acc is None else gcd(acc, p)
-        if acc.degree() == 0:
-            break
-    if acc is None:
-        raise DomainError("gcd of an all-zero list")
-    return acc
+    """The monic gcd of a list, skipping zeros; error if all zero."""
+    return _new(polys[0].nvars, _gcd_fold(polys)[0]).monic()
 
 
 def is_reduced(f, seed=0):

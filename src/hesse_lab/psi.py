@@ -14,10 +14,11 @@ battery costs one expansion, and a relation's certificate one product.  A line
 point w + 2^B·q (`_line_point`).  The relation itself is searched for on W,
 the span of the kernels of H_f: ψ_g takes its values there, and the polar
 image is a cone over P(W), so its lowest-degree relations are polynomials in
-the dim W forms ⟨w, ∇f⟩.  A linear one is a direction v ∈ W with D_v f ≡ 0,
-read exactly off f's coefficients (`cones.vertex_kernel`); the others are
-found by evaluating those forms at integer points.  Every candidate is
-certified symbolically before it is used.
+the dim W forms ⟨w, ∇f⟩, found by evaluating those forms at integer points.
+The search starts at degree 2: a linear relation is a direction v with
+D_v f ≡ 0, a cone vertex, which `cones.cone_test` decides on the whole space,
+so the search takes a non-cone.  Every candidate is certified symbolically
+before it is used.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import norm_coeff, rational_content, substream
-from .cones import vertex_kernel
 from .hessian import gradient_at, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
@@ -189,18 +189,18 @@ def _monomial_row(f, span, point, monos):
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
-    The polar image is a cone over P(W), W the span of the kernels of H_f,
-    so its lowest-degree relations are polynomials G in the k+1 forms
-    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
-    when None).  A linear G(F) = Σ_j u_j·F_j is D_v f, v = Σ_j u_j·w_j, so
-    degree 1 starts from the exact kernel of u ↦ D_v f (`vertex_kernel`).
-    For each degree e ≥ 2, the exact kernel of the degree-e monomials in z
-    at F of C(k+e, e) + 2 seeded integer points contains every such G, so
-    an empty one rules e out within W.  Each basis vector G is certified by G(F) ≡ 0, and one that
-    fails gets a row at a point where G(F) ≠ 0, until the kernel is the
-    relation space.  A W that is too small can hide a relation but never
-    fake one.  Among the basis vectors the primitive-integer one supported
-    on the earliest monomials wins, as in a search over all n+1 coordinates.
+    f must not be a cone: a linear relation is D_v f ≡ 0, a vertex v, which
+    `cones.cone_test` reports, so the search starts at degree 2.  The polar
+    image is a cone over P(W), W the span of the kernels of H_f, so its
+    lowest-degree relations are polynomials G in the k+1 forms
+    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0 when
+    None).  For each degree e, the exact kernel of the degree-e monomials in
+    z at F of C(k+e, e) + 2 seeded integer points contains every such G, so
+    an empty one rules e out within W.  Each basis vector G is certified by
+    G(F) ≡ 0, and one that fails gets a row at a point where G(F) ≠ 0, until
+    the kernel is the relation space.  A W that is too small can hide a
+    relation but never fake one.  Among the basis vectors the primitive
+    integer one on the earliest monomials wins, as over all n+1 coordinates.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -212,15 +212,15 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
         return None  # H_f is invertible somewhere, so the partials are independent
     partials = f.gradient()
     forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
-    for e in range(1, max_degree + 1):
+    for e in range(2, max_degree + 1):
         monos = monomials_of_degree(len(span), e)
         # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
         # with more than e(d-1) values per coordinate
         points = _relation_points(f.nvars, e * (f.degree() - 1))
-        rows = [_monomial_row(f, span, next(points), monos) for _ in range(len(monos) + 2)] if e > 1 else []
+        rows = [_monomial_row(f, span, next(points), monos) for _ in range(len(monos) + 2)]
         while True:
             nrows, relations = len(rows), []
-            for v in kernel(ScalarMatrix(rows)) if rows else vertex_kernel(f, span):
+            for v in kernel(ScalarMatrix(rows)):
                 vec = primitive_vector(v)
                 G = Polynomial(len(span), {m: c for m, c in zip(monos, vec) if c})
                 relation = PolarRelation.from_partials(G, forms, span)

@@ -79,9 +79,10 @@ def relation_block(rel):
 
 
 def relation_search_block(sample, max_degree, nvars):
-    """Where the relation search ran: W and the points that fixed it.  A
-    degree below the relation's, or up to the cap when none was found, is
-    excluded outright when W is the whole space, else only within W."""
+    """Where the relation search ran: W and the points that fixed it.  Degree
+    1 is the cone test's; a higher degree below the relation's, or up to the
+    cap when none was found, is excluded outright when W is the whole space,
+    else only within W."""
     return {
         "w_basis": [vector_strs(w) for w in sample.span],
         "w_dim": len(sample.span),
@@ -211,17 +212,19 @@ def _draw(skel, seed):
     return random_instance(skel, seed=seed)
 
 
-def _relation_and_psi(f):
-    """The polar relation of f and its ψ_g, or (None, None)."""
+def _relation_and_psi(f, seed):
+    """The polar relation of f, its ψ_g and a CURVE_SAMPLES-point sample of
+    the ψ_g image, or (None, None, None)."""
     rel = find_polar_relation(f)
-    return rel, (build_psi(f, rel) if rel is not None else None)
+    psi = build_psi(f, rel) if rel is not None else None
+    return rel, psi, psi and sample_image(psi, CURVE_SAMPLES, seed)
 
 
-def _paper_cubic():
-    """(f, relation, ψ_g) for the paper cubic, which the psi and p4 suites
-    both read."""
+def _paper_cubic(seed):
+    """(f, relation, ψ_g, image sample) for the paper cubic, which the psi
+    and p4 suites both read."""
     f = parse(PAPER_CUBIC_TEXT)
-    return (f, *_relation_and_psi(f))
+    return (f, *_relation_and_psi(f, seed))
 
 
 def gn_entry(skel, seed, draw=_draw):
@@ -285,15 +288,15 @@ def _mutated(psi):
 
 
 def run_psi_suite(seed, mutate=False, paper_cubic=None):
-    """The ψ_g identity battery on the paper cubic; `mutate` corrupts this
-    suite's own copy of ψ_g, so the suite must fail."""
-    f, rel, psi = paper_cubic or _paper_cubic()
+    """The ψ_g identity battery on the paper cubic's image sample; `mutate`
+    corrupts this suite's own ψ_g, and samples its image, so the suite fails."""
+    f, rel, psi, image = paper_cubic or _paper_cubic(seed)
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
     if mutate:
         psi = _mutated(psi)
+        image = sample_image(psi, IMAGE_SAMPLES, seed)
     block["psi"] = psi_block(psi)
-    image = sample_image(psi, IMAGE_SAMPLES, seed)
     checks, image, _, battery_ok = psi_identity_battery(f, psi, image, seed=seed)
     block["checks"] = checks
     block["image"] = image_block(image)
@@ -323,18 +326,17 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
 
     def inputs():
-        yield ("paper_cubic", *(paper_cubic or _paper_cubic()))
+        yield ("paper_cubic", *(paper_cubic or _paper_cubic(seed)))
         for i in range(instances):
             f = draw(skel, seed + i).f
-            yield (f"gn_421_3_seed{seed + i}", f, *_relation_and_psi(f))
+            yield (f"gn_421_3_seed{seed + i}", f, *_relation_and_psi(f, seed))
 
-    for name, f, rel, psi in inputs():
+    for name, f, rel, psi, image in inputs():
         if rel is None:
             violations.append(
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        image = sample_image(psi, CURVE_SAMPLES, seed)
         block, _ = p4_classification(f, image, seed, chart_count=chart_count)
         # a one-point ψ_g image forces a cone, and every input here is a
         # non-cone: the paper cubic, or a GN draw retried until it is one
@@ -360,9 +362,9 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
 
 def run_all_suites(count, seed, mutate=False):
     """Every suite once.  The gn and p4 suites share their GN draws, and the
-    psi and p4 suites the paper cubic's relation and ψ_g."""
+    psi and p4 suites the paper cubic's relation, ψ_g and image sample."""
     draw = functools.cache(_draw)
-    paper_cubic = _paper_cubic()
+    paper_cubic = _paper_cubic(seed)
     blocks = {
         "lowdim": run_lowdim_suite(count, seed),
         "gn": run_gn_suite(count, seed, draw=draw),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import cli, cones, hessian, linalg, poly, psi, reports
+from hesse_lab import cli, cones, errors, hessian, linalg, poly, psi, reports
 from hesse_lab.cli import build_parser, main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
@@ -356,9 +356,12 @@ def test_one_parser_serves_successive_calls(tmp_path):
     assert kept[3][1]["results"]["polar_relation"]["degree"] == 2
 
 
-def test_analyze_past_the_exponent_field_exit_2(capsys):
-    # the ψ battery expands f(x + λh), of degree up to 257·257 here, past
-    # the 16-bit exponent field: a reason on stderr and exit 2, no traceback
+def test_analyze_past_the_exponent_field_exit_2(monkeypatch, capsys):
+    # the ψ battery expands f(x + λh), whose exponents compose's guard bounds
+    # by 640 here; with the field limit lowered to that bound the guard
+    # fires there: a reason on stderr and exit 2, no traceback.  At the real
+    # limit the form is admitted, and its battery expansion runs for minutes.
+    monkeypatch.setattr(poly, "FIELD_LIMIT", 640)
     text = "x0*x3^256 + x1*x3^128*x4^128 + x2*x4^256"
     assert main(["analyze", "--poly", text, "--no-timings"]) == 2
     assert capsys.readouterr().err == f"error: a composed exponent could reach {poly.FIELD_LIMIT}\n"
@@ -561,7 +564,8 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
     # exact regression gates: a larger count is work added back.  The 24
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
-    # full rank, so none of them is a `kernel` call
+    # full rank, so none of them is a `kernel` call.  `gcd_list` runs the gcd
+    # fold itself, so the gcd calls are the two of `is_reduced`
     calls = Counter()
     for original in (
         hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test
@@ -572,7 +576,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=7, hessian_at=34, cone_test=24)
+    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=2, hessian_at=34, cone_test=24)
 
 
 @pytest.mark.parametrize(
@@ -583,8 +587,8 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
     # `analyze` derives each object of f once: its n+1 partials and its term
     # table are built on first use and kept, ψ_g is read off the gcd's
-    # cofactors with no division, and degree 1 of the relation search reads
-    # f's coefficients, not ∇f at points.  Both forms have dim W = 3, so ∇f
+    # cofactors with no division, and the relation search starts at degree
+    # 2, as degree 1 is the cone test's.  Both forms have dim W = 3, so ∇f
     # is read at the 6 + 2 points of the degree-2 search, 12 sampled
     # inclusions, 3 fiber lines and 12 polar-image samples
     f = parse(text)
@@ -769,6 +773,21 @@ def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):
     assert counts == [reports.CURVE_SAMPLES] * 6  # the paper cubic and five GN draws
 
 
+def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
+    # the psi suite's battery reads the head of the 30-point sample that the
+    # p4 suite's paper-cubic case reads; the three GN draws sample their own
+    counts = []
+    original = psi.sample_image
+
+    def counted(psi_map, count, seed):
+        counts.append(count)
+        return original(psi_map, count, seed)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    assert run(tmp_path, "verify", "--suite", "all", "--count", "1")[0] == 0
+    assert counts == [reports.CURVE_SAMPLES] * 4
+
+
 def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
     # on P^4 the battery reads the first IMAGE_SAMPLES points of the sample
     # that the plane-curve stage reads
@@ -805,6 +824,43 @@ def test_analyze_certifies_relations_above_degree_two(tmp_path, skeleton, degree
     assert r["polar_relation"]["degree"] == degree
     assert r["polar_relation"]["certificate_zero"] is True
     assert r["hessian"]["certificate"] == "polar_relation"
+
+
+# ----------------------------------------------------------------------
+# the exit-code table of the cli docstring, for every HesseLabError
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.HesseLabError)),
+    key=lambda c: c.__name__,
+)
+DOCUMENTED_CODES = {
+    2: "parse error, bad invocation or input outside a computation's domain",
+    4: "internal check violation",
+    5: "parameter validation failure",
+    6: "seeded retry budget exhausted",
+}
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_its_documented_code(monkeypatch, capsys, error):
+    codes = {errors.ParseError: 2, errors.ValidationError: 5, errors.RetryBudgetError: 6, errors.InternalCheckError: 4}
+    code = codes.get(error, 2)
+    assert f"{code} {DOCUMENTED_CODES[code]}" in " ".join(cli.__doc__.split())
+    if error is errors.ParseError:
+        exc = error("the reason", 3)
+    elif error is errors.ValidationError:
+        exc = error(["the reason"])
+    else:
+        exc = error("the reason")
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", failing)
+    assert main(["analyze", "--poly", "x0"]) == code
+    captured = capsys.readouterr()
+    assert "the reason" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ----------------------------------------------------------------------

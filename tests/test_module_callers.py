@@ -101,3 +101,14 @@ def test_the_gcd_works_on_keys():
         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Polynomial"
     ]
     assert offenders == []
+
+
+def test_the_cone_test_works_on_keys():
+    # the rows of v ↦ D_v f come from f's keys (`poly.derivative_rows`), so
+    # cones unpacks no polynomial into exponent tuples
+    offenders = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "cones.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "as_dict"
+    ]
+    assert offenders == []

@@ -1,5 +1,6 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, reducedness."""
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -813,6 +814,9 @@ def check_cofactors_against_sympy(polys):
         rho, quotients = gcd_cofactors(polys)
     assert calls.count == shrinks
     assert rho == from_sympy(running, xs).monic()
+    # gcd and gcd_list run the same fold without its cofactors
+    assert gcd_list(polys) == rho
+    assert gcd(*polys[:2]) == gcd_cofactors(polys[:2])[0]
     for e, q in zip(exprs, quotients):
         quo, rem = sympy.div(e, to_sympy(rho, xs), *xs)
         assert rem == 0 and q == from_sympy(quo, xs)
@@ -851,6 +855,19 @@ def test_gcd_cofactors_takes_later_multiples_by_trial_division(polys):
 @example([parse("x0^2*x1 + x0*x1^2"), parse("x0^2*x1 - x0*x1^2"), parse("x1^3 + x1", nvars=2)])
 def test_gcd_cofactors_rescales_earlier_cofactors_when_the_gcd_shrinks(polys):
     check_cofactors_against_sympy(polys)
+
+
+def test_gcd_builds_no_quotient_polynomial(monkeypatch):
+    # only the gcd itself, before and after it is made monic, is built
+    common = parse("2*x0 + x1")
+    a, b = common * parse("x0^2 + 3", nvars=2), common * parse("x1 - 5", nvars=2)
+    polys, expected = [a, b, a * b], common.monic()
+    real, built = poly_module._new, []
+    monkeypatch.setattr(poly_module, "_new", lambda n, keyed: built.append(set(keyed)) or real(n, keyed))
+    results = gcd(a, b), gcd_list(polys)
+    monkeypatch.undo()
+    assert results == (expected, expected)
+    assert built and all(keys == set(expected._terms) for keys in built)
 
 
 def test_gcd_cofactors_runs_gcdheu_only_where_the_gcd_shrinks():
@@ -1119,6 +1136,14 @@ def test_packed_layout_matches_the_tuple_oracle(case):
         assert p.degree() == MINUS_INFINITY and p.to_string() == "0"
 
 
+def _composed_exponent_bound(f, args):
+    """max_v Σ_i E_i·D_iv: E_i the largest exponent of x_i in f, D_iv that of
+    y_v in args[i]."""
+    def top(p):
+        return [max(col) for col in zip(*p.as_dict())] or [0] * args[0].nvars
+    return max(sum(map(operator.mul, top(f), col)) for col in zip(*map(top, args)))
+
+
 @st.composite
 def layout_compose_cases(draw):
     """(F, args): F with exponents up to 3 in 1-4 variables, args of up to
@@ -1137,7 +1162,7 @@ def layout_compose_cases(draw):
 def test_packed_compose_matches_sympy_below_the_field_limit(case):
     f, args = case
     top = f.degree() * max((a.degree() for a in args if a), default=0) if f else 0
-    if top >= FIELD_LIMIT:
+    if top >= FIELD_LIMIT and _composed_exponent_bound(f, args) >= FIELD_LIMIT:
         with pytest.raises(DomainError, match="composed exponent"):
             f.compose(args)
         return
@@ -1167,3 +1192,18 @@ def test_the_field_limit_raises_instead_of_carrying():
     assert (top * Polynomial(2, {(0, FIELD_LIMIT - 1): 3})).degree() == 2 * FIELD_LIMIT - 2
     with pytest.raises(DomainError, match="composed exponent"):
         Polynomial(1, {(2,): 1}).compose([Polynomial(2, {(FIELD_LIMIT // 2, 0): 1})])
+
+
+def test_compose_bounds_each_exponent_not_the_total_degree():
+    # deg F · max deg args = 80000 passes the field limit, but no exponent
+    # of the result passes 40000: x0·x1 at (y0^40000 + y2, y1^40000 + y2)
+    big = 40000
+    args = [Polynomial(3, {(big, 0, 0): 1, (0, 0, 1): 1}), Polynomial(3, {(0, big, 0): 1, (0, 0, 1): 1})]
+    composed = parse("x0*x1").compose(args)
+    ys = sympy.symbols("y0:3")
+    expected = sympy.expand((ys[0] ** big + ys[2]) * (ys[1] ** big + ys[2]))
+    assert sympy.expand(to_sympy(composed, ys) - expected) == 0
+    assert composed.as_dict() == {(big, big, 0): 1, (big, 0, 1): 1, (0, big, 1): 1, (0, 0, 2): 1}
+    # a real overflow still raises: x0^2 at y0^40000 + y1 holds y0^80000
+    with pytest.raises(DomainError, match="composed exponent"):
+        parse("x0^2").compose([Polynomial(2, {(big, 0): 1, (0, 1): 1})])
