@@ -175,14 +175,15 @@ def cmd_analyze(args):
             # one ψ_g image sample: the battery reads its first IMAGE_SAMPLES
             # points, and on P^4 the curve stage reads all of them
             image = sample_image(psi, CURVE_SAMPLES if n1 == 5 else IMAGE_SAMPLES, args.seed)
-            checks, head, polar_sample, ok = psi_identity_battery(f, psi, image, args.seed)
+            checks, head, polar_sample, failed = psi_identity_battery(f, psi, image, args.seed)
             results["identity_checks"] = checks
             results["image"] = image_block(head)
             results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                results["classification"], p4_ok = p4_classification(f, image, args.seed)
-                ok = ok and p4_ok
-            if not ok:
+                results["classification"], stages = p4_classification(f, image, args.seed)
+                failed += [f"classification.{stage}" for stage in stages]
+            if failed:
+                print(f"identity battery failed: {', '.join(failed)}", file=sys.stderr)
                 code = EXIT_INTERNAL_CHECK
         elif n1 <= DEFAULT_SIZE_CAP:
             # the last certificate: det H_f, expanded under a fixed budget
@@ -234,9 +235,10 @@ def cmd_verify(args):
     input_block = {"suite": args.suite}
     if args.suite in ("lowdim", "gn", "all"):
         input_block["count"] = args.count  # the psi and p4 suites have fixed inputs
-    ok = block["ok"] if args.suite == "all" else block[args.suite]["ok"]
-    code = EXIT_OK if ok else EXIT_SUITE_FAILED
-    return code, _doc(input_block, block, args)
+    failed = [name for name, suite in block.items() if name != "ok" and not suite["ok"]]
+    if failed:
+        print(f"verification suite failed: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_SUITE_FAILED if failed else EXIT_OK, _doc(input_block, block, args)
 
 
 def cmd_catalog(args):

@@ -1,9 +1,11 @@
 """Polar relations, the composed map ψ_g, and the identity battery.
 
 Given f with vanishing Hessian, the partials satisfy a polynomial relation
-g(f_0,…,f_n) = 0.  The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ with the
-common factor ρ taken out, as combinations of the cofactors the gcd fold
-returns with ρ, so nothing is divided.  Everything the relation implies
+g(f_0,…,f_n) = 0, searched for on W, the span of the kernels of H_f, from
+degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
+The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over
+the relation's k+1 parts P_j (`PolarRelation`), whose gcd fold returns ρ with
+each P_j/ρ, so nothing is divided.  Everything the relation implies
 (translation invariance, the base-locus and singular-locus inclusions, fiber
 cones) is checked either symbolically or on one exact sample of the image at
 integer points, where ∇f is read in one pass per point (`gradient_at`).  The
@@ -11,14 +13,7 @@ symbolic checks are Z-linear in the form, so a family is checked at once on
 P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
 battery costs one expansion, and a relation's certificate one product.  A line
 ⟨w, q⟩ lies in a locus exactly when its equations vanish at one integer
-point w + 2^B·q (`_line_point`).  The relation itself is searched for on W,
-the span of the kernels of H_f: ψ_g takes its values there, and the polar
-image is a cone over P(W), so its lowest-degree relations are polynomials in
-the dim W forms ⟨w, ∇f⟩, found by evaluating those forms at integer points.
-The search starts at degree 2: a linear relation is a direction v with
-D_v f ≡ 0, a cone vertex, which `cones.cone_test` decides on the whole space,
-so the search takes a non-cone.  Every candidate is certified symbolically
-before it is used.
+point w + 2^B·q (`_line_point`).
 """
 
 from __future__ import annotations
@@ -92,13 +87,12 @@ class PolarRelation:
 
     g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
     certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
-    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1
-    compositions (∂_jG)(F) are made once: ψ_g takes out their gcd, and
-    the g_i = ∂g/∂y_i ∘ ∇f are their combinations Σ_j w_{j,i}·(∂_jG)(F)."""
+    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1 parts
+    (∂_jG)(F) are made once, and ψ_g is built from them alone: by the chain
+    rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F)."""
 
     g: Polynomial                 # in y_0..y_n
     degree: int
-    raw: tuple                    # g_i = ∂g/∂y_i ∘ ∇f
     certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f), up to a scale; must be zero
     parts: tuple                  # (∂_jG)(F)
     span: tuple                   # the rows w_j
@@ -113,30 +107,28 @@ class PolarRelation:
     def from_partials(cls, G, forms, span):
         """Certify G(F) ≡ 0 for the forms F_j = ⟨w_j, ∇f⟩ of the rows of
         span; None when the certificate is nonzero, so G is no relation.
-        G and the compositions are scaled so that g has coprime integer
+        G and the parts are scaled so that g has coprime integer
         coefficients and a positive leading one."""
-        n = forms[0].nvars
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
         euler = _packed_dot(forms, parts)
         if euler:
             return None
         g = G.compose([Polynomial.linear_form(w) for w in span])
-        raw = [linear_combination(n, zip((w[i] for w in span), parts)) for i in range(g.nvars)]
         scale = 1 / rational_content(g.coefficients())
         if g.leading()[1] < 0:
             scale = -scale
         if scale != 1:
-            g, parts, raw = g.scale(scale), [p.scale(scale) for p in parts], [p.scale(scale) for p in raw]
-        return cls(g=g, degree=g.degree(), raw=tuple(raw), certificate=euler, parts=tuple(parts), span=span)
+            g, parts = g.scale(scale), [p.scale(scale) for p in parts]
+        return cls(g=g, degree=g.degree(), certificate=euler, parts=tuple(parts), span=span)
 
 
 @dataclass(frozen=True)
 class PsiMap:
-    """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): h_i = g_i/ρ for the
-    relation's g_i = ∂g/∂y_i ∘ ∇f, read from `relation.raw`."""
+    """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): ρ·h_i = g_i for
+    g_i = ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F), from the relation's parts."""
 
     relation: PolarRelation
-    rho: Polynomial               # gcd(g_0,…,g_n), scaled so ρ·h_i = g_i exactly
+    rho: Polynomial               # gcd of the parts (∂_jG)(F), scaled so ρ·h_i = g_i exactly
     h: tuple                      # components with gcd 1 and integer content 1
 
     @property
@@ -190,17 +182,19 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     """Smallest-degree relation among the partials, or None up to the cap.
 
     f must not be a cone: a linear relation is D_v f ≡ 0, a vertex v, which
-    `cones.cone_test` reports, so the search starts at degree 2.  The polar
-    image is a cone over P(W), W the span of the kernels of H_f, so its
-    lowest-degree relations are polynomials G in the k+1 forms
-    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0 when
-    None).  For each degree e, the exact kernel of the degree-e monomials in
-    z at F of C(k+e, e) + 2 seeded integer points contains every such G, so
-    an empty one rules e out within W.  Each basis vector G is certified by
-    G(F) ≡ 0, and one that fails gets a row at a point where G(F) ≠ 0, until
-    the kernel is the relation space.  A W that is too small can hide a
-    relation but never fake one.  Among the basis vectors the primitive
-    integer one on the earliest monomials wins, as over all n+1 coordinates.
+    `cones.cone_test` reports, so the search starts at degree 2, and a form
+    F_j ≡ 0 below (w_j a vertex) raises DomainError.  The polar image is a
+    cone over P(W), W the span of the kernels of H_f, so its lowest-degree
+    relations are polynomials G in the k+1 forms F_j = ⟨w_j, ∇f⟩, w_j the
+    rows of `span` (`sample_kernels` at seed 0 when None).  For each degree
+    e, the exact kernel of the degree-e monomials in z at F of C(k+e, e) + 2
+    seeded integer points contains every such G, so an empty one rules e out
+    within W.  Each basis vector G is certified by G(F) ≡ 0, and one that
+    fails gets a row at a point where G(F) ≠ 0, until the kernel is the
+    relation space.  A W that is too small can hide a relation but never
+    fake one.  The primitive integer basis vector on the earliest monomials
+    in z wins.  Its parts (∂_jG)(F) do not all vanish, or a nonzero ∂_jG
+    would be a relation of degree e − 1: a vertex, or one found before.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -212,6 +206,8 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
         return None  # H_f is invertible somewhere, so the partials are independent
     partials = f.gradient()
     forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
+    if not all(forms):
+        raise DomainError("⟨w, ∇f⟩ ≡ 0 for a row w of W: V(f) is a cone with vertex w")
     for e in range(2, max_degree + 1):
         monos = monomials_of_degree(len(span), e)
         # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
@@ -234,46 +230,33 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
                 ))
             if len(rows) == nrows:
                 break
-        if len(relations) > 1 and any(sum(map(bool, w)) > 1 for w in span):
-            # only unit rows map the kernel's basis and order in z onto those
-            # of the search over all coordinates in y, so widen W to the unit
-            # rows on its support
-            support = sorted({i for w in span for i, c in enumerate(w) if c})
-            unit = tuple(tuple(int(i == j) for i in range(f.nvars)) for j in support)
-            return find_polar_relation(f, max_degree, span=unit)
-        # columns run graded-lex descending, so preferring support on the
-        # earliest monomials means taking the lexicographically greatest vector
-        for _, relation in sorted(relations, key=lambda r: r[0], reverse=True):
-            if any(relation.raw):
-                return relation
-            # all g_i ≡ 0 violates the standing assumption; try the next one
+        if relations:
+            # columns run graded-lex descending, so preferring support on the
+            # earliest monomials means taking the lexicographically greatest vector
+            return max(relations, key=operator.itemgetter(0))[1]
     return None
 
 
 def build_psi(f, relation):
-    """Assemble ψ_g from a polar relation: take out ρ = gcd of the g_i,
-    taken as the gcd of the k+1 parts P_j = (∂_jG)(F) they are combinations
-    of and that are combinations of them.  The gcd fold returns each P_j/ρ,
-    so h_i = Σ_j w_{j,i}·(P_j/ρ) needs no division.
-
-    A degree-1 relation means V(f) is a cone, outside the construction's
-    standing hypothesis; `cones.cone_test` decides cones, and callers reach
+    """Assemble ψ_g from a polar relation: take out ρ = gcd of the k+1 parts
+    P_j = (∂_jG)(F), the gcd of the g_i = Σ_j w_{j,i}·P_j as well.  The gcd
+    fold returns each q_j = P_j/ρ, so h_i = Σ_j w_{j,i}·q_j needs no
+    division, and ρ·q_j = P_j, re-checked, gives ρ·h_i = g_i.  Constant
+    parts, as of a degree-1 relation, or zero ones mean a cone, outside the
+    standing hypothesis: `cones.cone_test` decides cones, and callers reach
     this only for non-cones.
     """
-    if relation.degree == 1:
-        raise DomainError("degree-1 relation: V(f) is a cone, and ψ_g needs a non-cone")
-    raw = relation.raw
-    if not any(raw):
-        raise DomainError("all derivative compositions vanish; choose another relation")
+    if all(part.degree() <= 0 for part in relation.parts):
+        raise DomainError("every part (∂_jG)(F) is constant: V(f) is a cone, and ψ_g needs a non-cone")
     rho, quotients = gcd_cofactors(relation.parts)
     h = [linear_combination(f.nvars, zip((w[i] for w in relation.span), quotients)) for i in range(f.nvars)]
     content = rational_content([c for hi in h for c in hi.coefficients()])
     if content != 1:
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
-    for gi, hi in zip(raw, h):
-        if rho * hi != gi:
-            raise InternalCheckError("ρ·h_i != g_i after normalization")
+        quotients = [q.scale(1 / content) for q in quotients]
+    if any(rho * q != part for part, q in zip(relation.parts, quotients)):
+        raise InternalCheckError("ρ·q_j != P_j after normalization")
     if gcd_list([hi for hi in h if hi]).degree() != 0:
         raise InternalCheckError("components h_i still share a factor")
     return PsiMap(relation=relation, rho=rho, h=tuple(h))

@@ -155,7 +155,7 @@ def psi_identity_battery(f, psi, image, seed=0):
     """Every identity the relation implies, plus the sampled inclusions on
     the first IMAGE_SAMPLES points of the ψ_g image sample `image`.
     Returns the checks, those image points, the polar-image sample the
-    relation was checked on, and whether every check passed.  One
+    relation was checked on, and the names of the checks that failed.  One
     `check_invariance` call checks f, ∇f and the nonzero h_k together."""
     gradient, components = f.gradient(), [hk for hk in psi.h if hk]
     inv_f, *results = check_invariance([f, *gradient, *components], psi)
@@ -180,11 +180,10 @@ def psi_identity_battery(f, psi, image, seed=0):
     checks["relation_vanishes_on_polar_sample"] = all(
         psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
     )
+    # invariance_f passes when its derivative vanishes and both sides agree;
     # every other check is a bool
-    ok = inv_f.agree and inv_f.derivative_zero and all(
-        v for k, v in checks.items() if k != "invariance_f"
-    )
-    return checks, image, polar_sample, ok
+    passed = dict(checks, invariance_f=inv_f.agree and inv_f.derivative_zero)
+    return checks, image, polar_sample, [k for k, v in passed.items() if not v]
 
 
 # ----------------------------------------------------------------------
@@ -297,14 +296,14 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
         psi = _mutated(psi)
         image = sample_image(psi, IMAGE_SAMPLES, seed)
     block["psi"] = psi_block(psi)
-    checks, image, _, battery_ok = psi_identity_battery(f, psi, image, seed=seed)
+    checks, image, _, failed = psi_identity_battery(f, psi, image, seed=seed)
     block["checks"] = checks
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
     x0 = parse("x0", nvars=5)
     [neg] = check_invariance([x0], psi)
     block["negative_control"] = invariance_entry(neg)
-    ok = ok and battery_ok and neg.agree and not neg.derivative_zero
+    ok = ok and not failed and neg.agree and not neg.derivative_zero
     block["ok"] = ok
     return block
 
@@ -313,11 +312,11 @@ def p4_classification(f, image, seed, chart_count=5):
     """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
     through `image`, a sample of CURVE_SAMPLES ψ_g image points, and the
     hyperplane sections through its plane.  Returns the report block and
-    whether both stages passed."""
+    the names of the stages that failed."""
     curve = p4_plane_curve_check(f, image)
     sections = p4_section_check(f, curve, chart_count=chart_count, seed=seed)
     block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
-    return block, curve.ok and sections.ok
+    return block, [stage for stage, report in block.items() if not report["ok"]]
 
 
 def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None):

@@ -1,6 +1,7 @@
 """Low-dimension equivalence, corollary, and P^4 structure checks."""
 
 import dataclasses
+import types
 
 import pytest
 import sympy
@@ -21,7 +22,7 @@ from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
-from hesse_lab.reports import CURVE_SAMPLES
+from hesse_lab.reports import CURVE_SAMPLES, run_p4_suite
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -236,6 +237,33 @@ def test_p4_pipeline_on_gn_instance():
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations
+
+
+def test_p4_suite_reports_a_draw_without_a_relation():
+    # x0^2·x4 added to the seed-0 GN cubic: its Hessian no longer vanishes,
+    # so W is empty and no relation exists
+    def with_a_head_square(skel, seed):
+        instance = random_instance(skel, seed)
+        return dataclasses.replace(instance, f=instance.f + parse("x0^2*x4", nvars=5))
+
+    report = run_p4_suite(0, instances=1, chart_count=1, draw=with_a_head_square)
+    assert report["ok"] is False
+    assert report["violations"] == ["gn_421_3_seed0: no polar relation up to degree 8"]
+    assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
+
+
+def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
+    # the Perazzo quintic x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5 is a non-cone with
+    # a degree-5 relation, and its ψ_g image is a plane curve of degree above
+    # MAX_CURVE_DEGREE, so its CURVE_SAMPLES points fix no curve
+    x = [Polynomial.variable(5, i) for i in range(5)]
+    perazzo = x[0] * x[3] ** 5 + x[1] * x[4] ** 5 + x[2] * (x[3] + x[4]) ** 5
+
+    report = run_p4_suite(0, instances=1, chart_count=1, draw=lambda skel, seed: types.SimpleNamespace(f=perazzo))
+    assert report["ok"] is False
+    assert "gn_421_3_seed0: plane-curve stage failed" in report["violations"]
+    case = report["cases"][1]
+    assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve"] is None
 
 
 def test_low_dim_suite_rejects_bad_count():

@@ -288,6 +288,25 @@ def test_verify_mutation_control(tmp_path):
     assert doc["results"]["psi"]["ok"] is False
 
 
+def test_verify_mutation_names_the_failing_suite_on_stderr(capsys):
+    assert main(["verify", "--suite", "psi", "--mutate", "--no-timings"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification suite failed: psi\n"
+    assert json.loads(captured.out)["results"]["psi"]["ok"] is False
+
+
+def test_analyze_with_a_failing_battery_exit_4_names_the_checks(monkeypatch, capsys):
+    # a ψ_g with two components swapped, as under verify --mutate: H_f·h ≢ 0
+    build = cli.build_psi
+    monkeypatch.setattr(cli, "build_psi", lambda f, rel: reports._mutated(build(f, rel)))
+    assert main(["analyze", "--poly", PAPER_CUBIC, "--no-timings"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "identity battery failed: second_derivative_zero, invariance_f, partials_invariant, classification.sections\n"
+    )
+    assert json.loads(captured.out)["results"]["identity_checks"]["second_derivative_zero"] is False
+
+
 def test_verify_unknown_suite_exit_2():
     assert main(["verify", "--suite", "bogus"]) == 2
 

@@ -400,6 +400,39 @@ def test_gn_suite_reports_cone_draws_past_the_allowance():
     assert run_gn_suite(2, 0)["ok"] is True
 
 
+def test_gn_suite_reports_a_draw_whose_hessian_does_not_vanish():
+    # x0^2·x_n^(d-2) added to f: head degree 2 breaks the construction, so
+    # the seed-0 P^4 cubic has a nonvanishing Hessian, and its least tail
+    # degree falls to d - 2 = 1
+    def with_a_head_square(skel, seed):
+        instance = random_instance(skel, seed)
+        monomial = Polynomial(skel.n + 1, {(2,) + (0,) * (skel.n - 1) + (skel.d - 2,): 1})
+        return replace(instance, f=instance.f + monomial)
+
+    report = run_gn_suite(1, 0, draw=with_a_head_square)
+    first = GN_SUITE_SKELETONS[0]
+    assert report["ok"] is False and report["entries"][0]["vanishes"] is False
+    assert report["violations"][:2] == [
+        f"{first} seed 0: Hessian does not vanish",
+        f"{first} seed 0: core multiplicity 1 != d-mu",
+    ]
+
+
+def test_gn_suite_reports_a_draw_with_a_wrong_core_multiplicity():
+    # a draw that misreports μ: f and its Hessian are untouched, and only the
+    # core multiplicity d - μ disagrees, once per skeleton
+    def misreported_mu(skel, seed):
+        instance = random_instance(skel, seed)
+        return replace(instance, mu=instance.mu + 1)
+
+    report = run_gn_suite(1, 0, draw=misreported_mu)
+    assert all(entry["vanishes"] for entry in report["entries"])
+    assert report["violations"] == [
+        f"{skel} seed 0: core multiplicity {skel.d - random_instance(skel, 0).mu} != d-mu"
+        for skel in GN_SUITE_SKELETONS
+    ]
+
+
 def test_d_equal_s_with_t_minus_m_at_least_2_need_not_be_a_cone():
     # counterexample to "d = s and t - m >= 2 always give a cone": s = d = 4,
     # t - m = 3, and the seed-0 draw (like seeds 1 and 2) is not a cone

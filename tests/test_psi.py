@@ -25,7 +25,7 @@ from hesse_lab.linalg import (
     rank,
     reduced_row_basis,
 )
-from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from hesse_lab.poly import Polynomial, linear_combination, monomials_of_degree, parse
 from hesse_lab.psi import (
     PolarRelation,
     PsiMap,
@@ -39,6 +39,17 @@ from hesse_lab.psi import (
 )
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
+
+
+def g_partials(f, rel):
+    """The paper's g_i = ∂g/∂y_i ∘ ∇f, composed apart from the relation's parts."""
+    return tuple(rel.g.partial(i).compose(f.gradient()) for i in range(f.nvars))
+
+
+def from_parts(rel):
+    """Σ_j w_{j,i}·(∂_jG)(F) for each i: the g_i as ψ_g reads them off the parts."""
+    n = rel.parts[0].nvars
+    return tuple(linear_combination(n, zip((w[i] for w in rel.span), rel.parts)) for i in range(len(rel.span[0])))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +70,7 @@ def test_polar_relation_paper_cubic():
 
 def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
     # W has three rows, so three (∂_jG)(F) and one G(⟨w_0, y⟩, …) = g; the
-    # certificate and the five g_i come from them, and build_psi reuses them
+    # certificate and ψ_g come from them, and build_psi reuses them
     calls = []
     compose = Polynomial.compose
 
@@ -81,9 +92,9 @@ def test_certificate_by_euler_rejects_a_non_relation():
     unit = [tuple(int(i == j) for i in range(5)) for j in range(5)]
     assert PolarRelation.from_partials(g, partials, unit) is None
     zero = Polynomial.zero(5)
-    raw = (f1, f0, zero, zero, zero)
+    parts = (f1, f0, zero, zero, zero)
     with pytest.raises(InternalCheckError, match="certificate is nonzero"):
-        PolarRelation(g=g, degree=2, raw=raw, certificate=f0 * f1, parts=raw, span=tuple(unit))
+        PolarRelation(g=g, degree=2, certificate=f0 * f1, parts=parts, span=tuple(unit))
 
 
 def test_polar_relation_none_for_fermat():
@@ -113,7 +124,7 @@ def test_psi_components_paper_cubic(cubic_psi):
     )
     assert h[3].is_zero() and h[4].is_zero()
     # ρ·h_i = g_i exactly
-    for gi, hi in zip(cubic_psi.relation.raw, h):
+    for gi, hi in zip(g_partials(PAPER_CUBIC, cubic_psi.relation), h):
         assert cubic_psi.rho * hi == gi
 
 
@@ -292,7 +303,7 @@ def test_fiber_lines_without_gcd_division(cubic_psi):
     undivided = PsiMap(
         relation=cubic_psi.relation,
         rho=Polynomial.constant(5, 1),
-        h=cubic_psi.relation.raw,
+        h=g_partials(PAPER_CUBIC, cubic_psi.relation),
     )
     img = sample_image(undivided, count=10, seed=4)
     assert check_fiber_lines(PAPER_CUBIC, undivided, img)
@@ -316,6 +327,31 @@ def test_fiber_lines_fail_on_a_line_that_leaves_sing_v_f(cubic_psi):
 
     assert check_fiber_lines(PAPER_CUBIC, widened, sample((1, 0, 0, 0, 0)))
     assert not check_fiber_lines(PAPER_CUBIC, widened, sample((0, 0, 0, 0, 1)))
+
+
+def test_fiber_lines_fail_where_the_stored_preimage_is_not_in_the_fiber(cubic_psi):
+    # q = ψ(0:0:0:1:0) stored with the preimage p = (0:0:0:0:1): ψ(p + λq) is
+    # ψ(p) = (1:0:0:0:0), not q, so the fiber-cone loop fails at λ = 1
+    p, other = (0, 0, 0, 0, 1), (0, 0, 0, 1, 0)
+    q = primitive_vector(cubic_psi.evaluate(other))
+    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, SampledSet(label="fiber", points=(q,), preimages=(other,), seed=0))
+    assert not check_fiber_lines(PAPER_CUBIC, cubic_psi, SampledSet(label="fiber", points=(q,), preimages=(p,), seed=0))
+
+
+def test_fiber_lines_fail_on_a_line_that_leaves_the_base_locus(cubic_psi):
+    # h_3 = x0·x1 keeps the fiber of p = (0:0:0:0:1), where x1 = x3 = 0, but
+    # is nonzero on the line from q = ψ(p) = (1:0:0:0:0) to w = (0:1:0:0:0);
+    # that line lies in Sing V(f) = {x3 = x4 = 0}, so only the base-locus
+    # check can fail on it
+    h0, h1, h2, _, h4 = cubic_psi.h
+    widened = PsiMap(
+        relation=cubic_psi.relation, rho=cubic_psi.rho, h=(h0, h1, h2, parse("x0*x1", nvars=5), h4)
+    )
+    p = (0, 0, 0, 0, 1)
+    q = primitive_vector(widened.evaluate(p))
+    sample = SampledSet(label="lines", points=(q, (0, 1, 0, 0, 0)), preimages=(p, p), seed=0)
+    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, sample)
+    assert not check_fiber_lines(PAPER_CUBIC, widened, sample)
 
 
 @pytest.mark.parametrize("k", [1, 7, 64, 300])
@@ -380,8 +416,8 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
     monkeypatch.setattr(Polynomial, "compose", counted_compose)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
     monkeypatch.setattr(reports, "check_invariance", counted_invariance)
-    checks, _, _, ok = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
-    assert ok and checks["fiber_lines"]
+    checks, _, _, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
+    assert failed == [] and checks["fiber_lines"]
     assert calls["invariance"] == 1
     assert calls["compose in fiber lines"] == 0
     # one P(x + λh) for P the packed family of f, its five partials and the
@@ -397,7 +433,7 @@ def test_battery_reads_the_prefix_of_a_longer_image_sample(cubic_psi):
     assert len(long) == reports.CURVE_SAMPLES
     a = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, short)
     b = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, long)
-    assert a == b and b[1] == short and b[3]
+    assert a == b and b[1] == short and b[3] == []
 
 
 def test_the_short_image_sample_is_the_head_of_the_long_one(cubic_psi):
@@ -431,8 +467,9 @@ def test_build_psi_on_a_six_variable_sextic():
     rel = find_polar_relation(f, max_degree=2)
     psi = build_psi(f, rel)
     assert (psi.rho.degree(), len(psi.rho)) == (3, 28)
-    assert sum(1 for g in psi.relation.raw if g) == 3
-    for gi, hi in zip(psi.relation.raw, psi.h):
+    g = g_partials(f, rel)
+    assert sum(1 for gi in g if gi) == 3
+    for gi, hi in zip(g, psi.h):
         assert psi.rho * hi == gi
 
 
@@ -499,7 +536,7 @@ def test_relation_search_matches_symbolic_oracle(f, max_degree, degree):
     if degree is None:
         assert expected is None and rel is None
         return
-    assert (rel.g, rel.degree, rel.raw) == expected
+    assert (rel.g, rel.degree, from_parts(rel)) == expected
     assert rel.degree == degree
 
 
@@ -526,7 +563,7 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
 
     monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
     rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
-    assert (rel.g, rel.degree, rel.raw) == (expected.g, expected.degree, expected.raw)
+    assert (rel.g, rel.degree, rel.parts) == (expected.g, expected.degree, expected.parts)
     # the search starts at degree 2 and draws no degree-1 point; it runs on
     # the three forms ⟨w_j, ∇f⟩, so the degree-2 batch holds 6 + 2
     # points, and rank 1 leaves a kernel of dimension 5, so at least 4 more
@@ -586,6 +623,48 @@ def test_w_and_relation_degree_are_coordinate_free(f):
     assert find_polar_relation(g).degree == find_polar_relation(f).degree
 
 
+def test_dense_direct_sum_searches_once_on_w(monkeypatch):
+    # W of the dense conjugate of PAPER_CUBIC ⊕ PAPER_CUBIC has no unit row,
+    # and degree 2 holds a relation of each summand; the search runs once,
+    # on W, and takes the greatest certified kernel vector
+    f = _dense(_direct_sum(PAPER_CUBIC, PAPER_CUBIC))
+    assert all(sum(map(bool, w)) > 1 for w in sample_kernels(f).span)
+    calls = []
+    search = psi_module.find_polar_relation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(psi_module, "find_polar_relation", counted)
+    rel = psi_module.find_polar_relation(f)
+    assert len(calls) == 1
+    assert rel.degree == 2 and rel.certificate.is_zero()
+    assert rel.g.compose(f.gradient()).is_zero()
+    psi = build_psi(f, rel)
+    image = sample_image(psi, reports.IMAGE_SAMPLES, 0)
+    assert reports.psi_identity_battery(f, psi, image)[3] == []
+
+
+def test_relation_search_refuses_a_cone_whose_w_row_is_a_vertex():
+    # W = span(e2, e3, e4), and ⟨e_j, ∇f⟩ = f_j ≡ 0 for j >= 2: every row of
+    # W is a vertex, so the search refuses f instead of returning a relation
+    # whose parts all vanish
+    with pytest.raises(DomainError, match="cone"):
+        find_polar_relation(parse("x0^3 + x1^3", nvars=5))
+
+
+def test_build_psi_refuses_a_relation_whose_parts_all_vanish():
+    # G = (z0 - z1)^2 on F_0 = F_1 is a certified relation, and both of its
+    # parts ±2·(F_0 - F_1) vanish
+    f0 = PAPER_CUBIC.gradient()[0]
+    G = parse("z0^2 - 2*z0*z1 + z1^2", var_prefix="z", nvars=2)
+    rel = PolarRelation.from_partials(G, [f0, f0], ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)))
+    assert rel.degree == 2 and not any(rel.parts)
+    with pytest.raises(DomainError, match="every part"):
+        build_psi(PAPER_CUBIC, rel)
+
+
 # ----------------------------------------------------------------------
 # ψ_g from the gcd's cofactors
 
@@ -612,7 +691,7 @@ def small_gn_forms(draw):
 def test_psi_from_cofactors_matches_the_sympy_gcd(f):
     psi = build_psi(f, find_polar_relation(f))
     parts = [p for p in psi.relation.parts if p]
-    for gi, hi in zip(psi.relation.raw, psi.h):
+    for gi, hi in zip(g_partials(f, psi.relation), psi.h):
         assert psi.rho * hi == gi
     h = [_sympy_expr(hi) for hi in psi.h if hi]
     assert sympy.gcd_list(h).is_number
