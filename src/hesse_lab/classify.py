@@ -3,8 +3,9 @@
 Covers the low-dimension equivalence (vanishing Hessian ⇔ cone for at most
 three projective dimensions), the small-polar-image corollary, and the
 structure of vanishing-Hessian non-cones in P^4: the sampled ψ_g image spans
-a plane, interpolates to a plane curve, and hyperplane sections through that
-plane are cones whose vertex line is tangent to the curve.
+a plane, interpolates to a plane curve in the coordinates of the plane's
+reduced echelon basis, and hyperplane sections through that plane are cones
+whose vertex line is tangent to the curve.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
-from .linalg import (
-    ScalarMatrix,
-    _echelon_rational,
-    kernel,
-    primitive_vector,
-    random_invertible,
-)
+from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, reduced_row_basis
 from .poly import Polynomial, is_reduced, monomials_of_degree
 
 MAX_CURVE_DEGREE = 6
@@ -152,8 +147,7 @@ def low_polar_dim_check(f, seed=0):
 @dataclass(frozen=True)
 class PlaneCurveReport:
     span_rank: int
-    span_basis: tuple                 # echelon rows, each primitive; () unless a plane
-    span_pivots: tuple                # the pivot column of each echelon row
+    span_basis: tuple                 # reduced echelon rows, as W's; () unless a plane
     curve: Optional[Polynomial]       # in 3 span coordinates
     curve_degree: Optional[int]
     irreducibility_unverified: bool
@@ -164,33 +158,27 @@ class PlaneCurveReport:
         return self.span_rank == 3 and self.curve is not None
 
 
-def _span_coordinates(basis, pivots, point):
-    """Coordinates of an ambient point in an echelon span basis, primitive,
-    or None when the point lies outside the span.
+def _span_coordinates(basis, point):
+    """Coordinates of an ambient point in a reduced echelon span basis,
+    primitive, or None when the point lies outside the span.
 
-    Row k of the basis is 0 before its pivot column pivots[k], so the
-    coordinates are read off the pivot columns by forward substitution, kept
-    in integers as Z/D by scaling Z and D by each pivot; Σ Z_k·b_k = D·q is
-    then checked on the other columns.  The pivot columns need no check:
-    step k makes column pivots[k] agree, the rows after k are 0 there, and
-    each later step scales both sides by the same pivot."""
-    zs, den = [], 1
-    for b, pc in zip(basis, pivots):
-        r = den * point[pc] - sum(z * c[pc] for z, c in zip(zs, basis))
-        a = b[pc]
-        zs = [z * a for z in zs]
-        zs.append(r)
-        den *= a
-    for i, x in enumerate(point):
-        if i not in pivots and sum(z * c[i] for z, c in zip(zs, basis)) != den * x:
-            return None
+    Row k is the only row nonzero at its pivot column c_k, so its
+    coordinate is q[c_k]/b_k[c_k].  In integers: with L the lcm of the
+    pivot entries, Z_k = L·q[c_k]/b_k[c_k], and Σ Z_k·b_k = L·q is checked
+    on every column."""
+    cols = [next(i for i, x in enumerate(b) if x) for b in basis]
+    l = math.lcm(*(b[c] for b, c in zip(basis, cols)))
+    zs = [l // b[c] * point[c] for b, c in zip(basis, cols)]
+    if any(sum(z * b[i] for z, b in zip(zs, basis)) != l * x for i, x in enumerate(point)):
+        return None
     return primitive_vector(zs)
 
 
 def p4_plane_curve_check(f, image):
-    """The sampled ψ_g image must span exactly a plane; interpolate the
-    least-degree curve through it in span coordinates.  A curve of degree e
-    is sought only when the sample has at least C(e+2, 2) points.
+    """The sampled ψ_g image must span exactly a plane Π; interpolate the
+    least-degree curve through it in the coordinates of Π's reduced echelon
+    basis, which depends on Π alone, as W's does.  A curve of degree e is
+    sought only when the sample has at least C(e+2, 2) points.
     Rationality and irreducibility are not certified, only recorded as
     unverified.
 
@@ -199,11 +187,10 @@ def p4_plane_curve_check(f, image):
     if f.nvars != 5:
         raise DomainError("the plane-curve stage needs a form on P^4")
     points = image.points
-    rows, pivots = _echelon_rational([list(q) for q in points])
-    basis, curve, degree = (), None, None
-    if len(pivots) == 3:
-        basis = tuple(primitive_vector(r) for r in rows)
-        zs = [_span_coordinates(basis, pivots, q) for q in points]
+    basis = reduced_row_basis(points)
+    span_rank, curve, degree = len(basis), None, None
+    if span_rank == 3:
+        zs = [_span_coordinates(basis, q) for q in points]
         if None in zs:
             raise InternalCheckError("a sampled ψ_g point escapes its own span")
         for e in range(2, MAX_CURVE_DEGREE + 1):
@@ -218,9 +205,8 @@ def p4_plane_curve_check(f, image):
                 degree = e
                 break
     return PlaneCurveReport(
-        span_rank=len(pivots),
-        span_basis=basis,
-        span_pivots=tuple(pivots),
+        span_rank=span_rank,
+        span_basis=basis if span_rank == 3 else (),
         curve=curve,
         curve_degree=degree,
         irreducibility_unverified=True,
@@ -287,7 +273,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         return SectionReport(
             precondition="plane-curve stage did not complete", records=(), violations=()
         )
-    basis, pivots = curve_report.span_basis, curve_report.span_pivots
+    basis = curve_report.span_basis
     pencil = [list(v) for v in kernel(ScalarMatrix([list(b) for b in basis]))]
     if len(pencil) != 2:
         raise InternalCheckError("the pencil through a rank-3 span is not 2-dimensional")
@@ -319,7 +305,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
             violations.append(f"section at c={c} has nonvanishing Hessian")
         # the vertex line lies in Π: read it in Π's coordinates
         zeta = [
-            _span_coordinates(basis, pivots, chart.embed_point(primitive_vector(v)))
+            _span_coordinates(basis, chart.embed_point(primitive_vector(v)))
             for v in vertex.basis
         ]
         status, point = "no_line", None

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
+from .errors import DomainError
 from .gn import GNSkeleton, core_multiplicity, random_instance
 from .hessian import hessian_vanishes
 from .poly import parse
@@ -327,8 +328,15 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
     def inputs():
         yield ("paper_cubic", *(paper_cubic or _paper_cubic(seed)))
         for i in range(instances):
-            f = draw(skel, seed + i).f
-            yield (f"gn_421_3_seed{seed + i}", f, *_relation_and_psi(f, seed))
+            name, f = f"gn_421_3_seed{seed + i}", draw(skel, seed + i).f
+            try:
+                found = _relation_and_psi(f, seed)
+            except DomainError:
+                # on a form of degree >= 2 the relation search and ψ_g
+                # refuse only a cone, which another `draw` may return
+                violations.append(f"{name}: V(f) is a cone")
+                continue
+            yield (name, f, *found)
 
     for name, f, rel, psi, image in inputs():
         if rel is None:

@@ -1,6 +1,8 @@
 """Low-dimension equivalence, corollary, and P^4 structure checks."""
 
 import dataclasses
+import json
+import random
 import types
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import classify
+from hesse_lab.cli import main
 from hesse_lab.classify import (
     _span_coordinates,
     low_dim_hesse_suite,
@@ -20,6 +23,7 @@ from hesse_lab.cones import VertexSubspace
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
+from hesse_lab.linalg import reduced_row_basis
 from hesse_lab.poly import Polynomial, parse
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
 from hesse_lab.reports import CURVE_SAMPLES, run_p4_suite
@@ -82,9 +86,11 @@ def test_p4_curve_paper_cubic(cubic_curve):
     assert cubic_curve.span_rank == 3
     assert cubic_curve.curve_degree == 2
     assert cubic_curve.irreducibility_unverified is True
-    # oracle: the sample (-b^2 : ab : -a^2 : 0 : 0) satisfies z0*z2 = z1^2 in
-    # plane coordinates; any affine change keeps the degree at 2
     assert cubic_curve.points_used >= 12
+    # the sample (-b^2 : ab : -a^2 : 0 : 0) spans x3 = x4 = 0, whose reduced
+    # echelon basis is e0, e1, e2, and satisfies x0*x2 = x1^2 there
+    assert cubic_curve.span_basis == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    assert cubic_curve.curve.to_string("z") == "z0*z2 - z1^2"
 
 
 def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
@@ -96,7 +102,7 @@ def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
 def test_p4_curve_point_outside_its_own_span_is_an_internal_error(cubic_psi, monkeypatch):
     # every sampled point lies in the span of the sample, so only a broken
     # coordinate reader gets here
-    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, pivots, point: None)
+    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, point: None)
     with pytest.raises(InternalCheckError, match="escapes its own span"):
         p4_plane_curve_check(PAPER_CUBIC, sample_image(cubic_psi, CURVE_SAMPLES, 0))
 
@@ -110,7 +116,7 @@ def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
 
 def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_curve, monkeypatch):
     # a vertex vector without coordinates in Π's basis is not a line of Π
-    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, pivots, point: None)
+    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, point: None)
     report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
     assert not report.ok
     assert [(r.tangency_status, r.tangency_point) for r in report.records] == [("no_line", None)]
@@ -149,9 +155,10 @@ def test_p4_sections_paper_cubic(cubic_curve):
         assert r.vanishes
         assert r.vertex_dim >= 1
         assert r.tangency_status == "tangent"
-    # distinct pencil members touch the curve in distinct points
+    # distinct pencil members touch the conic z0*z2 = z1^2 in distinct points
     points = [r.tangency_point for r in report.records]
     assert len(set(points)) == len(points)
+    assert all(z0 * z2 == z1 ** 2 for z0, z1, z2 in points)
 
 
 def test_p4_sections_corrupted_curve(cubic_curve):
@@ -202,32 +209,60 @@ def test_repeated_root_by_euler_matches_sympy_sqf_list(r):
         assert square[0][0].subs({u: root[0], v: root[1]}) == 0
 
 
-def test_span_coordinates_read_off_the_echelon_basis(cubic_curve):
-    basis, pivots = cubic_curve.span_basis, cubic_curve.span_pivots
-    assert pivots == (0, 1, 2)
+def test_span_coordinates_read_off_the_echelon_basis():
+    # pivot entries 1, 2 and 3: the coordinates are read at the scale of their lcm, 6
+    basis = ((1, 0, 2, 0, -3), (0, 2, 1, 0, 4), (0, 0, 0, 3, 5))
+    assert reduced_row_basis(basis) == basis
     z = (3, -7, 11)
     q = [sum(zk * b[i] for zk, b in zip(z, basis)) for i in range(5)]
-    assert _span_coordinates(basis, pivots, q) == z
+    assert _span_coordinates(basis, q) == z
     # a scalar multiple of q has the same primitive coordinates
-    assert _span_coordinates(basis, pivots, [-2 * x for x in q]) == z
+    assert _span_coordinates(basis, [-2 * x for x in q]) == z
 
 
 def test_span_coordinates_outside_the_span_is_none():
-    basis, pivots = ((1, 2, 0, 0), (0, 0, 3, 1)), (0, 2)
+    basis = ((1, 2, 0, 0), (0, 0, 3, 1))
     # agrees with 1·b0 + 1·b1 on the pivot columns, not on column 3
-    assert _span_coordinates(basis, pivots, (1, 2, 3, 2)) is None
-    assert _span_coordinates(basis, pivots, (0, 1, 0, 0)) is None
-    assert _span_coordinates(basis, pivots, (1, 2, 3, 1)) == (1, 1)
+    assert _span_coordinates(basis, (1, 2, 3, 2)) is None
+    assert _span_coordinates(basis, (0, 1, 0, 0)) is None
+    assert _span_coordinates(basis, (1, 2, 3, 1)) == (1, 1)
 
 
 def test_span_coordinates_negative_pivot_is_sign_normalized():
     # rows with negative pivots: the coordinates are still primitive with a
     # positive first nonzero entry, whatever the signs of the pivots
-    basis, pivots = ((-2, 1, 0), (0, -3, 6)), (0, 1)
+    basis = ((-2, 0, 1), (0, -3, 6))
     q = [2 * a - 4 * b for a, b in zip(*basis)]   # 2·b0 - 4·b1
-    assert _span_coordinates(basis, pivots, q) == (1, -2)
-    assert _span_coordinates(basis, pivots, [-x for x in q]) == (1, -2)
-    assert _span_coordinates(basis, pivots, [0, -3, 6]) == (0, 1)
+    assert _span_coordinates(basis, q) == (1, -2)
+    assert _span_coordinates(basis, [-x for x in q]) == (1, -2)
+    assert _span_coordinates(basis, [0, -3, 6]) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
+    # Π's reduced echelon basis depends on Π alone, so the curve and the
+    # sections read in its coordinates do too; seed None is the paper cubic
+    skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
+    f = PAPER_CUBIC if seed is None else random_instance(skel, seed).f
+    image = sample_image(build_psi(f, find_polar_relation(f)), CURVE_SAMPLES, 0)
+    shuffled = list(image.points)
+    random.Random(f"shuffle {seed}").shuffle(shuffled)
+    assert shuffled != list(image.points)
+    a = p4_plane_curve_check(f, image)
+    b = p4_plane_curve_check(f, dataclasses.replace(image, points=tuple(shuffled)))
+    assert a.ok and (a.span_basis, a.curve) == (b.span_basis, b.curve)
+    assert p4_section_check(f, a, chart_count=3, seed=0) == p4_section_check(f, b, chart_count=3, seed=0)
+
+
+@pytest.mark.parametrize("form", ["paper_cubic", "4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6"])
+def test_the_plane_basis_is_w_basis_in_analyze(form, capsys):
+    if form == "paper_cubic":
+        text = PAPER_CUBIC.to_string("x")
+    else:
+        text = random_instance(GNSkeleton(*map(int, form.split(","))), seed=0).f.to_string("x")
+    assert main(["analyze", "--poly", text, "--no-timings"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["classification"]["plane_curve"]["span_basis"] == results["relation_search"]["w_basis"]
 
 
 def test_p4_pipeline_on_gn_instance():
@@ -264,6 +299,16 @@ def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
     assert "gn_421_3_seed0: plane-curve stage failed" in report["violations"]
     case = report["cases"][1]
     assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve"] is None
+
+
+def test_p4_suite_reports_a_cone_draw():
+    # the relation search refuses the vertex rows of W of x0^3 + x1^3; the
+    # suite names the cone instead of raising
+    cone = parse("x0^3 + x1^3", nvars=5)
+    report = run_p4_suite(0, instances=1, chart_count=1, draw=lambda skel, seed: types.SimpleNamespace(f=cone))
+    assert report["ok"] is False
+    assert report["violations"] == ["gn_421_3_seed0: V(f) is a cone"]
+    assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
 
 
 def test_low_dim_suite_rejects_bad_count():

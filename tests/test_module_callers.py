@@ -63,17 +63,16 @@ def test_every_definition_has_a_caller_or_is_a_listed_oracle():
 
 
 def test_no_module_but_poly_reads_exponent_storage():
-    # exponents live behind poly: no other module imports a private name of
-    # poly or reads a polynomial's term storage (`_terms`) or a `terms` attribute
+    # exponents live behind poly: no other module reads a polynomial's term
+    # storage (`_terms`) or a `terms` attribute; and no module imports a
+    # private name of another package module, poly's or any other
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "poly.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "poly":
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 offenders += [f"{path.name}:{node.lineno} imports {name}" for name in private]
-            elif isinstance(node, ast.Attribute) and (
+            elif path.name != "poly.py" and isinstance(node, ast.Attribute) and (
                 node.attr in ("_terms", "terms")
                 or isinstance(node.value, ast.Name) and node.value.id == "poly" and node.attr.startswith("_")
             ):
