@@ -11,9 +11,8 @@ whose vertex line is tangent to the curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
@@ -28,8 +27,7 @@ MAX_CURVE_DEGREE = 6
 # ----------------------------------------------------------------------
 # low-dimension equivalence suite
 
-@dataclass(frozen=True)
-class LowDimRecord:
+class LowDimRecord(NamedTuple):
     n: int
     kind: str                 # "cone" | "generic"
     degree: int
@@ -38,8 +36,7 @@ class LowDimRecord:
     polar_dim: Optional[int]
 
 
-@dataclass(frozen=True)
-class LowDimReport:
+class LowDimReport(NamedTuple):
     records: tuple
     violations: tuple
 
@@ -144,8 +141,7 @@ def low_polar_dim_check(f, seed=0):
 # ----------------------------------------------------------------------
 # P^4 structure: plane span, curve interpolation, hyperplane sections
 
-@dataclass(frozen=True)
-class PlaneCurveReport:
+class PlaneCurveReport(NamedTuple):
     span_rank: int
     span_basis: tuple                 # reduced echelon rows, as W's; () unless a plane
     curve: Optional[Polynomial]       # in 3 span coordinates
@@ -214,8 +210,7 @@ def p4_plane_curve_check(f, image):
     )
 
 
-@dataclass(frozen=True)
-class SectionRecord:
+class SectionRecord(NamedTuple):
     pencil_value: Fraction
     vanishes: bool
     vertex_dim: int
@@ -223,8 +218,7 @@ class SectionRecord:
     tangency_point: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class SectionReport:
+class SectionReport(NamedTuple):
     precondition: Optional[str]
     records: tuple
     violations: tuple

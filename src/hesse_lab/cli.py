@@ -6,21 +6,23 @@ a polar relation and, for at most DEFAULT_SIZE_CAP variables, det H_f ≡ 0
 under DETERMINANT_BUDGET monomial products.  `generate`, `catalog` and the
 gn suite stop at the cone vertex.
 
-Exit codes: 0 success; 1 verification suite failure; 2 parse error, bad
-invocation or input outside a computation's domain (such as exponents past
-the exponent field); 3 zero, constant or non-homogeneous input; 4 internal
-check violation (an identity the construction guarantees failed); 5
-parameter validation failure; 6 seeded retry budget exhausted.  Every
-nonzero exit prints its reason on stderr.
+`parse_args` reads argv against one table, FLAGS, with exact flag names:
+`--flag value` or `--flag=value`, where a value may start with '-'.
+
+Exit codes: 0 success (also -h/--help); 1 verification suite failure; 2 parse
+error, bad invocation or input outside a computation's domain (such as
+exponents past the exponent field); 3 zero, constant or non-homogeneous
+input; 4 internal check violation (an identity the construction guarantees
+failed); 5 parameter validation failure; 6 seeded retry budget exhausted.
+Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .cones import cone_test
 from .errors import (
@@ -70,65 +72,78 @@ EXIT_INTERNAL_CHECK = 4
 EXIT_VALIDATION = 5
 EXIT_RETRY = 6
 
+REQUIRED = object()  # the default of a flag that must be given
+# per subcommand, each flag's kind and default; a kind is int, str, bool (a
+# switch, no value), list (repeatable, kept in order) or a tuple of choices
+FLAGS = {
+    "analyze": {"--poly": (str, REQUIRED), "--max-relation-degree": (int, DEFAULT_MAX_RELATION_DEGREE)},
+    "generate": {**{f"--{name}": (int, REQUIRED) for name in GNSkeleton._fields}, "--out": (str, None)},
+    "verify": {"--suite": (("lowdim", "gn", "psi", "p4", "all"), REQUIRED), "--count": (int, 10),
+               "--mutate": (bool, False)},
+    "catalog": {"--types": (list, REQUIRED), "--count": (int, 1)},
+}
+COMMON = {"--seed": (int, 0), "--json": (str, None), "--no-timings": (bool, False)}
+FLAGS = {command: {**flags, **COMMON} for command, flags in FLAGS.items()}
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    p = argparse.ArgumentParser(
-        prog="hesse-lab",
-        description="Exact analysis of hypersurfaces with vanishing Hessian.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
-        sp.add_argument(
-            "--no-timings",
-            action="store_true",
-            help="omit the timings block (byte-deterministic output)",
-        )
+class UsageError(Exception):
+    """(subcommand or None, reason): exit 2 with its usage; a reason of None asks for help."""
 
-    a = sub.add_parser("analyze", help="full pipeline on one polynomial")
-    common(a)
-    a.add_argument("--poly", required=True, help="polynomial in x-variables")
-    a.add_argument(
-        "--max-relation-degree",
-        type=int,
-        default=DEFAULT_MAX_RELATION_DEGREE,
-        help="polar relation search cap",
-    )
 
-    g = sub.add_parser("generate", help="build one seeded construction instance")
-    common(g)
-    for flag in ("n", "t", "m", "hdeg", "psideg", "d"):
-        g.add_argument(f"--{flag}", type=int, required=True)
-    g.add_argument("--out", metavar="PATH", help="write the instance JSON here")
+def usage(command=None):
+    """The synopsis of one subcommand, or of all of them, read off FLAGS."""
+    if command is None:
+        return "\n       ".join(map(usage, FLAGS))
+    words = [f"hesse-lab {command}"]
+    for flag, (kind, default) in FLAGS[command].items():
+        value = "|".join(kind) if type(kind) is tuple else flag[2:].upper().replace("-", "_")
+        word = flag if kind is bool else f"{flag} {value}" + " ..." * (kind is list)
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    common(v)
-    v.add_argument(
-        "--suite", required=True, choices=("lowdim", "gn", "psi", "p4", "all")
-    )
-    v.add_argument("--count", type=int, default=10, help="instances per family")
-    v.add_argument(
-        "--mutate",
-        action="store_true",
-        help="testing aid: corrupt the psi components; the suite must then fail",
-    )
 
-    c = sub.add_parser("catalog", help="batch-generate instances with metadata")
-    common(c)
-    c.add_argument(
-        "--types",
-        action="append",
-        required=True,
-        metavar="n,t,m,hdeg,psideg,d",
-        help="skeleton sextuple; repeatable",
-    )
-    c.add_argument("--count", type=int, default=1, help="instances per skeleton")
+def _choice(name, value, choices, command=None):
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise UsageError(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
 
-    return p
+
+def parse_args(argv):
+    """argv read against FLAGS, `--flag value` or `--flag=value`; a value is
+    the next token even when it starts with '-'.  Flag names are exact."""
+    if not argv or argv[0] in ("-h", "--help"):
+        raise UsageError(None, None if argv else "the following arguments are required: command")
+    command = _choice("command", argv[0], FLAGS)
+    table, given, unknown = FLAGS[command], {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise UsageError(command, None)
+        flag, explicit, value = token.partition("=")
+        kind = table.get(flag, (None,))[0]
+        if kind is None or (kind is bool and explicit):  # a switch takes no value
+            unknown.append(token)
+            continue
+        if kind is not bool and not explicit:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(command, f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(command, f"argument {flag}: invalid int value: {value!r}") from None
+        elif type(kind) is tuple:
+            value = _choice(flag, value, kind, command)
+        given[flag] = True if kind is bool else [*given.get(flag, ()), value] if kind is list else value
+    missing = [flag for flag, (_, default) in table.items() if default is REQUIRED and flag not in given]
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(command, f"unrecognized arguments: {' '.join(unknown)}")
+    values = {flag: given.get(flag, default) for flag, (_, default) in table.items()}
+    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def _check_positive(flag, value):
@@ -197,9 +212,7 @@ def cmd_analyze(args):
 
 
 def cmd_generate(args):
-    skel = GNSkeleton(
-        n=args.n, t=args.t, m=args.m, hdeg=args.hdeg, psideg=args.psideg, d=args.d
-    )
+    skel = GNSkeleton(*(getattr(args, name) for name in GNSkeleton._fields))
     instance, verdict, entry = gn_entry(skel, args.seed)
     data = instance_to_dict(instance)
     if args.out:
@@ -213,11 +226,7 @@ def cmd_generate(args):
         "core_multiplicity": entry["core_multiplicity"],
         "core_multiplicity_expected": skel.d - instance.mu,
     }
-    return EXIT_OK, _doc(
-        {"skeleton": [args.n, args.t, args.m, args.hdeg, args.psideg, args.d]},
-        results,
-        args,
-    )
+    return EXIT_OK, _doc({"skeleton": list(skel)}, results, args)
 
 
 def cmd_verify(args):
@@ -295,9 +304,15 @@ def _emit(doc, args, started):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its usage error or help
-        return exc.code
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        command, reason = exc.args
+        if reason is None:
+            print(f"usage: {usage(command)}")
+            return EXIT_OK
+        prog = " ".join(filter(None, ("hesse-lab", command)))
+        print(f"usage: {usage(command)}", f"{prog}: error: {reason}", sep="\n", file=sys.stderr)
+        return EXIT_PARSE
     started = time.time()
     handlers = {
         "analyze": cmd_analyze,

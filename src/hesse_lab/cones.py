@@ -12,6 +12,7 @@ coordinate convention sneaks in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 from .errors import (
     DimensionError,
     DomainError,
@@ -30,8 +31,7 @@ from .linalg import (
 from .poly import Polynomial, derivative_rows, directional_derivative
 
 
-@dataclass(frozen=True)
-class VertexSubspace:
+class VertexSubspace(NamedTuple):
     """Directions v with D_v f ≡ 0; projective dimension = len(basis) - 1."""
 
     basis: tuple

@@ -19,9 +19,9 @@ variables as key offsets and runs Horner over the Q_ℓ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
@@ -52,8 +52,7 @@ def _shape_violations(n, t, m):
     return out
 
 
-@dataclass(frozen=True)
-class GNSkeleton:
+class GNSkeleton(NamedTuple):
     """Shape of an instance before coefficients are drawn."""
 
     n: int
@@ -95,8 +94,7 @@ class GNSkeleton:
         return out
 
 
-@dataclass(frozen=True)
-class GNParams:
+class GNParams(NamedTuple):
     """Full construction data; ψ forms live in ambient variables but are
     supported on the tail x_{t+1}..x_n, and P_k forms use variables
     (z_1..z_{t-m}, then the tail) in their own space."""
@@ -191,8 +189,7 @@ def validate(params):
     return params
 
 
-@dataclass(frozen=True)
-class GNInstance:
+class GNInstance(NamedTuple):
     params: GNParams
     q_polys: tuple          # Q_1..Q_{t-m}, ambient
     m_coeffs: tuple         # (t-m) × (t+1) cofactor polynomials, ambient

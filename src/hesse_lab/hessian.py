@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
@@ -66,8 +65,7 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
 
 
-@dataclass(frozen=True)
-class HessianVerdict:
+class HessianVerdict(NamedTuple):
     mode = "probabilistic"         # every verdict is read off sampled ranks
     vanishes: bool
     trials: int                    # points evaluated
@@ -87,7 +85,7 @@ class HessianVerdict:
             )
         if self.certificate is not None:
             return self
-        return replace(self, error_bound=Fraction(0), certificate=certificate)
+        return self._replace(error_bound=Fraction(0), certificate=certificate)
 
 
 def hessian_matrix(f):
@@ -279,8 +277,7 @@ def hessian_vanishes(f, seed=0):
     return rank_verdict(f, (rank(hessian_at(f, a)) for a in points))
 
 
-@dataclass(frozen=True)
-class KernelSample:
+class KernelSample(NamedTuple):
     """H_f at its seeded points: the rank at each, and W, the span of the
     exact kernels."""
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import norm_coeff, rational_content, substream
@@ -122,8 +123,7 @@ class PolarRelation:
         return cls(g=g, degree=g.degree(), certificate=euler, parts=tuple(parts), span=span)
 
 
-@dataclass(frozen=True)
-class PsiMap:
+class PsiMap(NamedTuple):
     """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): ρ·h_i = g_i for
     g_i = ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F), from the relation's parts."""
 
@@ -262,8 +262,7 @@ def build_psi(f, relation):
     return PsiMap(relation=relation, rho=rho, h=tuple(h))
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
+class InvarianceCheck(NamedTuple):
     """Both sides of the translation-invariance equivalence for one F."""
 
     derivative_zero: bool         # Σ ∂F/∂x_i · h_i = 0
@@ -365,8 +364,7 @@ def sample_polar_image(f, count, seed):
     return image
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     ok: bool
     base_locus_violations: tuple
     singular_violations: tuple

@@ -17,7 +17,6 @@ from .hessian import hessian_vanishes
 from .poly import parse
 from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
-    PsiMap,
     build_psi,
     check_fiber_lines,
     check_inclusions,
@@ -282,9 +281,7 @@ def run_gn_suite(count, seed, draw=_draw):
 
 
 def _mutated(psi):
-    h = list(psi.h)
-    h[0], h[1] = h[1], h[0]
-    return PsiMap(relation=psi.relation, rho=psi.rho, h=tuple(h))
+    return psi._replace(h=(psi.h[1], psi.h[0], *psi.h[2:]))
 
 
 def run_psi_suite(seed, mutate=False, paper_cubic=None):

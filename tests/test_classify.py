@@ -109,7 +109,7 @@ def test_p4_curve_point_outside_its_own_span_is_an_internal_error(cubic_psi, mon
 
 def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
     # an ok curve report spans a plane, whose pencil of hyperplanes is 2-dimensional
-    line = dataclasses.replace(cubic_curve, span_basis=cubic_curve.span_basis[:2])
+    line = cubic_curve._replace(span_basis=cubic_curve.span_basis[:2])
     with pytest.raises(InternalCheckError, match="not 2-dimensional"):
         p4_section_check(PAPER_CUBIC, line, chart_count=1, seed=0)
 
@@ -166,7 +166,7 @@ def test_p4_sections_corrupted_curve(cubic_curve):
     corrupted_curve = cubic_curve.curve.as_dict()
     key = next(iter(corrupted_curve))
     corrupted_curve[key] = -corrupted_curve[key]
-    fake = dataclasses.replace(cubic_curve, curve=Polynomial(3, corrupted_curve))
+    fake = cubic_curve._replace(curve=Polynomial(3, corrupted_curve))
     report = p4_section_check(PAPER_CUBIC, fake, chart_count=3, seed=0)
     assert not report.ok
     assert any("double root" in v for v in report.violations)
@@ -279,7 +279,7 @@ def test_p4_suite_reports_a_draw_without_a_relation():
     # so W is empty and no relation exists
     def with_a_head_square(skel, seed):
         instance = random_instance(skel, seed)
-        return dataclasses.replace(instance, f=instance.f + parse("x0^2*x4", nvars=5))
+        return instance._replace(f=instance.f + parse("x0^2*x4", nvars=5))
 
     report = run_p4_suite(0, instances=1, chart_count=1, draw=with_a_head_square)
     assert report["ok"] is False

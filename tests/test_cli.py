@@ -1,10 +1,11 @@
 """Command-line contract: exit codes, JSON schema shape, determinism."""
 
-import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import cli, cones, errors, hessian, linalg, poly, psi, reports
-from hesse_lab.cli import build_parser, main
+from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
@@ -81,11 +82,9 @@ def _readme_flags():
 def test_readme_synopsis_matches_the_parser():
     # a flag the README shows must parse, and a flag that parses must be shown
     documented, common = _readme_flags()
-    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert documented.keys() == sub.choices.keys()
-    for command, parser in sub.choices.items():
-        accepted = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
-        assert documented[command] | common == accepted - {"--help"}, command
+    assert documented.keys() == cli.FLAGS.keys()
+    for command, flags in cli.FLAGS.items():
+        assert documented[command] | common == flags.keys(), command
 
 
 def test_analyze_cone_stops_at_the_vertex(tmp_path):
@@ -159,7 +158,7 @@ def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
     assert "nonzero homogeneous: the polynomial is zero" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["2", "7/3", "x0 - x0 - 5"])
+@pytest.mark.parametrize("text", ["2", "7/3", "x0 - x0 - 5", "-7/3"])
 def test_analyze_constant_exit_3_degree_0(text, capsys):
     assert main(["analyze", "--poly", text, "--no-timings"]) == 3
     err = capsys.readouterr().err
@@ -176,6 +175,92 @@ def test_symbolic_option_is_gone_exit_2(capsys):
     ):
         assert main([*argv, "--symbolic"]) == 2, argv
         assert "unrecognized arguments: --symbolic" in capsys.readouterr().err
+
+
+ANALYZE = ("analyze", "--poly", PAPER_CUBIC)
+
+
+@pytest.mark.parametrize(
+    "argv, command, reason",
+    [
+        ((*ANALYZE, "--bogus"), "analyze", "unrecognized arguments: --bogus"),
+        # flag names are exact: argparse's prefix abbreviations are gone
+        ((*ANALYZE, "--max-rel", "3"), "analyze", "unrecognized arguments: --max-rel 3"),
+        ((*ANALYZE, "--no-timings=1"), "analyze", "unrecognized arguments: --no-timings=1"),
+        (("analyze", "--poly"), "analyze", "argument --poly: expected one argument"),
+        ((*ANALYZE, "--seed", "x"), "analyze", "argument --seed: invalid int value: 'x'"),
+        (("verify", "--suite=all", "--count="), "verify", "argument --count: invalid int value: ''"),
+        (("verify", "--suite", "bogus"), "verify",
+         "argument --suite: invalid choice: 'bogus' (choose from 'lowdim', 'gn', 'psi', 'p4', 'all')"),
+        (("analyze", "--seed", "1"), "analyze", "the following arguments are required: --poly"),
+        (("generate", "--n", "4"), "generate",
+         "the following arguments are required: --t, --m, --hdeg, --psideg, --d"),
+        (("catalog", "--count", "2"), "catalog", "the following arguments are required: --types"),
+        ((), None, "the following arguments are required: command"),
+        (("--seed", "3", "analyze"), None,
+         "argument command: invalid choice: '--seed' (choose from 'analyze', 'generate', 'verify', 'catalog')"),
+    ],
+)
+def test_usage_error_exit_2_with_usage_and_reason(argv, command, reason, capsys):
+    assert main(list(argv)) == 2
+    out = capsys.readouterr()
+    prog = "hesse-lab" if command is None else f"hesse-lab {command}"
+    assert out.err == f"usage: {cli.usage(command)}\n{prog}: error: {reason}\n"
+    assert out.out == ""
+
+
+def test_flag_equals_value_reads_as_two_tokens(tmp_path):
+    joined = run(tmp_path, "analyze", f"--poly={PAPER_CUBIC}", "--max-relation-degree=1", "--seed=3",
+                 name="joined.json")
+    split = run(tmp_path, *ANALYZE, "--max-relation-degree", "1", "--seed", "3", name="split.json")
+    assert joined == split
+    assert joined[1]["results"]["polar_relation"] is None and joined[1]["seeds"] == {"master": 3}
+
+
+def test_repeated_types_accumulate_in_order():
+    args = cli.parse_args(["catalog", "--types", "4,2,1,2,1,4", "--seed", "3", "--types=4,2,1,2,1,3"])
+    assert args.types == ["4,2,1,2,1,4", "4,2,1,2,1,3"]
+    assert (args.command, args.count, args.seed, args.json, args.no_timings) == ("catalog", 1, 3, None, False)
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["-h"], None), (["--help"], None), (["analyze", "-h"], "analyze"),
+     (["verify", "--bogus", "--help"], "verify")],
+)
+def test_help_prints_the_synopsis_and_exits_0(argv, command, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == f"usage: {cli.usage(command)}\n" and out.err == ""
+    lines = dict(re.match(r"\s*(?:usage: )?hesse-lab (\w+)(.*)", line).groups() for line in out.out.splitlines())
+    for name in lines:
+        assert set(re.findall(r"--[a-z-]+", lines[name])) == cli.FLAGS[name].keys()
+    assert lines.keys() == ({command} if command else cli.FLAGS.keys())
+
+
+@pytest.mark.parametrize("text", ["-x0^3-x1^3", parse("-2*x0^2*x1").to_string("x")])
+def test_a_poly_with_a_leading_minus_is_the_flag_value(text, tmp_path):
+    # the token after --poly is its value even when it looks like an option
+    assert text.startswith("-") and " " not in text
+    code, doc = run(tmp_path, "analyze", "--poly", text)
+    assert code == 0
+    assert doc["input"] == {"poly": text}
+    assert doc["results"]["hessian"]["vanishes"] is False
+
+
+def test_main_imports_no_argparse_gettext_or_locale():
+    # a fresh process runs main without argparse's import, gettext lookup
+    # and locale set-up: the start-up cost the flag table removes
+    script = (
+        "import sys\n"
+        "from hesse_lab import cli\n"
+        f"assert cli.main(['analyze', '--poly', {PAPER_CUBIC!r}, '--no-timings']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
@@ -351,9 +436,10 @@ def test_catalog_deterministic(tmp_path):
 
 
 def test_one_parser_serves_successive_calls(tmp_path):
-    # main builds its parser once per process: calls with other subcommands
-    # and options, one after another on the kept parser, give the reports of
-    # calls that each build a fresh one, and no option leaks into the next
+    # main reads one module-level flag table: calls with other subcommands
+    # and options, one after another, give the reports they give in the
+    # reverse order, no option leaks into the next, and the table is unchanged
+    table = repr(cli.FLAGS)
     argvs = [
         ["catalog", "--types", "4,2,1,2,1,3", "--types", "4,2,1,2,1,4", "--seed", "3"],
         ["analyze", "--poly", PAPER_CUBIC, "--max-relation-degree", "1"],
@@ -361,12 +447,9 @@ def test_one_parser_serves_successive_calls(tmp_path):
         ["analyze", "--poly", PAPER_CUBIC],
     ]
     kept = [run(tmp_path, *argv, name=f"kept{i}.json") for i, argv in enumerate(argvs)]
-    assert build_parser() is build_parser()
-    fresh = []
-    for i, argv in enumerate(argvs):
-        build_parser.cache_clear()
-        fresh.append(run(tmp_path, *argv, name=f"fresh{i}.json"))
-    assert kept == fresh
+    reverse = [run(tmp_path, *argv, name=f"reverse{i}.json") for i, argv in enumerate(argvs[::-1])]
+    assert kept == reverse[::-1]
+    assert repr(cli.FLAGS) == table
     assert [doc["input"] for _, doc in kept[::2]] == [
         {"types": ["4,2,1,2,1,3", "4,2,1,2,1,4"], "count": 1},
         {"types": ["4,2,1,2,1,3"], "count": 1},

@@ -2,7 +2,6 @@
 
 import gc
 import types
-from dataclasses import replace
 from itertools import combinations, product
 from unittest import mock
 
@@ -212,7 +211,7 @@ def test_laplace_consistency_fraction_constants(sympy_det):
 def test_build_Q_rejects_repeated_constant_row():
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
     row = params.a_consts[0][0]
-    params = replace(params, a_consts=((row, row),) + params.a_consts[1:])
+    params = params._replace(a_consts=((row, row),) + params.a_consts[1:])
     with pytest.raises(DegenerateDataError):
         build_Q(params)
 
@@ -389,7 +388,7 @@ def test_gn_suite_reports_cone_draws_past_the_allowance():
     # cone vertex does, once per skeleton
     def cone_draw(skel, seed):
         instance = random_instance(skel, seed)
-        return replace(instance, vertex=VertexSubspace(basis=((1,) + (0,) * skel.n,), projective_dim=0))
+        return instance._replace(vertex=VertexSubspace(basis=((1,) + (0,) * skel.n,), projective_dim=0))
 
     report = run_gn_suite(2, 0, draw=cone_draw)
     assert report["ok"] is False
@@ -407,7 +406,7 @@ def test_gn_suite_reports_a_draw_whose_hessian_does_not_vanish():
     def with_a_head_square(skel, seed):
         instance = random_instance(skel, seed)
         monomial = Polynomial(skel.n + 1, {(2,) + (0,) * (skel.n - 1) + (skel.d - 2,): 1})
-        return replace(instance, f=instance.f + monomial)
+        return instance._replace(f=instance.f + monomial)
 
     report = run_gn_suite(1, 0, draw=with_a_head_square)
     first = GN_SUITE_SKELETONS[0]
@@ -423,7 +422,7 @@ def test_gn_suite_reports_a_draw_with_a_wrong_core_multiplicity():
     # core multiplicity d - μ disagrees, once per skeleton
     def misreported_mu(skel, seed):
         instance = random_instance(skel, seed)
-        return replace(instance, mu=instance.mu + 1)
+        return instance._replace(mu=instance.mu + 1)
 
     report = run_gn_suite(1, 0, draw=misreported_mu)
     assert all(entry["vanishes"] for entry in report["entries"])
