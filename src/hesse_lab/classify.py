@@ -5,7 +5,8 @@ three projective dimensions), the small-polar-image corollary, and the
 structure of vanishing-Hessian non-cones in P^4: the sampled ψ_g image spans
 a plane, interpolates to a plane curve in the coordinates of the plane's
 reduced echelon basis, and hyperplane sections through that plane are cones
-whose vertex line is tangent to the curve.
+whose vertex line is tangent to the curve: a repeated root of the curve on
+that line (`poly.repeated_root`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, reduced_row_basis
-from .poly import Polynomial, is_reduced, monomials_of_degree
+from .poly import Polynomial, is_reduced, monomials_of_degree, repeated_root
 
 MAX_CURVE_DEGREE = 6
 
@@ -228,37 +229,6 @@ class SectionReport(NamedTuple):
         return self.precondition is None and not self.violations
 
 
-def _repeated_root_data(r):
-    """(has_repeated_root, root_or_None) for a nonzero binary form r(u, v)
-    of degree at least two.
-
-    By Euler's identity deg(r)·r = u·∂_u r + v·∂_v r, a linear form divides
-    both partials exactly when its square divides r, so r has a repeated
-    root iff g = gcd(∂_u r, ∂_v r) is not constant.  g is v^k, k the least
-    order of v in the two partials, times the gcd of ∂_u r(u, 1) and
-    ∂_v r(u, 1) made homogeneous, found by Euclid's algorithm.  When
-    g = a·u + b·v the repeated root is the single point (b : -a)."""
-    d = r.degree() - 1
-    partials = [r.partial(0), r.partial(1)]
-    k = min(e[1] for p in partials for e in p.as_dict())
-    # the coefficients of ∂r(u, 1) = (∂r/v^k)(u, 1) at u^(d−k), …, u^0; a
-    # leading zero of a costs one step at q = 0, and b is trimmed first
-    a, b = ([Fraction(p.coefficient((i, d - i))) for i in range(d - k, -1, -1)] for p in partials)
-    while any(b):
-        b = b[next(i for i, c in enumerate(b) if c) :]
-        while len(a) >= len(b):
-            q = a[0] / b[0]
-            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
-        a, b = b, a
-    degree = len(a) - 1 + k
-    if degree == 0:
-        return False, None
-    if degree == 1:
-        gu, gv = [0, *a] if k else a
-        return True, primitive_vector((gv, -gu))
-    return True, None
-
-
 def p4_section_check(f, curve_report, chart_count=5, seed=0):
     """Hyperplane sections through the core plane Π must be vanishing-Hessian
     cones with a vertex line, and that line (inside Π) must meet the
@@ -316,7 +286,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
             if restricted.is_zero():
                 status = "line_in_curve"
             else:
-                repeated, root = _repeated_root_data(restricted)
+                repeated, root = repeated_root(restricted)
                 if not repeated:
                     status = "failed"
                     violations.append(f"section at c={c}: tangency double root missing")

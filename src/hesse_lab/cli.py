@@ -2,8 +2,8 @@
 
 Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
 exact certificates of a vanishing verdict in order of cost: the cone vertex,
-a polar relation and, for at most DEFAULT_SIZE_CAP variables, det H_f ≡ 0
-under DETERMINANT_BUDGET monomial products.  `generate`, `catalog` and the
+a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
+products, which alone bounds it.  `generate`, `catalog` and the
 gn suite stop at the cone vertex.
 
 `parse_args` reads argv against one table, FLAGS, with exact flag names:
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .gn import GNSkeleton, instance_to_dict, validate_skeleton
 from .hessian import (
-    DEFAULT_SIZE_CAP,
     DETERMINANT_BUDGET,
     hessian_matrix,
     rank_verdict,
@@ -200,7 +199,7 @@ def cmd_analyze(args):
             if failed:
                 print(f"identity battery failed: {', '.join(failed)}", file=sys.stderr)
                 code = EXIT_INTERNAL_CHECK
-        elif n1 <= DEFAULT_SIZE_CAP:
+        else:
             # the last certificate: det H_f, expanded under a fixed budget
             det = symbolic_determinant(hessian_matrix(f), DETERMINANT_BUDGET)
             if det:

@@ -12,8 +12,8 @@ points alone.  This is the only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex, a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
-det H_f ≡ 0 expanded under DETERMINANT_BUDGET later makes a vanishing verdict
-exact.  The matrix of second partials is built only for that determinant.
+det H_f ≡ 0 expanded under DETERMINANT_BUDGET, whatever the size of H_f,
+later makes a vanishing verdict exact.  The matrix of second partials is built only for that determinant.
 The symbolic determinant, by minor expansion over memoized column subsets,
 serves that certificate alone; its
 memo, `ColumnMinors`, also gives `gn` the minors of its ψ-rows and the
@@ -32,7 +32,6 @@ from .fields import DEFAULT_PRIME, norm_coeff, substream
 from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
-DEFAULT_SIZE_CAP = 8
 DEFAULT_SAMPLES = 5
 # monomial products, Σ len(a)·len(b) over the products a·b, that the determinant
 # certificate may spend; a count, not a time, so reports stay byte-identical
@@ -212,8 +211,6 @@ def symbolic_determinant(m, budget=None):
     when the expansion would spend more than `budget` monomial products."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square matrix")
-    if m.rows > DEFAULT_SIZE_CAP:
-        raise DomainError(f"matrix size {m.rows} exceeds cap {DEFAULT_SIZE_CAP}")
     one = Polynomial.constant(m.nvars, 1)
     try:
         return ColumnMinors(m.entries, Polynomial.zero(m.nvars), one, budget)((1 << m.rows) - 1)

@@ -24,7 +24,9 @@ accepts a result only after exact trial division and draws larger points
 until one passes, which always happens; the comment above ``_primitive_ints``
 proves both.  Results are monic.  One fold runs trial divisions over a
 list, and GCDHEU only where the gcd so far fails to divide; only
-``gcd_cofactors`` keeps its quotients.
+``gcd_cofactors`` keeps its quotients, and only ``psi`` calls it.
+``repeated_root`` reads a binary form's repeated root by univariate Euclid
+on its partials, and ``is_reduced`` asks it of f on a seeded line.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one key as it goes, and refuses a variable index past
@@ -45,7 +47,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, VariableCountError
-from .fields import norm_coeff, rational_content, substream
+from .fields import DEFAULT_PRIME, norm_coeff, rational_content, substream
 
 MINUS_INFINITY = float("-inf")
 
@@ -737,6 +739,61 @@ def monomials_of_degree(nvars, d):
 
 
 # ----------------------------------------------------------------------
+# repeated roots of binary forms, and reducedness on a line
+
+def repeated_root(r):
+    """(has_repeated_root, root_or_None) for a nonzero binary form r(u, v)
+    of degree at least two.
+
+    By Euler's identity deg(r)·r = u·∂_u r + v·∂_v r, a linear form divides
+    both partials exactly when its square divides r, so r has a repeated
+    root iff g = gcd(∂_u r, ∂_v r) is not constant.  g is v^k, k the least
+    order of v in the two partials, times the gcd of ∂_u r(u, 1) and
+    ∂_v r(u, 1) made homogeneous, found by Euclid's algorithm.  When
+    g = a·u + b·v the repeated root is the single point (b : −a)."""
+    d = r.degree() - 1
+    partials = [r.partial(0), r.partial(1)]
+    k = min(e[1] for p in partials for e in p.as_dict())
+    # the coefficients of ∂r(u, 1) = (∂r/v^k)(u, 1) at u^(d−k), …, u^0; a
+    # leading zero of a costs one step at q = 0, and b is trimmed first
+    a, b = ([Fraction(p.coefficient((i, d - i))) for i in range(d - k, -1, -1)] for p in partials)
+    while any(b):
+        b = b[next(i for i, c in enumerate(b) if c) :]
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+        a, b = b, a
+    degree = len(a) - 1 + k
+    if degree == 0:
+        return False, None
+    if degree == 1:
+        gu, gv = [0, *a] if k else a
+        return True, (gv, -gu)
+    return True, None
+
+
+def is_reduced(f, seed=0):
+    """Whether f|_L = f(u·a + v·b) has no repeated root, on a seeded line L,
+    a and b in range(DEFAULT_PRIME)^(n+1), redrawn once while f|_L ≡ 0.
+    True is exact: p² | f gives (p|_L)² | f|_L.  A reduced f of degree d is
+    refused with probability at most 2d(d−1)/DEFAULT_PRIME (Schwartz–Zippel
+    on the discriminant of f|_L, of degree 2d(d−1) in a and b)."""
+    if not f:
+        raise DomainError("is_reduced is undefined for the zero polynomial")
+    if not f.is_homogeneous():
+        raise DomainError("is_reduced expects a homogeneous polynomial")
+    if f.degree() <= 1:
+        return True
+    for attempt in range(2):
+        rng = substream(seed + attempt, "is_reduced")
+        line = [[rng.randrange(DEFAULT_PRIME) for _ in range(2)] for _ in range(f.nvars)]
+        restricted = f.compose([Polynomial.linear_form(a) for a in line])
+        if restricted:
+            return not repeated_root(restricted)[0]
+    return False
+
+
+# ----------------------------------------------------------------------
 # gcd: GCDHEU over Z
 #
 # The heuristic works on primitive integer parts held as term dicts (key ->
@@ -985,27 +1042,3 @@ def gcd_cofactors(polys):
 def gcd_list(polys):
     """The monic gcd of a list, skipping zeros; error if all zero."""
     return _new(polys[0].nvars, _gcd_fold(polys)[0]).monic()
-
-
-def is_reduced(f, seed=0):
-    """Squarefreeness proxy: gcd(f, D_v f) constant for a seeded random
-    direction v, with one deterministic retry on a second direction.  A
-    repeated square factor divides D_v f for every v, so it is always caught."""
-    if not f:
-        raise DomainError("is_reduced is undefined for the zero polynomial")
-    if not f.is_homogeneous():
-        raise DomainError("is_reduced expects a homogeneous polynomial")
-    for attempt in range(2):
-        rng = substream(seed + attempt, "is_reduced")
-        v = [rng.randint(-9, 9) for _ in range(f.nvars)]
-        if not any(v):
-            v[0] = 1
-        dv = directional_derivative(f, v)
-        if not dv:
-            # degree-0 input or a degenerate direction: gcd(f, 0) = f
-            if f.degree() == 0:
-                return True
-            continue
-        if gcd(f, dv).degree() == 0:
-            return True
-    return False

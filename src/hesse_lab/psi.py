@@ -11,7 +11,8 @@ cones) is checked either symbolically or on one exact sample of the image at
 integer points, where ∇f is read in one pass per point (`gradient_at`).  The
 symbolic checks are Z-linear in the form, so a family is checked at once on
 P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
-battery costs one expansion, and a relation's certificate one product.  A line
+battery costs one expansion P(x + λh), whose λ¹ coefficient is the
+derivative side Σ_j ∂_jP·h_j, and a relation's certificate one product.  A line
 ⟨w, q⟩ lies in a locus exactly when its equations vanish at one integer
 point w + 2^B·q (`_line_point`).
 """
@@ -278,15 +279,15 @@ def check_invariance(forms, psi):
     """For each F in forms, both sides of Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
     and F(h) ≡ 0; the sides must agree, or the theorem itself is falsified.
 
-    All symbolic, read off digit k of one expansion P(x + λ·h(x)) and one sum
-    Σ_j ∂_jP·h_j of the packed family P = Σ_k F_k·2^(bits·k) (`_Digits`).
-    F_k is invariant when digit k vanishes on every term of λ-exponent ≥ 1.
-    F_k is homogeneous, of degree D say, so F_k(h) is the λ^D coefficient of
-    its expansion (Taylor's argument forces it to vanish when Σ F_i h_i = 0).
-    The bound, with F and h scaled to integers and M = 1 + max_j ‖h_j‖₁: a
-    term c·x^e of F expands to c·Π_i (x_i + λh_i)^e_i, of absolute coefficient
-    sum at most |c|·M^D, so no coefficient of F(x + λh), nor of its
-    λ-coefficient Σ_j ∂_jF·h_j, exceeds ‖F‖₁·M^D.
+    All symbolic, read off digit k of one expansion P(x + λ·h(x)) of the
+    packed family P = Σ_k F_k·2^(bits·k) (`_Digits`).  Its λ¹ coefficient is
+    Σ_j ∂_jP·h_j (Taylor), and F_k is invariant when digit k vanishes on
+    every term of λ-exponent ≥ 1.  F_k is homogeneous, of degree D say, so
+    F_k(h) is its λ^D coefficient (Taylor's argument forces it to vanish when
+    Σ F_i h_i = 0).  The bound, with F and h scaled to integers and
+    M = 1 + max_j ‖h_j‖₁: a term c·x^e of F expands to c·Π_i (x_i + λh_i)^e_i,
+    of absolute coefficient sum at most |c|·M^D, so no coefficient of
+    F(x + λh) exceeds ‖F‖₁·M^D.
     """
     for F in forms:
         if F.nvars != psi.nvars:
@@ -296,14 +297,12 @@ def check_invariance(forms, psi):
     n1, family, h = psi.nvars, _integral(forms), _integral(psi.h)
     degrees, m = [F.degree() for F in forms], 1 + max(map(_norm, h))
     digits = _Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
-    packed = digits.pack(family)
-    sigma = linear_combination(n1, ((1, packed.partial(j) * hj) for j, hj in enumerate(h) if hj))
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
-    shifted = packed.compose([
+    shifted = digits.pack(family).compose([
         Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1).times_variable(n1) for i, hi in enumerate(h)
     ])
     by_lambda = shifted.coefficients_by_exponent(n1)
-    derivative = digits.nonzero(sigma.coefficients())
+    derivative = digits.nonzero(by_lambda.get(1, ()))
     moved = digits.nonzero(c for a, cs in by_lambda.items() if a for c in cs)
     top = {D: digits.nonzero(by_lambda.get(D, ())) for D in set(degrees)}
     return [

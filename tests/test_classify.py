@@ -24,7 +24,7 @@ from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.linalg import reduced_row_basis
-from hesse_lab.poly import Polynomial, parse
+from hesse_lab.poly import Polynomial, parse, repeated_root
 from hesse_lab.psi import build_psi, find_polar_relation, sample_image
 from hesse_lab.reports import CURVE_SAMPLES, run_p4_suite
 
@@ -56,6 +56,38 @@ def test_low_dim_suite_deterministic():
     a = low_dim_hesse_suite(count=5, seed=3)
     b = low_dim_hesse_suite(count=5, seed=3)
     assert a == b
+
+
+def _fermat(nvars, degree, rng):
+    """x0^d + … + xn^d: no cone, and its Hessian is nonzero."""
+    return Polynomial(nvars, {tuple(degree * (j == i) for j in range(nvars)): 1 for i in range(nvars)})
+
+
+def test_low_dim_suite_names_a_drawn_cone_that_is_none(monkeypatch):
+    # every "cone" draw is a Fermat form: none is detected, and the P^3 one
+    # has a polar image of dimension 3
+    monkeypatch.setattr(classify, "_random_cone", _fermat)
+    report = low_dim_hesse_suite(count=1, seed=0)
+    assert report.violations == (
+        "constructed cone not detected (P1, case 0)",
+        "constructed cone not detected (P2, case 0)",
+        "P3 cone (seed 0, case 0) has dim Z = 3",
+        "constructed cone not detected (P3, case 0)",
+    )
+
+
+def test_low_dim_suite_names_a_vanishing_hessian_without_a_vertex(monkeypatch):
+    # a cone test that finds no vertex breaks the biconditional on every cone
+    monkeypatch.setattr(classify, "cone_test", lambda f: VertexSubspace(basis=(), projective_dim=-1))
+    report = low_dim_hesse_suite(count=1, seed=0)
+    assert report.violations == tuple(
+        message
+        for n in (1, 2, 3)
+        for message in (
+            f"biconditional fails in P{n} for cone case 0: vanishes=True, cone_dim=-1",
+            f"constructed cone not detected (P{n}, case 0)",
+        )
+    )
 
 
 def test_low_polar_dim_cone_of_three_cubes():
@@ -199,7 +231,7 @@ def test_repeated_root_by_euler_matches_sympy_sqf_list(r):
     expr = sum(c * u ** e[0] * v ** e[1] for e, c in r.as_dict().items())
     _, factors = sympy.sqf_list(expr, u, v)
     square = [(p, k) for p, k in factors if k >= 2]
-    repeated, root = classify._repeated_root_data(r)
+    repeated, root = repeated_root(r)
     assert repeated == bool(square)
     # a point is reported exactly when the repeated part is one double linear factor
     single = len(square) == 1 and square[0][1] == 2

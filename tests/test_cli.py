@@ -526,9 +526,11 @@ def test_verify_echoes_count_only_for_suites_that_read_it(tmp_path):
         (("--poly", PAPER_CUBIC), True, "polar_relation"),
         # no relation of degree 1, and det H_f passes DETERMINANT_BUDGET
         (("--poly", OVER_BUDGET, "--max-relation-degree", "1"), True, None),
+        # nine variables, no relation of degree 2, and det H_f ≡ 0 within the budget
+        (("--poly", _gn_form(8, 5, 2, 2, 1, 4), "--max-relation-degree", "2"), True, "determinant"),
         # no relation of degree 1, and det H_f ≡ 0 within the budget
         (("--poly", PAPER_CUBIC, "--max-relation-degree", "1"), True, "determinant"),
-        # nine variables: past DEFAULT_SIZE_CAP the determinant is not tried
+        # nine variables, no relation of degree 1, and det H_f passes the budget
         (("--poly", _gn_form(8, 5, 1, 2, 1, 6), "--max-relation-degree", "1"), True, None),
     ],
 )
@@ -666,8 +668,8 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
     # exact regression gates: a larger count is work added back.  The 24
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
-    # full rank, so none of them is a `kernel` call.  `gcd_list` runs the gcd
-    # fold itself, so the gcd calls are the two of `is_reduced`
+    # full rank, so none of them is a `kernel` call.  `is_reduced` reads its
+    # forms on a line, so nothing calls the multivariate `gcd`
     calls = Counter()
     for original in (
         hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test
@@ -678,7 +680,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=2, hessian_at=34, cone_test=24)
+    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=0, hessian_at=34, cone_test=24)
 
 
 @pytest.mark.parametrize(

@@ -134,13 +134,10 @@ def test_det_algorithms_agree_seeded(sympy_det, seed=37, cases=50):
         assert symbolic_determinant(m) == sympy_det(m)
 
 
-def test_det_rejects_non_square_and_oversize():
+def test_det_rejects_non_square():
     x = parse("x0")
     with pytest.raises(DimensionError):
         symbolic_determinant(PolyMatrix([[x, x]]))
-    big = PolyMatrix([[x] * 9 for _ in range(9)])
-    with pytest.raises(DomainError):
-        symbolic_determinant(big)
 
 
 def test_vanishes_symbolic_paper_cubic():

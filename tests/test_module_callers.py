@@ -89,7 +89,7 @@ def test_the_gcd_works_on_keys():
     functions = [
         node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.lineno > start
     ]
-    assert {"gcd", "gcd_list", "gcd_cofactors", "is_reduced", "_heu_gcd", "_int_quotient"} <= {
+    assert {"gcd", "gcd_list", "gcd_cofactors", "_heu_gcd", "_int_quotient"} <= {
         f.name for f in functions
     }
     offenders = [
@@ -99,6 +99,37 @@ def test_the_gcd_works_on_keys():
         if isinstance(node, ast.Attribute) and node.attr in ("as_dict", "constant")
         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Polynomial"
     ]
+    assert offenders == []
+
+
+GCD = {"gcd", "gcd_list", "gcd_cofactors"}
+
+
+def test_only_psi_calls_the_multivariate_gcd():
+    # GCDHEU has one caller, `psi.build_psi`; reducedness is read on a line
+    # (`poly.is_reduced`), so the gcd functions are called only from psi and
+    # from each other
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "psi.py":
+            continue
+        tree = ast.parse(path.read_text())
+        inside = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in GCD
+        ]
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id in GCD
+                or isinstance(node.func, ast.Attribute) and node.func.attr in GCD
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "poly"
+            )
+            and not any(node.lineno in span for span in inside)
+        ]
     assert offenders == []
 
 

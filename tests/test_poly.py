@@ -911,7 +911,7 @@ def test_heuristic_gcd_draws_points_until_one_passes(a, b, expected):
 
 
 # ----------------------------------------------------------------------
-# reducedness proxy
+# reducedness on a line
 
 def test_is_reduced_visible_square():
     assert is_reduced(parse("x0^2*x1"), seed=0) is False
@@ -932,6 +932,35 @@ def test_is_reduced_distinct_linear_factors():
 def test_is_reduced_zero_rejected():
     with pytest.raises(DomainError):
         is_reduced(Polynomial.zero(2))
+
+
+@st.composite
+def reducedness_cases(draw):
+    """Nonzero forms of degree 1..4 in 2..4 variables with at most five
+    terms (monomials with a squared variable are common), or p²·q for forms
+    p of degree 1..2 and q of degree 0..2."""
+    n = draw(st.integers(2, 4))
+
+    def form(d):
+        coeffs = st.integers(-3, 3).filter(bool)
+        return Polynomial(n, draw(st.dictionaries(st.sampled_from(monomials_of_degree(n, d)), coeffs, min_size=1, max_size=5)))
+
+    if draw(st.booleans()):
+        return form(draw(st.integers(1, 4)))
+    p = form(draw(st.integers(1, 2)))
+    return p * p * form(draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reducedness_cases())
+# reduced, though its factors vanish at v = (9, −2) and (−6, −5): a test of
+# gcd(f, D_v f) at those two directions finds a factor each time and refuses it
+@example(parse("(2*x0 + 9*x1)*(5*x0 - 6*x1)"))
+def test_is_reduced_matches_sympy_sqf_list(f):
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    expr = sum(c * sympy.prod(x ** k for x, k in zip(xs, e)) for e, c in f.as_dict().items())
+    _, factors = sympy.sqf_list(expr, *xs)
+    assert is_reduced(f) is all(k == 1 for _, k in factors)
 
 
 # ----------------------------------------------------------------------

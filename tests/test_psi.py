@@ -394,7 +394,7 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
     cubic_psi, monkeypatch
 ):
     calls = Counter()
-    compose, fiber = Polynomial.compose, reports.check_fiber_lines
+    compose, fiber, mul = Polynomial.compose, reports.check_fiber_lines, Polynomial.__mul__
     invariance = psi_module.check_invariance
 
     def counted_compose(self, args):
@@ -408,12 +408,21 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
         finally:
             calls["open fiber lines"] -= 1
 
+    def counted_mul(self, other):
+        calls["mul in invariance"] += calls["open invariance"]
+        return mul(self, other)
+
     def counted_invariance(forms, psi):
         calls["invariance"] += 1
-        return invariance(forms, psi)
+        calls["open invariance"] += 1
+        try:
+            return invariance(forms, psi)
+        finally:
+            calls["open invariance"] -= 1
 
     image = sample_image(cubic_psi, reports.IMAGE_SAMPLES, 0)
     monkeypatch.setattr(Polynomial, "compose", counted_compose)
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
     monkeypatch.setattr(reports, "check_invariance", counted_invariance)
     checks, _, _, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
@@ -421,8 +430,9 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
     assert calls["invariance"] == 1
     assert calls["compose in fiber lines"] == 0
     # one P(x + λh) for P the packed family of f, its five partials and the
-    # three nonzero h_k
+    # three nonzero h_k, whose λ¹ coefficient is the derivative side Σ_j ∂_jP·h_j
     assert calls["compose"] == 1
+    assert calls["mul in invariance"] == 0
 
 
 def test_battery_reads_the_prefix_of_a_longer_image_sample(cubic_psi):
