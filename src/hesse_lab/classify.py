@@ -2,11 +2,12 @@
 
 Covers the low-dimension equivalence (vanishing Hessian ⇔ cone for at most
 three projective dimensions), the small-polar-image corollary, and the
-structure of vanishing-Hessian non-cones in P^4: the sampled ψ_g image spans
-a plane, interpolates to a plane curve in the coordinates of the plane's
-reduced echelon basis, and hyperplane sections through that plane are cones
-whose vertex line is tangent to the curve: a repeated root of the curve on
-that line (`poly.repeated_root`).
+structure of vanishing-Hessian non-cones in P^4: the ψ_g image, read in the
+coordinates of W's reduced echelon basis, spans the plane P(W) and lies on
+a plane curve, its certified least relation (`psi.least_relation`), and
+hyperplane sections through that plane are cones whose vertex line is
+tangent to the curve: a repeated root of the curve on that line
+(`poly.repeated_root`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
-from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, reduced_row_basis
-from .poly import Polynomial, is_reduced, monomials_of_degree, repeated_root
+from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, rank
+from .poly import Polynomial, is_reduced, linear_combination, monomials_of_degree, repeated_root
+from .psi import least_relation
 
 MAX_CURVE_DEGREE = 6
 
@@ -140,15 +142,15 @@ def low_polar_dim_check(f, seed=0):
 
 
 # ----------------------------------------------------------------------
-# P^4 structure: plane span, curve interpolation, hyperplane sections
+# P^4 structure: plane span, certified curve, hyperplane sections
 
 class PlaneCurveReport(NamedTuple):
     span_rank: int
-    span_basis: tuple                 # reduced echelon rows, as W's; () unless a plane
-    curve: Optional[Polynomial]       # in 3 span coordinates
+    span_basis: tuple                 # W's reduced echelon rows; () unless a plane
+    curve: Optional[Polynomial]       # in the 3 coordinates of W's basis
     curve_degree: Optional[int]
     irreducibility_unverified: bool
-    points_used: int
+    points_used: int                  # points the search read at the curve's degree
 
     @property
     def ok(self):
@@ -171,43 +173,38 @@ def _span_coordinates(basis, point):
     return primitive_vector(zs)
 
 
-def p4_plane_curve_check(f, image):
-    """The sampled ψ_g image must span exactly a plane Π; interpolate the
-    least-degree curve through it in the coordinates of Π's reduced echelon
-    basis, which depends on Π alone, as W's does.  A curve of degree e is
-    sought only when the sample has at least C(e+2, 2) points.
-    Rationality and irreducibility are not certified, only recorded as
-    unverified.
-
+def p4_plane_curve_check(f, psi):
+    """ψ_g = Σ_j q_j·w_j takes its values in W, whose rows w_j are in reduced
+    echelon form, so in their coordinates the image is (q_0 : … : q_k),
+    q_j = h_c/w_j[c] at the pivot column c of w_j, re-checked exactly.  It
+    spans P(W) when the q_j are independent (`span_rank`, their exact rank),
+    and on a plane Π = P(W) its curve is the certified least relation among
+    q_0, q_1, q_2 up to MAX_CURVE_DEGREE (`least_relation`), so its equation
+    and degree are exact; irreducibility is only recorded as unverified.
     ψ's re-checked relation already proves h_f ≡ 0, and `build_psi` refuses
     the degree-1 relation of a cone, so neither fact is decided again here."""
     if f.nvars != 5:
         raise DomainError("the plane-curve stage needs a form on P^4")
-    points = image.points
-    basis = reduced_row_basis(points)
-    span_rank, curve, degree = len(basis), None, None
-    if span_rank == 3:
-        zs = [_span_coordinates(basis, q) for q in points]
-        if None in zs:
-            raise InternalCheckError("a sampled ψ_g point escapes its own span")
-        for e in range(2, MAX_CURVE_DEGREE + 1):
-            monos = monomials_of_degree(3, e)
-            if len(zs) < len(monos):
-                break
-            values = [[math.prod(v ** a for v, a in zip(z, m) if a) for m in monos] for z in zs]
-            kern = kernel(ScalarMatrix(values))
-            if len(kern):
-                vec = max(primitive_vector(v) for v in kern)
-                curve = Polynomial(3, {m: c for m, c in zip(monos, vec) if c})
-                degree = e
-                break
+    span = psi.relation.span
+    pivots = [next(i for i, x in enumerate(w) if x) for w in span]
+    l = math.lcm(*(w[c] for w, c in zip(span, pivots)))
+    qs = [psi.h[c].scale(l // w[c]) for w, c in zip(span, pivots)]   # l·q_j
+    for i, hi in enumerate(psi.h):
+        if linear_combination(f.nvars, zip((w[i] for w in span), qs)) != hi.scale(l):
+            raise InternalCheckError("ψ_g takes a value outside W")
+    span_rank = rank(ScalarMatrix.from_polynomials(qs))
+    plane = span_rank == len(span) == 3
+    relation, points = None, 0
+    if plane:
+        unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+        relation, points = least_relation(qs, unit, MAX_CURVE_DEGREE)
     return PlaneCurveReport(
         span_rank=span_rank,
-        span_basis=basis if span_rank == 3 else (),
-        curve=curve,
-        curve_degree=degree,
+        span_basis=span if plane else (),
+        curve=relation.g if relation else None,
+        curve_degree=relation.degree if relation else None,
         irreducibility_unverified=True,
-        points_used=len(points),
+        points_used=points,
     )
 
 

@@ -3,8 +3,9 @@
 Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
 exact certificates of a vanishing verdict in order of cost: the cone vertex,
 a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
-products, which alone bounds it.  `generate`, `catalog` and the
-gn suite stop at the cone vertex.
+products, which alone bounds it.  With a relation, it draws the ψ_g image
+once for the identity battery, and on P^4 certifies the plane curve off ψ_g
+itself.  `generate`, `catalog` and the gn suite stop at the cone vertex.
 
 `parse_args` reads argv against one table, FLAGS, with exact flag names:
 `--flag value` or `--flag=value`, where a value may start with '-'.
@@ -43,7 +44,6 @@ from .hessian import (
 from .poly import parse
 from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation, sample_image
 from .reports import (
-    CURVE_SAMPLES,
     IMAGE_SAMPLES,
     SCHEMA,
     cone_block,
@@ -186,15 +186,13 @@ def cmd_analyze(args):
             verdict = verdict.upgraded("polar_relation")
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            # one ψ_g image sample: the battery reads its first IMAGE_SAMPLES
-            # points, and on P^4 the curve stage reads all of them
-            image = sample_image(psi, CURVE_SAMPLES if n1 == 5 else IMAGE_SAMPLES, args.seed)
-            checks, head, polar_sample, failed = psi_identity_battery(f, psi, image, args.seed)
+            image = sample_image(psi, IMAGE_SAMPLES, args.seed)
+            checks, polar_sample, failed = psi_identity_battery(f, psi, image, args.seed)
             results["identity_checks"] = checks
-            results["image"] = image_block(head)
+            results["image"] = image_block(image)
             results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                results["classification"], stages = p4_classification(f, image, args.seed)
+                results["classification"], stages = p4_classification(f, psi, args.seed)
                 failed += [f"classification.{stage}" for stage in stages]
             if failed:
                 print(f"identity battery failed: {', '.join(failed)}", file=sys.stderr)

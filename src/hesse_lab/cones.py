@@ -11,7 +11,6 @@ coordinate convention sneaks in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 from .errors import (
     DimensionError,
@@ -78,32 +77,33 @@ def sing_membership(f, point):
     return all(fi.evaluate(point) == 0 for fi in f.gradient())
 
 
-@dataclass(frozen=True)
-class HyperplaneChart:
+class _Chart(NamedTuple):
+    ambient_vars: int
+    parametrization: tuple        # (n+1) rows × n cols of exact scalars
+    dual_point: tuple             # length n+1
+
+
+class HyperplaneChart(_Chart):
     """Explicit parametrization of a hyperplane H ⊂ P^n.
 
     `parametrization` is (n+1)×n of full rank; columns span the dual point's
     orthogonal complement, so h ∘ parametrization ≡ 0.
     """
 
-    ambient_vars: int
-    parametrization: tuple        # (n+1) rows × n cols of exact scalars
-    dual_point: tuple             # length n+1
+    __slots__ = ()
 
-    def __post_init__(self):
-        n1 = self.ambient_vars
-        rows = self.parametrization
+    def __new__(cls, ambient_vars, parametrization, dual_point):
+        n1, rows = ambient_vars, parametrization
         if len(rows) != n1 or any(len(r) != n1 - 1 for r in rows):
             raise DimensionError("parametrization must be (n+1) x n")
-        if len(self.dual_point) != n1:
+        if len(dual_point) != n1:
             raise DimensionError("dual point must have n+1 coordinates")
-        m = ScalarMatrix([list(r) for r in rows])
-        if rank(m) != n1 - 1:
+        if rank(ScalarMatrix(rows)) != n1 - 1:
             raise DomainError("parametrization is rank-deficient")
         for j in range(n1 - 1):
-            s = sum(self.dual_point[i] * rows[i][j] for i in range(n1))
-            if s != 0:
+            if sum(dual_point[i] * rows[i][j] for i in range(n1)):
                 raise DomainError("dual point does not annihilate the parametrization")
+        return super().__new__(cls, ambient_vars, parametrization, dual_point)
 
     def embed_point(self, u):
         """Chart coordinates u (length n) → ambient coordinates (length n+1)."""

@@ -3,6 +3,8 @@
 Given f with vanishing Hessian, the partials satisfy a polynomial relation
 g(f_0,…,f_n) = 0, searched for on W, the span of the kernels of H_f, from
 degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
+The search is the least-degree relation among any forms of one degree
+(`least_relation`), which also gives the P^4 curve of the ψ_g image.
 The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over
 the relation's k+1 parts P_j (`PolarRelation`), whose gcd fold returns ρ with
 each P_j/ρ, so nothing is divided.  Everything the relation implies
@@ -21,11 +23,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
-from .fields import norm_coeff, rational_content, substream
+from .fields import rational_content, substream
 from .hessian import gradient_at, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
 from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
@@ -83,27 +84,32 @@ def _packed_dot(a, b):
     return digits.digit(digits.pack(a) * digits.pack(b[::-1]), k)
 
 
-@dataclass(frozen=True)
-class PolarRelation:
-    """g with g(f_0,…,f_n) ≡ 0.
-
-    g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
-    certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
-    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1 parts
-    (∂_jG)(F) are made once, and ψ_g is built from them alone: by the chain
-    rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F)."""
-
+class _Relation(NamedTuple):
     g: Polynomial                 # in y_0..y_n
     degree: int
     certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f), up to a scale; must be zero
     parts: tuple                  # (∂_jG)(F)
     span: tuple                   # the rows w_j
 
-    def __post_init__(self):
-        if not self.g:
+
+class PolarRelation(_Relation):
+    """g with g(f_0,…,f_n) ≡ 0.
+
+    g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
+    certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
+    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1 parts
+    (∂_jG)(F) are made once, and ψ_g is built from them alone: by the chain
+    rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F).  On the unit rows, g is G
+    itself, a relation among any forms F_j (`least_relation`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, g, degree, certificate, parts, span):
+        if not g:
             raise DomainError("a polar relation must be a nonzero polynomial")
-        if not self.certificate.is_zero():
+        if not certificate.is_zero():
             raise InternalCheckError("polar relation certificate is nonzero")
+        return super().__new__(cls, g, degree, certificate, parts, span)
 
     @classmethod
     def from_partials(cls, G, forms, span):
@@ -144,17 +150,13 @@ class PsiMap(NamedTuple):
         return vals
 
 
-@dataclass(frozen=True)
-class SampledSet:
+class SampledSet(NamedTuple):
     """Exact sampled stand-in for a locus defined only as a closure."""
 
     label: str
     points: tuple                 # normalized projective points
     preimages: tuple              # parallel provenance (() when not applicable)
     seed: int
-
-    def __len__(self):
-        return len(self.points)
 
     def reverify(self, psi):
         """Each stored image point must equal ψ of its stored preimage."""
@@ -172,11 +174,46 @@ def _relation_points(nvars, width):
         yield tuple(rng.randint(-width, width) for _ in range(nvars))
 
 
-def _monomial_row(f, span, point, monos):
-    """The monomials monos in z, at z_j = F_j(point) = ⟨w_j, ∇f(point)⟩."""
-    grad = gradient_at(f, point)
-    vals = [norm_coeff(sum(map(operator.mul, w, grad))) for w in span]
-    return [math.prod(v ** a for v, a in zip(vals, m) if a) for m in monos]
+def least_relation(forms, span, max_degree):
+    """The least-degree relation G(F) ≡ 0, 2 <= deg G <= max_degree, among
+    nonzero forms F_j of one degree D, as a `PolarRelation` on the rows of
+    span (None up to the cap), and the number of points read at the last
+    degree tried.  For each degree e, the exact kernel of the degree-e
+    monomials in z at F of C(k+e, e) + 2 seeded integer points contains
+    every such G, so an empty one rules e out.  Each basis vector G is
+    certified (`PolarRelation.from_partials`), and one that fails gets a row
+    at a point where G(F) ≠ 0, until the kernel is the relation space.  The
+    primitive integer basis vector on the earliest monomials in z wins."""
+    rows = []
+    for e in range(2, max_degree + 1):
+        monos = monomials_of_degree(len(forms), e)
+
+        def row(point):
+            values = [F.evaluate(point) for F in forms]
+            return [math.prod(v ** a for v, a in zip(values, m) if a) for m in monos]
+
+        # a nonzero G(F) has degree e·D, so it cannot vanish on a grid with
+        # more than e·D values per coordinate
+        points = _relation_points(forms[0].nvars, e * forms[0].degree())
+        rows = [row(next(points)) for _ in range(len(monos) + 2)]
+        while True:
+            nrows, relations = len(rows), []
+            for v in kernel(ScalarMatrix(rows)):
+                vec = primitive_vector(v)
+                G = Polynomial(len(forms), {m: c for m, c in zip(monos, vec) if c})
+                relation = PolarRelation.from_partials(G, forms, span)
+                if relation is not None:
+                    relations.append((vec, relation))
+                    continue
+                # a row where G(F) ≠ 0 takes G out of the kernel
+                rows.append(next(r for r in map(row, points) if sum(map(operator.mul, r, vec))))
+            if len(rows) == nrows:
+                break
+        if relations:
+            # columns run graded-lex descending, so preferring support on the
+            # earliest monomials means taking the lexicographically greatest vector
+            return max(relations, key=operator.itemgetter(0))[1], len(rows)
+    return None, len(rows)
 
 
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
@@ -186,16 +223,11 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     `cones.cone_test` reports, so the search starts at degree 2, and a form
     F_j ≡ 0 below (w_j a vertex) raises DomainError.  The polar image is a
     cone over P(W), W the span of the kernels of H_f, so its lowest-degree
-    relations are polynomials G in the k+1 forms F_j = ⟨w_j, ∇f⟩, w_j the
-    rows of `span` (`sample_kernels` at seed 0 when None).  For each degree
-    e, the exact kernel of the degree-e monomials in z at F of C(k+e, e) + 2
-    seeded integer points contains every such G, so an empty one rules e out
-    within W.  Each basis vector G is certified by G(F) ≡ 0, and one that
-    fails gets a row at a point where G(F) ≠ 0, until the kernel is the
-    relation space.  A W that is too small can hide a relation but never
-    fake one.  The primitive integer basis vector on the earliest monomials
-    in z wins.  Its parts (∂_jG)(F) do not all vanish, or a nonzero ∂_jG
-    would be a relation of degree e − 1: a vertex, or one found before.
+    relations are the least relation (`least_relation`) among the k+1 forms
+    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
+    when None).  A W that is too small can hide a relation but never fake
+    one.  The parts (∂_jG)(F) do not all vanish, or a nonzero ∂_jG would be
+    a relation of degree e − 1: a vertex, or one found before.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -205,37 +237,10 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
         span = sample_kernels(f).span
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
-    partials = f.gradient()
-    forms = [linear_combination(f.nvars, zip(w, partials)) for w in span]
+    forms = [linear_combination(f.nvars, zip(w, f.gradient())) for w in span]
     if not all(forms):
         raise DomainError("⟨w, ∇f⟩ ≡ 0 for a row w of W: V(f) is a cone with vertex w")
-    for e in range(2, max_degree + 1):
-        monos = monomials_of_degree(len(span), e)
-        # a nonzero G(F) has degree e(d-1), so it cannot vanish on a grid
-        # with more than e(d-1) values per coordinate
-        points = _relation_points(f.nvars, e * (f.degree() - 1))
-        rows = [_monomial_row(f, span, next(points), monos) for _ in range(len(monos) + 2)]
-        while True:
-            nrows, relations = len(rows), []
-            for v in kernel(ScalarMatrix(rows)):
-                vec = primitive_vector(v)
-                G = Polynomial(len(span), {m: c for m, c in zip(monos, vec) if c})
-                relation = PolarRelation.from_partials(G, forms, span)
-                if relation is not None:
-                    relations.append((vec, relation))
-                    continue
-                # a row where G(F) ≠ 0 takes G out of the kernel
-                rows.append(next(
-                    row for row in (_monomial_row(f, span, a, monos) for a in points)
-                    if sum(map(operator.mul, row, vec))
-                ))
-            if len(rows) == nrows:
-                break
-        if relations:
-            # columns run graded-lex descending, so preferring support on the
-            # earliest monomials means taking the lexicographically greatest vector
-            return max(relations, key=operator.itemgetter(0))[1]
-    return None
+    return least_relation(forms, span, max_degree)[0]
 
 
 def build_psi(f, relation):
@@ -345,7 +350,7 @@ def sample_image(psi, count, seed):
     image = _sample_values(
         lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
     )
-    if count > 0 and not len(image):
+    if count > 0 and not image.points:
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image
 
@@ -358,7 +363,7 @@ def sample_polar_image(f, count, seed):
     image = _sample_values(
         lambda pt: gradient_at(f, pt), f.nvars, count, seed, "polar_image", "Z(f) image"
     )
-    if count > 0 and not len(image):
+    if count > 0 and not image.points:
         raise SampleBudgetError("the polar map vanished at every sampled point")
     return image
 
@@ -371,7 +376,7 @@ class InclusionReport(NamedTuple):
 
 def check_inclusions(f, psi, image):
     """Every sampled image point must lie in Bs(ψ_g) and in Sing(V(f))."""
-    if not len(image):
+    if not image.points:
         raise DomainError("empty image sample")
     bs_bad = []
     sing_bad = []

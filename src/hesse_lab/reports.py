@@ -3,11 +3,12 @@
 All blocks are plain dicts with deterministic key order; polynomials are
 serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
+The identity battery reads one IMAGE_SAMPLES-point sample of the ψ_g image;
+the P^4 stage reads ψ_g itself and samples nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
@@ -29,9 +30,6 @@ from .psi import (
 SCHEMA = "hesse-lab/5"
 
 IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
-# points the P^4 stage draws from the ψ_g image: the C(MAX_CURVE_DEGREE + 2, 2)
-# = 28 monomials of a plane curve of degree up to 6, plus two
-CURVE_SAMPLES = 30
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -110,7 +108,7 @@ def invariance_entry(result):
 def image_block(image):
     return {
         "label": image.label,
-        "count": len(image),
+        "count": len(image.points),
         "points": [vector_strs(q) for q in image.points],
         "seed": image.seed,
     }
@@ -153,10 +151,10 @@ def with_vertex(verdict, vertex):
 
 def psi_identity_battery(f, psi, image, seed=0):
     """Every identity the relation implies, plus the sampled inclusions on
-    the first IMAGE_SAMPLES points of the ψ_g image sample `image`.
-    Returns the checks, those image points, the polar-image sample the
-    relation was checked on, and the names of the checks that failed.  One
-    `check_invariance` call checks f, ∇f and the nonzero h_k together."""
+    the ψ_g image sample `image`.  Returns the checks, the polar-image
+    sample the relation was checked on, and the names of the checks that
+    failed.  One `check_invariance` call checks f, ∇f and the nonzero h_k
+    together."""
     gradient, components = f.gradient(), [hk for hk in psi.h if hk]
     inv_f, *results = check_invariance([f, *gradient, *components], psi)
     partial_results, comp_results = results[:len(gradient)], results[len(gradient):]
@@ -170,9 +168,6 @@ def psi_identity_battery(f, psi, image, seed=0):
         "image_in_base_locus_symbolic": all(r.image_zero for r in comp_results),
         "image_in_singular_locus_symbolic": all(r.image_zero for r in partial_results),
     }
-    image = dataclasses.replace(
-        image, points=image.points[:IMAGE_SAMPLES], preimages=image.preimages[:IMAGE_SAMPLES]
-    )
     inclusions = check_inclusions(f, psi, image)
     checks["sampled_inclusions"] = inclusions.ok
     checks["fiber_lines"] = check_fiber_lines(f, psi, image)
@@ -183,7 +178,7 @@ def psi_identity_battery(f, psi, image, seed=0):
     # invariance_f passes when its derivative vanishes and both sides agree;
     # every other check is a bool
     passed = dict(checks, invariance_f=inv_f.agree and inv_f.derivative_zero)
-    return checks, image, polar_sample, [k for k, v in passed.items() if not v]
+    return checks, polar_sample, [k for k, v in passed.items() if not v]
 
 
 # ----------------------------------------------------------------------
@@ -211,19 +206,17 @@ def _draw(skel, seed):
     return random_instance(skel, seed=seed)
 
 
-def _relation_and_psi(f, seed):
-    """The polar relation of f, its ψ_g and a CURVE_SAMPLES-point sample of
-    the ψ_g image, or (None, None, None)."""
+def _relation_and_psi(f):
+    """The polar relation of f and its ψ_g, or (None, None)."""
     rel = find_polar_relation(f)
-    psi = build_psi(f, rel) if rel is not None else None
-    return rel, psi, psi and sample_image(psi, CURVE_SAMPLES, seed)
+    return rel, build_psi(f, rel) if rel is not None else None
 
 
-def _paper_cubic(seed):
-    """(f, relation, ψ_g, image sample) for the paper cubic, which the psi
-    and p4 suites both read."""
+def _paper_cubic():
+    """(f, relation, ψ_g) for the paper cubic, which the psi and p4 suites
+    both read."""
     f = parse(PAPER_CUBIC_TEXT)
-    return (f, *_relation_and_psi(f, seed))
+    return (f, *_relation_and_psi(f))
 
 
 def gn_entry(skel, seed, draw=_draw):
@@ -285,16 +278,17 @@ def _mutated(psi):
 
 
 def run_psi_suite(seed, mutate=False, paper_cubic=None):
-    """The ψ_g identity battery on the paper cubic's image sample; `mutate`
-    corrupts this suite's own ψ_g, and samples its image, so the suite fails."""
-    f, rel, psi, image = paper_cubic or _paper_cubic(seed)
+    """The ψ_g identity battery on a sample of the paper cubic's ψ_g image;
+    `mutate` corrupts this suite's own ψ_g before it is sampled, so the
+    suite fails."""
+    f, rel, psi = paper_cubic or _paper_cubic()
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
     if mutate:
         psi = _mutated(psi)
-        image = sample_image(psi, IMAGE_SAMPLES, seed)
     block["psi"] = psi_block(psi)
-    checks, image, _, failed = psi_identity_battery(f, psi, image, seed=seed)
+    image = sample_image(psi, IMAGE_SAMPLES, seed)
+    checks, _, failed = psi_identity_battery(f, psi, image, seed=seed)
     block["checks"] = checks
     block["image"] = image_block(image)
     # a generic linear form must fail BOTH sides of the equivalence together
@@ -306,12 +300,12 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
     return block
 
 
-def p4_classification(f, image, seed, chart_count=5):
+def p4_classification(f, psi, seed, chart_count=5):
     """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
-    through `image`, a sample of CURVE_SAMPLES ψ_g image points, and the
-    hyperplane sections through its plane.  Returns the report block and
-    the names of the stages that failed."""
-    curve = p4_plane_curve_check(f, image)
+    of the ψ_g image, read off ψ_g itself, and the hyperplane sections
+    through its plane.  Returns the report block and the names of the
+    stages that failed."""
+    curve = p4_plane_curve_check(f, psi)
     sections = p4_section_check(f, curve, chart_count=chart_count, seed=seed)
     block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
     return block, [stage for stage, report in block.items() if not report["ok"]]
@@ -323,11 +317,11 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
 
     def inputs():
-        yield ("paper_cubic", *(paper_cubic or _paper_cubic(seed)))
+        yield ("paper_cubic", *(paper_cubic or _paper_cubic()))
         for i in range(instances):
             name, f = f"gn_421_3_seed{seed + i}", draw(skel, seed + i).f
             try:
-                found = _relation_and_psi(f, seed)
+                found = _relation_and_psi(f)
             except DomainError:
                 # on a form of degree >= 2 the relation search and ψ_g
                 # refuse only a cone, which another `draw` may return
@@ -335,16 +329,17 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
                 continue
             yield (name, f, *found)
 
-    for name, f, rel, psi, image in inputs():
+    for name, f, rel, psi in inputs():
         if rel is None:
             violations.append(
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        block, _ = p4_classification(f, image, seed, chart_count=chart_count)
-        # a one-point ψ_g image forces a cone, and every input here is a
-        # non-cone: the paper cubic, or a GN draw retried until it is one
-        guard = len(image) > 1
+        block, _ = p4_classification(f, psi, seed, chart_count=chart_count)
+        # span_rank >= 2 exactly when the ψ_g image is more than one point; a
+        # one-point image forces a cone, and every input here is a non-cone:
+        # the paper cubic, or a GN draw retried until it is one
+        guard = block["plane_curve"]["span_rank"] >= 2
         if not block["plane_curve"]["ok"]:
             violations.append(f"{name}: plane-curve stage failed")
         if not block["sections"]["ok"]:
@@ -366,9 +361,9 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
 
 def run_all_suites(count, seed, mutate=False):
     """Every suite once.  The gn and p4 suites share their GN draws, and the
-    psi and p4 suites the paper cubic's relation, ψ_g and image sample."""
+    psi and p4 suites the paper cubic's relation and ψ_g."""
     draw = functools.cache(_draw)
-    paper_cubic = _paper_cubic(seed)
+    paper_cubic = _paper_cubic()
     blocks = {
         "lowdim": run_lowdim_suite(count, seed),
         "gn": run_gn_suite(count, seed, draw=draw),

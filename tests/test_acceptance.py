@@ -5,7 +5,9 @@ except where a certified probabilistic bound is explicitly allowed.
 """
 
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -34,8 +36,7 @@ from hesse_lab.hessian import (
 )
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
-from hesse_lab.psi import build_psi, find_polar_relation, sample_image
-from hesse_lab.reports import CURVE_SAMPLES
+from hesse_lab.psi import build_psi, find_polar_relation
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -177,6 +178,12 @@ def test_criterion_5_corollary_small_polar_image():
             ok, time.time() - started, 60)
 
 
+def _image_coordinates(psi, basis):
+    """q_j = h_c/w_j[c] at the pivot column c of each row w_j of W's basis."""
+    pivots = [next(i for i, x in enumerate(w) if x) for w in basis]
+    return [psi.h[c].scale(Fraction(1, w[c])) for w, c in zip(basis, pivots)]
+
+
 def test_criterion_6_p4_classification_evidence(gn_batches):
     started = time.time()
     failures = []
@@ -196,10 +203,16 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: no relation")
             continue
         psi = build_psi(f, rel)
-        curve = p4_plane_curve_check(f, sample_image(psi, CURVE_SAMPLES, 0))
-        if not (curve.ok and curve.span_rank == 3 and curve.points_used >= 12):
+        curve = p4_plane_curve_check(f, psi)
+        if not (curve.ok and curve.span_rank == 3):
             failures.append(f"{name}: span/curve stage failed")
             continue
+        # the image (q_0 : q_1 : q_2) in W's basis, q_j = h_c/w_j[c] at the
+        # pivot column c of w_j, lies on the curve exactly, and the search
+        # read C(e + 2, 2) + 2 points at the curve's degree e
+        q = _image_coordinates(psi, curve.span_basis)
+        if curve.curve.compose(q) or curve.points_used != math.comb(curve.curve_degree + 2, 2) + 2:
+            failures.append(f"{name}: the curve is not the image's least relation")
         if not 2 <= curve.curve_degree <= 6:
             failures.append(f"{name}: curve degree {curve.curve_degree} out of range")
         sections = p4_section_check(f, curve, chart_count=5, seed=0)

@@ -1,16 +1,17 @@
 """Low-dimension equivalence, corollary, and P^4 structure checks."""
 
-import dataclasses
 import json
+import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import classify
+from hesse_lab import classify, psi as psi_module, reports
 from hesse_lab.cli import main
 from hesse_lab.classify import (
     _span_coordinates,
@@ -24,9 +25,9 @@ from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.linalg import reduced_row_basis
-from hesse_lab.poly import Polynomial, parse, repeated_root
-from hesse_lab.psi import build_psi, find_polar_relation, sample_image
-from hesse_lab.reports import CURVE_SAMPLES, run_p4_suite
+from hesse_lab.poly import Polynomial, linear_combination, parse, repeated_root
+from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
+from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -38,8 +39,22 @@ def cubic_psi():
 
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
-    image = sample_image(cubic_psi, CURVE_SAMPLES, 0)
-    return p4_plane_curve_check(PAPER_CUBIC, image)
+    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi)
+
+
+def _coordinates(psi):
+    """The ψ_g image in W's basis: q_j = h_c/w_j[c] at the pivot column c of
+    each row w_j of W."""
+    span = psi.relation.span
+    pivots = [next(i for i, x in enumerate(w) if x) for w in span]
+    return [psi.h[c].scale(Fraction(1, w[c])) for w, c in zip(span, pivots)]
+
+
+def _with_coordinates(psi, coordinates):
+    """ψ_g with h = Σ_j q_j·w_j for other coordinate forms q_j."""
+    span = psi.relation.span
+    h = [linear_combination(psi.nvars, zip((w[i] for w in span), coordinates)) for i in range(psi.nvars)]
+    return psi._replace(h=tuple(h))
 
 
 def test_low_dim_suite_small():
@@ -118,7 +133,8 @@ def test_p4_curve_paper_cubic(cubic_curve):
     assert cubic_curve.span_rank == 3
     assert cubic_curve.curve_degree == 2
     assert cubic_curve.irreducibility_unverified is True
-    assert cubic_curve.points_used >= 12
+    # the six conics and two more points, with no candidate refused
+    assert cubic_curve.points_used == 8
     # the sample (-b^2 : ab : -a^2 : 0 : 0) spans x3 = x4 = 0, whose reduced
     # echelon basis is e0, e1, e2, and satisfies x0*x2 = x1^2 there
     assert cubic_curve.span_basis == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
@@ -126,17 +142,91 @@ def test_p4_curve_paper_cubic(cubic_curve):
 
 
 def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
-    image = sample_image(cubic_psi, CURVE_SAMPLES, 0)
     with pytest.raises(DomainError, match="P\\^4"):
-        p4_plane_curve_check(parse("x0^3 + x1^3 + x2^3 + x3^3"), image)
+        p4_plane_curve_check(parse("x0^3 + x1^3 + x2^3 + x3^3"), cubic_psi)
 
 
-def test_p4_curve_point_outside_its_own_span_is_an_internal_error(cubic_psi, monkeypatch):
-    # every sampled point lies in the span of the sample, so only a broken
-    # coordinate reader gets here
-    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, point: None)
-    with pytest.raises(InternalCheckError, match="escapes its own span"):
-        p4_plane_curve_check(PAPER_CUBIC, sample_image(cubic_psi, CURVE_SAMPLES, 0))
+def test_p4_curve_rechecks_that_psi_takes_its_values_in_w(cubic_psi):
+    # h_3 = x0 leaves W = span(e0, e1, e2): h ≠ Σ_j q_j·w_j
+    h = list(cubic_psi.h)
+    h[3] = parse("x0", nvars=5)
+    with pytest.raises(InternalCheckError, match="outside W"):
+        p4_plane_curve_check(PAPER_CUBIC, cubic_psi._replace(h=tuple(h)))
+
+
+def test_p4_curve_of_dependent_coordinates_fails(cubic_psi):
+    # q_2 = q_0: the image spans a line of Π, not Π, and no curve is sought
+    q0, q1, _ = _coordinates(cubic_psi)
+    curve = p4_plane_curve_check(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]))
+    assert (curve.span_rank, curve.span_basis, curve.curve, curve.points_used) == (2, (), None, 0)
+    assert not curve.ok
+    block, failed = p4_classification(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]), 0)
+    assert failed == ["plane_curve", "sections"]
+    assert block["sections"]["precondition"] == "plane-curve stage did not complete"
+
+
+# the curves the 30-point interpolation recorded on these forms
+RECORDED_CURVES = {
+    None: "z0*z2 - z1^2",
+    ("4,2,1,2,1,3", 0): "669*z0^2 - 2028*z0*z1 - 574*z0*z2 + 5560*z1^2 + 7192*z1*z2 + 1081*z2^2",
+    ("4,2,1,2,1,3", 1): "166*z0^2 - 1221*z0*z1 + 941*z0*z2 - 2196*z1^2 - 591*z1*z2 + 172*z2^2",
+    ("4,2,1,2,1,3", 2): "1382*z0^2 + 1601*z0*z1 + 139*z0*z2 + 467*z1^2 + 26*z1*z2 - 18*z2^2",
+    ("4,2,1,2,1,3", 3): "1353*z0^2 - 2920*z0*z1 + 638*z0*z2 + 6800*z1^2 - 13260*z1*z2 + 5912*z2^2",
+    ("4,2,1,3,1,7", 0): "330001*z0^3 + 38677*z0^2*z1 + 770622*z0^2*z2 + 214759*z0*z1^2 - 29304*z0*z1*z2"
+                        " + 501428*z0*z2^2 - 24389*z1^3 + 148674*z1^2*z2 - 6228*z1*z2^2 + 100024*z2^3",
+}
+
+
+@pytest.mark.parametrize("form", list(RECORDED_CURVES), ids=lambda form: "paper-cubic" if form is None else "%s-seed%d" % form)
+def test_the_certified_curve_vanishes_on_the_image_coordinates(form):
+    # C(q_0, q_1, q_2) ≡ 0 by one composition, apart from the Euler
+    # certificate, and the curve is the one the interpolation recorded
+    f = PAPER_CUBIC if form is None else random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
+    psi = build_psi(f, find_polar_relation(f))
+    curve = p4_plane_curve_check(f, psi)
+    assert curve.ok and curve.span_basis == psi.relation.span
+    assert curve.curve.compose(_coordinates(psi)).is_zero()
+    assert curve.curve.to_string("z") == RECORDED_CURVES[form]
+
+
+def test_p4_classification_samples_no_image(cubic_psi, monkeypatch):
+    # the curve is read off ψ_g itself, so the stage draws no image point
+    def refuse(*args):
+        raise AssertionError("sample_image called")
+
+    for module in (psi_module, reports, classify):
+        monkeypatch.setattr(module, "sample_image", refuse, raising=False)
+    block, failed = p4_classification(PAPER_CUBIC, cubic_psi, 0)
+    assert failed == [] and block["plane_curve"]["curve"] == "z0*z2 - z1^2"
+
+
+def _sympy_implicit(exponents):
+    """The lex Gröbner elimination of s, t from z_j = s^a·t^(d−a): the
+    generator of the curve's ideal, as a sympy Poly in z."""
+    s, t, *z = sympy.symbols("s t z0:3")
+    d = sum(exponents[0])
+    basis = sympy.groebner([zj - s**a * t**(d - a) for zj, (a, _) in zip(z, exponents)], s, t, *z, order="lex")
+    [g] = [p for p in basis.exprs if not p.has(s, t)]
+    return sympy.Poly(g, *z)
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [((2, 0), (1, 1), (0, 2)), ((3, 0), (2, 1), (0, 3)), ((3, 0), (1, 2), (0, 3)),
+     ((4, 0), (3, 1), (0, 4)), ((4, 0), (1, 3), (0, 4)), ((5, 0), (2, 3), (0, 5)),
+     ((4, 0), (2, 2), (1, 3))],
+)
+def test_least_relation_agrees_with_implicitization(exponents):
+    # the monomial curve (s^a0·t^b0 : s^a1·t^b1 : s^a2·t^b2) has one
+    # generator; the least relation has its degree and its equation
+    forms = [Polynomial(2, {e: 1}) for e in exponents]
+    unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+    rel, points = least_relation(forms, unit, 6)
+    expected = _sympy_implicit(exponents)
+    assert rel.degree == expected.total_degree()
+    got = sympy.Poly(sum(c * sympy.Mul(*(zi**k for zi, k in zip(expected.gens, e))) for e, c in rel.g.as_dict().items()), *expected.gens)
+    assert sympy.expand(got.as_expr() * expected.LC() - expected.as_expr() * got.LC()) == 0
+    assert points >= math.comb(rel.degree + 2, 2) + 2
 
 
 def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
@@ -272,18 +362,17 @@ def test_span_coordinates_negative_pivot_is_sign_normalized():
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
 def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
-    # Π's reduced echelon basis depends on Π alone, so the curve and the
-    # sections read in its coordinates do too; seed None is the paper cubic
+    # the stage reads W's reduced echelon basis, which depends on Π alone:
+    # it is the basis of an image sample read in any order, and the curve
+    # vanishes at the sample's coordinates in it; seed None is the paper cubic
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
     f = PAPER_CUBIC if seed is None else random_instance(skel, seed).f
-    image = sample_image(build_psi(f, find_polar_relation(f)), CURVE_SAMPLES, 0)
-    shuffled = list(image.points)
+    psi = build_psi(f, find_polar_relation(f))
+    shuffled = list(sample_image(psi, IMAGE_SAMPLES, 0).points)
     random.Random(f"shuffle {seed}").shuffle(shuffled)
-    assert shuffled != list(image.points)
-    a = p4_plane_curve_check(f, image)
-    b = p4_plane_curve_check(f, dataclasses.replace(image, points=tuple(shuffled)))
-    assert a.ok and (a.span_basis, a.curve) == (b.span_basis, b.curve)
-    assert p4_section_check(f, a, chart_count=3, seed=0) == p4_section_check(f, b, chart_count=3, seed=0)
+    curve = p4_plane_curve_check(f, psi)
+    assert curve.ok and curve.span_basis == reduced_row_basis(shuffled)
+    assert all(curve.curve.evaluate(_span_coordinates(curve.span_basis, q)) == 0 for q in shuffled)
 
 
 @pytest.mark.parametrize("form", ["paper_cubic", "4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6"])
@@ -300,7 +389,7 @@ def test_the_plane_basis_is_w_basis_in_analyze(form, capsys):
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
-    curve = p4_plane_curve_check(inst.f, sample_image(psi, CURVE_SAMPLES, 0))
+    curve = p4_plane_curve_check(inst.f, psi)
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations
@@ -322,7 +411,7 @@ def test_p4_suite_reports_a_draw_without_a_relation():
 def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
     # the Perazzo quintic x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5 is a non-cone with
     # a degree-5 relation, and its ψ_g image is a plane curve of degree above
-    # MAX_CURVE_DEGREE, so its CURVE_SAMPLES points fix no curve
+    # MAX_CURVE_DEGREE: the search rules out every degree up to the cap
     x = [Polynomial.variable(5, i) for i in range(5)]
     perazzo = x[0] * x[3] ** 5 + x[1] * x[4] ** 5 + x[2] * (x[3] + x[4]) ** 5
 
@@ -331,6 +420,8 @@ def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
     assert "gn_421_3_seed0: plane-curve stage failed" in report["violations"]
     case = report["cases"][1]
     assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve"] is None
+    # the 28 sextics and two more points at the last degree searched
+    assert case["plane_curve"]["points_used"] == 30
 
 
 def test_p4_suite_reports_a_cone_draw():
@@ -341,6 +432,55 @@ def test_p4_suite_reports_a_cone_draw():
     assert report["ok"] is False
     assert report["violations"] == ["gn_421_3_seed0: V(f) is a cone"]
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
+
+
+def test_p4_suite_reports_a_one_point_image(monkeypatch):
+    # a ψ_g whose coordinates in W's basis are all one form q_0 maps every
+    # point to w_0 + w_1 + w_2: span_rank 1, and the guard names it
+    def collapsed(f, rel):
+        psi = build_psi(f, rel)
+        q0 = _coordinates(psi)[0]
+        return _with_coordinates(psi, [q0, q0, q0])
+
+    monkeypatch.setattr(reports, "build_psi", collapsed)
+    report = run_p4_suite(0, instances=1, chart_count=1)
+    case = report["cases"][1]
+    assert (case["plane_curve"]["span_rank"], case["degenerate_image_guard"]) == (1, False)
+    assert report["violations"][-3:] == [
+        "gn_421_3_seed0: plane-curve stage failed",
+        "gn_421_3_seed0: sections stage failed: []",
+        "gn_421_3_seed0: degenerate-image guard failed",
+    ]
+
+
+def _fermat_verdict(f, seed=0):
+    return hessian_vanishes(parse("x0^3 + x1^3 + x2^3 + x3^3"), seed=seed)
+
+
+def _vertex_off_the_plane(f):
+    # two chart directions whose ambient points leave Π = span(e0, e1, e2)
+    n = f.nvars
+    return VertexSubspace(basis=tuple(tuple(int(i == j) for i in range(n)) for j in (n - 2, n - 1)), projective_dim=1)
+
+
+@pytest.mark.parametrize(
+    "patches, violation",
+    [
+        ({"cone_test": lambda f: VertexSubspace(basis=(), projective_dim=-1), "hessian_vanishes": _fermat_verdict},
+         "has nonvanishing Hessian"),
+        ({"cone_test": lambda f: VertexSubspace(basis=((0, 0, 0, 1),), projective_dim=0)}, "has vertex dimension 0"),
+        ({"cone_test": _vertex_off_the_plane}, "vertex does not meet Π in a line"),
+        ({"repeated_root": lambda r: (False, None)}, "tangency double root missing"),
+    ],
+    ids=["nonvanishing", "vertex-dimension", "off-the-plane", "no-double-root"],
+)
+def test_p4_suite_names_each_section_violation(monkeypatch, patches, violation):
+    for name, value in patches.items():
+        monkeypatch.setattr(classify, name, value)
+    report = run_p4_suite(0, instances=0, chart_count=1)
+    [message] = report["violations"]
+    assert message.startswith("paper_cubic: sections stage failed: ['section at c=")
+    assert violation in message
 
 
 def test_low_dim_suite_rejects_bad_count():

@@ -250,12 +250,13 @@ def test_a_poly_with_a_leading_minus_is_the_flag_value(text, tmp_path):
 
 def test_main_imports_no_argparse_gettext_or_locale():
     # a fresh process runs main without argparse's import, gettext lookup
-    # and locale set-up: the start-up cost the flag table removes
+    # and locale set-up, the start-up cost the flag table removes, and
+    # without dataclasses and the inspect module it imports
     script = (
         "import sys\n"
         "from hesse_lab import cli\n"
         f"assert cli.main(['analyze', '--poly', {PAPER_CUBIC!r}, '--no-timings']) == 0\n"
-        "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
+        "print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'} & sys.modules.keys()))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -685,16 +686,16 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, gradient_points",
-    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 35), (PAPER_CUBIC, 35)],
+    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 27), (PAPER_CUBIC, 27)],
     ids=["gn-7,4,1,2,1,6", "paper-cubic"],
 )
 def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
     # `analyze` derives each object of f once: its n+1 partials and its term
     # table are built on first use and kept, ψ_g is read off the gcd's
     # cofactors with no division, and the relation search starts at degree
-    # 2, as degree 1 is the cone test's.  Both forms have dim W = 3, so ∇f
-    # is read at the 6 + 2 points of the degree-2 search, 12 sampled
-    # inclusions, 3 fiber lines and 12 polar-image samples
+    # 2, as degree 1 is the cone test's.  The search reads the forms
+    # ⟨w_j, ∇f⟩ themselves, so ∇f is read at the 12 sampled inclusions, 3
+    # fiber lines and 12 polar-image samples
     f = parse(text)
     calls = Counter()
     partial, term_table = Polynomial.partial, Polynomial.term_table
@@ -863,8 +864,8 @@ def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):
     assert set(searches.values()) == {1}
 
 
-def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):
-    # the plane-curve stage and the degenerate-image guard read one sample
+def test_p4_suite_samples_no_image(tmp_path, monkeypatch):
+    # the plane-curve stage and the degenerate-image guard read ψ_g itself
     counts = []
     original = psi.sample_image
 
@@ -874,12 +875,12 @@ def test_p4_suite_samples_each_image_once(tmp_path, monkeypatch):
 
     _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "p4")[0] == 0
-    assert counts == [reports.CURVE_SAMPLES] * 6  # the paper cubic and five GN draws
+    assert counts == []
 
 
 def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
-    # the psi suite's battery reads the head of the 30-point sample that the
-    # p4 suite's paper-cubic case reads; the three GN draws sample their own
+    # the psi suite's battery samples the paper cubic's image; the p4
+    # suite samples none
     counts = []
     original = psi.sample_image
 
@@ -889,12 +890,12 @@ def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
 
     _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1")[0] == 0
-    assert counts == [reports.CURVE_SAMPLES] * 4
+    assert counts == [reports.IMAGE_SAMPLES]
 
 
 def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
-    # on P^4 the battery reads the first IMAGE_SAMPLES points of the sample
-    # that the plane-curve stage reads
+    # the battery reads one IMAGE_SAMPLES draw, and on P^4 the plane-curve
+    # stage reads ψ_g itself: the six conics and two more points
     counts = []
     original = psi.sample_image
 
@@ -904,10 +905,10 @@ def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
 
     _patch_everywhere(monkeypatch, original, counted)
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
-    assert code == 0 and counts == [reports.CURVE_SAMPLES]
+    assert code == 0 and counts == [reports.IMAGE_SAMPLES]
     r = doc["results"]
     assert r["image"]["count"] == reports.IMAGE_SAMPLES
-    assert r["classification"]["plane_curve"]["points_used"] == reports.CURVE_SAMPLES
+    assert r["classification"]["plane_curve"]["points_used"] == 8
 
 
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):

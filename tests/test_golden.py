@@ -5,8 +5,10 @@
 and `golden/<name>.json` holds the report that argv printed when it was
 recorded.
 A change that alters any report byte fails here; when the change is meant,
-rerun `PYTHONPATH=src python tests/test_golden.py` to re-record the reports
-and review their diff.
+rerun `PYTHONPATH=src python tests/test_golden.py [NAME ...]` to re-record
+the named reports (all of them when no name is given), and review their
+diff.  It refuses an unknown name and prints the name of each report whose
+bytes changed.
 """
 
 import contextlib
@@ -64,9 +66,16 @@ def test_no_report_carries_a_mode():
 
 
 if __name__ == "__main__":
-    for name, entry in COMMANDS.items():
-        argv, expected = command(entry)
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown golden: {', '.join(unknown)}")
+    for name in names:
+        argv, expected = command(COMMANDS[name])
         code, text = report(argv)
         if code != expected:
             sys.exit(f"{name}: exit {code}")
-        (GOLDEN / f"{name}.json").write_text(text)
+        path = GOLDEN / f"{name}.json"
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+            print(f"changed: {name}")

@@ -17,7 +17,6 @@ TEST_ORACLES = {
     "sing_membership": "exact point membership in Sing V(f); test_cones",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
-    "ScalarMatrix.from_polynomials": "coefficient matrix of expanded polynomials, the oracle for cone_test's rows; test_cones, test_linalg, test_psi",
     "ScalarMatrix.transpose": "reads that coefficient matrix as the directional-derivative map; test_cones, test_linalg",
 }
 

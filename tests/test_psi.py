@@ -205,7 +205,7 @@ def test_invariance_refuses_a_non_homogeneous_form(cubic_psi):
 
 def test_sample_image_shape_and_determinism(cubic_psi):
     img = sample_image(cubic_psi, count=12, seed=1)
-    assert len(img) == 12
+    assert len(img.points) == 12
     # all points have the form (-b^2 : ab : -a^2 : 0 : 0)
     for q in img.points:
         assert q[3] == 0 and q[4] == 0
@@ -217,7 +217,7 @@ def test_sample_image_shape_and_determinism(cubic_psi):
 
 def test_sample_image_reverify_rejects_wrong_point(cubic_psi):
     img = sample_image(cubic_psi, count=8, seed=4)
-    assert len(img) == 8
+    assert len(img.points) == 8
     assert img.reverify(cubic_psi)
     # a stored image point that is not ψ of its stored preimage must be caught
     bad = SampledSet(
@@ -239,12 +239,12 @@ def test_sample_image_values_agree_with_evaluate(draw):
         f = random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=draw).f
     psi = build_psi(f, find_polar_relation(f))
     image = sample_image(psi, count=30, seed=draw or 0)
-    assert len(image) == 30
+    assert len(image.points) == 30
     assert image.reverify(psi)
 
 
 def test_sample_image_count_zero(cubic_psi):
-    assert len(sample_image(cubic_psi, count=0, seed=0)) == 0
+    assert sample_image(cubic_psi, count=0, seed=0).points == ()
 
 
 def test_sample_polar_image_satisfies_relation(cubic_psi):
@@ -252,7 +252,7 @@ def test_sample_polar_image_satisfies_relation(cubic_psi):
     from hesse_lab.psi import sample_polar_image
 
     polar = sample_polar_image(PAPER_CUBIC, count=12, seed=5)
-    assert len(polar) == 12
+    assert len(polar.points) == 12
     g = cubic_psi.relation.g
     for q in polar.points:
         assert g.evaluate(q) == 0
@@ -425,7 +425,7 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
     monkeypatch.setattr(reports, "check_invariance", counted_invariance)
-    checks, _, _, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
+    checks, _, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
     assert failed == [] and checks["fiber_lines"]
     assert calls["invariance"] == 1
     assert calls["compose in fiber lines"] == 0
@@ -433,28 +433,6 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
     # three nonzero h_k, whose λ¹ coefficient is the derivative side Σ_j ∂_jP·h_j
     assert calls["compose"] == 1
     assert calls["mul in invariance"] == 0
-
-
-def test_battery_reads_the_prefix_of_a_longer_image_sample(cubic_psi):
-    # the first IMAGE_SAMPLES points of a CURVE_SAMPLES draw are the
-    # IMAGE_SAMPLES draw, so the P^4 stage and the battery can share one sample
-    short = sample_image(cubic_psi, reports.IMAGE_SAMPLES, 0)
-    long = sample_image(cubic_psi, reports.CURVE_SAMPLES, 0)
-    assert len(long) == reports.CURVE_SAMPLES
-    a = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, short)
-    b = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, long)
-    assert a == b and b[1] == short and b[3] == []
-
-
-def test_the_short_image_sample_is_the_head_of_the_long_one(cubic_psi):
-    # the psi suite reads the head of the p4 suite's sample of the paper
-    # cubic at every seed, which is its own sample wherever that fills
-    for seed in range(100):
-        short = sample_image(cubic_psi, reports.IMAGE_SAMPLES, seed)
-        long = sample_image(cubic_psi, reports.CURVE_SAMPLES, seed)
-        assert len(short) == reports.IMAGE_SAMPLES
-        assert short.points == long.points[:reports.IMAGE_SAMPLES]
-        assert short.preimages == long.preimages[:reports.IMAGE_SAMPLES]
 
 
 def test_fiber_lines_lambda_zero_trivial(cubic_psi):
@@ -592,7 +570,7 @@ def test_psi_image_lies_in_w(f):
     span = sample_kernels(f).span
     psi = build_psi(f, find_polar_relation(f, span=span))
     image = sample_image(psi, count=12, seed=0)
-    assert len(image) == 12
+    assert len(image.points) == 12
     assert all(_in_row_space(span, q) for q in image.points)
 
 
@@ -653,7 +631,7 @@ def test_dense_direct_sum_searches_once_on_w(monkeypatch):
     assert rel.g.compose(f.gradient()).is_zero()
     psi = build_psi(f, rel)
     image = sample_image(psi, reports.IMAGE_SAMPLES, 0)
-    assert reports.psi_identity_battery(f, psi, image)[3] == []
+    assert reports.psi_identity_battery(f, psi, image)[2] == []
 
 
 def test_relation_search_refuses_a_cone_whose_w_row_is_a_vertex():
