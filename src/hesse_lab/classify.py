@@ -3,11 +3,13 @@
 Covers the low-dimension equivalence (vanishing Hessian ⇔ cone for at most
 three projective dimensions), the small-polar-image corollary, and the
 structure of vanishing-Hessian non-cones in P^4: the ψ_g image, read in the
-coordinates of W's reduced echelon basis, spans the plane P(W) and lies on
-a plane curve, its certified least relation (`psi.least_relation`), and
-hyperplane sections through that plane are cones whose vertex line is
-tangent to the curve: a repeated root of the curve on that line
-(`poly.repeated_root`).
+coordinates of W's reduced echelon basis, spans the plane Π = P(W) and lies
+on a plane curve, its certified least relation (`psi.least_relation`), and
+f is one exact normal form f∘A ≡ Σ_k Q^k·P_k(y3, y4) with Q linear in
+y0, y1, y2 (`p4_normal_form`), which makes the curve irreducible and every
+hyperplane section through Π a cone whose vertex line is tangent to it.
+The sampled sections, a repeated root of the curve on each vertex line
+(`poly.repeated_root`), stay as the test oracle `p4_section_check`.
 """
 
 from __future__ import annotations
@@ -18,13 +20,22 @@ from typing import NamedTuple, Optional
 
 from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
-from .fields import substream
+from .fields import rational_content, substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, rank
-from .poly import Polynomial, is_reduced, linear_combination, monomials_of_degree, repeated_root
+from .poly import (
+    Polynomial,
+    binary_gcd,
+    binary_quotient,
+    is_reduced,
+    linear_combination,
+    monomials_of_degree,
+    repeated_root,
+)
 from .psi import least_relation
 
 MAX_CURVE_DEGREE = 6
+_IDENTITY = tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
 
 
 # ----------------------------------------------------------------------
@@ -142,14 +153,12 @@ def low_polar_dim_check(f, seed=0):
 
 
 # ----------------------------------------------------------------------
-# P^4 structure: plane span, certified curve, hyperplane sections
+# P^4 structure: plane span, certified curve, normal form
 
 class PlaneCurveReport(NamedTuple):
     span_rank: int
-    span_basis: tuple                 # W's reduced echelon rows; () unless a plane
     curve: Optional[Polynomial]       # in the 3 coordinates of W's basis
     curve_degree: Optional[int]
-    irreducibility_unverified: bool
     points_used: int                  # points the search read at the curve's degree
 
     @property
@@ -173,47 +182,155 @@ def _span_coordinates(basis, point):
     return primitive_vector(zs)
 
 
-def p4_plane_curve_check(f, psi):
-    """ψ_g = Σ_j q_j·w_j takes its values in W, whose rows w_j are in reduced
-    echelon form, so in their coordinates the image is (q_0 : … : q_k),
-    q_j = h_c/w_j[c] at the pivot column c of w_j, re-checked exactly.  It
-    spans P(W) when the q_j are independent (`span_rank`, their exact rank),
-    and on a plane Π = P(W) its curve is the certified least relation among
-    q_0, q_1, q_2 up to MAX_CURVE_DEGREE (`least_relation`), so its equation
-    and degree are exact; irreducibility is only recorded as unverified.
-    ψ's re-checked relation already proves h_f ≡ 0, and `build_psi` refuses
-    the degree-1 relation of a cone, so neither fact is decided again here."""
+def _image_coordinates(f, psi):
+    """(pivots, [l·q_j]): ψ_g = Σ_j q_j·w_j over W's reduced echelon rows
+    w_j, read at the pivot column c of each row, q_j = h_c/w_j[c], scaled by
+    the lcm l of the pivot entries to integers, and re-checked exactly."""
     if f.nvars != 5:
-        raise DomainError("the plane-curve stage needs a form on P^4")
+        raise DomainError("the P^4 stages need a form on P^4")
     span = psi.relation.span
     pivots = [next(i for i, x in enumerate(w) if x) for w in span]
     l = math.lcm(*(w[c] for w, c in zip(span, pivots)))
-    qs = [psi.h[c].scale(l // w[c]) for w, c in zip(span, pivots)]   # l·q_j
+    qs = [psi.h[c] if l == w[c] else psi.h[c].scale(l // w[c]) for w, c in zip(span, pivots)]
     for i, hi in enumerate(psi.h):
-        if linear_combination(f.nvars, zip((w[i] for w in span), qs)) != hi.scale(l):
+        if linear_combination(f.nvars, zip((w[i] for w in span), qs)) != (hi if l == 1 else hi.scale(l)):
             raise InternalCheckError("ψ_g takes a value outside W")
+    return pivots, qs
+
+
+def p4_plane_curve_check(f, psi):
+    """In the coordinates of W's reduced echelon rows, the ψ_g image is
+    (q_0 : … : q_k) (`_image_coordinates`).  It spans P(W) when the q_j are
+    independent (`span_rank`, their exact rank), and on a plane Π = P(W) its
+    curve is the certified least relation among q_0, q_1, q_2 up to
+    MAX_CURVE_DEGREE (`least_relation`), so its equation and degree are
+    exact; `p4_normal_form` certifies that the curve is irreducible.  ψ's
+    re-checked relation already proves h_f ≡ 0, and `build_psi` refuses the
+    degree-1 relation of a cone, so neither fact is decided again here."""
+    _, qs = _image_coordinates(f, psi)
     span_rank = rank(ScalarMatrix.from_polynomials(qs))
-    plane = span_rank == len(span) == 3
     relation, points = None, 0
-    if plane:
+    if span_rank == len(qs) == 3:
         unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
         relation, points = least_relation(qs, unit, MAX_CURVE_DEGREE)
     return PlaneCurveReport(
         span_rank=span_rank,
-        span_basis=span if plane else (),
         curve=relation.g if relation else None,
         curve_degree=relation.degree if relation else None,
-        irreducibility_unverified=True,
         points_used=points,
+    )
+
+
+class NormalFormReport(NamedTuple):
+    change: tuple                 # the rows of A, x = A·y; () off a plane W
+    image: tuple                  # q'_0, q'_1, q'_2 in (y3, y4); () unless binary
+    tangents: tuple               # M_0, M_1, M_2 in (y3, y4), coprime integers
+    parts: tuple                  # P_0, …, P_mu in (y3, y4)
+    identity: Optional[bool]      # L·f∘A ≡ Σ_k Q^k·L·P_k; None when not reached
+    violation: Optional[str]
+
+    @property
+    def mu(self):
+        return len(self.parts) - 1 if self.parts else None
+
+    @property
+    def ok(self):
+        return self.identity is True
+
+
+def p4_normal_form(f, psi):
+    """The P^4 classification as one exact identity: with x = A·y, where
+    A's columns are W's reduced echelon rows and then the unit vectors off
+    their pivots, so that Π = P(W) is {y3 = y4 = 0},
+
+        f∘A ≡ Σ_k Q^k·P_k(y3, y4),   Q = Σ_{i≤2} y_i·M_i(y3, y4),
+
+    recovered from ψ_g and checked in integers.
+
+    Steps, each exact, each failure a named violation:
+    - q'_j = (l·q_j)∘A (`_image_coordinates`) are ψ_g's coordinates in y,
+      since A⁻¹·ψ_g(A·y) = (q_0, q_1, q_2, 0, 0)(A·y).  They must be binary
+      forms in (y3, y4); then the image curve is C = q'(P^1), irreducible.
+    - M = (∂_3 q' × ∂_4 q')/g, g the gcd of the three binary forms
+      (`poly.binary_gcd`), scaled to coprime integers.
+    - With M_i0 the first nonzero M_i, f∘A at y_i = 0 (i ≤ 2, i ≠ i0) is
+      Σ_k y_i0^k·M_i0^k·P_k, so P_k is its y_i0^k coefficient divided
+      exactly by M_i0^k (`poly.binary_quotient`), and mu is its degree in
+      y_i0.
+    - L, the lcm of the denominators of the P_k, and the identity
+      L·f∘A ≡ Σ_k Q^k·(L·P_k) by Horner's rule in Q, in integers when f is.
+
+    Why the identity certifies the tangency of every hyperplane section
+    through Π, which `p4_section_check` samples.  Such a hyperplane H is
+    a·y4 = b·y3, that is (y3, y4) = t·c for c = (a, b).  On H, M_i and P_k
+    are t^deg·M_i(c) and t^deg·P_k(c), so f∘A|_H is a form in the two
+    linear forms t and ℓ_c = ⟨M(c), (y0, y1, y2)⟩: H ∩ V(f) is a cone
+    whose vertex contains the line L_c = {t = ℓ_c = 0} of Π, for every c
+    with M(c) ≠ 0 (t = 0 is Π).  The cross product makes ⟨M, ∂_3 q'⟩ ≡ ⟨M, ∂_4 q'⟩ ≡ 0,
+    and Euler's identity δ·q' = y3·∂_3 q' + y4·∂_4 q' (δ = deg q') then gives
+    ⟨M, q'⟩ ≡ 0.  So L_c passes through q'(c) and holds the tangent
+    direction of C there: L_c is the tangent line of C at q'(c), at every
+    c, not at a sample of them."""
+    pivots, qs = _image_coordinates(f, psi)
+    if len(pivots) != 3:
+        return NormalFormReport((), (), (), (), None, "W is not a plane")
+    units = [tuple(int(i == j) for i in range(5)) for j in range(5) if j not in pivots]
+    change = tuple(zip(*psi.relation.span, *units))
+    fa = f
+    if change != _IDENTITY:
+        rows = [Polynomial.linear_form(list(row)) for row in change]
+        fa, qs = f.compose(rows), [q.compose(rows) for q in qs]
+    if any(q.variables_used() - {3, 4} for q in qs):
+        return NormalFormReport(change, (), (), (), None, "ψ_g depends on more than the pencil coordinates")
+    d3, d4 = [q.partial(3) for q in qs], [q.partial(4) for q in qs]
+    cross = [d3[i] * d4[j] - d3[j] * d4[i] for i, j in ((1, 2), (2, 0), (0, 1))]
+    if not any(cross):
+        return NormalFormReport(change, tuple(qs), (), (), None, "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent")
+    g = binary_gcd(cross)
+    tangents = [binary_quotient(c, g) for c in cross]
+    if None in tangents:
+        raise InternalCheckError("the gcd of the cross product does not divide it")
+    i0 = next(i for i, m in enumerate(tangents) if m)
+    scale = rational_content([c for m in tangents for c in m.coefficients()])
+    if tangents[i0].leading()[1] < 0:
+        scale = -scale
+    if scale != 1:
+        tangents = [m.scale(1 / scale) for m in tangents]
+    # f∘A at y_i = 0 for i <= 2, i != i0: its y_i0^k coefficients
+    others = [i for i in range(3) if i != i0]
+    coefficients = {}
+    for e, c in fa.as_dict().items():
+        if not any(e[i] for i in others):
+            coefficients.setdefault(e[i0], {})[(0, 0, 0, *e[3:])] = c
+    parts = []
+    for k in range(max(coefficients, default=0) + 1):
+        part = binary_quotient(Polynomial(5, coefficients.get(k, {})), tangents[i0] ** k)
+        if part is None:
+            return NormalFormReport(
+                change, tuple(qs), tuple(tangents), (), None,
+                f"the coefficient of y{i0}^{k} is not divisible by M_{i0}^{k}",
+            )
+        parts.append(part)
+    l = math.lcm(*(c.denominator for p in parts for c in p.coefficients()))
+    q = tangents[0].times_variable(0) + tangents[1].times_variable(1) + tangents[2].times_variable(2)
+    total = Polynomial.zero(5)
+    for part in reversed(parts):
+        total = total * q + (part if l == 1 else part.scale(l))
+    identity = total == (fa if l == 1 else fa.scale(l))
+    return NormalFormReport(
+        change, tuple(qs), tuple(tangents), tuple(parts), identity,
+        None if identity else "f∘A ≢ Σ_k Q^k·P_k",
     )
 
 
 class SectionRecord(NamedTuple):
     pencil_value: Fraction
+    dual_point: tuple             # the hyperplane, primitive
     vanishes: bool
     vertex_dim: int
     tangency_status: str          # tangent | line_in_curve | failed | no_line
     tangency_point: Optional[tuple]
+    vertex_line: Optional[tuple]  # two points of the vertex line, in Π's coordinates
 
 
 class SectionReport(NamedTuple):
@@ -226,15 +343,17 @@ class SectionReport(NamedTuple):
         return self.precondition is None and not self.violations
 
 
-def p4_section_check(f, curve_report, chart_count=5, seed=0):
-    """Hyperplane sections through the core plane Π must be vanishing-Hessian
-    cones with a vertex line, and that line (inside Π) must meet the
-    interpolated curve in a repeated root: the tangency of the theorem."""
+def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
+    """Test oracle for `p4_normal_form`, which certifies what it samples:
+    hyperplane sections through the core plane Π = P(W) must be
+    vanishing-Hessian cones with a vertex line, and that line (inside Π)
+    must meet the interpolated curve in a repeated root: the tangency of
+    the theorem."""
     if not curve_report.ok:
         return SectionReport(
             precondition="plane-curve stage did not complete", records=(), violations=()
         )
-    basis = curve_report.span_basis
+    basis = psi.relation.span
     pencil = [list(v) for v in kernel(ScalarMatrix([list(b) for b in basis]))]
     if len(pencil) != 2:
         raise InternalCheckError("the pencil through a rank-3 span is not 2-dimensional")
@@ -269,7 +388,7 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
             _span_coordinates(basis, chart.embed_point(primitive_vector(v)))
             for v in vertex.basis
         ]
-        status, point = "no_line", None
+        status, point, line = "no_line", None, None
         if vertex.projective_dim < 1:
             violations.append(f"section at c={c} has vertex dimension {vertex.projective_dim}")
         elif None in zeta:
@@ -293,10 +412,12 @@ def p4_section_check(f, curve_report, chart_count=5, seed=0):
         records.append(
             SectionRecord(
                 pencil_value=c,
+                dual_point=dual,
                 vanishes=vanishes,
                 vertex_dim=vertex.projective_dim,
                 tangency_status=status,
                 tangency_point=point,
+                vertex_line=tuple(zeta[:2]) if line else None,
             )
         )
     return SectionReport(precondition=None, records=tuple(records), violations=tuple(violations))

@@ -4,8 +4,10 @@ Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
 exact certificates of a vanishing verdict in order of cost: the cone vertex,
 a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
 products, which alone bounds it.  With a relation, it draws the ψ_g image
-once for the identity battery, and on P^4 certifies the plane curve off ψ_g
-itself.  `generate`, `catalog` and the gn suite stop at the cone vertex.
+once for the identity battery, and on P^4 certifies the plane curve and the
+normal form off ψ_g itself; a failed P^4 stage exits 4 as
+`classification.<stage>`.  `generate`, `catalog` and the gn suite stop at
+the cone vertex.
 
 `parse_args` reads argv against one table, FLAGS, with exact flag names:
 `--flag value` or `--flag=value`, where a value may start with '-'.
@@ -192,7 +194,7 @@ def cmd_analyze(args):
             results["image"] = image_block(image)
             results["polar_image"] = image_block(polar_sample)
             if n1 == 5:
-                results["classification"], stages = p4_classification(f, psi, args.seed)
+                results["classification"], stages = p4_classification(f, psi)
                 failed += [f"classification.{stage}" for stage in stages]
             if failed:
                 print(f"identity battery failed: {', '.join(failed)}", file=sys.stderr)

@@ -25,8 +25,10 @@ until one passes, which always happens; the comment above ``_primitive_ints``
 proves both.  Results are monic.  One fold runs trial divisions over a
 list, and GCDHEU only where the gcd so far fails to divide; only
 ``gcd_cofactors`` keeps its quotients, and only ``psi`` calls it.
-``repeated_root`` reads a binary form's repeated root by univariate Euclid
-on its partials, and ``is_reduced`` asks it of f on a seeded line.
+``binary_gcd`` is one univariate Euclid on binary forms; ``repeated_root``
+asks it for the gcd of a binary form's partials, and ``is_reduced`` asks
+that of f on a seeded line.  ``binary_quotient`` divides binary forms
+exactly by the same long division.
 
 ``parse`` reads text in one recursive-descent pass over ASCII tokens,
 folding each term into one key as it goes, and refuses a variable index past
@@ -739,7 +741,80 @@ def monomials_of_degree(nvars, d):
 
 
 # ----------------------------------------------------------------------
-# repeated roots of binary forms, and reducedness on a line
+# binary forms: one univariate Euclid, repeated roots, reducedness on a line
+#
+# A binary form here is a form in the last two variables (u, v) of its
+# ring, whose exponents fill the two lowest fields of a key.  Of degree d,
+# it is read as its coefficients at u^d, u^(d−1)·v, …, v^d: those of
+# p(u, 1), leading first, where k leading zeros are the factor v^k of p.
+# Writing p = v^k·p' with v ∤ p', p'(u, 1) has the degree of p', so a
+# common factor of forms is v^(least k) times the common factor of the
+# p'(u, 1) made homogeneous: one univariate Euclid.
+
+def _binary_coefficients(p):
+    """The coefficients of a nonzero binary form at u^d, u^(d−1)·v, …, v^d."""
+    d = p.degree()
+    coeffs = [0] * (d + 1)
+    for k, c in p._terms.items():
+        coeffs[d - (k >> FIELD_BITS & _FIELD_MASK)] = c
+    return coeffs
+
+
+def _binary_form(nvars, coeffs):
+    """The binary form in nvars variables with the given coefficients at
+    u^d, …, v^d."""
+    d = len(coeffs) - 1
+    top = d << FIELD_BITS * nvars
+    return _new(nvars, {top | (d - i) << FIELD_BITS | i: c for i, c in enumerate(coeffs) if c})
+
+
+def _leading_zeros(coeffs):
+    return next(i for i, c in enumerate(coeffs) if c)
+
+
+def _long_division(a, b):
+    """(quotient, remainder) of one-variable coefficient lists, leading
+    first, b[0] ≠ 0; a leading zero of a is a quotient coefficient 0.  An
+    int quotient coefficient stays an int."""
+    quotient = []
+    while len(a) >= len(b):
+        x, y = a[0], b[0]
+        q = x // y if type(x) is int and type(y) is int and not x % y else Fraction(x, y)
+        quotient.append(q)
+        a = [s - q * t for s, t in zip(a[1:], b[1:])] + a[len(b):]
+    return quotient, a
+
+
+def binary_gcd(forms):
+    """The gcd of binary forms, not all zero, with coprime integer
+    coefficients and a positive leading one: v^k, k the least order of v,
+    times the Euclid gcd of the forms at v = 1 made homogeneous."""
+    lists = [_binary_coefficients(p) for p in forms if p]
+    if not lists:
+        raise DomainError("gcd of an all-zero list")
+    k = min(map(_leading_zeros, lists))
+    g, *rest = (a[_leading_zeros(a):] for a in lists)
+    for b in rest:
+        while any(b):
+            b = b[_leading_zeros(b):]
+            g, b = b, _long_division(g, b)[1]
+    scale = (1 if g[0] > 0 else -1) / rational_content(g)
+    return _binary_form(forms[0].nvars, [0] * k + [c * scale for c in g])
+
+
+def binary_quotient(a, b):
+    """a/b for binary forms, b ≠ 0, or None when b does not divide a: with
+    a = v^i·a' and b = v^j·b' as above, b divides a exactly when j <= i and
+    b'(u, 1) divides a'(u, 1)."""
+    if not a:
+        return a
+    p, q = _binary_coefficients(a), _binary_coefficients(b)
+    i, j = _leading_zeros(p), _leading_zeros(q)
+    if j > i:
+        return None
+    quotient, remainder = _long_division(p[i:], q[j:])
+    return None if any(remainder) else _binary_form(a.nvars, [0] * (i - j) + quotient)
+
 
 def repeated_root(r):
     """(has_repeated_root, root_or_None) for a nonzero binary form r(u, v)
@@ -747,28 +822,13 @@ def repeated_root(r):
 
     By Euler's identity deg(r)·r = u·∂_u r + v·∂_v r, a linear form divides
     both partials exactly when its square divides r, so r has a repeated
-    root iff g = gcd(∂_u r, ∂_v r) is not constant.  g is v^k, k the least
-    order of v in the two partials, times the gcd of ∂_u r(u, 1) and
-    ∂_v r(u, 1) made homogeneous, found by Euclid's algorithm.  When
+    root iff g = gcd(∂_u r, ∂_v r) (`binary_gcd`) is not constant.  When
     g = a·u + b·v the repeated root is the single point (b : −a)."""
-    d = r.degree() - 1
-    partials = [r.partial(0), r.partial(1)]
-    k = min(e[1] for p in partials for e in p.as_dict())
-    # the coefficients of ∂r(u, 1) = (∂r/v^k)(u, 1) at u^(d−k), …, u^0; a
-    # leading zero of a costs one step at q = 0, and b is trimmed first
-    a, b = ([Fraction(p.coefficient((i, d - i))) for i in range(d - k, -1, -1)] for p in partials)
-    while any(b):
-        b = b[next(i for i, c in enumerate(b) if c) :]
-        while len(a) >= len(b):
-            q = a[0] / b[0]
-            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
-        a, b = b, a
-    degree = len(a) - 1 + k
-    if degree == 0:
+    g = binary_gcd([r.partial(0), r.partial(1)])
+    if g.degree() == 0:
         return False, None
-    if degree == 1:
-        gu, gv = [0, *a] if k else a
-        return True, (gv, -gu)
+    if g.degree() == 1:
+        return True, (g.coefficient((0, 1)), -g.coefficient((1, 0)))
     return True, None
 
 

@@ -34,10 +34,15 @@ from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monom
 DEFAULT_MAX_RELATION_DEGREE = 8
 
 
+def _denominator(polys):
+    """The lcm of the denominators of the coefficients of polys."""
+    return math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
+
+
 def _integral(polys):
     """polys, all scaled by the lcm of their denominators, which changes no
     answer to "does this vanish"."""
-    lcm = math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
+    lcm = _denominator(polys)
     return polys if lcm == 1 else [p.scale(lcm) for p in polys]
 
 
@@ -261,7 +266,11 @@ def build_psi(f, relation):
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
         quotients = [q.scale(1 / content) for q in quotients]
-    if any(rho * q != part for part, q in zip(relation.parts, quotients)):
+    # ρ·q_j = P_j, checked in integers: (a·ρ)·(b·q_j) = a·b·P_j for a and b
+    # the denominators of ρ and of the q_j
+    a, b = _denominator([rho]), _denominator(quotients)
+    scaled_rho = rho.scale(a)
+    if any(scaled_rho * q.scale(b) != part.scale(a * b) for part, q in zip(relation.parts, quotients)):
         raise InternalCheckError("ρ·q_j != P_j after normalization")
     if gcd_list([hi for hi in h if hi]).degree() != 0:
         raise InternalCheckError("components h_i still share a factor")

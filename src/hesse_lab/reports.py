@@ -4,14 +4,15 @@ All blocks are plain dicts with deterministic key order; polynomials are
 serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 The identity battery reads one IMAGE_SAMPLES-point sample of the ψ_g image;
-the P^4 stage reads ψ_g itself and samples nothing.
+the P^4 stages, the plane curve and the normal form, read ψ_g itself and
+sample nothing.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .classify import low_dim_hesse_suite, p4_plane_curve_check, p4_section_check
+from .classify import low_dim_hesse_suite, p4_normal_form, p4_plane_curve_check
 from .errors import DomainError
 from .gn import GNSkeleton, core_multiplicity, random_instance
 from .hessian import hessian_vanishes
@@ -27,7 +28,7 @@ from .psi import (
     sample_polar_image,
 )
 
-SCHEMA = "hesse-lab/5"
+SCHEMA = "hesse-lab/6"
 
 IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
 
@@ -114,32 +115,25 @@ def image_block(image):
     }
 
 
-def curve_block(report):
+def curve_block(report, irreducible):
     return {
         "span_rank": report.span_rank,
-        "span_basis": [vector_strs(b) for b in report.span_basis],
         "curve": report.curve.to_string("z") if report.curve else None,
         "curve_degree": report.curve_degree,
-        "irreducibility_unverified": report.irreducibility_unverified,
+        "irreducible": irreducible,
         "points_used": report.points_used,
         "ok": report.ok,
     }
 
 
-def sections_block(report):
+def normal_form_block(report):
     return {
-        "precondition": report.precondition,
-        "sections": [
-            {
-                "pencil_value": scalar_str(r.pencil_value),
-                "hessian_vanishes": r.vanishes,
-                "vertex_dim": r.vertex_dim,
-                "tangency": r.tangency_status,
-                "tangency_point": vector_strs(r.tangency_point) if r.tangency_point else None,
-            }
-            for r in report.records
-        ],
-        "violations": list(report.violations),
+        "A": [vector_strs(row) for row in report.change],
+        "M": [m.to_string("y") for m in report.tangents],
+        "P_k": [p.to_string("y") for p in report.parts],
+        "mu": report.mu,
+        "identity": report.identity,
+        "violation": report.violation,
         "ok": report.ok,
     }
 
@@ -300,18 +294,20 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
     return block
 
 
-def p4_classification(f, psi, seed, chart_count=5):
-    """The P^4 structure of a vanishing-Hessian non-cone: the plane curve
-    of the ψ_g image, read off ψ_g itself, and the hyperplane sections
-    through its plane.  Returns the report block and the names of the
-    stages that failed."""
-    curve = p4_plane_curve_check(f, psi)
-    sections = p4_section_check(f, curve, chart_count=chart_count, seed=seed)
-    block = {"plane_curve": curve_block(curve), "sections": sections_block(sections)}
+def p4_classification(f, psi):
+    """The P^4 structure of a vanishing-Hessian non-cone, read off ψ_g
+    itself: the plane curve of its image, and the normal form, which
+    certifies that curve irreducible.  Returns the report block and the
+    names of the stages that failed."""
+    curve, normal = p4_plane_curve_check(f, psi), p4_normal_form(f, psi)
+    block = {
+        "plane_curve": curve_block(curve, irreducible=curve.ok and bool(normal.image)),
+        "normal_form": normal_form_block(normal),
+    }
     return block, [stage for stage, report in block.items() if not report["ok"]]
 
 
-def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None):
+def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
     cases = []
     violations = []
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
@@ -335,17 +331,15 @@ def run_p4_suite(seed, instances=5, chart_count=5, draw=_draw, paper_cubic=None)
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        block, _ = p4_classification(f, psi, seed, chart_count=chart_count)
+        block, _ = p4_classification(f, psi)
         # span_rank >= 2 exactly when the ψ_g image is more than one point; a
         # one-point image forces a cone, and every input here is a non-cone:
         # the paper cubic, or a GN draw retried until it is one
         guard = block["plane_curve"]["span_rank"] >= 2
         if not block["plane_curve"]["ok"]:
             violations.append(f"{name}: plane-curve stage failed")
-        if not block["sections"]["ok"]:
-            violations.append(
-                f"{name}: sections stage failed: {block['sections']['violations']}"
-            )
+        if not block["normal_form"]["ok"]:
+            violations.append(f"{name}: normal-form stage failed: {block['normal_form']['violation']}")
         if not guard:
             violations.append(f"{name}: degenerate-image guard failed")
         cases.append(
@@ -368,9 +362,7 @@ def run_all_suites(count, seed, mutate=False):
         "lowdim": run_lowdim_suite(count, seed),
         "gn": run_gn_suite(count, seed, draw=draw),
         "psi": run_psi_suite(seed, mutate=mutate, paper_cubic=paper_cubic),
-        "p4": run_p4_suite(
-            seed, instances=3, chart_count=3, draw=draw, paper_cubic=paper_cubic
-        ),
+        "p4": run_p4_suite(seed, instances=3, draw=draw, paper_cubic=paper_cubic),
     }
     blocks["ok"] = all(b["ok"] for b in blocks.values())
     return blocks

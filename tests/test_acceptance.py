@@ -14,6 +14,7 @@ import pytest
 from hesse_lab.classify import (
     low_dim_hesse_suite,
     low_polar_dim_check,
+    p4_normal_form,
     p4_plane_curve_check,
     p4_section_check,
 )
@@ -210,12 +211,17 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
         # the image (q_0 : q_1 : q_2) in W's basis, q_j = h_c/w_j[c] at the
         # pivot column c of w_j, lies on the curve exactly, and the search
         # read C(e + 2, 2) + 2 points at the curve's degree e
-        q = _image_coordinates(psi, curve.span_basis)
+        q = _image_coordinates(psi, psi.relation.span)
         if curve.curve.compose(q) or curve.points_used != math.comb(curve.curve_degree + 2, 2) + 2:
             failures.append(f"{name}: the curve is not the image's least relation")
         if not 2 <= curve.curve_degree <= 6:
             failures.append(f"{name}: curve degree {curve.curve_degree} out of range")
-        sections = p4_section_check(f, curve, chart_count=5, seed=0)
+        # the certificate: f∘A ≡ Σ_k Q^k·P_k, and the curve is irreducible
+        normal = p4_normal_form(f, psi)
+        if not normal.ok:
+            failures.append(f"{name}: normal form failed: {normal.violation}")
+        # the sampled sections it subsumes, as an oracle
+        sections = p4_section_check(f, psi, curve, chart_count=5, seed=0)
         if len(sections.records) != 5 or not sections.ok:
             failures.append(f"{name}: sections failed: {sections.violations}")
             continue

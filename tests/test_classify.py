@@ -17,6 +17,7 @@ from hesse_lab.classify import (
     _span_coordinates,
     low_dim_hesse_suite,
     low_polar_dim_check,
+    p4_normal_form,
     p4_plane_curve_check,
     p4_section_check,
 )
@@ -24,12 +25,17 @@ from hesse_lab.cones import VertexSubspace
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
-from hesse_lab.linalg import reduced_row_basis
+from hesse_lab.fields import substream
+from hesse_lab.linalg import primitive_vector, projectively_equal, random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
 from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
+# x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5: a non-cone whose ψ_g image is a plane
+# curve of degree above MAX_CURVE_DEGREE
+_X = [Polynomial.variable(5, i) for i in range(5)]
+PERAZZO_QUINTIC = _X[0] * _X[3] ** 5 + _X[1] * _X[4] ** 5 + _X[2] * (_X[3] + _X[4]) ** 5
 
 
 @pytest.fixture(scope="module")
@@ -128,22 +134,22 @@ def test_low_polar_dim_preconditions():
         low_polar_dim_check(parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3"))  # h_f != 0
 
 
-def test_p4_curve_paper_cubic(cubic_curve):
+def test_p4_curve_paper_cubic(cubic_psi, cubic_curve):
     assert cubic_curve.ok
     assert cubic_curve.span_rank == 3
     assert cubic_curve.curve_degree == 2
-    assert cubic_curve.irreducibility_unverified is True
     # the six conics and two more points, with no candidate refused
     assert cubic_curve.points_used == 8
     # the sample (-b^2 : ab : -a^2 : 0 : 0) spans x3 = x4 = 0, whose reduced
     # echelon basis is e0, e1, e2, and satisfies x0*x2 = x1^2 there
-    assert cubic_curve.span_basis == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    assert cubic_psi.relation.span == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
     assert cubic_curve.curve.to_string("z") == "z0*z2 - z1^2"
 
 
 def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
-    with pytest.raises(DomainError, match="P\\^4"):
-        p4_plane_curve_check(parse("x0^3 + x1^3 + x2^3 + x3^3"), cubic_psi)
+    for stage in (p4_plane_curve_check, p4_normal_form):
+        with pytest.raises(DomainError, match="P\\^4"):
+            stage(parse("x0^3 + x1^3 + x2^3 + x3^3"), cubic_psi)
 
 
 def test_p4_curve_rechecks_that_psi_takes_its_values_in_w(cubic_psi):
@@ -158,11 +164,14 @@ def test_p4_curve_of_dependent_coordinates_fails(cubic_psi):
     # q_2 = q_0: the image spans a line of Π, not Π, and no curve is sought
     q0, q1, _ = _coordinates(cubic_psi)
     curve = p4_plane_curve_check(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]))
-    assert (curve.span_rank, curve.span_basis, curve.curve, curve.points_used) == (2, (), None, 0)
+    assert (curve.span_rank, curve.curve, curve.points_used) == (2, None, 0)
     assert not curve.ok
-    block, failed = p4_classification(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]), 0)
-    assert failed == ["plane_curve", "sections"]
-    assert block["sections"]["precondition"] == "plane-curve stage did not complete"
+    block, failed = p4_classification(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]))
+    assert failed == ["plane_curve", "normal_form"]
+    assert block["plane_curve"]["irreducible"] is False
+    # M = (1, 0, -1): Q = y0 - y2 cannot carry f
+    assert block["normal_form"]["M"] == ["1", "0", "-1"]
+    assert block["normal_form"]["violation"] == "f∘A ≢ Σ_k Q^k·P_k"
 
 
 # the curves the 30-point interpolation recorded on these forms
@@ -184,7 +193,7 @@ def test_the_certified_curve_vanishes_on_the_image_coordinates(form):
     f = PAPER_CUBIC if form is None else random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
     psi = build_psi(f, find_polar_relation(f))
     curve = p4_plane_curve_check(f, psi)
-    assert curve.ok and curve.span_basis == psi.relation.span
+    assert curve.ok
     assert curve.curve.compose(_coordinates(psi)).is_zero()
     assert curve.curve.to_string("z") == RECORDED_CURVES[form]
 
@@ -196,8 +205,9 @@ def test_p4_classification_samples_no_image(cubic_psi, monkeypatch):
 
     for module in (psi_module, reports, classify):
         monkeypatch.setattr(module, "sample_image", refuse, raising=False)
-    block, failed = p4_classification(PAPER_CUBIC, cubic_psi, 0)
+    block, failed = p4_classification(PAPER_CUBIC, cubic_psi)
     assert failed == [] and block["plane_curve"]["curve"] == "z0*z2 - z1^2"
+    assert block["plane_curve"]["irreducible"] is True
 
 
 def _sympy_implicit(exponents):
@@ -229,23 +239,23 @@ def test_least_relation_agrees_with_implicitization(exponents):
     assert points >= math.comb(rel.degree + 2, 2) + 2
 
 
-def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_curve):
+def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_psi, cubic_curve):
     # an ok curve report spans a plane, whose pencil of hyperplanes is 2-dimensional
-    line = cubic_curve._replace(span_basis=cubic_curve.span_basis[:2])
+    relation = cubic_psi.relation._replace(span=cubic_psi.relation.span[:2])
     with pytest.raises(InternalCheckError, match="not 2-dimensional"):
-        p4_section_check(PAPER_CUBIC, line, chart_count=1, seed=0)
+        p4_section_check(PAPER_CUBIC, cubic_psi._replace(relation=relation), cubic_curve, chart_count=1, seed=0)
 
 
-def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_curve, monkeypatch):
+def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_psi, cubic_curve, monkeypatch):
     # a vertex vector without coordinates in Π's basis is not a line of Π
     monkeypatch.setattr(classify, "_span_coordinates", lambda basis, point: None)
-    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+    report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=1, seed=0)
     assert not report.ok
     assert [(r.tangency_status, r.tangency_point) for r in report.records] == [("no_line", None)]
     assert report.violations[-1].endswith("vertex does not meet Π in a line")
 
 
-def test_p4_sections_without_a_vertex_take_the_sampled_verdict(cubic_curve, monkeypatch):
+def test_p4_sections_without_a_vertex_take_the_sampled_verdict(cubic_psi, cubic_curve, monkeypatch):
     # a section with no vertex is decided by its sampled Hessian, and both
     # its nonvanishing Hessian and its missing vertex are violations
     fermat = parse("x0^3 + x1^3 + x2^3 + x3^3")
@@ -257,7 +267,7 @@ def test_p4_sections_without_a_vertex_take_the_sampled_verdict(cubic_curve, monk
 
     monkeypatch.setattr(classify, "cone_test", lambda f: VertexSubspace(basis=(), projective_dim=-1))
     monkeypatch.setattr(classify, "hessian_vanishes", nonvanishing)
-    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=1, seed=0)
+    report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=1, seed=0)
     assert len(sampled) == 1
     assert [(r.vanishes, r.vertex_dim, r.tangency_status) for r in report.records] == [
         (False, -1, "no_line")
@@ -269,8 +279,8 @@ def test_p4_sections_without_a_vertex_take_the_sampled_verdict(cubic_curve, monk
     )
 
 
-def test_p4_sections_paper_cubic(cubic_curve):
-    report = p4_section_check(PAPER_CUBIC, cubic_curve, chart_count=5, seed=0)
+def test_p4_sections_paper_cubic(cubic_psi, cubic_curve):
+    report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=5, seed=0)
     assert report.ok, report.violations
     assert len(report.records) == 5
     for r in report.records:
@@ -283,15 +293,147 @@ def test_p4_sections_paper_cubic(cubic_curve):
     assert all(z0 * z2 == z1 ** 2 for z0, z1, z2 in points)
 
 
-def test_p4_sections_corrupted_curve(cubic_curve):
+def test_p4_sections_corrupted_curve(cubic_psi, cubic_curve):
     # flip a sign in the conic: the double-root test must now fail
     corrupted_curve = cubic_curve.curve.as_dict()
     key = next(iter(corrupted_curve))
     corrupted_curve[key] = -corrupted_curve[key]
     fake = cubic_curve._replace(curve=Polynomial(3, corrupted_curve))
-    report = p4_section_check(PAPER_CUBIC, fake, chart_count=3, seed=0)
+    report = p4_section_check(PAPER_CUBIC, cubic_psi, fake, chart_count=3, seed=0)
     assert not report.ok
     assert any("double root" in v for v in report.violations)
+
+
+def _dense(f):
+    """f∘A for A = random_invertible(n + 1, substream(0, "dense"))."""
+    a = random_invertible(f.nvars, substream(0, "dense"))
+    return f.compose([Polynomial.linear_form(row) for row in a.entries])
+
+
+# the 26 forms the oracle cross-check reads: the paper cubic (None), its
+# dense conjugate ("dense"), and seeds 0-3 of six P^4 skeletons
+CROSS_CHECKED = [None, "dense"] + [
+    (skeleton, seed)
+    for skeleton in ("4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6", "4,2,1,3,1,7", "4,2,1,4,1,7", "4,2,1,2,2,5")
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "form", CROSS_CHECKED, ids=lambda form: {None: "paper-cubic", "dense": "dense-paper-cubic"}.get(form) or "%s-seed%d" % form
+)
+def test_the_section_oracle_sees_the_tangent_lines_of_the_normal_form(form):
+    # on the hyperplane u·x = 0 through Π, which is u_a·y3 + u_b·y4 = 0 in
+    # y = A⁻¹·x, so (y3, y4) = c = (u_b, −u_a), the oracle's vertex line is
+    # L_c = {⟨M(c), z⟩ = 0} and its tangency point is q'(c), at 5 pencil values
+    if form is None or form == "dense":
+        f = PAPER_CUBIC if form is None else _dense(PAPER_CUBIC)
+    else:
+        f = random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
+    psi = build_psi(f, find_polar_relation(f))
+    normal = p4_normal_form(f, psi)
+    assert normal.ok, normal.violation
+    report = p4_section_check(f, psi, p4_plane_curve_check(f, psi), chart_count=5, seed=0)
+    assert report.ok and len(report.records) == 5
+    pivots = [next(i for i, x in enumerate(w) if x) for w in psi.relation.span]
+    a, b = (i for i in range(5) if i not in pivots)
+    for r in report.records:
+        c = (0, 0, 0, r.dual_point[b], -r.dual_point[a])
+        m = [mi.evaluate(c) for mi in normal.tangents]
+        assert any(m) and all(sum(x * z for x, z in zip(m, point)) == 0 for point in r.vertex_line)
+        assert projectively_equal(r.tangency_point, [q.evaluate(c) for q in normal.image])
+
+
+def test_p4_normal_form_paper_cubic(cubic_psi):
+    # f is Q·1 for Q = y0·y3^2 + 2·y1·y3·y4 + y2·y4^2, in the coordinates of
+    # W = span(e0, e1, e2), so A = I
+    report = p4_normal_form(PAPER_CUBIC, cubic_psi)
+    assert report.ok and report.mu == 1
+    assert report.change == tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
+    assert [m.to_string("y") for m in report.tangents] == ["y3^2", "2*y3*y4", "y4^2"]
+    assert [p.to_string("y") for p in report.parts] == ["0", "1"]
+
+
+def test_p4_normal_form_of_the_perazzo_quintic():
+    # mu = 1 and M = (x3^5, x4^5, (x3 + x4)^5): the cross product of the
+    # derivatives of q' is −32·x3³x4³(x3 + x4)³ times M, and the gcd keeps the
+    # powers of both coordinates; the plane-curve stage still fails
+    psi = build_psi(PERAZZO_QUINTIC, find_polar_relation(PERAZZO_QUINTIC))
+    assert not p4_plane_curve_check(PERAZZO_QUINTIC, psi).ok
+    report = p4_normal_form(PERAZZO_QUINTIC, psi)
+    assert report.ok and report.mu == 1
+    assert list(report.tangents) == [_X[3] ** 5, _X[4] ** 5, (_X[3] + _X[4]) ** 5]
+    assert list(report.parts) == [Polynomial.zero(5), Polynomial.constant(5, 1)]
+
+
+def test_p4_normal_form_names_a_w_that_is_no_plane(cubic_psi):
+    relation = cubic_psi.relation._replace(span=cubic_psi.relation.span[:2])
+    line = _with_coordinates(cubic_psi._replace(relation=relation), _coordinates(cubic_psi)[:2])
+    report = p4_normal_form(PAPER_CUBIC, line)
+    assert (report.change, report.identity, report.violation) == ((), None, "W is not a plane")
+
+
+def test_p4_normal_form_names_a_psi_off_the_pencil_coordinates(cubic_psi):
+    # q_0 + x0·x3 keeps ψ_g's values in W, but q' then reads y0
+    q0, q1, q2 = _coordinates(cubic_psi)
+    moved = _with_coordinates(cubic_psi, [q0 + parse("x0*x3", nvars=5), q1, q2])
+    report = p4_normal_form(PAPER_CUBIC, moved)
+    assert (report.image, report.identity) == ((), None)
+    assert report.violation == "ψ_g depends on more than the pencil coordinates"
+    block, failed = p4_classification(PAPER_CUBIC, moved)
+    assert "normal_form" in failed and block["plane_curve"]["irreducible"] is False
+
+
+def test_p4_normal_form_names_a_one_point_image(cubic_psi):
+    q0 = _coordinates(cubic_psi)[0]
+    report = p4_normal_form(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q0, q0]))
+    assert (report.tangents, report.identity) == ((), None)
+    assert report.violation == "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent"
+
+
+def test_p4_normal_form_names_a_coefficient_that_m_does_not_divide(cubic_psi):
+    # x0·x3·x4 joins the y0 coefficient x3^2 of f, which M_0 = y3^2 no longer divides
+    report = p4_normal_form(PAPER_CUBIC + parse("x0*x3*x4", nvars=5), cubic_psi)
+    assert (report.parts, report.identity) == ((), None)
+    assert report.violation == "the coefficient of y0^1 is not divisible by M_0^1"
+
+
+@pytest.mark.parametrize("corrupted", ["P_0", "M_1", "f"])
+def test_p4_normal_form_fails_the_identity_on_one_corrupted_piece(cubic_psi, monkeypatch, corrupted):
+    # the quotients come in order M_0, M_1, M_2, P_0, P_1; x0·x1·x2 added to
+    # f vanishes on the span of e0, e3 and e4, where the P_k are read
+    f, original, calls = PAPER_CUBIC, classify.binary_quotient, []
+
+    def quotient(a, b):
+        calls.append(a)
+        q = original(a, b)
+        if len(calls) == {"M_1": 2, "P_0": 4}.get(corrupted):
+            q = q + parse(f"x3^{q.degree() if q else 3}", nvars=5)
+        return q
+
+    monkeypatch.setattr(classify, "binary_quotient", quotient)
+    if corrupted == "f":
+        f = f + parse("x0*x1*x2", nvars=5)
+    report = p4_normal_form(f, cubic_psi)
+    assert len(calls) == 5
+    assert (report.identity, report.violation) == (False, "f∘A ≢ Σ_k Q^k·P_k")
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6"]), st.integers(0, 10**6), st.booleans())
+def test_p4_normal_form_certifies_gn_draws_and_their_dense_conjugates(skeleton, seed, dense):
+    # the stage certifies the identity, with mu the construction's μ; A = I
+    # on a draw, whose W is spanned by e0, e1 and e2
+    instance = random_instance(GNSkeleton(*map(int, skeleton.split(","))), seed)
+    f = instance.f
+    if dense:
+        a = random_invertible(5, substream(seed, "conjugate"))
+        f = f.compose([Polynomial.linear_form(row) for row in a.entries])
+    psi = build_psi(f, find_polar_relation(f))
+    report = p4_normal_form(f, psi)
+    assert report.ok, report.violation
+    assert report.mu == instance.mu
+    assert dense or report.change == tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
 
 
 @st.composite
@@ -370,9 +512,9 @@ def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
     psi = build_psi(f, find_polar_relation(f))
     shuffled = list(sample_image(psi, IMAGE_SAMPLES, 0).points)
     random.Random(f"shuffle {seed}").shuffle(shuffled)
-    curve = p4_plane_curve_check(f, psi)
-    assert curve.ok and curve.span_basis == reduced_row_basis(shuffled)
-    assert all(curve.curve.evaluate(_span_coordinates(curve.span_basis, q)) == 0 for q in shuffled)
+    curve, basis = p4_plane_curve_check(f, psi), psi.relation.span
+    assert curve.ok and basis == reduced_row_basis(shuffled)
+    assert all(curve.curve.evaluate(_span_coordinates(basis, q)) == 0 for q in shuffled)
 
 
 @pytest.mark.parametrize("form", ["paper_cubic", "4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6"])
@@ -383,7 +525,9 @@ def test_the_plane_basis_is_w_basis_in_analyze(form, capsys):
         text = random_instance(GNSkeleton(*map(int, form.split(","))), seed=0).f.to_string("x")
     assert main(["analyze", "--poly", text, "--no-timings"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["classification"]["plane_curve"]["span_basis"] == results["relation_search"]["w_basis"]
+    # A's first three columns are W's basis, its last two unit vectors
+    columns = [list(column) for column in zip(*results["classification"]["normal_form"]["A"])]
+    assert columns[:3] == results["relation_search"]["w_basis"]
 
 
 def test_p4_pipeline_on_gn_instance():
@@ -391,8 +535,9 @@ def test_p4_pipeline_on_gn_instance():
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
     curve = p4_plane_curve_check(inst.f, psi)
     assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
-    sections = p4_section_check(inst.f, curve, chart_count=5, seed=0)
+    sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations
+    assert p4_normal_form(inst.f, psi).ok
 
 
 def test_p4_suite_reports_a_draw_without_a_relation():
@@ -402,7 +547,7 @@ def test_p4_suite_reports_a_draw_without_a_relation():
         instance = random_instance(skel, seed)
         return instance._replace(f=instance.f + parse("x0^2*x4", nvars=5))
 
-    report = run_p4_suite(0, instances=1, chart_count=1, draw=with_a_head_square)
+    report = run_p4_suite(0, instances=1, draw=with_a_head_square)
     assert report["ok"] is False
     assert report["violations"] == ["gn_421_3_seed0: no polar relation up to degree 8"]
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
@@ -412,23 +557,22 @@ def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
     # the Perazzo quintic x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5 is a non-cone with
     # a degree-5 relation, and its ψ_g image is a plane curve of degree above
     # MAX_CURVE_DEGREE: the search rules out every degree up to the cap
-    x = [Polynomial.variable(5, i) for i in range(5)]
-    perazzo = x[0] * x[3] ** 5 + x[1] * x[4] ** 5 + x[2] * (x[3] + x[4]) ** 5
-
-    report = run_p4_suite(0, instances=1, chart_count=1, draw=lambda skel, seed: types.SimpleNamespace(f=perazzo))
+    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=PERAZZO_QUINTIC))
     assert report["ok"] is False
-    assert "gn_421_3_seed0: plane-curve stage failed" in report["violations"]
+    assert report["violations"] == ["gn_421_3_seed0: plane-curve stage failed"]
     case = report["cases"][1]
     assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve"] is None
     # the 28 sextics and two more points at the last degree searched
     assert case["plane_curve"]["points_used"] == 30
+    # the curve is past the cap, and its normal form is still certified
+    assert case["normal_form"]["ok"] is True
 
 
 def test_p4_suite_reports_a_cone_draw():
     # the relation search refuses the vertex rows of W of x0^3 + x1^3; the
     # suite names the cone instead of raising
     cone = parse("x0^3 + x1^3", nvars=5)
-    report = run_p4_suite(0, instances=1, chart_count=1, draw=lambda skel, seed: types.SimpleNamespace(f=cone))
+    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=cone))
     assert report["ok"] is False
     assert report["violations"] == ["gn_421_3_seed0: V(f) is a cone"]
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
@@ -443,12 +587,12 @@ def test_p4_suite_reports_a_one_point_image(monkeypatch):
         return _with_coordinates(psi, [q0, q0, q0])
 
     monkeypatch.setattr(reports, "build_psi", collapsed)
-    report = run_p4_suite(0, instances=1, chart_count=1)
+    report = run_p4_suite(0, instances=1)
     case = report["cases"][1]
     assert (case["plane_curve"]["span_rank"], case["degenerate_image_guard"]) == (1, False)
     assert report["violations"][-3:] == [
         "gn_421_3_seed0: plane-curve stage failed",
-        "gn_421_3_seed0: sections stage failed: []",
+        "gn_421_3_seed0: normal-form stage failed: M ≡ 0: ∂_3 q' and ∂_4 q' are dependent",
         "gn_421_3_seed0: degenerate-image guard failed",
     ]
 
@@ -474,13 +618,13 @@ def _vertex_off_the_plane(f):
     ],
     ids=["nonvanishing", "vertex-dimension", "off-the-plane", "no-double-root"],
 )
-def test_p4_suite_names_each_section_violation(monkeypatch, patches, violation):
+def test_p4_section_oracle_names_each_violation(cubic_psi, cubic_curve, monkeypatch, patches, violation):
     for name, value in patches.items():
         monkeypatch.setattr(classify, name, value)
-    report = run_p4_suite(0, instances=0, chart_count=1)
-    [message] = report["violations"]
-    assert message.startswith("paper_cubic: sections stage failed: ['section at c=")
-    assert violation in message
+    report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=1, seed=0)
+    c = report.records[0].pencil_value
+    assert report.violations and all(v.startswith(f"section at c={c}") for v in report.violations)
+    assert any(violation in v for v in report.violations)
 
 
 def test_low_dim_suite_rejects_bad_count():

@@ -45,7 +45,7 @@ def run(tmp_path, *argv, name="out.json"):
 def test_analyze_paper_cubic(tmp_path):
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
     assert code == 0
-    assert doc["schema"] == "hesse-lab/5"
+    assert doc["schema"] == reports.SCHEMA
     assert doc["input"] == {"poly": PAPER_CUBIC}
     r = doc["results"]
     assert r["hessian"]["vanishes"] is True
@@ -55,7 +55,8 @@ def test_analyze_paper_cubic(tmp_path):
     assert r["polar_relation"]["degree"] == 2
     assert all(v is True for v in r["identity_checks"].values() if isinstance(v, bool))
     assert r["classification"]["plane_curve"]["ok"] is True
-    assert r["classification"]["sections"]["ok"] is True
+    assert r["classification"]["normal_form"]["ok"] is True
+    assert r["classification"]["plane_curve"]["irreducible"] is True
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -388,7 +389,7 @@ def test_analyze_with_a_failing_battery_exit_4_names_the_checks(monkeypatch, cap
     assert main(["analyze", "--poly", PAPER_CUBIC, "--no-timings"]) == 4
     captured = capsys.readouterr()
     assert captured.err == (
-        "identity battery failed: second_derivative_zero, invariance_f, partials_invariant, classification.sections\n"
+        "identity battery failed: second_derivative_zero, invariance_f, partials_invariant, classification.normal_form\n"
     )
     assert json.loads(captured.out)["results"]["identity_checks"]["second_derivative_zero"] is False
 
@@ -658,16 +659,15 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
         repeated = [(name, f.to_string("x")) for (name, f), n in calls.items() if n > 1]
         assert repeated == [], argv
         if argv[0] == "analyze":
-            # f's verdict comes from its H_f sample; each of the five
-            # hyperplane sections is decided by its cone vertex, and f is
-            # cone-tested once
+            # f's verdict comes from its H_f sample, f is cone-tested once,
+            # and the P^4 normal form decides no other form
             per_function = Counter(name for name, _ in calls.elements())
-            assert per_function == Counter(hessian_vanishes=0, cone_test=6, sample_polar_image=1)
+            assert per_function == Counter(hessian_vanishes=0, cone_test=1, sample_polar_image=1)
 
 
 def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
-    # exact regression gates: a larger count is work added back.  The 24
+    # exact regression gates: a larger count is work added back.  The 12
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
     # full rank, so none of them is a `kernel` call.  `is_reduced` reads its
     # forms on a line, so nothing calls the multivariate `gcd`
@@ -681,7 +681,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=37, gcd=0, hessian_at=34, cone_test=24)
+    assert calls == Counter(hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12)
 
 
 @pytest.mark.parametrize(
@@ -731,8 +731,8 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
     ids=["paper-cubic", "symbolic", "witness", "linear"],
 )
 def test_analyze_evaluates_h_f_once_per_seeded_point(tmp_path, monkeypatch, argv, own_points):
-    # the verdict, the generic rank and W are read off one sample of H_f;
-    # the P^4 sections are other forms, each with points of its own
+    # the verdict, the generic rank and W are read off one sample of H_f,
+    # and no other form's H_f is evaluated
     points = Counter()
     original = hessian.hessian_at
 
@@ -865,7 +865,7 @@ def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):
 
 
 def test_p4_suite_samples_no_image(tmp_path, monkeypatch):
-    # the plane-curve stage and the degenerate-image guard read ψ_g itself
+    # the P^4 stages and the degenerate-image guard read ψ_g itself
     counts = []
     original = psi.sample_image
 

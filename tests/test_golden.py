@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from hesse_lab.cli import main
+from hesse_lab.reports import SCHEMA
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
@@ -61,7 +62,7 @@ def test_no_report_carries_a_mode():
     # one verdict path: schema hesse-lab/5 dropped every mode key
     for name in COMMANDS:
         doc = json.loads((GOLDEN / f"{name}.json").read_text())
-        assert doc["schema"] == "hesse-lab/5"
+        assert doc["schema"] == SCHEMA
         assert not {"mode", "hessian_mode", "mode_requested"} & set(_keys(doc)), name
 
 

@@ -18,6 +18,7 @@ TEST_ORACLES = {
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
     "ScalarMatrix.transpose": "reads that coefficient matrix as the directional-derivative map; test_cones, test_linalg",
+    "p4_section_check": "the sampled hyperplane sections that p4_normal_form certifies; test_classify, test_acceptance",
 }
 
 

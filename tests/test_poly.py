@@ -1,4 +1,4 @@
-"""Polynomial core: parsing, arithmetic, calculus, gcd, reducedness."""
+"""Polynomial core: parsing, arithmetic, calculus, gcd, binary forms, reducedness."""
 
 import operator
 import random
@@ -25,6 +25,8 @@ from hesse_lab.poly import (
     _layout,
     _new,
     _primitive_ints,
+    binary_gcd,
+    binary_quotient,
     gcd,
     gcd_cofactors,
     gcd_list,
@@ -908,6 +910,62 @@ def test_heuristic_gcd_draws_points_until_one_passes(a, b, expected):
     assert g * qa == a
     assert g * qb == b
     assert gcd(a, b) == expected
+
+
+# ----------------------------------------------------------------------
+# binary forms: one univariate Euclid
+
+def test_binary_gcd_keeps_the_powers_of_both_coordinates():
+    # the cross product of the derivatives of ψ_g's coordinates on the
+    # Perazzo quintic: −32·u³v³(u + v)³ times (u^5, v^5, (u + v)^5)
+    u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    common = u ** 3 * v ** 3 * (u + v) ** 3
+    forms = [common.scale(-32) * p for p in (u ** 5, v ** 5, (u + v) ** 5)]
+    assert binary_gcd(forms) == common
+    assert [binary_quotient(p, common) for p in forms] == [p.scale(-32) for p in (u ** 5, v ** 5, (u + v) ** 5)]
+
+
+def test_binary_forms_are_read_in_the_last_two_variables():
+    # in five variables the forms in (x3, x4) divide like those in (x0, x1)
+    a, b = parse("2*x3^3*x4 - 2*x3*x4^3", nvars=5), parse("3*x3^2 + 3*x3*x4", nvars=5)
+    assert binary_gcd([a, b]) == parse("x3^2 + x3*x4", nvars=5)
+    assert binary_quotient(a, b) == parse("2/3*x3*x4 - 2/3*x4^2", nvars=5)
+    assert binary_quotient(b, a) is None
+    with pytest.raises(DomainError):
+        binary_gcd([Polynomial.zero(2)])
+
+
+@st.composite
+def binary_pairs(draw):
+    """Two nonzero binary forms of degree 0..6 with a common factor: products
+    of linear forms, v^k among them, times random forms of degree 0..2."""
+    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    common = Polynomial.constant(2, draw(st.sampled_from((1, -2, 3))))
+    for ab in draw(st.lists(pairs, max_size=3)):
+        common = common * Polynomial.linear_form(list(ab))
+
+    def other():
+        e = draw(st.integers(0, 2))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=e + 1, max_size=e + 1).filter(any))
+        return common * Polynomial(2, {(e - i, i): c for i, c in enumerate(coeffs) if c})
+
+    return other(), other()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(binary_pairs())
+def test_binary_gcd_matches_sympy_and_divides_exactly(pair):
+    u, v = sympy.symbols("u v")
+    a, b = pair
+    exprs = [sum(c * u ** e[0] * v ** e[1] for e, c in p.as_dict().items()) for p in pair]
+    expected = sympy.Poly(sympy.gcd(*exprs), u, v)
+    g = binary_gcd([a, b])
+    got = sympy.Poly(sum(c * u ** e[0] * v ** e[1] for e, c in g.as_dict().items()), u, v)
+    assert sympy.expand(got.as_expr() * expected.LC() - expected.as_expr() * got.LC()) == 0
+    assert g.leading()[1] > 0 and all(type(c) is int for c in g.coefficients())
+    for p in (a, b):
+        assert binary_quotient(p, g) * g == p
+    assert binary_quotient(a * b, b) == a
 
 
 # ----------------------------------------------------------------------

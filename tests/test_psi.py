@@ -657,6 +657,24 @@ def test_build_psi_refuses_a_relation_whose_parts_all_vanish():
 # ψ_g from the gcd's cofactors
 
 
+def test_build_psi_rechecks_each_cofactor_in_integers(monkeypatch):
+    # on the seed-0 6,3,1,2,1,6 the cofactors q_j carry the pivot
+    # denominator of W's rows; one cofactor off by a term fails the
+    # integer re-check (a·ρ)·(b·q_j) = a·b·P_j
+    f = _gn("6,3,1,2,1,6")
+    rel = find_polar_relation(f)
+    original = psi_module.gcd_cofactors
+
+    def corrupted(parts):
+        rho, quotients = original(parts)
+        assert any(type(c) is Fraction for q in quotients for c in q.coefficients())
+        return rho, [quotients[0] + Polynomial.variable(f.nvars, 0) ** quotients[0].degree(), *quotients[1:]]
+
+    monkeypatch.setattr(psi_module, "gcd_cofactors", corrupted)
+    with pytest.raises(InternalCheckError, match="ρ·q_j != P_j"):
+        build_psi(f, rel)
+
+
 def _sympy_expr(p):
     xs = sympy.symbols(f"x0:{p.nvars}")
     return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
