@@ -263,19 +263,19 @@ def p4_normal_form(f, psi):
     Why the identity certifies the tangency of every hyperplane section
     through Π, which `p4_section_check` samples.  Such a hyperplane H is
     a·y4 = b·y3, that is (y3, y4) = t·c for c = (a, b).  On H, M_i and P_k
-    are t^deg·M_i(c) and t^deg·P_k(c), so f∘A|_H is a form in the two
-    linear forms t and ℓ_c = ⟨M(c), (y0, y1, y2)⟩: H ∩ V(f) is a cone
-    whose vertex contains the line L_c = {t = ℓ_c = 0} of Π, for every c
-    with M(c) ≠ 0 (t = 0 is Π).  The cross product makes ⟨M, ∂_3 q'⟩ ≡ ⟨M, ∂_4 q'⟩ ≡ 0,
-    and Euler's identity δ·q' = y3·∂_3 q' + y4·∂_4 q' (δ = deg q') then gives
-    ⟨M, q'⟩ ≡ 0.  So L_c passes through q'(c) and holds the tangent
-    direction of C there: L_c is the tangent line of C at q'(c), at every
-    c, not at a sample of them."""
+    are t^(deg M)·M_i(c) and t^(deg P_k)·P_k(c), so f∘A|_H is a form in
+    the two linear forms t and ℓ_c = ⟨M(c), (y0, y1, y2)⟩: H ∩ V(f) is a
+    cone whose vertex contains the line L_c = {t = ℓ_c = 0} of Π (t = 0 is
+    Π), for every c with M(c) ≠ 0.  The cross product makes
+    ⟨M, ∂_3 q'⟩ ≡ ⟨M, ∂_4 q'⟩ ≡ 0, and Euler's identity
+    δ·q' = y3·∂_3 q' + y4·∂_4 q' (δ = deg q') then gives ⟨M, q'⟩ ≡ 0.  So
+    L_c passes through q'(c) and holds the tangent direction of C there:
+    L_c is the tangent line of C at q'(c), at every c, not at a sample of
+    them."""
     pivots, qs = _image_coordinates(f, psi)
     if len(pivots) != 3:
         return NormalFormReport((), (), (), (), None, "W is not a plane")
-    units = [tuple(int(i == j) for i in range(5)) for j in range(5) if j not in pivots]
-    change = tuple(zip(*psi.relation.span, *units))
+    change = tuple(zip(*psi.relation.span, *(_IDENTITY[j] for j in range(5) if j not in pivots)))
     fa = f
     if change != _IDENTITY:
         rows = [Polynomial.linear_form(list(row)) for row in change]
