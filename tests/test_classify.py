@@ -26,7 +26,7 @@ from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.fields import substream
-from hesse_lab.linalg import primitive_vector, projectively_equal, random_invertible, reduced_row_basis
+from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
 from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
