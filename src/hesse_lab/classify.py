@@ -34,7 +34,6 @@ from .poly import (
 )
 from .psi import least_relation
 
-MAX_CURVE_DEGREE = 6
 _IDENTITY = tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
 
 
@@ -202,9 +201,12 @@ def p4_plane_curve_check(f, psi):
     """In the coordinates of W's reduced echelon rows, the ψ_g image is
     (q_0 : … : q_k) (`_image_coordinates`).  It spans P(W) when the q_j are
     independent (`span_rank`, their exact rank), and on a plane Π = P(W) its
-    curve is the certified least relation among q_0, q_1, q_2 up to
-    MAX_CURVE_DEGREE (`least_relation`), so its equation and degree are
-    exact; `p4_normal_form` certifies that the curve is irreducible.  ψ's
+    curve is the certified least relation among q_0, q_1, q_2 up to their
+    degree D (`least_relation`), so its equation and degree are exact.  D
+    caps it: a general line of P^4 misses the base locus of the coprime
+    q_j, so q restricts there to binary forms of degree D with no common
+    zero, mapping the line onto the curve, and deg C · deg(q|line) = D.
+    `p4_normal_form` certifies that the curve is irreducible.  ψ's
     re-checked relation already proves h_f ≡ 0, and `build_psi` refuses the
     degree-1 relation of a cone, so neither fact is decided again here."""
     _, qs = _image_coordinates(f, psi)
@@ -212,7 +214,7 @@ def p4_plane_curve_check(f, psi):
     relation, points = None, 0
     if span_rank == len(qs) == 3:
         unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
-        relation, points = least_relation(qs, unit, MAX_CURVE_DEGREE)
+        relation, points = least_relation(qs, unit, qs[0].degree())
     return PlaneCurveReport(
         span_rank=span_rank,
         curve=relation.g if relation else None,
@@ -395,7 +397,8 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
             violations.append(f"section at c={c}: vertex does not meet Π in a line")
         else:
             # the line through the first two vertex vectors, as pairs of Π
-            # coordinates; the curve has degree 2..MAX_CURVE_DEGREE
+            # coordinates; the curve has degree at least 2, so it restricts
+            # to zero or to a binary form whose repeated root is sought
             line = list(zip(*zeta[:2]))
             restricted = curve_report.curve.compose([Polynomial.linear_form(p) for p in line])
             status = "tangent"

@@ -3,9 +3,10 @@
 Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
 exact certificates of a vanishing verdict in order of cost: the cone vertex,
 a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
-products, which alone bounds it.  With a relation, it draws the ψ_g image
-once for the identity battery, and on P^4 certifies the plane curve and the
-normal form off ψ_g itself; a failed P^4 stage exits 4 as
+products, which alone bounds it.  With a relation, it runs the identity
+battery on ψ_g, all symbolic, samples the ψ_g and polar images for the
+`image` and `polar_image` blocks, and on P^4 certifies the plane curve and
+the normal form off ψ_g itself; a failed P^4 stage exits 4 as
 `classification.<stage>`.  `generate`, `catalog` and the gn suite stop at
 the cone vertex.
 
@@ -44,7 +45,13 @@ from .hessian import (
     symbolic_determinant,
 )
 from .poly import parse
-from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation, sample_image
+from .psi import (
+    DEFAULT_MAX_RELATION_DEGREE,
+    build_psi,
+    find_polar_relation,
+    sample_image,
+    sample_polar_image,
+)
 from .reports import (
     IMAGE_SAMPLES,
     SCHEMA,
@@ -188,11 +195,9 @@ def cmd_analyze(args):
             verdict = verdict.upgraded("polar_relation")
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
-            image = sample_image(psi, IMAGE_SAMPLES, args.seed)
-            checks, polar_sample, failed = psi_identity_battery(f, psi, image, args.seed)
-            results["identity_checks"] = checks
-            results["image"] = image_block(image)
-            results["polar_image"] = image_block(polar_sample)
+            results["identity_checks"], failed = psi_identity_battery(f, psi)
+            results["image"] = image_block(sample_image(psi, IMAGE_SAMPLES, args.seed))
+            results["polar_image"] = image_block(sample_polar_image(f, IMAGE_SAMPLES, args.seed))
             if n1 == 5:
                 results["classification"], stages = p4_classification(f, psi)
                 failed += [f"classification.{stage}" for stage in stages]

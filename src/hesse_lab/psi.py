@@ -9,14 +9,15 @@ The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/
 the relation's k+1 parts P_j (`PolarRelation`), whose gcd fold returns ρ with
 each P_j/ρ, so nothing is divided.  Everything the relation implies
 (translation invariance, the base-locus and singular-locus inclusions, fiber
-cones) is checked either symbolically or on one exact sample of the image at
-integer points, where ∇f is read in one pass per point (`gradient_at`).  The
-symbolic checks are Z-linear in the form, so a family is checked at once on
+cones, the lines joining image points) is checked symbolically.  The checks
+are Z-linear in the form, so a family is checked at once on
 P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
 battery costs one expansion P(x + λh), whose λ¹ coefficient is the
-derivative side Σ_j ∂_jP·h_j, and a relation's certificate one product.  A line
-⟨w, q⟩ lies in a locus exactly when its equations vanish at one integer
-point w + 2^B·q (`_line_point`).
+derivative side Σ_j ∂_jP·h_j, a relation's certificate one product, and the
+lines one composition P∘L over the span of the image (`check_fiber_lines`).
+Exact samples of the ψ_g and polar images at integer points (`sample_image`,
+`sample_polar_image`, ∇f read in one pass per point by `gradient_at`) are
+report content only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
 from .hessian import gradient_at, sample_kernels
-from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal
+from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, reduced_row_basis
 from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
 
 DEFAULT_MAX_RELATION_DEGREE = 8
@@ -350,11 +351,9 @@ def _sample_values(values, nvars, count, seed, stream, label):
 
 
 def sample_image(psi, count, seed):
-    """Distinct exact points of ψ_g(P^n), skipping the base locus.
-
-    Stores the preimage of every image point so fiber checks can reuse them.
-    Errors only if no image point is found at all (ψ_g undefined
-    generically).
+    """Distinct exact points of ψ_g(P^n), skipping the base locus, each
+    stored with its preimage.  Errors only if no image point is found at
+    all (ψ_g undefined generically).
     """
     image = _sample_values(
         lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
@@ -377,73 +376,32 @@ def sample_polar_image(f, count, seed):
     return image
 
 
-class InclusionReport(NamedTuple):
-    ok: bool
-    base_locus_violations: tuple
-    singular_violations: tuple
+def check_fiber_lines(f, psi):
+    """Every line joining two points of the ψ_g image lies in
+    Bs(ψ_g) ∩ Sing V(f), with no sample: h∘L ≡ 0 and ∂_i f∘L ≡ 0 for every
+    i, where L(s) = Σ_r s_r·v_r over the reduced row basis v_r of V, the
+    span of the coefficient columns of (h_0, …, h_n).  V holds every value
+    h(x) = Σ_e x^e·c_e, c_e the column of monomial e, so every image point
+    and every line joining two of them lie in P(V), which the check puts in
+    both loci.
 
+    One composition of the packed family P = Σ_k F_k·2^(bits·k) of the
+    nonzero h_i and partials, scaled to integers (`_Digits`): P∘L is
+    Σ_k (F_k∘L)·2^(bits·k), zero exactly when every F_k∘L is, since a term
+    c·x^e of F_k goes to c·Π_i L_i^e_i, of absolute coefficient sum at most
+    |c|·M^deg F_k with M = max_i ‖L_i‖₁.
 
-def check_inclusions(f, psi, image):
-    """Every sampled image point must lie in Bs(ψ_g) and in Sing(V(f))."""
-    if not image.points:
-        raise DomainError("empty image sample")
-    bs_bad = []
-    sing_bad = []
-    for q in image.points:
-        if any(hi.evaluate(q) for hi in psi.h):
-            bs_bad.append(q)
-        if any(gradient_at(f, q)):
-            sing_bad.append(q)
-    return InclusionReport(
-        ok=not bs_bad and not sing_bad,
-        base_locus_violations=tuple(bs_bad),
-        singular_violations=tuple(sing_bad),
-    )
-
-
-def _line_point(w, q, norm, degree):
-    """w + 2^B·q, 2^B > norm·M^degree with M = max_i(|w_i| + |q_i|): a point
-    where p, with integer coefficients of ‖p‖₁ ≤ norm and degree ≤ degree,
-    vanishes exactly when p(w + λq) ≡ 0 in λ (Kronecker substitution).
-
-    A monomial of p expands at w + λq to λ-coefficients of absolute sum at
-    most M^degree, so each λ-coefficient c_k of p(w + λq) has |c_k| < 2^B.
-    If some c_k ≠ 0 and k is the lowest such, p(w + 2^B·q) =
-    2^(Bk)·(c_k + 2^B·r) for an integer r, and 2^B cannot divide c_k, as
-    0 < |c_k| < 2^B: the value is nonzero.  If every c_k is 0, it is 0."""
-    m = max(abs(a) + abs(b) for a, b in zip(w, q))
-    shift = 1 << (norm * m**degree).bit_length()
-    return [a + shift * b for a, b in zip(w, q)]
-
-
-def _primitive_norm(p):
-    """‖p‖₁ of p scaled to coprime integers, which vanishes where p does."""
-    coeffs = list(p.coefficients())
-    return int(sum(map(abs, coeffs)) / rational_content(coeffs))
-
-
-def check_fiber_lines(f, psi, image):
-    """Point-level fiber-cone and line-in-locus checks at the sample's first
-    point q, reached from its stored preimage p.
-
-    (i) ψ_g(p + λq) = q projectively for λ = 1..3.
-    (ii) For the next three sampled image points w (all of them lie in
-    Bs(ψ_g) and in Sing(X)): the whole line ⟨w, q⟩ stays inside both loci,
-    symbolically in λ, each by one evaluation at a `_line_point`.  Every h_i
-    is checked against the largest ‖h_i‖₁; every partial of f, of degree
-    D − 1 and absolute coefficient sum at most D·‖f‖₁, by one `gradient_at`.
-    """
-    q, p = image.points[0], image.preimages[0]
-    for lam in (1, 2, 3):
-        val = psi.evaluate([a + lam * b for a, b in zip(p, q)])
-        if val is None or not projectively_equal(val, q):
-            return False
-    h_bound = max(_primitive_norm(hi) for hi in psi.h if hi), max(hi.degree() for hi in psi.h)
-    d = f.degree()
-    f_bound = d * _primitive_norm(f), d - 1
-    for w in image.points[1:4]:
-        if psi.evaluate(_line_point(w, q, *h_bound)) is not None:
-            return False
-        if any(gradient_at(f, _line_point(w, q, *f_bound))):
-            return False
-    return True
+    The battery's other claims about the image are implied, not sampled:
+    - that image points lie in Bs(ψ_g) and in Sing V(f), by
+      `image_in_base_locus_symbolic` (h∘h ≡ 0) and
+      `image_in_singular_locus_symbolic` (∇f∘h ≡ 0) at every point;
+    - that ψ_g is constant on the fiber line p + λψ_g(p), by
+      `components_invariant`, h(x + λh(x)) ≡ h(x) for every λ;
+    - that g vanishes on the polar image, by the relation's Euler
+      certificate g(∇f) ≡ 0 (`PolarRelation`)."""
+    basis = reduced_row_basis(list(zip(*ScalarMatrix.from_polynomials(psi.h).entries)))
+    line = [Polynomial.linear_form(column) for column in zip(*basis)]
+    family = _integral([p for p in (*psi.h, *f.gradient()) if p])
+    m = max(map(_norm, line))
+    digits = _Digits(max(_norm(F) * m ** F.degree() for F in family), len(family))
+    return digits.pack(family).compose(line).is_zero()

@@ -3,9 +3,9 @@
 All blocks are plain dicts with deterministic key order; polynomials are
 serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
-The identity battery reads one IMAGE_SAMPLES-point sample of the ψ_g image;
-the P^4 stages, the plane curve and the normal form, read ψ_g itself and
-sample nothing.
+The identity battery and the P^4 stages, the plane curve and the normal
+form, read ψ_g itself and sample nothing; the `image` and `polar_image`
+blocks are IMAGE_SAMPLES-point samples, report content only.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
     build_psi,
     check_fiber_lines,
-    check_inclusions,
     check_invariance,
     find_polar_relation,
     sample_image,
-    sample_polar_image,
 )
 
-SCHEMA = "hesse-lab/6"
+SCHEMA = "hesse-lab/7"
 
-IMAGE_SAMPLES = 12  # points the identity battery draws from the ψ_g and polar images
+IMAGE_SAMPLES = 12  # points of the `image` and `polar_image` report blocks
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -143,12 +141,11 @@ def with_vertex(verdict, vertex):
     return verdict.upgraded("cone_vertex") if vertex.is_cone else verdict
 
 
-def psi_identity_battery(f, psi, image, seed=0):
-    """Every identity the relation implies, plus the sampled inclusions on
-    the ψ_g image sample `image`.  Returns the checks, the polar-image
-    sample the relation was checked on, and the names of the checks that
-    failed.  One `check_invariance` call checks f, ∇f and the nonzero h_k
-    together."""
+def psi_identity_battery(f, psi):
+    """Every identity the relation implies, all symbolic.  Returns the
+    checks and the names of those that failed.  One `check_invariance`
+    call checks f, ∇f and the nonzero h_k together, and `check_fiber_lines`
+    puts the span of the image in Bs(ψ_g) ∩ Sing V(f)."""
     gradient, components = f.gradient(), [hk for hk in psi.h if hk]
     inv_f, *results = check_invariance([f, *gradient, *components], psi)
     partial_results, comp_results = results[:len(gradient)], results[len(gradient):]
@@ -161,18 +158,12 @@ def psi_identity_battery(f, psi, image, seed=0):
         "equivalence_integrity": all(r.agree for r in [inv_f, *results]),
         "image_in_base_locus_symbolic": all(r.image_zero for r in comp_results),
         "image_in_singular_locus_symbolic": all(r.image_zero for r in partial_results),
+        "fiber_lines": check_fiber_lines(f, psi),
     }
-    inclusions = check_inclusions(f, psi, image)
-    checks["sampled_inclusions"] = inclusions.ok
-    checks["fiber_lines"] = check_fiber_lines(f, psi, image)
-    polar_sample = sample_polar_image(f, IMAGE_SAMPLES, seed)
-    checks["relation_vanishes_on_polar_sample"] = all(
-        psi.relation.g.evaluate(q) == 0 for q in polar_sample.points
-    )
     # invariance_f passes when its derivative vanishes and both sides agree;
     # every other check is a bool
     passed = dict(checks, invariance_f=inv_f.agree and inv_f.derivative_zero)
-    return checks, polar_sample, [k for k, v in passed.items() if not v]
+    return checks, [k for k, v in passed.items() if not v]
 
 
 # ----------------------------------------------------------------------
@@ -272,19 +263,16 @@ def _mutated(psi):
 
 
 def run_psi_suite(seed, mutate=False, paper_cubic=None):
-    """The ψ_g identity battery on a sample of the paper cubic's ψ_g image;
-    `mutate` corrupts this suite's own ψ_g before it is sampled, so the
-    suite fails."""
+    """The ψ_g identity battery on the paper cubic's ψ_g, with a sample of
+    its image; `mutate` corrupts this suite's own ψ_g, so the suite fails."""
     f, rel, psi = paper_cubic or _paper_cubic()
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
     if mutate:
         psi = _mutated(psi)
     block["psi"] = psi_block(psi)
-    image = sample_image(psi, IMAGE_SAMPLES, seed)
-    checks, _, failed = psi_identity_battery(f, psi, image, seed=seed)
-    block["checks"] = checks
-    block["image"] = image_block(image)
+    block["checks"], failed = psi_identity_battery(f, psi)
+    block["image"] = image_block(sample_image(psi, IMAGE_SAMPLES, seed))
     # a generic linear form must fail BOTH sides of the equivalence together
     x0 = parse("x0", nvars=5)
     [neg] = check_invariance([x0], psi)

@@ -80,7 +80,7 @@ def test_criterion_1_paper_example_symbolic(tmp_path):
     ok = ok and quot is not None and g == expected.scale(quot)
     checks = r["identity_checks"]
     # (2.7) for F = f, (2.5) for each partial, (2.8) for each component,
-    # Σ H·h = 0, and both inclusion routes
+    # Σ H·h = 0, both inclusions and the lines joining image points
     ok = ok and checks["invariance_f"]["derivative_zero"] is True
     ok = ok and checks["invariance_f"]["invariant"] is True
     ok = ok and checks["partials_invariant"] is True
@@ -88,7 +88,7 @@ def test_criterion_1_paper_example_symbolic(tmp_path):
     ok = ok and checks["second_derivative_zero"] is True
     ok = ok and checks["image_in_base_locus_symbolic"] is True
     ok = ok and checks["image_in_singular_locus_symbolic"] is True
-    ok = ok and checks["sampled_inclusions"] is True
+    ok = ok and checks["fiber_lines"] is True
     ok = ok and checks["equivalence_integrity"] is True
     _report(1, "paper example, exact by determinant and by relation", ok, time.time() - started, 10)
 

@@ -1,5 +1,7 @@
 """Low-dimension equivalence, corollary, and P^4 structure checks."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -33,7 +35,7 @@ from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 # x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5: a non-cone whose ψ_g image is a plane
-# curve of degree above MAX_CURVE_DEGREE
+# curve of degree 8, the degree of ψ_g
 _X = [Polynomial.variable(5, i) for i in range(5)]
 PERAZZO_QUINTIC = _X[0] * _X[3] ** 5 + _X[1] * _X[4] ** 5 + _X[2] * (_X[3] + _X[4]) ** 5
 
@@ -357,9 +359,10 @@ def test_p4_normal_form_paper_cubic(cubic_psi):
 def test_p4_normal_form_of_the_perazzo_quintic():
     # mu = 1 and M = (x3^5, x4^5, (x3 + x4)^5): the cross product of the
     # derivatives of q' is −32·x3³x4³(x3 + x4)³ times M, and the gcd keeps the
-    # powers of both coordinates; the plane-curve stage still fails
+    # powers of both coordinates; the curve has the degree of q', 8
     psi = build_psi(PERAZZO_QUINTIC, find_polar_relation(PERAZZO_QUINTIC))
-    assert not p4_plane_curve_check(PERAZZO_QUINTIC, psi).ok
+    curve = p4_plane_curve_check(PERAZZO_QUINTIC, psi)
+    assert curve.ok and curve.curve_degree == 8 == psi.h[0].degree()
     report = p4_normal_form(PERAZZO_QUINTIC, psi)
     assert report.ok and report.mu == 1
     assert list(report.tangents) == [_X[3] ** 5, _X[4] ** 5, (_X[3] + _X[4]) ** 5]
@@ -553,19 +556,55 @@ def test_p4_suite_reports_a_draw_without_a_relation():
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
 
 
-def test_p4_suite_reports_a_draw_past_the_plane_curve_cap():
+def test_p4_suite_certifies_a_curve_past_the_old_cap():
     # the Perazzo quintic x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5 is a non-cone with
-    # a degree-5 relation, and its ψ_g image is a plane curve of degree above
-    # MAX_CURVE_DEGREE: the search rules out every degree up to the cap
+    # a degree-5 relation, and its ψ_g image is a plane curve of degree 8,
+    # which the search reaches at its cap, the degree of the q_j
     report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=PERAZZO_QUINTIC))
-    assert report["ok"] is False
-    assert report["violations"] == ["gn_421_3_seed0: plane-curve stage failed"]
+    assert report["ok"] is True and report["violations"] == []
     case = report["cases"][1]
-    assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve"] is None
-    # the 28 sextics and two more points at the last degree searched
-    assert case["plane_curve"]["points_used"] == 30
-    # the curve is past the cap, and its normal form is still certified
+    assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve_degree"] == 8
+    assert case["plane_curve"]["irreducible"] is True
+    # the 45 octics and two more points at the curve's degree
+    assert case["plane_curve"]["points_used"] == 47
     assert case["normal_form"]["ok"] is True
+
+
+def _analyze(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--poly", text, "--no-timings"])
+    return code, json.loads(out.getvalue())["results"]
+
+
+# f = Q·P_1 + P_0 with Q = Σ_{i≤2} x_i·M_i(x3, x4): M of degree 6, whose
+# image curve has degree 2·(6 − 1) = 10
+SEXTIC_M = [_X[3] ** 6 + _X[4] ** 6, _X[3] ** 5 * _X[4] - 2 * _X[4] ** 6, (_X[3] + _X[4]) ** 6]
+DEGREE_6_M = sum((x * m for x, m in zip(_X, SEXTIC_M)), Polynomial.zero(5)) * _X[3] + _X[4] ** 8
+
+
+@pytest.mark.parametrize(
+    "f, relation_degree, curve_degree",
+    [(PERAZZO_QUINTIC, 5, 8), (DEGREE_6_M, 6, 10)],
+    ids=["perazzo-quintic", "deg-M-6"],
+)
+def test_analyze_certifies_p4_curves_past_degree_6(f, relation_degree, curve_degree):
+    # the curve search stops at the degree of the q_j, where the curve lies
+    code, results = _analyze(f.to_string("x"))
+    assert code == 0
+    assert results["polar_relation"]["degree"] == relation_degree
+    curve, normal = results["classification"]["plane_curve"], results["classification"]["normal_form"]
+    assert (curve["curve_degree"], curve["irreducible"], curve["ok"]) == (curve_degree, True, True)
+    assert (normal["mu"], normal["ok"]) == (1, True)
+
+
+def test_analyze_finishes_on_a_degree_257_form():
+    # ψ_g has degree 256; every identity, the lines joining image points
+    # included, is checked symbolically in well under a second
+    code, results = _analyze("x0*x3^256 + x1*x3^128*x4^128 + x2*x4^256")
+    assert code == 0
+    assert results["identity_checks"]["fiber_lines"] is True
+    assert results["classification"]["plane_curve"]["curve_degree"] == 2
 
 
 def test_p4_suite_reports_a_cone_draw():

@@ -686,7 +686,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, gradient_points",
-    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 27), (PAPER_CUBIC, 27)],
+    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 12), (PAPER_CUBIC, 12)],
     ids=["gn-7,4,1,2,1,6", "paper-cubic"],
 )
 def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
@@ -694,8 +694,8 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
     # table are built on first use and kept, ψ_g is read off the gcd's
     # cofactors with no division, and the relation search starts at degree
     # 2, as degree 1 is the cone test's.  The search reads the forms
-    # ⟨w_j, ∇f⟩ themselves, so ∇f is read at the 12 sampled inclusions, 3
-    # fiber lines and 12 polar-image samples
+    # ⟨w_j, ∇f⟩ themselves and the battery samples nothing, so ∇f is read
+    # only at the 12 points of the `polar_image` block
     f = parse(text)
     calls = Counter()
     partial, term_table = Polynomial.partial, Polynomial.term_table
@@ -879,8 +879,8 @@ def test_p4_suite_samples_no_image(tmp_path, monkeypatch):
 
 
 def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
-    # the psi suite's battery samples the paper cubic's image; the p4
-    # suite samples none
+    # the psi suite samples the paper cubic's image for its `image` block;
+    # the battery and the p4 suite sample none
     counts = []
     original = psi.sample_image
 
@@ -894,8 +894,8 @@ def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
 
 
 def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
-    # the battery reads one IMAGE_SAMPLES draw, and on P^4 the plane-curve
-    # stage reads ψ_g itself: the six conics and two more points
+    # the `image` block is one IMAGE_SAMPLES draw; the battery and, on P^4,
+    # the plane-curve stage read ψ_g itself: the six conics and two more points
     counts = []
     original = psi.sample_image
 

@@ -32,7 +32,6 @@ from hesse_lab.psi import (
     SampledSet,
     build_psi,
     check_fiber_lines,
-    check_inclusions,
     check_invariance,
     find_polar_relation,
     sample_image,
@@ -264,133 +263,52 @@ def test_image_span_rank_bound(cubic_psi):
     assert rank(m) <= 4  # dim S*_Z <= n-2 forces span rank <= n-1
 
 
-def test_check_inclusions_pass(cubic_psi):
-    img = sample_image(cubic_psi, count=10, seed=3)
-    report = check_inclusions(PAPER_CUBIC, cubic_psi, img)
-    assert report.ok
+def _span_of_image(psi):
+    """V, the span of the coefficient columns of (h_0, …, h_n), by sympy."""
+    monos = monomials_of_degree(psi.nvars, max(hi.degree() for hi in psi.h))
+    columns = sympy.Matrix([[hi.coefficient(e) for e in monos] for hi in psi.h]).columnspace()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in columns]
 
 
-def test_check_inclusions_corrupted_point(cubic_psi):
-    img = sample_image(cubic_psi, count=5, seed=3)
-    corrupted = type(img)(
-        label=img.label,
-        points=img.points + ((1, 1, 1, 1, 1),),
-        preimages=img.preimages + ((1, 1, 1, 1, 1),),
-        seed=img.seed,
-    )
-    report = check_inclusions(PAPER_CUBIC, cubic_psi, corrupted)
-    assert not report.ok
-    assert (1, 1, 1, 1, 1) in report.base_locus_violations
-    assert (1, 1, 1, 1, 1) in report.singular_violations
+def _fiber_line_halves(f, psi):
+    """(h∘L ≡ 0, ∇f∘L ≡ 0) for L over V, one composition per polynomial."""
+    line = [Polynomial.linear_form(column) for column in zip(*_span_of_image(psi))]
+    return all(not hi.compose(line) for hi in psi.h), all(not p.compose(line) for p in f.gradient())
 
 
-def test_fiber_lines_at_known_point(cubic_psi):
-    # the checks run at the sample's first point, here ψ(0:0:0:0:1)
-    img = sample_image(cubic_psi, count=10, seed=4)
-    p = (0, 0, 0, 0, 1)
-    known = SampledSet(
-        label=img.label,
-        points=(primitive_vector(cubic_psi.evaluate(p)),) + img.points,
-        preimages=(p,) + img.preimages,
-        seed=img.seed,
-    )
-    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, known)
+def _with_component(psi, i, text):
+    return psi._replace(h=(*psi.h[:i], parse(text, nvars=psi.nvars), *psi.h[i + 1:]))
 
 
 def test_fiber_lines_without_gcd_division(cubic_psi):
-    # dropping the ρ division only rescales components; the projective
-    # fiber-cone property still holds wherever ρ != 0
+    # dropping the ρ division only rescales components, so the span of the
+    # image is the same
     undivided = PsiMap(
         relation=cubic_psi.relation,
         rho=Polynomial.constant(5, 1),
         h=g_partials(PAPER_CUBIC, cubic_psi.relation),
     )
-    img = sample_image(undivided, count=10, seed=4)
-    assert check_fiber_lines(PAPER_CUBIC, undivided, img)
+    assert check_fiber_lines(PAPER_CUBIC, cubic_psi)
+    assert check_fiber_lines(PAPER_CUBIC, undivided)
 
 
-def test_fiber_lines_fail_on_a_line_that_leaves_sing_v_f(cubic_psi):
-    # x3·h has the same image as h where x3 != 0, and its base locus is the
-    # hyperplane x3 = 0, so only the Sing V(f) check can catch a line in it:
-    # w = (0:0:0:0:1) lies in {x3 = 0} but f_2 = x4^2 is 1 on ⟨w, q⟩
-    x3 = Polynomial.variable(5, 3)
-    widened = PsiMap(
-        relation=cubic_psi.relation,
-        rho=cubic_psi.rho,
-        h=tuple(x3 * hi for hi in cubic_psi.h),
-    )
-    p = (0, 0, 0, 1, 1)
-    q = primitive_vector(widened.evaluate(p))
-
-    def sample(w):
-        return SampledSet(label="lines", points=(q, w), preimages=(p, p), seed=0)
-
-    assert check_fiber_lines(PAPER_CUBIC, widened, sample((1, 0, 0, 0, 0)))
-    assert not check_fiber_lines(PAPER_CUBIC, widened, sample((0, 0, 0, 0, 1)))
+def test_fiber_lines_fail_where_psi_is_nonzero_on_the_span_of_its_image(cubic_psi):
+    # h_2 + x0·x1 keeps the image in W = span(e0, e1, e2) = Sing V(f), but
+    # x0·x1 is nonzero on P(W): only the base-locus half fails
+    widened = _with_component(cubic_psi, 2, f"{cubic_psi.h[2].to_string('x')} + x0*x1")
+    assert _fiber_line_halves(PAPER_CUBIC, widened) == (False, True)
+    assert not check_fiber_lines(PAPER_CUBIC, widened)
 
 
-def test_fiber_lines_fail_where_the_stored_preimage_is_not_in_the_fiber(cubic_psi):
-    # q = ψ(0:0:0:1:0) stored with the preimage p = (0:0:0:0:1): ψ(p + λq) is
-    # ψ(p) = (1:0:0:0:0), not q, so the fiber-cone loop fails at λ = 1
-    p, other = (0, 0, 0, 0, 1), (0, 0, 0, 1, 0)
-    q = primitive_vector(cubic_psi.evaluate(other))
-    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, SampledSet(label="fiber", points=(q,), preimages=(other,), seed=0))
-    assert not check_fiber_lines(PAPER_CUBIC, cubic_psi, SampledSet(label="fiber", points=(q,), preimages=(p,), seed=0))
+def test_fiber_lines_fail_where_the_image_leaves_sing_v_f(cubic_psi):
+    # h_3 := x0·x1 puts e3 in the span of the image, and f_0 = x3^2 is
+    # nonzero there: the singular-locus half fails
+    leaving = _with_component(cubic_psi, 3, "x0*x1")
+    assert not _fiber_line_halves(PAPER_CUBIC, leaving)[1]
+    assert not check_fiber_lines(PAPER_CUBIC, leaving)
 
 
-def test_fiber_lines_fail_on_a_line_that_leaves_the_base_locus(cubic_psi):
-    # h_3 = x0·x1 keeps the fiber of p = (0:0:0:0:1), where x1 = x3 = 0, but
-    # is nonzero on the line from q = ψ(p) = (1:0:0:0:0) to w = (0:1:0:0:0);
-    # that line lies in Sing V(f) = {x3 = x4 = 0}, so only the base-locus
-    # check can fail on it
-    h0, h1, h2, _, h4 = cubic_psi.h
-    widened = PsiMap(
-        relation=cubic_psi.relation, rho=cubic_psi.rho, h=(h0, h1, h2, parse("x0*x1", nvars=5), h4)
-    )
-    p = (0, 0, 0, 0, 1)
-    q = primitive_vector(widened.evaluate(p))
-    sample = SampledSet(label="lines", points=(q, (0, 1, 0, 0, 0)), preimages=(p, p), seed=0)
-    assert check_fiber_lines(PAPER_CUBIC, cubic_psi, sample)
-    assert not check_fiber_lines(PAPER_CUBIC, widened, sample)
-
-
-@pytest.mark.parametrize("k", [1, 7, 64, 300])
-def test_line_point_tells_a_line_one_digit_off_zero(k):
-    # x0 restricts to -2^k + λ on w + λq: the point w + 2^k·q would read 0,
-    # but the bound ‖x0‖₁·(2^k + 1) forces a shift of k + 1
-    x0 = Polynomial.variable(1, 0)
-    w, q = (-(2**k),), (1,)
-    assert x0.evaluate([w[0] + (q[0] << k)]) == 0
-    assert x0.evaluate(psi_module._line_point(w, q, 1, 1)) != 0
-
-
-@st.composite
-def forms_and_lines(draw):
-    """(p, w, q): an integer form in three variables and a line, where p is
-    made to vanish on the line about half the time by a factor w × q."""
-    d = draw(st.integers(1, 4))
-    monos = monomials_of_degree(3, d)
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
-    p = Polynomial(3, dict(zip(monos, coeffs)))
-    w, q = (draw(st.tuples(*[st.integers(-30, 30)] * 3)) for _ in range(2))
-    cross = (w[1] * q[2] - w[2] * q[1], w[2] * q[0] - w[0] * q[2], w[0] * q[1] - w[1] * q[0])
-    if draw(st.booleans()) and any(cross):
-        p = p * Polynomial.linear_form(cross)
-    return p, w, q
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(forms_and_lines())
-def test_line_point_agrees_with_the_composition(case):
-    p, w, q = case
-    lam = Polynomial.variable(1, 0)
-    args = [Polynomial.constant(1, a) + lam.scale(b) for a, b in zip(w, q)]
-    norm = sum(abs(c) for c in p.coefficients())
-    point = psi_module._line_point(w, q, norm, max(p.degree(), 0))
-    assert (p.evaluate(point) == 0) is p.compose(args).is_zero()
-
-
-def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothing(
+def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_once(
     cubic_psi, monkeypatch
 ):
     calls = Counter()
@@ -420,15 +338,16 @@ def test_battery_builds_the_shifted_arguments_once_and_fiber_lines_compose_nothi
         finally:
             calls["open invariance"] -= 1
 
-    image = sample_image(cubic_psi, reports.IMAGE_SAMPLES, 0)
     monkeypatch.setattr(Polynomial, "compose", counted_compose)
     monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
     monkeypatch.setattr(reports, "check_fiber_lines", counted_fiber)
     monkeypatch.setattr(reports, "check_invariance", counted_invariance)
-    checks, _, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi, image)
+    checks, failed = reports.psi_identity_battery(PAPER_CUBIC, cubic_psi)
     assert failed == [] and checks["fiber_lines"]
     assert calls["invariance"] == 1
-    assert calls["compose in fiber lines"] == 0
+    # one P∘L for P the packed family of the three nonzero h_k and the five
+    # partials, L the span of the image
+    assert calls["compose in fiber lines"] == 1
     # one P(x + λh) for P the packed family of f, its five partials and the
     # three nonzero h_k, whose λ¹ coefficient is the derivative side Σ_j ∂_jP·h_j
     assert calls["compose"] == 1
@@ -564,14 +483,29 @@ def _in_row_space(rows, q):
     return rank(ScalarMatrix([*rows, q])) == len(rows)
 
 
-@pytest.mark.parametrize("f", [PAPER_CUBIC, _gn("5,3,1,2,1,6")])
-def test_psi_image_lies_in_w(f):
-    # ψ_g takes its values in ker H_f, so every image point lies in W
+@pytest.mark.parametrize(
+    "f, dim_v",
+    [
+        (PAPER_CUBIC, 3),
+        (_dense(PAPER_CUBIC), 3),
+        (_gn("4,2,1,3,1,7"), 3),
+        (_dense(_gn("4,2,1,2,1,3")), 3),
+        (_gn("5,3,1,2,1,6"), 3),
+        (_dense(_gn("5,2,1,2,1,5")), 3),
+        (_gn("7,4,2,2,1,5"), 5),
+        (_gn("7,4,1,2,1,5"), 3),                     # dim W = 5
+    ],
+    ids=["paper-cubic", "dense-paper-cubic", "4,2,1,3,1,7", "dense-4,2,1,2,1,3", "5,3,1,2,1,6",
+         "dense-5,2,1,2,1,5", "7,4,2,2,1,5", "7,4,1,2,1,5"],
+)
+def test_psi_image_lies_in_w(f, dim_v):
+    # ψ_g takes its values in ker H_f, so V, the span of its image, lies in
+    # W, and both h and ∇f vanish on P(V)
     span = sample_kernels(f).span
     psi = build_psi(f, find_polar_relation(f, span=span))
-    image = sample_image(psi, count=12, seed=0)
-    assert len(image.points) == 12
-    assert all(_in_row_space(span, q) for q in image.points)
+    v = _span_of_image(psi)
+    assert len(v) == dim_v and all(_in_row_space(span, row) for row in v)
+    assert check_fiber_lines(f, psi)
 
 
 def _direct_sum(f, g):
@@ -630,8 +564,7 @@ def test_dense_direct_sum_searches_once_on_w(monkeypatch):
     assert rel.degree == 2 and rel.certificate.is_zero()
     assert rel.g.compose(f.gradient()).is_zero()
     psi = build_psi(f, rel)
-    image = sample_image(psi, reports.IMAGE_SAMPLES, 0)
-    assert reports.psi_identity_battery(f, psi, image)[2] == []
+    assert reports.psi_identity_battery(f, psi)[1] == []
 
 
 def test_relation_search_refuses_a_cone_whose_w_row_is_a_vertex():
@@ -706,6 +639,24 @@ def test_psi_from_cofactors_matches_the_sympy_gcd(f):
     rho = sympy.Poly(_sympy_expr(psi.rho), *oracle.gens)
     assert rho.total_degree() == oracle.total_degree()
     assert rho.rem(oracle).is_zero
+
+
+def test_the_swapped_psi_passes_fiber_lines_and_fails_the_battery(cubic_psi):
+    # swapping h_0 and h_1, as `verify --mutate` does, permutes two
+    # coordinates of V = span(e0, e1, e2): the image still spans P(W), where
+    # ψ_g and ∇f vanish, and H_f·h ≢ 0 is what catches the corruption
+    swapped = reports._mutated(cubic_psi)
+    checks, failed = reports.psi_identity_battery(PAPER_CUBIC, swapped)
+    assert checks["fiber_lines"] is True
+    assert "second_derivative_zero" in failed
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(small_gn_forms())
+def test_fiber_lines_hold_on_gn_draws_and_dense_conjugates(f):
+    psi = build_psi(f, find_polar_relation(f))
+    assert _fiber_line_halves(f, psi) == (True, True)
+    assert check_fiber_lines(f, psi)
 
 
 # ----------------------------------------------------------------------
