@@ -2,12 +2,13 @@
 
 Covers the low-dimension equivalence (vanishing Hessian ⇔ cone for at most
 three projective dimensions), the small-polar-image corollary, and the
-structure of vanishing-Hessian non-cones in P^4: the ψ_g image, read in the
-coordinates of W's reduced echelon basis, spans the plane Π = P(W) and lies
-on a plane curve, its certified least relation (`psi.least_relation`), and
-f is one exact normal form f∘A ≡ Σ_k Q^k·P_k(y3, y4) with Q linear in
-y0, y1, y2 (`p4_normal_form`), which makes the curve irreducible and every
-hyperplane section through Π a cone whose vertex line is tangent to it.
+structure of vanishing-Hessian non-cones in P^4: f is one exact normal form
+f∘A ≡ Σ_k Q^k·P_k(y3, y4) with Q linear in y0, y1, y2 (`p4_normal_form`).
+It alone decides that the ψ_g image, read in the coordinates of W's reduced
+echelon basis, spans the plane Π = P(W), and it makes the image curve
+irreducible and every hyperplane section through Π a cone whose vertex line
+is tangent to it.  The curve's equation is the certified least relation
+among those coordinates (`p4_plane_curve_check`, `psi.least_relation`).
 The sampled sections, a repeated root of the curve on each vertex line
 (`poly.repeated_root`), stay as the test oracle `p4_section_check`.
 """
@@ -22,7 +23,7 @@ from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import rational_content, substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
-from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, rank
+from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
 from .poly import (
     Polynomial,
     binary_gcd,
@@ -35,6 +36,7 @@ from .poly import (
 from .psi import least_relation
 
 _IDENTITY = tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
+_IDENTITY_3 = tuple(row[:3] for row in _IDENTITY[:3])
 
 
 # ----------------------------------------------------------------------
@@ -152,17 +154,16 @@ def low_polar_dim_check(f, seed=0):
 
 
 # ----------------------------------------------------------------------
-# P^4 structure: plane span, certified curve, normal form
+# P^4 structure: normal form, then the certified curve
 
 class PlaneCurveReport(NamedTuple):
-    span_rank: int
     curve: Optional[Polynomial]       # in the 3 coordinates of W's basis
     curve_degree: Optional[int]
     points_used: int                  # points the search read at the curve's degree
 
     @property
     def ok(self):
-        return self.span_rank == 3 and self.curve is not None
+        return self.curve is not None
 
 
 def _span_coordinates(basis, point):
@@ -197,33 +198,8 @@ def _image_coordinates(f, psi):
     return pivots, qs
 
 
-def p4_plane_curve_check(f, psi):
-    """In the coordinates of W's reduced echelon rows, the ψ_g image is
-    (q_0 : … : q_k) (`_image_coordinates`).  It spans P(W) when the q_j are
-    independent (`span_rank`, their exact rank), and on a plane Π = P(W) its
-    curve is the certified least relation among q_0, q_1, q_2 up to their
-    degree D (`least_relation`), so its equation and degree are exact.  D
-    caps it: a general line of P^4 misses the base locus of the coprime
-    q_j, so q restricts there to binary forms of degree D with no common
-    zero, mapping the line onto the curve, and deg C · deg(q|line) = D.
-    `p4_normal_form` certifies that the curve is irreducible.  ψ's
-    re-checked relation already proves h_f ≡ 0, and `build_psi` refuses the
-    degree-1 relation of a cone, so neither fact is decided again here."""
-    _, qs = _image_coordinates(f, psi)
-    span_rank = rank(ScalarMatrix.from_polynomials(qs))
-    relation, points = None, 0
-    if span_rank == len(qs) == 3:
-        unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
-        relation, points = least_relation(qs, unit, qs[0].degree())
-    return PlaneCurveReport(
-        span_rank=span_rank,
-        curve=relation.g if relation else None,
-        curve_degree=relation.degree if relation else None,
-        points_used=points,
-    )
-
-
 class NormalFormReport(NamedTuple):
+    coordinates: tuple            # l·q_0, …, l·q_k: ψ_g in W's basis, in x
     change: tuple                 # the rows of A, x = A·y; () off a plane W
     image: tuple                  # q'_0, q'_1, q'_2 in (y3, y4); () unless binary
     tangents: tuple               # M_0, M_1, M_2 in (y3, y4), coprime integers
@@ -234,6 +210,11 @@ class NormalFormReport(NamedTuple):
     @property
     def mu(self):
         return len(self.parts) - 1 if self.parts else None
+
+    @property
+    def spans_plane(self):
+        """The binary image spans Π: M was certified and is not constant."""
+        return any(m.degree() > 0 for m in self.tangents)
 
     @property
     def ok(self):
@@ -247,14 +228,19 @@ def p4_normal_form(f, psi):
 
         f∘A ≡ Σ_k Q^k·P_k(y3, y4),   Q = Σ_{i≤2} y_i·M_i(y3, y4),
 
-    recovered from ψ_g and checked in integers.
+    recovered from ψ_g and checked in integers.  This stage alone decides
+    whether ψ_g's image spans Π.
 
     Steps, each exact, each failure a named violation:
     - q'_j = (l·q_j)∘A (`_image_coordinates`) are ψ_g's coordinates in y,
       since A⁻¹·ψ_g(A·y) = (q_0, q_1, q_2, 0, 0)(A·y).  They must be binary
       forms in (y3, y4); then the image curve is C = q'(P^1), irreducible.
-    - M = (∂_3 q' × ∂_4 q')/g, g the gcd of the three binary forms
-      (`poly.binary_gcd`), scaled to coprime integers.
+    - M = N/g for N = ∂_3 q' × ∂_4 q', g the gcd of the three binary forms
+      (`poly.binary_gcd`), scaled to coprime integers.  The image is a point
+      exactly when N ≡ 0, and a line of Π exactly when M is constant: if
+      c·q' ≡ 0, then c is orthogonal to ∂_3 q' and ∂_4 q', so N ∥ c;
+      conversely a constant M is orthogonal to both, and Euler's identity
+      below gives ⟨M, q'⟩ ≡ 0.  Otherwise the image spans Π.
     - With M_i0 the first nonzero M_i, f∘A at y_i = 0 (i ≤ 2, i ≠ i0) is
       Σ_k y_i0^k·M_i0^k·P_k, so P_k is its y_i0^k coefficient divided
       exactly by M_i0^k (`poly.binary_quotient`), and mu is its degree in
@@ -275,19 +261,20 @@ def p4_normal_form(f, psi):
     L_c is the tangent line of C at q'(c), at every c, not at a sample of
     them."""
     pivots, qs = _image_coordinates(f, psi)
+    qs = tuple(qs)
     if len(pivots) != 3:
-        return NormalFormReport((), (), (), (), None, "W is not a plane")
+        return NormalFormReport(qs, (), (), (), (), None, "W is not a plane")
     change = tuple(zip(*psi.relation.span, *(_IDENTITY[j] for j in range(5) if j not in pivots)))
-    fa = f
+    fa, image = f, qs
     if change != _IDENTITY:
         rows = [Polynomial.linear_form(list(row)) for row in change]
-        fa, qs = f.compose(rows), [q.compose(rows) for q in qs]
-    if any(q.variables_used() - {3, 4} for q in qs):
-        return NormalFormReport(change, (), (), (), None, "ψ_g depends on more than the pencil coordinates")
-    d3, d4 = [q.partial(3) for q in qs], [q.partial(4) for q in qs]
+        fa, image = f.compose(rows), tuple(q.compose(rows) for q in qs)
+    if any(q.variables_used() - {3, 4} for q in image):
+        return NormalFormReport(qs, change, (), (), (), None, "ψ_g depends on more than the pencil coordinates")
+    d3, d4 = [q.partial(3) for q in image], [q.partial(4) for q in image]
     cross = [d3[i] * d4[j] - d3[j] * d4[i] for i, j in ((1, 2), (2, 0), (0, 1))]
     if not any(cross):
-        return NormalFormReport(change, tuple(qs), (), (), None, "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent")
+        return NormalFormReport(qs, change, image, (), (), None, "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent")
     g = binary_gcd(cross)
     tangents = [binary_quotient(c, g) for c in cross]
     if None in tangents:
@@ -296,8 +283,10 @@ def p4_normal_form(f, psi):
     scale = rational_content([c for m in tangents for c in m.coefficients()])
     if tangents[i0].leading()[1] < 0:
         scale = -scale
-    if scale != 1:
-        tangents = [m.scale(1 / scale) for m in tangents]
+    tangents = tuple(m.scale(1 / scale) for m in tangents) if scale != 1 else tuple(tangents)
+    report = NormalFormReport(qs, change, image, tangents, (), None, None)
+    if not report.spans_plane:
+        return report._replace(violation="M is constant: the image spans a line of Π")
     # f∘A at y_i = 0 for i <= 2, i != i0: its y_i0^k coefficients
     others = [i for i in range(3) if i != i0]
     coefficients = {}
@@ -308,10 +297,7 @@ def p4_normal_form(f, psi):
     for k in range(max(coefficients, default=0) + 1):
         part = binary_quotient(Polynomial(5, coefficients.get(k, {})), tangents[i0] ** k)
         if part is None:
-            return NormalFormReport(
-                change, tuple(qs), tuple(tangents), (), None,
-                f"the coefficient of y{i0}^{k} is not divisible by M_{i0}^{k}",
-            )
+            return report._replace(violation=f"the coefficient of y{i0}^{k} is not divisible by M_{i0}^{k}")
         parts.append(part)
     l = math.lcm(*(c.denominator for p in parts for c in p.coefficients()))
     q = tangents[0].times_variable(0) + tangents[1].times_variable(1) + tangents[2].times_variable(2)
@@ -319,9 +305,28 @@ def p4_normal_form(f, psi):
     for part in reversed(parts):
         total = total * q + (part if l == 1 else part.scale(l))
     identity = total == (fa if l == 1 else fa.scale(l))
-    return NormalFormReport(
-        change, tuple(qs), tuple(tangents), tuple(parts), identity,
-        None if identity else "f∘A ≢ Σ_k Q^k·P_k",
+    return report._replace(parts=tuple(parts), identity=identity, violation=None if identity else "f∘A ≢ Σ_k Q^k·P_k")
+
+
+def p4_plane_curve_check(normal):
+    """The curve of ψ_g's image on Π = P(W): the certified least relation
+    among its coordinates l·q_0, l·q_1, l·q_2 in W's basis, read by
+    `p4_normal_form`, up to their degree D (`least_relation`), so its
+    equation and degree are exact.  It is sought only when the normal form
+    certified a non-constant M, that is an image that spans Π.  D caps it:
+    a general line of P^4 misses the base locus of the coprime q_j, so q
+    restricts there to binary forms of degree D with no common zero,
+    mapping the line onto the curve, and deg C · deg(q|line) = D.  ψ's
+    re-checked relation already proves h_f ≡ 0, and `build_psi` refuses the
+    degree-1 relation of a cone, so neither fact is decided again here."""
+    relation, points = None, 0
+    if normal.spans_plane:
+        qs = normal.coordinates
+        relation, points = least_relation(qs, _IDENTITY_3, qs[0].degree())
+    return PlaneCurveReport(
+        curve=relation.g if relation else None,
+        curve_degree=relation.degree if relation else None,
+        points_used=points,
     )
 
 

@@ -5,8 +5,8 @@ exact certificates of a vanishing verdict in order of cost: the cone vertex,
 a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
 products, which alone bounds it.  With a relation, it runs the identity
 battery on ψ_g, all symbolic, samples the ψ_g and polar images for the
-`image` and `polar_image` blocks, and on P^4 certifies the plane curve and
-the normal form off ψ_g itself; a failed P^4 stage exits 4 as
+`image` and `polar_image` blocks, and on P^4 certifies the normal form and
+then the plane curve off ψ_g itself; a failed P^4 stage exits 4 as
 `classification.<stage>`.  `generate`, `catalog` and the gn suite stop at
 the cone vertex.
 

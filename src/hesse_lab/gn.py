@@ -333,7 +333,7 @@ def validate_skeleton(skel):
         raise ValidationError(violations)
 
 
-def random_instance(skel, seed, retries=RETRY_BUDGET):
+def random_instance(skel, seed):
     """Seeded instance with small nonzero integer coefficients.
 
     Degenerate draws (zero Q, zero f, or a cone where the skeleton promises
@@ -341,7 +341,7 @@ def random_instance(skel, seed, retries=RETRY_BUDGET):
     """
     validate_skeleton(skel)
     cone_draws = 0
-    for attempt in range(retries):
+    for attempt in range(RETRY_BUDGET):
         rng = substream(seed, "gn", skel.n, skel.t, skel.m, skel.d, attempt)
         params = _random_params(skel, lambda: _nonzero(rng))
         try:
@@ -353,7 +353,7 @@ def random_instance(skel, seed, retries=RETRY_BUDGET):
             continue
         return instance
     raise RetryBudgetError(
-        f"no usable draw in {retries} attempts ({cone_draws} cone draws)"
+        f"no usable draw in {RETRY_BUDGET} attempts ({cone_draws} cone draws)"
     )
 
 

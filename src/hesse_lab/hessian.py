@@ -38,32 +38,6 @@ DEFAULT_SAMPLES = 5
 DETERMINANT_BUDGET = 10 ** 6
 
 
-class PolyMatrix:
-    """Dense matrix of polynomials sharing one variable count."""
-
-    __slots__ = ("rows", "cols", "entries", "nvars")
-
-    def __init__(self, entries):
-        entries = [list(row) for row in entries]
-        if not entries or not entries[0]:
-            raise DimensionError("matrix needs at least one row and one column")
-        width = len(entries[0])
-        nvars = entries[0][0].nvars
-        for row in entries:
-            if len(row) != width:
-                raise DimensionError("ragged rows")
-            for p in row:
-                if p.nvars != nvars:
-                    raise DimensionError("entries disagree on variable count")
-        self.rows = len(entries)
-        self.cols = width
-        self.entries = entries
-        self.nvars = nvars
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
-
-
 class HessianVerdict(NamedTuple):
     mode = "probabilistic"         # every verdict is read off sampled ranks
     vanishes: bool
@@ -88,10 +62,10 @@ class HessianVerdict(NamedTuple):
 
 
 def hessian_matrix(f):
-    """Matrix of second partials."""
+    """The rows of second partials: the kept gradients of f's kept partials."""
     if not f:
         raise DomainError("Hessian of the zero polynomial")
-    return PolyMatrix([fi.gradient() for fi in f.gradient()])
+    return [fi.gradient() for fi in f.gradient()]
 
 
 def _powers(a, top):
@@ -206,14 +180,16 @@ class ColumnMinors:
         return acc
 
 
-def symbolic_determinant(m, budget=None):
-    """det m by first-row expansion over memoized column subsets, or None
-    when the expansion would spend more than `budget` monomial products."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    one = Polynomial.constant(m.nvars, 1)
+def symbolic_determinant(rows, budget=None):
+    """det of a square list of polynomial rows by first-row expansion over
+    memoized column subsets, or None when the expansion would spend more
+    than `budget` monomial products."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DimensionError("determinant of an empty or non-square matrix")
+    nvars = rows[0][0].nvars
+    one = Polynomial.constant(nvars, 1)
     try:
-        return ColumnMinors(m.entries, Polynomial.zero(m.nvars), one, budget)((1 << m.rows) - 1)
+        return ColumnMinors(rows, Polynomial.zero(nvars), one, budget)((1 << len(rows)) - 1)
     except _OverBudget:
         return None
 

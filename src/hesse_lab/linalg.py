@@ -316,10 +316,10 @@ def projectively_equal(a, b):
     return True
 
 
-def random_invertible(n, rng, lo=-9, hi=9):
-    """Seeded random invertible n×n integer matrix (retry until full rank)."""
+def random_invertible(n, rng):
+    """Seeded random invertible n×n matrix, entries in -9..9 (retry until full rank)."""
     for _ in range(64):
-        m = ScalarMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        m = ScalarMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         if rank(m) == n:
             return m
     raise InternalCheckError("could not draw an invertible matrix")

@@ -3,8 +3,9 @@
 All blocks are plain dicts with deterministic key order; polynomials are
 serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
-The identity battery and the P^4 stages, the plane curve and the normal
-form, read ψ_g itself and sample nothing; the `image` and `polar_image`
+The identity battery and the P^4 stages read ψ_g itself and sample
+nothing: the normal form alone decides whether ψ_g's image spans Π, and the
+plane curve is sought on the coordinates it read; the `image` and `polar_image`
 blocks are IMAGE_SAMPLES-point samples, report content only.
 """
 
@@ -26,7 +27,7 @@ from .psi import (
     sample_image,
 )
 
-SCHEMA = "hesse-lab/7"
+SCHEMA = "hesse-lab/8"
 
 IMAGE_SAMPLES = 12  # points of the `image` and `polar_image` report blocks
 
@@ -115,7 +116,6 @@ def image_block(image):
 
 def curve_block(report, irreducible):
     return {
-        "span_rank": report.span_rank,
         "curve": report.curve.to_string("z") if report.curve else None,
         "curve_degree": report.curve_degree,
         "irreducible": irreducible,
@@ -284,12 +284,13 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
 
 def p4_classification(f, psi):
     """The P^4 structure of a vanishing-Hessian non-cone, read off ψ_g
-    itself: the plane curve of its image, and the normal form, which
-    certifies that curve irreducible.  Returns the report block and the
-    names of the stages that failed."""
-    curve, normal = p4_plane_curve_check(f, psi), p4_normal_form(f, psi)
+    itself: the normal form, which alone decides whether the image spans Π
+    and then certifies its curve irreducible, and the plane curve, sought
+    on the coordinates the normal form read.  Returns the report block and
+    the names of the stages that failed."""
+    normal = p4_normal_form(f, psi)
     block = {
-        "plane_curve": curve_block(curve, irreducible=curve.ok and bool(normal.image)),
+        "plane_curve": curve_block(p4_plane_curve_check(normal), irreducible=normal.spans_plane),
         "normal_form": normal_form_block(normal),
     }
     return block, [stage for stage, report in block.items() if not report["ok"]]
@@ -319,25 +320,13 @@ def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
                 f"{name}: no polar relation up to degree {DEFAULT_MAX_RELATION_DEGREE}"
             )
             continue
-        block, _ = p4_classification(f, psi)
-        # span_rank >= 2 exactly when the ψ_g image is more than one point; a
-        # one-point image forces a cone, and every input here is a non-cone:
-        # the paper cubic, or a GN draw retried until it is one
-        guard = block["plane_curve"]["span_rank"] >= 2
-        if not block["plane_curve"]["ok"]:
-            violations.append(f"{name}: plane-curve stage failed")
-        if not block["normal_form"]["ok"]:
-            violations.append(f"{name}: normal-form stage failed: {block['normal_form']['violation']}")
-        if not guard:
-            violations.append(f"{name}: degenerate-image guard failed")
-        cases.append(
-            {
-                "input": name,
-                "f": f.to_string("x"),
-                **block,
-                "degenerate_image_guard": guard,
-            }
-        )
+        block, failed = p4_classification(f, psi)
+        messages = {
+            "plane_curve": "plane-curve stage failed",
+            "normal_form": f"normal-form stage failed: {block['normal_form']['violation']}",
+        }
+        violations += [f"{name}: {messages[stage]}" for stage in failed]
+        cases.append({"input": name, "f": f.to_string("x"), **block})
     return {"ok": not violations, "cases": cases, "violations": violations}
 
 

@@ -9,15 +9,16 @@ from sympy.polys.matrices import DomainMatrix
 from hesse_lab.poly import Polynomial
 
 
-def _sympy_det(m):
-    """det of a PolyMatrix by sympy's own determinant over Q[x], read back
-    as a Polynomial."""
-    r, *_ = ring([f"x{i}" for i in range(m.nvars)], QQ)
-    rows = [[r.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.as_dict().items()})
-             for p in row] for row in m.entries]
-    det = DomainMatrix(rows, (m.rows, m.cols), r.to_domain()).det()
-    return Polynomial(m.nvars, {e: Fraction(int(c.numerator), int(c.denominator))
-                                for e, c in det.items()})
+def _sympy_det(rows):
+    """det of a square list of polynomial rows by sympy's own determinant
+    over Q[x], read back as a Polynomial."""
+    nvars = rows[0][0].nvars
+    r, *_ = ring([f"x{i}" for i in range(nvars)], QQ)
+    entries = [[r.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.as_dict().items()})
+                for p in row] for row in rows]
+    det = DomainMatrix(entries, (len(rows), len(rows)), r.to_domain()).det()
+    return Polynomial(nvars, {e: Fraction(int(c.numerator), int(c.denominator))
+                              for e, c in det.items()})
 
 
 @pytest.fixture

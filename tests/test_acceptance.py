@@ -28,7 +28,6 @@ from hesse_lab.cones import (
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, core_multiplicity, random_instance
 from hesse_lab.hessian import (
-    PolyMatrix,
     hessian_matrix,
     hessian_vanishes,
     polar_image_dim,
@@ -204,9 +203,14 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: no relation")
             continue
         psi = build_psi(f, rel)
-        curve = p4_plane_curve_check(f, psi)
-        if not (curve.ok and curve.span_rank == 3):
-            failures.append(f"{name}: span/curve stage failed")
+        # the certificate: f∘A ≡ Σ_k Q^k·P_k, so the image spans Π and its
+        # curve is irreducible
+        normal = p4_normal_form(f, psi)
+        if not normal.ok:
+            failures.append(f"{name}: normal form failed: {normal.violation}")
+        curve = p4_plane_curve_check(normal)
+        if not curve.ok:
+            failures.append(f"{name}: curve stage failed")
             continue
         # the image (q_0 : q_1 : q_2) in W's basis, q_j = h_c/w_j[c] at the
         # pivot column c of w_j, lies on the curve exactly, and the search
@@ -216,10 +220,6 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: the curve is not the image's least relation")
         if not 2 <= curve.curve_degree <= 6:
             failures.append(f"{name}: curve degree {curve.curve_degree} out of range")
-        # the certificate: f∘A ≡ Σ_k Q^k·P_k, and the curve is irreducible
-        normal = p4_normal_form(f, psi)
-        if not normal.ok:
-            failures.append(f"{name}: normal form failed: {normal.violation}")
         # the sampled sections it subsumes, as an oracle
         sections = p4_section_check(f, psi, curve, chart_count=5, seed=0)
         if len(sections.records) != 5 or not sections.ok:
@@ -245,13 +245,13 @@ def test_criterion_7_kernel_cross_checks(gn_batches, sympy_det):
         monomials_of_degree(3, 2) + monomials_of_degree(3, 1) + monomials_of_degree(3, 0)
     )
     for _ in range(50):
-        m = PolyMatrix([
+        m = [
             [
                 Polynomial(3, {e: rng.randint(-3, 3) for e in rng.sample(monos, 3)})
                 for _ in range(4)
             ]
             for _ in range(4)
-        ])
+        ]
         if symbolic_determinant(m) != sympy_det(m):
             ok = False
     # (b) Euler relation and H·x = (d-1)·grad f on every suite polynomial
@@ -265,7 +265,7 @@ def test_criterion_7_kernel_cross_checks(gn_batches, sympy_det):
             euler = euler + Polynomial.variable(f.nvars, i) * f.partial(i)
         if euler != f.scale(d):
             ok = False
-        for row, fi in zip(hessian_matrix(f).entries, f.gradient()):
+        for row, fi in zip(hessian_matrix(f), f.gradient()):
             hx = sum((e * Polynomial.variable(f.nvars, j) for j, e in enumerate(row)), Polynomial.zero(f.nvars))
             if hx != fi.scale(d - 1):
                 ok = False

@@ -47,7 +47,12 @@ def cubic_psi():
 
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
-    return p4_plane_curve_check(PAPER_CUBIC, cubic_psi)
+    return _curve(PAPER_CUBIC, cubic_psi)
+
+
+def _curve(f, psi):
+    """The plane-curve stage on the coordinates the normal form read."""
+    return p4_plane_curve_check(p4_normal_form(f, psi))
 
 
 def _coordinates(psi):
@@ -138,7 +143,6 @@ def test_low_polar_dim_preconditions():
 
 def test_p4_curve_paper_cubic(cubic_psi, cubic_curve):
     assert cubic_curve.ok
-    assert cubic_curve.span_rank == 3
     assert cubic_curve.curve_degree == 2
     # the six conics and two more points, with no candidate refused
     assert cubic_curve.points_used == 8
@@ -148,32 +152,44 @@ def test_p4_curve_paper_cubic(cubic_psi, cubic_curve):
     assert cubic_curve.curve.to_string("z") == "z0*z2 - z1^2"
 
 
-def test_p4_curve_refuses_a_form_off_p4(cubic_psi):
-    for stage in (p4_plane_curve_check, p4_normal_form):
-        with pytest.raises(DomainError, match="P\\^4"):
-            stage(parse("x0^3 + x1^3 + x2^3 + x3^3"), cubic_psi)
+def test_p4_normal_form_refuses_a_form_off_p4(cubic_psi):
+    with pytest.raises(DomainError, match="P\\^4"):
+        p4_normal_form(parse("x0^3 + x1^3 + x2^3 + x3^3"), cubic_psi)
 
 
-def test_p4_curve_rechecks_that_psi_takes_its_values_in_w(cubic_psi):
+def test_p4_normal_form_rechecks_that_psi_takes_its_values_in_w(cubic_psi):
     # h_3 = x0 leaves W = span(e0, e1, e2): h ≠ Σ_j q_j·w_j
     h = list(cubic_psi.h)
     h[3] = parse("x0", nvars=5)
     with pytest.raises(InternalCheckError, match="outside W"):
-        p4_plane_curve_check(PAPER_CUBIC, cubic_psi._replace(h=tuple(h)))
+        p4_normal_form(PAPER_CUBIC, cubic_psi._replace(h=tuple(h)))
 
 
-def test_p4_curve_of_dependent_coordinates_fails(cubic_psi):
-    # q_2 = q_0: the image spans a line of Π, not Π, and no curve is sought
-    q0, q1, _ = _coordinates(cubic_psi)
-    curve = p4_plane_curve_check(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]))
-    assert (curve.span_rank, curve.curve, curve.points_used) == (2, None, 0)
-    assert not curve.ok
-    block, failed = p4_classification(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q1, q0]))
+@pytest.mark.parametrize(
+    "keep, tangents, violation",
+    [
+        # q_1 = q_2 = q_0: the image is the point w_0 + w_1 + w_2, and N ≡ 0
+        ((0, 0, 0), [], "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent"),
+        # q_2 = q_0: the image spans the line z_0 = z_2 of Π, and M = (1, 0, -1)
+        ((0, 1, 0), ["1", "0", "-1"], "M is constant: the image spans a line of Π"),
+    ],
+    ids=["point", "line"],
+)
+def test_p4_normal_form_alone_decides_an_image_that_spans_no_plane(cubic_psi, monkeypatch, keep, tangents, violation):
+    def refuse(*args):
+        raise AssertionError("least_relation called")
+
+    monkeypatch.setattr(classify, "least_relation", refuse)
+    qs = _coordinates(cubic_psi)
+    psi = _with_coordinates(cubic_psi, [qs[j] for j in keep])
+    report = p4_normal_form(PAPER_CUBIC, psi)
+    assert (report.spans_plane, report.parts, report.identity, report.violation) == (False, (), None, violation)
+    block, failed = p4_classification(PAPER_CUBIC, psi)
     assert failed == ["plane_curve", "normal_form"]
-    assert block["plane_curve"]["irreducible"] is False
-    # M = (1, 0, -1): Q = y0 - y2 cannot carry f
-    assert block["normal_form"]["M"] == ["1", "0", "-1"]
-    assert block["normal_form"]["violation"] == "f∘A ≢ Σ_k Q^k·P_k"
+    assert block["plane_curve"] == {
+        "curve": None, "curve_degree": None, "irreducible": False, "points_used": 0, "ok": False,
+    }
+    assert block["normal_form"]["M"] == tangents
 
 
 # the curves the 30-point interpolation recorded on these forms
@@ -194,7 +210,7 @@ def test_the_certified_curve_vanishes_on_the_image_coordinates(form):
     # certificate, and the curve is the one the interpolation recorded
     f = PAPER_CUBIC if form is None else random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
     psi = build_psi(f, find_polar_relation(f))
-    curve = p4_plane_curve_check(f, psi)
+    curve = _curve(f, psi)
     assert curve.ok
     assert curve.curve.compose(_coordinates(psi)).is_zero()
     assert curve.curve.to_string("z") == RECORDED_CURVES[form]
@@ -335,7 +351,7 @@ def test_the_section_oracle_sees_the_tangent_lines_of_the_normal_form(form):
     psi = build_psi(f, find_polar_relation(f))
     normal = p4_normal_form(f, psi)
     assert normal.ok, normal.violation
-    report = p4_section_check(f, psi, p4_plane_curve_check(f, psi), chart_count=5, seed=0)
+    report = p4_section_check(f, psi, p4_plane_curve_check(normal), chart_count=5, seed=0)
     assert report.ok and len(report.records) == 5
     pivots = [next(i for i, x in enumerate(w) if x) for w in psi.relation.span]
     a, b = (i for i in range(5) if i not in pivots)
@@ -361,9 +377,9 @@ def test_p4_normal_form_of_the_perazzo_quintic():
     # derivatives of q' is −32·x3³x4³(x3 + x4)³ times M, and the gcd keeps the
     # powers of both coordinates; the curve has the degree of q', 8
     psi = build_psi(PERAZZO_QUINTIC, find_polar_relation(PERAZZO_QUINTIC))
-    curve = p4_plane_curve_check(PERAZZO_QUINTIC, psi)
-    assert curve.ok and curve.curve_degree == 8 == psi.h[0].degree()
     report = p4_normal_form(PERAZZO_QUINTIC, psi)
+    curve = p4_plane_curve_check(report)
+    assert curve.ok and curve.curve_degree == 8 == psi.h[0].degree()
     assert report.ok and report.mu == 1
     assert list(report.tangents) == [_X[3] ** 5, _X[4] ** 5, (_X[3] + _X[4]) ** 5]
     assert list(report.parts) == [Polynomial.zero(5), Polynomial.constant(5, 1)]
@@ -385,13 +401,6 @@ def test_p4_normal_form_names_a_psi_off_the_pencil_coordinates(cubic_psi):
     assert report.violation == "ψ_g depends on more than the pencil coordinates"
     block, failed = p4_classification(PAPER_CUBIC, moved)
     assert "normal_form" in failed and block["plane_curve"]["irreducible"] is False
-
-
-def test_p4_normal_form_names_a_one_point_image(cubic_psi):
-    q0 = _coordinates(cubic_psi)[0]
-    report = p4_normal_form(PAPER_CUBIC, _with_coordinates(cubic_psi, [q0, q0, q0]))
-    assert (report.tangents, report.identity) == ((), None)
-    assert report.violation == "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent"
 
 
 def test_p4_normal_form_names_a_coefficient_that_m_does_not_divide(cubic_psi):
@@ -515,7 +524,7 @@ def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
     psi = build_psi(f, find_polar_relation(f))
     shuffled = list(sample_image(psi, IMAGE_SAMPLES, 0).points)
     random.Random(f"shuffle {seed}").shuffle(shuffled)
-    curve, basis = p4_plane_curve_check(f, psi), psi.relation.span
+    curve, basis = _curve(f, psi), psi.relation.span
     assert curve.ok and basis == reduced_row_basis(shuffled)
     assert all(curve.curve.evaluate(_span_coordinates(basis, q)) == 0 for q in shuffled)
 
@@ -536,8 +545,8 @@ def test_the_plane_basis_is_w_basis_in_analyze(form, capsys):
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
     psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
-    curve = p4_plane_curve_check(inst.f, psi)
-    assert curve.ok and curve.span_rank == 3 and curve.curve_degree <= 6
+    curve = _curve(inst.f, psi)
+    assert curve.ok and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
     assert sections.ok, sections.violations
     assert p4_normal_form(inst.f, psi).ok
@@ -563,7 +572,7 @@ def test_p4_suite_certifies_a_curve_past_the_old_cap():
     report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=PERAZZO_QUINTIC))
     assert report["ok"] is True and report["violations"] == []
     case = report["cases"][1]
-    assert case["plane_curve"]["span_rank"] == 3 and case["plane_curve"]["curve_degree"] == 8
+    assert case["plane_curve"]["curve_degree"] == 8
     assert case["plane_curve"]["irreducible"] is True
     # the 45 octics and two more points at the curve's degree
     assert case["plane_curve"]["points_used"] == 47
@@ -619,7 +628,7 @@ def test_p4_suite_reports_a_cone_draw():
 
 def test_p4_suite_reports_a_one_point_image(monkeypatch):
     # a ψ_g whose coordinates in W's basis are all one form q_0 maps every
-    # point to w_0 + w_1 + w_2: span_rank 1, and the guard names it
+    # point to w_0 + w_1 + w_2: the normal form names it, and no curve is sought
     def collapsed(f, rel):
         psi = build_psi(f, rel)
         q0 = _coordinates(psi)[0]
@@ -628,11 +637,10 @@ def test_p4_suite_reports_a_one_point_image(monkeypatch):
     monkeypatch.setattr(reports, "build_psi", collapsed)
     report = run_p4_suite(0, instances=1)
     case = report["cases"][1]
-    assert (case["plane_curve"]["span_rank"], case["degenerate_image_guard"]) == (1, False)
-    assert report["violations"][-3:] == [
+    assert (case["plane_curve"]["irreducible"], case["plane_curve"]["points_used"]) == (False, 0)
+    assert report["violations"][-2:] == [
         "gn_421_3_seed0: plane-curve stage failed",
         "gn_421_3_seed0: normal-form stage failed: M ≡ 0: ∂_3 q' and ∂_4 q' are dependent",
-        "gn_421_3_seed0: degenerate-image guard failed",
     ]
 
 

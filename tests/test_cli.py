@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import cli, cones, errors, hessian, linalg, poly, psi, reports
+from hesse_lab import classify, cli, cones, errors, hessian, linalg, poly, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
@@ -720,6 +720,27 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
     assert not hasattr(Polynomial, "exact_div")
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["paper-cubic", "dense-paper-cubic"])
+def test_p4_classification_call_counts_are_pinned(monkeypatch, dense):
+    # the normal form reads ψ_g's coordinates in W's basis once and alone
+    # decides whether they span Π; the curve search reuses them and takes no rank
+    f = parse(PAPER_CUBIC)
+    if dense:
+        a = random_invertible(f.nvars, substream(0, "dense"))
+        f = f.compose([Polynomial.linear_form(row) for row in a.entries])
+    found = psi.build_psi(f, psi.find_polar_relation(f))
+    calls = Counter()
+    for original in (classify._image_coordinates, linalg.rank):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, original, counted)
+    block, failed = reports.p4_classification(f, found)
+    assert failed == [] and block["plane_curve"]["irreducible"] is True
+    assert (calls["_image_coordinates"], calls["rank"]) == (1, 0)
+
+
 @pytest.mark.parametrize(
     "argv, own_points",
     [
@@ -865,7 +886,7 @@ def test_verify_all_draws_and_searches_each_form_once(tmp_path, monkeypatch):
 
 
 def test_p4_suite_samples_no_image(tmp_path, monkeypatch):
-    # the P^4 stages and the degenerate-image guard read ψ_g itself
+    # the P^4 stages read ψ_g itself
     counts = []
     original = psi.sample_image
 

@@ -26,7 +26,7 @@ from hesse_lab.gn import (
     random_instance,
     validate,
 )
-from hesse_lab.hessian import PolyMatrix, hessian_matrix, hessian_vanishes, symbolic_determinant
+from hesse_lab.hessian import hessian_matrix, hessian_vanishes, symbolic_determinant
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.reports import GN_SUITE_SKELETONS, run_gn_suite
 
@@ -226,10 +226,10 @@ def _check_laplace(inst, det):
     for q, ms, block in zip(inst.q_polys, inst.m_coeffs, inst.params.a_consts):
         rows = _construction_matrix(params, block)
         reordered = rows[params.m + 2:] + rows[1:params.m + 2]
-        assert q.scale(sign * (-1) ** params.t) == det(PolyMatrix(reordered + rows[:1]))
+        assert q.scale(sign * (-1) ** params.t) == det(reordered + rows[:1])
         rebuilt = Polynomial.zero(n1)
         for i, mi in enumerate(ms):
-            minor = det(PolyMatrix([r[:i] + r[i + 1:] for r in reordered]))
+            minor = det([r[:i] + r[i + 1:] for r in reordered])
             assert mi.scale(sign * (-1) ** i) == minor
             rebuilt = rebuilt + mi * Polynomial.variable(n1, i)
             if mi:
@@ -302,7 +302,7 @@ def _psi_rows_of_build_Q(params):
 def test_horner_psi_rows_and_shared_minors_match_the_polynomial_oracle(types, seed):
     # the psi-rows build_Q passes to its memo against compose term by term,
     # and the minors of the memo shared by all column subsets against
-    # symbolic_determinant of each PolyMatrix
+    # symbolic_determinant of each square of rows
     skel = GNSkeleton(*types)
     assert not skel.violations()
     rng = substream(seed, "test_minors")
@@ -314,7 +314,7 @@ def test_horner_psi_rows_and_shared_minors_match_the_polynomial_oracle(types, se
     assert rows == oracle_rows
     minors = hessian.ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
     for T in combinations(range(t + 1), m + 1):
-        expected = symbolic_determinant(PolyMatrix([[r[j] for j in T] for r in oracle_rows]))
+        expected = symbolic_determinant([[r[j] for j in T] for r in oracle_rows])
         assert minors(sum(1 << j for j in T)) == expected
 
 

@@ -7,8 +7,9 @@ recorded.
 A change that alters any report byte fails here; when the change is meant,
 rerun `PYTHONPATH=src python tests/test_golden.py [NAME ...]` to re-record
 the named reports (all of them when no name is given), and review their
-diff.  It refuses an unknown name and prints the name of each report whose
-bytes changed.
+diff.  It refuses an unknown name, and prints the name of each report whose
+bytes changed, then each JSON key path in it that was added, removed or
+changed.
 """
 
 import contextlib
@@ -66,6 +67,45 @@ def test_no_report_carries_a_mode():
         assert not {"mode", "hessian_mode", "mode_requested"} & set(_keys(doc)), name
 
 
+def test_no_report_carries_a_second_span_check():
+    # the normal form alone decides whether ψ_g's image spans Π: schema
+    # hesse-lab/8 dropped the curve's span_rank and the p4 suite's guard
+    for name in COMMANDS:
+        doc = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert not {"span_rank", "degenerate_image_guard"} & set(_keys(doc)), name
+
+
+def _moved(old, new, path="$"):
+    """(mark, path) for each JSON key path where new differs from old."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            if key not in new:
+                yield "removed", f"{path}.{key}"
+            elif key not in old:
+                yield "added", f"{path}.{key}"
+            else:
+                yield from _moved(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            if i >= len(new):
+                yield "removed", f"{path}[{i}]"
+            elif i >= len(old):
+                yield "added", f"{path}[{i}]"
+            else:
+                yield from _moved(old[i], new[i], f"{path}[{i}]")
+    elif old != new:
+        yield "changed", path
+
+
+def test_the_rerecord_lists_each_key_path_that_moved():
+    old = {"schema": "a", "r": {"x": 1, "gone": 2}, "l": [1, {"k": 1}]}
+    new = {"schema": "b", "r": {"x": 1, "new": 3}, "l": [1, {"k": 2}, 3]}
+    assert list(_moved(old, new)) == [
+        ("changed", "$.schema"), ("removed", "$.r.gone"), ("added", "$.r.new"),
+        ("changed", "$.l[1].k"), ("added", "$.l[2]"),
+    ]
+
+
 if __name__ == "__main__":
     names = sys.argv[1:] or list(COMMANDS)
     unknown = [name for name in names if name not in COMMANDS]
@@ -77,6 +117,9 @@ if __name__ == "__main__":
         if code != expected:
             sys.exit(f"{name}: exit {code}")
         path = GOLDEN / f"{name}.json"
-        if not path.exists() or path.read_text() != text:
+        old = path.read_text() if path.exists() else None
+        if old != text:
             path.write_text(text)
             print(f"changed: {name}")
+            for mark, moved in _moved(json.loads(old) if old else None, json.loads(text)):
+                print(f"  {mark} {moved}")
