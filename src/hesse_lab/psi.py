@@ -3,18 +3,22 @@
 Given f with vanishing Hessian, the partials satisfy a polynomial relation
 g(f_0,…,f_n) = 0, searched for on W, the span of the kernels of H_f, from
 degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
-The search is the least-degree relation among any forms of one degree
-(`least_relation`), which also gives the P^4 curve of the ψ_g image.
-The map ψ_g has components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over
-the relation's k+1 parts P_j (`PolarRelation`), whose gcd fold returns ρ with
-each P_j/ρ, so nothing is divided.  Everything the relation implies
-(translation invariance, the base-locus and singular-locus inclusions, fiber
-cones, the lines joining image points) is checked symbolically.  The checks
-are Z-linear in the form, so a family is checked at once on
-P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit k (`_Digits`): the
-battery costs one expansion P(x + λh), whose λ¹ coefficient is the
-derivative side Σ_j ∂_jP·h_j, a relation's certificate one product, and the
-lines one composition P∘L over the span of the image (`check_fiber_lines`).
+The forms F_j = ⟨w_j, ∇f⟩ on the rows of W often share a factor c; taking
+it out changes no relation, since G(c·F') = c^e·G(F') for G of degree e, so
+the search runs on the F'_j = F_j/c.  The search is the least-degree
+relation among any forms of one degree (`least_relation`), which also gives
+the P^4 curve of the ψ_g image.  The map ψ_g has components
+h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's k+1 parts
+P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced parts P'_j
+returns ρ' with each P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is divided.
+Everything the relation implies (translation invariance, the base-locus and
+singular-locus inclusions, fiber cones, the lines joining image points) is
+checked symbolically.  The checks are Z-linear in the form, so a family is
+checked at once on P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit
+k (`_Digits`): the battery costs one expansion P(x + λh), whose λ¹
+coefficient is the derivative side Σ_j ∂_jP·h_j, a relation's certificate
+one product, and the lines one composition P∘L over the span of the image
+(`check_fiber_lines`).
 Exact samples of the ψ_g and polar images at integer points (`sample_image`,
 `sample_polar_image`, ∇f read in one pass per point by `gradient_at`) are
 report content only.
@@ -93,36 +97,42 @@ def _packed_dot(a, b):
 class _Relation(NamedTuple):
     g: Polynomial                 # in y_0..y_n
     degree: int
-    certificate: Polynomial       # Σ_j F_j·(∂_jG)(F) = e·g(∇f), up to a scale; must be zero
-    parts: tuple                  # (∂_jG)(F)
+    certificate: Polynomial       # Σ_j F'_j·(∂_jG)(F') = e·G(F'), up to a scale; must be zero
+    parts: tuple                  # (∂_jG)(F'), the reduced parts P'_j
     span: tuple                   # the rows w_j
+    factor: Polynomial            # c, with F_j = c·F'_j; the constant 1 when nothing is taken out
 
 
 class PolarRelation(_Relation):
     """g with g(f_0,…,f_n) ≡ 0.
 
     g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
-    certified on the forms F_j = ⟨w_j, ∇f⟩ by Euler's identity,
-    Σ_j F_j·(∂_jG)(F) = e·G(F) = e·g(∇f) for G of degree e.  The k+1 parts
-    (∂_jG)(F) are made once, and ψ_g is built from them alone: by the chain
-    rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F).  On the unit rows, g is G
-    itself, a relation among any forms F_j (`least_relation`)."""
+    certified on the reduced forms F'_j, with F_j = ⟨w_j, ∇f⟩ = c·F'_j, by
+    Euler's identity, Σ_j F'_j·(∂_jG)(F') = e·G(F') for G of degree e.  Then
+    g(∇f) = G(F) = c^e·G(F') ≡ 0 exactly.  The k+1 reduced parts
+    P'_j = (∂_jG)(F') are made once, and ψ_g is built from them and c alone:
+    ∂_jG is homogeneous of degree e − 1, so (∂_jG)(F) = c^(e−1)·P'_j, and by
+    the chain rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F).  On the unit rows
+    with c = 1, g is G itself, a relation among any forms F_j
+    (`least_relation`)."""
 
     __slots__ = ()
 
-    def __new__(cls, g, degree, certificate, parts, span):
+    def __new__(cls, g, degree, certificate, parts, span, factor=None):
         if not g:
             raise DomainError("a polar relation must be a nonzero polynomial")
         if not certificate.is_zero():
             raise InternalCheckError("polar relation certificate is nonzero")
-        return super().__new__(cls, g, degree, certificate, parts, span)
+        if factor is None:
+            factor = Polynomial.constant(parts[0].nvars, 1)
+        return super().__new__(cls, g, degree, certificate, parts, span, factor)
 
     @classmethod
     def from_partials(cls, G, forms, span):
-        """Certify G(F) ≡ 0 for the forms F_j = ⟨w_j, ∇f⟩ of the rows of
-        span; None when the certificate is nonzero, so G is no relation.
-        G and the parts are scaled so that g has coprime integer
-        coefficients and a positive leading one."""
+        """Certify G(F) ≡ 0 for forms F_j, here taken as the F'_j with
+        c = 1, on the rows of span; None when the certificate is nonzero, so
+        G is no relation.  G and the parts are scaled so that g has coprime
+        integer coefficients and a positive leading one."""
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
         euler = _packed_dot(forms, parts)
         if euler:
@@ -138,7 +148,8 @@ class PolarRelation(_Relation):
 
 class PsiMap(NamedTuple):
     """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): ρ·h_i = g_i for
-    g_i = ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F), from the relation's parts."""
+    g_i = ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·c^(e−1)·(∂_jG)(F'), from the
+    relation's reduced parts and its factor c."""
 
     relation: PolarRelation
     rho: Polynomial               # gcd of the parts (∂_jG)(F), scaled so ρ·h_i = g_i exactly
@@ -232,8 +243,12 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     relations are the least relation (`least_relation`) among the k+1 forms
     F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
     when None).  A W that is too small can hide a relation but never fake
-    one.  The parts (∂_jG)(F) do not all vanish, or a nonzero ∂_jG would be
-    a relation of degree e − 1: a vertex, or one found before.
+    one.  The search runs on F'_j = F_j/c, c their common factor
+    (`_common_factor`): G(F) = c^e·G(F') for G of degree e, so the two
+    families have the same relations, and the same G wins.  The relation
+    carries c, and its certificate is Euler's identity on the F'_j.  The
+    parts (∂_jG)(F') do not all vanish, or a nonzero ∂_jG would be a
+    relation of degree e − 1: a vertex, or one found before.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -246,19 +261,43 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     forms = [linear_combination(f.nvars, zip(w, f.gradient())) for w in span]
     if not all(forms):
         raise DomainError("⟨w, ∇f⟩ ≡ 0 for a row w of W: V(f) is a cone with vertex w")
-    return least_relation(forms, span, max_degree)[0]
+    factor, reduced = _common_factor(forms)
+    relation = least_relation(reduced, span, max_degree)[0]
+    return relation._replace(factor=factor) if relation else None
+
+
+def _common_factor(forms):
+    """(c, [F'_j]) with F'_j = F_j/c, for c the gcd of the forms F_j taken
+    primitive over Z with a positive leading coefficient, so that by Gauss's
+    lemma the F'_j are integral when the F_j are.  c·F'_j = F_j is
+    re-checked in integers: c·(b·F'_j) = b·F_j for b the denominator of the
+    F'_j.  A constant gcd leaves the forms as they are, with c = 1."""
+    rho, quotients = gcd_cofactors(forms)
+    if rho.degree() == 0:
+        return rho, forms
+    content = rational_content(rho.coefficients())
+    factor, reduced = rho.scale(1 / content), [q.scale(content) for q in quotients]
+    b = _denominator(reduced)
+    if any(factor * q.scale(b) != F.scale(b) for F, q in zip(forms, reduced)):
+        raise InternalCheckError("c·F'_j != F_j for the common factor c of the forms ⟨w_j, ∇f⟩")
+    return factor, reduced
 
 
 def build_psi(f, relation):
     """Assemble ψ_g from a polar relation: take out ρ = gcd of the k+1 parts
-    P_j = (∂_jG)(F), the gcd of the g_i = Σ_j w_{j,i}·P_j as well.  The gcd
-    fold returns each q_j = P_j/ρ, so h_i = Σ_j w_{j,i}·q_j needs no
-    division, and ρ·q_j = P_j, re-checked, gives ρ·h_i = g_i.  Constant
-    parts, as of a degree-1 relation, or zero ones mean a cone, outside the
-    standing hypothesis: `cones.cone_test` decides cones, and callers reach
-    this only for non-cones.
+    P_j = (∂_jG)(F), the gcd of the g_i = Σ_j w_{j,i}·P_j as well.  Each
+    P_j = c^(e−1)·P'_j for the relation's factor c and reduced parts P'_j
+    (`PolarRelation`), so ρ = c^(e−1)·ρ' for ρ' the gcd of the P'_j, and
+    P_j/ρ = P'_j/ρ'.  The gcd fold of the P'_j returns each q_j = P'_j/ρ',
+    so h_i = Σ_j w_{j,i}·q_j needs no division, and ρ'·q_j = P'_j,
+    re-checked, gives ρ·h_i = g_i.  Constant parts P_j, as of a degree-1
+    relation, or zero ones mean a cone, outside the standing hypothesis:
+    `cones.cone_test` decides cones, and callers reach this only for
+    non-cones.
     """
-    if all(part.degree() <= 0 for part in relation.parts):
+    # deg P_j = deg P'_j + (e − 1)·deg c
+    shift = (relation.degree - 1) * relation.factor.degree()
+    if all(not part or part.degree() + shift <= 0 for part in relation.parts):
         raise DomainError("every part (∂_jG)(F) is constant: V(f) is a cone, and ψ_g needs a non-cone")
     rho, quotients = gcd_cofactors(relation.parts)
     h = [linear_combination(f.nvars, zip((w[i] for w in relation.span), quotients)) for i in range(f.nvars)]
@@ -267,14 +306,17 @@ def build_psi(f, relation):
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
         quotients = [q.scale(1 / content) for q in quotients]
-    # ρ·q_j = P_j, checked in integers: (a·ρ)·(b·q_j) = a·b·P_j for a and b
-    # the denominators of ρ and of the q_j
+    # ρ'·q_j = P'_j, checked in integers: (a·ρ')·(b·q_j) = a·b·P'_j for a
+    # and b the denominators of ρ' and of the q_j
     a, b = _denominator([rho]), _denominator(quotients)
     scaled_rho = rho.scale(a)
     if any(scaled_rho * q.scale(b) != part.scale(a * b) for part, q in zip(relation.parts, quotients)):
         raise InternalCheckError("ρ·q_j != P_j after normalization")
     if gcd_list([hi for hi in h if hi]).degree() != 0:
         raise InternalCheckError("components h_i still share a factor")
+    if shift:
+        for _ in range(relation.degree - 1):  # ρ = c^(e−1)·ρ'
+            rho = relation.factor * rho
     return PsiMap(relation=relation, rho=rho, h=tuple(h))
 
 

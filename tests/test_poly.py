@@ -875,9 +875,9 @@ def test_gcd_builds_no_quotient_polynomial(monkeypatch):
 def test_gcd_cofactors_runs_gcdheu_only_where_the_gcd_shrinks():
     # the paper cubic's parts 4·x4^2, -4·x3·x4, 4·x3^2: gcd x4 after two,
     # which x3^2 refuses, so GCDHEU runs for each later part
-    cubic = parse(PAPER_CUBIC)
+    parts = find_polar_relation(parse(PAPER_CUBIC), max_degree=2).parts
     with TopLevelHeuCalls() as calls:
-        rho, _ = gcd_cofactors(find_polar_relation(cubic, max_degree=2).parts)
+        rho, _ = gcd_cofactors(parts)
     assert (rho, calls.count) == (1, 2)
     # a ladder rung's five parts: ρ after two, which divides the other three
     parts = find_polar_relation(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).f).parts

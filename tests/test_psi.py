@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import psi as psi_module
@@ -27,6 +27,7 @@ from hesse_lab.linalg import (
 )
 from hesse_lab.poly import Polynomial, linear_combination, monomials_of_degree, parse
 from hesse_lab.psi import (
+    DEFAULT_MAX_RELATION_DEGREE,
     PolarRelation,
     PsiMap,
     SampledSet,
@@ -34,6 +35,7 @@ from hesse_lab.psi import (
     check_fiber_lines,
     check_invariance,
     find_polar_relation,
+    least_relation,
     sample_image,
 )
 
@@ -46,9 +48,12 @@ def g_partials(f, rel):
 
 
 def from_parts(rel):
-    """Σ_j w_{j,i}·(∂_jG)(F) for each i: the g_i as ψ_g reads them off the parts."""
-    n = rel.parts[0].nvars
-    return tuple(linear_combination(n, zip((w[i] for w in rel.span), rel.parts)) for i in range(len(rel.span[0])))
+    """Σ_j w_{j,i}·(∂_jG)(F) for each i, with (∂_jG)(F) = c^(e−1)·(∂_jG)(F'):
+    the g_i as ψ_g reads them off the reduced parts and the factor c."""
+    n, scale = rel.parts[0].nvars, rel.factor ** (rel.degree - 1)
+    return tuple(
+        scale * linear_combination(n, zip((w[i] for w in rel.span), rel.parts)) for i in range(len(rel.span[0]))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -629,16 +634,94 @@ def small_gn_forms(draw):
 @given(small_gn_forms())
 def test_psi_from_cofactors_matches_the_sympy_gcd(f):
     psi = build_psi(f, find_polar_relation(f))
-    parts = [p for p in psi.relation.parts if p]
-    for gi, hi in zip(g_partials(f, psi.relation), psi.h):
+    g = g_partials(f, psi.relation)
+    for gi, hi in zip(g, psi.h):
         assert psi.rho * hi == gi
     h = [_sympy_expr(hi) for hi in psi.h if hi]
     assert sympy.gcd_list(h).is_number
-    # ρ is the gcd of the parts: a multiple of sympy's gcd of the same degree
-    oracle = sympy.Poly(sympy.gcd_list([_sympy_expr(p) for p in parts]), *sympy.symbols(f"x0:{f.nvars}"))
+    # ρ is the gcd of the g_i = ρ·h_i: a multiple of sympy's gcd of the same degree
+    oracle = sympy.Poly(sympy.gcd_list([_sympy_expr(gi) for gi in g if gi]), *sympy.symbols(f"x0:{f.nvars}"))
     rho = sympy.Poly(_sympy_expr(psi.rho), *oracle.gens)
     assert rho.total_degree() == oracle.total_degree()
     assert rho.rem(oracle).is_zero
+
+
+# ----------------------------------------------------------------------
+# the common factor c of the forms F_j = ⟨w_j, ∇f⟩
+
+
+def _unreduced_route(f):
+    """(g, ρ, h) with no factor taken out: the least relation on the raw
+    F_j, whose factor is 1, so that `build_psi` folds the full parts
+    (∂_jG)(F)."""
+    span = sample_kernels(f).span
+    forms = [linear_combination(f.nvars, zip(w, f.gradient())) for w in span]
+    rel = least_relation(forms, span, DEFAULT_MAX_RELATION_DEGREE)[0]
+    assert rel.factor == 1
+    psi = build_psi(f, rel)
+    return rel.g, psi.rho, psi.h
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(small_gn_forms())
+@example(_gn("4,2,1,2,1,4"))
+@example(_dense(_gn("4,2,1,2,1,4")))
+@example(_gn("4,2,1,2,1,6"))
+def test_taking_out_the_common_factor_changes_neither_g_nor_psi(f):
+    # most small draws have c = 1; the examples have a linear c, the same
+    # in dense position, and a cubic c
+    psi = build_psi(f, find_polar_relation(f))
+    assert (psi.relation.g, psi.rho, psi.h) == _unreduced_route(f)
+
+
+def test_rho_carries_the_factor_to_the_power_e_minus_1():
+    # the seed-0 4,2,1,4,1,9 has a relation of degree 6 and a quadric c,
+    # so ρ = c^5·ρ'
+    f = _gn("4,2,1,4,1,9")
+    psi = build_psi(f, find_polar_relation(f))
+    assert (psi.relation.degree, psi.relation.factor.degree()) == (6, 2)
+    assert (psi.relation.g, psi.rho, psi.h) == _unreduced_route(f)
+
+
+def test_taking_out_the_common_factor_rechecks_each_cofactor(monkeypatch):
+    # the three F_j of the seed-0 4,2,1,2,1,4 share a linear factor c; one
+    # cofactor off by a term fails the integer re-check c·F'_j = F_j
+    f = _gn("4,2,1,2,1,4")
+    original = psi_module.gcd_cofactors
+
+    def corrupted(polys):
+        rho, quotients = original(polys)
+        assert rho.degree() == 1
+        return rho, [quotients[0] + Polynomial.variable(f.nvars, 0) ** quotients[0].degree(), *quotients[1:]]
+
+    monkeypatch.setattr(psi_module, "gcd_cofactors", corrupted)
+    with pytest.raises(InternalCheckError, match="c·F'_j != F_j"):
+        find_polar_relation(f)
+
+
+def test_the_search_and_the_fold_run_on_the_reduced_forms(monkeypatch):
+    # on the seed-0 7,4,1,2,1,6 the three F_j of degree 5 share a cubic c:
+    # the search runs on the quadrics F_j/c, and build_psi folds parts of
+    # degree 2; the F_j themselves go through the gcd once, to find c
+    f = _gn("7,4,1,2,1,6")
+    searched, folded = [], []
+    least, fold = psi_module.least_relation, psi_module.gcd_cofactors
+
+    def spy_search(forms, span, max_degree):
+        searched.append({F.degree() for F in forms})
+        return least(forms, span, max_degree)
+
+    def spy_fold(polys):
+        folded.append({p.degree() for p in polys})
+        return fold(polys)
+
+    monkeypatch.setattr(psi_module, "least_relation", spy_search)
+    monkeypatch.setattr(psi_module, "gcd_cofactors", spy_fold)
+    rel = find_polar_relation(f)
+    build_psi(f, rel)
+    assert rel.factor.degree() == 3
+    assert searched == [{2}]
+    assert folded == [{5}, {2}]
 
 
 def test_the_swapped_psi_passes_fiber_lines_and_fails_the_battery(cubic_psi):
