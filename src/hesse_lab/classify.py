@@ -29,7 +29,6 @@ from .poly import (
     binary_gcd,
     binary_quotient,
     is_reduced,
-    linear_combination,
     monomials_of_degree,
     repeated_root,
 )
@@ -182,24 +181,8 @@ def _span_coordinates(basis, point):
     return primitive_vector(zs)
 
 
-def _image_coordinates(f, psi):
-    """(pivots, [l·q_j]): ψ_g = Σ_j q_j·w_j over W's reduced echelon rows
-    w_j, read at the pivot column c of each row, q_j = h_c/w_j[c], scaled by
-    the lcm l of the pivot entries to integers, and re-checked exactly."""
-    if f.nvars != 5:
-        raise DomainError("the P^4 stages need a form on P^4")
-    span = psi.relation.span
-    pivots = [next(i for i, x in enumerate(w) if x) for w in span]
-    l = math.lcm(*(w[c] for w, c in zip(span, pivots)))
-    qs = [psi.h[c] if l == w[c] else psi.h[c].scale(l // w[c]) for w, c in zip(span, pivots)]
-    for i, hi in enumerate(psi.h):
-        if linear_combination(f.nvars, zip((w[i] for w in span), qs)) != (hi if l == 1 else hi.scale(l)):
-            raise InternalCheckError("ψ_g takes a value outside W")
-    return pivots, qs
-
-
 class NormalFormReport(NamedTuple):
-    coordinates: tuple            # l·q_0, …, l·q_k: ψ_g in W's basis, in x
+    coordinates: tuple            # q_0, …, q_k: ψ_g in W's basis, in x
     change: tuple                 # the rows of A, x = A·y; () off a plane W
     image: tuple                  # q'_0, q'_1, q'_2 in (y3, y4); () unless binary
     tangents: tuple               # M_0, M_1, M_2 in (y3, y4), coprime integers
@@ -232,8 +215,9 @@ def p4_normal_form(f, psi):
     whether ψ_g's image spans Π.
 
     Steps, each exact, each failure a named violation:
-    - q'_j = (l·q_j)∘A (`_image_coordinates`) are ψ_g's coordinates in y,
-      since A⁻¹·ψ_g(A·y) = (q_0, q_1, q_2, 0, 0)(A·y).  They must be binary
+    - q'_j = q_j∘A, for ψ_g's coordinates q_j on W (`PsiMap.coordinates`),
+      are its coordinates in y, since
+      A⁻¹·ψ_g(A·y) = (q_0, q_1, q_2, 0, 0)(A·y).  They must be binary
       forms in (y3, y4); then the image curve is C = q'(P^1), irreducible.
     - M = N/g for N = ∂_3 q' × ∂_4 q', g the gcd of the three binary forms
       (`poly.binary_gcd`), scaled to coprime integers.  The image is a point
@@ -260,8 +244,10 @@ def p4_normal_form(f, psi):
     L_c passes through q'(c) and holds the tangent direction of C there:
     L_c is the tangent line of C at q'(c), at every c, not at a sample of
     them."""
-    pivots, qs = _image_coordinates(f, psi)
-    qs = tuple(qs)
+    if f.nvars != 5:
+        raise DomainError("the P^4 stages need a form on P^4")
+    qs = psi.coordinates
+    pivots = [next(i for i, x in enumerate(w) if x) for w in psi.relation.span]
     if len(pivots) != 3:
         return NormalFormReport(qs, (), (), (), (), None, "W is not a plane")
     change = tuple(zip(*psi.relation.span, *(_IDENTITY[j] for j in range(5) if j not in pivots)))
@@ -310,10 +296,10 @@ def p4_normal_form(f, psi):
 
 def p4_plane_curve_check(normal):
     """The curve of ψ_g's image on Π = P(W): the certified least relation
-    among its coordinates l·q_0, l·q_1, l·q_2 in W's basis, read by
-    `p4_normal_form`, up to their degree D (`least_relation`), so its
-    equation and degree are exact.  It is sought only when the normal form
-    certified a non-constant M, that is an image that spans Π.  D caps it:
+    among its coordinates q_0, q_1, q_2 in W's basis (`PsiMap.coordinates`),
+    up to their degree D (`least_relation`), so its equation and degree are
+    exact.  It is sought only when the normal form certified a non-constant
+    M, that is an image that spans Π.  D caps it:
     a general line of P^4 misses the base locus of the coprime q_j, so q
     restricts there to binary forms of degree D with no common zero,
     mapping the line onto the curve, and deg C · deg(q|line) = D.  ψ's

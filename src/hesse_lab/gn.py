@@ -30,7 +30,7 @@ from .hessian import ColumnMinors
 # Nothing here calls symbolic_determinant.  The binding stays only because
 # bench/spans.py rebinds this copy, and bench/test_bench.py and
 # tests/test_bench_targets.py read it; drop it with them at the next change
-# to the benchmark (ROADMAP item 6).
+# to the benchmark (ROADMAP item 1a).
 from .hessian import symbolic_determinant  # noqa: F401
 from .poly import Polynomial, linear_combination, linear_combinations, monomials_of_degree
 

@@ -23,8 +23,8 @@ integers, integer gcd, reconstruction from symmetric digits), on keys.  It
 accepts a result only after exact trial division and draws larger points
 until one passes, which always happens; the comment above ``_primitive_ints``
 proves both.  Results are monic.  One fold runs trial divisions over a
-list, and GCDHEU only where the gcd so far fails to divide; only
-``gcd_cofactors`` keeps its quotients, and only ``psi`` calls it.
+list, GCDHEU only where the gcd so far fails to divide, and the one re-check
+of its cofactors; only ``gcd_cofactors`` keeps them, and only ``psi`` calls it.
 ``binary_gcd`` is one univariate Euclid on binary forms; ``repeated_root``
 asks it for the gcd of a binary form's partials, and ``is_reduced`` asks
 that of f on a seeded line.  ``binary_quotient`` divides binary forms
@@ -48,7 +48,7 @@ import struct
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, ParseError, VariableCountError
+from .errors import DomainError, InternalCheckError, ParseError, VariableCountError
 from .fields import DEFAULT_PRIME, norm_coeff, rational_content, substream
 
 MINUS_INFINITY = float("-inf")
@@ -1061,7 +1061,8 @@ def _gcd_fold(polys):
     The fold divides each part by g, the gcd so far; the quotient is the
     part's cofactor.  Where g does not divide, GCDHEU returns gcd(g, p) = g/q
     with both cofactors, and each earlier cofactor gains the factor q.  Once
-    g is 1, each later part is its own cofactor."""
+    g is 1, each later part is its own cofactor.  Last, g·b = p is
+    re-checked in integers for every part p and its cofactor b."""
     parts = [_primitive_ints(p._terms) for p in polys if p]
     if not parts:
         raise DomainError("gcd of an all-zero list")
@@ -1079,6 +1080,8 @@ def _gcd_fold(polys):
             g, q, b = _heu_gcd(layout, g, a, layout.used(itertools.chain(g, a)))
             cofactors = [_mul_packed(c, q) for c in cofactors]
         cofactors.append(b)
+    if any(_mul_packed(g, b) != a for a, b in zip(parts, cofactors)):
+        raise InternalCheckError("g·b != p for a part p and its cofactor b in the gcd fold")
     return g, cofactors
 
 

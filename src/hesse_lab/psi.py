@@ -10,7 +10,8 @@ relation among any forms of one degree (`least_relation`), which also gives
 the P^4 curve of the ψ_g image.  The map ψ_g has components
 h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's k+1 parts
 P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced parts P'_j
-returns ρ' with each P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is divided.
+returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is
+divided; ψ_g keeps the q_j as its coordinates on W (`PsiMap`).
 Everything the relation implies (translation invariance, the base-locus and
 singular-locus inclusions, fiber cones, the lines joining image points) is
 checked symbolically.  The checks are Z-linear in the form, so a family is
@@ -39,15 +40,10 @@ from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monom
 DEFAULT_MAX_RELATION_DEGREE = 8
 
 
-def _denominator(polys):
-    """The lcm of the denominators of the coefficients of polys."""
-    return math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
-
-
 def _integral(polys):
     """polys, all scaled by the lcm of their denominators, which changes no
     answer to "does this vanish"."""
-    lcm = _denominator(polys)
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
     return polys if lcm == 1 else [p.scale(lcm) for p in polys]
 
 
@@ -149,11 +145,13 @@ class PolarRelation(_Relation):
 class PsiMap(NamedTuple):
     """ψ_g = (h_0 : … : h_n) with provenance (g, ρ): ρ·h_i = g_i for
     g_i = ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·c^(e−1)·(∂_jG)(F'), from the
-    relation's reduced parts and its factor c."""
+    relation's reduced parts and its factor c.  h = Σ_j q_j·w_j over the
+    relation's rows w_j: ψ_g's image lies in P(W), in coordinates q."""
 
     relation: PolarRelation
     rho: Polynomial               # gcd of the parts (∂_jG)(F), scaled so ρ·h_i = g_i exactly
     h: tuple                      # components with gcd 1 and integer content 1
+    coordinates: tuple            # q_0, …, q_k with h_i = Σ_j w_{j,i}·q_j, over relation.span
 
     @property
     def nvars(self):
@@ -243,12 +241,13 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     relations are the least relation (`least_relation`) among the k+1 forms
     F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
     when None).  A W that is too small can hide a relation but never fake
-    one.  The search runs on F'_j = F_j/c, c their common factor
-    (`_common_factor`): G(F) = c^e·G(F') for G of degree e, so the two
-    families have the same relations, and the same G wins.  The relation
-    carries c, and its certificate is Euler's identity on the F'_j.  The
-    parts (∂_jG)(F') do not all vanish, or a nonzero ∂_jG would be a
-    relation of degree e − 1: a vertex, or one found before.
+    one.  The search runs on F'_j = F_j/c, c their gcd made primitive over
+    Z with a positive leading coefficient, so the F'_j are integral when the
+    F_j are (Gauss): G(F) = c^e·G(F') for G of degree e, so the two families
+    have the same relations, and the same G wins.  The relation carries c,
+    and its certificate is Euler's identity on the F'_j.  The parts
+    (∂_jG)(F') do not all vanish, or a nonzero ∂_jG would be a relation of
+    degree e − 1: a vertex, or one found before.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -261,26 +260,12 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     forms = [linear_combination(f.nvars, zip(w, f.gradient())) for w in span]
     if not all(forms):
         raise DomainError("⟨w, ∇f⟩ ≡ 0 for a row w of W: V(f) is a cone with vertex w")
-    factor, reduced = _common_factor(forms)
+    factor, reduced = gcd_cofactors(forms)
+    content = rational_content(factor.coefficients())
+    if content != 1:
+        factor, reduced = factor.scale(1 / content), [q.scale(content) for q in reduced]
     relation = least_relation(reduced, span, max_degree)[0]
     return relation._replace(factor=factor) if relation else None
-
-
-def _common_factor(forms):
-    """(c, [F'_j]) with F'_j = F_j/c, for c the gcd of the forms F_j taken
-    primitive over Z with a positive leading coefficient, so that by Gauss's
-    lemma the F'_j are integral when the F_j are.  c·F'_j = F_j is
-    re-checked in integers: c·(b·F'_j) = b·F_j for b the denominator of the
-    F'_j.  A constant gcd leaves the forms as they are, with c = 1."""
-    rho, quotients = gcd_cofactors(forms)
-    if rho.degree() == 0:
-        return rho, forms
-    content = rational_content(rho.coefficients())
-    factor, reduced = rho.scale(1 / content), [q.scale(content) for q in quotients]
-    b = _denominator(reduced)
-    if any(factor * q.scale(b) != F.scale(b) for F, q in zip(forms, reduced)):
-        raise InternalCheckError("c·F'_j != F_j for the common factor c of the forms ⟨w_j, ∇f⟩")
-    return factor, reduced
 
 
 def build_psi(f, relation):
@@ -289,11 +274,12 @@ def build_psi(f, relation):
     P_j = c^(e−1)·P'_j for the relation's factor c and reduced parts P'_j
     (`PolarRelation`), so ρ = c^(e−1)·ρ' for ρ' the gcd of the P'_j, and
     P_j/ρ = P'_j/ρ'.  The gcd fold of the P'_j returns each q_j = P'_j/ρ',
-    so h_i = Σ_j w_{j,i}·q_j needs no division, and ρ'·q_j = P'_j,
-    re-checked, gives ρ·h_i = g_i.  Constant parts P_j, as of a degree-1
-    relation, or zero ones mean a cone, outside the standing hypothesis:
-    `cones.cone_test` decides cones, and callers reach this only for
-    non-cones.
+    so h_i = Σ_j w_{j,i}·q_j needs no division, and ρ·h_i = g_i; the q_j
+    are ψ_g's coordinates on W.  W's rows are independent, so
+    gcd(h) = gcd(q), checked on the k+1 q_j.  Constant parts P_j, as of a
+    degree-1 relation, or zero ones mean a cone, outside the standing
+    hypothesis: `cones.cone_test` decides cones, and callers reach this only
+    for non-cones.
     """
     # deg P_j = deg P'_j + (e − 1)·deg c
     shift = (relation.degree - 1) * relation.factor.degree()
@@ -306,18 +292,12 @@ def build_psi(f, relation):
         rho = rho.scale(content)
         h = [hi.scale(1 / content) for hi in h]
         quotients = [q.scale(1 / content) for q in quotients]
-    # ρ'·q_j = P'_j, checked in integers: (a·ρ')·(b·q_j) = a·b·P'_j for a
-    # and b the denominators of ρ' and of the q_j
-    a, b = _denominator([rho]), _denominator(quotients)
-    scaled_rho = rho.scale(a)
-    if any(scaled_rho * q.scale(b) != part.scale(a * b) for part, q in zip(relation.parts, quotients)):
-        raise InternalCheckError("ρ·q_j != P_j after normalization")
-    if gcd_list([hi for hi in h if hi]).degree() != 0:
+    if gcd_list(quotients).degree() != 0:
         raise InternalCheckError("components h_i still share a factor")
     if shift:
         for _ in range(relation.degree - 1):  # ρ = c^(e−1)·ρ'
             rho = relation.factor * rho
-    return PsiMap(relation=relation, rho=rho, h=tuple(h))
+    return PsiMap(relation=relation, rho=rho, h=tuple(h), coordinates=tuple(quotients))
 
 
 class InvarianceCheck(NamedTuple):

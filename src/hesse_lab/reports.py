@@ -259,7 +259,9 @@ def run_gn_suite(count, seed, draw=_draw):
 
 
 def _mutated(psi):
-    return psi._replace(h=(psi.h[1], psi.h[0], *psi.h[2:]))
+    # W's first rows are e0 and e1 on the paper cubic, so q_0, q_1 swap with h_0, h_1
+    (h0, h1, *h), (q0, q1, *q) = psi.h, psi.coordinates
+    return psi._replace(h=(h1, h0, *h), coordinates=(q1, q0, *q))
 
 
 def run_psi_suite(seed, mutate=False, paper_cubic=None):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import classify, cli, cones, errors, hessian, linalg, poly, psi, reports
+from hesse_lab import cli, cones, errors, hessian, linalg, poly, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
@@ -722,23 +722,26 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
 
 @pytest.mark.parametrize("dense", [False, True], ids=["paper-cubic", "dense-paper-cubic"])
 def test_p4_classification_call_counts_are_pinned(monkeypatch, dense):
-    # the normal form reads ψ_g's coordinates in W's basis once and alone
-    # decides whether they span Π; the curve search reuses them and takes no rank
+    # the P^4 stages read ψ_g only through its coordinates on W and W's rows,
+    # so zeroing h changes nothing; the normal form alone decides whether the
+    # coordinates span Π, and the curve search reuses them and takes no rank
     f = parse(PAPER_CUBIC)
     if dense:
         a = random_invertible(f.nvars, substream(0, "dense"))
         f = f.compose([Polynomial.linear_form(row) for row in a.entries])
     found = psi.build_psi(f, psi.find_polar_relation(f))
-    calls = Counter()
-    for original in (classify._image_coordinates, linalg.rank):
-        def counted(*args, _original=original, **kwargs):
-            calls[_original.__name__] += 1
-            return _original(*args, **kwargs)
+    calls, original = Counter(), linalg.rank
 
-        _patch_everywhere(monkeypatch, original, counted)
+    def counted(*args, **kwargs):
+        calls["rank"] += 1
+        return original(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, original, counted)
     block, failed = reports.p4_classification(f, found)
     assert failed == [] and block["plane_curve"]["irreducible"] is True
-    assert (calls["_image_coordinates"], calls["rank"]) == (1, 0)
+    assert calls["rank"] == 0
+    zeros = tuple(Polynomial.zero(f.nvars) for _ in found.h)
+    assert reports.p4_classification(f, found._replace(h=zeros)) == (block, failed)
 
 
 @pytest.mark.parametrize(

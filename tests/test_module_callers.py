@@ -108,8 +108,9 @@ GCD = {"gcd", "gcd_list", "gcd_cofactors"}
 def test_only_psi_calls_the_multivariate_gcd():
     # GCDHEU has one caller module, `psi`: `find_polar_relation` takes the
     # common factor out of the forms ⟨w_j, ∇f⟩, and `build_psi` folds the
-    # reduced parts; reducedness is read on a line (`poly.is_reduced`), so
-    # the gcd functions are called only from psi and from each other
+    # reduced parts and checks ψ_g's coordinates on W coprime; reducedness
+    # is read on a line (`poly.is_reduced`), so the gcd functions are called
+    # only from psi and from each other
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "psi.py":

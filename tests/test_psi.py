@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hesse_lab import poly as poly_module
 from hesse_lab import psi as psi_module
 from hesse_lab import reports
 from hesse_lab.cones import cone_test
@@ -38,6 +39,7 @@ from hesse_lab.psi import (
     least_relation,
     sample_image,
 )
+from test_acceptance import _image_coordinates
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -160,6 +162,7 @@ def test_second_derivative_relation_mutated(cubic_psi):
         relation=cubic_psi.relation,
         rho=cubic_psi.rho,
         h=tuple(h),
+        coordinates=(),
     )
     assert hessian_kills_h(PAPER_CUBIC, mutated) is False
 
@@ -292,6 +295,7 @@ def test_fiber_lines_without_gcd_division(cubic_psi):
         relation=cubic_psi.relation,
         rho=Polynomial.constant(5, 1),
         h=g_partials(PAPER_CUBIC, cubic_psi.relation),
+        coordinates=(),
     )
     assert check_fiber_lines(PAPER_CUBIC, cubic_psi)
     assert check_fiber_lines(PAPER_CUBIC, undivided)
@@ -595,22 +599,37 @@ def test_build_psi_refuses_a_relation_whose_parts_all_vanish():
 # ψ_g from the gcd's cofactors
 
 
+def _corrupt_heu_cofactors(monkeypatch):
+    """Make each outermost GCDHEU call return its cofactor b/g with the
+    leading coefficient doubled; the calls it corrupted are listed."""
+    original, depth, corrupted = poly_module._heu_gcd, [0], []
+
+    def heu_gcd(layout, a, b, vs):
+        depth[0] += 1
+        try:
+            g, qa, qb = original(layout, a, b, vs)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            return g, qa, qb
+        corrupted.append(vs)
+        top = max(qb)
+        return g, qa, {**qb, top: 2 * qb[top]}
+
+    monkeypatch.setattr(poly_module, "_heu_gcd", heu_gcd)
+    return corrupted
+
+
 def test_build_psi_rechecks_each_cofactor_in_integers(monkeypatch):
-    # on the seed-0 6,3,1,2,1,6 the cofactors q_j carry the pivot
-    # denominator of W's rows; one cofactor off by a term fails the
-    # integer re-check (a·ρ)·(b·q_j) = a·b·P_j
+    # on the seed-0 6,3,1,2,1,6 the fold of the parts P'_j runs GCDHEU; a
+    # cofactor it returns with a wrong leading coefficient fails the fold's
+    # integer re-check g·b = p
     f = _gn("6,3,1,2,1,6")
     rel = find_polar_relation(f)
-    original = psi_module.gcd_cofactors
-
-    def corrupted(parts):
-        rho, quotients = original(parts)
-        assert any(type(c) is Fraction for q in quotients for c in q.coefficients())
-        return rho, [quotients[0] + Polynomial.variable(f.nvars, 0) ** quotients[0].degree(), *quotients[1:]]
-
-    monkeypatch.setattr(psi_module, "gcd_cofactors", corrupted)
-    with pytest.raises(InternalCheckError, match="ρ·q_j != P_j"):
+    corrupted = _corrupt_heu_cofactors(monkeypatch)
+    with pytest.raises(InternalCheckError, match="g·b != p"):
         build_psi(f, rel)
+    assert corrupted
 
 
 def _sympy_expr(p):
@@ -644,6 +663,22 @@ def test_psi_from_cofactors_matches_the_sympy_gcd(f):
     rho = sympy.Poly(_sympy_expr(psi.rho), *oracle.gens)
     assert rho.total_degree() == oracle.total_degree()
     assert rho.rem(oracle).is_zero
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(small_gn_forms())
+def test_psi_carries_its_coordinates_on_w(f):
+    # h = Σ_j q_j·w_j exactly, the q_j are h read off W's pivots up to one
+    # positive scale, and they share no factor
+    psi = build_psi(f, find_polar_relation(f))
+    span, qs = psi.relation.span, psi.coordinates
+    assert len(qs) == len(span)
+    assert psi.h == tuple(linear_combination(f.nvars, zip((w[i] for w in span), qs)) for i in range(f.nvars))
+    read = _image_coordinates(psi, span)
+    j = next(j for j, q in enumerate(read) if q)
+    scale = Fraction(qs[j].leading()[1]) / read[j].leading()[1]
+    assert scale > 0 and list(qs) == [q.scale(scale) for q in read]
+    assert sympy.gcd_list([_sympy_expr(q) for q in qs if q]).is_number
 
 
 # ----------------------------------------------------------------------
@@ -684,19 +719,14 @@ def test_rho_carries_the_factor_to_the_power_e_minus_1():
 
 
 def test_taking_out_the_common_factor_rechecks_each_cofactor(monkeypatch):
-    # the three F_j of the seed-0 4,2,1,2,1,4 share a linear factor c; one
-    # cofactor off by a term fails the integer re-check c·F'_j = F_j
+    # the three F_j of the seed-0 4,2,1,2,1,4 share a linear factor c, which
+    # GCDHEU finds; a cofactor it returns with a wrong leading coefficient
+    # fails the fold's integer re-check g·b = p
     f = _gn("4,2,1,2,1,4")
-    original = psi_module.gcd_cofactors
-
-    def corrupted(polys):
-        rho, quotients = original(polys)
-        assert rho.degree() == 1
-        return rho, [quotients[0] + Polynomial.variable(f.nvars, 0) ** quotients[0].degree(), *quotients[1:]]
-
-    monkeypatch.setattr(psi_module, "gcd_cofactors", corrupted)
-    with pytest.raises(InternalCheckError, match="c·F'_j != F_j"):
+    corrupted = _corrupt_heu_cofactors(monkeypatch)
+    with pytest.raises(InternalCheckError, match="g·b != p"):
         find_polar_relation(f)
+    assert corrupted
 
 
 def test_the_search_and_the_fold_run_on_the_reduced_forms(monkeypatch):
@@ -824,7 +854,7 @@ def invariance_families(draw):
 @given(invariance_families())
 def test_packed_invariance_matches_the_sympy_expansion_of_each_form(case):
     forms, h = case
-    psi = PsiMap(relation=None, rho=None, h=h)
+    psi = PsiMap(relation=None, rho=None, h=h, coordinates=())
     got = [(r.derivative_zero, r.invariant, r.image_zero) for r in check_invariance(forms, psi)]
     assert got == [_oracle_invariance(F, h) for F in forms]
 
@@ -839,7 +869,7 @@ def test_packed_invariance_reads_a_digit_just_under_half_the_base(t):
     x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
     h = (Polynomial.zero(3), Polynomial.zero(3), x0.scale(s))
     forms = [x2, x0, -x2, x1, Polynomial.zero(3), -x2, x0.scale(-1)]
-    got = check_invariance(forms, PsiMap(relation=None, rho=None, h=h))
+    got = check_invariance(forms, PsiMap(relation=None, rho=None, h=h, coordinates=()))
     assert [(r.derivative_zero, r.invariant, r.image_zero) for r in got] == [
         _oracle_invariance(F, h) for F in forms
     ]
