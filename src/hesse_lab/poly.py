@@ -30,10 +30,14 @@ asks it for the gcd of a binary form's partials, and ``is_reduced`` asks
 that of f on a seeded line.  ``binary_quotient`` divides binary forms
 exactly by the same long division.
 
-``parse`` reads text in one recursive-descent pass over ASCII tokens,
-folding each term into one key as it goes, and refuses a variable index past
-``MAX_VARIABLE_INDEX``, a variable exponent past ``MAX_EXPONENT`` and a
-number longer than the interpreter's int-string limit.
+``parse`` has two routes.  Text in the printer's own language (what
+``to_string`` writes) is read by splitting it at its term joins and each
+term at ``*``, validating and keying each distinct factor string once.  All
+other text goes to one recursive-descent pass over ASCII tokens, which folds
+each term into one key as it goes and is the only place a ``ParseError`` is
+raised: it refuses a variable index past ``MAX_VARIABLE_INDEX``, a variable
+exponent past ``MAX_EXPONENT`` and a number longer than the interpreter's
+int-string limit.  Both routes give the same polynomial.
 """
 
 from __future__ import annotations
@@ -708,12 +712,95 @@ def _exponent_error(position):
     return ParseError(f"variable exponent exceeds the cap {MAX_EXPONENT}", position)
 
 
+# the joins between the printer's terms
+_JOIN = re.compile(r" ([+-]) ")
+_NAME = re.compile(r"[A-Za-z_]+")
+# a number without leading zeros up to either cap has at most this many digits
+_CAP_DIGITS = len(str(max(MAX_VARIABLE_INDEX, MAX_EXPONENT)))
+
+
+def _ascii_number(digits, limit):
+    """Whether digits spell [1-9][0-9]* in ASCII, at most limit long."""
+    return digits.isascii() and digits.isdigit() and digits[0] != "0" and len(digits) <= limit
+
+
+def _read_printed(text, prefix, nvars):
+    """(variable count, key -> coefficient) of text in the printer's own
+    language, or None for any other text.
+
+    The language: terms joined by " + " or " - ", and a "-" before the first
+    term only; a term is an optional coefficient a or a/b, then "*"-joined
+    factors prefix + index or prefix + index^e, with no leading zeros, an
+    index up to MAX_VARIABLE_INDEX and below nvars, 2 <= e <= MAX_EXPONENT
+    and no variable twice (a term may be the coefficient alone).  Such text
+    parses without error, so the descent reads everything else and alone
+    raises.  Each distinct factor string is validated and keyed once."""
+    # a prefix the descent could not read as one name refuses every text
+    if not isinstance(prefix, str) or not _NAME.fullmatch(prefix):
+        return None
+    limit = sys.get_int_max_str_digits() or len(text)
+    negative = text[:1] == "-"
+    pieces = _JOIN.split(text[1:] if negative else text)
+    coeffs, monomials = [], []
+    for sign, term in zip(["-" if negative else "+", *pieces[1::2]], pieces[::2]):
+        factors = term.split("*")
+        head = factors[0]
+        if head[:1].isdigit():
+            num, slash, den = head.partition("/")
+            if not _ascii_number(num, limit) or slash and not _ascii_number(den, limit):
+                return None
+            c = Fraction(int(num), int(den)) if slash else int(num)
+            del factors[0]
+        else:
+            c = 1
+        coeffs.append(-c if sign == "-" else c)
+        monomials.append(factors)
+    factor = {}
+    for f in set(itertools.chain.from_iterable(monomials)):
+        name, caret, exp = f.partition("^")
+        digits = name[len(prefix):]
+        if not (name.startswith(prefix) and (digits == "0" or _ascii_number(digits, _CAP_DIGITS))
+                and int(digits) <= MAX_VARIABLE_INDEX):
+            return None
+        if not caret:
+            exp = 1
+        elif _ascii_number(exp, _CAP_DIGITS) and 2 <= int(exp) <= MAX_EXPONENT:
+            exp = int(exp)
+        else:
+            return None
+        factor[f] = (int(digits), exp)
+    inferred = max((i for i, _ in factor.values()), default=-1) + 1
+    width = max(inferred, 1) if nvars is None else nvars
+    if width < 1 or inferred > width:
+        return None
+    units = _layout(width).units
+    inc = {f: e * units[i] for f, (i, e) in factor.items()}
+    bit = {f: 1 << i for f, (i, _) in factor.items()}
+    keys = []
+    for factors in monomials:
+        # the bits of distinct variables add without a carry
+        if len(factors) > 1 and sum(map(bit.__getitem__, factors)).bit_count() < len(factors):
+            return None
+        keys.append(sum(map(inc.__getitem__, factors)))
+    terms = dict(zip(keys, coeffs))
+    if len(terms) < len(keys):
+        terms = _add_into({}, zip(keys, coeffs))
+    return width, terms
+
+
 def parse(text, var_prefix="x", nvars=None):
     """Parse polynomial text; variables are var_prefix + index.
 
     The variable count defaults to one more than the largest index used
     (at least 1); pass ``nvars`` to embed in a larger variable set.
+
+    Printed text is read term by term (`_read_printed`); everything else,
+    including all malformed text, by the descent (`_Parser`), which alone
+    raises, so the result, message and position do not depend on the route.
     """
+    read = _read_printed(text, var_prefix, nvars)
+    if read is not None:
+        return _new(*read)
     # each distinct index is converted once, before the pass; past nvars,
     # the pass runs in the wider layout, so that a syntax error is reported
     # before the index

@@ -1,9 +1,11 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, binary forms, reducedness."""
 
+import json
 import operator
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -37,6 +39,7 @@ from hesse_lab.poly import (
 from hesse_lab.psi import find_polar_relation
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def quotient(p, g):
@@ -150,6 +153,17 @@ MALFORMED = [
     ("x0^99999999", {}, "variable exponent exceeds the cap 999", 0),
     ("x1 + 2*x0^600*x0^600", {}, "variable exponent exceeds the cap 999", 14),
     ("x1 + (x0^600 + x1)*(x0^400*x1)", {}, "variable exponent exceeds the cap 999", 19),
+    # canonical-looking text that the printed-text reader refuses, so that
+    # the descent judges it
+    ("x0*x0^999", {}, "variable exponent exceeds the cap 999", 3),
+    ("x0^600*x0^600", {}, "variable exponent exceeds the cap 999", 7),
+    ("x1000", {}, "variable index exceeds the cap 999", 1),
+    ("x0^1000", {}, "variable exponent exceeds the cap 999", 0),
+    ("1/0*x0", {}, "zero denominator", 0),
+    ("y0 + x1", {}, "variable prefix 'y' does not match expected 'x'", 0),
+    ("x5", {"nvars": 3}, "variable index 5 exceeds nvars=3", 0),
+    ("1" * (sys.get_int_max_str_digits() + 1) + "*x0", {},
+     f"number has more than {sys.get_int_max_str_digits()} digits", 0),
 ]
 
 
@@ -165,6 +179,7 @@ def test_parse_accepts_indices_up_to_the_cap():
     assert MAX_VARIABLE_INDEX == 999
     assert parse("x999").nvars == 1000
     assert parse("x000999 + x0") == parse("x999 + x0")
+    assert parse("x01") == Polynomial.variable(2, 1)
 
 
 def test_parse_accepts_exponents_up_to_the_cap():
@@ -186,6 +201,8 @@ def test_parse_accepts_a_digit_run_at_the_int_string_limit():
         ("x0^²", "unexpected character '²'", 3),
         ("x٣", "variable needs a numeric index", 0),
         ("x0 + é", "unexpected character 'é'", 5),
+        ("x0 - x٣", "variable needs a numeric index", 5),
+        ("2*x0^²", "unexpected character '²'", 5),
     ],
 )
 def test_parse_grammar_is_ascii(text, message, position):
@@ -193,6 +210,23 @@ def test_parse_grammar_is_ascii(text, message, position):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, expected",
+    [
+        ("x0+x1", {}, Polynomial(2, {(1, 0): 1, (0, 1): 1})),
+        ("2 * x0 ^ 2", {}, Polynomial(1, {(2,): 2})),
+        ("(x0 + x1)*x2", {}, Polynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1})),
+        ("0", {}, Polynomial.zero(1)),
+        ("0", {"nvars": 4}, Polynomial.zero(4)),
+        ("x0^1 + 4/2*x1", {}, Polynomial(2, {(1, 0): 1, (0, 1): 2})),
+        ("x01 + x0^0", {}, Polynomial(2, {(0, 1): 1, (0, 0): 1})),
+    ],
+)
+def test_parse_reads_text_outside_the_printed_language(text, kwargs, expected):
+    p = parse(text, **kwargs)
+    assert p == expected and p.nvars == expected.nvars
 
 
 _X = sympy.symbols("x0:3")
@@ -271,6 +305,85 @@ def printable_polynomials(draw):
 def test_print_parse_round_trip(case):
     p, prefix = case
     assert parse(p.to_string(prefix), prefix, nvars=p.nvars) == p
+
+
+def _no_descent(*args):
+    raise AssertionError("the descent read printed text")
+
+
+def assert_reader_matches_descent(text, prefix="x", nvars=None):
+    """parse(text) by the printed-text reader with the descent barred equals
+    parse(text) by the descent with the reader barred."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poly_module, "_Parser", _no_descent)
+        read = parse(text, prefix, nvars)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poly_module, "_read_printed", lambda *args: None)
+        descended = parse(text, prefix, nvars)
+    assert read.nvars == descended.nvars
+    # the same keys in the same order, with coefficients of the same type
+    assert [(k, c, type(c)) for k, c in read._terms.items()] == [
+        (k, c, type(c)) for k, c in descended._terms.items()
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(printable_polynomials())
+@example((Polynomial.constant(3, Fraction(-7, 2)), "y"))
+@example((Polynomial(2, {(10, 0): -1, (0, 12): Fraction(3, 11), (0, 0): 5}), "z"))
+def test_printed_text_is_read_without_the_descent(case):
+    p, prefix = case
+    text = p.to_string(prefix)
+    if p:  # "0" is the descent's
+        assert_reader_matches_descent(text, prefix, p.nvars)
+        assert_reader_matches_descent(text, prefix)
+
+
+@pytest.mark.parametrize(
+    "text", ["x0 - x0 + 3", "x1*x0 + x0*x1", "x0 - x0 + x1 + x0", "-1/2*x2^3 + 1/2*x2^3"]
+)
+def test_repeated_monomials_are_summed_as_the_descent_sums_them(text):
+    assert_reader_matches_descent(text)
+
+
+@pytest.mark.parametrize(
+    "text, kwargs",
+    [
+        ("x01", {}), ("x0^1", {}), ("x0^01", {}), ("0", {}), ("+x0", {}), ("x0 + -x1", {}),
+        ("x0  + x1", {}), ("x0 +x1", {}), ("x0\n", {}), ("2*3*x0", {}), ("x0*2", {}),
+        ("x0*x0^999", {}), ("x0^600*x0^600", {}), ("x1000", {}), ("x0^1000", {}),
+        ("x٣", {}), ("x0^²", {}), ("1/0*x0", {}), ("0/2*x0", {}),
+        ("y0 + x1", {}), ("x5", {"nvars": 3}), ("x0", {"nvars": 0}), ("x12", {"var_prefix": "x1"}),
+        ("x0", {"var_prefix": None}),
+        ("1" * (sys.get_int_max_str_digits() + 1) + "*x0", {}),
+    ],
+)
+def test_the_printed_text_reader_leaves_other_text_to_the_descent(text, kwargs):
+    assert poly_module._read_printed(text, kwargs.get("var_prefix", "x"), kwargs.get("nvars")) is None
+
+
+# the rungs of the benchmark's analyze-ladder workload
+LADDER = (
+    "4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6",
+    "5,2,1,2,1,5", "5,3,1,2,1,6", "5,2,1,2,1,6",
+    "6,3,1,2,1,5", "6,3,1,2,1,6",
+    "7,4,1,2,1,5", "7,5,1,2,1,6", "7,4,1,2,1,6",
+)
+
+
+@pytest.mark.parametrize("rung", LADDER)
+def test_the_ladder_forms_are_read_without_the_descent(rung):
+    f = random_instance(GNSkeleton(*map(int, rung.split(","))), seed=0).f
+    assert_reader_matches_descent(f.to_string("x"))
+    assert parse(f.to_string("x")) == f
+
+
+def test_the_golden_inputs_are_read_without_the_descent():
+    texts = [json.loads(path.read_text()).get("input", {}).get("poly") for path in sorted(GOLDEN.glob("*.json"))]
+    texts = [t for t in texts if t is not None]
+    assert len(texts) >= 13
+    for text in texts:
+        assert_reader_matches_descent(text)
 
 
 def test_roundtrip_random(seed=7, cases=100):
