@@ -7,8 +7,9 @@ f∘A ≡ Σ_k Q^k·P_k(y3, y4) with Q linear in y0, y1, y2 (`p4_normal_form`).
 It alone decides that the ψ_g image, read in the coordinates of W's reduced
 echelon basis, spans the plane Π = P(W), and it makes the image curve
 irreducible and every hyperplane section through Π a cone whose vertex line
-is tangent to it.  The curve's equation is the certified least relation
-among those coordinates (`p4_plane_curve_check`, `psi.least_relation`).
+is tangent to it.  The curve's equation is the least-degree kernel of
+G ↦ G(q') on the binary image q' that the normal form certified
+(`p4_plane_curve_check`), one exact kernel per degree and no point.
 The sampled sections, a repeated root of the curve on each vertex line
 (`poly.repeated_root`), stay as the test oracle `p4_section_check`.
 """
@@ -32,10 +33,8 @@ from .poly import (
     monomials_of_degree,
     repeated_root,
 )
-from .psi import least_relation
 
 _IDENTITY = tuple(tuple(int(i == j) for i in range(5)) for j in range(5))
-_IDENTITY_3 = tuple(row[:3] for row in _IDENTITY[:3])
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +157,6 @@ def low_polar_dim_check(f, seed=0):
 class PlaneCurveReport(NamedTuple):
     curve: Optional[Polynomial]       # in the 3 coordinates of W's basis
     curve_degree: Optional[int]
-    points_used: int                  # points the search read at the curve's degree
 
     @property
     def ok(self):
@@ -295,25 +293,23 @@ def p4_normal_form(f, psi):
 
 
 def p4_plane_curve_check(normal):
-    """The curve of ψ_g's image on Π = P(W): the certified least relation
-    among its coordinates q_0, q_1, q_2 in W's basis (`PsiMap.coordinates`),
-    up to their degree D (`least_relation`), so its equation and degree are
-    exact.  It is sought only when the normal form certified a non-constant
-    M, that is an image that spans Π.  D caps it:
-    a general line of P^4 misses the base locus of the coprime q_j, so q
-    restricts there to binary forms of degree D with no common zero,
-    mapping the line onto the curve, and deg C · deg(q|line) = D.  ψ's
-    re-checked relation already proves h_f ≡ 0, and `build_psi` refuses the
-    degree-1 relation of a cone, so neither fact is decided again here."""
-    relation, points = None, 0
+    """The curve C of ψ_g's image on Π = P(W), in W's basis, off the binary
+    image q' the normal form certified, when it spans Π.  For e = 2, …,
+    D = deg q' (q' maps P^1 onto C, so deg C divides D), the kernel of
+    G ↦ G(q'), one column per q'^α, is the degree-e part of C's ideal, which
+    is principal as C is irreducible: the first nonzero one is one line, C's
+    equation, primitive with a positive leading coefficient.  Its re-check
+    certifies G(q') ≡ 0, so G(q) ≡ 0 as q' = q∘A."""
     if normal.spans_plane:
-        qs = normal.coordinates
-        relation, points = least_relation(qs, _IDENTITY_3, qs[0].degree())
-    return PlaneCurveReport(
-        curve=relation.g if relation else None,
-        curve_degree=relation.degree if relation else None,
-        points_used=points,
-    )
+        q0, q1, q2 = normal.image
+        for e in range(2, q0.degree() + 1):
+            monos = monomials_of_degree(3, e)
+            basis = kernel(ScalarMatrix.from_polynomials([q0 ** a * q1 ** b * q2 ** c for a, b, c in monos]).transpose())
+            if len(basis) > 1:
+                raise InternalCheckError(f"the image's curve has {len(basis)} independent equations of degree {e}")
+            if basis:
+                return PlaneCurveReport(curve=Polynomial(3, dict(zip(monos, primitive_vector(*basis)))), curve_degree=e)
+    return PlaneCurveReport(curve=None, curve_degree=None)
 
 
 class SectionRecord(NamedTuple):

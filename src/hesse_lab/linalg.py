@@ -50,9 +50,7 @@ class ScalarMatrix:
         return ScalarMatrix([[t.get(e, 0) for e in basis] for t in terms])
 
     def transpose(self):
-        return ScalarMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return ScalarMatrix(zip(*self.entries))
 
     def __repr__(self):
         return f"ScalarMatrix({self.rows}x{self.cols})"

@@ -6,8 +6,8 @@ degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
 The forms F_j = ⟨w_j, ∇f⟩ on the rows of W often share a factor c; taking
 it out changes no relation, since G(c·F') = c^e·G(F') for G of degree e, so
 the search runs on the F'_j = F_j/c.  The search is the least-degree
-relation among any forms of one degree (`least_relation`), which also gives
-the P^4 curve of the ψ_g image.  The map ψ_g has components
+relation among forms of one degree (`least_relation`), at points whose
+values are pairwise non-proportional.  The map ψ_g has components
 h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's k+1 parts
 P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced parts P'_j
 returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is
@@ -108,9 +108,7 @@ class PolarRelation(_Relation):
     g(∇f) = G(F) = c^e·G(F') ≡ 0 exactly.  The k+1 reduced parts
     P'_j = (∂_jG)(F') are made once, and ψ_g is built from them and c alone:
     ∂_jG is homogeneous of degree e − 1, so (∂_jG)(F) = c^(e−1)·P'_j, and by
-    the chain rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F).  On the unit rows
-    with c = 1, g is G itself, a relation among any forms F_j
-    (`least_relation`)."""
+    the chain rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F)."""
 
     __slots__ = ()
 
@@ -192,43 +190,51 @@ def _relation_points(nvars, width):
 def least_relation(forms, span, max_degree):
     """The least-degree relation G(F) ≡ 0, 2 <= deg G <= max_degree, among
     nonzero forms F_j of one degree D, as a `PolarRelation` on the rows of
-    span (None up to the cap), and the number of points read at the last
-    degree tried.  For each degree e, the exact kernel of the degree-e
-    monomials in z at F of C(k+e, e) + 2 seeded integer points contains
+    span, or None up to the cap.  For each degree e, the exact kernel of the
+    degree-e monomials in z at C(k+e, e) + 2 seeded values F(p) contains
     every such G, so an empty one rules e out.  Each basis vector G is
-    certified (`PolarRelation.from_partials`), and one that fails gets a row
-    at a point where G(F) ≠ 0, until the kernel is the relation space.  The
-    primitive integer basis vector on the earliest monomials in z wins."""
-    rows = []
+    certified (`PolarRelation.from_partials`); one that fails gets a row
+    where G(F) ≠ 0, and the kernel is taken again, until it is the relation
+    space.  The primitive integer basis vector on the earliest monomials in
+    z wins."""
     for e in range(2, max_degree + 1):
         monos = monomials_of_degree(len(forms), e)
+        points, rows, seen = _relation_points(forms[0].nvars, e * forms[0].degree()), [], set()
 
-        def row(point):
-            values = [F.evaluate(point) for F in forms]
-            return [math.prod(v ** a for v, a in zip(values, m) if a) for m in monos]
+        def read(done):
+            # rows until done(row) holds of one.  A value F(p) that is zero or
+            # λ·F(p') for a row's p' is skipped: row(λv) = λ^e·row(v) adds no
+            # rank, and G(F(p)) = λ^e·G(F(p')) = 0 excludes no G of the kernel.
+            # A nonzero G(F) has degree e·D, so it is nonzero on a grid with
+            # more than e·D values per coordinate, at a point no row's twin
+            for point in points:
+                values = [F.evaluate(point) for F in forms]
+                key = primitive_vector(values)
+                if any(key) and key not in seen:
+                    seen.add(key)
+                    rows.append([math.prod(v ** a for v, a in zip(values, m) if a) for m in monos])
+                    if done(rows[-1]):
+                        return
 
-        # a nonzero G(F) has degree e·D, so it cannot vanish on a grid with
-        # more than e·D values per coordinate
-        points = _relation_points(forms[0].nvars, e * forms[0].degree())
-        rows = [row(next(points)) for _ in range(len(monos) + 2)]
+        read(lambda row: len(rows) == len(monos) + 2)
         while True:
-            nrows, relations = len(rows), []
+            relations = []
             for v in kernel(ScalarMatrix(rows)):
                 vec = primitive_vector(v)
                 G = Polynomial(len(forms), {m: c for m, c in zip(monos, vec) if c})
                 relation = PolarRelation.from_partials(G, forms, span)
-                if relation is not None:
-                    relations.append((vec, relation))
-                    continue
-                # a row where G(F) ≠ 0 takes G out of the kernel
-                rows.append(next(r for r in map(row, points) if sum(map(operator.mul, r, vec))))
-            if len(rows) == nrows:
+                if relation is None:
+                    # a row where G(F) ≠ 0 takes G out of the kernel
+                    read(lambda row: sum(map(operator.mul, row, vec)))
+                    break
+                relations.append((vec, relation))
+            else:
                 break
         if relations:
             # columns run graded-lex descending, so preferring support on the
             # earliest monomials means taking the lexicographically greatest vector
-            return max(relations, key=operator.itemgetter(0))[1], len(rows)
-    return None, len(rows)
+            return max(relations, key=operator.itemgetter(0))[1]
+    return None
 
 
 def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
@@ -264,7 +270,7 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     content = rational_content(factor.coefficients())
     if content != 1:
         factor, reduced = factor.scale(1 / content), [q.scale(content) for q in reduced]
-    relation = least_relation(reduced, span, max_degree)[0]
+    relation = least_relation(reduced, span, max_degree)
     return relation._replace(factor=factor) if relation else None
 
 
@@ -421,7 +427,7 @@ def check_fiber_lines(f, psi):
       `components_invariant`, h(x + λh(x)) ≡ h(x) for every λ;
     - that g vanishes on the polar image, by the relation's Euler
       certificate g(∇f) ≡ 0 (`PolarRelation`)."""
-    basis = reduced_row_basis(list(zip(*ScalarMatrix.from_polynomials(psi.h).entries)))
+    basis = reduced_row_basis(ScalarMatrix.from_polynomials(psi.h).transpose().entries)
     line = [Polynomial.linear_form(column) for column in zip(*basis)]
     family = _integral([p for p in (*psi.h, *f.gradient()) if p])
     m = max(map(_norm, line))

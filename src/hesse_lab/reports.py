@@ -5,7 +5,7 @@ serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 The identity battery and the P^4 stages read ψ_g itself and sample
 nothing: the normal form alone decides whether ψ_g's image spans Π, and the
-plane curve is sought on the coordinates it read; the `image` and `polar_image`
+plane curve is read off the binary image it certified; the `image` and `polar_image`
 blocks are IMAGE_SAMPLES-point samples, report content only.
 """
 
@@ -27,7 +27,7 @@ from .psi import (
     sample_image,
 )
 
-SCHEMA = "hesse-lab/8"
+SCHEMA = "hesse-lab/9"
 
 IMAGE_SAMPLES = 12  # points of the `image` and `polar_image` report blocks
 
@@ -119,7 +119,6 @@ def curve_block(report, irreducible):
         "curve": report.curve.to_string("z") if report.curve else None,
         "curve_degree": report.curve_degree,
         "irreducible": irreducible,
-        "points_used": report.points_used,
         "ok": report.ok,
     }
 
@@ -288,7 +287,7 @@ def p4_classification(f, psi):
     """The P^4 structure of a vanishing-Hessian non-cone, read off ψ_g
     itself: the normal form, which alone decides whether the image spans Π
     and then certifies its curve irreducible, and the plane curve, sought
-    on the coordinates the normal form read.  Returns the report block and
+    on the binary image the normal form read.  Returns the report block and
     the names of the stages that failed."""
     normal = p4_normal_form(f, psi)
     block = {

@@ -5,7 +5,6 @@ except where a certified probabilistic bound is explicitly allowed.
 """
 
 import json
-import math
 import time
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ from hesse_lab.hessian import (
 )
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
-from hesse_lab.psi import build_psi, find_polar_relation
+from hesse_lab.psi import build_psi, find_polar_relation, least_relation
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -213,10 +212,11 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
             failures.append(f"{name}: curve stage failed")
             continue
         # the image (q_0 : q_1 : q_2) in W's basis, q_j = h_c/w_j[c] at the
-        # pivot column c of w_j, lies on the curve exactly, and the search
-        # read C(e + 2, 2) + 2 points at the curve's degree e
+        # pivot column c of w_j, lies on the curve exactly, and the curve is
+        # the least relation among the q_j that the sampled search finds
         q = _image_coordinates(psi, psi.relation.span)
-        if curve.curve.compose(q) or curve.points_used != math.comb(curve.curve_degree + 2, 2) + 2:
+        unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+        if curve.curve.compose(q) or curve.curve != least_relation(q, unit, q[0].degree()).g:
             failures.append(f"{name}: the curve is not the image's least relation")
         if not 2 <= curve.curve_degree <= 6:
             failures.append(f"{name}: curve degree {curve.curve_degree} out of range")

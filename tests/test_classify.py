@@ -29,7 +29,7 @@ from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.fields import substream
 from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis
-from hesse_lab.poly import Polynomial, linear_combination, parse, repeated_root
+from hesse_lab.poly import Polynomial, binary_gcd, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
 from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
 
@@ -48,6 +48,15 @@ def cubic_psi():
 @pytest.fixture(scope="module")
 def cubic_curve(cubic_psi):
     return _curve(PAPER_CUBIC, cubic_psi)
+
+
+UNIT_3 = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
+
+
+def _binary_image(image):
+    """A normal-form report with the binary image q' and a stand-in M that
+    is not constant: all that the curve stage reads."""
+    return classify.NormalFormReport((), (), tuple(image), (_X[3],), (), None, None)
 
 
 def _curve(f, psi):
@@ -141,11 +150,26 @@ def test_low_polar_dim_preconditions():
         low_polar_dim_check(parse("x0^3 + x1^3 + x2^3 + x3^3 + x4^3"))  # h_f != 0
 
 
-def test_p4_curve_paper_cubic(cubic_psi, cubic_curve):
+def _kernel_shapes(monkeypatch):
+    """The (rows, columns) of each exact kernel the curve stage takes."""
+    shapes, original = [], classify.kernel
+
+    def spy(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(classify, "kernel", spy)
+    return shapes
+
+
+def test_p4_curve_paper_cubic(cubic_psi, cubic_curve, monkeypatch):
     assert cubic_curve.ok
     assert cubic_curve.curve_degree == 2
-    # the six conics and two more points, with no candidate refused
-    assert cubic_curve.points_used == 8
+    # one kernel and no point: the 5 coefficients of the binary quartics
+    # q'^α against the six conics
+    shapes = _kernel_shapes(monkeypatch)
+    assert _curve(PAPER_CUBIC, cubic_psi) == cubic_curve
+    assert shapes == [(5, 6)]
     # the sample (-b^2 : ab : -a^2 : 0 : 0) spans x3 = x4 = 0, whose reduced
     # echelon basis is e0, e1, e2, and satisfies x0*x2 = x1^2 there
     assert cubic_psi.relation.span == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
@@ -169,9 +193,9 @@ def test_p4_normal_form_refuses_a_form_off_p4(cubic_psi):
 )
 def test_p4_normal_form_alone_decides_an_image_that_spans_no_plane(cubic_psi, monkeypatch, keep, tangents, violation):
     def refuse(*args):
-        raise AssertionError("least_relation called")
+        raise AssertionError("the curve's kernel taken")
 
-    monkeypatch.setattr(classify, "least_relation", refuse)
+    monkeypatch.setattr(classify, "kernel", refuse)
     qs = _coordinates(cubic_psi)
     psi = _with_coordinates(cubic_psi, [qs[j] for j in keep])
     report = p4_normal_form(PAPER_CUBIC, psi)
@@ -179,7 +203,7 @@ def test_p4_normal_form_alone_decides_an_image_that_spans_no_plane(cubic_psi, mo
     block, failed = p4_classification(PAPER_CUBIC, psi)
     assert failed == ["plane_curve", "normal_form"]
     assert block["plane_curve"] == {
-        "curve": None, "curve_degree": None, "irreducible": False, "points_used": 0, "ok": False,
+        "curve": None, "curve_degree": None, "irreducible": False, "ok": False,
     }
     assert block["normal_form"]["M"] == tangents
 
@@ -230,23 +254,44 @@ def _sympy_implicit(exponents):
     return sympy.Poly(g, *z)
 
 
-@pytest.mark.parametrize(
-    "exponents",
-    [((2, 0), (1, 1), (0, 2)), ((3, 0), (2, 1), (0, 3)), ((3, 0), (1, 2), (0, 3)),
-     ((4, 0), (3, 1), (0, 4)), ((4, 0), (1, 3), (0, 4)), ((5, 0), (2, 3), (0, 5)),
-     ((4, 0), (2, 2), (1, 3))],
-)
-def test_least_relation_agrees_with_implicitization(exponents):
-    # the monomial curve (s^a0·t^b0 : s^a1·t^b1 : s^a2·t^b2) has one
-    # generator; the least relation has its degree and its equation
-    forms = [Polynomial(2, {e: 1}) for e in exponents]
-    unit = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
-    rel, points = least_relation(forms, unit, 6)
+# monomial curves (s^a0·t^b0 : s^a1·t^b1 : s^a2·t^b2), each with one generator
+MONOMIAL_CURVES = [
+    ((2, 0), (1, 1), (0, 2)), ((3, 0), (2, 1), (0, 3)), ((3, 0), (1, 2), (0, 3)),
+    ((4, 0), (3, 1), (0, 4)), ((4, 0), (1, 3), (0, 4)), ((5, 0), (2, 3), (0, 5)),
+    ((4, 0), (2, 2), (1, 3)),
+]
+
+
+def _agrees_with_implicitization(exponents, g, degree):
+    """g has the degree and, up to scale, the equation sympy eliminates,
+    with coprime integers and a positive leading coefficient."""
     expected = _sympy_implicit(exponents)
-    assert rel.degree == expected.total_degree()
-    got = sympy.Poly(sum(c * sympy.Mul(*(zi**k for zi, k in zip(expected.gens, e))) for e, c in rel.g.as_dict().items()), *expected.gens)
+    assert degree == expected.total_degree()
+    got = sympy.Poly(sum(c * sympy.Mul(*(zi**k for zi, k in zip(expected.gens, e))) for e, c in g.as_dict().items()), *expected.gens)
     assert sympy.expand(got.as_expr() * expected.LC() - expected.as_expr() * got.LC()) == 0
-    assert points >= math.comb(rel.degree + 2, 2) + 2
+    assert math.gcd(*g.coefficients()) == 1 and g.leading()[1] > 0
+
+
+@pytest.mark.parametrize("exponents", MONOMIAL_CURVES)
+def test_least_relation_agrees_with_implicitization(exponents):
+    rel = least_relation([Polynomial(2, {e: 1}) for e in exponents], UNIT_3, 6)
+    _agrees_with_implicitization(exponents, rel.g, rel.degree)
+
+
+@pytest.mark.parametrize("exponents", MONOMIAL_CURVES)
+def test_the_curve_kernel_agrees_with_implicitization(exponents):
+    # the same curves as binary images q' in (x3, x4), through the curve stage
+    curve = p4_plane_curve_check(_binary_image([Polynomial(5, {(0, 0, 0, *e): 1}) for e in exponents]))
+    _agrees_with_implicitization(exponents, curve.curve, curve.curve_degree)
+
+
+def test_the_curve_kernel_refuses_a_reducible_image():
+    # q' = (y3², y3², y4²) lies on the line z0 = z1, which a certified M
+    # rules out: every conic through it, (z0 − z1)·z_i, is in the degree-2
+    # kernel, which is then no single curve
+    image = [_X[3] ** 2, _X[3] ** 2, _X[4] ** 2]
+    with pytest.raises(InternalCheckError, match="3 independent equations of degree 2"):
+        p4_plane_curve_check(_binary_image(image))
 
 
 def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_psi, cubic_curve):
@@ -557,17 +602,19 @@ def test_p4_suite_reports_a_draw_without_a_relation():
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]
 
 
-def test_p4_suite_certifies_a_curve_past_the_old_cap():
+def test_p4_suite_certifies_a_curve_past_the_old_cap(monkeypatch):
     # the Perazzo quintic x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5 is a non-cone with
     # a degree-5 relation, and its ψ_g image is a plane curve of degree 8,
     # which the search reaches at its cap, the degree of the q_j
+    shapes = _kernel_shapes(monkeypatch)
     report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=PERAZZO_QUINTIC))
     assert report["ok"] is True and report["violations"] == []
     case = report["cases"][1]
     assert case["plane_curve"]["curve_degree"] == 8
     assert case["plane_curve"]["irreducible"] is True
-    # the 45 octics and two more points at the curve's degree
-    assert case["plane_curve"]["points_used"] == 47
+    # one kernel for the paper cubic's conic, then one per degree up to 8,
+    # the last against the 45 octics
+    assert [cols for _, cols in shapes] == [6] + [math.comb(e + 2, 2) for e in range(2, 9)]
     assert case["normal_form"]["ok"] is True
 
 
@@ -608,6 +655,77 @@ def test_analyze_finishes_on_a_degree_257_form():
     assert results["classification"]["plane_curve"]["curve_degree"] == 2
 
 
+ORACLE_FORMS = {
+    **{f"gn-4,2,1,2,1,3-seed{seed}": random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed).f for seed in range(5)},
+    "perazzo-quintic": PERAZZO_QUINTIC,
+    "deg-M-6": DEGREE_6_M,
+    "degree-257": parse("x0*x3^256 + x1*x3^128*x4^128 + x2*x4^256"),
+    "dense-paper-cubic": _dense(PAPER_CUBIC),
+}
+
+
+def _least_relation_curve(psi):
+    """The oracle: the least relation among ψ_g's coordinates q_j on W, on
+    the unit rows, up to their degree."""
+    qs = list(psi.coordinates)
+    return least_relation(qs, UNIT_3, qs[0].degree())
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FORMS))
+def test_the_curve_kernel_agrees_with_the_least_relation(name):
+    # the p4 suite's GN draws, the curves past degree 6, a sparse form of
+    # degree 257 and a dense conjugate: the kernel on the binary image and
+    # the sampled search on q have one equation, normalized alike
+    f = ORACLE_FORMS[name]
+    psi = build_psi(f, find_polar_relation(f))
+    curve = _curve(f, psi)
+    relation = _least_relation_curve(psi)
+    assert (curve.curve, curve.curve_degree) == (relation.g, relation.degree)
+
+
+@st.composite
+def binary_tangent_forms(draw):
+    """(f, e) for f = Σ_k Q^k·P_k(x3, x4), Q = Σ_{i<=2} x_i·M_i(x3, x4),
+    with random binary M_i of degree e = 2..4 and P_k of degree
+    d − k·(e + 1), d = mu·(e + 1) + s."""
+    e, mu, s = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+
+    def binary(degree):
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1).filter(any))
+        return Polynomial(5, {(0, 0, 0, degree - i, i): c for i, c in enumerate(coefficients)})
+
+    q = sum((_X[i] * binary(e) for i in range(3)), Polynomial.zero(5))
+    d = mu * (e + 1) + s
+    f = sum((q ** k * binary(d - k * (e + 1)) for k in range(mu + 1)), Polynomial.zero(5))
+    return f, e
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(binary_tangent_forms())
+def test_the_curve_of_a_normal_form_draw(drawn):
+    # the converse's forms: the kernel's curve is the least relation's, and
+    # its degree is 2(e − 1), the class of the rational curve M(P^1) of
+    # degree e, where M is general: a birational M (relation degree e) with
+    # no cusp (∂_3M × ∂_4M coprime)
+    f, e = drawn
+    try:
+        relation = find_polar_relation(f)
+        assume(relation is not None)
+        psi = build_psi(f, relation)
+    except DomainError:
+        assume(False)
+    normal = p4_normal_form(f, psi)
+    assume(normal.ok)
+    curve = p4_plane_curve_check(normal)
+    oracle = _least_relation_curve(psi)
+    assert (curve.curve, curve.curve_degree) == (oracle.g, oracle.degree)
+    m = normal.tangents
+    d3, d4 = [mi.partial(3) for mi in m], [mi.partial(4) for mi in m]
+    cusps = binary_gcd([d3[i] * d4[j] - d3[j] * d4[i] for i, j in ((1, 2), (2, 0), (0, 1))])
+    if relation.degree == e and cusps.degree() == 0:
+        assert curve.curve_degree == 2 * (e - 1)
+
+
 def test_p4_suite_reports_a_cone_draw():
     # the relation search refuses the vertex rows of W of x0^3 + x1^3; the
     # suite names the cone instead of raising
@@ -629,7 +747,7 @@ def test_p4_suite_reports_a_one_point_image(monkeypatch):
     monkeypatch.setattr(reports, "build_psi", collapsed)
     report = run_p4_suite(0, instances=1)
     case = report["cases"][1]
-    assert (case["plane_curve"]["irreducible"], case["plane_curve"]["points_used"]) == (False, 0)
+    assert (case["plane_curve"]["irreducible"], case["plane_curve"]["curve_degree"]) == (False, None)
     assert report["violations"][-2:] == [
         "gn_421_3_seed0: plane-curve stage failed",
         "gn_421_3_seed0: normal-form stage failed: M ≡ 0: ∂_3 q' and ∂_4 q' are dependent",

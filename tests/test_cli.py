@@ -919,7 +919,7 @@ def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
 
 def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
     # the `image` block is one IMAGE_SAMPLES draw; the battery and, on P^4,
-    # the plane-curve stage read ψ_g itself: the six conics and two more points
+    # the plane-curve stage read ψ_g itself: the conic of its binary image
     counts = []
     original = psi.sample_image
 
@@ -932,7 +932,7 @@ def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
     assert code == 0 and counts == [reports.IMAGE_SAMPLES]
     r = doc["results"]
     assert r["image"]["count"] == reports.IMAGE_SAMPLES
-    assert r["classification"]["plane_curve"]["points_used"] == 8
+    assert (r["classification"]["plane_curve"]["curve"], r["classification"]["plane_curve"]["curve_degree"]) == ("z0*z2 - z1^2", 2)
 
 
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):

@@ -75,6 +75,14 @@ def test_no_report_carries_a_second_span_check():
         assert not {"span_rank", "degenerate_image_guard"} & set(_keys(doc)), name
 
 
+def test_no_report_carries_a_curve_point_count():
+    # the P^4 curve is one exact kernel per degree on ψ_g's binary image,
+    # which reads no point: schema hesse-lab/9 dropped plane_curve.points_used
+    for name in COMMANDS:
+        doc = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert "points_used" not in set(_keys(doc)), name
+
+
 def _moved(old, new, path="$"):
     """(mark, path) for each JSON key path where new differs from old."""
     if isinstance(old, dict) and isinstance(new, dict):

@@ -17,7 +17,6 @@ TEST_ORACLES = {
     "sing_membership": "exact point membership in Sing V(f); test_cones",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
-    "ScalarMatrix.transpose": "reads that coefficient matrix as the directional-derivative map; test_cones, test_linalg",
     "p4_section_check": "the sampled hyperplane sections that p4_normal_form certifies; test_classify, test_acceptance",
 }
 
@@ -142,5 +141,19 @@ def test_the_cone_test_works_on_keys():
         node.lineno
         for node in ast.walk(ast.parse((SRC / "cones.py").read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "as_dict"
+    ]
+    assert offenders == []
+
+
+def test_classify_imports_nothing_from_psi():
+    # the P^4 curve is one exact kernel on the normal form's binary image,
+    # not the polar-relation search: classify reads ψ_g only through the
+    # PsiMap it is handed
+    tree = ast.parse((SRC / "classify.py").read_text())
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "psi"
+        or isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.split(".")[-1] == "psi" for a in node.names)
     ]
     assert offenders == []
