@@ -301,10 +301,16 @@ def p4_plane_curve_check(normal):
     equation, primitive with a positive leading coefficient.  Its re-check
     certifies G(q') ≡ 0, so G(q) ≡ 0 as q' = q∘A."""
     if normal.spans_plane:
-        q0, q1, q2 = normal.image
-        for e in range(2, q0.degree() + 1):
-            monos = monomials_of_degree(3, e)
-            basis = kernel(ScalarMatrix.from_polynomials([q0 ** a * q1 ** b * q2 ** c for a, b, c in monos]).transpose())
+        image = normal.image
+        products = dict(zip(monomials_of_degree(3, 1), image))
+        for e in range(2, image[0].degree() + 1):
+            monos, below = monomials_of_degree(3, e), products
+            # q'^α = q'^(α − u_j)·q'_j, j the first index with α_j > 0
+            products = {}
+            for m in monos:
+                j = next(i for i, a in enumerate(m) if a)
+                products[m] = below[m[:j] + (m[j] - 1,) + m[j + 1:]] * image[j]
+            basis = kernel(ScalarMatrix.from_polynomials(list(products.values())).transpose())
             if len(basis) > 1:
                 raise InternalCheckError(f"the image's curve has {len(basis)} independent equations of degree {e}")
             if basis:

@@ -6,12 +6,11 @@ degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
 The forms F_j = ⟨w_j, ∇f⟩ on the rows of W often share a factor c; taking
 it out changes no relation, since G(c·F') = c^e·G(F') for G of degree e, so
 the search runs on the F'_j = F_j/c.  The search is the least-degree
-relation among forms of one degree (`least_relation`), at points whose
-values are pairwise non-proportional.  The map ψ_g has components
-h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's k+1 parts
-P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced parts P'_j
-returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is
-divided; ψ_g keeps the q_j as its coordinates on W (`PsiMap`).
+relation among forms of one degree (`least_relation`).  The map ψ_g has
+components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's
+k+1 parts P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced
+parts P'_j returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so
+nothing is divided; ψ_g keeps the q_j as its coordinates on W (`PsiMap`).
 Everything the relation implies (translation invariance, the base-locus and
 singular-locus inclusions, fiber cones, the lines joining image points) is
 checked symbolically.  The checks are Z-linear in the form, so a family is
@@ -191,44 +190,35 @@ def least_relation(forms, span, max_degree):
     """The least-degree relation G(F) ≡ 0, 2 <= deg G <= max_degree, among
     nonzero forms F_j of one degree D, as a `PolarRelation` on the rows of
     span, or None up to the cap.  For each degree e, the exact kernel of the
-    degree-e monomials in z at C(k+e, e) + 2 seeded values F(p) contains
-    every such G, so an empty one rules e out.  Each basis vector G is
-    certified (`PolarRelation.from_partials`); one that fails gets a row
-    where G(F) ≠ 0, and the kernel is taken again, until it is the relation
-    space.  The primitive integer basis vector on the earliest monomials in
-    z wins."""
+    degree-e monomials in z at F of C(k+e, e) + 2 seeded integer points
+    contains every such G, so an empty one rules e out.  Each basis vector G is
+    certified (`PolarRelation.from_partials`), and one that fails gets a row
+    at a point where G(F) ≠ 0, until the kernel is the relation space.  The
+    primitive integer basis vector on the earliest monomials in z wins."""
+    rows = []
     for e in range(2, max_degree + 1):
         monos = monomials_of_degree(len(forms), e)
-        points, rows, seen = _relation_points(forms[0].nvars, e * forms[0].degree()), [], set()
 
-        def read(done):
-            # rows until done(row) holds of one.  A value F(p) that is zero or
-            # λ·F(p') for a row's p' is skipped: row(λv) = λ^e·row(v) adds no
-            # rank, and G(F(p)) = λ^e·G(F(p')) = 0 excludes no G of the kernel.
-            # A nonzero G(F) has degree e·D, so it is nonzero on a grid with
-            # more than e·D values per coordinate, at a point no row's twin
-            for point in points:
-                values = [F.evaluate(point) for F in forms]
-                key = primitive_vector(values)
-                if any(key) and key not in seen:
-                    seen.add(key)
-                    rows.append([math.prod(v ** a for v, a in zip(values, m) if a) for m in monos])
-                    if done(rows[-1]):
-                        return
+        def row(point):
+            values = [F.evaluate(point) for F in forms]
+            return [math.prod(v ** a for v, a in zip(values, m) if a) for m in monos]
 
-        read(lambda row: len(rows) == len(monos) + 2)
+        # a nonzero G(F) has degree e·D, so it cannot vanish on a grid with
+        # more than e·D values per coordinate
+        points = _relation_points(forms[0].nvars, e * forms[0].degree())
+        rows = [row(next(points)) for _ in range(len(monos) + 2)]
         while True:
-            relations = []
+            nrows, relations = len(rows), []
             for v in kernel(ScalarMatrix(rows)):
                 vec = primitive_vector(v)
                 G = Polynomial(len(forms), {m: c for m, c in zip(monos, vec) if c})
                 relation = PolarRelation.from_partials(G, forms, span)
-                if relation is None:
-                    # a row where G(F) ≠ 0 takes G out of the kernel
-                    read(lambda row: sum(map(operator.mul, row, vec)))
-                    break
-                relations.append((vec, relation))
-            else:
+                if relation is not None:
+                    relations.append((vec, relation))
+                    continue
+                # a row where G(F) ≠ 0 takes G out of the kernel
+                rows.append(next(r for r in map(row, points) if sum(map(operator.mul, r, vec))))
+            if len(rows) == nrows:
                 break
         if relations:
             # columns run graded-lex descending, so preferring support on the

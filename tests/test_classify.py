@@ -262,10 +262,9 @@ MONOMIAL_CURVES = [
 ]
 
 
-def _agrees_with_implicitization(exponents, g, degree):
+def _agrees_with_implicitization(expected, g, degree):
     """g has the degree and, up to scale, the equation sympy eliminates,
     with coprime integers and a positive leading coefficient."""
-    expected = _sympy_implicit(exponents)
     assert degree == expected.total_degree()
     got = sympy.Poly(sum(c * sympy.Mul(*(zi**k for zi, k in zip(expected.gens, e))) for e, c in g.as_dict().items()), *expected.gens)
     assert sympy.expand(got.as_expr() * expected.LC() - expected.as_expr() * got.LC()) == 0
@@ -275,14 +274,14 @@ def _agrees_with_implicitization(exponents, g, degree):
 @pytest.mark.parametrize("exponents", MONOMIAL_CURVES)
 def test_least_relation_agrees_with_implicitization(exponents):
     rel = least_relation([Polynomial(2, {e: 1}) for e in exponents], UNIT_3, 6)
-    _agrees_with_implicitization(exponents, rel.g, rel.degree)
+    _agrees_with_implicitization(_sympy_implicit(exponents), rel.g, rel.degree)
 
 
 @pytest.mark.parametrize("exponents", MONOMIAL_CURVES)
 def test_the_curve_kernel_agrees_with_implicitization(exponents):
     # the same curves as binary images q' in (x3, x4), through the curve stage
     curve = p4_plane_curve_check(_binary_image([Polynomial(5, {(0, 0, 0, *e): 1}) for e in exponents]))
-    _agrees_with_implicitization(exponents, curve.curve, curve.curve_degree)
+    _agrees_with_implicitization(_sympy_implicit(exponents), curve.curve, curve.curve_degree)
 
 
 def test_the_curve_kernel_refuses_a_reducible_image():
@@ -658,7 +657,6 @@ def test_analyze_finishes_on_a_degree_257_form():
 ORACLE_FORMS = {
     **{f"gn-4,2,1,2,1,3-seed{seed}": random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed).f for seed in range(5)},
     "perazzo-quintic": PERAZZO_QUINTIC,
-    "deg-M-6": DEGREE_6_M,
     "degree-257": parse("x0*x3^256 + x1*x3^128*x4^128 + x2*x4^256"),
     "dense-paper-cubic": _dense(PAPER_CUBIC),
 }
@@ -673,7 +671,7 @@ def _least_relation_curve(psi):
 
 @pytest.mark.parametrize("name", list(ORACLE_FORMS))
 def test_the_curve_kernel_agrees_with_the_least_relation(name):
-    # the p4 suite's GN draws, the curves past degree 6, a sparse form of
+    # the p4 suite's GN draws, the Perazzo quintic, a sparse form of
     # degree 257 and a dense conjugate: the kernel on the binary image and
     # the sampled search on q have one equation, normalized alike
     f = ORACLE_FORMS[name]
@@ -681,6 +679,27 @@ def test_the_curve_kernel_agrees_with_the_least_relation(name):
     curve = _curve(f, psi)
     relation = _least_relation_curve(psi)
     assert (curve.curve, curve.curve_degree) == (relation.g, relation.degree)
+
+
+def _sympy_resultant_curve(image):
+    """The curve of a binary image q' in (x3, x4), by elimination: at
+    x3 = 1, Res_t(z1·q0 − z0·q1, z2·q0 − z0·q2) is a power of z0 times a
+    power of the curve's equation, as a sympy Poly in z."""
+    t, *z = sympy.symbols("t z0:3")
+    q = [sum(c * t ** m[4] for m, c in qj.as_dict().items()) for qj in image]
+    resultant = sympy.resultant(z[1] * q[0] - z[0] * q[1], z[2] * q[0] - z[0] * q[2], t)
+    [curve] = [p for p, _ in sympy.factor_list(resultant)[1] if p != z[0]]
+    return sympy.Poly(curve, *z)
+
+
+@pytest.mark.parametrize("f", [PERAZZO_QUINTIC, DEGREE_6_M], ids=["perazzo-quintic", "deg-M-6"])
+def test_the_curve_kernel_agrees_with_a_resultant(f):
+    # the curves past degree 6, against an elimination that reads no point
+    # (the least relation's seeded points repeat a ratio x3 : x4 on the
+    # deg M = 6 form, which costs its search about 15 s)
+    normal = p4_normal_form(f, build_psi(f, find_polar_relation(f)))
+    curve = p4_plane_curve_check(normal)
+    _agrees_with_implicitization(_sympy_resultant_curve(normal.image), curve.curve, curve.curve_degree)
 
 
 @st.composite

@@ -457,58 +457,45 @@ def test_relation_search_matches_symbolic_oracle(f, max_degree, degree):
 
 
 def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
-    # the forms (x0², x1², x0·x1, x2²) with a first batch of 6 + 4 + 2
-    # points on x2 = 0: no two values there are proportional, but the four
-    # monomials in z3 vanish on every row, so the kernel holds four
-    # non-relations besides z0·z1 − z2², and a point off x2 = 0 must be
-    # drawn from the source to take them out
-    forms = [parse(t, nvars=3) for t in ("x0^2", "x1^2", "x0*x1", "x2^2")]
-    unit = tuple(tuple(int(i == j) for i in range(4)) for j in range(4))
-    source, drawn, sizes = psi_module._relation_points, [], []
+    # every point of each first batch is (1, …, 1): the evaluation matrix has
+    # rank 1, its kernel holds non-relations, and each one that fails its
+    # certificate must draw a further point from the source
+    expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    w_dim = len(sample_kernels(PAPER_CUBIC).span)
+    assert w_dim == 3
+    source = psi_module._relation_points
+    draws = []
 
     def degenerate_first(nvars, width):
-        yield from ((1, i, 0) for i in range(1, 13))
-        for point in source(nvars, width):
-            drawn.append(point)
-            yield point
-
-    def spy(matrix):
-        basis = kernel(matrix)
-        sizes.append(len(basis))
-        return basis
+        e = width // (PAPER_CUBIC.degree() - 1)
+        batch = math.comb(w_dim - 1 + e, e) + 2
+        points = source(nvars, width)
+        for k in range(batch):
+            draws.append(e)
+            yield (1,) * nvars
+        while True:
+            draws.append(e)
+            yield next(points)
 
     monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
-    monkeypatch.setattr(psi_module, "kernel", spy)
-    rel = least_relation(forms, unit, 2)
-    assert rel.g.to_string("z") == "z0*z1 - z2^2"
-    assert sizes[0] == 5 and sizes[-1] == 1
-    assert any(point[2] for point in drawn)
-
-
-def test_relation_search_skips_a_point_whose_value_repeats(monkeypatch):
-    # on the paper cubic's forms (x3², 2·x3·x4, x4²), the values at
-    # (1, …, 1), (2, …, 2) and (5, 7, 1, 3, 3) are proportional and those
-    # at (1, 1, 1, 0, 0) zero: only the first is read, and the search finds
-    # the relation it finds on the plain source, from rows no two of which
-    # are proportional
-    expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
-    source, matrices = psi_module._relation_points, []
-
-    def repeating_first(nvars, width):
-        yield from [(1,) * nvars, (2,) * nvars, (1, 1, 1, 0, 0), (5, 7, 1, 3, 3)] * 3
-        yield from source(nvars, width)
-
-    def spy(matrix):
-        matrices.append(matrix.entries)
-        return kernel(matrix)
-
-    monkeypatch.setattr(psi_module, "_relation_points", repeating_first)
-    monkeypatch.setattr(psi_module, "kernel", spy)
     rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
     assert (rel.g, rel.degree, rel.parts) == (expected.g, expected.degree, expected.parts)
-    rows = matrices[0]
-    assert rows[0] == [1, 2, 1, 4, 2, 1]
-    assert len({primitive_vector(row) for row in rows}) == len(rows) == 8
+    # the search starts at degree 2 and draws no degree-1 point; it runs on
+    # the three forms ⟨w_j, ∇f⟩, so the degree-2 batch holds 6 + 2
+    # points, and rank 1 leaves a kernel of dimension 5, so at least 4 more
+    # rows are needed
+    assert draws.count(1) == 0
+    assert draws.count(2) >= 8 + 4
+
+
+def test_least_relation_ends_on_one_form_and_on_proportional_forms():
+    # every value vector lies on one line: one form has no relation of
+    # degree 2 or 3, two proportional forms have (2·z0 − z1)·(2·z0 + z1),
+    # and a W too small to hold a relation hides it rather than faking one
+    assert least_relation([parse("x0^2", nvars=2)], ((1,),), 3) is None
+    rel = least_relation([parse("x0^2", nvars=2), parse("2*x0^2", nvars=2)], ((1, 0), (0, 1)), 3)
+    assert rel.g.to_string("z") == "4*z0^2 - z1^2"
+    assert find_polar_relation(PAPER_CUBIC, span=((1, 0, 0, 0, 0),)) is None
 
 
 def _in_row_space(rows, q):
