@@ -4,11 +4,11 @@ Every Hessian verdict comes from H_f at seeded points.  `analyze` then tries
 exact certificates of a vanishing verdict in order of cost: the cone vertex,
 a polar relation and det H_f ≡ 0 under DETERMINANT_BUDGET monomial
 products, which alone bounds it.  With a relation, it runs the identity
-battery on ψ_g, all symbolic, samples the ψ_g and polar images for the
-`image` and `polar_image` blocks, and on P^4 certifies the normal form and
-then the plane curve off ψ_g itself; a failed P^4 stage exits 4 as
-`classification.<stage>`.  `generate`, `catalog` and the gn suite stop at
-the cone vertex.
+battery on ψ_g, all symbolic, and on P^4 certifies the normal form and then
+the plane curve off ψ_g itself; a failed P^4 stage exits 4 as
+`classification.<stage>`.  No report block is a sample: `analyze` evaluates
+∇f at no point, and --seed reaches its results only through the H_f sample.
+`generate`, `catalog` and the gn suite stop at the cone vertex.
 
 `parse_args` reads argv against one table, FLAGS, with exact flag names:
 `--flag value` or `--flag=value`, where a value may start with '-'.
@@ -45,20 +45,12 @@ from .hessian import (
     symbolic_determinant,
 )
 from .poly import parse
-from .psi import (
-    DEFAULT_MAX_RELATION_DEGREE,
-    build_psi,
-    find_polar_relation,
-    sample_image,
-    sample_polar_image,
-)
+from .psi import DEFAULT_MAX_RELATION_DEGREE, build_psi, find_polar_relation
 from .reports import (
-    IMAGE_SAMPLES,
     SCHEMA,
     cone_block,
     gn_entry,
     hessian_block,
-    image_block,
     p4_classification,
     psi_block,
     psi_identity_battery,
@@ -196,8 +188,6 @@ def cmd_analyze(args):
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
             results["identity_checks"], failed = psi_identity_battery(f, psi)
-            results["image"] = image_block(sample_image(psi, IMAGE_SAMPLES, args.seed))
-            results["polar_image"] = image_block(sample_polar_image(f, IMAGE_SAMPLES, args.seed))
             if n1 == 5:
                 results["classification"], stages = p4_classification(f, psi)
                 failed += [f"classification.{stage}" for stage in stages]
@@ -240,7 +230,7 @@ def cmd_verify(args):
     elif args.suite == "gn":
         block = {"gn": run_gn_suite(args.count, args.seed)}
     elif args.suite == "psi":
-        block = {"psi": run_psi_suite(args.seed, mutate=args.mutate)}
+        block = {"psi": run_psi_suite(mutate=args.mutate)}
     elif args.suite == "p4":
         block = {"p4": run_p4_suite(args.seed)}
     else:

@@ -12,11 +12,12 @@ points alone.  This is the only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex, a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
-det H_f ≡ 0 expanded under DETERMINANT_BUDGET, whatever the size of H_f,
-later makes a vanishing verdict exact.  The matrix of second partials is built only for that determinant.
-The symbolic determinant, by minor expansion over memoized column subsets,
-serves that certificate alone; its
-memo, `ColumnMinors`, also gives `gn` the minors of its ψ-rows and the
+det H_f ≡ 0 later makes a vanishing verdict exact.
+
+That last certificate is the symbolic determinant, expanded by minors over
+memoized column subsets (`ColumnMinors`) under DETERMINANT_BUDGET monomial
+products, whatever the size of H_f; the matrix of second partials is built
+for it alone.  The same memo gives `gn` the minors of its ψ-rows and the
 scalar minors of its constant rows.
 """
 

@@ -22,9 +22,11 @@ kept the same way, so every caller of one form shares one copy.
 integers, integer gcd, reconstruction from symmetric digits), on keys.  It
 accepts a result only after exact trial division and draws larger points
 until one passes, which always happens; the comment above ``_primitive_ints``
-proves both.  Results are monic.  One fold runs trial divisions over a
-list, GCDHEU only where the gcd so far fails to divide, and the one re-check
-of its cofactors; only ``gcd_cofactors`` keeps them, and only ``psi`` calls it.
+proves both.  One fold runs trial divisions over a list, GCDHEU only where
+the gcd so far fails to divide, and the one re-check of its cofactors; only
+``gcd_cofactors`` keeps them, and only ``psi`` calls it.  ``gcd`` and
+``gcd_list`` return the monic gcd; ``gcd_cofactors`` returns the fold's own,
+with coprime integer coefficients and a positive leading one.
 ``binary_gcd`` is one univariate Euclid on binary forms; ``repeated_root``
 asks it for the gcd of a binary form's partials, and ``is_reduced`` asks
 that of f on a seeded line.  ``binary_quotient`` divides binary forms
@@ -1178,13 +1180,14 @@ def gcd(a, b):
 
 
 def gcd_cofactors(polys):
-    """(ρ, [p/ρ for p in polys]) for ρ the monic gcd of polys, not all zero,
-    from `_gcd_fold`; ρ is made monic once, at the end."""
+    """(ρ, [p/ρ for p in polys]) for ρ the gcd of polys, not all zero, as
+    `_gcd_fold` holds it: coprime integer coefficients, the leading one
+    made positive."""
     g, cofactors = _gcd_fold(polys)
-    quotients, lc = iter(cofactors), g[max(g)]
-    # p = content(p)·g·q_p, and ρ = g/lc(g)
-    return _new(polys[0].nvars, g).monic(), [
-        _new(p.nvars, next(quotients)).scale(rational_content(p.coefficients()) * lc) if p else p
+    quotients, sign = iter(cofactors), 1 if g[max(g)] > 0 else -1
+    # p = content(p)·g·q_p, and ρ = sign·g
+    return _new(polys[0].nvars, g).scale(sign), [
+        _new(p.nvars, next(quotients)).scale(rational_content(p.coefficients()) * sign) if p else p
         for p in polys
     ]
 

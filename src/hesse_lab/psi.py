@@ -21,7 +21,7 @@ one product, and the lines one composition P∘L over the span of the image
 (`check_fiber_lines`).
 Exact samples of the ψ_g and polar images at integer points (`sample_image`,
 `sample_polar_image`, ∇f read in one pass per point by `gradient_at`) are
-report content only.
+test oracles only: no report block samples either image.
 """
 
 from __future__ import annotations
@@ -165,10 +165,8 @@ class PsiMap(NamedTuple):
 class SampledSet(NamedTuple):
     """Exact sampled stand-in for a locus defined only as a closure."""
 
-    label: str
     points: tuple                 # normalized projective points
     preimages: tuple              # parallel provenance (() when not applicable)
-    seed: int
 
     def reverify(self, psi):
         """Each stored image point must equal ψ of its stored preimage."""
@@ -257,9 +255,6 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     if not all(forms):
         raise DomainError("⟨w, ∇f⟩ ≡ 0 for a row w of W: V(f) is a cone with vertex w")
     factor, reduced = gcd_cofactors(forms)
-    content = rational_content(factor.coefficients())
-    if content != 1:
-        factor, reduced = factor.scale(1 / content), [q.scale(content) for q in reduced]
     relation = least_relation(reduced, span, max_degree)
     return relation._replace(factor=factor) if relation else None
 
@@ -344,7 +339,7 @@ def check_invariance(forms, psi):
     ]
 
 
-def _sample_values(values, nvars, count, seed, stream, label):
+def _sample_values(values, nvars, count, seed, stream):
     """Distinct primitive-integer values of the map x -> values(x) at seeded
     integer points, skipping points where every component vanishes.  The
     preimage of every value is stored alongside it.
@@ -365,7 +360,7 @@ def _sample_values(values, nvars, count, seed, stream, label):
         seen.add(norm)
         points.append(norm)
         preimages.append(pt)
-    return SampledSet(label=label, points=tuple(points), preimages=tuple(preimages), seed=seed)
+    return SampledSet(points=tuple(points), preimages=tuple(preimages))
 
 
 def sample_image(psi, count, seed):
@@ -373,9 +368,7 @@ def sample_image(psi, count, seed):
     stored with its preimage.  Errors only if no image point is found at
     all (ψ_g undefined generically).
     """
-    image = _sample_values(
-        lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image", "S*_Z image"
-    )
+    image = _sample_values(lambda pt: [hi.evaluate(pt) for hi in psi.h], psi.nvars, count, seed, "image")
     if count > 0 and not image.points:
         raise SampleBudgetError("ψ_g is undefined at every sampled point")
     return image
@@ -386,9 +379,7 @@ def sample_polar_image(f, count, seed):
     locus Z(f) sampled through `gradient_at`, skipping singular points."""
     if not f or f.degree() < 1:
         raise DomainError("polar map needs a nonzero polynomial of degree >= 1")
-    image = _sample_values(
-        lambda pt: gradient_at(f, pt), f.nvars, count, seed, "polar_image", "Z(f) image"
-    )
+    image = _sample_values(lambda pt: gradient_at(f, pt), f.nvars, count, seed, "polar_image")
     if count > 0 and not image.points:
         raise SampleBudgetError("the polar map vanished at every sampled point")
     return image

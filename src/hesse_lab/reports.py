@@ -5,8 +5,8 @@ serialized as grammar strings, matrices as row-major arrays of strings, and
 rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 The identity battery and the P^4 stages read ψ_g itself and sample
 nothing: the normal form alone decides whether ψ_g's image spans Π, and the
-plane curve is read off the binary image it certified; the `image` and `polar_image`
-blocks are IMAGE_SAMPLES-point samples, report content only.
+plane curve is read off the binary image it certified.  No block samples
+ψ_g's image or the polar image.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from .psi import (
     check_fiber_lines,
     check_invariance,
     find_polar_relation,
-    sample_image,
 )
 
-SCHEMA = "hesse-lab/9"
-
-IMAGE_SAMPLES = 12  # points of the `image` and `polar_image` report blocks
+SCHEMA = "hesse-lab/10"
 
 PAPER_CUBIC_TEXT = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -102,15 +99,6 @@ def invariance_entry(result):
         "derivative_zero": result.derivative_zero,
         "invariant": result.invariant,
         "agree": result.agree,
-    }
-
-
-def image_block(image):
-    return {
-        "label": image.label,
-        "count": len(image.points),
-        "points": [vector_strs(q) for q in image.points],
-        "seed": image.seed,
     }
 
 
@@ -263,9 +251,9 @@ def _mutated(psi):
     return psi._replace(h=(h1, h0, *h), coordinates=(q1, q0, *q))
 
 
-def run_psi_suite(seed, mutate=False, paper_cubic=None):
-    """The ψ_g identity battery on the paper cubic's ψ_g, with a sample of
-    its image; `mutate` corrupts this suite's own ψ_g, so the suite fails."""
+def run_psi_suite(mutate=False, paper_cubic=None):
+    """The ψ_g identity battery on the paper cubic's ψ_g; `mutate` corrupts
+    this suite's own ψ_g, so the suite fails."""
     f, rel, psi = paper_cubic or _paper_cubic()
     block = {"relation": relation_block(rel)}
     ok = rel is not None and rel.degree == 2
@@ -273,7 +261,6 @@ def run_psi_suite(seed, mutate=False, paper_cubic=None):
         psi = _mutated(psi)
     block["psi"] = psi_block(psi)
     block["checks"], failed = psi_identity_battery(f, psi)
-    block["image"] = image_block(sample_image(psi, IMAGE_SAMPLES, seed))
     # a generic linear form must fail BOTH sides of the equivalence together
     x0 = parse("x0", nvars=5)
     [neg] = check_invariance([x0], psi)
@@ -339,7 +326,7 @@ def run_all_suites(count, seed, mutate=False):
     blocks = {
         "lowdim": run_lowdim_suite(count, seed),
         "gn": run_gn_suite(count, seed, draw=draw),
-        "psi": run_psi_suite(seed, mutate=mutate, paper_cubic=paper_cubic),
+        "psi": run_psi_suite(mutate=mutate, paper_cubic=paper_cubic),
         "p4": run_p4_suite(seed, instances=3, draw=draw, paper_cubic=paper_cubic),
     }
     blocks["ok"] = all(b["ok"] for b in blocks.values())

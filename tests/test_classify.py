@@ -31,7 +31,7 @@ from hesse_lab.fields import substream
 from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, binary_gcd, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
-from hesse_lab.reports import IMAGE_SAMPLES, p4_classification, run_p4_suite
+from hesse_lab.reports import p4_classification, run_p4_suite
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 # x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5: a non-cone whose ψ_g image is a plane
@@ -558,7 +558,7 @@ def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
     f = PAPER_CUBIC if seed is None else random_instance(skel, seed).f
     psi = build_psi(f, find_polar_relation(f))
-    shuffled = list(sample_image(psi, IMAGE_SAMPLES, 0).points)
+    shuffled = list(sample_image(psi, 12, 0).points)
     random.Random(f"shuffle {seed}").shuffle(shuffled)
     curve, basis = _curve(f, psi), psi.relation.span
     assert curve.ok and basis == reduced_row_basis(shuffled)

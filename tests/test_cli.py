@@ -660,9 +660,10 @@ def test_no_form_is_decided_twice(tmp_path, monkeypatch):
         assert repeated == [], argv
         if argv[0] == "analyze":
             # f's verdict comes from its H_f sample, f is cone-tested once,
-            # and the P^4 normal form decides no other form
+            # the P^4 normal form decides no other form, and no report
+            # block samples the polar image
             per_function = Counter(name for name, _ in calls.elements())
-            assert per_function == Counter(hessian_vanishes=0, cone_test=1, sample_polar_image=1)
+            assert per_function == Counter(hessian_vanishes=0, cone_test=1, sample_polar_image=0)
 
 
 def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
@@ -686,7 +687,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, gradient_points",
-    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 12), (PAPER_CUBIC, 12)],
+    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 0), (PAPER_CUBIC, 0)],
     ids=["gn-7,4,1,2,1,6", "paper-cubic"],
 )
 def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
@@ -694,8 +695,8 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
     # table are built on first use and kept, ψ_g is read off the gcd's
     # cofactors with no division, and the relation search starts at degree
     # 2, as degree 1 is the cone test's.  The search reads the forms
-    # ⟨w_j, ∇f⟩ themselves and the battery samples nothing, so ∇f is read
-    # only at the 12 points of the `polar_image` block
+    # ⟨w_j, ∇f⟩ themselves, the battery samples nothing and no report block
+    # samples the polar image, so ∇f is read at no point
     f = parse(text)
     calls = Counter()
     partial, term_table = Polynomial.partial, Polynomial.term_table
@@ -902,9 +903,9 @@ def test_p4_suite_samples_no_image(tmp_path, monkeypatch):
     assert counts == []
 
 
-def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
-    # the psi suite samples the paper cubic's image for its `image` block;
-    # the battery and the p4 suite sample none
+def test_verify_all_samples_no_image(tmp_path, monkeypatch):
+    # the psi suite's battery and the p4 suite read ψ_g itself, and no
+    # report block samples its image
     counts = []
     original = psi.sample_image
 
@@ -914,12 +915,12 @@ def test_verify_all_samples_the_paper_cubic_image_once(tmp_path, monkeypatch):
 
     _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1")[0] == 0
-    assert counts == [reports.IMAGE_SAMPLES]
+    assert counts == []
 
 
-def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
-    # the `image` block is one IMAGE_SAMPLES draw; the battery and, on P^4,
-    # the plane-curve stage read ψ_g itself: the conic of its binary image
+def test_analyze_draws_no_psi_image(tmp_path, monkeypatch):
+    # the battery and, on P^4, the plane-curve stage read ψ_g itself: the
+    # conic of its binary image; no report block samples the image
     counts = []
     original = psi.sample_image
 
@@ -929,10 +930,27 @@ def test_analyze_draws_the_psi_image_once(tmp_path, monkeypatch):
 
     _patch_everywhere(monkeypatch, original, counted)
     code, doc = run(tmp_path, "analyze", "--poly", PAPER_CUBIC)
-    assert code == 0 and counts == [reports.IMAGE_SAMPLES]
+    assert code == 0 and counts == []
     r = doc["results"]
-    assert r["image"]["count"] == reports.IMAGE_SAMPLES
+    assert not {"image", "polar_image"} & r.keys()
     assert (r["classification"]["plane_curve"]["curve"], r["classification"]["plane_curve"]["curve_degree"]) == ("z0*z2 - z1^2", 2)
+
+
+@pytest.mark.parametrize(
+    "types", [None, (4, 2, 1, 2, 1, 3), (5, 3, 1, 2, 1, 6), (7, 4, 1, 2, 1, 5), (7, 5, 1, 2, 1, 6)],
+    ids=["paper-cubic", "4,2,1,2,1,3", "5,3,1,2,1,6", "7,4,1,2,1,5", "7,5,1,2,1,6"],
+)
+def test_analyze_results_do_not_depend_on_the_seed(tmp_path, types):
+    # every block is certified: --seed reaches the results only through the
+    # H_f sample, whose verdict, W and certificate agree across seeds here
+    text = PAPER_CUBIC if types is None else _gn_form(*types)
+    results = []
+    for seed in (0, 1, 2, 7):
+        code, doc = run(tmp_path, "analyze", "--poly", text, "--seed", str(seed))
+        assert code == 0 and doc["seeds"] == {"master": seed}
+        results.append(doc["results"])
+    assert all(r == results[0] for r in results[1:])
+    assert results[0]["hessian"]["certificate"] == "polar_relation"
 
 
 def test_witness_with_a_cone_vertex_exit_4(monkeypatch, capsys):

@@ -83,6 +83,15 @@ def test_no_report_carries_a_curve_point_count():
         assert "points_used" not in set(_keys(doc)), name
 
 
+def test_no_report_carries_an_image_sample():
+    # the battery proves ψ_g's image in P(W) and g(∇f) ≡ 0 symbolically, so
+    # a sample of either image certifies nothing: schema hesse-lab/10
+    # dropped the `image` and `polar_image` blocks
+    for name in COMMANDS:
+        doc = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert not {"image", "polar_image"} & set(_keys(doc)), name
+
+
 def _moved(old, new, path="$"):
     """(mark, path) for each JSON key path where new differs from old."""
     if isinstance(old, dict) and isinstance(new, dict):

@@ -17,6 +17,10 @@ TEST_ORACLES = {
     "sing_membership": "exact point membership in Sing V(f); test_cones",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
+    "sample_image": "exact points of ψ_g's image, which the battery certifies in P(W); test_psi, test_classify; "
+    "bench/spans.py traces it by name",
+    "sample_polar_image": "exact points of the polar image, on which g vanishes; test_psi; "
+    "bench/spans.py traces it by name",
     "p4_section_check": "the sampled hyperplane sections that p4_normal_form certifies; test_classify, test_acceptance",
 }
 

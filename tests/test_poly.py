@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.errors import DomainError, ParseError, VariableCountError
-from hesse_lab.fields import norm_coeff, substream
+from hesse_lab.fields import norm_coeff, rational_content, substream
 from hesse_lab import poly as poly_module
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.poly import (
@@ -843,6 +843,12 @@ def cofactor_cases(draw, max_vars=4):
     return [a * Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=3))) for _ in range(count)]
 
 
+def primitive(monic):
+    """A monic gcd as `gcd_cofactors` returns it: coprime integer
+    coefficients, the leading one staying positive."""
+    return monic.scale(1 / rational_content(monic.coefficients()))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(cofactor_cases())
 def test_gcd_cofactors_are_the_exact_quotients_of_the_gcd(polys):
@@ -851,7 +857,7 @@ def test_gcd_cofactors_are_the_exact_quotients_of_the_gcd(polys):
             gcd_cofactors(polys)
         return
     rho, quotients = gcd_cofactors(polys)
-    assert rho == gcd_list(polys)
+    assert rho == primitive(gcd_list(polys))
     assert len(quotients) == len(polys)
     for p, q in zip(polys, quotients):
         assert rho * q == p
@@ -916,9 +922,9 @@ class TopLevelHeuCalls:
 
 
 def check_cofactors_against_sympy(polys):
-    """gcd_cofactors(polys) is sympy's monic gcd with sympy's exact
-    quotients, and runs GCDHEU once per part that the gcd so far does not
-    divide; returns that number of GCDHEU runs."""
+    """gcd_cofactors(polys) is sympy's monic gcd made primitive, with
+    sympy's exact quotients, and runs GCDHEU once per part that the gcd so
+    far does not divide; returns that number of GCDHEU runs."""
     xs = sympy.symbols(f"x0:{polys[0].nvars}")
     exprs = [to_sympy(p, xs) for p in polys]
     running, shrinks = exprs[0], 0
@@ -928,10 +934,10 @@ def check_cofactors_against_sympy(polys):
     with TopLevelHeuCalls() as calls:
         rho, quotients = gcd_cofactors(polys)
     assert calls.count == shrinks
-    assert rho == from_sympy(running, xs).monic()
-    # gcd and gcd_list run the same fold without its cofactors
-    assert gcd_list(polys) == rho
-    assert gcd(*polys[:2]) == gcd_cofactors(polys[:2])[0]
+    assert rho == primitive(from_sympy(running, xs).monic())
+    # gcd and gcd_list run the same fold without its cofactors, and are monic
+    assert gcd_list(polys) == from_sympy(running, xs).monic()
+    assert primitive(gcd(*polys[:2])) == gcd_cofactors(polys[:2])[0]
     for e, q in zip(exprs, quotients):
         quo, rem = sympy.div(e, to_sympy(rho, xs), *xs)
         assert rem == 0 and q == from_sympy(quo, xs)

@@ -227,12 +227,7 @@ def test_sample_image_reverify_rejects_wrong_point(cubic_psi):
     assert len(img.points) == 8
     assert img.reverify(cubic_psi)
     # a stored image point that is not ψ of its stored preimage must be caught
-    bad = SampledSet(
-        label=img.label,
-        points=((1, 1, 1, 0, 0),) + img.points[1:],
-        preimages=img.preimages,
-        seed=img.seed,
-    )
+    bad = SampledSet(points=((1, 1, 1, 0, 0),) + img.points[1:], preimages=img.preimages)
     assert not bad.reverify(cubic_psi)
 
 
