@@ -179,7 +179,7 @@ def cmd_analyze(args):
     }
     code = EXIT_OK
     if verdict.vanishes and not vertex.is_cone and d >= 2:
-        rel = find_polar_relation(f, args.max_relation_degree, sample.span)
+        rel = find_polar_relation(f, sample.span, args.max_relation_degree)
         results["polar_relation"] = relation_block(rel) if rel else None
         results["relation_search"] = relation_search_block(sample, args.max_relation_degree, n1)
         if rel is not None:

@@ -2,13 +2,13 @@
 
 H_f is evaluated exactly at one stream of seeded integer points with
 coordinates in range(N), N = 2^61 - 1, reading H_f(a) straight from the
-terms of f (`hessian_at`); ∇f(a) is read the same way (`gradient_at`), off
-the table of terms each form builds once.  `sample_kernels` reads the rank
-and the exact kernel at each point.  `rank_verdict` reads the verdict on
-h_f ≡ 0 off the ranks: a full-rank point is an exact witness of h_f ≠ 0,
-else "vanishes" carries the Schwartz-Zippel bound (D/N)^t, with t the fewest
-points that put it below 2^-40; `hessian_vanishes` ranks the same first
-points alone.  This is the only verdict path.
+terms of f (`hessian_at`), off the table of terms each form builds once.
+`sample_kernels` reads the rank and the exact kernel at each point.
+`rank_verdict` reads the verdict on h_f ≡ 0 off the ranks: a full-rank
+point is an exact witness of h_f ≠ 0, else "vanishes" carries the
+Schwartz-Zippel bound (D/N)^t, with t the fewest points that put it below
+2^-40; `hessian_vanishes` ranks the same first points alone.  This is the
+only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex, a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
@@ -86,12 +86,12 @@ def hessian_at(f, a):
     gives K = Σ_t c_t·a^(e_t)·(e_t·e_tᵀ − diag e_t) = D·H_f(a)·D with
     D = diag(a): one monomial value per term, from a table of powers, and
     small-integer multiply-adds.  Then H_ij = K_ij / (a_i·a_j) exactly.  At
-    a point with a zero coordinate, row i is ∇(∂_i f)(a), read off the term
-    table of f's kept partial by `gradient_at`."""
+    a point with a zero coordinate, which a seeded point has with probability
+    at most (n+1)/N, H_f(a) is f's kept second partials evaluated."""
     if not f:
         raise DomainError("Hessian of the zero polynomial")
     if not all(a):
-        return ScalarMatrix([gradient_at(fi, a) for fi in f.gradient()])
+        return ScalarMatrix([[g.evaluate(a) for g in fi.gradient()] for fi in f.gradient()])
     n = f.nvars
     top, coeffs, supports = f.term_table()
     powers = _powers(a, top)
@@ -110,35 +110,6 @@ def hessian_at(f, a):
         for j in range(i, n):
             k[i][j] = k[j][i] = _divide(k[i][j], a[i] * a[j]) if k[i][j] else 0
     return ScalarMatrix(k)
-
-
-def gradient_at(f, a):
-    """∇f(a) in one pass over `f.term_table()`.
-
-    Euler's identity on a monomial, x_i·∂_i x^e = e_i·x^e, gives
-    a_i·∂_i f(a) = Σ_t c_t·e_ti·a^(e_t), read from a table of powers and
-    divided by a_i.  At a zero a_i, ∂_i f(a) = Σ_t c_t·e_ti·a^(e_t − ε_i)
-    gets a term only when e_ti = 1 and no other of its variables is zero
-    at a, and such a term adds to no other partial."""
-    top, coeffs, supports = f.term_table()
-    powers = _powers(a, top)
-    k = [0] * f.nvars  # a_i·∂_i f(a) where a_i != 0, ∂_i f(a) where a_i = 0
-    for c, support in zip(coeffs, supports):
-        v, hole = c, None
-        for i, x in support:
-            if a[i]:
-                v *= powers[i][x]
-            elif x == 1 and hole is None:
-                hole = i
-            else:
-                break
-        else:
-            if hole is not None:
-                k[hole] += v
-            else:
-                for i, x in support:
-                    k[i] += v * x
-    return [_divide(h, x) if x and h else norm_coeff(h) for h, x in zip(k, a)]
 
 
 class _OverBudget(Exception):

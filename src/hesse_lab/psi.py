@@ -1,8 +1,9 @@
 """Polar relations, the composed map ψ_g, and the identity battery.
 
 Given f with vanishing Hessian, the partials satisfy a polynomial relation
-g(f_0,…,f_n) = 0, searched for on W, the span of the kernels of H_f, from
-degree 2 on a non-cone, and certified symbolically (`find_polar_relation`).
+g(f_0,…,f_n) = 0, searched for on a given W, the span of the kernels of
+H_f, from degree 2 on a non-cone, and certified symbolically
+(`find_polar_relation`).
 The forms F_j = ⟨w_j, ∇f⟩ on the rows of W often share a factor c; taking
 it out changes no relation, since G(c·F') = c^e·G(F') for G of degree e, so
 the search runs on the F'_j = F_j/c.  The search is the least-degree
@@ -20,8 +21,8 @@ coefficient is the derivative side Σ_j ∂_jP·h_j, a relation's certificate
 one product, and the lines one composition P∘L over the span of the image
 (`check_fiber_lines`).
 Exact samples of the ψ_g and polar images at integer points (`sample_image`,
-`sample_polar_image`, ∇f read in one pass per point by `gradient_at`) are
-test oracles only: no report block samples either image.
+`sample_polar_image`, the kept components or partials evaluated) are test
+oracles only: no report block samples either image.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
-from .hessian import gradient_at, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, reduced_row_basis
 from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
 
@@ -225,7 +225,7 @@ def least_relation(forms, span, max_degree):
     return None
 
 
-def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
+def find_polar_relation(f, span, max_degree=DEFAULT_MAX_RELATION_DEGREE):
     """Smallest-degree relation among the partials, or None up to the cap.
 
     f must not be a cone: a linear relation is D_v f ≡ 0, a vertex v, which
@@ -233,22 +233,20 @@ def find_polar_relation(f, max_degree=DEFAULT_MAX_RELATION_DEGREE, span=None):
     F_j ≡ 0 below (w_j a vertex) raises DomainError.  The polar image is a
     cone over P(W), W the span of the kernels of H_f, so its lowest-degree
     relations are the least relation (`least_relation`) among the k+1 forms
-    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span` (`sample_kernels` at seed 0
-    when None).  A W that is too small can hide a relation but never fake
-    one.  The search runs on F'_j = F_j/c, c their gcd made primitive over
-    Z with a positive leading coefficient, so the F'_j are integral when the
-    F_j are (Gauss): G(F) = c^e·G(F') for G of degree e, so the two families
-    have the same relations, and the same G wins.  The relation carries c,
-    and its certificate is Euler's identity on the F'_j.  The parts
-    (∂_jG)(F') do not all vanish, or a nonzero ∂_jG would be a relation of
-    degree e − 1: a vertex, or one found before.
+    F_j = ⟨w_j, ∇f⟩, w_j the rows of `span`, which the caller samples
+    (`hessian.sample_kernels`).  A W that is too small can hide a relation
+    but never fake one.  The search runs on F'_j = F_j/c, c their gcd made
+    primitive over Z with a positive leading coefficient, so the F'_j are
+    integral when the F_j are (Gauss): G(F) = c^e·G(F') for G of degree e,
+    so the two families have the same relations, and the same G wins.  The
+    relation carries c, and its certificate is Euler's identity on the F'_j.
+    The parts (∂_jG)(F') do not all vanish, or a nonzero ∂_jG would be a
+    relation of degree e − 1: a vertex, or one found before.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
     if not f or not f.is_homogeneous() or f.degree() < 2:
         raise DomainError("expects a homogeneous polynomial of degree >= 2")
-    if span is None:
-        span = sample_kernels(f).span
     if not span:
         return None  # H_f is invertible somewhere, so the partials are independent
     forms = [linear_combination(f.nvars, zip(w, f.gradient())) for w in span]
@@ -376,10 +374,11 @@ def sample_image(psi, count, seed):
 
 def sample_polar_image(f, count, seed):
     """Distinct exact points of the polar map's image: the tangent-hyperplane
-    locus Z(f) sampled through `gradient_at`, skipping singular points."""
+    locus Z(f) sampled through f's kept partials, skipping singular points."""
     if not f or f.degree() < 1:
         raise DomainError("polar map needs a nonzero polynomial of degree >= 1")
-    image = _sample_values(lambda pt: gradient_at(f, pt), f.nvars, count, seed, "polar_image")
+    gradient = f.gradient()
+    image = _sample_values(lambda pt: [fi.evaluate(pt) for fi in gradient], f.nvars, count, seed, "polar_image")
     if count > 0 and not image.points:
         raise SampleBudgetError("the polar map vanished at every sampled point")
     return image

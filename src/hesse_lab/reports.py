@@ -6,7 +6,9 @@ rationals as "num/den" strings, so a fixed seed yields byte-identical JSON.
 The identity battery and the P^4 stages read ψ_g itself and sample
 nothing: the normal form alone decides whether ψ_g's image spans Π, and the
 plane curve is read off the binary image it certified.  No block samples
-ψ_g's image or the polar image.
+ψ_g's image or the polar image.  The suites hand the relation search W,
+sampled at seed 0 (`hessian.sample_kernels`), and the p4 suite names a
+cone draw off the vertex its draw already computed.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import functools
 
 from .classify import low_dim_hesse_suite, p4_normal_form, p4_plane_curve_check
-from .errors import DomainError
 from .gn import GNSkeleton, core_multiplicity, random_instance
-from .hessian import hessian_vanishes
+from .hessian import hessian_vanishes, sample_kernels
 from .poly import parse
 from .psi import (
     DEFAULT_MAX_RELATION_DEGREE,
@@ -38,10 +39,6 @@ GN_SUITE_SKELETONS = (
 )
 
 
-def scalar_str(c):
-    return str(c)
-
-
 def vector_strs(v):
     return [str(c) for c in v]
 
@@ -52,7 +49,7 @@ def hessian_block(verdict):
         "certificate": verdict.certificate,
         "trials": verdict.trials,
         "sample_range": verdict.sample_range,
-        "error_bound": scalar_str(verdict.error_bound),
+        "error_bound": str(verdict.error_bound),
         "degree_bound": verdict.degree_bound,
     }
 
@@ -179,8 +176,8 @@ def _draw(skel, seed):
 
 
 def _relation_and_psi(f):
-    """The polar relation of f and its ψ_g, or (None, None)."""
-    rel = find_polar_relation(f)
+    """The polar relation of f on its seed-0 W and its ψ_g, or (None, None)."""
+    rel = find_polar_relation(f, sample_kernels(f).span)
     return rel, build_psi(f, rel) if rel is not None else None
 
 
@@ -206,7 +203,7 @@ def gn_entry(skel, seed, draw=_draw):
         "mu": inst.mu,
         "seed": seed,
         "vanishes": verdict.vanishes,
-        "error_bound": scalar_str(verdict.error_bound),
+        "error_bound": str(verdict.error_bound),
         "is_cone": inst.vertex.is_cone,
         "core_multiplicity": core_multiplicity(inst),
     }
@@ -292,15 +289,13 @@ def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
     def inputs():
         yield ("paper_cubic", *(paper_cubic or _paper_cubic()))
         for i in range(instances):
-            name, f = f"gn_421_3_seed{seed + i}", draw(skel, seed + i).f
-            try:
-                found = _relation_and_psi(f)
-            except DomainError:
-                # on a form of degree >= 2 the relation search and ψ_g
-                # refuse only a cone, which another `draw` may return
+            name, inst = f"gn_421_3_seed{seed + i}", draw(skel, seed + i)
+            if inst.vertex.is_cone:
+                # the relation search and ψ_g need a non-cone, which
+                # another `draw` need not return
                 violations.append(f"{name}: V(f) is a cone")
                 continue
-            yield (name, f, *found)
+            yield (name, inst.f, *_relation_and_psi(inst.f))
 
     for name, f, rel, psi in inputs():
         if rel is None:

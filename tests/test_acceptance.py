@@ -35,7 +35,8 @@ from hesse_lab.hessian import (
 )
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
-from hesse_lab.psi import build_psi, find_polar_relation, least_relation
+from hesse_lab.psi import build_psi, least_relation
+from conftest import sampled_relation
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -197,7 +198,7 @@ def test_criterion_6_p4_classification_evidence(gn_batches):
     ):
         inputs.append((name, gn_batches[skel][seed].f))
     for name, f in inputs:
-        rel = find_polar_relation(f, max_degree=4)
+        rel = sampled_relation(f, max_degree=4)
         if rel is None:
             failures.append(f"{name}: no relation")
             continue

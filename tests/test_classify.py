@@ -23,15 +23,16 @@ from hesse_lab.classify import (
     p4_plane_curve_check,
     p4_section_check,
 )
-from hesse_lab.cones import VertexSubspace
+from hesse_lab.cones import VertexSubspace, cone_test
 from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.fields import substream
 from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, binary_gcd, linear_combination, parse, repeated_root
-from hesse_lab.psi import build_psi, find_polar_relation, least_relation, sample_image
+from hesse_lab.psi import build_psi, least_relation, sample_image
 from hesse_lab.reports import p4_classification, run_p4_suite
+from conftest import sampled_relation
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 # x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5: a non-cone whose ψ_g image is a plane
@@ -42,7 +43,7 @@ PERAZZO_QUINTIC = _X[0] * _X[3] ** 5 + _X[1] * _X[4] ** 5 + _X[2] * (_X[3] + _X[
 
 @pytest.fixture(scope="module")
 def cubic_psi():
-    return build_psi(PAPER_CUBIC, find_polar_relation(PAPER_CUBIC, max_degree=2))
+    return build_psi(PAPER_CUBIC, sampled_relation(PAPER_CUBIC, max_degree=2))
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +226,7 @@ def test_the_certified_curve_vanishes_on_the_image_coordinates(form):
     # C(q_0, q_1, q_2) ≡ 0 by one composition, apart from the Euler
     # certificate, and the curve is the one the interpolation recorded
     f = PAPER_CUBIC if form is None else random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     curve = _curve(f, psi)
     assert curve.ok
     assert curve.curve.compose(_coordinates(psi)).is_zero()
@@ -384,7 +385,7 @@ def test_the_section_oracle_sees_the_tangent_lines_of_the_normal_form(form):
         f = PAPER_CUBIC if form is None else _dense(PAPER_CUBIC)
     else:
         f = random_instance(GNSkeleton(*map(int, form[0].split(","))), form[1]).f
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     normal = p4_normal_form(f, psi)
     assert normal.ok, normal.violation
     report = p4_section_check(f, psi, p4_plane_curve_check(normal), chart_count=5, seed=0)
@@ -412,7 +413,7 @@ def test_p4_normal_form_of_the_perazzo_quintic():
     # mu = 1 and M = (x3^5, x4^5, (x3 + x4)^5): the cross product of the
     # derivatives of q' is −32·x3³x4³(x3 + x4)³ times M, and the gcd keeps the
     # powers of both coordinates; the curve has the degree of q', 8
-    psi = build_psi(PERAZZO_QUINTIC, find_polar_relation(PERAZZO_QUINTIC))
+    psi = build_psi(PERAZZO_QUINTIC, sampled_relation(PERAZZO_QUINTIC))
     report = p4_normal_form(PERAZZO_QUINTIC, psi)
     curve = p4_plane_curve_check(report)
     assert curve.ok and curve.curve_degree == 8 == psi.h[0].degree()
@@ -477,7 +478,7 @@ def test_p4_normal_form_certifies_gn_draws_and_their_dense_conjugates(skeleton, 
     if dense:
         a = random_invertible(5, substream(seed, "conjugate"))
         f = f.compose([Polynomial.linear_form(row) for row in a.entries])
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     report = p4_normal_form(f, psi)
     assert report.ok, report.violation
     assert report.mu == instance.mu
@@ -557,7 +558,7 @@ def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
     # vanishes at the sample's coordinates in it; seed None is the paper cubic
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
     f = PAPER_CUBIC if seed is None else random_instance(skel, seed).f
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     shuffled = list(sample_image(psi, 12, 0).points)
     random.Random(f"shuffle {seed}").shuffle(shuffled)
     curve, basis = _curve(f, psi), psi.relation.span
@@ -580,7 +581,7 @@ def test_the_plane_basis_is_w_basis_in_analyze(form, capsys):
 
 def test_p4_pipeline_on_gn_instance():
     inst = random_instance(GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3), seed=0)
-    psi = build_psi(inst.f, find_polar_relation(inst.f, max_degree=4))
+    psi = build_psi(inst.f, sampled_relation(inst.f, max_degree=4))
     curve = _curve(inst.f, psi)
     assert curve.ok and curve.curve_degree <= 6
     sections = p4_section_check(inst.f, psi, curve, chart_count=5, seed=0)
@@ -606,7 +607,8 @@ def test_p4_suite_certifies_a_curve_past_the_old_cap(monkeypatch):
     # a degree-5 relation, and its ψ_g image is a plane curve of degree 8,
     # which the search reaches at its cap, the degree of the q_j
     shapes = _kernel_shapes(monkeypatch)
-    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=PERAZZO_QUINTIC))
+    draw = types.SimpleNamespace(f=PERAZZO_QUINTIC, vertex=cone_test(PERAZZO_QUINTIC))
+    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: draw)
     assert report["ok"] is True and report["violations"] == []
     case = report["cases"][1]
     assert case["plane_curve"]["curve_degree"] == 8
@@ -675,7 +677,7 @@ def test_the_curve_kernel_agrees_with_the_least_relation(name):
     # degree 257 and a dense conjugate: the kernel on the binary image and
     # the sampled search on q have one equation, normalized alike
     f = ORACLE_FORMS[name]
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     curve = _curve(f, psi)
     relation = _least_relation_curve(psi)
     assert (curve.curve, curve.curve_degree) == (relation.g, relation.degree)
@@ -697,7 +699,7 @@ def test_the_curve_kernel_agrees_with_a_resultant(f):
     # the curves past degree 6, against an elimination that reads no point
     # (the least relation's seeded points repeat a ratio x3 : x4 on the
     # deg M = 6 form, which costs its search about 15 s)
-    normal = p4_normal_form(f, build_psi(f, find_polar_relation(f)))
+    normal = p4_normal_form(f, build_psi(f, sampled_relation(f)))
     curve = p4_plane_curve_check(normal)
     _agrees_with_implicitization(_sympy_resultant_curve(normal.image), curve.curve, curve.curve_degree)
 
@@ -728,7 +730,7 @@ def test_the_curve_of_a_normal_form_draw(drawn):
     # no cusp (∂_3M × ∂_4M coprime)
     f, e = drawn
     try:
-        relation = find_polar_relation(f)
+        relation = sampled_relation(f)
         assume(relation is not None)
         psi = build_psi(f, relation)
     except DomainError:
@@ -746,10 +748,11 @@ def test_the_curve_of_a_normal_form_draw(drawn):
 
 
 def test_p4_suite_reports_a_cone_draw():
-    # the relation search refuses the vertex rows of W of x0^3 + x1^3; the
-    # suite names the cone instead of raising
+    # the draw's cone test finds the vertex of x0^3 + x1^3; the suite names
+    # the cone and runs no relation search on it
     cone = parse("x0^3 + x1^3", nvars=5)
-    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: types.SimpleNamespace(f=cone))
+    draw = types.SimpleNamespace(f=cone, vertex=cone_test(cone))
+    report = run_p4_suite(0, instances=1, draw=lambda skel, seed: draw)
     assert report["ok"] is False
     assert report["violations"] == ["gn_421_3_seed0: V(f) is a cone"]
     assert [case["input"] for case in report["cases"]] == ["paper_cubic"]

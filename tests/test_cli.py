@@ -22,6 +22,7 @@ from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from conftest import sampled_relation
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -157,6 +158,24 @@ def test_analyze_non_homogeneous_or_zero_exit_3_with_reason(capsys):
     assert "nonzero homogeneous: terms of degrees 1, 2 occur" in capsys.readouterr().err
     assert main(["analyze", "--poly", "0", "--no-timings"]) == 3
     assert "nonzero homogeneous: the polynomial is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, name, value, options, reason",
+    [
+        (psi, "gcd_list", "x0 + x1", (), "components h_i still share a factor"),
+        (cli, "symbolic_determinant", "x0", ("--max-relation-degree", "1"),
+         "det H_f is nonzero, against the sampled verdict"),
+    ],
+    ids=["components-share-a-factor", "determinant-against-the-verdict"],
+)
+def test_analyze_internal_check_exit_4_with_reason(module, name, value, options, reason, monkeypatch, capsys):
+    # the checks of `analyze` that valid input cannot reach, forced by a stub
+    # for the gcd of ψ_g's coordinates or for det H_f, exit 4 with their
+    # reason and no traceback
+    monkeypatch.setattr(module, name, lambda *args: parse(value, nvars=5))
+    assert main(["analyze", "--poly", PAPER_CUBIC, *options, "--no-timings"]) == 4
+    assert capsys.readouterr().err == f"internal check violation: {reason}\n"
 
 
 @pytest.mark.parametrize("text", ["2", "7/3", "x0 - x0 - 5", "-7/3"])
@@ -686,11 +705,11 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, gradient_points",
-    [(random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), 0), (PAPER_CUBIC, 0)],
+    "text",
+    [random_instance(GNSkeleton(7, 4, 1, 2, 1, 6), seed=0).f.to_string("x"), PAPER_CUBIC],
     ids=["gn-7,4,1,2,1,6", "paper-cubic"],
 )
-def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_points):
+def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text):
     # `analyze` derives each object of f once: its n+1 partials and its term
     # table are built on first use and kept, ψ_g is read off the gcd's
     # cofactors with no division, and the relation search starts at degree
@@ -698,26 +717,29 @@ def test_analyze_call_counts_are_pinned(tmp_path, monkeypatch, text, gradient_po
     # ⟨w_j, ∇f⟩ themselves, the battery samples nothing and no report block
     # samples the polar image, so ∇f is read at no point
     f = parse(text)
-    calls = Counter()
-    partial, term_table = Polynomial.partial, Polynomial.term_table
+    calls, partials = Counter(), []
+    partial, term_table, evaluate = Polynomial.partial, Polynomial.term_table, Polynomial.evaluate
 
     def counted_partial(self, i):
-        calls["partial"] += self == f
-        return partial(self, i)
+        result = partial(self, i)
+        if self == f:
+            calls["partial"] += 1
+            partials.append(result)
+        return result
 
     def counted_table(self):
         calls["table_build"] += self._table is None and self == f
         return term_table(self)
 
-    def counted_gradient(*args, _original=hessian.gradient_at):
-        calls["gradient_at"] += 1
-        return _original(*args)
+    def counted_evaluate(self, point):
+        calls["partial_evaluated"] += any(self is p for p in partials)
+        return evaluate(self, point)
 
     monkeypatch.setattr(Polynomial, "partial", counted_partial)
     monkeypatch.setattr(Polynomial, "term_table", counted_table)
-    _patch_everywhere(monkeypatch, hessian.gradient_at, counted_gradient)
+    monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
     assert run(tmp_path, "analyze", "--poly", text)[0] == 0
-    assert calls == Counter(partial=f.nvars, table_build=1, gradient_at=gradient_points)
+    assert calls == Counter(partial=f.nvars, table_build=1, partial_evaluated=0)
     assert not hasattr(Polynomial, "exact_div")
 
 
@@ -730,7 +752,7 @@ def test_p4_classification_call_counts_are_pinned(monkeypatch, dense):
     if dense:
         a = random_invertible(f.nvars, substream(0, "dense"))
         f = f.compose([Polynomial.linear_form(row) for row in a.entries])
-    found = psi.build_psi(f, psi.find_polar_relation(f))
+    found = psi.build_psi(f, sampled_relation(f))
     calls, original = Counter(), linalg.rank
 
     def counted(*args, **kwargs):
@@ -820,9 +842,7 @@ def _invariants(doc):
 def test_analyze_is_coordinate_free(tmp_path, text):
     # every field compared is a projective invariant, so analyze(f) and
     # analyze(f∘A) agree for invertible A; each text names every variable,
-    # since parse infers the variable count from the largest index.  The
-    # sampled ψ_g image points of a GN form have zero coordinates and those
-    # of a dense conjugate have none, so both paths of gradient_at run
+    # since parse infers the variable count from the largest index
     f = parse(text)
     a = random_invertible(f.nvars, substream(0, "dense"))
     g = f.compose([Polynomial.linear_form(row) for row in a.entries])

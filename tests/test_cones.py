@@ -25,6 +25,7 @@ from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_matrix, symbolic_determinant
 from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from conftest import sampled_relation
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 
@@ -308,14 +309,14 @@ def test_projection_lemma_mutation_control():
 
 def test_psi_identities_survive_coordinate_change():
     # projective equivalence preserves the whole vanishing-Hessian package
-    from hesse_lab.psi import build_psi, check_invariance, find_polar_relation
+    from hesse_lab.psi import build_psi, check_invariance
 
     rng = substream(5, "equiv")
     a = random_invertible(5, rng)
     g = apply_linear_change(PAPER_CUBIC, a)
     assert symbolic_determinant(hessian_matrix(g)).is_zero()
     assert not cone_test(g).is_cone
-    rel = find_polar_relation(g, max_degree=4)
+    rel = sampled_relation(g, max_degree=4)
     assert rel is not None and rel.degree == 2
     psi = build_psi(g, rel)
     # H_g·h ≡ 0 row by row: the derivative side for each partial g_i

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from hesse_lab import hessian
 from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
 from hesse_lab.fields import DEFAULT_PRIME
-from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import (
     ColumnMinors,
-    gradient_at,
     hessian_at,
     hessian_matrix,
     hessian_vanishes,
@@ -383,65 +381,3 @@ def test_hessian_at_a_point_with_zero_coordinates_matches_the_matrix_oracle(case
     got = hessian_at(f, a).entries
     assert got == expected
     assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
-
-
-def _evaluated_partials(f, a):
-    return [p.evaluate(a) for p in f.gradient()]
-
-
-def _assert_gradient_matches(f, a):
-    expected = _evaluated_partials(f, a)
-    got = gradient_at(f, a)
-    assert got == expected
-    assert list(map(type, got)) == list(map(type, expected))
-    # a second call reads the table the form kept
-    table = f.term_table()
-    assert gradient_at(f, a) == expected
-    assert f.term_table() is table
-
-
-@pytest.mark.parametrize("text", [
-    "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2",
-    "x0^3 + x1^3 + x2^3 + x3^3 + x4^3",
-    "x0^4*x1 - 3*x1^2*x2^3 + 7*x0*x1*x2*x3*x4 - x4^5",
-])
-@pytest.mark.parametrize("a", [
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1),
-    (1, 0, 2, 0, -3),
-    (-3, 2, -1, -7, 5),
-    (1, 1, 1, 1, 1),
-])
-def test_gradient_at_zero_negative_and_all_one_points(text, a):
-    # a zero coordinate reads e_i·a^(e−ε_i) off the power table, a point
-    # without one divides Euler's a_i·∂_i f(a) by a_i
-    _assert_gradient_matches(parse(text, nvars=5), a)
-
-
-def test_gradient_at_a_gn_form():
-    f = random_instance(GNSkeleton(4, 2, 1, 2, 1, 4), seed=0).f
-    for a in [(0, 1, 0, -2, 3), (2, -1, 3, -4, 5), (1, 1, 1, 1, 1)]:
-        _assert_gradient_matches(f, a)
-
-
-@pytest.mark.parametrize("b", [64, 200, 1000])
-def test_gradient_at_kronecker_sized_coordinates(b):
-    # a fiber-line point w + 2^B·q has coordinates of B bits and more
-    f = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
-    w, q = (-4, 2, -1, 0, 0), (1, 1, 1, 0, 0)
-    _assert_gradient_matches(f, [x + (y << b) for x, y in zip(w, q)])
-    _assert_gradient_matches(f, [3 + (1 << b), -(1 << b), 5, (1 << b) - 1, 7 << b])
-
-
-def test_gradient_at_fraction_coefficients():
-    f = parse("1/2*x0^2*x1 - 3/7*x2^3")
-    for a in [(0, 0, 0), (2, 0, 7), (0, 3, 0), (-1, 4, 2), (1, 1, 1), (14, 1, 0)]:
-        _assert_gradient_matches(f, a)
-    # ∇f = (x0·x1, x0^2/2, -9/7·x2^2)
-    assert gradient_at(f, (1, 1, 1)) == [1, Fraction(1, 2), Fraction(-9, 7)]
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(forms_and_points())
-def test_gradient_at_equals_the_evaluated_partials(case):
-    _assert_gradient_matches(*case)

@@ -149,15 +149,25 @@ def test_the_cone_test_works_on_keys():
     assert offenders == []
 
 
+def _imports_from(module, target):
+    """Line numbers of the imports in module that name module target."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == target
+        or isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.split(".")[-1] == target for a in node.names)
+    ]
+
+
 def test_classify_imports_nothing_from_psi():
     # the P^4 curve is one exact kernel on the normal form's binary image,
     # not the polar-relation search: classify reads ψ_g only through the
     # PsiMap it is handed
-    tree = ast.parse((SRC / "classify.py").read_text())
-    offenders = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "psi"
-        or isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.split(".")[-1] == "psi" for a in node.names)
-    ]
-    assert offenders == []
+    assert _imports_from("classify", "psi") == []
+
+
+def test_psi_imports_nothing_from_hessian():
+    # the relation search runs on the W its caller sampled, and the
+    # polar-image oracle evaluates f's kept partials: psi reads no Hessian
+    assert _imports_from("psi", "hessian") == []

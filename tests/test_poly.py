@@ -36,7 +36,7 @@ from hesse_lab.poly import (
     monomials_of_degree,
     parse,
 )
-from hesse_lab.psi import find_polar_relation
+from conftest import sampled_relation
 
 PAPER_CUBIC = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -994,12 +994,12 @@ def test_gcd_builds_no_quotient_polynomial(monkeypatch):
 def test_gcd_cofactors_runs_gcdheu_only_where_the_gcd_shrinks():
     # the paper cubic's parts 4·x4^2, -4·x3·x4, 4·x3^2: gcd x4 after two,
     # which x3^2 refuses, so GCDHEU runs for each later part
-    parts = find_polar_relation(parse(PAPER_CUBIC), max_degree=2).parts
+    parts = sampled_relation(parse(PAPER_CUBIC), max_degree=2).parts
     with TopLevelHeuCalls() as calls:
         rho, _ = gcd_cofactors(parts)
     assert (rho, calls.count) == (1, 2)
     # a ladder rung's five parts: ρ after two, which divides the other three
-    parts = find_polar_relation(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).f).parts
+    parts = sampled_relation(random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).f).parts
     with TopLevelHeuCalls() as calls:
         rho, _ = gcd_cofactors(parts)
     assert (len(parts), rho.degree(), calls.count) == (5, 2, 1)

@@ -39,6 +39,7 @@ from hesse_lab.psi import (
     least_relation,
     sample_image,
 )
+from conftest import sampled_relation
 from test_acceptance import _image_coordinates
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -60,12 +61,12 @@ def from_parts(rel):
 
 @pytest.fixture(scope="module")
 def cubic_psi():
-    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    rel = sampled_relation(PAPER_CUBIC, max_degree=2)
     return build_psi(PAPER_CUBIC, rel)
 
 
 def test_polar_relation_paper_cubic():
-    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    rel = sampled_relation(PAPER_CUBIC, max_degree=2)
     assert rel is not None
     assert rel.degree == 2
     # oracle: (2*x3*x4)^2 - 4*(x3^2)*(x4^2) = 0, so g ~ y1^2 - 4*y0*y2
@@ -85,7 +86,7 @@ def test_relation_and_psi_compose_each_g_i_once(monkeypatch):
         return compose(self, args)
 
     monkeypatch.setattr(Polynomial, "compose", counted)
-    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    rel = sampled_relation(PAPER_CUBIC, max_degree=2)
     psi = build_psi(PAPER_CUBIC, rel)
     assert len(calls) == 4
     assert psi.relation is rel
@@ -104,7 +105,7 @@ def test_certificate_by_euler_rejects_a_non_relation():
 
 
 def test_polar_relation_none_for_fermat():
-    assert find_polar_relation(parse("x0^3 + x1^3 + x2^3"), max_degree=3) is None
+    assert sampled_relation(parse("x0^3 + x1^3 + x2^3"), max_degree=3) is None
 
 
 def test_build_psi_refuses_the_degree_1_relation_of_a_cone():
@@ -239,7 +240,7 @@ def test_sample_image_values_agree_with_evaluate(draw):
         f = PAPER_CUBIC
     else:
         f = random_instance(GNSkeleton(4, 2, 1, 2, 1, 3), seed=draw).f
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     image = sample_image(psi, count=30, seed=draw or 0)
     assert len(image.points) == 30
     assert image.reverify(psi)
@@ -367,15 +368,15 @@ def test_fiber_lines_lambda_zero_trivial(cubic_psi):
 
 def test_find_polar_relation_preconditions():
     with pytest.raises(DomainError):
-        find_polar_relation(PAPER_CUBIC, max_degree=0)
+        sampled_relation(PAPER_CUBIC, max_degree=0)
     with pytest.raises(DomainError):
-        find_polar_relation(parse("x0 + x1"), max_degree=2)
+        sampled_relation(parse("x0 + x1"), max_degree=2)
 
 
 def test_build_psi_on_a_six_variable_sextic():
     # the gcd of its three quintic g_i never returned under the primitive PRS
     f = random_instance(GNSkeleton(5, 2, 1, 2, 1, 6), seed=0).f
-    rel = find_polar_relation(f, max_degree=2)
+    rel = sampled_relation(f, max_degree=2)
     psi = build_psi(f, rel)
     assert (psi.rho.degree(), len(psi.rho)) == (3, 28)
     g = g_partials(f, rel)
@@ -443,7 +444,7 @@ def test_relation_search_matches_symbolic_oracle(f, max_degree, degree):
         assert expected[1] == 1
         assert u in {tuple(primitive_vector(v)) for v in cone_test(f).basis}
         return
-    rel = find_polar_relation(f, max_degree=max_degree)
+    rel = sampled_relation(f, max_degree=max_degree)
     if degree is None:
         assert expected is None and rel is None
         return
@@ -455,7 +456,7 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
     # every point of each first batch is (1, …, 1): the evaluation matrix has
     # rank 1, its kernel holds non-relations, and each one that fails its
     # certificate must draw a further point from the source
-    expected = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    expected = sampled_relation(PAPER_CUBIC, max_degree=2)
     w_dim = len(sample_kernels(PAPER_CUBIC).span)
     assert w_dim == 3
     source = psi_module._relation_points
@@ -473,7 +474,7 @@ def test_relation_search_adds_rows_at_degenerate_points(monkeypatch):
             yield next(points)
 
     monkeypatch.setattr(psi_module, "_relation_points", degenerate_first)
-    rel = find_polar_relation(PAPER_CUBIC, max_degree=2)
+    rel = sampled_relation(PAPER_CUBIC, max_degree=2)
     assert (rel.g, rel.degree, rel.parts) == (expected.g, expected.degree, expected.parts)
     # the search starts at degree 2 and draws no degree-1 point; it runs on
     # the three forms ⟨w_j, ∇f⟩, so the degree-2 batch holds 6 + 2
@@ -556,7 +557,7 @@ def test_w_and_relation_degree_are_coordinate_free(f):
     conj_span = sample_kernels(g, seed=1).span
     assert len(conj_span) == len(span)
     assert reduced_row_basis([[sum(x * y for x, y in zip(row, w)) for row in a.entries] for w in conj_span]) == span
-    assert find_polar_relation(g).degree == find_polar_relation(f).degree
+    assert sampled_relation(g).degree == sampled_relation(f).degree
 
 
 def test_dense_direct_sum_searches_once_on_w(monkeypatch):
@@ -573,7 +574,7 @@ def test_dense_direct_sum_searches_once_on_w(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(psi_module, "find_polar_relation", counted)
-    rel = psi_module.find_polar_relation(f)
+    rel = psi_module.find_polar_relation(f, sample_kernels(f).span)
     assert len(calls) == 1
     assert rel.degree == 2 and rel.certificate.is_zero()
     assert rel.g.compose(f.gradient()).is_zero()
@@ -586,7 +587,7 @@ def test_relation_search_refuses_a_cone_whose_w_row_is_a_vertex():
     # W is a vertex, so the search refuses f instead of returning a relation
     # whose parts all vanish
     with pytest.raises(DomainError, match="cone"):
-        find_polar_relation(parse("x0^3 + x1^3", nvars=5))
+        sampled_relation(parse("x0^3 + x1^3", nvars=5))
 
 
 def test_build_psi_refuses_a_relation_whose_parts_all_vanish():
@@ -630,7 +631,7 @@ def test_build_psi_rechecks_each_cofactor_in_integers(monkeypatch):
     # cofactor it returns with a wrong leading coefficient fails the fold's
     # integer re-check g·b = p
     f = _gn("6,3,1,2,1,6")
-    rel = find_polar_relation(f)
+    rel = sampled_relation(f)
     corrupted = _corrupt_heu_cofactors(monkeypatch)
     with pytest.raises(InternalCheckError, match="g·b != p"):
         build_psi(f, rel)
@@ -657,7 +658,7 @@ def small_gn_forms(draw):
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(small_gn_forms())
 def test_psi_from_cofactors_matches_the_sympy_gcd(f):
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     g = g_partials(f, psi.relation)
     for gi, hi in zip(g, psi.h):
         assert psi.rho * hi == gi
@@ -675,7 +676,7 @@ def test_psi_from_cofactors_matches_the_sympy_gcd(f):
 def test_psi_carries_its_coordinates_on_w(f):
     # h = Σ_j q_j·w_j exactly, the q_j are h read off W's pivots up to one
     # positive scale, and they share no factor
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     span, qs = psi.relation.span, psi.coordinates
     assert len(qs) == len(span)
     assert psi.h == tuple(linear_combination(f.nvars, zip((w[i] for w in span), qs)) for i in range(f.nvars))
@@ -710,7 +711,7 @@ def _unreduced_route(f):
 def test_taking_out_the_common_factor_changes_neither_g_nor_psi(f):
     # most small draws have c = 1; the examples have a linear c, the same
     # in dense position, and a cubic c
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     assert (psi.relation.g, psi.rho, psi.h) == _unreduced_route(f)
 
 
@@ -718,7 +719,7 @@ def test_rho_carries_the_factor_to_the_power_e_minus_1():
     # the seed-0 4,2,1,4,1,9 has a relation of degree 6 and a quadric c,
     # so ρ = c^5·ρ'
     f = _gn("4,2,1,4,1,9")
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     assert (psi.relation.degree, psi.relation.factor.degree()) == (6, 2)
     assert (psi.relation.g, psi.rho, psi.h) == _unreduced_route(f)
 
@@ -730,7 +731,7 @@ def test_taking_out_the_common_factor_rechecks_each_cofactor(monkeypatch):
     f = _gn("4,2,1,2,1,4")
     corrupted = _corrupt_heu_cofactors(monkeypatch)
     with pytest.raises(InternalCheckError, match="g·b != p"):
-        find_polar_relation(f)
+        sampled_relation(f)
     assert corrupted
 
 
@@ -752,7 +753,7 @@ def test_the_search_and_the_fold_run_on_the_reduced_forms(monkeypatch):
 
     monkeypatch.setattr(psi_module, "least_relation", spy_search)
     monkeypatch.setattr(psi_module, "gcd_cofactors", spy_fold)
-    rel = find_polar_relation(f)
+    rel = sampled_relation(f)
     build_psi(f, rel)
     assert rel.factor.degree() == 3
     assert searched == [{2}]
@@ -772,7 +773,7 @@ def test_the_swapped_psi_passes_fiber_lines_and_fails_the_battery(cubic_psi):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(small_gn_forms())
 def test_fiber_lines_hold_on_gn_draws_and_dense_conjugates(f):
-    psi = build_psi(f, find_polar_relation(f))
+    psi = build_psi(f, sampled_relation(f))
     assert _fiber_line_halves(f, psi) == (True, True)
     assert check_fiber_lines(f, psi)
 
