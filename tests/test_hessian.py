@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hesse_lab import hessian
 from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
 from hesse_lab.fields import DEFAULT_PRIME
+from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import (
     ColumnMinors,
     hessian_at,
@@ -381,3 +382,88 @@ def test_hessian_at_a_point_with_zero_coordinates_matches_the_matrix_oracle(case
     got = hessian_at(f, a).entries
     assert got == expected
     assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
+
+
+def _evaluated_partials(f, a):
+    return [p.evaluate(a) for p in f.gradient()]
+
+
+def _assert_hessian_matches(f, a):
+    expected = _second_partials_at(f, a)
+    got = hessian_at(f, a).entries
+    assert got == expected
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
+    # Euler's identity on each first partial: H_f(a)·a = (d − 1)·∇f(a)
+    d = f.degree()
+    assert [sum(h * x for h, x in zip(row, a)) for row in got] == [
+        (d - 1) * g for g in _evaluated_partials(f, a)
+    ]
+    # a second call reads the table the form kept
+    table = f.term_table()
+    assert hessian_at(f, a).entries == expected
+    assert f.term_table() is table
+
+
+@pytest.mark.parametrize("text", [
+    "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2",
+    "x0^3 + x1^3 + x2^3 + x3^3 + x4^3",
+    "x0^4*x1 - 3*x1^2*x2^3 + 7*x0*x1*x2*x3*x4 - x4^5",
+])
+@pytest.mark.parametrize("a", [
+    (0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1),
+    (1, 0, 2, 0, -3),
+    (-3, 2, -1, -7, 5),
+    (1, 1, 1, 1, 1),
+])
+def test_hessian_at_zero_negative_and_all_one_points(text, a):
+    # a zero coordinate evaluates the kept second partials, a point without
+    # one divides Euler's a_i·a_j·∂_i∂_j f(a) by a_i·a_j
+    _assert_hessian_matches(parse(text, nvars=5), a)
+
+
+def test_hessian_at_a_gn_form():
+    f = random_instance(GNSkeleton(4, 2, 1, 2, 1, 4), seed=0).f
+    for a in [(0, 1, 0, -2, 3), (2, -1, 3, -4, 5), (1, 1, 1, 1, 1)]:
+        _assert_hessian_matches(f, a)
+
+
+@pytest.mark.parametrize("b", [64, 200, 1000])
+def test_hessian_at_kronecker_sized_coordinates(b):
+    # a fiber-line point w + 2^B·q has coordinates of B bits and more
+    f = PAPER_CUBIC
+    w, q = (-4, 2, -1, 0, 0), (1, 1, 1, 0, 0)
+    _assert_hessian_matches(f, [x + (y << b) for x, y in zip(w, q)])
+    _assert_hessian_matches(f, [3 + (1 << b), -(1 << b), 5, (1 << b) - 1, 7 << b])
+
+
+def test_hessian_at_fraction_coefficients():
+    f = parse("1/2*x0^2*x1 - 3/7*x2^3")
+    for a in [(0, 0, 0), (2, 0, 7), (0, 3, 0), (-1, 4, 2), (1, 1, 1), (14, 1, 0)]:
+        _assert_hessian_matches(f, a)
+    # H_f = [[x1, x0, 0], [x0, 0, 0], [0, 0, -18/7·x2]]
+    assert hessian_at(f, (1, 1, 1)).entries == [[1, 1, 0], [1, 0, 0], [0, 0, Fraction(-18, 7)]]
+
+
+@st.composite
+def homogeneous_forms_and_points(draw):
+    """(f, a): a nonzero form in 1-4 variables of degree 2-5 with int or
+    Fraction coefficients, and an integer point that often has zero
+    coordinates."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 5))
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
+    terms = draw(st.dictionaries(
+        st.sampled_from(monomials_of_degree(n, d)), coeff, min_size=1, max_size=6
+    ))
+    point = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-50, 50), st.integers(-DEFAULT_PRIME, DEFAULT_PRIME)),
+        min_size=n, max_size=n,
+    ))
+    return Polynomial(n, terms), point
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(homogeneous_forms_and_points())
+def test_hessian_at_times_the_point_is_the_scaled_gradient(case):
+    _assert_hessian_matches(*case)
