@@ -11,10 +11,12 @@ whose minors every Q_ℓ shares.  Each ψ-row entry is (∂h_i/∂y_j)(ψ), one
 memo over those rows, the memo that also gives the scalar minors of the
 constant rows.  The M_{ℓ,i} of one ℓ are linear combinations of the minors,
 read off one table of their coefficients (`poly.linear_combinations`), and
-so is their annihilation check.  The output form is
+so is their annihilation check, and Q_ℓ = Σ_i x_i·M_{ℓ,i} is a sum of key
+offsets (`times_variable`).  The output form is
 f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
-(k, d-k·s), and it always has vanishing Hessian; `compose` applies the tail
-variables as key offsets and runs Horner over the Q_ℓ alone.
+(k, d-k·s), and it always has vanishing Hessian; `poly.substitute_forms`
+makes the tail variables key offsets and spends one packed product in the
+Q_ℓ per z-degree of Σ_k P_k.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .hessian import ColumnMinors
 # tests/test_bench_targets.py read it; drop it with them at the next change
 # to the benchmark (ROADMAP item 1a).
 from .hessian import symbolic_determinant  # noqa: F401
-from .poly import Polynomial, linear_combination, linear_combinations, monomials_of_degree
+from .poly import Polynomial, linear_combination, linear_combinations, monomials_of_degree, substitute_forms
 
 RETRY_BUDGET = 8
 
@@ -222,7 +224,6 @@ def build_Q(params):
     rows = [[h.partial(j).compose(psi) for h in params.h_forms] for j in range(m + 1)]
     b_minor = ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
     minors = [b_minor(sum(1 << j for j in T)) for T in subsets]
-    xs = [Polynomial.variable(n1, i) for i in cols]
     # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
     plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
@@ -237,7 +238,7 @@ def build_Q(params):
             for u, r, sg in terms:
                 w[u] = sg * a_minor(r)
         ms = tuple(linear_combinations(n1, weights, minors))
-        q = linear_combination(n1, ((1, x * mi) for x, mi in zip(xs, ms)))
+        q = linear_combination(n1, ((1, mi.times_variable(i)) for i, mi in enumerate(ms)))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
         if any(linear_combinations(n1, a_rows, ms)):
@@ -259,10 +260,8 @@ def build_f(params):
     qs, cofactors, s = build_Q(params)
     n1 = params.n + 1
     mu = params.d // s
-    args = list(qs) + [Polynomial.variable(n1, i) for i in range(params.t + 1, params.n + 1)]
-    # composition is linear, so Σ_k P_k is composed once; the tail variables
-    # are single-term arguments, so Horner runs over the Q_ℓ alone
-    f = sum(params.p_forms[1:], params.p_forms[0]).compose(args)
+    # substitution is linear, so Σ_k P_k is substituted once
+    f = substitute_forms(sum(params.p_forms[1:], params.p_forms[0]), qs, n1)
     if not f:
         raise DegenerateDataError("built form is identically zero")
     if not f.is_homogeneous() or f.degree() != params.d:

@@ -18,6 +18,13 @@ greatest total degree on first use and keeps them; its partials
 (``gradient``) and the table its values are read from (``term_table``) are
 kept the same way, so every caller of one form shares one copy.
 
+``Digits`` packs a family on its index as Σ_k p_k·2^(bits·k) and reads a
+Z-linear image of it back digit by digit.  ``dot`` reads Σ_ℓ x_ℓ·y_ℓ off one
+product of two families so packed, and ``substitute_forms`` expands
+p(Q_1, …, Q_r, tail) with one such product per z-degree of p and the tail
+variables as key offsets.  ``compose`` keeps Horner's rule, as its callers'
+arguments are often packed families already.
+
 ``gcd`` is the heuristic GCDHEU over the integers (evaluation at large
 integers, integer gcd, reconstruction from symmetric digits), on keys.  It
 accepts a result only after exact trial division and draws larger points
@@ -154,6 +161,33 @@ def _horner(terms, args, i):
     return acc
 
 
+def _check_product(a, b):
+    """DomainError when an exponent of a·b, both nonzero, could reach
+    FIELD_LIMIT: below it in total degree no field can carry; beyond it, the
+    largest exponents of each variable decide."""
+    if a.degree() + b.degree() >= FIELD_LIMIT and any(
+        x + y >= FIELD_LIMIT for x, y in zip(a._top_exponents(), b._top_exponents())
+    ):
+        raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
+
+
+def _check_composition(f, args):
+    """DomainError when an exponent of f(args), f nonzero, could reach
+    FIELD_LIMIT.  Both substitution routes keep only products of at most E_i
+    monomials of each args[i], E_i the largest exponent of x_i in f:
+    Horner's a_v^j·F_k(a) in `compose` has j <= k and k + deg F_k <= deg f,
+    and the sums that `substitute_forms` reads off its levels are sums of
+    Q^β·t over terms z^γ·t of f with β <= γ.  So no total degree passes
+    deg f · max deg args, and no y_v exponent passes Σ_i E_i·D_iv, D_iv the
+    largest exponent of y_v in args[i]."""
+    m = args[0].nvars
+    if f.degree() * max((a.degree() for a in args if a._terms), default=0) >= FIELD_LIMIT and any(
+        sum(map(operator.mul, f._top_exponents(), col)) >= FIELD_LIMIT
+        for col in zip(*(a._top_exponents() if a._terms else (0,) * m for a in args))
+    ):
+        raise DomainError(f"a composed exponent could reach {FIELD_LIMIT}")
+
+
 def _new(nvars, keyed):
     """The polynomial with the given key -> coefficient items."""
     p = Polynomial.__new__(Polynomial)
@@ -261,10 +295,6 @@ class Polynomial:
             out.setdefault(k >> s & _FIELD_MASK, []).append(c)
         return out
 
-    def map_coefficients(self, fn):
-        """Σ fn(c)·x^e over the terms c·x^e; terms mapped to 0 drop out."""
-        return _new(self.nvars, {k: fn(c) for k, c in self._terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
@@ -319,19 +349,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def times_variable(self, i):
-        """self·x_i, one key add per term."""
-        return self._times(Polynomial.variable(self.nvars, i))
+        """self·x_i, one key add per term; DomainError where x_i's exponent
+        would reach FIELD_LIMIT."""
+        if not 0 <= i < self.nvars:
+            raise VariableCountError(f"variable index {i} out of range for {self.nvars} variables")
+        layout = _layout(self.nvars)
+        s, unit = layout.offsets[i], layout.units[i]
+        if self.degree() >= _FIELD_MASK and any(k >> s & _FIELD_MASK == _FIELD_MASK for k in self._terms):
+            raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
+        return _new(self.nvars, {k + unit: c for k, c in self._terms.items()})
 
     def _times(self, other):
         self._check_compat(other)
         if not self._terms or not other._terms:
             return Polynomial.zero(self.nvars)
-        # below FIELD_LIMIT in total degree no field can carry; beyond it,
-        # the largest exponents of each variable decide
-        if self.degree() + other.degree() >= FIELD_LIMIT and any(
-            a + b >= FIELD_LIMIT for a, b in zip(self._top_exponents(), other._top_exponents())
-        ):
-            raise DomainError(f"a product exponent would reach {FIELD_LIMIT}")
+        _check_product(self, other)
         return _new(self.nvars, _mul_packed(self._terms, other._terms))
 
     def __pow__(self, e):
@@ -429,16 +461,7 @@ class Polynomial:
             raise VariableCountError("substitution arguments disagree on variable count")
         if not self._terms:
             return Polynomial.zero(m)
-        # Horner forms only monomials of a_v^j·F_k(a), products and offsets
-        # included, with j <= k and k + deg F_k <= deg F: products of at most
-        # E_i monomials of each args[i], E_i the largest exponent of x_i in F.
-        # So no total degree passes deg F · max deg args, and no y_v exponent
-        # passes Σ_i E_i·D_iv, D_iv the largest exponent of y_v in args[i].
-        if self.degree() * max((a.degree() for a in args if a._terms), default=0) >= FIELD_LIMIT and any(
-            sum(map(operator.mul, self._top_exponents(), col)) >= FIELD_LIMIT
-            for col in zip(*(a._top_exponents() if a._terms else (0,) * m for a in args))
-        ):
-            raise DomainError(f"a composed exponent could reach {FIELD_LIMIT}")
+        _check_composition(self, args)
         single = [(v, *next(iter(a._terms.items()))) for v, a in enumerate(args) if len(a._terms) == 1]
         zero = [v for v, a in enumerate(args) if not a._terms]
         # each term of F as (exponents, (key, coefficient)) of what the
@@ -559,6 +582,181 @@ def derivative_rows(f):
                     c = terms.get(mu + u)
                     row.append(c * ((mu >> t & _FIELD_MASK) + 1) if c else 0)
                 yield row
+
+
+# ----------------------------------------------------------------------
+# Kronecker packing on the index of a family: dot products and substitution
+
+
+class Digits:
+    """Kronecker substitution on the index of a family: integer polynomials
+    p_k are packed into Σ_k p_k·2^(bits·k), and a Z-linear image of them is
+    read back digit by digit.  With 2^(bits−1) > bound ≥ |a_k|, a coefficient
+    c = Σ_k a_k·2^(bits·k) of the image has the plain base-2^bits digits
+    a_k + 2^(bits−1) ∈ [1, 2^bits) once offset = Σ_k 2^(bits·k + bits − 1) is
+    added, so a_k = 0 exactly when field k of (c + offset) XOR offset is."""
+
+    def __init__(self, bound, count):
+        self.bits, self.count = bound.bit_length() + 1, count
+        self.offset = sum(1 << (self.bits * k + self.bits - 1) for k in range(count))
+
+    def pack(self, family):
+        return _new(family[0].nvars, self._pack(enumerate(p._terms for p in family)))
+
+    def _pack(self, placed):
+        """Σ 2^(bits·k)·t over the (digit k, term dict t) pairs, each k once
+        and each coefficient of t at most the bound, so no sum is zero."""
+        acc = {}
+        for k, terms in placed:
+            shift = self.bits * k
+            for key, c in terms.items():
+                acc[key] = acc.get(key, 0) + (c << shift)
+        return acc
+
+    def digit(self, packed, k):
+        """Digit k of each coefficient of a packed polynomial."""
+        return _new(packed.nvars, self._digit(packed._terms, k))
+
+    def _digit(self, terms, k):
+        shift, mask, half, offset = self.bits * k, (1 << self.bits) - 1, 1 << (self.bits - 1), self.offset
+        return {key: a for key, c in terms.items() if (a := ((c + offset) >> shift & mask) - half)}
+
+    def nonzero(self, coeffs):
+        """Per digit k < count: whether a_k ≠ 0 in some coefficient."""
+        flags, offset = 0, self.offset
+        for c in coeffs:
+            flags |= (c + offset) ^ offset
+        mask = (1 << self.bits) - 1
+        return [bool(flags >> (self.bits * k) & mask) for k in range(self.count)]
+
+
+def _integral_terms(dicts):
+    """(l, [l·t for t in dicts]) for l the lcm of their denominators."""
+    l = 1
+    for terms in dicts:
+        for c in terms.values():
+            if type(c) is not int:
+                l = math.lcm(l, c.denominator)
+    if l == 1:
+        return 1, dicts
+    return l, [
+        {k: c * l if type(c) is int else c.numerator * (l // c.denominator) for k, c in t.items()} for t in dicts
+    ]
+
+
+def _norm(terms):
+    return sum(map(abs, terms.values()))
+
+
+def _dots(xs, families):
+    """[Σ_ℓ xs[ℓ]·ys[ℓ] for ys in families], for term dicts xs[ℓ] and each
+    family a dict ℓ -> term dict, exactly, from one product.
+
+    Over r = len(xs) ≥ 2, with w = 2r − 1, the product of
+    X = Σ_a xs[a]·2^(bits·a) and Y = Σ_i Σ_ℓ ys_i[ℓ]·2^(bits·(w·i + r − 1 − ℓ))
+    has digit w·i + j the sum Σ_{a − ℓ = j − r + 1} xs[a]·ys_i[ℓ], so digit
+    w·i + r − 1 is family i's dot product, and block i's digits, j < w, meet
+    no other block's.  Both sides are scaled to integers first and the sums
+    divided back.  A digit's sum holds one product per ℓ, so its coefficient
+    at any key is at most max_a ‖xs[a]‖₁·Σ_ℓ ‖ys_i[ℓ]‖₁, wherever its
+    products land: the products with a ≠ ℓ, which are never read, may carry
+    between exponent fields, and only the products read must fit them,
+    which the callers check.  One form (r = 1) is one plain product per
+    family."""
+    if not any(families):
+        return [{} for _ in families]
+    r = len(xs)
+    if r == 1:
+        return [_mul_packed(xs[0], ys[0]) if ys else {} for ys in families]
+    lx, xs = _integral_terms(xs)
+    ly, ints = _integral_terms([t for ys in families for t in ys.values()])
+    ints = iter(ints)
+    families = [dict(zip(ys, ints)) for ys in families]
+    bound = max(map(_norm, xs)) * max(sum(map(_norm, ys.values())) for ys in families)
+    if not bound:
+        return [{} for _ in families]
+    w = 2 * r - 1
+    digits = Digits(bound, w * len(families))
+    product = _mul_packed(
+        digits._pack(enumerate(xs)),
+        digits._pack((w * i + r - 1 - l, t) for i, ys in enumerate(families) for l, t in ys.items()),
+    )
+    sums = [digits._digit(product, w * i + r - 1) for i in range(len(families))]
+    l = lx * ly
+    return sums if l == 1 else [_divided(t, l) for t in sums]
+
+
+def _divided(terms, l):
+    """The term dict terms/l, an int coefficient where l divides it."""
+    out = {}
+    for k, c in terms.items():
+        q, m = divmod(c, l)
+        out[k] = Fraction(c, l) if m else q
+    return out
+
+
+def dot(xs, ys):
+    """Σ_ℓ xs[ℓ]·ys[ℓ] over two families of one length and variable count:
+    digit r − 1 of one product of the families packed on ℓ (`_dots`), exact
+    over Q.  DomainError where some xs[ℓ]·ys[ℓ] would raise it."""
+    if len(xs) != len(ys) or not xs:
+        raise DomainError("dot needs two nonempty families of one length")
+    nvars = xs[0].nvars
+    for x, y in zip(xs, ys):
+        x._check_compat(y)
+        if x.nvars != nvars:
+            raise VariableCountError("dot arguments disagree on variable count")
+        if x._terms and y._terms:
+            _check_product(x, y)
+    return _new(nvars, _dots([x._terms for x in xs], [dict(enumerate(y._terms for y in ys))])[0])
+
+
+def _parent(alpha):
+    """(α − ε_v, v) for v the last variable of a nonzero exponent tuple α."""
+    v = max(i for i, x in enumerate(alpha) if x)
+    return alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:], v
+
+
+def substitute_forms(p, forms, nvars):
+    """p(Q_1, …, Q_r, x_{n−T}, …, x_{n−1}) for p in r + T variables, the
+    z_ℓ and then T tail ones, and forms Q_ℓ in n = nvars variables: the
+    value `compose` gives at those arguments, with one packed product per
+    level in the Q_ℓ.
+
+    Write p = p_0 + Σ_ℓ z_ℓ·r_ℓ, ℓ the first z-variable of each monomial,
+    so p(Q) = p_0 + Σ_ℓ Q_ℓ·r_ℓ(Q), and split each r_ℓ alike in z_ℓ, …, z_r.
+    Each z-exponent α of a term of p, and each one below it on the way, is
+    a node of value V_α = c_α + Σ_{ℓ ≥ last(α)} Q_ℓ·V_{α+ε_ℓ}, with c_α the
+    tail part of p at z^α, whose tail variables become key offsets, and
+    last(α) the last z-variable of α.  The nodes of one z-degree take their
+    sums from one `_dots` product, the deepest first, and p(Q) = V_0.
+    DomainError exactly where `compose` raises it."""
+    r, tail = len(forms), p.nvars - len(forms)
+    if not 0 <= tail <= nvars or any(q.nvars != nvars for q in forms):
+        raise VariableCountError(f"{r} forms in {nvars} variables cannot substitute into {p.nvars} variables")
+    if not p._terms:
+        return Polynomial.zero(nvars)
+    _check_composition(p, [*forms, *(Polynomial.variable(nvars, v) for v in range(nvars - tail, nvars))])
+    units = _layout(nvars).units[nvars - tail:]
+    # levels[j]: node α of z-degree j -> c_α
+    levels = {}
+    for e, c in zip(_layout(p.nvars).unpack(p._terms), p._terms.values()):
+        alpha = e[:r]
+        levels.setdefault(sum(alpha), {}).setdefault(alpha, {})[sum(map(operator.mul, e[r:], units))] = c
+    top = max(levels)
+    for j in range(top, 0, -1):
+        below = levels.setdefault(j - 1, {})
+        for alpha in levels[j]:
+            below.setdefault(_parent(alpha)[0], {})
+    xs, values = [q._terms for q in forms], {}
+    for j in range(top, -1, -1):
+        families = {alpha: {} for alpha in levels[j]}
+        for alpha, value in values.items():
+            parent, v = _parent(alpha)
+            families[parent][v] = value
+        sums = _dots(xs, list(families.values()))
+        values = {alpha: _add_into(s, levels[j][alpha].items()) for alpha, s in zip(families, sums)}
+    return _new(nvars, values[(0,) * r])
 
 
 # ----------------------------------------------------------------------
@@ -997,11 +1195,7 @@ def is_reduced(f, seed=0):
 
 def _primitive_ints(terms):
     """Coprime integer coefficients proportional to the given rationals."""
-    l = 1
-    for c in terms.values():
-        if type(c) is not int:
-            l = math.lcm(l, c.denominator)
-    ints = {k: c * l if type(c) is int else c.numerator * (l // c.denominator) for k, c in terms.items()}
+    ints = _integral_terms([terms])[1][0]
     g = math.gcd(*ints.values())
     return {k: c // g for k, c in ints.items()} if g != 1 else ints
 

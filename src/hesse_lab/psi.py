@@ -16,10 +16,10 @@ Everything the relation implies (translation invariance, the base-locus and
 singular-locus inclusions, fiber cones, the lines joining image points) is
 checked symbolically.  The checks are Z-linear in the form, so a family is
 checked at once on P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit
-k (`_Digits`): the battery costs one expansion P(x + λh), whose λ¹
+k (`poly.Digits`): the battery costs one expansion P(x + λh), whose λ¹
 coefficient is the derivative side Σ_j ∂_jP·h_j, a relation's certificate
-one product, and the lines one composition P∘L over the span of the image
-(`check_fiber_lines`).
+one product (`poly.dot`), and the lines one composition P∘L over the span of
+the image (`check_fiber_lines`).
 Exact samples of the ψ_g and polar images at integer points (`sample_image`,
 `sample_polar_image`, the kept components or partials evaluated) are test
 oracles only: no report block samples either image.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, reduced_row_basis
-from .poly import Polynomial, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
+from .poly import Digits, Polynomial, dot, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
 
 DEFAULT_MAX_RELATION_DEGREE = 8
 
@@ -50,49 +50,10 @@ def _norm(p):
     return sum(map(abs, p.coefficients()))
 
 
-class _Digits:
-    """Kronecker substitution on the index of a family: integer polynomials
-    p_k are packed into Σ_k p_k·2^(bits·k), and a Z-linear image of them is
-    read back digit by digit.  With 2^(bits−1) > bound ≥ |a_k|, a coefficient
-    c = Σ_k a_k·2^(bits·k) of the image has the plain base-2^bits digits
-    a_k + 2^(bits−1) ∈ [1, 2^bits) once offset = Σ_k 2^(bits·k + bits − 1) is
-    added, so a_k = 0 exactly when field k of (c + offset) XOR offset is."""
-
-    def __init__(self, bound, count):
-        self.bits, self.count = bound.bit_length() + 1, count
-        self.offset = sum(1 << (self.bits * k + self.bits - 1) for k in range(count))
-
-    def pack(self, family):
-        return linear_combination(family[0].nvars, ((1 << self.bits * k, p) for k, p in enumerate(family)))
-
-    def digit(self, packed, k):
-        """Digit k of each coefficient of a packed polynomial."""
-        shift, mask, half = self.bits * k, (1 << self.bits) - 1, 1 << (self.bits - 1)
-        return packed.map_coefficients(lambda c: ((c + self.offset) >> shift & mask) - half)
-
-    def nonzero(self, coeffs):
-        """Per digit k < count: whether a_k ≠ 0 in some coefficient."""
-        flags, offset = 0, self.offset
-        for c in coeffs:
-            flags |= (c + offset) ^ offset
-        mask = (1 << self.bits) - 1
-        return [bool(flags >> (self.bits * k) & mask) for k in range(self.count)]
-
-
-def _packed_dot(a, b):
-    """Σ_j a_j·b_j up to a positive scale: digit k of the one product
-    (Σ_j a_j·2^(bits·j))·(Σ_j b_j·2^(bits·(k−j))), whose digit i is
-    Σ_{j−j' = i−k} a_j·b_j', of coefficients at most (Σ_j ‖a_j‖₁)(Σ_j ‖b_j‖₁)."""
-    k = len(a) - 1
-    a, b = _integral(a), _integral(b)
-    digits = _Digits(sum(map(_norm, a)) * sum(map(_norm, b)), 2 * k + 1)
-    return digits.digit(digits.pack(a) * digits.pack(b[::-1]), k)
-
-
 class _Relation(NamedTuple):
     g: Polynomial                 # in y_0..y_n
     degree: int
-    certificate: Polynomial       # Σ_j F'_j·(∂_jG)(F') = e·G(F'), up to a scale; must be zero
+    certificate: Polynomial       # Σ_j F'_j·(∂_jG)(F') = e·G(F'); must be zero
     parts: tuple                  # (∂_jG)(F'), the reduced parts P'_j
     span: tuple                   # the rows w_j
     factor: Polynomial            # c, with F_j = c·F'_j; the constant 1 when nothing is taken out
@@ -127,7 +88,7 @@ class PolarRelation(_Relation):
         G is no relation.  G and the parts are scaled so that g has coprime
         integer coefficients and a positive leading one."""
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
-        euler = _packed_dot(forms, parts)
+        euler = dot(forms, parts)
         if euler:
             return None
         g = G.compose([Polynomial.linear_form(w) for w in span])
@@ -306,7 +267,7 @@ def check_invariance(forms, psi):
     and F(h) ≡ 0; the sides must agree, or the theorem itself is falsified.
 
     All symbolic, read off digit k of one expansion P(x + λ·h(x)) of the
-    packed family P = Σ_k F_k·2^(bits·k) (`_Digits`).  Its λ¹ coefficient is
+    packed family P = Σ_k F_k·2^(bits·k) (`poly.Digits`).  Its λ¹ coefficient is
     Σ_j ∂_jP·h_j (Taylor), and F_k is invariant when digit k vanishes on
     every term of λ-exponent ≥ 1.  F_k is homogeneous, of degree D say, so
     F_k(h) is its λ^D coefficient (Taylor's argument forces it to vanish when
@@ -322,7 +283,7 @@ def check_invariance(forms, psi):
             raise DomainError("F must be homogeneous")
     n1, family, h = psi.nvars, _integral(forms), _integral(psi.h)
     degrees, m = [F.degree() for F in forms], 1 + max(map(_norm, h))
-    digits = _Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
+    digits = Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
     shifted = digits.pack(family).compose([
         Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1).times_variable(n1) for i, hi in enumerate(h)
@@ -394,7 +355,7 @@ def check_fiber_lines(f, psi):
     both loci.
 
     One composition of the packed family P = Σ_k F_k·2^(bits·k) of the
-    nonzero h_i and partials, scaled to integers (`_Digits`): P∘L is
+    nonzero h_i and partials, scaled to integers (`poly.Digits`): P∘L is
     Σ_k (F_k∘L)·2^(bits·k), zero exactly when every F_k∘L is, since a term
     c·x^e of F_k goes to c·Π_i L_i^e_i, of absolute coefficient sum at most
     |c|·M^deg F_k with M = max_i ‖L_i‖₁.
@@ -411,5 +372,5 @@ def check_fiber_lines(f, psi):
     line = [Polynomial.linear_form(column) for column in zip(*basis)]
     family = _integral([p for p in (*psi.h, *f.gradient()) if p])
     m = max(map(_norm, line))
-    digits = _Digits(max(_norm(F) * m ** F.degree() for F in family), len(family))
+    digits = Digits(max(_norm(F) * m ** F.degree() for F in family), len(family))
     return digits.pack(family).compose(line).is_zero()

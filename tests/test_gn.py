@@ -208,6 +208,49 @@ def test_laplace_consistency_fraction_constants(sympy_det):
     _check_laplace(build_f(params), sympy_det)
 
 
+@st.composite
+def composition_params(draw):
+    """GN params with m = 1, 2, hdeg 2-3, psideg 1-2 and μ = 1-3 (μ·s at
+    most 13, so that f stays small), t and n the least the shape allows or
+    one more, small nonzero integer coefficients; or the same data read back
+    through params_from_dict with rational constants."""
+    m, hdeg, psideg = draw(st.sampled_from((1, 2))), draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2)))
+    s = 1 + (m + 1) * (hdeg - 1) * psideg
+    mu = draw(st.integers(1, max(1, min(3, 13 // s))))
+    t = m + 1 + draw(st.integers(0, 1))
+    n = t + m + 1 + draw(st.integers(0, 1))
+    skel = GNSkeleton(n, t, m, hdeg, psideg, mu * s + draw(st.integers(0, min(s - 1, 2))))
+    rng = substream(draw(st.integers(0, 2**16)), "composition-params")
+    params = gn._random_params(skel, lambda: gn._nonzero(rng))
+    if draw(st.booleans()):
+        data = params_to_dict(params)
+        data["a_consts"] = [
+            [[f"{c}/{k + 2}" for k, c in enumerate(row)] for row in block]
+            for block in data["a_consts"]
+        ]
+        params = params_from_dict(data)
+    return params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(composition_params())
+def test_build_f_equals_the_composition_oracle(params):
+    # the oracle composes Σ_k P_k at (Q_1, …, Q_{t−m}, x_{t+1}, …, x_n) by
+    # Horner's rule, the route build_f does not take
+    try:
+        qs = build_Q(params)[0]
+    except DegenerateDataError:
+        return
+    n1 = params.n + 1
+    tail = [Polynomial.variable(n1, i) for i in range(params.t + 1, n1)]
+    oracle = sum(params.p_forms[1:], params.p_forms[0]).compose([*qs, *tail])
+    if not oracle:
+        with pytest.raises(DegenerateDataError):
+            build_f(params)
+    else:
+        assert build_f(params).f == oracle
+
+
 def test_build_Q_rejects_repeated_constant_row():
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
     row = params.a_consts[0][0]

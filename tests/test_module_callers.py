@@ -22,6 +22,8 @@ TEST_ORACLES = {
     "sample_polar_image": "exact points of the polar image, on which g vanishes; test_psi; "
     "bench/spans.py traces it by name",
     "p4_section_check": "the sampled hyperplane sections that p4_normal_form certifies; test_classify, test_acceptance",
+    "Digits.digit": "one member of a packed family read back as a polynomial, which `poly._dots` reads "
+    "on term dicts; test_psi",
 }
 
 

@@ -29,12 +29,14 @@ from hesse_lab.poly import (
     _primitive_ints,
     binary_gcd,
     binary_quotient,
+    dot,
     gcd,
     gcd_cofactors,
     gcd_list,
     is_reduced,
     monomials_of_degree,
     parse,
+    substitute_forms,
 )
 from conftest import sampled_relation
 
@@ -1295,6 +1297,7 @@ def layout_cases(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(layout_cases())
+@example((1, {(FIELD_LIMIT - 1,): 1}, {}))  # x^65535·x: times_variable raises
 def test_packed_layout_matches_the_tuple_oracle(case):
     n, a, b = case
     p, q = Polynomial(n, a), Polynomial(n, b)
@@ -1377,6 +1380,71 @@ def test_packed_compose_matches_sympy_below_the_field_limit(case):
     expected = sympy.expand(to_sympy(f, xs).subs(
         {x: to_sympy(a, zs) for x, a in zip(xs, args)}, simultaneous=True))
     assert sympy.expand(to_sympy(f.compose(args), zs) - expected) == 0
+
+
+@st.composite
+def substitution_cases(draw):
+    """(p, forms, nvars): p of degree at most 3 in r = 0-3 form variables
+    and 0-2 tail ones, forms of degree at most 2 in nvars = 1-4 variables,
+    zero members among them, with int or Fraction coefficients."""
+    r = draw(st.integers(0, 3))
+    tail = draw(st.integers(0 if r else 1, 2))
+    nvars = draw(st.integers(max(tail, 1), 4))
+    coeff = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)).filter(bool)
+    exps = st.lists(st.integers(0, 3), min_size=r + tail, max_size=r + tail).filter(lambda e: sum(e) <= 3)
+    p = Polynomial(r + tail, draw(st.dictionaries(exps.map(tuple), coeff, max_size=5)))
+    form_exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 2)
+    form = st.one_of(
+        st.dictionaries(form_exps.map(tuple), coeff, max_size=4),
+        st.just({}),
+    )
+    return p, [Polynomial(nvars, draw(form)) for _ in range(r)], nvars
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(substitution_cases())
+def test_substitute_forms_matches_compose(case):
+    p, forms, nvars = case
+    tail = p.nvars - len(forms)
+    args = [*forms, *(Polynomial.variable(nvars, v) for v in range(nvars - tail, nvars))]
+    assert substitute_forms(p, forms, nvars) == p.compose(args)
+
+
+def test_substitute_forms_raises_where_compose_does():
+    # z^40000 at Q = 2·x0^2 would reach x0^80000; one term of Q keeps each
+    # of the 40000 levels cheap, so a missing check shows as a wrong answer
+    p = Polynomial(1, {(40000,): 1})
+    q = Polynomial(2, {(2, 0): 2})
+    with pytest.raises(DomainError, match="composed exponent"):
+        p.compose([q])
+    with pytest.raises(DomainError, match="composed exponent"):
+        substitute_forms(p, [q], 2)
+    # a form in another variable count, and three tail variables for two
+    with pytest.raises(VariableCountError):
+        substitute_forms(Polynomial(2, {(1, 1): 1}), [Polynomial.variable(3, 0)], 2)
+    with pytest.raises(VariableCountError):
+        substitute_forms(Polynomial(4, {(1, 1, 1, 1): 1}), [q], 2)
+
+
+def test_substitute_forms_reads_past_a_carry_in_an_unread_product():
+    # p = z0·z1 + z1 at (x0, x1^40000): compose's bound holds (no x1
+    # exponent passes 40000), but the packed product at the root also forms
+    # Q_1·V_{z0} = x1^80000, which carries out of x1's field into a digit
+    # that is never read
+    p = Polynomial(2, {(1, 1): 1, (0, 1): 1})
+    forms = [Polynomial.variable(2, 0), Polynomial(2, {(0, 40000): 1})]
+    expected = Polynomial(2, {(1, 40000): 1, (0, 40000): 1})
+    assert p.compose(forms) == expected
+    assert substitute_forms(p, forms, 2) == expected
+
+
+def test_dot_raises_where_a_product_does():
+    top = Polynomial(1, {(FIELD_LIMIT - 1,): 1})
+    x = Polynomial.variable(1, 0)
+    with pytest.raises(DomainError, match="product exponent"):
+        dot([x, x], [x, top])
+    with pytest.raises(DomainError):
+        dot([x], [x, x])
 
 
 def test_the_field_limit_raises_instead_of_carrying():

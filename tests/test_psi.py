@@ -26,7 +26,7 @@ from hesse_lab.linalg import (
     rank,
     reduced_row_basis,
 )
-from hesse_lab.poly import Polynomial, linear_combination, monomials_of_degree, parse
+from hesse_lab.poly import Digits, Polynomial, dot, linear_combination, monomials_of_degree, parse
 from hesse_lab.psi import (
     DEFAULT_MAX_RELATION_DEGREE,
     PolarRelation,
@@ -829,7 +829,7 @@ def digit_families(draw):
 @given(digit_families())
 def test_digits_read_back_every_packed_coefficient(case):
     bound, family = case
-    digits = psi_module._Digits(bound, len(family))
+    digits = Digits(bound, len(family))
     packed = digits.pack(family)
     for k, p in enumerate(family):
         assert digits.digit(packed, k) == p
@@ -871,7 +871,7 @@ def test_packed_invariance_reads_a_digit_just_under_half_the_base(t):
     # 1·(1 + s) = 2^t − 1, so 2^(bits−1) = 2^t, and the λ·x0 coefficient ±s
     # of ±x2(x + λh) sits just under it beside the zero digits of x0, x1, 0
     s = 2**t - 2
-    assert psi_module._Digits(s + 1, 1).bits - 1 == t
+    assert Digits(s + 1, 1).bits - 1 == t
     x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
     h = (Polynomial.zero(3), Polynomial.zero(3), x0.scale(s))
     forms = [x2, x0, -x2, x1, Polynomial.zero(3), -x2, x0.scale(-1)]
@@ -897,15 +897,15 @@ def dot_cases(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dot_cases())
-def test_packed_dot_is_a_positive_multiple_of_the_expanded_sum(case):
+@example(([Polynomial(3, {(1, 0, 0): 2})], [Polynomial(3, {(0, 1, 0): Fraction(1, 3)})]))  # r = 1
+# Σ_ℓ 9x0·9x0 = 324·x0², exactly the digit bound max_a ‖x_a‖₁·Σ_ℓ ‖y_ℓ‖₁
+@example(([Polynomial(3, {(1, 0, 0): 9})] * 4, [Polynomial(3, {(1, 0, 0): 9})] * 4))
+def test_packed_dot_equals_the_expanded_sum(case):
     a, b = case
-    got = psi_module._packed_dot(a, b)
+    got = dot(a, b)
     expected = sympy.expand(sum((_sympy(x).as_expr() * _sympy(y).as_expr() for x, y in zip(a, b)), 0))
     assert got.is_zero() is (expected == 0)
-    if got:
-        ratio = sympy.Rational(got.leading()[1]) / sympy.Poly(expected, *_SX).LC(order="grlex")
-        assert ratio > 0
-        assert sympy.expand(_sympy(got).as_expr() - ratio * expected) == 0
+    assert sympy.expand(_sympy(got).as_expr() - expected) == 0
 
 
 @st.composite
