@@ -737,22 +737,26 @@ def substitute_forms(p, forms, nvars):
     if not p._terms:
         return Polynomial.zero(nvars)
     _check_composition(p, [*forms, *(Polynomial.variable(nvars, v) for v in range(nvars - tail, nvars))])
-    units = _layout(nvars).units[nvars - tail:]
-    # levels[j]: node α of z-degree j -> c_α
-    levels = {}
-    for e, c in zip(_layout(p.nvars).unpack(p._terms), p._terms.values()):
+    # the tail fields are the lowest of p's keys and of the result's alike,
+    # so a tail monomial keeps them under its own degree field
+    shift, low = FIELD_BITS * p.nvars, (1 << FIELD_BITS * tail) - 1
+    # levels[j]: node α of z-degree j -> c_α; parents[α] = (α − ε_v, v)
+    levels, parents = {}, {}
+    for e, (k, c) in zip(_layout(p.nvars).unpack(p._terms), p._terms.items()):
         alpha = e[:r]
-        levels.setdefault(sum(alpha), {}).setdefault(alpha, {})[sum(map(operator.mul, e[r:], units))] = c
+        j = sum(alpha)
+        levels.setdefault(j, {}).setdefault(alpha, {})[((k >> shift) - j) << FIELD_BITS * nvars | (k & low)] = c
     top = max(levels)
     for j in range(top, 0, -1):
         below = levels.setdefault(j - 1, {})
         for alpha in levels[j]:
-            below.setdefault(_parent(alpha)[0], {})
-    xs, values = [q._terms for q in forms], {}
-    for j in range(top, -1, -1):
+            parents[alpha] = parent, _ = _parent(alpha)
+            below.setdefault(parent, {})
+    xs, values = [q._terms for q in forms], levels[top]
+    for j in range(top - 1, -1, -1):
         families = {alpha: {} for alpha in levels[j]}
         for alpha, value in values.items():
-            parent, v = _parent(alpha)
+            parent, v = parents[alpha]
             families[parent][v] = value
         sums = _dots(xs, list(families.values()))
         values = {alpha: _add_into(s, levels[j][alpha].items()) for alpha, s in zip(families, sums)}
