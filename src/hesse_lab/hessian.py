@@ -3,7 +3,7 @@
 H_f is evaluated exactly at one stream of seeded integer points with
 coordinates in range(N), N = 2^61 - 1, reading H_f(a) straight from the
 terms of f (`hessian_at`), off the table of terms each form builds once.
-`sample_kernels` reads the rank and the exact kernel at each point.
+`sample_kernels` reads the rank and the exact integer kernel at each point.
 `rank_verdict` reads the verdict on h_f ≡ 0 off the ranks: a full-rank
 point is an exact witness of h_f ≠ 0, else "vanishes" carries the
 Schwartz-Zippel bound (D/N)^t, with t the fewest points that put it below
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
-from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
+from .linalg import ScalarMatrix, integer_kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
 DEFAULT_SAMPLES = 5
@@ -234,19 +234,28 @@ class KernelSample(NamedTuple):
         return max(self.ranks[:DEFAULT_SAMPLES])
 
 
+def _outside(span, v):
+    """Whether integer v is outside W: nonzero once W's reduced rows clear their pivots."""
+    for row in span:
+        p = next(j for j, x in enumerate(row) if x)
+        v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+    return any(v)
+
+
 def sample_kernels(f, seed=0):
     """Exact kernels of H_f at its seeded points, drawn until DEFAULT_SAMPLES
     points are in and the last one adds nothing to their span W, or until
     one has full rank.  Its first points are those `hessian_vanishes` reads,
     so `rank_verdict` on its ranks is that verdict.  A sampled W can only
-    be too small: every kernel lies in the true span.
+    be too small: every kernel lies in the true span.  W grows in integers:
+    it is rebuilt only for an `integer_kernel` vector outside it.
     """
     n = f.nvars
     ranks, span = [], ()
     for i in itertools.count():
-        vectors = kernel(hessian_at(f, _seeded_point(n, seed, i))).vectors
+        vectors = integer_kernel(hessian_at(f, _seeded_point(n, seed, i))).vectors
         ranks.append(n - len(vectors))
-        grown = reduced_row_basis([*span, *vectors])
+        grown = reduced_row_basis([*span, *vectors]) if any(_outside(span, v) for v in vectors) else span
         if ranks[-1] == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
             return KernelSample(ranks=tuple(ranks), span=grown)
         span = grown

@@ -2,9 +2,10 @@
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input; kernel vectors are back-substituted in integers too, and become
-rationals only entry by entry at the end.  ``independent_rows_mod`` is the
-package's one modular elimination, on plain ints mod a prime.
+input; kernel vectors are back-substituted in integers too.  ``kernel``
+makes them rationals entry by entry at the end, ``integer_kernel`` divides
+out their content.  ``independent_rows_mod`` is the package's one modular
+elimination, on plain ints mod a prime.
 ``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
 as they come and stops at full rank, which proves the kernel {0}; a stream
 that runs out below full rank is kept, and its kernel mod p is lifted to Q by
@@ -84,7 +85,9 @@ def _clear_denominators(row):
     for c in row:
         if type(c) is not int:
             l = math.lcm(l, c.denominator)
-    return [int(c * l) for c in row] if l != 1 else [int(c) for c in row]
+    if l == 1:
+        return [int(c) for c in row]
+    return [c * l if type(c) is int else c.numerator * (l // c.denominator) for c in row]
 
 
 def _echelon_rational(entries):
@@ -210,33 +213,36 @@ def _lifted_kernel(basis, ncols, p):
     return lifted
 
 
-def _back_substitute(rows, pivots, ncols, free_col):
-    """Kernel vector with 1 in free_col, solving pivot entries bottom-up.
+def _back_substitute(entries, ncols):
+    """Yield (D·v, D) for each kernel vector v, 1 at its free column c, solved bottom-up.
 
-    Only the k pivots before free_col take part, and the Bareiss pivot of
-    row k-1 is the k×k minor D of those rows and pivot columns, so by
-    Cramer's rule D times the vector is an integer vector.  It is solved in
-    integers with exact divisions by the pivots, and each entry becomes a
-    rational only at the end; a division that was not exact would fail the
-    kernel's re-check."""
-    k = sum(1 for pc in pivots if pc < free_col)
-    den = rows[k - 1][pivots[k - 1]] if k else 1
-    num = [0] * ncols
-    num[free_col] = den
-    for r in range(k - 1, -1, -1):
-        pc, row = pivots[r], rows[r]
-        num[pc] = -sum(map(operator.mul, row[pc + 1 :], num[pc + 1 :])) // row[pc]
-    return [x // den if x % den == 0 else Fraction(x, den) for x in num]
+    Only the k pivots before c take part, and the Bareiss pivot of row k-1
+    is the k×k minor D of those rows and pivot columns, so by Cramer's rule
+    D·v is an integer vector.  It is solved in integers with exact divisions
+    by the pivots; a division that was not exact would fail the kernel's
+    re-check."""
+    rows, pivots = _echelon_rational(entries)
+    for c in sorted(set(range(ncols)).difference(pivots)):
+        k = sum(1 for pc in pivots if pc < c)
+        den = rows[k - 1][pivots[k - 1]] if k else 1
+        num = [0] * ncols
+        num[c] = den
+        for r in range(k - 1, -1, -1):
+            pc, row = pivots[r], rows[r]
+            num[pc] = -sum(map(operator.mul, row[pc + 1 :], num[pc + 1 :])) // row[pc]
+        yield num, den
 
 
 def _kernel_vectors(entries, ncols):
-    rows, pivots = _echelon_rational(entries)
-    pivot_set = set(pivots)
-    return [
-        _back_substitute(rows, pivots, ncols, c)
-        for c in range(ncols)
-        if c not in pivot_set
-    ]
+    solved = _back_substitute(entries, ncols)
+    return [[x // den if x % den == 0 else Fraction(x, den) for x in num] for num, den in solved]
+
+
+def integer_kernel(matrix):
+    """`kernel`'s vectors scaled as `primitive_vector` scales them, from full
+    Bareiss and the same integer back-substitution, with no rational entry."""
+    solved = _back_substitute(matrix.entries, matrix.cols)
+    return KernelBasis(matrix.entries, matrix.cols, [primitive_vector(num) for num, _ in solved])
 
 
 def kernel_of_rows(rows, ncols):

@@ -34,10 +34,10 @@ the gcd so far fails to divide, and the one re-check of its cofactors; only
 ``gcd_cofactors`` keeps them, and only ``psi`` calls it.  ``gcd`` and
 ``gcd_list`` return the monic gcd; ``gcd_cofactors`` returns the fold's own,
 with coprime integer coefficients and a positive leading one.
-``binary_gcd`` is one univariate Euclid on binary forms; ``repeated_root``
-asks it for the gcd of a binary form's partials, and ``is_reduced`` asks
-that of f on a seeded line.  ``binary_quotient`` divides binary forms
-exactly by the same long division.
+``binary_gcd`` is one primitive remainder sequence in Z[u] on binary forms;
+``repeated_root`` asks it for the gcd of a binary form's partials, and
+``is_reduced`` asks that of f on a seeded line.  ``binary_quotient`` divides
+binary forms exactly by long division over Q.
 
 ``parse`` has two routes.  Text in the printer's own language (what
 ``to_string`` writes) is read by splitting it at its term joins and each
@@ -63,6 +63,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError, ParseError, VariableCountError
 from .fields import DEFAULT_PRIME, norm_coeff, rational_content, substream
+from .linalg import primitive_vector
 
 MINUS_INFINITY = float("-inf")
 
@@ -1032,7 +1033,7 @@ def monomials_of_degree(nvars, d):
 
 
 # ----------------------------------------------------------------------
-# binary forms: one univariate Euclid, repeated roots, reducedness on a line
+# binary forms: one gcd in Z[u], repeated roots, reducedness on a line
 #
 # A binary form here is a form in the last two variables (u, v) of its
 # ring, whose exponents fill the two lowest fields of a key.  Of degree d,
@@ -1040,7 +1041,7 @@ def monomials_of_degree(nvars, d):
 # p(u, 1), leading first, where k leading zeros are the factor v^k of p.
 # Writing p = v^k·p' with v ∤ p', p'(u, 1) has the degree of p', so a
 # common factor of forms is v^(least k) times the common factor of the
-# p'(u, 1) made homogeneous: one univariate Euclid.
+# p'(u, 1) made homogeneous: one primitive remainder sequence in Z[u].
 
 def _binary_coefficients(p):
     """The coefficients of a nonzero binary form at u^d, u^(d−1)·v, …, v^d."""
@@ -1076,21 +1077,32 @@ def _long_division(a, b):
     return quotient, a
 
 
+def _pseudo_remainder(a, b):
+    """A nonzero multiple of the remainder of integer coefficient lists a by
+    b, leading first, b[0] ≠ 0; each step scales a by b[0]/gcd(a[0], b[0])."""
+    y = b[0]
+    while len(a) >= len(b):
+        g = math.gcd(a[0], y)
+        x, z = a[0] // g, y // g
+        a = [z * s - x * t for s, t in zip(a[1:], b[1:])] + [z * s for s in a[len(b):]]
+    return a
+
+
 def binary_gcd(forms):
     """The gcd of binary forms, not all zero, with coprime integer
     coefficients and a positive leading one: v^k, k the least order of v,
-    times the Euclid gcd of the forms at v = 1 made homogeneous."""
+    times the gcd of the forms at v = 1 made homogeneous, up to a scalar
+    the last nonzero term of their primitive remainder sequence in Z[u]."""
     lists = [_binary_coefficients(p) for p in forms if p]
     if not lists:
         raise DomainError("gcd of an all-zero list")
     k = min(map(_leading_zeros, lists))
-    g, *rest = (a[_leading_zeros(a):] for a in lists)
+    g, *rest = (primitive_vector(a[_leading_zeros(a):]) for a in lists)
     for b in rest:
         while any(b):
             b = b[_leading_zeros(b):]
-            g, b = b, _long_division(g, b)[1]
-    scale = (1 if g[0] > 0 else -1) / rational_content(g)
-    return _binary_form(forms[0].nvars, [0] * k + [c * scale for c in g])
+            g, b = b, primitive_vector(_pseudo_remainder(g, b))
+    return _binary_form(forms[0].nvars, [0] * k + list(g))
 
 
 def binary_quotient(a, b):
@@ -1268,6 +1280,8 @@ def _int_quotient(layout, a, h):
     quotient in some variable, deg_j(a) - deg_j(h).  The remainder's keys
     wait, negated, in a min-heap, so each step finds its leading term
     without a scan; a cancelled key is skipped when it comes up."""
+    if h.keys() == {0}:  # a constant: divide coefficient by coefficient
+        return None if any(x % h[0] for x in a.values()) else {k: x // h[0] for k, x in a.items()}
     cap = tuple(map(operator.sub, *(map(max, zip(*layout.unpack(p))) for p in (a, h))))
     hk = max(h)
     hc = h[hk]

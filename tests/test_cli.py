@@ -689,11 +689,13 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
     # exact regression gates: a larger count is work added back.  The 12
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
-    # full rank, so none of them is a `kernel` call.  `is_reduced` reads its
-    # forms on a line, so nothing calls the multivariate `gcd`
+    # full rank, so none of them is a `kernel` call.  The kernels of H_f at
+    # the sampled points are integer kernels.  `is_reduced` reads its forms
+    # on a line, so nothing calls the multivariate `gcd`
     calls = Counter()
     for original in (
-        hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test
+        hessian.hessian_vanishes, linalg.kernel, linalg.integer_kernel, poly.gcd, hessian.hessian_at,
+        cones.cone_test,
     ):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
@@ -701,7 +703,9 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12)
+    assert calls == Counter(
+        hessian_vanishes=9, kernel=8, integer_kernel=25, gcd=0, hessian_at=34, cone_test=12
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Hessian matrix construction, symbolic determinants, vanishing verdicts."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from hesse_lab import hessian
 from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
-from hesse_lab.fields import DEFAULT_PRIME
+from hesse_lab.fields import DEFAULT_PRIME, substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import (
     ColumnMinors,
+    KernelSample,
     hessian_at,
     hessian_matrix,
     hessian_vanishes,
@@ -23,6 +25,7 @@ from hesse_lab.hessian import (
     symbolic_determinant,
     trials_for_error,
 )
+from hesse_lab.linalg import kernel, random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -269,6 +272,53 @@ def test_the_verdict_is_read_off_the_sample(f, monkeypatch):
         assert points == sampled[: verdict.trials]
         assert verdict == rank_verdict(f, sample.ranks)
         assert len(sampled) == len(sample.ranks)
+
+
+def _sample_kernels_oracle(f, seed):
+    """The sample as the rational `kernel` at each point and W rebuilt by
+    `reduced_row_basis` at every point give it."""
+    n, ranks, span = f.nvars, [], ()
+    for i in itertools.count():
+        vectors = kernel(hessian_at(f, hessian._seeded_point(n, seed, i))).vectors
+        ranks.append(n - len(vectors))
+        grown = reduced_row_basis([*span, *vectors])
+        if ranks[-1] == n or (i + 1 >= hessian.DEFAULT_SAMPLES and len(grown) == len(span)):
+            return KernelSample(ranks=tuple(ranks), span=grown)
+        span = grown
+
+
+@st.composite
+def kernel_sample_cases(draw):
+    """(f, zero): a GN draw with m = 1 or m = 2, perhaps its dense conjugate
+    by `random_invertible`, perhaps scaled to Fraction coefficients; and the
+    coordinate each seeded point gets zeroed at, or None."""
+    skeleton = draw(st.sampled_from([(4, 2, 1, 2, 1, 3), (5, 3, 1, 2, 1, 4), (6, 3, 2, 2, 1, 4)]))
+    seed = draw(st.integers(0, 50))
+    f = random_instance(GNSkeleton(*skeleton), seed=seed).f
+    if draw(st.booleans()):
+        a = random_invertible(f.nvars, substream(seed, "dense"))
+        f = f.compose([Polynomial.linear_form(row) for row in a.entries])
+    f = f.scale(draw(st.sampled_from([1, Fraction(2, 3), Fraction(-5, 7)])))
+    return f, draw(st.one_of(st.none(), st.integers(0, f.nvars - 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kernel_sample_cases())
+def test_sample_kernels_matches_the_rational_kernel_oracle(case):
+    # integer kernels, and W rebuilt only for a vector outside it, give the
+    # ranks and span of a rational kernel and a rebuild at every point; a
+    # point with a zero coordinate takes hessian_at's evaluate branch
+    f, zero = case
+    seeded = hessian._seeded_point
+
+    def zeroed(*args):
+        return [0 if j == zero else x for j, x in enumerate(seeded(*args))]
+
+    with pytest.MonkeyPatch.context() as patch:
+        if zero is not None:
+            patch.setattr(hessian, "_seeded_point", zeroed)
+        for seed in range(3):
+            assert sample_kernels(f, seed=seed) == _sample_kernels_oracle(f, seed)
 
 
 def test_polar_dim_of_cone():

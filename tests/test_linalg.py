@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab import linalg
 from hesse_lab.errors import DimensionError
@@ -13,7 +15,9 @@ from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.linalg import (
     ScalarMatrix,
     independent_rows_mod,
+    integer_kernel,
     kernel,
+    primitive_vector,
     random_invertible,
     rank,
 )
@@ -306,6 +310,27 @@ def test_kernel_matches_sympy_nullspace(shape, fractions, seed=37, cases=40):
         assert all(type(x) is int or x.denominator > 1 for v in got for x in v)
         nonempty += bool(got)
     assert nonempty == cases if shape == "wide" else nonempty >= cases // 2
+
+
+@pytest.mark.parametrize("kind", ["full", "zero", "between"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6), fractions=st.booleans())
+def test_integer_kernel_is_the_primitive_of_kernel_on_square_matrices(kind, n, seed, fractions):
+    rng = random.Random(seed)
+    if kind == "full":
+        m = random_invertible(n, rng)
+        if fractions:  # scaling the rows by rationals keeps the rank
+            scales = [rng.randint(1, 4) for _ in range(n)]
+            m = ScalarMatrix([[Fraction(x, d) for x in row] for row, d in zip(m.entries, scales)])
+    elif kind == "zero":
+        m = ScalarMatrix([[0] * n for _ in range(n)])
+    else:
+        m = _low_rank_product(rng, n, n, rng.randint(1, max(1, n - 1)), fractions)
+    got = integer_kernel(m)
+    assert [tuple(v) for v in got] == [primitive_vector(v) for v in kernel(m)]
+    assert len(got) == n - rank(m)
+    assert len(got) == {"full": 0, "zero": n}.get(kind, len(got))
+    assert all(type(x) is int for v in got for x in v)
 
 
 def test_bareiss_exactness_regression():

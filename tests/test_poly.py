@@ -1,6 +1,8 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, binary forms, reducedness."""
 
+import functools
 import json
+import math
 import operator
 import random
 import sys
@@ -1058,34 +1060,46 @@ def test_binary_forms_are_read_in_the_last_two_variables():
 
 @st.composite
 def binary_pairs(draw):
-    """Two nonzero binary forms of degree 0..6 with a common factor: products
-    of linear forms, v^k among them, times random forms of degree 0..2."""
-    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
-    common = Polynomial.constant(2, draw(st.sampled_from((1, -2, 3))))
+    """Two or three binary forms of degree 0..9, not all zero, with a common
+    factor: v^k times products of linear forms, times random forms of
+    degree 0..2.  Coefficients are small, 61-bit (as `is_reduced`'s lines
+    give) or Fractions, and one of three forms may be zero."""
+    small = st.integers(-3, 3)
+    coeff = st.one_of(small, st.integers(-(2 ** 61), 2 ** 61), st.fractions(-9, 9, max_denominator=7))
+    pairs = st.tuples(st.one_of(small, coeff), st.one_of(small, coeff)).filter(any)
+    v = Polynomial.variable(2, 1)
+    common = Polynomial.constant(2, draw(st.sampled_from((1, -2, 3, Fraction(-5, 7))))) * v ** draw(st.integers(0, 3))
     for ab in draw(st.lists(pairs, max_size=3)):
         common = common * Polynomial.linear_form(list(ab))
 
     def other():
         e = draw(st.integers(0, 2))
-        coeffs = draw(st.lists(st.integers(-4, 4), min_size=e + 1, max_size=e + 1).filter(any))
+        coeffs = draw(st.lists(st.one_of(small, coeff), min_size=e + 1, max_size=e + 1).filter(any))
         return common * Polynomial(2, {(e - i, i): c for i, c in enumerate(coeffs) if c})
 
-    return other(), other()
+    forms = [other(), other()]
+    if draw(st.booleans()):
+        forms.insert(draw(st.integers(0, 2)), Polynomial.zero(2) if draw(st.booleans()) else other())
+    return forms
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(binary_pairs())
-def test_binary_gcd_matches_sympy_and_divides_exactly(pair):
+def test_binary_gcd_matches_sympy_and_divides_exactly(forms):
     u, v = sympy.symbols("u v")
-    a, b = pair
-    exprs = [sum(c * u ** e[0] * v ** e[1] for e, c in p.as_dict().items()) for p in pair]
-    expected = sympy.Poly(sympy.gcd(*exprs), u, v)
-    g = binary_gcd([a, b])
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * u ** e[0] * v ** e[1] for e, c in p.as_dict().items())
+        for p in forms
+    ]
+    expected = sympy.Poly(functools.reduce(sympy.gcd, exprs), u, v)
+    g = binary_gcd(forms)
     got = sympy.Poly(sum(c * u ** e[0] * v ** e[1] for e, c in g.as_dict().items()), u, v)
     assert sympy.expand(got.as_expr() * expected.LC() - expected.as_expr() * got.LC()) == 0
     assert g.leading()[1] > 0 and all(type(c) is int for c in g.coefficients())
-    for p in (a, b):
+    assert math.gcd(*g.coefficients()) == 1
+    for p in forms:
         assert binary_quotient(p, g) * g == p
+    a, b = [p for p in forms if p][:2]
     assert binary_quotient(a * b, b) == a
 
 
@@ -1161,6 +1175,22 @@ def test_int_quotient_and_remainder():
     f = parse("x0^2 - x1^2")
     assert quotient(f, parse("x0 + x1")) == parse("x0 - x1").as_dict()
     assert quotient(parse("x0^2 + x1^2"), parse("x0 + x1")) is None
+
+
+def test_int_quotient_by_a_constant_on_61_bit_coefficients():
+    # a constant divisor is divided coefficient by coefficient
+    rng = random.Random(61)
+    a = Polynomial(3, {e: rng.randrange(-(2 ** 61), 2 ** 61) for e in monomials_of_degree(3, 4)})
+    layout, c = _layout(3), 2 ** 61 - 1
+    assert _int_quotient(layout, a._terms, {0: 1}) == a._terms
+    assert _int_quotient(layout, a._terms, {0: -1}) == (-a)._terms
+    multiple = a.scale(c)
+    assert _int_quotient(layout, multiple._terms, {0: c}) == a._terms
+    assert _int_quotient(layout, multiple._terms, {0: -c}) == (-a)._terms
+    # one coefficient off a multiple of c
+    off = multiple + Polynomial(3, {(0, 0, 4): 1})
+    assert _int_quotient(layout, off._terms, {0: c}) is None
+    assert _int_quotient(layout, off._terms, {0: 1}) == off._terms
 
 
 def test_int_quotient_by_a_monomial_on_a_large_form():
