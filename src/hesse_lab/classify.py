@@ -314,7 +314,7 @@ def p4_plane_curve_check(normal):
             if len(basis) > 1:
                 raise InternalCheckError(f"the image's curve has {len(basis)} independent equations of degree {e}")
             if basis:
-                return PlaneCurveReport(curve=Polynomial(3, dict(zip(monos, primitive_vector(*basis)))), curve_degree=e)
+                return PlaneCurveReport(curve=Polynomial(3, dict(zip(monos, basis[0]))), curve_degree=e)
     return PlaneCurveReport(curve=None, curve_degree=None)
 
 
@@ -349,10 +349,10 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
             precondition="plane-curve stage did not complete", records=(), violations=()
         )
     basis = psi.relation.span
-    pencil = [list(v) for v in kernel(ScalarMatrix([list(b) for b in basis]))]
+    pencil = kernel(ScalarMatrix(basis))
     if len(pencil) != 2:
         raise InternalCheckError("the pencil through a rank-3 span is not 2-dimensional")
-    a1, a2 = (primitive_vector(v) for v in pencil)
+    a1, a2 = pencil
     records = []
     violations = []
     used = set()
@@ -379,10 +379,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
         if not vanishes:
             violations.append(f"section at c={c} has nonvanishing Hessian")
         # the vertex line lies in Π: read it in Π's coordinates
-        zeta = [
-            _span_coordinates(basis, chart.embed_point(primitive_vector(v)))
-            for v in vertex.basis
-        ]
+        zeta = [_span_coordinates(basis, chart.embed_point(v)) for v in vertex.basis]
         status, point, line = "no_line", None, None
         if vertex.projective_dim < 1:
             violations.append(f"section at c={c} has vertex dimension {vertex.projective_dim}")

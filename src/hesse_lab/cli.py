@@ -15,9 +15,10 @@ the plane curve off ψ_g itself; a failed P^4 stage exits 4 as
 
 Exit codes: 0 success (also -h/--help); 1 verification suite failure; 2 parse
 error, bad invocation or input outside a computation's domain (such as
-exponents past the exponent field); 3 zero, constant or non-homogeneous
-input; 4 internal check violation (an identity the construction guarantees
-failed); 5 parameter validation failure; 6 seeded retry budget exhausted.
+exponents past the exponent field), or a --json or --out path that cannot be
+written; 3 zero, constant or non-homogeneous input; 4 internal check
+violation (an identity the construction guarantees failed); 5 parameter
+validation failure; 6 seeded retry budget exhausted.
 Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """
 
@@ -316,6 +317,10 @@ def main(argv=None):
     }
     try:
         code, doc = handlers[args.command](args)
+        _emit(doc, args, started)
+    except OSError as exc:  # the only files written are --json and --out
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -332,7 +337,6 @@ def main(argv=None):
     except HesseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(doc, args, started)
     return code
 
 

@@ -49,7 +49,7 @@ def cone_test(f):
     the lifted kernel, and every vertex direction is re-checked by D_v f ≡ 0."""
     if not f or not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("cone_test expects a nonzero homogeneous polynomial of degree >= 1")
-    vectors = tuple(tuple(v) for v in kernel_of_rows(derivative_rows(f), f.nvars))
+    vectors = kernel_of_rows(derivative_rows(f), f.nvars)
     for v in vectors:
         if directional_derivative(f, v):
             raise InternalCheckError("vertex direction fails D_v f = 0")

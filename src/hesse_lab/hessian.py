@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
-from .linalg import ScalarMatrix, integer_kernel, rank, reduced_row_basis
+from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
 from .poly import Polynomial
 
 DEFAULT_SAMPLES = 5
@@ -248,12 +248,12 @@ def sample_kernels(f, seed=0):
     one has full rank.  Its first points are those `hessian_vanishes` reads,
     so `rank_verdict` on its ranks is that verdict.  A sampled W can only
     be too small: every kernel lies in the true span.  W grows in integers:
-    it is rebuilt only for an `integer_kernel` vector outside it.
+    it is rebuilt only for a kernel vector outside it.
     """
     n = f.nvars
     ranks, span = [], ()
     for i in itertools.count():
-        vectors = integer_kernel(hessian_at(f, _seeded_point(n, seed, i))).vectors
+        vectors = kernel(hessian_at(f, _seeded_point(n, seed, i)))
         ranks.append(n - len(vectors))
         grown = reduced_row_basis([*span, *vectors]) if any(_outside(span, v) for v in vectors) else span
         if ranks[-1] == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):

@@ -2,10 +2,10 @@
 
 Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
-input; kernel vectors are back-substituted in integers too.  ``kernel``
-makes them rationals entry by entry at the end, ``integer_kernel`` divides
-out their content.  ``independent_rows_mod`` is the package's one modular
-elimination, on plain ints mod a prime.
+input; kernel vectors are back-substituted in integers too, and every
+kernel is returned as primitive integer vectors (`primitive_vector`), each
+re-checked by M·w = 0.  ``independent_rows_mod`` is the package's one
+modular elimination, on plain ints mod a prime.
 ``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
 as they come and stops at full rank, which proves the kernel {0}; a stream
 that runs out below full rank is kept, and its kernel mod p is lifted to Q by
@@ -57,27 +57,6 @@ class ScalarMatrix:
         return f"ScalarMatrix({self.rows}x{self.cols})"
 
 
-class KernelBasis:
-    """Linearly independent kernel vectors, each re-verified by multiplication:
-    M·w = 0 for w, the vector scaled to coprime integers."""
-
-    __slots__ = ("vectors", "cols")
-
-    def __init__(self, rows, cols, vectors):
-        self.cols = cols
-        self.vectors = [list(v) for v in vectors]
-        for v in self.vectors:
-            w = primitive_vector(v)
-            if any(sum(map(operator.mul, row, w)) for row in rows):
-                raise InternalCheckError("claimed kernel vector fails M·v = 0")
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
 def _clear_denominators(row):
     """A fresh integer row, a positive multiple of the rational row."""
     # entries are int or Fraction; `type` skips the slow ABC isinstance check
@@ -97,7 +76,7 @@ def _echelon_rational(entries):
     are preserved by the row scalings.
     """
     m = [_clear_denominators(row) for row in entries]
-    nrows, ncols = len(m), len(m[0])
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots = []
     prev = 1
     r = 0
@@ -214,7 +193,7 @@ def _lifted_kernel(basis, ncols, p):
 
 
 def _back_substitute(entries, ncols):
-    """Yield (D·v, D) for each kernel vector v, 1 at its free column c, solved bottom-up.
+    """Yield D·v for each kernel vector v, 1 at its free column c, solved bottom-up.
 
     Only the k pivots before c take part, and the Bareiss pivot of row k-1
     is the k×k minor D of those rows and pivot columns, so by Cramer's rule
@@ -224,31 +203,27 @@ def _back_substitute(entries, ncols):
     rows, pivots = _echelon_rational(entries)
     for c in sorted(set(range(ncols)).difference(pivots)):
         k = sum(1 for pc in pivots if pc < c)
-        den = rows[k - 1][pivots[k - 1]] if k else 1
         num = [0] * ncols
-        num[c] = den
+        num[c] = rows[k - 1][pivots[k - 1]] if k else 1
         for r in range(k - 1, -1, -1):
             pc, row = pivots[r], rows[r]
             num[pc] = -sum(map(operator.mul, row[pc + 1 :], num[pc + 1 :])) // row[pc]
-        yield num, den
+        yield num
 
 
-def _kernel_vectors(entries, ncols):
-    solved = _back_substitute(entries, ncols)
-    return [[x // den if x % den == 0 else Fraction(x, den) for x in num] for num, den in solved]
-
-
-def integer_kernel(matrix):
-    """`kernel`'s vectors scaled as `primitive_vector` scales them, from full
-    Bareiss and the same integer back-substitution, with no rational entry."""
-    solved = _back_substitute(matrix.entries, matrix.cols)
-    return KernelBasis(matrix.entries, matrix.cols, [primitive_vector(num) for num, _ in solved])
+def _checked(rows, vectors):
+    """The vectors as `primitive_vector` tuples, each re-verified by M·w = 0."""
+    basis = tuple(map(primitive_vector, vectors))
+    for w in basis:
+        if any(sum(map(operator.mul, row, w)) for row in rows):
+            raise InternalCheckError("claimed kernel vector fails M·v = 0")
+    return basis
 
 
 def kernel_of_rows(rows, ncols):
     """Basis of {v : M·v = 0} for the matrix M with ncols columns whose rows
-    the iterable `rows` yields; one vector per free column, unit at that
-    column.
+    the iterable `rows` yields: one primitive integer vector per free
+    column, from the vector with 1 at that column and 0 at the others.
 
     The rows are cleared to integers and reduced mod ``DEFAULT_PRIME`` as
     they come, and none is read once ncols of them are independent mod p.
@@ -258,7 +233,7 @@ def kernel_of_rows(rows, ncols):
     kernel mod p is read off the rows already reduced, with no second
     elimination, and each entry is lifted by rational reconstruction.  The
     lifted vectors are independent and at least dim ker(M) in number, so
-    once the exact re-check of M·v = 0 passes they span ker(M); with 1 at
+    once the exact re-check of M·w = 0 passes they span ker(M); with 1 at
     their free column and 0 at the others and after it, they are the
     reduced basis full Bareiss gives, which depends on the span alone.  A
     failed lift or re-check runs Bareiss on the rows chosen mod p, whose
@@ -273,26 +248,26 @@ def kernel_of_rows(rows, ncols):
 
     chosen, basis = independent_rows_mod(cleared(), DEFAULT_PRIME)
     if len(basis) == ncols:
-        return KernelBasis(kept, ncols, ())
+        return ()
     vectors = _lifted_kernel(basis, ncols, DEFAULT_PRIME)
     for eliminated in ([kept[i] for i in chosen], kept):
         if vectors is not None:
             try:
-                return KernelBasis(kept, ncols, vectors)
+                return _checked(kept, vectors)
             except InternalCheckError:
                 pass
-        vectors = _kernel_vectors(eliminated, ncols)
-    return KernelBasis(kept, ncols, vectors)
+        vectors = _back_substitute(eliminated, ncols)
+    return _checked(kept, vectors)
 
 
 def kernel(matrix):
-    """Basis of {v : M·v = 0}; one vector per free column, unit at that column.
+    """Basis of {v : M·v = 0}, as `kernel_of_rows` gives it.
 
     A tall matrix goes through `kernel_of_rows`; any other is eliminated by
     full Bareiss."""
     if matrix.rows > matrix.cols:
         return kernel_of_rows(matrix.entries, matrix.cols)
-    return KernelBasis(matrix.entries, matrix.cols, _kernel_vectors(matrix.entries, matrix.cols))
+    return _checked(matrix.entries, _back_substitute(matrix.entries, matrix.cols))
 
 
 def primitive_vector(v):

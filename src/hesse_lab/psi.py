@@ -168,8 +168,7 @@ def least_relation(forms, span, max_degree):
         rows = [row(next(points)) for _ in range(len(monos) + 2)]
         while True:
             nrows, relations = len(rows), []
-            for v in kernel(ScalarMatrix(rows)):
-                vec = primitive_vector(v)
+            for vec in kernel(ScalarMatrix(rows)):
                 G = Polynomial(len(forms), {m: c for m, c in zip(monos, vec) if c})
                 relation = PolarRelation.from_partials(G, forms, span)
                 if relation is not None:

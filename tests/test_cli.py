@@ -320,6 +320,26 @@ def test_generate_writes_instance(tmp_path):
     assert instance["s"] == 3
 
 
+GENERATE_4_2_1_2_1_3 = ["generate", "--n", "4", "--t", "2", "--m", "1", "--hdeg", "2", "--psideg", "1", "--d", "3"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--json", ["analyze", "--poly", "x0^2+x1^2"]),
+    ("--out", GENERATE_4_2_1_2_1_3),
+])
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, flag, argv, missing):
+    # a directory, or a file in a directory that does not exist, ends in
+    # exit 2 with the path and the reason, not in a traceback
+    path = tmp_path / "missing" / "x.json" if missing else tmp_path
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert main([*argv, flag, str(path), "--no-timings"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"cannot write {path}: {reason}\n"
+    assert out.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_generate_t_8_builds(tmp_path):
     # GN matrices of size t+1 = 9 are built by Laplace along the psi-rows and
     # never meet the symbolic determinant's size cap
@@ -689,13 +709,12 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # one `verify --suite all` op is deterministic, so its call counts are
     # exact regression gates: a larger count is work added back.  The 12
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
-    # full rank, so none of them is a `kernel` call.  The kernels of H_f at
-    # the sampled points are integer kernels.  `is_reduced` reads its forms
-    # on a line, so nothing calls the multivariate `gcd`
+    # full rank, so none of them is a `kernel` call; the kernels of H_f at
+    # the sampled points are.  `is_reduced` reads its forms on a line, so
+    # nothing calls the multivariate `gcd`
     calls = Counter()
     for original in (
-        hessian.hessian_vanishes, linalg.kernel, linalg.integer_kernel, poly.gcd, hessian.hessian_at,
-        cones.cone_test,
+        hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test,
     ):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
@@ -704,7 +723,7 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
         _patch_everywhere(monkeypatch, original, counted)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
     assert calls == Counter(
-        hessian_vanishes=9, kernel=8, integer_kernel=25, gcd=0, hessian_at=34, cone_test=12
+        hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12
     )
 
 

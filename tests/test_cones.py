@@ -70,17 +70,17 @@ def test_vertex_from_the_terms_equals_the_expanded_partials_oracle(f, vertex_dim
     # does not see
     oracle = kernel(ScalarMatrix.from_polynomials(f.gradient()).transpose())
     v = cone_test(f)
-    assert v.basis == tuple(tuple(w) for w in oracle)
+    assert v.basis == oracle
     assert v.projective_dim == vertex_dim
 
 
 def _sympy_vertex(f):
-    """sympy's nullspace of the full directional-derivative matrix: its basis
-    has 1 at each free column and 0 at the others, so it is the reduced
-    basis, which depends on the span alone."""
+    """sympy's nullspace of the full directional-derivative matrix, each
+    vector made primitive: its basis has 1 at each free column and 0 at the
+    others, so it is the reduced basis, which depends on the span alone."""
     rows = ScalarMatrix.from_polynomials(f.gradient()).transpose().entries
     m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
-    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in m.nullspace())
+    return tuple(primitive_vector([Fraction(int(x.p), int(x.q)) for x in v]) for v in m.nullspace())
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,7 +286,7 @@ def test_chart_columns_are_the_reduced_kernel_basis(zeros, tail):
     # must be the primitive reduced kernel basis of [h], in the same order
     h = [0] * zeros + tail
     chart = chart_for_hyperplane(h)
-    expected = [primitive_vector(v) for v in kernel(ScalarMatrix([h]))]
+    expected = list(kernel(ScalarMatrix([h])))
     assert list(zip(*chart.parametrization)) == expected
 
 

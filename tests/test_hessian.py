@@ -25,7 +25,7 @@ from hesse_lab.hessian import (
     symbolic_determinant,
     trials_for_error,
 )
-from hesse_lab.linalg import kernel, random_invertible, reduced_row_basis
+from hesse_lab.linalg import random_invertible, reduced_row_basis
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -274,12 +274,36 @@ def test_the_verdict_is_read_off_the_sample(f, monkeypatch):
         assert len(sampled) == len(sample.ranks)
 
 
+def _rational_kernel(m):
+    """ker M by Gauss-Jordan elimination over Fraction (test-local): one
+    vector per free column, 1 there and 0 at the other free columns."""
+    rows, pivots = [[Fraction(x) for x in row] for row in m.entries], []
+    for c in range(m.cols):
+        r = next((i for i in range(len(pivots), m.rows) if rows[i][c]), None)
+        if r is None:
+            continue
+        pivot = [x / rows[r][c] for x in rows[r]]
+        rows[r] = rows[len(pivots)]
+        rows[len(pivots)] = pivot
+        for i, row in enumerate(rows):
+            if i != len(pivots) and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, pivot)]
+        pivots.append(c)
+    vectors = []
+    for c in sorted(set(range(m.cols)).difference(pivots)):
+        v = [Fraction(int(j == c)) for j in range(m.cols)]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[c]
+        vectors.append(v)
+    return vectors
+
+
 def _sample_kernels_oracle(f, seed):
-    """The sample as the rational `kernel` at each point and W rebuilt by
-    `reduced_row_basis` at every point give it."""
+    """The sample as a rational Gauss-Jordan kernel at each point and W
+    rebuilt by `reduced_row_basis` at every point give it."""
     n, ranks, span = f.nvars, [], ()
     for i in itertools.count():
-        vectors = kernel(hessian_at(f, hessian._seeded_point(n, seed, i))).vectors
+        vectors = _rational_kernel(hessian_at(f, hessian._seeded_point(n, seed, i)))
         ranks.append(n - len(vectors))
         grown = reduced_row_basis([*span, *vectors])
         if ranks[-1] == n or (i + 1 >= hessian.DEFAULT_SAMPLES and len(grown) == len(span)):
@@ -306,8 +330,9 @@ def kernel_sample_cases(draw):
 @given(kernel_sample_cases())
 def test_sample_kernels_matches_the_rational_kernel_oracle(case):
     # integer kernels, and W rebuilt only for a vector outside it, give the
-    # ranks and span of a rational kernel and a rebuild at every point; a
-    # point with a zero coordinate takes hessian_at's evaluate branch
+    # ranks and span of a rational Gauss-Jordan kernel and a rebuild at
+    # every point; a point with a zero coordinate takes hessian_at's
+    # evaluate branch
     f, zero = case
     seeded = hessian._seeded_point
 

@@ -15,7 +15,6 @@ from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.linalg import (
     ScalarMatrix,
     independent_rows_mod,
-    integer_kernel,
     kernel,
     primitive_vector,
     random_invertible,
@@ -31,10 +30,11 @@ def _mul(m, v):
 
 def _solve(m, b):
     """One exact solution of M·x = b, or None (test-local): the kernel vector
-    of [M | -b] with 1 in its last column.  Every other kernel vector is 0
-    there, since it is 0 at the free columns other than its own."""
+    of [M | -b] that is nonzero in its last column, divided by that entry.
+    Every other kernel vector is 0 there, since it is 0 at the free columns
+    other than its own."""
     augmented = ScalarMatrix(m.transpose().entries + [[-x for x in b]]).transpose()
-    return next((v[:-1] for v in kernel(augmented) if v[-1]), None)
+    return next(([Fraction(x, v[-1]) for x in v[:-1]] for v in kernel(augmented) if v[-1]), None)
 
 
 def test_rank_diagonal():
@@ -127,9 +127,15 @@ def _low_rank_product(rng, rows, cols, inner, fractions):
     )
 
 
+def _full_bareiss(rows, ncols):
+    """The kernel from Bareiss on every row: the primitive of each
+    back-substituted numerator (test oracle)."""
+    return [primitive_vector(num) for num in linalg._back_substitute(rows, ncols)]
+
+
 def _kernel_matches_full_bareiss(m):
-    full = linalg._kernel_vectors(m.entries, m.cols)
-    assert [list(v) for v in kernel(m)] == full
+    full = _full_bareiss(m.entries, m.cols)
+    assert list(kernel(m)) == full
     return full
 
 
@@ -198,36 +204,49 @@ def test_a_failed_lift_eliminates_only_the_rows_chosen_mod_p(monkeypatch):
     assert len(chosen) == 2
     assert linalg._lifted_kernel(reduced, 3, DEFAULT_PRIME) != [[Fraction(-b, 3), 1, 0]]
     eliminated = _counted_bareiss(monkeypatch)
-    vectors = [list(v) for v in linalg.kernel_of_rows(iter(rows), 3)]
+    vectors = list(linalg.kernel_of_rows(iter(rows), 3))
     assert eliminated == [2]
-    assert vectors == [[Fraction(-b, 3), 1, 0]] == linalg._kernel_vectors(rows, 3)
+    assert vectors == [(b, -3, 0)] == _full_bareiss(rows, 3)
 
 
 def test_a_corrupted_chosen_rows_kernel_trips_the_recheck_and_full_bareiss_runs_once(monkeypatch):
     b = 2**40 + 1
     rows = [[3, b, 0], [0, 0, 1], [6, 2 * b, 5], [3, b, 1]]
-    kernel_vectors = linalg._kernel_vectors
+    back_substitute = linalg._back_substitute
 
     def corrupted(entries, ncols):
-        vectors = kernel_vectors(entries, ncols)
+        numerators = list(back_substitute(entries, ncols))
         if len(entries) < len(rows):  # the chosen rows' kernel
-            vectors[0][0] += 1
-        return vectors
+            numerators[0][0] += 1
+        return numerators
 
-    monkeypatch.setattr(linalg, "_kernel_vectors", corrupted)
+    monkeypatch.setattr(linalg, "_back_substitute", corrupted)
     eliminated = _counted_bareiss(monkeypatch)
-    vectors = [list(v) for v in kernel(ScalarMatrix(rows))]
+    vectors = list(kernel(ScalarMatrix(rows)))
     assert eliminated == [2, len(rows)]
-    assert vectors == [[Fraction(-b, 3), 1, 0]]
+    assert vectors == [(b, -3, 0)]
+
+
+def test_rows_that_vanish_mod_p_fall_back_to_full_bareiss(monkeypatch):
+    # every row is 0 mod p, so no row is chosen: the unit vectors lifted from
+    # the empty reduced rows fail the re-check, Bareiss on no rows gives them
+    # again, and full Bareiss gives the kernel
+    p = DEFAULT_PRIME
+    eliminated = _counted_bareiss(monkeypatch)
+    assert kernel(ScalarMatrix([[p, 2 * p], [2 * p, 4 * p], [3 * p, 6 * p]])) == ((2, -1),)
+    assert eliminated == [0, 3]
+    eliminated.clear()
+    assert kernel(ScalarMatrix([[p, 0], [0, p], [p, p]])) == ()
+    assert eliminated == [0, 3]
 
 
 def test_kernel_lifts_small_entries_without_elimination(monkeypatch):
     bareiss = linalg._echelon_rational
     monkeypatch.setattr(linalg, "_echelon_rational", lambda entries: pytest.fail("eliminated"))
     m = ScalarMatrix([[3, -1, 0, 2], [0, 2, 1, 4], [3, 1, 1, 6], [6, 0, 1, 8], [3, -1, 0, 2]])
-    vectors = [list(v) for v in kernel(m)]
+    vectors = list(kernel(m))
     monkeypatch.setattr(linalg, "_echelon_rational", bareiss)
-    assert vectors == linalg._kernel_vectors(m.entries, m.cols)
+    assert vectors == _full_bareiss(m.entries, m.cols)
     assert len(vectors) == 2
 
 
@@ -285,8 +304,9 @@ def test_random_invertible_and_inverse(seed=29):
 
 
 def _sympy_nullspace(m):
+    """sympy's nullspace basis, 1 at each free column, each vector made primitive."""
     return [
-        [Fraction(int(x.p), int(x.q)) for x in v]
+        primitive_vector([Fraction(int(x.p), int(x.q)) for x in v])
         for v in sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]).nullspace()
     ]
 
@@ -296,7 +316,8 @@ def _sympy_nullspace(m):
 def test_kernel_matches_sympy_nullspace(shape, fractions, seed=37, cases=40):
     # wide and square matrices take the Bareiss path with integer
     # back-substitution; both bases are unit at their free column and 0 at
-    # the other free columns, so they agree exactly
+    # the other free columns before they are made primitive, so they agree
+    # exactly
     rng = random.Random(f"{seed}/{shape}/{fractions}")
     nonempty = 0
     for _ in range(cases):
@@ -305,31 +326,46 @@ def test_kernel_matches_sympy_nullspace(shape, fractions, seed=37, cases=40):
         inner = rng.randint(1, rows)
         m = _low_rank_product(rng, rows, cols, inner, fractions)
         expected = _sympy_nullspace(m)
-        got = [list(v) for v in kernel(m)]
+        got = list(kernel(m))
         assert got == expected
-        assert all(type(x) is int or x.denominator > 1 for v in got for x in v)
+        assert all(type(x) is int for v in got for x in v)
         nonempty += bool(got)
     assert nonempty == cases if shape == "wide" else nonempty >= cases // 2
 
 
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
 @pytest.mark.parametrize("kind", ["full", "zero", "between"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6), fractions=st.booleans())
-def test_integer_kernel_is_the_primitive_of_kernel_on_square_matrices(kind, n, seed, fractions):
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 10 ** 6),
+    fractions=st.booleans(),
+    prime=st.sampled_from([DEFAULT_PRIME, 3]),
+)
+def test_kernel_is_the_primitive_sympy_nullspace_on_every_shape(shape, kind, n, seed, fractions, prime):
+    # square and wide matrices take full Bareiss; tall ones take the mod-p
+    # lift, and the prime 3, whose reconstruction bound is 1 and which
+    # divides many minors, sends them to the chosen rows' Bareiss and to
+    # the full one
     rng = random.Random(seed)
+    nrows, ncols = {"square": (n, n), "wide": (rng.randint(1, n), n + 1), "tall": (n + rng.randint(1, n), n)}[shape]
     if kind == "full":
-        m = random_invertible(n, rng)
+        # the first rows and columns of an invertible matrix have full rank
+        a = random_invertible(max(nrows, ncols), rng)
+        entries = [row[:ncols] for row in a.entries[:nrows]]
         if fractions:  # scaling the rows by rationals keeps the rank
-            scales = [rng.randint(1, 4) for _ in range(n)]
-            m = ScalarMatrix([[Fraction(x, d) for x in row] for row, d in zip(m.entries, scales)])
+            entries = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in entries]
+        m = ScalarMatrix(entries)
     elif kind == "zero":
-        m = ScalarMatrix([[0] * n for _ in range(n)])
+        m = ScalarMatrix([[0] * ncols for _ in range(nrows)])
     else:
-        m = _low_rank_product(rng, n, n, rng.randint(1, max(1, n - 1)), fractions)
-    got = integer_kernel(m)
-    assert [tuple(v) for v in got] == [primitive_vector(v) for v in kernel(m)]
-    assert len(got) == n - rank(m)
-    assert len(got) == {"full": 0, "zero": n}.get(kind, len(got))
+        m = _low_rank_product(rng, nrows, ncols, rng.randint(1, max(1, min(nrows, ncols) - 1)), fractions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "DEFAULT_PRIME", prime)
+        got = kernel(m)
+    assert list(got) == _sympy_nullspace(m)
+    assert len(got) == ncols - rank(m)
+    assert len(got) == {"full": ncols - min(nrows, ncols), "zero": ncols}.get(kind, len(got))
     assert all(type(x) is int for v in got for x in v)
 
 
