@@ -45,7 +45,6 @@ class LowDimRecord(NamedTuple):
     kind: str                 # "cone" | "generic"
     degree: int
     vanishes: bool
-    cone_dim: int
     polar_dim: Optional[int]
 
 
@@ -132,7 +131,6 @@ def low_dim_hesse_suite(count, seed):
                         kind=kind,
                         degree=degree,
                         vanishes=vanishes,
-                        cone_dim=cone_dim,
                         polar_dim=polar_dim,
                     )
                 )
@@ -180,7 +178,6 @@ def _span_coordinates(basis, point):
 
 
 class NormalFormReport(NamedTuple):
-    coordinates: tuple            # q_0, …, q_k: ψ_g in W's basis, in x
     change: tuple                 # the rows of A, x = A·y; () off a plane W
     image: tuple                  # q'_0, q'_1, q'_2 in (y3, y4); () unless binary
     tangents: tuple               # M_0, M_1, M_2 in (y3, y4), coprime integers
@@ -244,21 +241,20 @@ def p4_normal_form(f, psi):
     them."""
     if f.nvars != 5:
         raise DomainError("the P^4 stages need a form on P^4")
-    qs = psi.coordinates
     pivots = [next(i for i, x in enumerate(w) if x) for w in psi.relation.span]
     if len(pivots) != 3:
-        return NormalFormReport(qs, (), (), (), (), None, "W is not a plane")
+        return NormalFormReport((), (), (), (), None, "W is not a plane")
     change = tuple(zip(*psi.relation.span, *(_IDENTITY[j] for j in range(5) if j not in pivots)))
-    fa, image = f, qs
+    fa, image = f, psi.coordinates
     if change != _IDENTITY:
         rows = [Polynomial.linear_form(list(row)) for row in change]
-        fa, image = f.compose(rows), tuple(q.compose(rows) for q in qs)
+        fa, image = f.compose(rows), tuple(q.compose(rows) for q in image)
     if any(q.variables_used() - {3, 4} for q in image):
-        return NormalFormReport(qs, change, (), (), (), None, "ψ_g depends on more than the pencil coordinates")
+        return NormalFormReport(change, (), (), (), None, "ψ_g depends on more than the pencil coordinates")
     d3, d4 = [q.partial(3) for q in image], [q.partial(4) for q in image]
     cross = [d3[i] * d4[j] - d3[j] * d4[i] for i, j in ((1, 2), (2, 0), (0, 1))]
     if not any(cross):
-        return NormalFormReport(qs, change, image, (), (), None, "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent")
+        return NormalFormReport(change, image, (), (), None, "M ≡ 0: ∂_3 q' and ∂_4 q' are dependent")
     g = binary_gcd(cross)
     tangents = [binary_quotient(c, g) for c in cross]
     if None in tangents:
@@ -268,7 +264,7 @@ def p4_normal_form(f, psi):
     if tangents[i0].leading()[1] < 0:
         scale = -scale
     tangents = tuple(m.scale(1 / scale) for m in tangents) if scale != 1 else tuple(tangents)
-    report = NormalFormReport(qs, change, image, tangents, (), None, None)
+    report = NormalFormReport(change, image, tangents, (), None, None)
     if not report.spans_plane:
         return report._replace(violation="M is constant: the image spans a line of Π")
     # f∘A at y_i = 0 for i <= 2, i != i0: its y_i0^k coefficients

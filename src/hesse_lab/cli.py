@@ -11,20 +11,24 @@ the plane curve off ψ_g itself; a failed P^4 stage exits 4 as
 `generate`, `catalog` and the gn suite stop at the cone vertex.
 
 `parse_args` reads argv against one table, FLAGS, with exact flag names:
-`--flag value` or `--flag=value`, where a value may start with '-'.
+`--flag value` or `--flag=value`, where a value may start with '-'.  A
+subcommand returns its report, `generate`'s with the instance, and `main`
+alone writes files.
 
 Exit codes: 0 success (also -h/--help); 1 verification suite failure; 2 parse
 error, bad invocation or input outside a computation's domain (such as
 exponents past the exponent field), or a --json or --out path that cannot be
-written; 3 zero, constant or non-homogeneous input; 4 internal check
-violation (an identity the construction guarantees failed); 5 parameter
-validation failure; 6 seeded retry budget exhausted.
+written, after which no file the run created is left; 3 zero, constant or
+non-homogeneous input; 4 internal check violation (an identity the
+construction guarantees failed); 5 parameter validation failure; 6 seeded
+retry budget exhausted.
 Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -209,13 +213,8 @@ def cmd_analyze(args):
 def cmd_generate(args):
     skel = GNSkeleton(*(getattr(args, name) for name in GNSkeleton._fields))
     instance, verdict, entry = gn_entry(skel, args.seed)
-    data = instance_to_dict(instance)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
     results = {
-        "instance": data,
+        "instance": instance_to_dict(instance),
         "hessian": hessian_block(verdict),
         "cone": cone_block(instance.vertex),
         "core_multiplicity": entry["core_multiplicity"],
@@ -286,12 +285,24 @@ def _doc(input_block, results, args):
 
 
 def _emit(doc, args, started):
+    """Write generate's instance to --out and the report to --json, or to
+    stdout; when a file cannot be written, remove those this call created."""
     if not args.no_timings:
         doc["timings"] = {"elapsed_s": round(time.time() - started, 3)}
     text = json.dumps(doc, indent=2) + "\n"
+    files = {args.out: json.dumps(doc["results"]["instance"], indent=2) + "\n"} if getattr(args, "out", None) else {}
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        files[args.json] = text
+    created = [path for path in files if not os.path.exists(path)]
+    try:
+        for path, content in files.items():
+            with open(path, "w") as fh:
+                fh.write(content)
+    except OSError:
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
+    if args.json:
         print(f"report written to {args.json}")
     else:
         sys.stdout.write(text)

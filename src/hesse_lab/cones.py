@@ -1,4 +1,4 @@
-"""Cone detection, vertices, singular points, and hyperplane restriction.
+"""Cone detection, vertices, and hyperplane restriction.
 
 A hypersurface V(f) is a cone iff its partials are linearly dependent; the
 vertex is the kernel of v ↦ Σ v_i·∂f/∂x_i, which is pure linear algebra over
@@ -66,15 +66,6 @@ def translation_invariant(f, v):
             a = a + Polynomial.variable(n + 1, n).scale(v[i])
         args.append(a)
     return f.compose(args) == f.extend(n + 1)
-
-
-def sing_membership(f, point):
-    """True iff every partial of f vanishes at the (nonzero, exact) point."""
-    if not any(point):
-        raise DomainError("the zero vector is not a projective point")
-    if len(point) != f.nvars:
-        raise DimensionError("point length mismatch")
-    return all(fi.evaluate(point) == 0 for fi in f.gradient())
 
 
 class _Chart(NamedTuple):

@@ -20,7 +20,8 @@ kept the same way, so every caller of one form shares one copy.
 
 ``Digits`` packs a family on its index as Σ_k p_k·2^(bits·k) and reads a
 Z-linear image of it back digit by digit.  ``dot`` reads Σ_ℓ x_ℓ·y_ℓ off one
-product of two families so packed, and ``substitute_forms`` expands
+product of two families so packed, ``vanishing`` which parts of each F_k∘args
+vanish off one composition, and ``substitute_forms`` expands
 p(Q_1, …, Q_r, tail) with one such product per z-degree of p and the tail
 variables as key offsets.  ``compose`` keeps Horner's rule, as its callers'
 arguments are often packed families already.
@@ -288,13 +289,6 @@ class Polynomial:
 
     def coefficients(self):
         return self._terms.values()
-
-    def coefficients_by_exponent(self, i):
-        """{a: the coefficients c of the terms c·x^e with e_i = a}."""
-        s, out = _layout(self.nvars).offsets[i], {}
-        for k, c in self._terms.items():
-            out.setdefault(k >> s & _FIELD_MASK, []).append(c)
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -601,9 +595,6 @@ class Digits:
         self.bits, self.count = bound.bit_length() + 1, count
         self.offset = sum(1 << (self.bits * k + self.bits - 1) for k in range(count))
 
-    def pack(self, family):
-        return _new(family[0].nvars, self._pack(enumerate(p._terms for p in family)))
-
     def _pack(self, placed):
         """Σ 2^(bits·k)·t over the (digit k, term dict t) pairs, each k once
         and each coefficient of t at most the bound, so no sum is zero."""
@@ -647,6 +638,27 @@ def _integral_terms(dicts):
 
 def _norm(terms):
     return sum(map(abs, terms.values()))
+
+
+def vanishing(family, args, var):
+    """{a: [F_k∘args has no term of x_var exponent a, for each k]} over every
+    a that some F_k∘args reaches, for homogeneous forms F_k, off one
+    composition of P = Σ_k F_k·2^(bits·k) (`Digits`): P∘args is
+    Σ_k (F_k∘args)·2^(bits·k).  The family and the args are each scaled to
+    integers by the lcm of their denominators, and F_k(l·args) =
+    l^(deg F_k)·F_k(args) changes no part's vanishing.  A term c·x^e of F_k
+    goes to c·Π_i args_i^e_i, of absolute coefficient sum at most
+    |c|·M^(deg F_k), M = max_i ‖args_i‖₁: max_k ‖F_k‖₁·M^(deg F_k) bounds
+    every digit."""
+    (_, forms), (_, ints) = (_integral_terms([p._terms for p in ps]) for ps in (family, args))
+    m = max(map(_norm, ints))
+    digits = Digits(max(_norm(t) * m ** max(F.degree(), 0) for F, t in zip(family, forms)), len(family))
+    packed = _new(family[0].nvars, digits._pack(enumerate(forms)))
+    composed, parts = packed.compose([_new(a.nvars, t) for a, t in zip(args, ints)]), {}
+    s = _layout(composed.nvars).offsets[var]
+    for key, c in composed._terms.items():
+        parts.setdefault(key >> s & _FIELD_MASK, []).append(c)
+    return {a: [not x for x in digits.nonzero(cs)] for a, cs in parts.items()}
 
 
 def _dots(xs, families):

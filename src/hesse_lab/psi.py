@@ -14,12 +14,12 @@ parts P'_j returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so
 nothing is divided; ψ_g keeps the q_j as its coordinates on W (`PsiMap`).
 Everything the relation implies (translation invariance, the base-locus and
 singular-locus inclusions, fiber cones, the lines joining image points) is
-checked symbolically.  The checks are Z-linear in the form, so a family is
-checked at once on P = Σ_k F_k·2^(bits·k), each F_k's answer read off digit
-k (`poly.Digits`): the battery costs one expansion P(x + λh), whose λ¹
-coefficient is the derivative side Σ_j ∂_jP·h_j, a relation's certificate
-one product (`poly.dot`), and the lines one composition P∘L over the span of
-the image (`check_fiber_lines`).
+checked symbolically.  The checks are Z-linear in the form, so `poly`
+checks a family at once, packed on its index, and psi does no digit
+arithmetic: the battery costs one expansion F(x + λh) of the family
+(`poly.vanishing`), whose λ¹ part is the derivative side Σ_j ∂_jF·h_j, a
+relation's certificate one product (`poly.dot`), and the lines one
+composition F∘L over the span of the image (`check_fiber_lines`).
 Exact samples of the ψ_g and polar images at integer points (`sample_image`,
 `sample_polar_image`, the kept components or partials evaluated) are test
 oracles only: no report block samples either image.
@@ -34,20 +34,9 @@ from typing import NamedTuple
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
 from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, reduced_row_basis
-from .poly import Digits, Polynomial, dot, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree
+from .poly import Polynomial, dot, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree, vanishing
 
 DEFAULT_MAX_RELATION_DEGREE = 8
-
-
-def _integral(polys):
-    """polys, all scaled by the lcm of their denominators, which changes no
-    answer to "does this vanish"."""
-    lcm = math.lcm(*(c.denominator for p in polys for c in p.coefficients()))
-    return polys if lcm == 1 else [p.scale(lcm) for p in polys]
-
-
-def _norm(p):
-    return sum(map(abs, p.coefficients()))
 
 
 class _Relation(NamedTuple):
@@ -265,35 +254,31 @@ def check_invariance(forms, psi):
     """For each F in forms, both sides of Σ F_i h_i = 0  ⇔  F(x) = F(x + λψ_g(x)),
     and F(h) ≡ 0; the sides must agree, or the theorem itself is falsified.
 
-    All symbolic, read off digit k of one expansion P(x + λ·h(x)) of the
-    packed family P = Σ_k F_k·2^(bits·k) (`poly.Digits`).  Its λ¹ coefficient is
-    Σ_j ∂_jP·h_j (Taylor), and F_k is invariant when digit k vanishes on
-    every term of λ-exponent ≥ 1.  F_k is homogeneous, of degree D say, so
-    F_k(h) is its λ^D coefficient (Taylor's argument forces it to vanish when
-    Σ F_i h_i = 0).  The bound, with F and h scaled to integers and
-    M = 1 + max_j ‖h_j‖₁: a term c·x^e of F expands to c·Π_i (x_i + λh_i)^e_i,
-    of absolute coefficient sum at most |c|·M^D, so no coefficient of
-    F(x + λh) exceeds ‖F‖₁·M^D.
+    All symbolic, read off the λ-parts of the one expansion F_k(x + λ·h(x))
+    of the whole family (`poly.vanishing`, whose docstring bounds its
+    digits).  The λ¹ part is Σ_i ∂_iF_k·h_i (Taylor), and F_k is invariant
+    when every part of λ-exponent ≥ 1 vanishes.  F_k is homogeneous, of
+    degree D say, so F_k(h) is its λ^D part (Taylor's argument forces it to
+    vanish when Σ F_i h_i = 0).
     """
     for F in forms:
         if F.nvars != psi.nvars:
             raise DomainError("F must live in the same variables as ψ_g")
         if not F.is_homogeneous():
             raise DomainError("F must be homogeneous")
-    n1, family, h = psi.nvars, _integral(forms), _integral(psi.h)
-    degrees, m = [F.degree() for F in forms], 1 + max(map(_norm, h))
-    digits = Digits(max(_norm(F) * m ** max(D, 0) for F, D in zip(family, degrees)), len(forms))
+    n1 = psi.nvars
     # x_i + λ·h_i(x) in (x_0..x_n, λ)
-    shifted = digits.pack(family).compose([
-        Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1).times_variable(n1) for i, hi in enumerate(h)
-    ])
-    by_lambda = shifted.coefficients_by_exponent(n1)
-    derivative = digits.nonzero(by_lambda.get(1, ()))
-    moved = digits.nonzero(c for a, cs in by_lambda.items() if a for c in cs)
-    top = {D: digits.nonzero(by_lambda.get(D, ())) for D in set(degrees)}
+    by_lambda = vanishing(forms, [
+        Polynomial.variable(n1 + 1, i) + hi.extend(n1 + 1).times_variable(n1) for i, hi in enumerate(psi.h)
+    ], n1)
+    absent = [True] * len(forms)
     return [
-        InvarianceCheck(derivative_zero=not derivative[k], invariant=not moved[k], image_zero=not top[D][k])
-        for k, D in enumerate(degrees)
+        InvarianceCheck(
+            derivative_zero=by_lambda.get(1, absent)[k],
+            invariant=all(zero[k] for a, zero in by_lambda.items() if a),
+            image_zero=by_lambda.get(F.degree(), absent)[k],
+        )
+        for k, F in enumerate(forms)
     ]
 
 
@@ -353,11 +338,9 @@ def check_fiber_lines(f, psi):
     and every line joining two of them lie in P(V), which the check puts in
     both loci.
 
-    One composition of the packed family P = Σ_k F_k·2^(bits·k) of the
-    nonzero h_i and partials, scaled to integers (`poly.Digits`): P∘L is
-    Σ_k (F_k∘L)·2^(bits·k), zero exactly when every F_k∘L is, since a term
-    c·x^e of F_k goes to c·Π_i L_i^e_i, of absolute coefficient sum at most
-    |c|·M^deg F_k with M = max_i ‖L_i‖₁.
+    One composition of the family of the nonzero h_i and partials with L
+    (`poly.vanishing`, whose docstring bounds its digits) shows every
+    F_k∘L ≡ 0.
 
     The battery's other claims about the image are implied, not sampled:
     - that image points lie in Bs(ψ_g) and in Sing V(f), by
@@ -369,7 +352,5 @@ def check_fiber_lines(f, psi):
       certificate g(∇f) ≡ 0 (`PolarRelation`)."""
     basis = reduced_row_basis(ScalarMatrix.from_polynomials(psi.h).transpose().entries)
     line = [Polynomial.linear_form(column) for column in zip(*basis)]
-    family = _integral([p for p in (*psi.h, *f.gradient()) if p])
-    m = max(map(_norm, line))
-    digits = Digits(max(_norm(F) * m ** F.degree() for F in family), len(family))
-    return digits.pack(family).compose(line).is_zero()
+    family = [p for p in (*psi.h, *f.gradient()) if p]
+    return all(all(zero) for zero in vanishing(family, line, 0).values())

@@ -170,11 +170,6 @@ def run_lowdim_suite(count, seed):
     }
 
 
-def _draw(skel, seed):
-    """The seeded GN instance of skel."""
-    return random_instance(skel, seed=seed)
-
-
 def _relation_and_psi(f):
     """The polar relation of f on its seed-0 W and its ψ_g, or (None, None)."""
     rel = find_polar_relation(f, sample_kernels(f).span)
@@ -188,11 +183,12 @@ def _paper_cubic():
     return (f, *_relation_and_psi(f))
 
 
-def gn_entry(skel, seed, draw=_draw):
-    """Draw the seeded instance of skel and decide it once: the Hessian
-    verdict, the vertex the draw already computed, and the core multiplicity.
-    Returns the instance, the verdict and the report entry."""
-    inst = draw(skel, seed)
+def gn_entry(skel, seed, draw=None):
+    """Draw the seeded instance of skel, by `random_instance` unless another
+    draw is given, and decide it once: the Hessian verdict, the vertex the
+    draw already computed, and the core multiplicity.  Returns the instance,
+    the verdict and the report entry."""
+    inst = (draw or random_instance)(skel, seed)
     verdict = with_vertex(hessian_vanishes(inst.f, seed=seed), inst.vertex)
     entry = {
         "type": [skel.n, skel.t, skel.m],
@@ -210,7 +206,7 @@ def gn_entry(skel, seed, draw=_draw):
     return inst, verdict, entry
 
 
-def run_gn_suite(count, seed, draw=_draw):
+def run_gn_suite(count, seed, draw=None):
     entries = []
     violations = []
     for skel in GN_SUITE_SKELETONS:
@@ -281,7 +277,7 @@ def p4_classification(f, psi):
     return block, [stage for stage, report in block.items() if not report["ok"]]
 
 
-def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
+def run_p4_suite(seed, instances=5, draw=None, paper_cubic=None):
     cases = []
     violations = []
     skel = GNSkeleton(n=4, t=2, m=1, hdeg=2, psideg=1, d=3)
@@ -289,7 +285,7 @@ def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
     def inputs():
         yield ("paper_cubic", *(paper_cubic or _paper_cubic()))
         for i in range(instances):
-            name, inst = f"gn_421_3_seed{seed + i}", draw(skel, seed + i)
+            name, inst = f"gn_421_3_seed{seed + i}", (draw or random_instance)(skel, seed + i)
             if inst.vertex.is_cone:
                 # the relation search and ψ_g need a non-cone, which
                 # another `draw` need not return
@@ -316,7 +312,7 @@ def run_p4_suite(seed, instances=5, draw=_draw, paper_cubic=None):
 def run_all_suites(count, seed, mutate=False):
     """Every suite once.  The gn and p4 suites share their GN draws, and the
     psi and p4 suites the paper cubic's relation and ψ_g."""
-    draw = functools.cache(_draw)
+    draw = functools.cache(random_instance)
     paper_cubic = _paper_cubic()
     blocks = {
         "lowdim": run_lowdim_suite(count, seed),

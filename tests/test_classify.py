@@ -57,7 +57,7 @@ UNIT_3 = tuple(tuple(int(i == j) for i in range(3)) for j in range(3))
 def _binary_image(image):
     """A normal-form report with the binary image q' and a stand-in M that
     is not constant: all that the curve stage reads."""
-    return classify.NormalFormReport((), (), tuple(image), (_X[3],), (), None, None)
+    return classify.NormalFormReport((), tuple(image), (_X[3],), (), None, None)
 
 
 def _curve(f, psi):

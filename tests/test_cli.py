@@ -340,6 +340,22 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, flag, argv, missing
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("directory", ["--json", "--out"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_run_that_cannot_write_one_output_leaves_no_file_it_created(tmp_path, capsys, directory, existing):
+    # `--out x.json --json <dir>` and `--out <dir> --json x.json` both exit
+    # 2, and x.json is left only when it was there before the run
+    written = tmp_path / "x.json"
+    if existing:
+        written.write_text("before\n")
+    flags = {"--out": str(written), "--json": str(written), directory: str(tmp_path)}
+    assert main([*GENERATE_4_2_1_2_1_3, "--out", flags["--out"], "--json", flags["--json"], "--no-timings"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"cannot write {tmp_path}: Is a directory\n"
+    assert out.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == (["x.json"] if existing else [])
+
+
 def test_generate_t_8_builds(tmp_path):
     # GN matrices of size t+1 = 9 are built by Laplace along the psi-rows and
     # never meet the symbolic determinant's size cap

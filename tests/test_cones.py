@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import cones, linalg
-from hesse_lab.errors import DomainError, InternalCheckError, RestrictionZeroError
+from hesse_lab.errors import InternalCheckError, RestrictionZeroError
 from hesse_lab.cones import (
     HyperplaneChart,
     chart_for_hyperplane,
@@ -17,7 +17,6 @@ from hesse_lab.cones import (
     directional_derivative,
     projection_lemma_check,
     restrict,
-    sing_membership,
     translation_invariant,
 )
 from hesse_lab.fields import substream
@@ -211,26 +210,6 @@ def test_cone_implies_vanishing_hessian():
         f = parse(text, nvars=n)
         assert cone_test(f).is_cone
         assert symbolic_determinant(hessian_matrix(f)).is_zero()
-
-
-def test_sing_membership_paper_cubic():
-    # all five partials contain x3 or x4 in every monomial
-    assert sing_membership(PAPER_CUBIC, (1, 0, 0, 0, 0)) is True
-
-
-def test_sing_membership_fermat():
-    assert sing_membership(parse("x0^3 + x1^3 + x2^3"), (1, 0, 0)) is False
-
-
-def test_sing_membership_generic_point():
-    rng = substream(3, "sing")
-    pt = [rng.randint(1, 9) for _ in range(5)]
-    assert sing_membership(PAPER_CUBIC, pt) is False
-
-
-def test_sing_membership_rejects_zero_vector():
-    with pytest.raises(DomainError):
-        sing_membership(PAPER_CUBIC, (0, 0, 0, 0, 0))
 
 
 def _pencil_chart(c):

@@ -14,7 +14,6 @@ TEST_ORACLES = {
     "low_polar_dim_check": "paper corollary (a small polar image forces a cone); acceptance criterion 5",
     "projection_lemma_check": "restricting commutes with projecting the gradient; acceptance criterion 7",
     "translation_invariant": "a vertex certifies translation invariance; test_cones",
-    "sing_membership": "exact point membership in Sing V(f); test_cones",
     "instance_from_dict": "serialization round trip of generated instances; test_gn",
     "SampledSet.reverify": "re-derives each sampled image point from its stored preimage; test_psi",
     "sample_image": "exact points of ψ_g's image, which the battery certifies in P(W); test_psi, test_classify; "
@@ -173,3 +172,23 @@ def test_psi_imports_nothing_from_hessian():
     # the relation search runs on the W its caller sampled, and the
     # polar-image oracle evaluates f's kept partials: psi reads no Hessian
     assert _imports_from("psi", "hessian") == []
+
+
+def _digits_references(source):
+    """Line numbers where source names `Digits`: as a name, an attribute or an import."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "Digits"
+        or isinstance(node, ast.Attribute) and node.attr == "Digits"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "Digits" for a in node.names)
+    ]
+
+
+def test_no_module_but_poly_refers_to_digits():
+    # a packed family's digit bound is derived in poly alone (`poly.vanishing`,
+    # `poly.dot`): a wrong bound elsewhere would read a nonzero digit as zero
+    offenders = {path.name: _digits_references(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in offenders.items() if lines and name != "poly.py"} == {}
+    assert _digits_references("from .poly import Digits\n") == [1]
+    assert _digits_references("from . import poly\n\nd = poly.Digits(7, 2)\n") == [3]

@@ -1354,12 +1354,6 @@ def test_packed_layout_matches_the_tuple_oracle(case):
                 p.times_variable(i)
         else:
             assert p.times_variable(i).as_dict() == {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in a.items()}
-        by_exponent = {}
-        for e, c in a.items():
-            by_exponent.setdefault(e[i], []).append(c)
-        assert {x: sorted(cs) for x, cs in p.coefficients_by_exponent(i).items()} == {
-            x: sorted(cs) for x, cs in by_exponent.items()
-        }
     # x^h divides x^e on keys exactly when it does on exponents
     pack = _layout(n).pack
     for e in es:

@@ -25,7 +25,7 @@ from hesse_lab.linalg import (
     rank,
     reduced_row_basis,
 )
-from hesse_lab.poly import Digits, Polynomial, dot, linear_combination, monomials_of_degree, parse
+from hesse_lab.poly import Digits, Polynomial, dot, linear_combination, monomials_of_degree, parse, vanishing
 from hesse_lab.psi import (
     DEFAULT_MAX_RELATION_DEGREE,
     PolarRelation,
@@ -829,7 +829,7 @@ def digit_families(draw):
 def test_digits_read_back_every_packed_coefficient(case):
     bound, family = case
     digits = Digits(bound, len(family))
-    packed = digits.pack(family)
+    packed = poly_module._new(2, digits._pack(enumerate(p._terms for p in family)))
     for k, p in enumerate(family):
         assert digits.digit(packed, k) == p
     assert digits.nonzero(packed.coefficients()) == [bool(p) for p in family]
@@ -879,6 +879,55 @@ def test_packed_invariance_reads_a_digit_just_under_half_the_base(t):
         _oracle_invariance(F, h) for F in forms
     ]
     assert [r.invariant for r in got] == [False, True, False, True, True, False, True]
+
+
+def _oracle_vanishing(family, args, var):
+    """`vanishing` from one `compose` per member, its terms grouped by the
+    exponent of x_var."""
+    reached = [{e[var] for e in F.compose(args).as_dict()} for F in family]
+    return {a: [a not in r for r in reached] for a in set().union(*reached)}
+
+
+@st.composite
+def vanishing_cases(draw):
+    """(family, args, var): forms of mixed degrees in three variables, zero
+    and constant members and multiples of x0 − x1 included, at three args
+    with Fraction coefficients, of mixed degrees and zero among them, and
+    args[1] = args[0] often, so that x0 − x1 goes to zero."""
+    x0, x1 = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    member = st.one_of(
+        small_forms(),
+        small_forms(degrees=(1, 2)).map(lambda g: g * (x0 - x1)),
+        st.just(Polynomial.zero(3)),
+        st.fractions(-5, 5, max_denominator=6).map(lambda c: Polynomial.constant(3, c)),
+    )
+    arg = st.one_of(small_forms(), st.just(Polynomial.zero(3)), st.tuples(small_forms(), small_forms()).map(sum))
+    args = draw(st.lists(arg, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        args[1] = args[0]
+    return draw(st.lists(member, min_size=1, max_size=5)), args, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(vanishing_cases())
+def test_vanishing_matches_compose_member_by_member(case):
+    family, args, var = case
+    assert vanishing(family, args, var) == _oracle_vanishing(family, args, var)
+
+
+@pytest.mark.parametrize("t", [2, 7, 31, 64, 200])
+def test_packed_lines_read_a_digit_just_under_half_the_base(t):
+    # a check_fiber_lines-style call: with linear forms L = (s·y0, 0, y1)
+    # and s = 2^t − 1, the bound ‖F‖₁·M of F = ±x0 or x1 is s, so
+    # 2^(bits−1) = 2^t, and ±s·y0 sits just under it beside the zero digits
+    # of x1
+    s = 2**t - 1
+    assert Digits(s, 1).bits - 1 == t
+    x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
+    line = [Polynomial.variable(2, 0).scale(s), Polynomial.zero(2), Polynomial.variable(2, 1)]
+    family = [x0, x1, -x0, x1, x0]
+    assert vanishing(family, line, 0) == _oracle_vanishing(family, line, 0) == {1: [False, True, False, True, False]}
+    assert vanishing([x1, x1 * x2, -x1], line, 0) == {}
 
 
 @st.composite
