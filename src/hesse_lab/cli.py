@@ -20,8 +20,9 @@ error, bad invocation or input outside a computation's domain (such as
 exponents past the exponent field), or a --json or --out path that cannot be
 written, after which no file the run created is left; 3 zero, constant or
 non-homogeneous input; 4 internal check violation (an identity the
-construction guarantees failed); 5 parameter validation failure; 6 seeded
-retry budget exhausted.
+construction guarantees failed); 5 parameter validation failure, also
+`generate` with --out and --json naming one file, refused before any work;
+6 seeded retry budget exhausted.
 Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """
 
@@ -211,6 +212,10 @@ def cmd_analyze(args):
 
 
 def cmd_generate(args):
+    if args.out and args.json and os.path.realpath(args.out) == os.path.realpath(args.json):
+        raise ValidationError(
+            [f"--out and --json name one file ({args.out}); the report would overwrite the instance"]
+        )
     skel = GNSkeleton(*(getattr(args, name) for name in GNSkeleton._fields))
     instance, verdict, entry = gn_entry(skel, args.seed)
     results = {

@@ -6,17 +6,20 @@ determinant of the (t+1)×(t+1) matrix stacking (x_0..x_t), the rows
 ∂h_i/∂y_j evaluated at y = ψ, and the constants.  Only the first row holds
 x_0..x_t, so Q_ℓ = Σ M_{ℓ,i}·x_i.  Its first-row cofactors M_{ℓ,i}, of degree
 s-1 in the tail variables, come from Laplace along the ψ-rows (`build_Q`),
-whose minors every Q_ℓ shares.  Each ψ-row entry is (∂h_i/∂y_j)(ψ), one
-`compose`; all minors det B[:,T] are read from one `hessian.ColumnMinors`
-memo over those rows, the memo that also gives the scalar minors of the
-constant rows.  The M_{ℓ,i} of one ℓ are linear combinations of the minors,
-read off one table of their coefficients (`poly.linear_combinations`), and
-so is their annihilation check, and Q_ℓ = Σ_i x_i·M_{ℓ,i} is a sum of key
-offsets (`times_variable`).  The output form is
-f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of bidegree
-(k, d-k·s), and it always has vanishing Hessian; `poly.substitute_forms`
-makes the tail variables key offsets and spends one packed product in the
-Q_ℓ per z-degree of Σ_k P_k.
+whose minors every Q_ℓ shares.  Evaluating at y = ψ is a ring homomorphism
+Q[y_0..y_m] → Q[x], so every minor, cofactor and annihilation identity is
+formed in the m+1 variables y and composed with ψ once: the minors
+det J[:,T] of the rows J[j][i] = ∂h_i/∂y_j come from one
+`hessian.ColumnMinors` memo, the memo that also gives the scalar minors of
+the constant rows, and the cofactors M̃_{ℓ,i} in Q[y] are linear
+combinations of them, read off one table of their coefficients
+(`poly.linear_combinations`), and so is their annihilation check.  Each
+M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one table of the powers ψ^γ, and
+Q_ℓ = Σ_i x_i·M_{ℓ,i} is a sum of key offsets (`times_variable`).  The
+output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
+bidegree (k, d-k·s), and it always has vanishing Hessian;
+`poly.substitute_forms` makes the tail variables key offsets and spends one
+packed product in the Q_ℓ per z-degree of Σ_k P_k.  No step calls `compose`.
 """
 
 from __future__ import annotations
@@ -201,6 +204,20 @@ class GNInstance(NamedTuple):
     vertex: VertexSubspace  # cone test of f
 
 
+def _psi_powers(psi, degree):
+    """{γ: ψ^γ} over the γ of `monomials_of_degree(len(psi), degree)`, in that
+    order: each ψ^γ is one of the degree below, γ less the unit ε_v of its
+    last nonzero exponent, times ψ_v."""
+    powers = {(0,) * len(psi): Polynomial.constant(psi[0].nvars, 1)}
+    for k in range(1, degree + 1):
+        level = {}
+        for gamma in monomials_of_degree(len(psi), k):
+            v = max(i for i, x in enumerate(gamma) if x)
+            level[gamma] = powers[gamma[:v] + (gamma[v] - 1,) + gamma[v + 1:]] * psi[v]
+        powers = level
+    return powers
+
+
 def build_Q(params):
     """All Q_ℓ and cofactors by Laplace along the ψ-rows B, with A_ℓ the
     constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
@@ -208,28 +225,33 @@ def build_Q(params):
     ε_i(T) = (-1)^(Σ positions of T among them - m(m+1)/2).  Each M_ℓ must
     annihilate the rows of A_ℓ; rejects degenerate data.
 
-    The ψ-rows are (∂h_i/∂y_j)(ψ), shared by every Q_ℓ.  Their minors come
-    from one memo, so each m-row sub-minor is formed once and shared by
-    every T that holds its columns.  M_{ℓ,i} is the combination of the
-    minors with the signed scalar minors as weights, the annihilation check
-    the combinations of the M_{ℓ,i}'s with the rows of A_ℓ, and Q_ℓ the sum
-    of the x_i·M_{ℓ,i}."""
+    The ψ-rows are J∘ψ for the rows J[j][i] = ∂h_i/∂y_j in Q[y_0..y_m], and
+    pulling back by ψ is a ring homomorphism, so det B[:,T] = det J[:,T]∘ψ
+    and M_{ℓ,i} = M̃_{ℓ,i}∘ψ for the cofactors M̃_{ℓ,i} formed alike from J.
+    The minors of J come from one memo, so each m-row sub-minor is formed
+    once and shared by every T that holds its columns; M̃_{ℓ,i} is their
+    combination with the signed scalar minors as weights.  Σ_i a_i·M̃_{ℓ,i} ≡ 0
+    for each row a of A_ℓ is the formal identity, so checking it in Q[y]
+    checks the composed one too.  Each M̃_{ℓ,i} is homogeneous of degree
+    D = (m+1)(hdeg−1), so M_{ℓ,i} = Σ_γ c_γ·ψ^γ over the monomials y^γ of
+    degree D, all read off one table of the ψ^γ; Q_ℓ is the sum of the
+    x_i·M_{ℓ,i}."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
-    s = params.skeleton().expected_s
+    skel = params.skeleton()
+    s = skel.expected_s
     cols = range(t + 1)
     subsets = list(combinations(cols, m + 1))
-    psi = list(params.psi_forms)
-    rows = [[h.partial(j).compose(psi) for h in params.h_forms] for j in range(m + 1)]
-    b_minor = ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
+    rows = [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
+    b_minor = ColumnMinors(rows, Polynomial.zero(m + 1), Polynomial.constant(m + 1, 1))
     minors = [b_minor(sum(1 << j for j in T)) for T in subsets]
     # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
     plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
              for u, T in enumerate(subsets) if i not in T]
             for i in cols]
-    qs, cofactors = [], []
+    formal = []
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
         a_minor = ColumnMinors(a_rows, 0, 1)
@@ -237,12 +259,19 @@ def build_Q(params):
         for w, terms in zip(weights, plan):
             for u, r, sg in terms:
                 w[u] = sg * a_minor(r)
-        ms = tuple(linear_combinations(n1, weights, minors))
+        ms = linear_combinations(m + 1, weights, minors)
+        if any(linear_combinations(m + 1, a_rows, ms)):
+            raise InternalCheckError("a cofactor row fails to annihilate a constant row")
+        formal += ms
+    powers = _psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
+    coefficients = [[mt.coefficient(gamma) for gamma in powers] for mt in formal]
+    composed = linear_combinations(n1, coefficients, list(powers.values()))
+    qs, cofactors = [], []
+    for start in range(0, len(composed), t + 1):
+        ms = tuple(composed[start:start + t + 1])
         q = linear_combination(n1, ((1, mi.times_variable(i)) for i, mi in enumerate(ms)))
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
-        if any(linear_combinations(n1, a_rows, ms)):
-            raise InternalCheckError("a cofactor row fails to annihilate a constant row")
         qs.append(q)
         cofactors.append(ms)
     # each nonzero Q_ℓ is homogeneous of degree s, and validation checked d >= s

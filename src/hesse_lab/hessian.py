@@ -17,7 +17,8 @@ det H_f ≡ 0 later makes a vanishing verdict exact.
 That last certificate is the symbolic determinant, expanded by minors over
 memoized column subsets (`ColumnMinors`) under DETERMINANT_BUDGET monomial
 products, whatever the size of H_f; the matrix of second partials is built
-for it alone.  The same memo gives `gn` the minors of its ψ-rows and the
+for it alone.  The same memo gives `gn` the minors of its ψ-rows, formed as
+those of the rows ∂h_i/∂y_j in Q[y_0..y_m] before ψ is substituted, and the
 scalar minors of its constant rows.
 """
 

@@ -500,20 +500,21 @@ class Polynomial:
 
     def to_string(self, prefix="x"):
         """The terms in graded-lex descending order, which is descending key
-        order.  Each factor is a cached variable name and an exponent suffix,
-        made once per distinct exponent of the polynomial, so no name or
-        suffix is formatted per term."""
+        order.  Each factor, `x3` or `x3^2`, is read from a table kept per
+        (prefix, variable count) and made on its first use."""
         if not self._terms:
             return "0"
         keys = sorted(self._terms, reverse=True)
-        exps = list(_layout(self.nvars).unpack(keys))
-        names = _variable_names(prefix, self.nvars)
-        powers = {a: f"^{a}" for a in set(itertools.chain.from_iterable(exps))}
-        powers[1] = ""
+        tables = _factors(prefix, self.nvars)
         out = []
-        for k, e in zip(keys, exps):
+        for k, e in zip(keys, _layout(self.nvars).unpack(keys)):
+            try:
+                mono = "*".join([t[a] for t, a in zip(tables, e) if a])
+            except KeyError:  # a new exponent
+                for i, a in enumerate(e):
+                    tables[i].setdefault(a, f"{prefix}{i}^{a}")
+                mono = "*".join([t[a] for t, a in zip(tables, e) if a])
             c = self._terms[k]
-            mono = "*".join([v + powers[a] for v, a in zip(names, e) if a])
             mag = str(abs(c))
             body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
             out.append((" - " if c < 0 else " + ") + body)
@@ -526,10 +527,9 @@ class Polynomial:
 
 
 @functools.lru_cache(maxsize=64)
-def _variable_names(prefix, nvars):
-    """("x0", "x1", …) for prefix "x", shared by every polynomial printed
-    with the same prefix and variable count."""
-    return tuple(f"{prefix}{i}" for i in range(nvars))
+def _factors(prefix, nvars):
+    """Per variable i, {a: "x{i}^a"} for prefix "x", with "x{i}" at a = 1."""
+    return [{1: f"{prefix}{i}"} for i in range(nvars)]
 
 
 def linear_combination(nvars, pairs):

@@ -356,6 +356,30 @@ def test_a_run_that_cannot_write_one_output_leaves_no_file_it_created(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == (["x.json"] if existing else [])
 
 
+@pytest.mark.parametrize("alias", ["same", "symlink", "dotted"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_generate_refuses_one_file_for_out_and_json(tmp_path, capsys, monkeypatch, alias, existing):
+    # the report would overwrite the instance: exit 5 before any draw, and
+    # the file, when there was one, is left as it was
+    target = tmp_path / "x.json"
+    if existing:
+        target.write_text("before\n")
+    other = {"same": target, "symlink": tmp_path / "link.json", "dotted": tmp_path / "." / "x.json"}[alias]
+    if alias == "symlink":
+        other.symlink_to(target)
+    monkeypatch.setattr(cli, "gn_entry", lambda *args: pytest.fail("generate drew an instance"))
+    assert main([*GENERATE_4_2_1_2_1_3, "--out", str(target), "--json", str(other), "--no-timings"]) == 5
+    out = capsys.readouterr()
+    assert out.err == (
+        f"validation: --out and --json name one file ({target}); the report would overwrite the instance\n"
+    )
+    assert out.out == ""
+    assert target.exists() == existing and (not existing or target.read_text() == "before\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        (["x.json"] if existing else []) + (["link.json"] if alias == "symlink" else [])
+    )
+
+
 def test_generate_t_8_builds(tmp_path):
     # GN matrices of size t+1 = 9 are built by Laplace along the psi-rows and
     # never meet the symbolic determinant's size cap
@@ -727,7 +751,9 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     # cone tests read their rows through `linalg.kernel_of_rows` and stop at
     # full rank, so none of them is a `kernel` call; the kernels of H_f at
     # the sampled points are.  `is_reduced` reads its forms on a line, so
-    # nothing calls the multivariate `gcd`
+    # nothing calls the multivariate `gcd`.  The GN cofactors are formed in
+    # Q[y] and composed with ψ off one table of its powers, and f is
+    # substituted by packed products, so no GN draw calls `compose`
     calls = Counter()
     for original in (
         hessian.hessian_vanishes, linalg.kernel, poly.gcd, hessian.hessian_at, cones.cone_test,
@@ -737,9 +763,16 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         _patch_everywhere(monkeypatch, original, counted)
+    compose = Polynomial.compose
+
+    def counted_compose(self, args):
+        calls["compose"] += 1
+        return compose(self, args)
+
+    monkeypatch.setattr(Polynomial, "compose", counted_compose)
     assert run(tmp_path, "verify", "--suite", "all", "--count", "1", "--seed", "0")[0] == 0
     assert calls == Counter(
-        hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12
+        hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12, compose=23
     )
 
 

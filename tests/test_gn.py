@@ -281,9 +281,10 @@ def _check_laplace(inst, det):
 
 
 def test_build_f_expands_only_psi_row_minors(monkeypatch):
-    # Laplace along the psi-rows: each (m+1)-column minor det B[:,T] is
-    # formed once per draw in the shared memo, and no minor on more than m+1
-    # columns, so none of the (t+1)x(t+1) matrices, is expanded
+    # Laplace along the psi-rows: each (m+1)-column minor det J[:,T] of the
+    # rows in Q[y] is formed once per draw in the shared memo, and no minor
+    # on more than m+1 columns, so none of the (t+1)x(t+1) matrices, is
+    # expanded
     for types in ((7, 5, 1, 2, 1, 6), (6, 3, 2, 2, 1, 4)):
         params = random_instance(GNSkeleton(*types), seed=0).params
         masks = []
@@ -322,8 +323,8 @@ _MINOR_SKELETONS = (
 )
 
 
-def _psi_rows_of_build_Q(params):
-    """The polynomial rows build_Q hands to ColumnMinors: its psi-rows."""
+def _jacobian_rows_of_build_Q(params):
+    """The polynomial rows build_Q hands to ColumnMinors: ∂h_i/∂y_j in Q[y]."""
     real, captured = gn.ColumnMinors, []
 
     def recording(rows, zero, one):
@@ -342,27 +343,33 @@ def _psi_rows_of_build_Q(params):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_MINOR_SKELETONS), st.integers(0, 2**32))
-def test_horner_psi_rows_and_shared_minors_match_the_polynomial_oracle(types, seed):
-    # the psi-rows build_Q passes to its memo against compose term by term,
-    # and the minors of the memo shared by all column subsets against
-    # symbolic_determinant of each square of rows
+def test_jacobian_minors_composed_with_psi_match_the_polynomial_oracle(types, seed):
+    # the rows build_Q passes to its memo are the h-partials in Q[y]; every
+    # minor of the memo, composed with ψ term by term and read off the
+    # table of ψ^γ alike, is symbolic_determinant of the composed rows
     skel = GNSkeleton(*types)
     assert not skel.violations()
     rng = substream(seed, "test_minors")
     params = gn._random_params(skel, lambda: gn._nonzero(rng))
-    n1, t, m = params.n + 1, params.t, params.m
-    rows = _psi_rows_of_build_Q(params)
-    oracle_rows = [[h.partial(j).compose(list(params.psi_forms)) for h in params.h_forms]
-                   for j in range(m + 1)]
-    assert rows == oracle_rows
-    minors = hessian.ColumnMinors(rows, Polynomial.zero(n1), Polynomial.constant(n1, 1))
+    t, m = params.t, params.m
+    psi = list(params.psi_forms)
+    rows = _jacobian_rows_of_build_Q(params)
+    assert rows == [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
+    oracle_rows = [[e.compose(psi) for e in row] for row in rows]
+    minors = hessian.ColumnMinors(rows, Polynomial.zero(m + 1), Polynomial.constant(m + 1, 1))
+    powers = gn._psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
     for T in combinations(range(t + 1), m + 1):
         expected = symbolic_determinant([[r[j] for j in T] for r in oracle_rows])
-        assert minors(sum(1 << j for j in T)) == expected
+        minor = minors(sum(1 << j for j in T))
+        assert minor.compose(psi) == expected
+        read = Polynomial.zero(params.n + 1)
+        for gamma, power in powers.items():
+            read = read + power.scale(minor.coefficient(gamma))
+        assert read == expected
 
 
 def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypatch):
-    # the memoized minors and the monomial enumeration hold no closure that
+    # the memoized minors in Q[y] and the table of ψ^γ hold no closure that
     # refers to itself, so reference counting frees them, memo and all
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
     budgets = []
@@ -370,14 +377,15 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
     class Recorded(hessian.ColumnMinors):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            budgets.append(self.budget)
+            budgets.append((self.budget, getattr(self.zero, "nvars", None)))
 
-    # the scalar and the ψ-row minors in gn; none through symbolic_determinant
+    # the scalar and the Jacobian minors in gn; none through symbolic_determinant
     for module in (gn, hessian):
         monkeypatch.setattr(module, "ColumnMinors", Recorded)
     build_Q(params)
     monkeypatch.undo()
-    assert budgets and set(budgets) == {None}
+    assert budgets and {budget for budget, _ in budgets} == {None}
+    assert {nvars for _, nvars in budgets} == {None, params.m + 1}
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -408,21 +416,30 @@ def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatc
 
 @pytest.mark.parametrize("variable", [0, 7])
 def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, variable):
-    # the first psi-row times x_0 (a head variable) or x_7 (one degree up),
-    # so every minor det B[:,T] from the memo is x_0 or x_7 times its own
+    # every ψ^γ times x_0 (a head variable) or x_7 (one degree up), so every
+    # cofactor read off the table of ψ^γ is x_0 or x_7 times its own
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real = gn.ColumnMinors
+    real = gn._psi_powers
     x = Polynomial.variable(8, variable)
 
-    def shifted(rows, zero, one):
-        if isinstance(zero, Polynomial):
-            first, *rest = rows
-            rows = [[e * x for e in first], *rest]
-        return real(rows, zero, one)
+    def shifted(psi, degree):
+        return {gamma: power * x for gamma, power in real(psi, degree).items()}
 
-    monkeypatch.setattr(gn, "ColumnMinors", shifted)
+    monkeypatch.setattr(gn, "_psi_powers", shifted)
     with pytest.raises(InternalCheckError, match="tail-support"):
         build_Q(params)
+
+
+def test_build_f_composes_nothing(monkeypatch):
+    # the cofactors are formed in Q[y] and read off one table of ψ^γ, and
+    # Σ_k P_k is substituted by packed products: no `compose` call
+    params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
+
+    def refuse(self, args):
+        pytest.fail("build_f called Polynomial.compose")
+
+    monkeypatch.setattr(Polynomial, "compose", refuse)
+    build_f(params)
 
 
 def test_gn_suite_reports_cone_draws_past_the_allowance():

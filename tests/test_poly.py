@@ -1,6 +1,7 @@
 """Polynomial core: parsing, arithmetic, calculus, gcd, binary forms, reducedness."""
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -309,6 +310,56 @@ def printable_polynomials(draw):
 def test_print_parse_round_trip(case):
     p, prefix = case
     assert parse(p.to_string(prefix), prefix, nvars=p.nvars) == p
+
+
+def _printed_with_names_per_call(p, prefix):
+    """The printer before its factor tables, kept as an oracle: variable names
+    and one exponent suffix per distinct exponent, made on every call."""
+    if not p._terms:
+        return "0"
+    keys = sorted(p._terms, reverse=True)
+    exps = list(_layout(p.nvars).unpack(keys))
+    names = tuple(f"{prefix}{i}" for i in range(p.nvars))
+    powers = {a: f"^{a}" for a in set(itertools.chain.from_iterable(exps))}
+    powers[1] = ""
+    out = []
+    for k, e in zip(keys, exps):
+        c = p._terms[k]
+        mono = "*".join([v + powers[a] for v, a in zip(names, e) if a])
+        mag = str(abs(c))
+        body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+        out.append((" - " if c < 0 else " + ") + body)
+    out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
+    return "".join(out)
+
+
+_PRINTED_COEFFS = st.one_of(
+    st.sampled_from([1, -1, 0]),
+    st.integers(-(2**61), 2**61),
+    st.fractions(min_value=-(2**61), max_value=2**61, max_denominator=2**61),
+)
+
+
+@st.composite
+def wide_polynomials(draw):
+    nvars = draw(st.integers(1, 12))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, FIELD_LIMIT - 1))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * nvars), _PRINTED_COEFFS, max_size=8))
+    if draw(st.booleans()):
+        terms[(0,) * nvars] = draw(_PRINTED_COEFFS)  # a constant term, or none when 0
+    return Polynomial(nvars, terms), draw(st.sampled_from(["x", "y", "z"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_polynomials())
+@example((Polynomial.zero(4), "y"))
+@example((Polynomial.constant(12, -1), "z"))
+@example((Polynomial(3, {(FIELD_LIMIT - 1, 0, 1): 2**61 - 1, (0, 1, 0): Fraction(-1, 2**61)}), "x"))
+def test_factor_tables_print_what_the_per_call_names_print(case):
+    # the tables are shared by every example of one (prefix, variable
+    # count), so an entry made for one polynomial is read back for the next
+    p, prefix = case
+    assert p.to_string(prefix) == _printed_with_names_per_call(p, prefix)
 
 
 def _no_descent(*args):
