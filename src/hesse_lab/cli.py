@@ -20,8 +20,10 @@ error, bad invocation or input outside a computation's domain (such as
 exponents past the exponent field), or a --json or --out path that cannot be
 written, after which no file the run created is left; 3 zero, constant or
 non-homogeneous input; 4 internal check violation (an identity the
-construction guarantees failed); 5 parameter validation failure, also
-`generate` with --out and --json naming one file, refused before any work;
+construction guarantees failed); 5 parameter validation failure, such as
+a skeleton whose d reaches 65536 or whose dense biforms would have more than
+gn.MAX_BIFORM_TERMS terms, refused before any draw, and `generate` with
+--out and --json naming one file, refused before any work;
 6 seeded retry budget exhausted.
 Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """

@@ -10,36 +10,55 @@ whose minors every Q_ℓ shares.  Evaluating at y = ψ is a ring homomorphism
 Q[y_0..y_m] → Q[x], so every minor, cofactor and annihilation identity is
 formed in the m+1 variables y and composed with ψ once: the minors
 det J[:,T] of the rows J[j][i] = ∂h_i/∂y_j come from one
-`hessian.ColumnMinors` memo, the memo that also gives the scalar minors of
-the constant rows, and the cofactors M̃_{ℓ,i} in Q[y] are linear
-combinations of them, read off one table of their coefficients
-(`poly.linear_combinations`), and so is their annihilation check.  Each
-M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one table of the powers ψ^γ, and
+`poly.ColumnMinors` memo on term dicts, as the table of their coefficients
+at the monomials y^γ of their degree, and the memo also gives the scalar
+minors of the constant rows.  Each cofactor M̃_{ℓ,i} in Q[y] is kept as its
+coefficient row over the y^γ, the signed scalar minors times that table,
+and the annihilation check runs on those rows.  The subsets, rest sets and
+signs of the expansion depend on (t, m) alone and are kept per (t, m)
+(`_laplace_plan`).  Each M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one table of the
+powers ψ^γ (`poly.linear_combinations`), and
 Q_ℓ = Σ_i x_i·M_{ℓ,i} is a sum of key offsets (`times_variable`).  The
 output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
 bidegree (k, d-k·s), and it always has vanishing Hessian;
 `poly.substitute_forms` makes the tail variables key offsets and spends one
 packed product in the Q_ℓ per z-degree of Σ_k P_k.  No step calls `compose`.
+A skeleton is refused before any draw when d reaches the exponent field's
+FIELD_LIMIT or its dense biforms would pass MAX_BIFORM_TERMS terms.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .cones import VertexSubspace, cone_test
 from .errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from .fields import norm_coeff, substream
-from .hessian import ColumnMinors
 # Nothing here calls symbolic_determinant.  The binding stays only because
 # bench/spans.py rebinds this copy, and bench/test_bench.py and
 # tests/test_bench_targets.py read it; drop it with them at the next change
 # to the benchmark (ROADMAP item 1a).
 from .hessian import symbolic_determinant  # noqa: F401
-from .poly import Polynomial, linear_combination, linear_combinations, monomials_of_degree, substitute_forms
+from .poly import (
+    FIELD_LIMIT,
+    ColumnMinors,
+    Polynomial,
+    linear_combination,
+    linear_combinations,
+    monomials_of_degree,
+    substitute_forms,
+)
 
 RETRY_BUDGET = 8
+# The most terms the dense biforms P_k of one skeleton may have; the largest
+# skeleton in the tests, goldens and benchmark, 9,4,1,2,1,8, has 963, and
+# `generate` on 9,4,1,2,1,14 (11610) takes 3.4 s and 86 MB on a 2-core x86 host
+MAX_BIFORM_TERMS = 10_000
 
 
 def _shape_violations(n, t, m):
@@ -96,7 +115,27 @@ class GNSkeleton(NamedTuple):
             )
         elif self.hdeg >= 1 and not self.d >= self.expected_s:
             out.append(f"d >= s violated (d={self.d}, s={self.expected_s})")
+        if self.d >= FIELD_LIMIT:
+            out.append(f"d < {FIELD_LIMIT} violated (d={self.d}; an exponent of f must stay below {FIELD_LIMIT})")
+        elif not out and _dense_biform_terms(self) > MAX_BIFORM_TERMS:
+            out.append(
+                f"biform terms <= {MAX_BIFORM_TERMS} violated "
+                f"(the dense P_k would have more than {MAX_BIFORM_TERMS} terms)"
+            )
         return out
+
+
+def _dense_biform_terms(skel):
+    """The terms of the dense biforms P_k of bidegree (k, d-k·s), k = 0..μ,
+    that a draw of shape skel fills: Σ_k C(t-m+k-1, k)·C(n-t+d-k·s-1, d-k·s),
+    summed only until it passes MAX_BIFORM_TERMS."""
+    n, t, m, d, s = skel.n, skel.t, skel.m, skel.d, skel.expected_s
+    total = 0
+    for k in range(d // s + 1):
+        total += comb(t - m + k - 1, k) * comb(n - t + d - k * s - 1, d - k * s)
+        if total > MAX_BIFORM_TERMS:
+            break
+    return total
 
 
 class GNParams(NamedTuple):
@@ -218,6 +257,25 @@ def _psi_powers(psi, degree):
     return powers
 
 
+@functools.cache
+def _laplace_plan(t, m):
+    """What the cofactors' Laplace expansion reads off (t, m) alone: the
+    column masks of the (m+1)-subsets T of range(t+1), those of the rest
+    sets (the columns in neither T nor {i}), and per column i the
+    (index of T, index of its rest, (-1)^i·ε_i(T)) for each T ∌ i."""
+    full = (1 << (t + 1)) - 1
+    subsets = list(combinations(range(t + 1), m + 1))
+    masks = tuple(sum(1 << j for j in T) for T in subsets)
+    rests = {}
+    plan = tuple(
+        tuple((u, rests.setdefault(full ^ (1 << i) ^ mask, len(rests)),
+               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
+              for u, (T, mask) in enumerate(zip(subsets, masks)) if i not in T)
+        for i in range(t + 1)
+    )
+    return masks, tuple(rests), plan
+
+
 def build_Q(params):
     """All Q_ℓ and cofactors by Laplace along the ψ-rows B, with A_ℓ the
     constant rows: M_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det B[:,T]·det A_ℓ[:,rest] over
@@ -228,44 +286,39 @@ def build_Q(params):
     The ψ-rows are J∘ψ for the rows J[j][i] = ∂h_i/∂y_j in Q[y_0..y_m], and
     pulling back by ψ is a ring homomorphism, so det B[:,T] = det J[:,T]∘ψ
     and M_{ℓ,i} = M̃_{ℓ,i}∘ψ for the cofactors M̃_{ℓ,i} formed alike from J.
-    The minors of J come from one memo, so each m-row sub-minor is formed
-    once and shared by every T that holds its columns; M̃_{ℓ,i} is their
-    combination with the signed scalar minors as weights.  Σ_i a_i·M̃_{ℓ,i} ≡ 0
-    for each row a of A_ℓ is the formal identity, so checking it in Q[y]
-    checks the composed one too.  Each M̃_{ℓ,i} is homogeneous of degree
-    D = (m+1)(hdeg−1), so M_{ℓ,i} = Σ_γ c_γ·ψ^γ over the monomials y^γ of
-    degree D, all read off one table of the ψ^γ; Q_ℓ is the sum of the
-    x_i·M_{ℓ,i}."""
+    Each minor det J[:,T] is homogeneous of degree D = (m+1)(hdeg−1), and
+    all of them come from one `poly.ColumnMinors` memo on term dicts, as the
+    table of their coefficients at the monomials y^γ of degree D.  So each
+    M̃_{ℓ,i} is kept as its coefficient row over the y^γ: the signed scalar
+    minors of A_ℓ, as weights, times the minors' coefficient columns.
+    Σ_i a_i·M̃_{ℓ,i} ≡ 0 for each row a of A_ℓ is the formal identity, so
+    checking it on those rows checks the composed one too.  The same rows
+    give M_{ℓ,i} = Σ_γ c_γ·ψ^γ, all read off one table of the ψ^γ; Q_ℓ is
+    the sum of the x_i·M_{ℓ,i}.  T, the rest sets and the signs come from
+    `_laplace_plan`, kept per (t, m)."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
     skel = params.skeleton()
     s = skel.expected_s
-    cols = range(t + 1)
-    subsets = list(combinations(cols, m + 1))
+    masks, rests, plan = _laplace_plan(t, m)
+    powers = _psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
     rows = [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
-    b_minor = ColumnMinors(rows, Polynomial.zero(m + 1), Polynomial.constant(m + 1, 1))
-    minors = [b_minor(sum(1 << j for j in T)) for T in subsets]
-    # plan[i]: (index of T, column mask of rest, (-1)^i·ε_i(T)) for T ∌ i
-    plan = [[(u, (1 << (t + 1)) - 1 - (1 << i) - sum(1 << j for j in T),
-              (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
-             for u, T in enumerate(subsets) if i not in T]
-            for i in cols]
+    columns = ColumnMinors(rows).coefficients(masks, powers)
     formal = []
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
-        a_minor = ColumnMinors(a_rows, 0, 1)
-        weights = [[0] * len(subsets) for _ in cols]
+        a_minor = ColumnMinors(a_rows)
+        scalars = [a_minor(r) for r in rests]
+        weights = [[0] * len(masks) for _ in plan]
         for w, terms in zip(weights, plan):
             for u, r, sg in terms:
-                w[u] = sg * a_minor(r)
-        ms = linear_combinations(m + 1, weights, minors)
-        if any(linear_combinations(m + 1, a_rows, ms)):
+                w[u] = sg * scalars[r]
+        ms = [[sum(map(operator.mul, w, column)) for column in columns] for w in weights]
+        if any(sum(map(operator.mul, a, column)) for a in a_rows for column in zip(*ms)):
             raise InternalCheckError("a cofactor row fails to annihilate a constant row")
         formal += ms
-    powers = _psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
-    coefficients = [[mt.coefficient(gamma) for gamma in powers] for mt in formal]
-    composed = linear_combinations(n1, coefficients, list(powers.values()))
+    composed = linear_combinations(n1, formal, list(powers.values()))
     qs, cofactors = [], []
     for start in range(0, len(composed), t + 1):
         ms = tuple(composed[start:start + t + 1])

@@ -7,19 +7,19 @@ terms of f (`hessian_at`), off the table of terms each form builds once.
 `rank_verdict` reads the verdict on h_f ≡ 0 off the ranks: a full-rank
 point is an exact witness of h_f ≠ 0, else "vanishes" carries the
 Schwartz-Zippel bound (D/N)^t, with t the fewest points that put it below
-2^-40; `hessian_vanishes` ranks the same first points alone.  This is the
-only verdict path.
+2^-40; `hessian_vanishes` reads the same first points by whether H_f(a) has
+full rank alone (`linalg.has_full_rank`), and at a singular point Bareiss
+stops at the first column with no pivot.  This is the only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
 the kernels span W, on which the relation search runs.  A cone vertex, a
 re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
 det H_f ≡ 0 later makes a vanishing verdict exact.
 
 That last certificate is the symbolic determinant, expanded by minors over
-memoized column subsets (`ColumnMinors`) under DETERMINANT_BUDGET monomial
-products, whatever the size of H_f; the matrix of second partials is built
-for it alone.  The same memo gives `gn` the minors of its ψ-rows, formed as
-those of the rows ∂h_i/∂y_j in Q[y_0..y_m] before ψ is substituted, and the
-scalar minors of its constant rows.
+memoized column subsets (`poly.ColumnMinors`, on term dicts) under
+DETERMINANT_BUDGET monomial products, whatever the size of H_f; the matrix
+of second partials is built for it alone.  The same memo gives `gn` the
+minors of the rows ∂h_i/∂y_j in Q[y_0..y_m] and of its constant rows.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import NamedTuple, Optional
 
 from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
-from .linalg import ScalarMatrix, kernel, rank, reduced_row_basis
-from .poly import Polynomial
+from .linalg import ScalarMatrix, has_full_rank, kernel, reduced_row_basis
+from .poly import ColumnMinors
 
 DEFAULT_SAMPLES = 5
 # monomial products, Σ len(a)·len(b) over the products a·b, that the determinant
@@ -113,58 +113,13 @@ def hessian_at(f, a):
     return ScalarMatrix(k)
 
 
-class _OverBudget(Exception):
-    pass
-
-
-class ColumnMinors:
-    """minors(mask): det of the last popcount(mask) rows on the columns in
-    mask, memoized; entries are polynomials or scalars, zero and one of their
-    kind.  With a budget (polynomial entries only), each product a·b spends
-    len(a)·len(b) of it, the product of their term counts, and the expansion
-    stops before one would overspend."""
-
-    def __init__(self, rows, zero, one, budget=None):
-        self.rows, self.zero, self.budget = rows, zero, budget
-        # a one-column minor of the last row is its entry
-        self.memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
-
-    def __call__(self, mask):
-        if mask in self.memo:
-            return self.memo[mask]
-        entries = self.rows[len(self.rows) - bin(mask).count("1")]
-        acc = self.zero
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            e = entries[low.bit_length() - 1]
-            if e:
-                sub = self(mask ^ low)
-                if self.budget is not None:
-                    self.budget -= len(e) * len(sub)
-                    if self.budget < 0:
-                        raise _OverBudget
-                term = e * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-            rest ^= low
-        self.memo[mask] = acc
-        return acc
-
-
 def symbolic_determinant(rows, budget=None):
     """det of a square list of polynomial rows by first-row expansion over
     memoized column subsets, or None when the expansion would spend more
     than `budget` monomial products."""
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DimensionError("determinant of an empty or non-square matrix")
-    nvars = rows[0][0].nvars
-    one = Polynomial.constant(nvars, 1)
-    try:
-        return ColumnMinors(rows, Polynomial.zero(nvars), one, budget)((1 << len(rows)) - 1)
-    except _OverBudget:
-        return None
+    return ColumnMinors(rows, budget)((1 << len(rows)) - 1)
 
 
 def trials_for_error(degree_bound):
@@ -189,16 +144,22 @@ def _seeded_point(nvars, seed, i):
 
 def rank_verdict(f, ranks):
     """The verdict on h_f ≡ 0 that the ranks of H_f at the seeded points, in
-    order, give: a full-rank point among the first `trials_for_error` is a
-    witness of h_f ≠ 0, else "vanishes" carries the bound (D/N)^t.  Ranks are
-    read up to the first witness only, so `ranks` may be a lazy iterable."""
+    order, give (`_verdict`)."""
+    return _verdict(f, (r == f.nvars for r in ranks))
+
+
+def _verdict(f, full):
+    """The verdict on h_f ≡ 0 read off whether H_f has full rank at each
+    seeded point, in order: a full-rank point among the first
+    `trials_for_error` is a witness of h_f ≠ 0, else "vanishes" carries the
+    bound (D/N)^t.  `full` is read up to the first witness only, so it may be
+    a lazy iterable."""
     degree_bound = f.nvars * max(f.degree() - 2, 0)  # deg(h_f) <= (n+1)·(d-2)
     trials = trials_for_error(degree_bound)
     used, witness = 0, False
-    for r in itertools.islice(ranks, trials):
+    for witness in itertools.islice(full, trials):
         used += 1
-        witness = r == f.nvars  # det H(a) != 0 proves h_f != 0
-        if witness:
+        if witness:  # det H(a) != 0 proves h_f != 0
             break
     if used < trials and not witness:
         raise InternalCheckError(f"the verdict needs {trials} points, the sample took {used}")
@@ -213,14 +174,16 @@ def rank_verdict(f, ranks):
 
 
 def hessian_vanishes(f, seed=0):
-    """Decide h_f ≡ 0 by the ranks of H_f at the first seeded points of
-    `sample_kernels`, stopping at the first witness of h_f ≠ 0."""
+    """Decide h_f ≡ 0 by whether H_f has full rank at the first seeded
+    points of `sample_kernels`, stopping at the first witness of h_f ≠ 0;
+    at a singular point, Bareiss stops at the first column with no pivot
+    (`linalg.has_full_rank`)."""
     if not f:
         raise DomainError("zero polynomial")
     if not f.is_homogeneous() or f.degree() < 1:
         raise DomainError("expects a nonzero homogeneous polynomial of degree >= 1")
     points = (_seeded_point(f.nvars, seed, i) for i in itertools.count())
-    return rank_verdict(f, (rank(hessian_at(f, a)) for a in points))
+    return _verdict(f, (has_full_rank(hessian_at(f, a)) for a in points))
 
 
 class KernelSample(NamedTuple):

@@ -4,8 +4,10 @@ Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
 input; kernel vectors are back-substituted in integers too, and every
 kernel is returned as primitive integer vectors (`primitive_vector`), each
-re-checked by M·w = 0.  ``independent_rows_mod`` is the package's one
-modular elimination, on plain ints mod a prime.
+re-checked by M·w = 0.  ``has_full_rank`` asks the one Bareiss loop to stop
+at the first column with no pivot, which proves the columns dependent.
+``independent_rows_mod`` is the package's one modular elimination, on plain
+ints mod a prime.
 ``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
 as they come and stops at full rank, which proves the kernel {0}; a stream
 that runs out below full rank is kept, and its kernel mod p is lifted to Q by
@@ -69,11 +71,12 @@ def _clear_denominators(row):
     return [c * l if type(c) is int else c.numerator * (l // c.denominator) for c in row]
 
 
-def _echelon_rational(entries):
+def _echelon_rational(entries, until_gap=False):
     """Fraction-free (Bareiss) forward elimination on integer-cleared rows.
 
     Returns (echelon integer rows, pivot column list); row space and kernel
-    are preserved by the row scalings.
+    are preserved by the row scalings.  With `until_gap`, it stops at the
+    first column with no pivot, which proves the columns dependent.
     """
     m = [_clear_denominators(row) for row in entries]
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -87,6 +90,8 @@ def _echelon_rational(entries):
                 pr = i
                 break
         if pr is None:
+            if until_gap:
+                break
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
@@ -111,6 +116,14 @@ def _echelon_rational(entries):
 def rank(matrix):
     _, pivots = _echelon_rational(matrix.entries)
     return len(pivots)
+
+
+def has_full_rank(matrix):
+    """Whether the columns of M are independent, rank(M) = M.cols, which
+    for a square M is det M ≠ 0; Bareiss stops at the first column with no
+    pivot."""
+    _, pivots = _echelon_rational(matrix.entries, until_gap=True)
+    return len(pivots) == matrix.cols
 
 
 def reduced_row_basis(vectors):
@@ -299,6 +312,6 @@ def random_invertible(n, rng):
     """Seeded random invertible n×n matrix, entries in -9..9 (retry until full rank)."""
     for _ in range(64):
         m = ScalarMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        if rank(m) == n:
+        if has_full_rank(m):
             return m
     raise InternalCheckError("could not draw an invertible matrix")

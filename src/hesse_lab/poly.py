@@ -13,10 +13,12 @@ parsing.
 Degree of the zero polynomial is the sentinel ``MINUS_INFINITY``, which
 compares below every integer.
 
-``_mul_packed`` is the one multiply loop.  A polynomial reads its least and
-greatest total degree on first use and keeps them; its partials
-(``gradient``) and the table its values are read from (``term_table``) are
-kept the same way, so every caller of one form shares one copy.
+``_mul_packed`` is the one multiply loop; ``ColumnMinors``, the one Laplace
+memo of minors, adds its products into term dicts, with no Polynomial for
+any sub-minor.  A polynomial reads its least and greatest total degree on
+first use and keeps them; its partials (``gradient``) and the table its
+values are read from (``term_table``) are kept the same way, so every
+caller of one form shares one copy.
 
 ``Digits`` packs a family on its index as Σ_k p_k·2^(bits·k) and reads a
 Z-linear image of it back digit by digit.  ``dot`` reads Σ_ℓ x_ℓ·y_ℓ off one
@@ -128,12 +130,13 @@ def _add_into(acc, pairs):
     return acc
 
 
-def _mul_packed(a, b):
-    """Product of two term dicts keyed by monomial keys: a monomial product
-    is one int add.  The one multiply loop, behind __mul__ and compose."""
+def _mul_packed(a, b, out=None):
+    """Product of two term dicts keyed by monomial keys, added into `out`
+    when given: a monomial product is one int add.  The one multiply loop,
+    behind __mul__, compose and `ColumnMinors`."""
     if len(a) < len(b):
         a, b = b, a
-    out = {}
+    out = {} if out is None else out
     for kb, cb in b.items():
         for ka, ca in a.items():
             k = ka + kb
@@ -550,6 +553,72 @@ def linear_combinations(nvars, weights, polys):
         for k, c in p._terms.items():
             table.setdefault(k, [0] * len(polys))[u] = c
     return [_new(nvars, {k: sum(map(operator.mul, w, cs)) for k, cs in table.items()}) for w in weights]
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class ColumnMinors:
+    """minors(mask): the det of the last popcount(mask) rows on the columns
+    in mask, by expansion along its first row over memoized sub-minors.
+    Entries are scalars, or polynomials of one variable count expanded on
+    their term dicts.  With a budget (polynomial entries only), each product
+    a·b spends len(a)·len(b) of it, and a minor that would overspend is None."""
+
+    def __init__(self, rows, budget=None):
+        self.budget, self.nvars, one = budget, None, 1
+        if rows and isinstance(rows[0][0], Polynomial):
+            self.nvars, one = rows[0][0].nvars, {0: 1}
+            if any(e.nvars != self.nvars for row in rows for e in row):
+                raise VariableCountError("minor entries disagree on variable count")
+            # a minor's exponents are at most its degree, so below FIELD_LIMIT
+            # no product carries; past it, each is checked as __mul__ would
+            self.checked = sum(max(e.degree() for e in row) for row in rows) >= FIELD_LIMIT
+            rows = [[e._terms for e in row] for row in rows]
+        self.rows = rows
+        self.memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
+
+    def __call__(self, mask):
+        try:
+            minor = self._minor(mask)
+        except _OverBudget:
+            return None
+        return minor if self.nvars is None else _new(self.nvars, minor)
+
+    def coefficients(self, masks, exponents):
+        """[[the coefficient of x^e in minor(mask) for mask in masks] for e in exponents]."""
+        minors = [self._minor(mask) for mask in masks]
+        return [[minor.get(k, 0) for minor in minors] for k in map(_layout(self.nvars).pack, exponents)]
+
+    def _minor(self, mask):
+        """The minor as a scalar or a term dict; the terms of even and of odd
+        position in the expansion are summed apart, then subtracted."""
+        if mask in self.memo:
+            return self.memo[mask]
+        entries = self.rows[len(self.rows) - mask.bit_count()]
+        parts = [0, 0] if self.nvars is None else [{}, {}]
+        rest, odd = mask, 0
+        while rest:
+            low = rest & -rest
+            e = entries[low.bit_length() - 1]
+            if e and (sub := self._minor(mask ^ low)):
+                if self.nvars is None:
+                    parts[odd] += e * sub
+                else:
+                    if self.budget is not None:
+                        self.budget -= len(e) * len(sub)
+                        if self.budget < 0:
+                            raise _OverBudget
+                    if self.checked:
+                        _check_product(_new(self.nvars, e), _new(self.nvars, sub))
+                    _mul_packed(e, sub, parts[odd])
+            odd ^= 1
+            rest ^= low
+        even, odd = parts
+        minor = even - odd if self.nvars is None else _add_into(even, [(k, -c) for k, c in odd.items()])
+        self.memo[mask] = minor
+        return minor
 
 
 def directional_derivative(f, v):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import cli, cones, errors, hessian, linalg, poly, psi, reports
+from hesse_lab import cli, cones, errors, gn, hessian, linalg, poly, psi, reports
 from hesse_lab.cli import main
 from hesse_lab.cones import VertexSubspace
 from hesse_lab.fields import substream
@@ -423,6 +423,28 @@ def test_generate_validation_exit_5(capsys):
         assert "cone draws" not in err and "psi-forms" not in err
 
 
+@pytest.mark.parametrize(
+    "d, reason",
+    [
+        ("200", "biform terms <= 10000 violated (the dense P_k would have more than 10000 terms)"),
+        ("70000", "d < 65536 violated (d=70000; an exponent of f must stay below 65536)"),
+    ],
+)
+def test_generate_refuses_an_undrawable_skeleton_before_any_draw(capsys, monkeypatch, d, reason):
+    # the dense biforms of 9,2,1,2,1,200 would hold about 10^12 terms, and
+    # d = 70000 passes the exponent field: both exit 5 with the reason, and
+    # no coefficient is drawn
+    def refuse(*args, **kwargs):
+        pytest.fail("a coefficient was drawn")
+
+    monkeypatch.setattr(gn, "_random_params", refuse)
+    argv = ["--n", "9", "--t", "2", "--m", "1", "--hdeg", "2", "--psideg", "1", "--d", d]
+    assert main(["generate", *argv]) == 5
+    assert reason in capsys.readouterr().err
+    assert main(["catalog", "--types", f"9,2,1,2,1,{d}"]) == 5
+    assert f"9,2,1,2,1,{d}: {reason}" in capsys.readouterr().err
+
+
 def test_verify_suites_pass(tmp_path):
     for suite in ("lowdim", "gn", "psi", "p4"):
         code, doc = run(tmp_path, "verify", "--suite", suite, "--count", "3", "--seed", "1",
@@ -774,6 +796,42 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
     assert calls == Counter(
         hessian_vanishes=9, kernel=33, gcd=0, hessian_at=34, cone_test=12, compose=23
     )
+
+
+def test_catalog_call_counts_are_pinned(tmp_path, monkeypatch):
+    # one seed-0 `catalog` op on the four benchmark types is deterministic,
+    # so its counts are exact regression gates.  The GN minors are formed on
+    # term dicts, so the products left are the ψ^γ of the cofactor table;
+    # no draw calls `compose`; each entry has one verdict, and every verdict
+    # point is singular (a GN form's Hessian vanishes), where Bareiss stops
+    # at the first column with no pivot: no elimination runs to the last
+    # column
+    calls = Counter()
+    original = hessian.hessian_vanishes
+
+    def counted_verdict(*args, **kwargs):
+        calls["hessian_vanishes"] += 1
+        return original(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, original, counted_verdict)
+    for name in ("__mul__", "compose"):
+        def counted(self, other, _name=name, _original=getattr(Polynomial, name)):
+            calls[_name] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    echelon = linalg._echelon_rational
+
+    def counted_echelon(entries, *args, **kwargs):
+        rows, pivots = echelon(entries, *args, **kwargs)
+        # the loop reached the last column unless it stopped at a gap before it
+        calls["complete_elimination"] += len(pivots) >= len(entries[0]) - 1
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "_echelon_rational", counted_echelon)
+    types = [a for t in ("6,3,1,2,1,5", "7,4,1,2,1,5", "7,5,1,2,1,6", "8,5,1,2,1,6") for a in ("--types", t)]
+    assert run(tmp_path, "catalog", *types, "--count", "1", "--seed", "0")[0] == 0
+    assert calls == Counter(hessian_vanishes=4, __mul__=20, compose=0, complete_elimination=0)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import gn, hessian
+from hesse_lab import gn, hessian, poly
 from hesse_lab.cones import VertexSubspace, cone_test
 from hesse_lab.errors import DegenerateDataError, InternalCheckError, RetryBudgetError, ValidationError
 from hesse_lab.fields import substream
@@ -171,6 +171,39 @@ def test_every_skeleton_that_passes_its_checks_gives_valid_params():
     assert passing == 396
 
 
+def test_dense_biform_terms_count_the_terms_a_draw_fills():
+    # Σ_k C(t-m+k-1, k)·C(n-t+d-k·s-1, d-k·s) is the number of terms of the
+    # all-ones draw's P_k; the largest skeleton in use, 9,4,1,2,1,8, has 963
+    for types in ((4, 2, 1, 2, 1, 3), (6, 3, 2, 3, 1, 7), (7, 4, 1, 2, 1, 6), (9, 4, 1, 2, 1, 8), (8, 4, 3, 2, 2, 9)):
+        skel = GNSkeleton(*types)
+        count = sum(len(p) for p in gn._random_params(skel, lambda: 1).p_forms)
+        assert gn._dense_biform_terms(skel) == count
+    assert gn._dense_biform_terms(GNSkeleton(9, 4, 1, 2, 1, 8)) == 963 < gn.MAX_BIFORM_TERMS
+
+
+def test_skeleton_refuses_biforms_past_the_term_cap():
+    # 9,4,1,2,1,13 has 8138 dense biform terms and 9,4,1,2,1,14 has 11610
+    assert GNSkeleton(9, 4, 1, 2, 1, 13).violations() == []
+    assert gn._dense_biform_terms(GNSkeleton(9, 4, 1, 2, 1, 13)) == 8138
+    cap = gn.MAX_BIFORM_TERMS
+    refusal = f"biform terms <= {cap} violated (the dense P_k would have more than {cap} terms)"
+    assert GNSkeleton(9, 4, 1, 2, 1, 14).violations() == [refusal]
+    # about 10^12 terms: the count stops at the first partial sum past the cap
+    assert GNSkeleton(9, 2, 1, 2, 1, 200).violations() == [refusal]
+    assert cap < gn._dense_biform_terms(GNSkeleton(9, 2, 1, 2, 1, 200)) < 10 ** 12
+
+
+def test_skeleton_refuses_a_degree_past_the_exponent_field():
+    # d names every exponent bound of f; at d = 65536 that rule alone is
+    # named, and below it the term cap still refuses a dense draw
+    reason = "d < 65536 violated (d=70000; an exponent of f must stay below 65536)"
+    assert GNSkeleton(9, 2, 1, 2, 1, 70000).violations() == [reason]
+    assert GNSkeleton(9, 2, 1, 2, 1, 65536).violations() == [reason.replace("70000", "65536")]
+    assert [v.split(" ")[0] for v in GNSkeleton(4, 2, 1, 2, 1, 65535).violations()] == ["biform"]
+    with pytest.raises(ValidationError, match="d < 65536"):
+        random_instance(GNSkeleton(4, 2, 1, 2, 1, 70000), seed=0)
+
+
 def _construction_matrix(params, block):
     """The matrix whose determinant is Q_l, rebuilt from the params."""
     n1 = params.n + 1
@@ -282,23 +315,23 @@ def _check_laplace(inst, det):
 
 def test_build_f_expands_only_psi_row_minors(monkeypatch):
     # Laplace along the psi-rows: each (m+1)-column minor det J[:,T] of the
-    # rows in Q[y] is formed once per draw in the shared memo, and no minor
-    # on more than m+1 columns, so none of the (t+1)x(t+1) matrices, is
-    # expanded
+    # rows in Q[y] is formed once per draw in the polynomial memo, on term
+    # dicts, and no minor on more than m+1 columns, so none of the
+    # (t+1)x(t+1) matrices, is expanded
+    real = poly.ColumnMinors._minor
     for types in ((7, 5, 1, 2, 1, 6), (6, 3, 2, 2, 1, 4)):
         params = random_instance(GNSkeleton(*types), seed=0).params
         masks = []
 
-        class Counted(hessian.ColumnMinors):
-            def __call__(self, mask):
-                if isinstance(self.zero, Polynomial) and mask not in self.memo:
-                    masks.append(mask)
-                return super().__call__(mask)
+        def recorded(self, mask):
+            if self.nvars is not None and mask not in self.memo:
+                masks.append(mask)
+            return real(self, mask)
 
         def refuse(*args, **kwargs):
             pytest.fail("build_f expanded a symbolic determinant")
 
-        monkeypatch.setattr(gn, "ColumnMinors", Counted)
+        monkeypatch.setattr(poly.ColumnMinors, "_minor", recorded)
         monkeypatch.setattr(gn, "symbolic_determinant", refuse)
         monkeypatch.setattr(hessian, "symbolic_determinant", refuse)
         build_f(params)
@@ -327,10 +360,10 @@ def _jacobian_rows_of_build_Q(params):
     """The polynomial rows build_Q hands to ColumnMinors: ∂h_i/∂y_j in Q[y]."""
     real, captured = gn.ColumnMinors, []
 
-    def recording(rows, zero, one):
-        if isinstance(zero, Polynomial):
+    def recording(rows, budget=None):
+        if rows and isinstance(rows[0][0], Polynomial):
             captured.append(rows)
-        return real(rows, zero, one)
+        return real(rows, budget)
 
     with mock.patch.object(gn, "ColumnMinors", recording):
         try:
@@ -345,8 +378,8 @@ def _jacobian_rows_of_build_Q(params):
 @given(st.sampled_from(_MINOR_SKELETONS), st.integers(0, 2**32))
 def test_jacobian_minors_composed_with_psi_match_the_polynomial_oracle(types, seed):
     # the rows build_Q passes to its memo are the h-partials in Q[y]; every
-    # minor of the memo, composed with ψ term by term and read off the
-    # table of ψ^γ alike, is symbolic_determinant of the composed rows
+    # minor of the memo, composed with ψ, and its coefficient column, read
+    # off the table of ψ^γ, are symbolic_determinant of the composed rows
     skel = GNSkeleton(*types)
     assert not skel.violations()
     rng = substream(seed, "test_minors")
@@ -356,15 +389,17 @@ def test_jacobian_minors_composed_with_psi_match_the_polynomial_oracle(types, se
     rows = _jacobian_rows_of_build_Q(params)
     assert rows == [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
     oracle_rows = [[e.compose(psi) for e in row] for row in rows]
-    minors = hessian.ColumnMinors(rows, Polynomial.zero(m + 1), Polynomial.constant(m + 1, 1))
+    minors = poly.ColumnMinors(rows)
     powers = gn._psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
-    for T in combinations(range(t + 1), m + 1):
+    subsets = list(combinations(range(t + 1), m + 1))
+    masks = [sum(1 << j for j in T) for T in subsets]
+    table = minors.coefficients(masks, powers)
+    for u, T in enumerate(subsets):
         expected = symbolic_determinant([[r[j] for j in T] for r in oracle_rows])
-        minor = minors(sum(1 << j for j in T))
-        assert minor.compose(psi) == expected
+        assert minors(masks[u]).compose(psi) == expected
         read = Polynomial.zero(params.n + 1)
-        for gamma, power in powers.items():
-            read = read + power.scale(minor.coefficient(gamma))
+        for column, power in zip(table, powers.values()):
+            read = read + power.scale(column[u])
         assert read == expected
 
 
@@ -374,10 +409,10 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
     budgets = []
 
-    class Recorded(hessian.ColumnMinors):
+    class Recorded(poly.ColumnMinors):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            budgets.append((self.budget, getattr(self.zero, "nvars", None)))
+            budgets.append((self.budget, self.nvars))
 
     # the scalar and the Jacobian minors in gn; none through symbolic_determinant
     for module in (gn, hessian):
@@ -392,7 +427,7 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
         build_Q(params)
         monomials_of_degree(4, 3)
         gc.collect()
-        leaked = [o for o in gc.garbage if isinstance(o, (Polynomial, types.FunctionType))]
+        leaked = [o for o in gc.garbage if isinstance(o, (Polynomial, poly.ColumnMinors, types.FunctionType))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -405,13 +440,116 @@ def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatc
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
     real = gn.ColumnMinors
 
-    def skewed(rows, zero, one):
-        minor = real(rows, zero, one)
+    def skewed(rows, budget=None):
+        minor = real(rows, budget)
+        if minor.nvars is not None:
+            return minor
         return lambda mask: 2 * minor(mask) if mask & 1 else minor(mask)
 
     monkeypatch.setattr(gn, "ColumnMinors", skewed)
     with pytest.raises(InternalCheckError, match="annihilate"):
         build_Q(params)
+
+
+class _PolynomialMinors:
+    """Test oracle: the Laplace memo on Polynomial arithmetic, each
+    sub-minor a new Polynomial (or a scalar), as build_Q once formed it:
+    minors(mask) is the det of the last popcount(mask) rows on the columns
+    in mask, expanded along its first row."""
+
+    def __init__(self, rows, zero, one):
+        self.rows, self.zero = rows, zero
+        self.memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
+
+    def __call__(self, mask):
+        if mask in self.memo:
+            return self.memo[mask]
+        entries = self.rows[len(self.rows) - bin(mask).count("1")]
+        acc, sign, rest = self.zero, 1, mask
+        while rest:
+            low = rest & (-rest)
+            e = entries[low.bit_length() - 1]
+            if e:
+                term = e * self(mask ^ low)
+                acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+            rest ^= low
+        self.memo[mask] = acc
+        return acc
+
+
+def _laplace_oracle(params):
+    """Test oracle for build_Q's (Q_ℓ, cofactors, s): every minor a
+    Polynomial, each M̃_{ℓ,i} = (-1)^i Σ_T ε_i(T)·det J[:,T]·det A_ℓ[:,rest]
+    summed as polynomials and composed with ψ by `compose`."""
+    validate(params)
+    t, m = params.t, params.m
+    full = (1 << (t + 1)) - 1
+    subsets = list(combinations(range(t + 1), m + 1))
+    rows = [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
+    j_minor = _PolynomialMinors(rows, Polynomial.zero(m + 1), Polynomial.constant(m + 1, 1))
+    qs, cofactors = [], []
+    for block in params.a_consts:
+        a_minor = _PolynomialMinors(block, 0, 1)
+        ms = []
+        for i in range(t + 1):
+            mi = Polynomial.zero(m + 1)
+            for T in subsets:
+                if i not in T:
+                    mask = sum(1 << j for j in T)
+                    sign = (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2)
+                    mi = mi + j_minor(mask).scale(sign * a_minor(full ^ (1 << i) ^ mask))
+            ms.append(mi.compose(list(params.psi_forms)))
+        q = sum((mi.times_variable(i) for i, mi in enumerate(ms)), Polynomial.zero(params.n + 1))
+        if not q:
+            raise DegenerateDataError("construction determinant vanishes identically")
+        qs.append(q)
+        cofactors.append(tuple(ms))
+    return qs, cofactors, params.skeleton().expected_s
+
+
+_LAPLACE_SKELETONS = (
+    (4, 2, 1, 2, 1, 3),
+    (5, 2, 1, 3, 2, 9),
+    (5, 3, 1, 3, 2, 9),
+    (7, 5, 1, 2, 1, 6),
+    (6, 3, 2, 3, 1, 7),
+    (6, 3, 2, 2, 2, 7),
+    (7, 4, 2, 2, 1, 5),
+    (9, 5, 3, 2, 1, 7),
+    (8, 4, 3, 3, 1, 9),
+    (8, 4, 3, 2, 2, 9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_LAPLACE_SKELETONS),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 2, 9]),
+    st.sampled_from(["general", "proportional h", "repeated row"]),
+)
+def test_build_Q_matches_the_polynomial_laplace_oracle(types, seed, bound, twist):
+    # coefficients in -bound..bound, zero included; proportional h-forms
+    # make every minor of J vanish, and a repeated constant row every
+    # scalar minor of its block, so build_Q must raise DegenerateDataError
+    # on exactly the draws where the oracle does
+    rng = substream(seed, "test_laplace")
+    params = gn._random_params(GNSkeleton(*types), lambda: rng.randint(-bound, bound))
+    if twist == "proportional h":
+        h = params.h_forms[0]
+        params = params._replace(h_forms=tuple(h.scale(k + 1) for k in range(len(params.h_forms))))
+    elif twist == "repeated row":
+        params = params._replace(a_consts=tuple(block[:1] + block[:-1] for block in params.a_consts))
+    outcomes = []
+    for build in (build_Q, _laplace_oracle):
+        try:
+            outcomes.append(build(params))
+        except (DegenerateDataError, ValidationError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    if twist == "proportional h":
+        assert outcomes[0] in (DegenerateDataError, ValidationError)
 
 
 @pytest.mark.parametrize("variable", [0, 7])

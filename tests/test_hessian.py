@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab import hessian
+from hesse_lab import classify, hessian
 from hesse_lab.errors import DimensionError, DomainError, InternalCheckError
 from hesse_lab.fields import DEFAULT_PRIME, substream
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import (
-    ColumnMinors,
     KernelSample,
     hessian_at,
     hessian_matrix,
@@ -25,7 +24,7 @@ from hesse_lab.hessian import (
     symbolic_determinant,
     trials_for_error,
 )
-from hesse_lab.linalg import random_invertible, reduced_row_basis
+from hesse_lab.linalg import random_invertible, rank, reduced_row_basis
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
@@ -542,3 +541,29 @@ def homogeneous_forms_and_points(draw):
 @given(homogeneous_forms_and_points())
 def test_hessian_at_times_the_point_is_the_scaled_gradient(case):
     _assert_hessian_matches(*case)
+
+
+def _rank_read_verdict(f, seed=0):
+    """Test oracle: the verdict read off the full rank of H_f at each seeded
+    point, by Bareiss run to the last column."""
+    points = (hessian._seeded_point(f.nvars, seed, i) for i in itertools.count())
+    return rank_verdict(f, (rank(hessian_at(f, a)) for a in points))
+
+
+def test_full_rank_verdicts_match_the_rank_read_verdicts_on_lowdim_forms():
+    # the lowdim suite's draws in P^1..P^3: its cones, whose Hessian vanishes,
+    # so that every point is singular and Bareiss stops at a gap, and its
+    # general forms, whose first point is a witness
+    certificates = set()
+    for n in (1, 2, 3):
+        for kind in ("cone", "generic"):
+            for i in range(3):
+                rng = substream(0, "lowdim", n, kind, i)
+                degree = rng.choice((2, 3, 4))
+                draw = classify._random_cone if kind == "cone" else classify._random_form
+                f = draw(n + 1, degree, rng)
+                verdict = hessian_vanishes(f, seed=i)
+                assert verdict == _rank_read_verdict(f, seed=i)
+                assert verdict.vanishes is (kind == "cone")
+                certificates.add(verdict.certificate)
+    assert certificates == {None, "witness"}

@@ -14,6 +14,7 @@ from hesse_lab.errors import DimensionError
 from hesse_lab.fields import DEFAULT_PRIME
 from hesse_lab.linalg import (
     ScalarMatrix,
+    has_full_rank,
     independent_rows_mod,
     kernel,
     primitive_vector,
@@ -373,3 +374,59 @@ def test_bareiss_exactness_regression():
     # first pivot != 1 exercises the uniform Bareiss update
     m = ScalarMatrix([[3, 0, 0], [0, 2, 1], [0, 1, 1]])
     assert rank(m) == 3
+
+
+def _sympy_rank(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]).rank()
+
+
+def _with_a_gap(rng, n, bits, gap):
+    """An n×n integer matrix of entries below 2^bits: random, or with column
+    `gap` the combination of the columns before it (column 0 zero)."""
+    m = [[rng.randrange(-(2 ** bits), 2 ** bits) for _ in range(n)] for _ in range(n)]
+    if gap is not None:
+        weights = [rng.randint(-9, 9) for _ in range(gap)]
+        for row in m:
+            row[gap] = sum(w * x for w, x in zip(weights, row))
+    return m
+
+
+@pytest.mark.parametrize("bits", [4, 61, 300])
+@pytest.mark.parametrize("fractions", [False, True], ids=["ints", "fractions"])
+@pytest.mark.parametrize("case", ["full", "first", "middle", "last", "zero row", "zero"])
+def test_full_rank_test_agrees_with_rank_and_sympy(bits, fractions, case):
+    # the early-exit test reads rank(M) == n on full-rank matrices, on the
+    # first dependent column first, in the middle and last, on a zero row
+    # and on the zero matrix; Fraction entries come from scaling each row,
+    # which keeps every column relation
+    rng = random.Random(f"{bits} {fractions} {case}")
+    n = 6
+    gap = {"first": 0, "middle": 3, "last": n - 1}.get(case)
+    m = _with_a_gap(rng, n, bits, gap)
+    if case == "zero row":
+        m[2] = [0] * n
+    elif case == "zero":
+        m = [[0] * n for _ in range(n)]
+    if fractions:
+        m = [[Fraction(x, k) for x in row] for k, row in zip(range(2, 2 + n), m)]
+    matrix = ScalarMatrix(m)
+    full = has_full_rank(matrix)
+    assert full == (rank(matrix) == n) == (_sympy_rank(matrix) == n)
+    assert full == (case == "full")
+
+
+@pytest.mark.parametrize("entry, full", [(0, False), (7, True), (Fraction(-1, 3), True), (2 ** 300 + 1, True)])
+def test_full_rank_test_on_one_entry(entry, full):
+    assert has_full_rank(ScalarMatrix([[entry]])) is full
+    assert rank(ScalarMatrix([[entry]])) == int(full)
+
+
+def test_full_rank_test_stops_at_the_first_column_without_a_pivot():
+    # column 2 of 5 is a combination of columns 0 and 1, which proves rank
+    # < 5: the elimination returns there, with the two rows it pivoted,
+    # while the full elimination goes on to pivot columns 3 and 4
+    m = _with_a_gap(random.Random(3), 5, 61, 2)
+    rows, pivots = linalg._echelon_rational(m, until_gap=True)
+    assert (pivots, len(rows)) == ([0, 1], 2)
+    assert linalg._echelon_rational(m)[1] == [0, 1, 3, 4]
+    assert not has_full_rank(ScalarMatrix(m))
