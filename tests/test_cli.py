@@ -822,10 +822,11 @@ def test_catalog_call_counts_are_pinned(tmp_path, monkeypatch):
         monkeypatch.setattr(Polynomial, name, counted)
     echelon = linalg._echelon_rational
 
-    def counted_echelon(entries, *args, **kwargs):
-        rows, pivots = echelon(entries, *args, **kwargs)
-        # the loop reached the last column unless it stopped at a gap before it
-        calls["complete_elimination"] += len(pivots) >= len(entries[0]) - 1
+    def counted_echelon(entries, until_gap=False):
+        rows, pivots = echelon(entries, until_gap)
+        # with until_gap, the loop reached the last column unless it stopped
+        # at a gap before it; without, it always does
+        calls["complete_elimination"] += not until_gap or len(pivots) >= len(entries[0]) - 1
         return rows, pivots
 
     monkeypatch.setattr(linalg, "_echelon_rational", counted_echelon)

@@ -25,7 +25,7 @@ from hesse_lab.hessian import (
     trials_for_error,
 )
 from hesse_lab.linalg import random_invertible, rank, reduced_row_basis
-from hesse_lab.poly import Polynomial, monomials_of_degree, parse
+from hesse_lab.poly import FIELD_LIMIT, Polynomial, monomials_of_degree, parse
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 FERMAT_CUBIC = parse("x0^3 + x1^3 + x2^3")
@@ -131,6 +131,18 @@ def test_det_algorithms_agree_seeded(sympy_det, seed=37, cases=50):
             for _ in range(4)
         ]
         assert symbolic_determinant(entries) == sympy_det(entries)
+
+
+def test_det_past_the_exponent_field_raises_as_a_product_would():
+    # the minors are formed on term dicts, so every product whose entries
+    # pass FIELD_LIMIT in total degree is checked as Polynomial.__mul__ is
+    half = Polynomial(2, {(FIELD_LIMIT // 2, 0): 1})
+    x1 = Polynomial(2, {(0, FIELD_LIMIT // 2): 1})
+    zero = Polynomial.zero(2)
+    with pytest.raises(DomainError, match="product exponent"):
+        symbolic_determinant([[half, zero], [zero, half]])
+    # past the field in total degree only: no exponent carries
+    assert symbolic_determinant([[half, zero], [zero, x1]]) == half * x1
 
 
 def test_det_rejects_non_square():
