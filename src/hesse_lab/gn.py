@@ -11,14 +11,16 @@ Q[y_0..y_m] → Q[x], so every minor, cofactor and annihilation identity is
 formed in the m+1 variables y and composed with ψ once: the minors
 det J[:,T] of the rows J[j][i] = ∂h_i/∂y_j come from one
 `poly.ColumnMinors` memo on term dicts, as the table of their coefficients
-at the monomials y^γ of their degree, and the memo also gives the scalar
-minors of the constant rows.  Each cofactor M̃_{ℓ,i} in Q[y] is kept as its
+at the monomials y^γ of their degree.  The scalar minors of the constant
+rows come from one straight-line program of their Laplace expansion
+(`_block_minors`).  Each cofactor M̃_{ℓ,i} in Q[y] is kept as its
 coefficient row over the y^γ, the signed scalar minors times that table,
-and the annihilation check runs on those rows.  The subsets, rest sets and
-signs of the expansion depend on (t, m) alone and are kept per (t, m)
+and the annihilation check runs on those rows.  The subsets, signs and
+that program depend on (t, m) alone and are kept per (t, m)
 (`_laplace_plan`).  Each M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one table of the
-powers ψ^γ (`poly.linear_combinations`), and
-Q_ℓ = Σ_i x_i·M_{ℓ,i} is a sum of key offsets (`times_variable`).  The
+powers ψ^γ (`poly.linear_combinations`), and Q_ℓ = Σ_i x_i·M_{ℓ,i} is one
+dict of the cofactors' keys offset by x_i's unit (`poly.head_linear_form`),
+which checks each key for degree s-1 and tail support on the way.  The
 output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
 bidegree (k, d-k·s), and it always has vanishing Hessian;
 `poly.substitute_forms` makes the tail variables key offsets and spends one
@@ -48,7 +50,7 @@ from .poly import (
     FIELD_LIMIT,
     ColumnMinors,
     Polynomial,
-    linear_combination,
+    head_linear_form,
     linear_combinations,
     monomials_of_degree,
     substitute_forms,
@@ -245,10 +247,13 @@ class GNInstance(NamedTuple):
 
 def _psi_powers(psi, degree):
     """{γ: ψ^γ} over the γ of `monomials_of_degree(len(psi), degree)`, in that
-    order: each ψ^γ is one of the degree below, γ less the unit ε_v of its
-    last nonzero exponent, times ψ_v."""
-    powers = {(0,) * len(psi): Polynomial.constant(psi[0].nvars, 1)}
-    for k in range(1, degree + 1):
+    order: level 1 is the ψ_v themselves, and each ψ^γ above it is one of
+    the degree below, γ less the unit ε_v of its last nonzero exponent,
+    times ψ_v."""
+    if degree == 0:
+        return {(0,) * len(psi): Polynomial.constant(psi[0].nvars, 1)}
+    powers = dict(zip(monomials_of_degree(len(psi), 1), psi))
+    for k in range(2, degree + 1):
         level = {}
         for gamma in monomials_of_degree(len(psi), k):
             v = max(i for i, x in enumerate(gamma) if x)
@@ -259,21 +264,56 @@ def _psi_powers(psi, degree):
 
 @functools.cache
 def _laplace_plan(t, m):
-    """What the cofactors' Laplace expansion reads off (t, m) alone: the
-    column masks of the (m+1)-subsets T of range(t+1), those of the rest
-    sets (the columns in neither T nor {i}), and per column i the
-    (index of T, index of its rest, (-1)^i·ε_i(T)) for each T ∌ i."""
+    """What the cofactors' Laplace expansion reads off (t, m) alone.
+
+    masks: the column masks of the (m+1)-subsets T of range(t+1).
+    program: the straight-line program of a constant block's minors on the
+    rest sets (the columns in neither T nor {i}), run by `_block_minors`:
+    one level per minor size q = 1..t-m-1, each the (row, columns, indices
+    of sub-minors, signs, q) of the expansions of all minors of that size
+    along row t-m-1-q.  Its last level lists the rest sets.
+    weights: per column i, the (indices into those minors, signs) of the
+    weight of each T in M̃_{ℓ,i}: the rest set's minor times (-1)^i·ε_i(T)
+    for T ∌ i, and for T ∋ i index -1, the 0 that `_block_minors` appends."""
     full = (1 << (t + 1)) - 1
     subsets = list(combinations(range(t + 1), m + 1))
     masks = tuple(sum(1 << j for j in T) for T in subsets)
-    rests = {}
-    plan = tuple(
-        tuple((u, rests.setdefault(full ^ (1 << i) ^ mask, len(rests)),
-               (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2))
-              for u, (T, mask) in enumerate(zip(subsets, masks)) if i not in T)
-        for i in range(t + 1)
-    )
-    return masks, tuple(rests), plan
+    rests, weights = {}, []
+    for i in range(t + 1):
+        pairs = [
+            (-1, 0) if i in T else (
+                rests.setdefault(full ^ (1 << i) ^ mask, len(rests)),
+                (-1) ** (i + sum(j - (j > i) for j in T) + m * (m + 1) // 2),
+            )
+            for T, mask in zip(subsets, masks)
+        ]
+        weights.append(tuple(zip(*pairs)))
+    program, level = [], list(rests)
+    for q in range(t - m - 1, 0, -1):
+        below, columns, subs, signs = {}, [], [], []
+        for mask in level:
+            for pos, j in enumerate(j for j in range(t + 1) if mask >> j & 1):
+                columns.append(j)
+                subs.append(below.setdefault(mask ^ (1 << j), len(below)))
+                signs.append((-1) ** pos)
+        program.append((t - m - 1 - q, tuple(columns), tuple(subs), tuple(signs), q))
+        level = list(below)
+    return masks, tuple(reversed(program)), tuple(weights)
+
+
+def _block_minors(program, rows):
+    """The minors of a constant block's rows that `program` lists, level by
+    level from the empty minor 1: each minor of a level is the alternating
+    sum of row entries times minors of the level below, with no memo and
+    no recursion.  The last level's minors come back with a 0 appended."""
+    minors = [1]
+    for row, columns, subs, signs, width in program:
+        terms = map(operator.mul, map(rows[row].__getitem__, columns), map(minors.__getitem__, subs))
+        signed = map(operator.mul, signs, terms)
+        # consecutive groups of `width` terms, one group per minor
+        minors = list(map(sum, zip(*[signed] * width)))
+    minors.append(0)
+    return minors
 
 
 def build_Q(params):
@@ -293,27 +333,27 @@ def build_Q(params):
     minors of A_ℓ, as weights, times the minors' coefficient columns.
     Σ_i a_i·M̃_{ℓ,i} ≡ 0 for each row a of A_ℓ is the formal identity, so
     checking it on those rows checks the composed one too.  The same rows
-    give M_{ℓ,i} = Σ_γ c_γ·ψ^γ, all read off one table of the ψ^γ; Q_ℓ is
-    the sum of the x_i·M_{ℓ,i}.  T, the rest sets and the signs come from
-    `_laplace_plan`, kept per (t, m)."""
+    give M_{ℓ,i} = Σ_γ c_γ·ψ^γ, all read off one table of the ψ^γ.  T, the
+    signs and the straight-line program of A_ℓ's minors come from
+    `_laplace_plan`, kept per (t, m).
+
+    Each M_{ℓ,i} has degree s-1 in the tail variables alone, so Q_ℓ is one
+    sum of key offsets (`poly.head_linear_form`), which checks every term
+    for that degree and support on the way."""
     validate(params)
     n1 = params.n + 1
     t, m = params.t, params.m
     skel = params.skeleton()
     s = skel.expected_s
-    masks, rests, plan = _laplace_plan(t, m)
+    masks, program, weighting = _laplace_plan(t, m)
     powers = _psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
     rows = [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
     columns = ColumnMinors(rows).coefficients(masks, powers)
     formal = []
     for block in params.a_consts:
         a_rows = [[norm_coeff(c) for c in row] for row in block]
-        a_minor = ColumnMinors(a_rows)
-        scalars = [a_minor(r) for r in rests]
-        weights = [[0] * len(masks) for _ in plan]
-        for w, terms in zip(weights, plan):
-            for u, r, sg in terms:
-                w[u] = sg * scalars[r]
+        scalars = _block_minors(program, a_rows)
+        weights = [list(map(operator.mul, signs, map(scalars.__getitem__, index))) for index, signs in weighting]
         ms = [[sum(map(operator.mul, w, column)) for column in columns] for w in weights]
         if any(sum(map(operator.mul, a, column)) for a in a_rows for column in zip(*ms)):
             raise InternalCheckError("a cofactor row fails to annihilate a constant row")
@@ -322,17 +362,13 @@ def build_Q(params):
     qs, cofactors = [], []
     for start in range(0, len(composed), t + 1):
         ms = tuple(composed[start:start + t + 1])
-        q = linear_combination(n1, ((1, mi.times_variable(i)) for i, mi in enumerate(ms)))
+        q = head_linear_form(ms, s - 1)
+        if q is None:
+            raise InternalCheckError("cofactor fails the degree-(s-1) tail-support check")
         if not q:
             raise DegenerateDataError("construction determinant vanishes identically")
         qs.append(q)
         cofactors.append(ms)
-    # each nonzero Q_ℓ is homogeneous of degree s, and validation checked d >= s
-    tail = set(range(t + 1, n1))
-    for ms in cofactors:
-        for mi in ms:
-            if mi and (mi.degree() != s - 1 or not mi.variables_used() <= tail):
-                raise InternalCheckError("cofactor fails the degree-(s-1) tail-support check")
     return qs, cofactors, s
 
 

@@ -4,10 +4,13 @@ Rational matrices are row-scaled to integers and eliminated fraction-free
 (Bareiss), which keeps every intermediate entry an integer minor of the
 input; kernel vectors are back-substituted in integers too, and every
 kernel is returned as primitive integer vectors (`primitive_vector`), each
-re-checked by M·w = 0.  ``has_full_rank`` asks the one Bareiss loop to stop
-at the first column with no pivot, which proves the columns dependent.
+re-checked by M·w = 0.  The one Bareiss loop is left-looking: it brings a
+column up to date through the pivots found so far only when it reaches it,
+so ``has_full_rank``, which stops at the first column with no pivot (a
+proof that the columns are dependent), reads no column past it.
 ``independent_rows_mod`` is the package's one modular elimination, on plain
-ints mod a prime.
+ints mod a prime; it back-reduces its rows only when a caller can read them,
+once the rows run out below full rank.
 ``kernel_of_rows`` reads a kernel off a stream of rows: it reduces them mod p
 as they come and stops at full rank, which proves the kernel {0}; a stream
 that runs out below full rank is kept, and its kernel mod p is lifted to Q by
@@ -19,6 +22,7 @@ row order, so all outputs are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -75,42 +79,54 @@ def _echelon_rational(entries, until_gap=False):
     """Fraction-free (Bareiss) forward elimination on integer-cleared rows.
 
     Returns (echelon integer rows, pivot column list); row space and kernel
-    are preserved by the row scalings.  With `until_gap`, it stops at the
-    first column with no pivot, which proves the columns dependent.
+    are preserved by the row scalings.  The loop is left-looking: a column
+    is cleared to integers and brought up to date through the pivots found
+    so far only when the loop reaches it.  Each entry is a minor of the
+    cleared input, so the order of the updates changes none of them.  A
+    pivot column keeps, below its pivot, the multipliers of its step, read
+    by every later column; they are zeroed in the rows returned.  With
+    `until_gap`, the loop stops at the first column with no pivot, which
+    proves the columns dependent, and reads no entry past it; the rows then
+    hold only the columns read.
     """
-    m = [_clear_denominators(row) for row in entries]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    prev = 1
+    nrows = len(entries)
+    columns = [list(col) for col in zip(*entries)]
+    # each row's positive scale to integers, when some entry is no int
+    scales = None
+    if set(map(type, itertools.chain.from_iterable(entries))) - {int}:
+        scales = [math.lcm(*(x.denominator for x in row if type(x) is not int)) for row in entries]
+    steps, pivots = [], []
     r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
+    for c, col in enumerate(columns):
+        if scales:
+            col[:] = [x * l if type(x) is int else x.numerator * (l // x.denominator) for x, l in zip(col, scales)]
+        prev = 1
+        for k, step in enumerate(steps):
+            piv, x = step[k], col[k]
+            # the uniform Bareiss step of pivot k: the division is exact
+            for i in range(k + 1, nrows):
+                col[i] = (piv * col[i] - step[i] * x) // prev
+            prev = piv
+        for pr in range(r, nrows):
+            if col[pr]:
                 break
-        if pr is None:
-            if until_gap:
-                break
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            mic = row_i[c]
-            # uniform Bareiss step: every entry stays an integer minor,
-            # so the division by the previous pivot is exact
-            for j in range(c + 1, ncols):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        else:
+            pr = None
+        if pr is not None:
+            if pr != r:
+                for row in columns:
+                    row[r], row[pr] = row[pr], row[r]
+                if scales:
+                    scales[r], scales[pr] = scales[pr], scales[r]
+            steps.append(col)
+            pivots.append(c)
+            r += 1
+        if until_gap and (pr is None or r == nrows):
+            del columns[c + 1:]
             break
-    return m[:r], pivots
+    for k, step in enumerate(steps):
+        step[k + 1:] = [0] * (nrows - k - 1)
+    return [list(row) for row in zip(*columns)][:r], pivots
 
 
 def rank(matrix):
@@ -151,12 +167,16 @@ def independent_rows_mod(rows, p):
     reduced echelon form mod p: a dict from each pivot column to a row with 1
     there and 0 at every other pivot.  A row depends on them exactly when it
     reduces to zero; their count is the rank mod p.  `rows` may be any
-    iterable; rows after the first full-rank set are never read."""
-    basis = {}  # pivot column -> reduced chosen row
+    iterable; rows after the first full-rank set are never read.
+
+    While reading, each chosen row is 0 only at the pivots chosen before it,
+    so a new row is reduced against them in insertion order.  The basis is
+    back-reduced once, latest pivot first, when the rows run out below full
+    rank; at full rank it is the identity, returned as unit rows."""
+    basis = {}  # pivot column -> chosen row, 0 at the earlier pivots
     chosen = []
     for i, row in enumerate(rows):
         row = [x % p for x in row]
-        # each reduced row is 0 at the other pivots, so one pass suffices
         for c, b in basis.items():
             f = row[c] % p
             if f:
@@ -165,16 +185,18 @@ def independent_rows_mod(rows, p):
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        inv = pow(row[lead], -1, p)
-        row = [x * inv % p for x in row]
-        for b in basis.values():
-            f = b[lead]
-            if f:
-                b[:] = [(x - f * y) % p for x, y in zip(b, row)]
-        basis[lead] = row
         chosen.append(i)
         if len(chosen) == len(row):
-            break
+            return chosen, {c: [int(j == c) for j in range(len(row))] for c in [*basis, lead]}
+        inv = pow(row[lead], -1, p)
+        basis[lead] = [x * inv % p for x in row]
+    reduced = list(basis.items())
+    for k in range(len(reduced) - 1, 0, -1):
+        c, b = reduced[k]
+        for _, a in reduced[:k]:
+            f = a[c]
+            if f:
+                a[:] = [(x - f * y) % p for x, y in zip(a, b)]
     return chosen, basis
 
 

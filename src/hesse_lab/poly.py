@@ -555,6 +555,20 @@ def linear_combinations(nvars, weights, polys):
     return [_new(nvars, {k: sum(map(operator.mul, w, cs)) for k, cs in table.items()}) for w in weights]
 
 
+def head_linear_form(polys, degree):
+    """Σ_i x_i·polys[i] as one dict of keys offset by x_i's unit, for forms of
+    the given degree in the variables past the first len(polys), whose head
+    fields keep the terms of distinct i apart; None if a term is not such."""
+    n, head = polys[0].nvars, len(polys)
+    tail, top, terms = FIELD_BITS * (n - head), degree << FIELD_BITS * head, {}
+    for p, unit in zip(polys, _layout(n).units):
+        for k, c in p._terms.items():
+            if k >> tail != top:
+                return None
+            terms[k + unit] = c
+    return _new(n, terms)
+
+
 class _OverBudget(Exception):
     pass
 
@@ -562,29 +576,26 @@ class _OverBudget(Exception):
 class ColumnMinors:
     """minors(mask): the det of the last popcount(mask) rows on the columns
     in mask, by expansion along its first row over memoized sub-minors.
-    Entries are scalars, or polynomials of one variable count expanded on
-    their term dicts.  With a budget (polynomial entries only), each product
-    a·b spends len(a)·len(b) of it, and a minor that would overspend is None."""
+    The entries are polynomials of one variable count, expanded on their
+    term dicts.  With a budget, each product a·b spends len(a)·len(b) of it,
+    and a minor that would overspend is None."""
 
     def __init__(self, rows, budget=None):
-        self.budget, self.nvars, one = budget, None, 1
-        if rows and isinstance(rows[0][0], Polynomial):
-            self.nvars, one = rows[0][0].nvars, {0: 1}
-            if any(e.nvars != self.nvars for row in rows for e in row):
-                raise VariableCountError("minor entries disagree on variable count")
-            # a minor's exponents are at most its degree, so below FIELD_LIMIT
-            # no product carries; past it, each is checked as __mul__ would
-            self.checked = sum(max(e.degree() for e in row) for row in rows) >= FIELD_LIMIT
-            rows = [[e._terms for e in row] for row in rows]
-        self.rows = rows
-        self.memo = {0: one, **{1 << j: e for j, e in enumerate(rows[-1] if rows else ())}}
+        self.budget = budget
+        self.nvars = rows[0][0].nvars
+        if any(e.nvars != self.nvars for row in rows for e in row):
+            raise VariableCountError("minor entries disagree on variable count")
+        # a minor's exponents are at most its degree, so below FIELD_LIMIT
+        # no product carries; past it, each is checked as __mul__ would
+        self.checked = sum(max(e.degree() for e in row) for row in rows) >= FIELD_LIMIT
+        self.rows = [[e._terms for e in row] for row in rows]
+        self.memo = {0: {0: 1}, **{1 << j: e for j, e in enumerate(self.rows[-1])}}
 
     def __call__(self, mask):
         try:
-            minor = self._minor(mask)
+            return _new(self.nvars, self._minor(mask))
         except _OverBudget:
             return None
-        return minor if self.nvars is None else _new(self.nvars, minor)
 
     def coefficients(self, masks, exponents):
         """[[the coefficient of x^e in minor(mask) for mask in masks] for e in exponents]."""
@@ -592,31 +603,28 @@ class ColumnMinors:
         return [[minor.get(k, 0) for minor in minors] for k in map(_layout(self.nvars).pack, exponents)]
 
     def _minor(self, mask):
-        """The minor as a scalar or a term dict; the terms of even and of odd
-        position in the expansion are summed apart, then subtracted."""
+        """The minor as a term dict; the terms of even and of odd position in
+        the expansion are summed apart, then subtracted."""
         if mask in self.memo:
             return self.memo[mask]
         entries = self.rows[len(self.rows) - mask.bit_count()]
-        parts = [0, 0] if self.nvars is None else [{}, {}]
+        parts = [{}, {}]
         rest, odd = mask, 0
         while rest:
             low = rest & -rest
             e = entries[low.bit_length() - 1]
             if e and (sub := self._minor(mask ^ low)):
-                if self.nvars is None:
-                    parts[odd] += e * sub
-                else:
-                    if self.budget is not None:
-                        self.budget -= len(e) * len(sub)
-                        if self.budget < 0:
-                            raise _OverBudget
-                    if self.checked:
-                        _check_product(_new(self.nvars, e), _new(self.nvars, sub))
-                    _mul_packed(e, sub, parts[odd])
+                if self.budget is not None:
+                    self.budget -= len(e) * len(sub)
+                    if self.budget < 0:
+                        raise _OverBudget
+                if self.checked:
+                    _check_product(_new(self.nvars, e), _new(self.nvars, sub))
+                _mul_packed(e, sub, parts[odd])
             odd ^= 1
             rest ^= low
         even, odd = parts
-        minor = even - odd if self.nvars is None else _add_into(even, [(k, -c) for k, c in odd.items()])
+        minor = _add_into(even, [(k, -c) for k, c in odd.items()])
         self.memo[mask] = minor
         return minor
 

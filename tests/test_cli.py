@@ -801,7 +801,8 @@ def test_verify_all_call_counts_are_pinned(tmp_path, monkeypatch):
 def test_catalog_call_counts_are_pinned(tmp_path, monkeypatch):
     # one seed-0 `catalog` op on the four benchmark types is deterministic,
     # so its counts are exact regression gates.  The GN minors are formed on
-    # term dicts, so the products left are the ψ^γ of the cofactor table;
+    # term dicts, so the products left are the ψ^γ of degree 2 and up in the
+    # cofactor table (degree 1 is the ψ_v themselves);
     # no draw calls `compose`; each entry has one verdict, and every verdict
     # point is singular (a GN form's Hessian vanishes), where Bareiss stops
     # at the first column with no pivot: no elimination runs to the last
@@ -832,7 +833,7 @@ def test_catalog_call_counts_are_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "_echelon_rational", counted_echelon)
     types = [a for t in ("6,3,1,2,1,5", "7,4,1,2,1,5", "7,5,1,2,1,6", "8,5,1,2,1,6") for a in ("--types", t)]
     assert run(tmp_path, "catalog", *types, "--count", "1", "--seed", "0")[0] == 0
-    assert calls == Counter(hessian_vanishes=4, __mul__=20, compose=0, complete_elimination=0)
+    assert calls == Counter(hessian_vanishes=4, __mul__=12, compose=0, complete_elimination=0)
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 
 import gc
 import types
+from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,7 +326,7 @@ def test_build_f_expands_only_psi_row_minors(monkeypatch):
         masks = []
 
         def recorded(self, mask):
-            if self.nvars is not None and mask not in self.memo:
+            if mask not in self.memo:
                 masks.append(mask)
             return real(self, mask)
 
@@ -361,8 +363,7 @@ def _jacobian_rows_of_build_Q(params):
     real, captured = gn.ColumnMinors, []
 
     def recording(rows, budget=None):
-        if rows and isinstance(rows[0][0], Polynomial):
-            captured.append(rows)
+        captured.append(rows)
         return real(rows, budget)
 
     with mock.patch.object(gn, "ColumnMinors", recording):
@@ -414,13 +415,14 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
             super().__init__(*args, **kwargs)
             budgets.append((self.budget, self.nvars))
 
-    # the scalar and the Jacobian minors in gn; none through symbolic_determinant
+    # the Jacobian minors in gn, one memo in m+1 variables; the constant
+    # blocks' minors come from the straight-line program, and none through
+    # symbolic_determinant
     for module in (gn, hessian):
         monkeypatch.setattr(module, "ColumnMinors", Recorded)
     build_Q(params)
     monkeypatch.undo()
-    assert budgets and {budget for budget, _ in budgets} == {None}
-    assert {nvars for _, nvars in budgets} == {None, params.m + 1}
+    assert budgets == [(None, params.m + 1)]
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -434,19 +436,53 @@ def test_build_Q_expands_without_a_budget_and_leaves_no_cyclic_garbage(monkeypat
     assert leaked == []
 
 
+def _rest_masks(t, m):
+    """The masks of the rest sets (the columns in neither T nor {i}) in the
+    order build_Q meets them: per column i, per (m+1)-subset T ∌ i."""
+    full = (1 << (t + 1)) - 1
+    rests = {}
+    for i in range(t + 1):
+        for T in combinations(range(t + 1), m + 1):
+            if i not in T:
+                rests.setdefault(full ^ (1 << i) ^ sum(1 << j for j in T), None)
+    return list(rests)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (4, 2), (5, 2), (6, 2), (5, 3), (7, 3)]),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 9, "fractions"]),
+)
+def test_block_minors_are_the_determinants_of_the_rest_columns(shape, seed, entries):
+    # the straight-line program of a (t-m-1) x (t+1) block yields, in the
+    # order of the rest masks, det A[:, rest] for each, then a 0
+    t, m = shape
+    rng = substream(seed, "test_block_minors")
+    draw = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))) if entries == "fractions" else (
+        lambda: rng.randint(-entries, entries))
+    rows = [[draw() for _ in range(t + 1)] for _ in range(t - m - 1)]
+    _, program, _ = gn._laplace_plan(t, m)
+    rests = _rest_masks(t, m)
+    expected = [
+        sympy.Matrix([[row[j] for j in range(t + 1) if mask >> j & 1] for row in rows]).det() if rows else 1
+        for mask in rests
+    ]
+    assert gn._block_minors(program, rows) == [*expected, 0]
+
+
 def test_build_Q_rechecks_that_cofactors_annihilate_the_constant_rows(monkeypatch):
     # doubling the scalar minors on columns that include x_0's breaks the
     # Laplace identity Σ_i a_i·M_i = 0 for a row a of A_l
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real = gn.ColumnMinors
+    real = gn._block_minors
+    rests = _rest_masks(params.t, params.m)
 
-    def skewed(rows, budget=None):
-        minor = real(rows, budget)
-        if minor.nvars is not None:
-            return minor
-        return lambda mask: 2 * minor(mask) if mask & 1 else minor(mask)
+    def skewed(program, rows):
+        minors = real(program, rows)
+        return [2 * x if mask & 1 else x for x, mask in zip(minors, rests)] + minors[len(rests):]
 
-    monkeypatch.setattr(gn, "ColumnMinors", skewed)
+    monkeypatch.setattr(gn, "_block_minors", skewed)
     with pytest.raises(InternalCheckError, match="annihilate"):
         build_Q(params)
 

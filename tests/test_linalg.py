@@ -376,8 +376,12 @@ def test_bareiss_exactness_regression():
     assert rank(m) == 3
 
 
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
 def _sympy_rank(m):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]).rank()
+    return _sympy_matrix(m.entries).rank()
 
 
 def _with_a_gap(rng, n, bits, gap):
@@ -430,3 +434,148 @@ def test_full_rank_test_stops_at_the_first_column_without_a_pivot():
     assert (pivots, len(rows)) == ([0, 1], 2)
     assert linalg._echelon_rational(m)[1] == [0, 1, 3, 4]
     assert not has_full_rank(ScalarMatrix(m))
+
+
+_ENTRIES = {
+    "small ints": st.integers(-3, 3),
+    "61-bit ints": st.integers(-(2 ** 61), 2 ** 61),
+    "fractions": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+}
+
+
+@st.composite
+def _matrices(draw):
+    """Square, wide and tall matrices of int or Fraction entries, some with
+    zero rows, zero columns, or rows that repeat a combination of others."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        m[i] = [0] * ncols
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    if nrows > 2 and draw(st.booleans()):
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_echelon_agrees_with_sympy_rank_and_rref_in_both_modes(m):
+    # full runs: the pivots are sympy's RREF pivots, the rows integer and in
+    # echelon form, spanning the rows of M, and for a square M of full rank
+    # the last pivot is ± det of M with each row cleared to integers.  With
+    # until_gap: the pivots before the first column without one, and the
+    # rows of the full run on the columns read
+    nrows, ncols = len(m), len(m[0])
+    reference = _sympy_matrix(m)
+    rref, sympy_pivots = reference.rref()
+    rows, pivots = linalg._echelon_rational(m)
+    assert pivots == list(sympy_pivots) and len(rows) == reference.rank()
+    for k, (row, pc) in enumerate(zip(rows, pivots)):
+        assert all(type(x) is int for x in row) and len(row) == ncols
+        assert row[pc] and not any(row[:pc]) and not any(row[p] for p in pivots[:k])
+    if rows:
+        assert _sympy_matrix(rows).rref()[0] == rref[: len(rows), :]
+    else:
+        assert not any(x for row in m for x in row)
+    if nrows == ncols == len(pivots):
+        cleared = [linalg._clear_denominators(row) for row in m]
+        assert abs(rows[-1][-1]) == abs(sympy.Matrix(cleared).det())
+    gap = min(set(range(ncols)).difference(pivots), default=ncols)
+    gap_rows, gap_pivots = linalg._echelon_rational(m, until_gap=True)
+    assert gap_pivots == [p for p in pivots if p < gap]
+    read = len(gap_rows[0]) if gap_rows else None
+    assert gap_rows == [row[:read] for row in rows[: len(gap_pivots)]]
+    assert has_full_rank(ScalarMatrix(m)) == (reference.rank() == ncols)
+
+
+class _Unread(int):
+    """An entry past the first gap: any arithmetic, comparison, truth test
+    or conversion of it fails the test."""
+
+    def _refuse(self, *args):
+        pytest.fail("an entry past the first column without a pivot was read")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __floordiv__ = __rfloordiv__ = __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _refuse
+    __neg__ = __pos__ = __abs__ = __bool__ = __int__ = __index__ = __float__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = int.__hash__
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["ints", "fractions"])
+@pytest.mark.parametrize("gap", [0, 2, 4])
+def test_until_gap_reads_no_entry_past_the_first_gap(fractions, gap):
+    # columns after the gap hold sentinels; the elimination stops at the gap
+    # having read none of them, and the full-rank test says no
+    m = _with_a_gap(random.Random(gap), 6, 61, gap)
+    if fractions:
+        m = [[Fraction(x, k) for x in row] for k, row in zip(range(2, 8), m)]
+    for row in m:
+        row[gap + 1:] = [_Unread(7)] * (5 - gap)
+    rows, pivots = linalg._echelon_rational(m, until_gap=True)
+    assert pivots == list(range(gap)) and len(rows) == gap
+    assert all(len(row) == gap + 1 for row in rows)
+    assert not has_full_rank(ScalarMatrix(m))
+
+
+def _independent_rows_mod_oracle(rows, p):
+    """Test oracle: the reduction that back-reduces every chosen row after
+    each new pivot, so the basis is in reduced echelon form at every step."""
+    basis = {}
+    chosen = []
+    for i, row in enumerate(rows):
+        row = [x % p for x in row]
+        for c, b in basis.items():
+            f = row[c] % p
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+        row = [x % p for x in row]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        row = [x * inv % p for x in row]
+        for b in basis.values():
+            f = b[lead]
+            if f:
+                b[:] = [(x - f * y) % p for x, y in zip(b, row)]
+        basis[lead] = row
+        chosen.append(i)
+        if len(chosen) == len(row):
+            break
+    return chosen, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([7, 11, 2 ** 61 - 1]),
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(-(2 ** 64), 2 ** 64), min_size=6, max_size=6), max_size=9),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-3, 3)), max_size=4),
+    st.booleans(),
+)
+def test_independent_rows_mod_matches_the_back_reducing_oracle(p, ncols, rows, combos, small):
+    # same chosen rows, same reduced rows, same dict order, and the same
+    # number of rows read from the stream; small entries and rows that are
+    # combinations of earlier ones make rank drops and zero rows mod p common
+    rows = [[x % 5 - 2 if small else x for x in row[:ncols]] for row in rows]
+    for i, j, k in combos:
+        if i < len(rows) and j < len(rows):
+            rows.append([a + k * b for a, b in zip(rows[i], rows[j])])
+    results, read = [], []
+    for select in (independent_rows_mod, _independent_rows_mod_oracle):
+        count = [0]
+
+        def stream():
+            for row in rows:
+                count[0] += 1
+                yield row
+
+        chosen, basis = select(stream(), p)
+        results.append((chosen, list(basis.items())))
+        read.append(count[0])
+    assert results[0] == results[1]
+    assert read[0] == read[1]
