@@ -9,13 +9,15 @@ echelon basis, spans the plane Π = P(W), and it makes the image curve
 irreducible and every hyperplane section through Π a cone whose vertex line
 is tangent to it.  The curve's equation is the least-degree kernel of
 G ↦ G(q') on the binary image q' that the normal form certified
-(`p4_plane_curve_check`), one exact kernel per degree and no point.
-The sampled sections, a repeated root of the curve on each vertex line
-(`poly.repeated_root`), stay as the test oracle `p4_section_check`.
+(`p4_plane_curve_check`), one exact kernel per level of `poly.power_levels`
+and no point.  The sampled sections, a repeated root of the curve on each
+vertex line read in W's coordinates (`linalg.span_coordinates`,
+`poly.repeated_root`), stay as the test oracle `p4_section_check`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -24,13 +26,14 @@ from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import rational_content, substream
 from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
-from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
+from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, span_coordinates
 from .poly import (
     Polynomial,
     binary_gcd,
     binary_quotient,
     is_reduced,
     monomials_of_degree,
+    power_levels,
     repeated_root,
 )
 
@@ -161,22 +164,6 @@ class PlaneCurveReport(NamedTuple):
         return self.curve is not None
 
 
-def _span_coordinates(basis, point):
-    """Coordinates of an ambient point in a reduced echelon span basis,
-    primitive, or None when the point lies outside the span.
-
-    Row k is the only row nonzero at its pivot column c_k, so its
-    coordinate is q[c_k]/b_k[c_k].  In integers: with L the lcm of the
-    pivot entries, Z_k = L·q[c_k]/b_k[c_k], and Σ Z_k·b_k = L·q is checked
-    on every column."""
-    cols = [next(i for i, x in enumerate(b) if x) for b in basis]
-    l = math.lcm(*(b[c] for b, c in zip(basis, cols)))
-    zs = [l // b[c] * point[c] for b, c in zip(basis, cols)]
-    if any(sum(z * b[i] for z, b in zip(zs, basis)) != l * x for i, x in enumerate(point)):
-        return None
-    return primitive_vector(zs)
-
-
 class NormalFormReport(NamedTuple):
     change: tuple                 # the rows of A, x = A·y; () off a plane W
     image: tuple                  # q'_0, q'_1, q'_2 in (y3, y4); () unless binary
@@ -292,25 +279,18 @@ def p4_plane_curve_check(normal):
     """The curve C of ψ_g's image on Π = P(W), in W's basis, off the binary
     image q' the normal form certified, when it spans Π.  For e = 2, …,
     D = deg q' (q' maps P^1 onto C, so deg C divides D), the kernel of
-    G ↦ G(q'), one column per q'^α, is the degree-e part of C's ideal, which
-    is principal as C is irreducible: the first nonzero one is one line, C's
-    equation, primitive with a positive leading coefficient.  Its re-check
+    G ↦ G(q'), one column per q'^α of level e, is the degree-e part of C's
+    ideal, which is principal as C is irreducible: the first nonzero one is
+    one line, C's equation, primitive with a positive leading coefficient.  Its re-check
     certifies G(q') ≡ 0, so G(q) ≡ 0 as q' = q∘A."""
     if normal.spans_plane:
-        image = normal.image
-        products = dict(zip(monomials_of_degree(3, 1), image))
-        for e in range(2, image[0].degree() + 1):
-            monos, below = monomials_of_degree(3, e), products
-            # q'^α = q'^(α − u_j)·q'_j, j the first index with α_j > 0
-            products = {}
-            for m in monos:
-                j = next(i for i, a in enumerate(m) if a)
-                products[m] = below[m[:j] + (m[j] - 1,) + m[j + 1:]] * image[j]
+        levels = itertools.islice(power_levels(normal.image), 2, normal.image[0].degree() + 1)
+        for e, products in enumerate(levels, start=2):
             basis = kernel(ScalarMatrix.from_polynomials(list(products.values())).transpose())
             if len(basis) > 1:
                 raise InternalCheckError(f"the image's curve has {len(basis)} independent equations of degree {e}")
             if basis:
-                return PlaneCurveReport(curve=Polynomial(3, dict(zip(monos, basis[0]))), curve_degree=e)
+                return PlaneCurveReport(curve=Polynomial(3, dict(zip(products, basis[0]))), curve_degree=e)
     return PlaneCurveReport(curve=None, curve_degree=None)
 
 
@@ -375,7 +355,7 @@ def p4_section_check(f, psi, curve_report, chart_count=5, seed=0):
         if not vanishes:
             violations.append(f"section at c={c} has nonvanishing Hessian")
         # the vertex line lies in Π: read it in Π's coordinates
-        zeta = [_span_coordinates(basis, chart.embed_point(v)) for v in vertex.basis]
+        zeta = [span_coordinates(basis, chart.embed_point(v)) for v in vertex.basis]
         status, point, line = "no_line", None, None
         if vertex.projective_dim < 1:
             violations.append(f"section at c={c} has vertex dimension {vertex.projective_dim}")

@@ -22,8 +22,9 @@ written, after which no file the run created is left; 3 zero, constant or
 non-homogeneous input; 4 internal check violation (an identity the
 construction guarantees failed); 5 parameter validation failure, such as
 a skeleton whose d reaches 65536 or whose dense biforms would have more than
-gn.MAX_BIFORM_TERMS terms, refused before any draw, and `generate` with
---out and --json naming one file, refused before any work;
+gn.MAX_BIFORM_TERMS terms, refused before any draw, `generate` with
+--out and --json naming one file, refused before any work, and `verify
+--mutate` with a suite other than psi or all, refused before any suite runs;
 6 seeded retry budget exhausted.
 Every nonzero exit prints its reason on stderr, a usage error after the usage.
 """
@@ -191,7 +192,7 @@ def cmd_analyze(args):
         results["polar_relation"] = relation_block(rel) if rel else None
         results["relation_search"] = relation_search_block(sample, args.max_relation_degree, n1)
         if rel is not None:
-            # PolarRelation refuses a nonzero certificate: h_f ≡ 0 is proven
+            # a relation is returned only on a zero certificate: h_f ≡ 0 is proven
             verdict = verdict.upgraded("polar_relation")
             psi = build_psi(f, rel)
             results["psi"] = psi_block(psi)
@@ -232,6 +233,8 @@ def cmd_generate(args):
 
 def cmd_verify(args):
     _check_positive("--count", args.count)
+    if args.mutate and args.suite not in ("psi", "all"):
+        raise ValidationError([f"--mutate corrupts the psi suite's ψ_g, which the {args.suite} suite does not run"])
     if args.suite == "lowdim":
         block = {"lowdim": run_lowdim_suite(args.count, args.seed)}
     elif args.suite == "gn":

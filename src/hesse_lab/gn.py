@@ -17,14 +17,15 @@ rows come from one straight-line program of their Laplace expansion
 coefficient row over the y^γ, the signed scalar minors times that table,
 and the annihilation check runs on those rows.  The subsets, signs and
 that program depend on (t, m) alone and are kept per (t, m)
-(`_laplace_plan`).  Each M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one table of the
-powers ψ^γ (`poly.linear_combinations`), and Q_ℓ = Σ_i x_i·M_{ℓ,i} is one
-dict of the cofactors' keys offset by x_i's unit (`poly.head_linear_form`),
-which checks each key for degree s-1 and tail support on the way.  The
-output form is f = Σ_k P_k(Q_1..Q_{t-m}, x_{t+1}..x_n) for biforms P_k of
-bidegree (k, d-k·s), and it always has vanishing Hessian;
-`poly.substitute_forms` makes the tail variables key offsets and spends one
-packed product in the Q_ℓ per z-degree of Σ_k P_k.  No step calls `compose`.
+(`_laplace_plan`).  Each M_{ℓ,i} = M̃_{ℓ,i}∘ψ is read off one level of the
+powers ψ^γ (`poly.power_levels`, `poly.linear_combinations`), and
+Q_ℓ = Σ_i x_i·M_{ℓ,i} is one dict of the cofactors' keys offset by x_i's
+unit (`poly.head_linear_form`), which checks each key for degree s-1 and
+tail support on the way.  The output form is f = Σ_k P_k(Q_1..Q_{t-m},
+x_{t+1}..x_n) for biforms P_k of bidegree (k, d-k·s), and it always has
+vanishing Hessian; `poly.substitute_forms` makes the tail variables key
+offsets and spends one packed product in the Q_ℓ per z-degree of Σ_k P_k.
+No step calls `compose`.
 A skeleton is refused before any draw when d reaches the exponent field's
 FIELD_LIMIT or its dense biforms would pass MAX_BIFORM_TERMS terms.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -53,6 +54,7 @@ from .poly import (
     head_linear_form,
     linear_combinations,
     monomials_of_degree,
+    power_levels,
     substitute_forms,
 )
 
@@ -245,23 +247,6 @@ class GNInstance(NamedTuple):
     vertex: VertexSubspace  # cone test of f
 
 
-def _psi_powers(psi, degree):
-    """{γ: ψ^γ} over the γ of `monomials_of_degree(len(psi), degree)`, in that
-    order: level 1 is the ψ_v themselves, and each ψ^γ above it is one of
-    the degree below, γ less the unit ε_v of its last nonzero exponent,
-    times ψ_v."""
-    if degree == 0:
-        return {(0,) * len(psi): Polynomial.constant(psi[0].nvars, 1)}
-    powers = dict(zip(monomials_of_degree(len(psi), 1), psi))
-    for k in range(2, degree + 1):
-        level = {}
-        for gamma in monomials_of_degree(len(psi), k):
-            v = max(i for i, x in enumerate(gamma) if x)
-            level[gamma] = powers[gamma[:v] + (gamma[v] - 1,) + gamma[v + 1:]] * psi[v]
-        powers = level
-    return powers
-
-
 @functools.cache
 def _laplace_plan(t, m):
     """What the cofactors' Laplace expansion reads off (t, m) alone.
@@ -333,9 +318,9 @@ def build_Q(params):
     minors of A_ℓ, as weights, times the minors' coefficient columns.
     Σ_i a_i·M̃_{ℓ,i} ≡ 0 for each row a of A_ℓ is the formal identity, so
     checking it on those rows checks the composed one too.  The same rows
-    give M_{ℓ,i} = Σ_γ c_γ·ψ^γ, all read off one table of the ψ^γ.  T, the
-    signs and the straight-line program of A_ℓ's minors come from
-    `_laplace_plan`, kept per (t, m).
+    give M_{ℓ,i} = Σ_γ c_γ·ψ^γ, all read off level D of the ψ^γ
+    (`poly.power_levels`).  T, the signs and the straight-line program of
+    A_ℓ's minors come from `_laplace_plan`, kept per (t, m).
 
     Each M_{ℓ,i} has degree s-1 in the tail variables alone, so Q_ℓ is one
     sum of key offsets (`poly.head_linear_form`), which checks every term
@@ -346,7 +331,7 @@ def build_Q(params):
     skel = params.skeleton()
     s = skel.expected_s
     masks, program, weighting = _laplace_plan(t, m)
-    powers = _psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
+    powers = next(islice(power_levels(params.psi_forms), (m + 1) * (skel.hdeg - 1), None))
     rows = [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
     columns = ColumnMinors(rows).coefficients(masks, powers)
     formal = []

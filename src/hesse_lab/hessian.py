@@ -11,9 +11,9 @@ Schwartz-Zippel bound (D/N)^t, with t the fewest points that put it below
 full rank alone (`linalg.has_full_rank`), and at a singular point Bareiss
 stops at the first column with no pivot.  This is the only verdict path.
 The ranks also give the generic rank behind the polar image's dimension, and
-the kernels span W, on which the relation search runs.  A cone vertex, a
-re-checked polar relation g(∇f) ≡ 0 (the Gordan-Noether criterion) or, last,
-det H_f ≡ 0 later makes a vanishing verdict exact.
+the kernels span W (grown by those off it, `linalg.span_coordinates`), where
+the relation search runs.  A cone vertex, a re-checked polar relation g(∇f) ≡ 0
+(Gordan-Noether) or, last, det H_f ≡ 0 later makes a vanishing verdict exact.
 
 That last certificate is the symbolic determinant, expanded by minors over
 memoized column subsets (`poly.ColumnMinors`, on term dicts) under
@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DimensionError, DomainError, InternalCheckError
 from .fields import DEFAULT_PRIME, norm_coeff, substream
-from .linalg import ScalarMatrix, has_full_rank, kernel, reduced_row_basis
+from .linalg import ScalarMatrix, has_full_rank, kernel, reduced_row_basis, span_coordinates
 from .poly import ColumnMinors
 
 DEFAULT_SAMPLES = 5
@@ -198,28 +198,21 @@ class KernelSample(NamedTuple):
         return max(self.ranks[:DEFAULT_SAMPLES])
 
 
-def _outside(span, v):
-    """Whether integer v is outside W: nonzero once W's reduced rows clear their pivots."""
-    for row in span:
-        p = next(j for j, x in enumerate(row) if x)
-        v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
-    return any(v)
-
-
 def sample_kernels(f, seed=0):
     """Exact kernels of H_f at its seeded points, drawn until DEFAULT_SAMPLES
     points are in and the last one adds nothing to their span W, or until
     one has full rank.  Its first points are those `hessian_vanishes` reads,
     so `rank_verdict` on its ranks is that verdict.  A sampled W can only
     be too small: every kernel lies in the true span.  W grows in integers:
-    it is rebuilt only for a kernel vector outside it.
+    it is rebuilt only for a kernel vector off it (`linalg.span_coordinates`).
     """
     n = f.nvars
     ranks, span = [], ()
     for i in itertools.count():
         vectors = kernel(hessian_at(f, _seeded_point(n, seed, i)))
         ranks.append(n - len(vectors))
-        grown = reduced_row_basis([*span, *vectors]) if any(_outside(span, v) for v in vectors) else span
+        outside = any(span_coordinates(span, v) is None for v in vectors)
+        grown = reduced_row_basis([*span, *vectors]) if outside else span
         if ranks[-1] == n or (i + 1 >= DEFAULT_SAMPLES and len(grown) == len(span)):
             return KernelSample(ranks=tuple(ranks), span=grown)
         span = grown

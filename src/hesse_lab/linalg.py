@@ -317,6 +317,20 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
+def span_coordinates(basis, point):
+    """The primitive coordinates of an integer point on reduced echelon rows,
+    or None off their span.  Row k alone is nonzero at its pivot c_k, so
+    clearing the pivots in turn, v ← b_k[c_k]·v − v[c_k]·b_k, leaves
+    v = s·point − Σ_k z_k·b_k, z_k the v[c_k] cleared, scaled by each later
+    pivot entry alike: v = 0 exactly on the span."""
+    v, zs = point, []
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        zs = [row[p] * z for z in zs] + [v[p]]
+        v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+    return None if any(v) else primitive_vector(zs)
+
+
 def projectively_equal(a, b):
     """True iff nonzero vectors a, b agree up to a scalar (all 2x2 minors
     vanish)."""

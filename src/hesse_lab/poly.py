@@ -1121,6 +1121,20 @@ def monomials_of_degree(nvars, d):
     return [p + (d - sum(p),) for p in prefixes]
 
 
+def power_levels(forms):
+    """{γ: F^γ} for the forms F, level k over `monomials_of_degree(len(forms), k)`
+    for k = 0, 1, …: the constant 1, the forms themselves, and above them
+    each F^γ one product F^(γ − ε_v)·F_v with the level below (`_parent`)."""
+    yield {(0,) * len(forms): Polynomial.constant(forms[0].nvars, 1)}
+    level = dict(zip(monomials_of_degree(len(forms), 1), forms))
+    for k in itertools.count(2):
+        yield level
+        below, level = level, {}
+        for gamma in monomials_of_degree(len(forms), k):
+            parent, v = _parent(gamma)
+            level[gamma] = below[parent] * forms[v]
+
+
 # ----------------------------------------------------------------------
 # binary forms: one gcd in Z[u], repeated roots, reducedness on a line
 #

@@ -7,11 +7,13 @@ H_f, from degree 2 on a non-cone, and certified symbolically
 The forms F_j = ⟨w_j, ∇f⟩ on the rows of W often share a factor c; taking
 it out changes no relation, since G(c·F') = c^e·G(F') for G of degree e, so
 the search runs on the F'_j = F_j/c.  The search is the least-degree
-relation among forms of one degree (`least_relation`).  The map ψ_g has
-components h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's
-k+1 parts P_j = c^(e−1)·P'_j (`PolarRelation`); the gcd fold of the reduced
-parts P'_j returns ρ' with each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so
-nothing is divided; ψ_g keeps the q_j as its coordinates on W (`PsiMap`).
+relation among forms of one degree (`least_relation`), a plain record
+(g, parts, span, factor) that only a zero certificate yields
+(`PolarRelation.from_partials`).  The map ψ_g has components
+h_i = (∂g/∂y_i ∘ ∇f)/ρ = Σ_j w_{j,i}·P_j/ρ, over the relation's k+1 parts
+P_j = c^(e−1)·P'_j; the gcd fold of the reduced parts P'_j returns ρ' with
+each q_j = P'_j/ρ', and ρ = c^(e−1)·ρ', so nothing is divided; ψ_g keeps
+the q_j as its coordinates on W (`PsiMap`).
 Everything the relation implies (translation invariance, the base-locus and
 singular-locus inclusions, fiber cones, the lines joining image points) is
 checked symbolically.  The checks are Z-linear in the form, so `poly`
@@ -39,16 +41,7 @@ from .poly import Polynomial, dot, gcd_cofactors, gcd_list, linear_combination, 
 DEFAULT_MAX_RELATION_DEGREE = 8
 
 
-class _Relation(NamedTuple):
-    g: Polynomial                 # in y_0..y_n
-    degree: int
-    certificate: Polynomial       # Σ_j F'_j·(∂_jG)(F') = e·G(F'); must be zero
-    parts: tuple                  # (∂_jG)(F'), the reduced parts P'_j
-    span: tuple                   # the rows w_j
-    factor: Polynomial            # c, with F_j = c·F'_j; the constant 1 when nothing is taken out
-
-
-class PolarRelation(_Relation):
+class PolarRelation(NamedTuple):
     """g with g(f_0,…,f_n) ≡ 0.
 
     g(y) = G(⟨w_0, y⟩, …, ⟨w_k, y⟩) for rows w_j spanning W, and G is
@@ -57,18 +50,17 @@ class PolarRelation(_Relation):
     g(∇f) = G(F) = c^e·G(F') ≡ 0 exactly.  The k+1 reduced parts
     P'_j = (∂_jG)(F') are made once, and ψ_g is built from them and c alone:
     ∂_jG is homogeneous of degree e − 1, so (∂_jG)(F) = c^(e−1)·P'_j, and by
-    the chain rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F)."""
+    the chain rule, ∂g/∂y_i ∘ ∇f = Σ_j w_{j,i}·(∂_jG)(F).  `from_partials`
+    returns one only on a zero certificate; g ≢ 0, as G ≢ 0 and the w_j are independent."""
 
-    __slots__ = ()
+    g: Polynomial                 # in y_0..y_n
+    parts: tuple                  # (∂_jG)(F'), the reduced parts P'_j
+    span: tuple                   # the rows w_j
+    factor: Polynomial            # c, with F_j = c·F'_j; the constant 1 when nothing is taken out
 
-    def __new__(cls, g, degree, certificate, parts, span, factor=None):
-        if not g:
-            raise DomainError("a polar relation must be a nonzero polynomial")
-        if not certificate.is_zero():
-            raise InternalCheckError("polar relation certificate is nonzero")
-        if factor is None:
-            factor = Polynomial.constant(parts[0].nvars, 1)
-        return super().__new__(cls, g, degree, certificate, parts, span, factor)
+    @property
+    def degree(self):
+        return self.g.degree()
 
     @classmethod
     def from_partials(cls, G, forms, span):
@@ -77,8 +69,7 @@ class PolarRelation(_Relation):
         G is no relation.  G and the parts are scaled so that g has coprime
         integer coefficients and a positive leading one."""
         parts = [G.partial(j).compose(forms) for j in range(G.nvars)]
-        euler = dot(forms, parts)
-        if euler:
+        if dot(forms, parts):
             return None
         g = G.compose([Polynomial.linear_form(w) for w in span])
         scale = 1 / rational_content(g.coefficients())
@@ -86,7 +77,7 @@ class PolarRelation(_Relation):
             scale = -scale
         if scale != 1:
             g, parts = g.scale(scale), [p.scale(scale) for p in parts]
-        return cls(g=g, degree=g.degree(), certificate=euler, parts=tuple(parts), span=span)
+        return cls(g=g, parts=tuple(parts), span=span, factor=Polynomial.constant(forms[0].nvars, 1))
 
 
 class PsiMap(NamedTuple):

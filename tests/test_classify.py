@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hesse_lab import classify, psi as psi_module, reports
 from hesse_lab.cli import main
 from hesse_lab.classify import (
-    _span_coordinates,
     low_dim_hesse_suite,
     low_polar_dim_check,
     p4_normal_form,
@@ -28,7 +27,7 @@ from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.fields import substream
-from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis
+from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis, span_coordinates
 from hesse_lab.poly import Polynomial, binary_gcd, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, least_relation, sample_image
 from hesse_lab.reports import p4_classification, run_p4_suite
@@ -303,7 +302,7 @@ def test_p4_sections_pencil_off_a_plane_is_an_internal_error(cubic_psi, cubic_cu
 
 def test_p4_sections_vertex_off_the_plane_is_no_line(cubic_psi, cubic_curve, monkeypatch):
     # a vertex vector without coordinates in Π's basis is not a line of Π
-    monkeypatch.setattr(classify, "_span_coordinates", lambda basis, point: None)
+    monkeypatch.setattr(classify, "span_coordinates", lambda basis, point: None)
     report = p4_section_check(PAPER_CUBIC, cubic_psi, cubic_curve, chart_count=1, seed=0)
     assert not report.ok
     assert [(r.tangency_status, r.tangency_point) for r in report.records] == [("no_line", None)]
@@ -523,22 +522,22 @@ def test_repeated_root_by_euler_matches_sympy_sqf_list(r):
 
 
 def test_span_coordinates_read_off_the_echelon_basis():
-    # pivot entries 1, 2 and 3: the coordinates are read at the scale of their lcm, 6
+    # pivot entries 1, 2 and 3: the coordinates come back in integers all the same
     basis = ((1, 0, 2, 0, -3), (0, 2, 1, 0, 4), (0, 0, 0, 3, 5))
     assert reduced_row_basis(basis) == basis
     z = (3, -7, 11)
     q = [sum(zk * b[i] for zk, b in zip(z, basis)) for i in range(5)]
-    assert _span_coordinates(basis, q) == z
+    assert span_coordinates(basis, q) == z
     # a scalar multiple of q has the same primitive coordinates
-    assert _span_coordinates(basis, [-2 * x for x in q]) == z
+    assert span_coordinates(basis, [-2 * x for x in q]) == z
 
 
 def test_span_coordinates_outside_the_span_is_none():
     basis = ((1, 2, 0, 0), (0, 0, 3, 1))
     # agrees with 1·b0 + 1·b1 on the pivot columns, not on column 3
-    assert _span_coordinates(basis, (1, 2, 3, 2)) is None
-    assert _span_coordinates(basis, (0, 1, 0, 0)) is None
-    assert _span_coordinates(basis, (1, 2, 3, 1)) == (1, 1)
+    assert span_coordinates(basis, (1, 2, 3, 2)) is None
+    assert span_coordinates(basis, (0, 1, 0, 0)) is None
+    assert span_coordinates(basis, (1, 2, 3, 1)) == (1, 1)
 
 
 def test_span_coordinates_negative_pivot_is_sign_normalized():
@@ -546,9 +545,9 @@ def test_span_coordinates_negative_pivot_is_sign_normalized():
     # positive first nonzero entry, whatever the signs of the pivots
     basis = ((-2, 0, 1), (0, -3, 6))
     q = [2 * a - 4 * b for a, b in zip(*basis)]   # 2·b0 - 4·b1
-    assert _span_coordinates(basis, q) == (1, -2)
-    assert _span_coordinates(basis, [-x for x in q]) == (1, -2)
-    assert _span_coordinates(basis, [0, -3, 6]) == (0, 1)
+    assert span_coordinates(basis, q) == (1, -2)
+    assert span_coordinates(basis, [-x for x in q]) == (1, -2)
+    assert span_coordinates(basis, [0, -3, 6]) == (0, 1)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
@@ -563,7 +562,7 @@ def test_p4_stage_does_not_depend_on_the_order_of_the_sample(seed):
     random.Random(f"shuffle {seed}").shuffle(shuffled)
     curve, basis = _curve(f, psi), psi.relation.span
     assert curve.ok and basis == reduced_row_basis(shuffled)
-    assert all(curve.curve.evaluate(_span_coordinates(basis, q)) == 0 for q in shuffled)
+    assert all(curve.curve.evaluate(span_coordinates(basis, q)) == 0 for q in shuffled)
 
 
 @pytest.mark.parametrize("form", ["paper_cubic", "4,2,1,2,1,3", "4,2,1,2,1,4", "4,2,1,2,1,6"])

@@ -481,6 +481,22 @@ def test_verify_mutation_names_the_failing_suite_on_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.err == "verification suite failed: psi\n"
     assert json.loads(captured.out)["results"]["psi"]["ok"] is False
+    assert main(["verify", "--suite", "all", "--count", "1", "--mutate", "--no-timings"]) == 1
+    assert capsys.readouterr().err == "verification suite failed: psi\n"
+
+
+@pytest.mark.parametrize("suite", ["lowdim", "gn", "p4"])
+def test_verify_mutate_on_a_suite_without_psi_exit_5_before_any_suite(suite, monkeypatch, capsys):
+    # --mutate corrupts the psi suite's ψ_g alone, so on a suite that never
+    # builds one the negative control would pass vacuously: refused first
+    for name in ("run_lowdim_suite", "run_gn_suite", "run_psi_suite", "run_p4_suite", "run_all_suites"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a suite ran"))
+    assert main(["verify", "--suite", suite, "--count", "1", "--mutate", "--no-timings"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation: --mutate corrupts the psi suite's ψ_g, which the {suite} suite does not run\n"
+    )
 
 
 def test_analyze_with_a_failing_battery_exit_4_names_the_checks(monkeypatch, capsys):

@@ -3,7 +3,7 @@
 import gc
 import types
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from unittest import mock
 
 import pytest
@@ -391,7 +391,7 @@ def test_jacobian_minors_composed_with_psi_match_the_polynomial_oracle(types, se
     assert rows == [[h.partial(j) for h in params.h_forms] for j in range(m + 1)]
     oracle_rows = [[e.compose(psi) for e in row] for row in rows]
     minors = poly.ColumnMinors(rows)
-    powers = gn._psi_powers(params.psi_forms, (m + 1) * (skel.hdeg - 1))
+    powers = next(islice(poly.power_levels(params.psi_forms), (m + 1) * (skel.hdeg - 1), None))
     subsets = list(combinations(range(t + 1), m + 1))
     masks = [sum(1 << j for j in T) for T in subsets]
     table = minors.coefficients(masks, powers)
@@ -593,13 +593,14 @@ def test_build_Q_rechecks_the_degree_and_tail_support_of_cofactors(monkeypatch, 
     # every ψ^γ times x_0 (a head variable) or x_7 (one degree up), so every
     # cofactor read off the table of ψ^γ is x_0 or x_7 times its own
     params = random_instance(GNSkeleton(7, 4, 1, 2, 1, 5), seed=0).params
-    real = gn._psi_powers
+    real = gn.power_levels
     x = Polynomial.variable(8, variable)
 
-    def shifted(psi, degree):
-        return {gamma: power * x for gamma, power in real(psi, degree).items()}
+    def shifted(psi):
+        for level in real(psi):
+            yield {gamma: power * x for gamma, power in level.items()}
 
-    monkeypatch.setattr(gn, "_psi_powers", shifted)
+    monkeypatch.setattr(gn, "power_levels", shifted)
     with pytest.raises(InternalCheckError, match="tail-support"):
         build_Q(params)
 
@@ -702,6 +703,28 @@ def test_vanishing_hessian_probabilistic_up_to_n7():
     v = hessian_vanishes(inst.f, seed=0)
     assert v.vanishes
     assert v.error_bound * 2 ** 40 < 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("types", [
+    "4,2,1,2,1,3", "4,2,1,2,1,4", "5,3,1,2,1,4", "5,3,1,2,1,6", "6,3,1,2,1,5",
+    "7,4,1,2,1,6", "6,3,2,3,1,7", "7,4,2,2,1,5", "8,5,2,2,1,4", "5,2,1,3,2,9",
+])
+def test_every_draw_carries_its_own_kernel_field(types, seed):
+    # v = (h_0∘ψ, …, h_t∘ψ, 0, …, 0) from the draw's own h and ψ forms is a
+    # field in the kernel of H_f whose derivation D_v kills f:
+    # H_f·v ≡ 0, row i being Σ_j ∂_i∂_j f·v_j, and D_v f ≡ 0, with v ≢ 0
+    inst = random_instance(GNSkeleton(*map(int, types.split(","))), seed)
+    f, n1 = inst.f, inst.params.n + 1
+    head = [h.compose(list(inst.params.psi_forms)) for h in inst.params.h_forms]
+    v = head + [Polynomial.zero(n1)] * (n1 - len(head))
+    assert any(v)
+
+    def along_v(g):
+        return sum((g.partial(j) * vj for j, vj in enumerate(v)), Polynomial.zero(n1))
+
+    assert along_v(f).is_zero()
+    assert all(along_v(f.partial(i)).is_zero() for i in range(n1))
 
 
 def test_forced_degenerate_types_are_surfaced():

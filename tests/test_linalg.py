@@ -18,8 +18,11 @@ from hesse_lab.linalg import (
     independent_rows_mod,
     kernel,
     primitive_vector,
+    projectively_equal,
     random_invertible,
     rank,
+    reduced_row_basis,
+    span_coordinates,
 )
 from hesse_lab.poly import parse
 
@@ -579,3 +582,58 @@ def test_independent_rows_mod_matches_the_back_reducing_oracle(p, ncols, rows, c
         read.append(count[0])
     assert results[0] == results[1]
     assert read[0] == read[1]
+
+
+def _lcm_span_coordinates(basis, point):
+    """span_coordinates by the lcm of the pivot entries (test-local oracle):
+    row k is the only row nonzero at its pivot c_k, so with L that lcm,
+    Z_k = L·point[c_k]/b_k[c_k], and Σ_k Z_k·b_k = L·point is checked on
+    every column."""
+    cols = [next(i for i, x in enumerate(b) if x) for b in basis]
+    l = math.lcm(*(b[c] for b, c in zip(basis, cols)))
+    zs = [l // b[c] * point[c] for b, c in zip(basis, cols)]
+    if any(sum(z * b[i] for z, b in zip(zs, basis)) != l * x for i, x in enumerate(point)):
+        return None
+    return primitive_vector(zs)
+
+
+@st.composite
+def _spans_and_points(draw):
+    """(basis, point, coordinates): reduced echelon rows of 0-6 drawn
+    vectors, empty spans and repeated rows included, and a point built on
+    them from drawn coordinates, the zero point among them, times a nonzero
+    scalar, or a drawn point with coordinates None."""
+    n = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(vector, max_size=n))
+    if rows and draw(st.booleans()):
+        rows.append([2 * x for x in rows[0]])
+    basis = reduced_row_basis(rows)
+    if draw(st.booleans()):
+        return basis, draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), None
+    z = draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+    scale = draw(st.sampled_from((1, -1, 2, -3)))
+    return basis, [scale * sum(zk * b[i] for zk, b in zip(z, basis)) for i in range(n)], primitive_vector(z)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_spans_and_points())
+def test_span_coordinates_match_the_lcm_formula_and_sympy(case):
+    basis, point, built = case
+    coordinates = span_coordinates(basis, point)
+    assert coordinates == _lcm_span_coordinates(basis, point)
+    on_span = sympy.Matrix([*basis, point]).rank() == len(basis)
+    assert (coordinates is not None) is on_span
+    if built is not None:
+        assert coordinates == built
+    if coordinates is not None:
+        # primitive, first nonzero positive, and Σ_k z_k·b_k ∥ the point
+        assert primitive_vector(coordinates) == coordinates
+        combination = [sum(z * b[i] for z, b in zip(coordinates, basis)) for i in range(len(point))]
+        assert projectively_equal(combination, point) or not any(combination) and not any(point)
+
+
+def test_span_coordinates_of_the_empty_span_and_the_zero_point():
+    assert span_coordinates((), (0, 0, 0)) == ()
+    assert span_coordinates((), (0, 1, 0)) is None
+    assert span_coordinates(((1, 0, 2),), (0, 0, 0)) == (0,)

@@ -66,6 +66,18 @@ def test_every_definition_has_a_caller_or_is_a_listed_oracle():
     assert TEST_ORACLES.keys() - unreferenced == set()
 
 
+def test_every_listed_oracle_is_used_by_a_test():
+    # an oracle no test reads is dead code with a reason attached
+    tests = Path(__file__).resolve().parent
+    named = {
+        name
+        for path in sorted(tests.glob("*.py"))
+        if path.name != Path(__file__).name
+        for name in _references(ast.parse(path.read_text()))
+    }
+    assert {key for key in TEST_ORACLES if key.split(".")[-1] not in named} == set()
+
+
 def test_no_module_but_poly_reads_exponent_storage():
     # exponents live behind poly: no other module reads a polynomial's term
     # storage (`_terms`) or a `terms` attribute; and no module imports a

@@ -39,6 +39,7 @@ from hesse_lab.poly import (
     is_reduced,
     monomials_of_degree,
     parse,
+    power_levels,
     substitute_forms,
 )
 from conftest import sampled_relation
@@ -1220,6 +1221,28 @@ def test_monomials_of_degree_order():
     assert monos[0] == (2, 0, 0)
     assert monos[-1] == (0, 0, 2)
     assert len(monos) == 6
+
+
+@st.composite
+def power_cases(draw):
+    """1-3 forms of one degree 0..2 in 1..3 variables, zero forms and
+    Fraction coefficients among them."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    terms = st.dictionaries(st.sampled_from(monomials_of_degree(n, d)), coeffs, max_size=4)
+    return [Polynomial(n, draw(terms)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(power_cases())
+def test_power_levels_are_the_products_of_powers(forms):
+    # level k lists every γ of degree k in monomials_of_degree's order, and
+    # its F^γ is the plain product of the powers F_v ** γ_v
+    for k, level in enumerate(itertools.islice(power_levels(forms), 5)):
+        assert list(level) == monomials_of_degree(len(forms), k)
+        for gamma, power in level.items():
+            expected = functools.reduce(operator.mul, (f ** a for f, a in zip(forms, gamma)))
+            assert power == expected
 
 
 def test_int_quotient_and_remainder():
