@@ -1,8 +1,8 @@
 """Desk-scale verification of the classification statements.
 
 Covers the low-dimension equivalence (vanishing Hessian ⇔ cone for at most
-three projective dimensions), the small-polar-image corollary, and the
-structure of vanishing-Hessian non-cones in P^4: f is one exact normal form
+three projective dimensions) and the structure of vanishing-Hessian
+non-cones in P^4: f is one exact normal form
 f∘A ≡ Σ_k Q^k·P_k(y3, y4) with Q linear in y0, y1, y2 (`p4_normal_form`).
 It alone decides that the ψ_g image, read in the coordinates of W's reduced
 echelon basis, spans the plane Π = P(W), and it makes the image curve
@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from .cones import chart_for_hyperplane, cone_test, restrict
 from .errors import DomainError, InternalCheckError, RestrictionZeroError
 from .fields import rational_content, substream
-from .hessian import hessian_vanishes, polar_image_dim, rank_verdict, sample_kernels
+from .hessian import hessian_vanishes, rank_verdict, sample_kernels
 from .linalg import ScalarMatrix, kernel, primitive_vector, random_invertible, span_coordinates
 from .poly import (
     Polynomial,
@@ -138,18 +138,6 @@ def low_dim_hesse_suite(count, seed):
                     )
                 )
     return LowDimReport(records=tuple(records), violations=tuple(violations))
-
-
-def low_polar_dim_check(f, seed=0):
-    """For at least five variables with vanishing Hessian: a polar image of
-    dimension at most two forces a cone.  True when verified or vacuous."""
-    if f.nvars < 5:
-        raise DomainError("needs an ambient space of at least five variables")
-    if not hessian_vanishes(f, seed=seed).vanishes:
-        raise DomainError("precondition: vanishing Hessian")
-    if polar_image_dim(f, seed=seed) <= 2:
-        return cone_test(f).is_cone
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import (
     RetryBudgetError,
     ValidationError,
 )
-from .gn import GNSkeleton, instance_to_dict, validate_skeleton
+from .gn import GNSkeleton, instance_to_dict, validate
 from .hessian import (
     DETERMINANT_BUDGET,
     hessian_matrix,
@@ -270,7 +270,7 @@ def cmd_catalog(args):
             continue
         skel = GNSkeleton(*nums)
         try:
-            validate_skeleton(skel)
+            validate(skel)
         except ValidationError as exc:
             problems.extend(f"{text}: {v}" for v in exc.violations)
             continue

@@ -6,27 +6,15 @@ the coefficients of the partials, read straight from the keys of f.  A
 linear relation among the partials is exactly a vertex direction, so degree
 1 is decided here, and the relation search in `psi` starts at degree 2.
 Hyperplanes are handled through explicit parametrizations so no implicit
-coordinate convention sneaks in.
+coordinate convention sneaks in; charts and restriction serve the sampled
+sections of `classify.p4_section_check`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-from .errors import (
-    DimensionError,
-    DomainError,
-    InternalCheckError,
-    RestrictionZeroError,
-    SampleBudgetError,
-)
-from .fields import substream
-from .linalg import (
-    ScalarMatrix,
-    kernel_of_rows,
-    primitive_vector,
-    projectively_equal,
-    rank,
-)
+from .errors import DimensionError, DomainError, InternalCheckError, RestrictionZeroError
+from .linalg import ScalarMatrix, kernel_of_rows, primitive_vector, rank
 from .poly import Polynomial, derivative_rows, directional_derivative
 
 
@@ -54,18 +42,6 @@ def cone_test(f):
         if directional_derivative(f, v):
             raise InternalCheckError("vertex direction fails D_v f = 0")
     return VertexSubspace(basis=vectors, projective_dim=len(vectors) - 1)
-
-
-def translation_invariant(f, v):
-    """f(x + λ·v) - f(x) ≡ 0 as a polynomial in (x, λ): the vertex certificate."""
-    n = f.nvars
-    args = []
-    for i in range(n):
-        a = Polynomial.variable(n + 1, i)
-        if v[i]:
-            a = a + Polynomial.variable(n + 1, n).scale(v[i])
-        args.append(a)
-    return f.compose(args) == f.extend(n + 1)
 
 
 class _Chart(NamedTuple):
@@ -138,43 +114,3 @@ def restrict(f, chart):
     if not restricted:
         raise RestrictionZeroError("H is contained in V(f); restriction vanishes")
     return restricted
-
-
-def projection_lemma_check(f, chart, samples=10, seed=0, corrupt_partial=None):
-    """Sampled check that restricting then taking gradients equals projecting
-    the ambient gradient from the hyperplane's dual point.
-
-    In chart-dual coordinates the projection from h is u ↦ Pᵀu, so both sides
-    are length-n vectors compared projectively at each sample.
-    `corrupt_partial` negates one ambient partial (mutation control).
-    """
-    restricted = restrict(f, chart)
-    rest_grad = restricted.gradient()
-    amb_grad = f.gradient()
-    if corrupt_partial is not None:
-        amb_grad = list(amb_grad)
-        amb_grad[corrupt_partial] = -amb_grad[corrupt_partial]
-    n = f.nvars - 1
-    checked = 0
-    for s in range(samples * 4):
-        if checked == samples:
-            break
-        rng = substream(seed, "projection", s)
-        u = [rng.randint(-9, 9) for _ in range(n)]
-        if not any(u):
-            continue
-        lhs = [g.evaluate(u) for g in rest_grad]
-        x = chart.embed_point(u)
-        grad_at = [g.evaluate(x) for g in amb_grad]
-        rhs = [
-            sum(chart.parametrization[i][j] * grad_at[i] for i in range(f.nvars))
-            for j in range(n)
-        ]
-        if not any(lhs) or not any(rhs):
-            continue  # base locus; resample
-        if not projectively_equal(lhs, rhs):
-            return False
-        checked += 1
-    if checked == 0:
-        raise SampleBudgetError("all samples hit base loci; retry with a new seed")
-    return True

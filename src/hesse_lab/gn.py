@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 from typing import NamedTuple
@@ -229,12 +228,14 @@ class GNParams(NamedTuple):
         )
 
 
-def validate(params):
-    """Checked params, or a ValidationError naming every broken constraint."""
-    violations = params.violations()
+def validate(spec):
+    """Checked params or skeleton, or a ValidationError naming every broken
+    constraint.  A skeleton is refused before any draw: its structural
+    constraints are all that params of its shape can break."""
+    violations = spec.violations()
     if violations:
         raise ValidationError(violations)
-    return params
+    return spec
 
 
 class GNInstance(NamedTuple):
@@ -427,21 +428,13 @@ def _random_params(skel, coeff):
     )
 
 
-def validate_skeleton(skel):
-    """Reject a bad skeleton before any draw: its structural constraints are
-    all that params of its shape can break."""
-    violations = skel.violations()
-    if violations:
-        raise ValidationError(violations)
-
-
 def random_instance(skel, seed):
     """Seeded instance with small nonzero integer coefficients.
 
     Degenerate draws (zero Q, zero f, or a cone where the skeleton promises
     non-cones for general data) are retried; exhaustion raises.
     """
-    validate_skeleton(skel)
+    validate(skel)
     cone_draws = 0
     for attempt in range(RETRY_BUDGET):
         rng = substream(seed, "gn", skel.n, skel.t, skel.m, skel.d, attempt)
@@ -487,27 +480,6 @@ def params_to_dict(params):
     }
 
 
-def params_from_dict(data):
-    from .poly import parse
-
-    n, t, m = data["n"], data["t"], data["m"]
-    zc, tailc = t - m, n - t
-    params = GNParams(
-        n=n,
-        t=t,
-        m=m,
-        d=data["d"],
-        h_forms=tuple(parse(s, "y", nvars=m + 1) for s in data["h_forms"]),
-        psi_forms=tuple(parse(s, "x", nvars=n + 1) for s in data["psi_forms"]),
-        a_consts=tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in block)
-            for block in data["a_consts"]
-        ),
-        p_forms=tuple(parse(s, "z", nvars=zc + tailc) for s in data["p_forms"]),
-    )
-    return validate(params)
-
-
 def instance_to_dict(instance):
     return {
         "params": params_to_dict(instance.params),
@@ -517,15 +489,3 @@ def instance_to_dict(instance):
         "s": instance.s,
         "mu": instance.mu,
     }
-
-
-def instance_from_dict(data):
-    """Rebuild from params and verify the stored f matches the reconstruction."""
-    from .poly import parse
-
-    params = params_from_dict(data["params"])
-    instance = build_f(params)
-    stored = parse(data["f"], "x", nvars=params.n + 1)
-    if stored != instance.f:
-        raise InternalCheckError("stored form disagrees with its construction data")
-    return instance

@@ -331,19 +331,6 @@ def span_coordinates(basis, point):
     return None if any(v) else primitive_vector(zs)
 
 
-def projectively_equal(a, b):
-    """True iff nonzero vectors a, b agree up to a scalar (all 2x2 minors
-    vanish)."""
-    if not any(a) or not any(b):
-        return False
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
-
-
 def random_invertible(n, rng):
     """Seeded random invertible n×n matrix, entries in -9..9 (retry until full rank)."""
     for _ in range(64):

@@ -682,10 +682,6 @@ class Digits:
                 acc[key] = acc.get(key, 0) + (c << shift)
         return acc
 
-    def digit(self, packed, k):
-        """Digit k of each coefficient of a packed polynomial."""
-        return _new(packed.nvars, self._digit(packed._terms, k))
-
     def _digit(self, terms, k):
         shift, mask, half, offset = self.bits * k, (1 << self.bits) - 1, 1 << (self.bits - 1), self.offset
         return {key: a for key, c in terms.items() if (a := ((c + offset) >> shift & mask) - half)}

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, SampleBudgetError
 from .fields import rational_content, substream
-from .linalg import ScalarMatrix, kernel, primitive_vector, projectively_equal, reduced_row_basis
+from .linalg import ScalarMatrix, kernel, primitive_vector, reduced_row_basis
 from .poly import Polynomial, dot, gcd_cofactors, gcd_list, linear_combination, monomials_of_degree, vanishing
 
 DEFAULT_MAX_RELATION_DEGREE = 8
@@ -95,27 +95,12 @@ class PsiMap(NamedTuple):
     def nvars(self):
         return self.h[0].nvars
 
-    def evaluate(self, point):
-        """ψ_g at an exact point, or None on the base locus."""
-        vals = tuple(hi.evaluate(point) for hi in self.h)
-        if not any(vals):
-            return None
-        return vals
-
 
 class SampledSet(NamedTuple):
     """Exact sampled stand-in for a locus defined only as a closure."""
 
     points: tuple                 # normalized projective points
     preimages: tuple              # parallel provenance (() when not applicable)
-
-    def reverify(self, psi):
-        """Each stored image point must equal ψ of its stored preimage."""
-        for pt, pre in zip(self.points, self.preimages):
-            val = psi.evaluate(pre)
-            if val is None or not projectively_equal(val, pt):
-                return False
-        return True
 
 
 def _relation_points(nvars, width):

@@ -12,7 +12,6 @@ import pytest
 
 from hesse_lab.classify import (
     low_dim_hesse_suite,
-    low_polar_dim_check,
     p4_normal_form,
     p4_plane_curve_check,
     p4_section_check,
@@ -21,7 +20,6 @@ from hesse_lab.cli import main
 from hesse_lab.cones import (
     chart_for_hyperplane,
     cone_test,
-    projection_lemma_check,
     restrict,
 )
 from hesse_lab.fields import substream
@@ -37,6 +35,7 @@ from hesse_lab.linalg import random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.psi import build_psi, least_relation
 from conftest import sampled_relation
+from oracles import low_polar_dim_check, projection_lemma_check
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 

@@ -23,12 +23,17 @@ def _namespaces():
     }
 
 
-def test_span_tracer_installs_on_every_target_and_undoes():
+def load_spans():
+    """`bench/spans.py` as a module, imported without installing anything."""
     sys.path.insert(0, str(BENCH))
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module("spans")
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_span_tracer_installs_on_every_target_and_undoes():
+    spans = load_spans()
     for module, _, _ in spans.TARGETS:
         importlib.import_module(f"hesse_lab.{module}")
     before = _namespaces()

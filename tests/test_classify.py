@@ -17,7 +17,6 @@ from hesse_lab import classify, psi as psi_module, reports
 from hesse_lab.cli import main
 from hesse_lab.classify import (
     low_dim_hesse_suite,
-    low_polar_dim_check,
     p4_normal_form,
     p4_plane_curve_check,
     p4_section_check,
@@ -27,11 +26,12 @@ from hesse_lab.errors import DomainError, InternalCheckError
 from hesse_lab.gn import GNSkeleton, random_instance
 from hesse_lab.hessian import hessian_vanishes
 from hesse_lab.fields import substream
-from hesse_lab.linalg import projectively_equal, random_invertible, reduced_row_basis, span_coordinates
+from hesse_lab.linalg import random_invertible, reduced_row_basis, span_coordinates
 from hesse_lab.poly import Polynomial, binary_gcd, linear_combination, parse, repeated_root
 from hesse_lab.psi import build_psi, least_relation, sample_image
 from hesse_lab.reports import p4_classification, run_p4_suite
 from conftest import sampled_relation
+from oracles import low_polar_dim_check, projectively_equal
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 # x0·x3^5 + x1·x4^5 + x2·(x3 + x4)^5: a non-cone whose ψ_g image is a plane

@@ -15,9 +15,7 @@ from hesse_lab.cones import (
     chart_for_hyperplane,
     cone_test,
     directional_derivative,
-    projection_lemma_check,
     restrict,
-    translation_invariant,
 )
 from hesse_lab.fields import substream
 from hesse_lab.gn import GNSkeleton, random_instance
@@ -25,6 +23,7 @@ from hesse_lab.hessian import hessian_matrix, symbolic_determinant
 from hesse_lab.linalg import ScalarMatrix, kernel, primitive_vector, random_invertible
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from conftest import sampled_relation
+from oracles import projection_lemma_check, translation_invariant
 
 PAPER_CUBIC = parse("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2")
 

@@ -21,9 +21,7 @@ from hesse_lab.gn import (
     build_Q,
     build_f,
     core_multiplicity,
-    instance_from_dict,
     instance_to_dict,
-    params_from_dict,
     params_to_dict,
     random_instance,
     validate,
@@ -31,6 +29,7 @@ from hesse_lab.gn import (
 from hesse_lab.hessian import hessian_matrix, hessian_vanishes, symbolic_determinant
 from hesse_lab.poly import Polynomial, monomials_of_degree, parse
 from hesse_lab.reports import GN_SUITE_SKELETONS, run_gn_suite
+from oracles import instance_from_dict, params_from_dict
 
 
 def spec_params_421(d=3, p1=None, p0=None):
@@ -158,7 +157,7 @@ def test_skeleton_d_below_s_rejected():
 
 
 def test_every_skeleton_that_passes_its_checks_gives_valid_params():
-    # validate_skeleton checks only GNSkeleton.violations(): no params of a
+    # validate checks a skeleton on GNSkeleton.violations() alone: no params of a
     # passing shape break GNParams.violations(), swept over the all-ones
     # draw of every shape with n <= 9, hdeg <= 3, psideg <= 2, d <= 8
     passing = 0

@@ -18,13 +18,13 @@ from hesse_lab.linalg import (
     independent_rows_mod,
     kernel,
     primitive_vector,
-    projectively_equal,
     random_invertible,
     rank,
     reduced_row_basis,
     span_coordinates,
 )
 from hesse_lab.poly import parse
+from oracles import projectively_equal
 
 
 def _mul(m, v):
